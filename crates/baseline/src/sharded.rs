@@ -703,9 +703,17 @@ impl ShardPool {
         F: Fn(usize, &InvertedIndex, &mut DecodeScratch) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
+        struct SlotState<T> {
+            values: Vec<Option<T>>,
+            done: Vec<bool>,
+            n_done: usize,
+            /// Tasks dispatched; written before any of them is enqueued,
+            /// so the task that completes the count — and only that one —
+            /// wakes the coordinator.
+            expected: usize,
+        }
         struct Slot<T> {
-            /// (per-shard results, per-shard done flags, done count)
-            state: Mutex<(Vec<Option<T>>, Vec<bool>, usize)>,
+            state: Mutex<SlotState<T>>,
             done: Condvar,
             /// Set when the run gives up (deadline): tasks still queued
             /// drain without doing the query work, so a timeout storm
@@ -715,11 +723,12 @@ impl ShardPool {
         let n = self.num_shards();
         let f = Arc::new(f);
         let slot = Arc::new(Slot {
-            state: Mutex::new((
-                (0..n).map(|_| None).collect::<Vec<Option<T>>>(),
-                vec![false; n],
-                0usize,
-            )),
+            state: Mutex::new(SlotState {
+                values: (0..n).map(|_| None).collect::<Vec<Option<T>>>(),
+                done: vec![false; n],
+                n_done: 0,
+                expected: 0,
+            }),
             done: Condvar::new(),
             abandoned: AtomicBool::new(false),
         });
@@ -791,10 +800,12 @@ impl ShardPool {
                     }
                     let out = catch_unwind(AssertUnwindSafe(|| f(s, shard, scratch))).ok();
                     let mut g = lock(&slot.state);
-                    g.0[s] = out;
-                    g.1[s] = true;
-                    g.2 += 1;
-                    slot.done.notify_all();
+                    g.values[s] = out;
+                    g.done[s] = true;
+                    g.n_done += 1;
+                    if g.n_done == g.expected {
+                        slot.done.notify_all();
+                    }
                 });
                 batch.push(Task { shard: s, job });
                 w.submitted += 1;
@@ -802,6 +813,7 @@ impl ShardPool {
                 expected += 1;
             }
             if !batch.is_empty() {
+                lock(&slot.state).expected = expected;
                 let mut q = lock(&self.shared.queue);
                 q.extend(batch);
                 drop(q);
@@ -812,7 +824,7 @@ impl ShardPool {
         let (values, done_flags) = {
             let mut g = lock(&slot.state);
             loop {
-                if g.2 >= expected {
+                if g.n_done >= g.expected {
                     break;
                 }
                 match deadline {
@@ -830,7 +842,7 @@ impl ShardPool {
                     }
                 }
             }
-            if g.2 < expected {
+            if g.n_done < g.expected {
                 // The run is giving up on the stragglers; let their
                 // still-queued tasks fast-drain on the pool.
                 slot.abandoned.store(true, Ordering::Relaxed);
@@ -838,8 +850,8 @@ impl ShardPool {
             // Swap in a fresh vec (not mem::take): a shard finishing after
             // the deadline still writes into a full-length slot vec
             // harmlessly instead of indexing out of bounds.
-            let values = std::mem::replace(&mut g.0, (0..n).map(|_| None).collect());
-            (values, g.1.clone())
+            let values = std::mem::replace(&mut g.values, (0..n).map(|_| None).collect());
+            (values, g.done.clone())
         };
 
         {

@@ -234,8 +234,20 @@ impl SharedThreshold {
     /// Raises the shared threshold to at least `t`. Monotone under any
     /// interleaving: a concurrent publish of a smaller value can never
     /// lower what other shards see.
+    ///
+    /// Read before write: shards publish after every heap push, and all
+    /// but the O(k log n) pushes that really raise the threshold offer a
+    /// value at or below the published one. A `fetch_max` of such a value
+    /// changes nothing yet still takes the cache line exclusive, so two
+    /// shards running side by side would pass the line back and forth once
+    /// per scored posting. The load keeps the line shared for those; the
+    /// `fetch_max` stays for the raises, so a value that went up between
+    /// the load and the write still cannot be lowered.
     pub fn publish(&self, t: Fixed) {
-        self.0.fetch_max(t.raw(), AtomicOrdering::Relaxed);
+        let t = t.raw();
+        if self.0.load(AtomicOrdering::Relaxed) < t {
+            self.0.fetch_max(t, AtomicOrdering::Relaxed);
+        }
     }
 
     /// The highest score provably refused by every shard, usable with the
@@ -303,6 +315,54 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(s.raw(), 1000);
+    }
+
+    #[test]
+    fn shared_threshold_readers_only_see_published_values() {
+        // Two lanes publish seeded random values (most of them below the
+        // running maximum, so both the skipped-write and the `fetch_max`
+        // arm of `publish` run) and read between publishes. Every value a
+        // reader sees must be one some lane really published — never a
+        // torn or invented one — and the last one standing is the global
+        // maximum.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let lanes: Vec<Vec<u32>> = (0..2u64)
+            .map(|lane| {
+                let mut rng = StdRng::seed_from_u64(0x7E57 + lane);
+                (0..20_000).map(|_| rng.gen_range(1..=1_000_000u32)).collect()
+            })
+            .collect();
+        let published: std::collections::HashSet<u32> =
+            lanes.iter().flatten().copied().collect();
+        let s = SharedThreshold::new();
+        let barrier = std::sync::Barrier::new(lanes.len());
+        let seen: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = lanes
+                .iter()
+                .map(|values| {
+                    let (s, barrier) = (&s, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let mut seen = Vec::with_capacity(2 * values.len());
+                        for &v in values {
+                            s.publish(Fixed::from_raw(v));
+                            let raw = s.raw();
+                            assert!(raw >= v, "a publish was lost: {raw} < {v}");
+                            seen.push(raw);
+                            // `strict` is the same value, one ulp down.
+                            seen.push(s.strict().map_or(0, |f| f.raw() + 1));
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for lane in &seen {
+            assert!(lane.iter().all(|v| published.contains(v)), "read an unpublished value");
+            assert!(lane.windows(2).all(|w| w[0] <= w[1]), "visible threshold went down");
+        }
+        assert_eq!(s.raw(), *published.iter().max().unwrap());
     }
 
     #[test]

@@ -175,8 +175,8 @@ fn run_mode(
     let qps = h.answered() as f64 / elapsed.as_secs_f64();
     println!(
         "serve/{label}: p50={p50} p99={p99} p999={p999} ({qps:.0} qps closed-loop, \
-         inline={} fanout={})",
-        h.sched_inline, h.sched_fanout
+         inline={} fanout={} caller_runs={})",
+        h.sched_inline, h.sched_fanout, h.caller_runs
     );
     ModeRun {
         p50,

@@ -90,14 +90,24 @@ pub struct FaultPlan {
     /// attempt *panics* instead of stalling, exercising the per-query
     /// `catch_unwind` isolation.
     pub panic_burst: Option<(u64, u64)>,
+    /// Query sequence range `[start, end)` in which the *CPU fallback*
+    /// panics: nothing is left to fall back to, so the query resolves as
+    /// [`crate::Rejected::Panicked`] — the last-line isolation no
+    /// well-formed query reaches on its own.
+    pub fallback_panic_burst: Option<(u64, u64)>,
     /// Seed for the per-query sabotage draw.
     pub seed: u64,
 }
 
 impl FaultPlan {
     /// No injected faults.
-    pub const NONE: FaultPlan =
-        FaultPlan { stall_rate: 0.0, burst: None, panic_burst: None, seed: 0 };
+    pub const NONE: FaultPlan = FaultPlan {
+        stall_rate: 0.0,
+        burst: None,
+        panic_burst: None,
+        fallback_panic_burst: None,
+        seed: 0,
+    };
 
     /// Whether device attempt number `attempt` (0-based) of query number
     /// `seq` should be sabotaged. Pure function of the plan, so every
@@ -123,6 +133,11 @@ impl FaultPlan {
     pub fn sabotage_panic(&self, seq: u64, attempt: u32) -> bool {
         attempt == 0
             && self.panic_burst.is_some_and(|(start, end)| (start..end).contains(&seq))
+    }
+
+    /// Whether the CPU fallback of query `seq` should panic.
+    pub fn sabotage_fallback_panic(&self, seq: u64) -> bool {
+        self.fallback_panic_burst.is_some_and(|(start, end)| (start..end).contains(&seq))
     }
 }
 
@@ -297,6 +312,7 @@ mod tests {
     fn fault_plan_none_is_quiet() {
         assert!((0..100).all(|s| !FaultPlan::NONE.sabotage(s, 0)));
         assert!((0..100).all(|s| !FaultPlan::NONE.sabotage_panic(s, 0)));
+        assert!((0..100).all(|s| !FaultPlan::NONE.sabotage_fallback_panic(s)));
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! Every submitted query resolves to exactly one of: clean hits, degraded
 //! hits (carrying [`Degradation`] records), or a typed [`Rejected`] — the
 //! service never panics a caller and never silently drops a query.
+//!
+//! A query is executed by whichever thread takes it off the admission
+//! queue: a pool worker, or — when it is still at the head of the queue
+//! by the time its caller blocks in [`PendingQuery::wait`] — the caller
+//! itself (help-first join; DESIGN.md §10). Both run [`serve_one`], so
+//! executing queries are bounded by workers + callers blocked in `wait`.
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -125,14 +131,45 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// An admitted query waiting for its answer.
-#[derive(Debug)]
 pub struct PendingQuery {
     rx: mpsc::Receiver<Result<SearchResponse, Rejected>>,
+    /// Admission sequence number of the job this handle waits on.
+    seq: u64,
+    shared: Arc<Shared>,
+}
+
+impl std::fmt::Debug for PendingQuery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PendingQuery").field("seq", &self.seq).finish_non_exhaustive()
+    }
 }
 
 impl PendingQuery {
     /// Blocks until the query resolves.
+    ///
+    /// Help-first join: when this query is still at the *front* of the
+    /// admission queue, the calling thread — which would otherwise sleep
+    /// until a worker woke, ran the query and woke it back — pops the job
+    /// and runs it itself through [`serve_one`], the same function the
+    /// workers run. Only the head-of-line job is ever taken, so queries
+    /// still leave the queue in admission order; a job a worker already
+    /// holds, or one queued behind others, is waited for on the reply
+    /// channel.
     pub fn wait(self) -> Result<SearchResponse, Rejected> {
+        let own = {
+            let mut q = lock(&self.shared.queue);
+            if q.front().is_some_and(|job| job.seq == self.seq) {
+                q.pop_front()
+            } else {
+                None
+            }
+        };
+        if let Some(job) = own {
+            self.shared.stats.caller_runs.fetch_add(1, Ordering::Relaxed);
+            // Only shapes device-retry back-off sleeps.
+            let mut rng = SplitMix64::new(self.shared.cfg.fault.seed ^ job.seq);
+            return serve_one(&self.shared, &job, &mut rng);
+        }
         // A dropped sender means the pool died mid-query; surface it as a
         // shutdown rather than panicking the caller.
         self.rx.recv().unwrap_or(Err(Rejected::ShuttingDown))
@@ -261,7 +298,7 @@ impl QueryService {
         let now = Instant::now();
         let deadline = now + self.shared.cfg.default_deadline;
         let (tx, rx) = mpsc::channel();
-        {
+        let seq = {
             let mut q = lock(&self.shared.queue);
             // Re-checked under the queue lock: workers only exit after
             // observing (queue empty && shutdown) under this same lock, so
@@ -278,18 +315,12 @@ impl QueryService {
             // Sequence numbers count *admitted* queries only, so
             // FaultPlan windows keyed on seq target queries that actually
             // reach a worker regardless of how many submissions shed.
-            let job = Job {
-                query,
-                k,
-                submitted_at: now,
-                deadline,
-                seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
-                reply: tx,
-            };
-            q.push_back(job);
-        }
+            let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
+            q.push_back(Job { query, k, submitted_at: now, deadline, seq, reply: tx });
+            seq
+        };
         self.shared.not_empty.notify_one();
-        Ok(PendingQuery { rx })
+        Ok(PendingQuery { rx, seq, shared: Arc::clone(&self.shared) })
     }
 
     /// Submits and blocks for the answer.
@@ -307,6 +338,7 @@ impl QueryService {
             shed_overload: s.shed_overload.load(Ordering::Relaxed),
             shed_deadline: s.shed_deadline.load(Ordering::Relaxed),
             failed: s.failed.load(Ordering::Relaxed),
+            caller_runs: s.caller_runs.load(Ordering::Relaxed),
             panicked: s.panicked.load(Ordering::Relaxed),
             retries: s.retries.load(Ordering::Relaxed),
             cpu_fallbacks: s.cpu_fallbacks.load(Ordering::Relaxed),
@@ -400,7 +432,6 @@ fn worker_loop(shared: &Shared, worker_id: u64) {
         SplitMix64::new(shared.cfg.fault.seed ^ worker_id.wrapping_mul(0xA076_1D64_78BD_642F));
     let batch_cap = shared.cfg.scheduler.admission_batch.max(1);
     let workers = shared.cfg.workers.max(1);
-    let min_slack = shared.cfg.scheduler.min_slack;
     loop {
         // Batched admission: drain up to `admission_batch` jobs in one
         // lock acquisition, but never more than this worker's fair share
@@ -424,30 +455,28 @@ fn worker_loop(shared: &Shared, worker_id: u64) {
             }
         };
         for job in batch {
-            // Slack shedding: a job without `min_slack` of runway left
-            // would miss its deadline mid-execution anyway — rejecting
-            // it now costs nothing and keeps the doomed work from
-            // snowballing the backlog. ZERO slack degenerates to the
-            // already-expired check `serve_one` performs itself.
-            if !min_slack.is_zero()
-                && job.deadline.saturating_duration_since(Instant::now()) < min_slack
-            {
-                shared.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                let _ = job.reply.send(Err(Rejected::DeadlineExceeded { stage: "queue" }));
-                continue;
-            }
-            serve_one(shared, job, &mut rng);
+            let _ = job.reply.send(serve_one(shared, &job, &mut rng));
         }
     }
 }
 
-fn serve_one(shared: &Shared, job: Job, rng: &mut SplitMix64) {
-    let started = Instant::now();
+/// Everything that happens to a job once it has left the admission queue,
+/// on whichever thread took it: a pool worker, or the job's own caller
+/// blocked in [`PendingQuery::wait`].
+fn serve_one(
+    shared: &Shared,
+    job: &Job,
+    rng: &mut SplitMix64,
+) -> Result<SearchResponse, Rejected> {
     let stats = &shared.stats;
-    if started >= job.deadline {
+    // Slack shedding: a job without `min_slack` of runway left would miss
+    // its deadline mid-execution anyway — rejecting it now costs nothing
+    // and keeps the doomed work from snowballing the backlog. With ZERO
+    // slack this sheds exactly the jobs already past their deadline.
+    let slack = job.deadline.saturating_duration_since(Instant::now());
+    if slack.is_zero() || slack < shared.cfg.scheduler.min_slack {
         stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-        let _ = job.reply.send(Err(Rejected::DeadlineExceeded { stage: "queue" }));
-        return;
+        return Err(Rejected::DeadlineExceeded { stage: "queue" });
     }
 
     // Live mode: serve from the incremental index (segments ∪ buffer) on
@@ -456,68 +485,53 @@ fn serve_one(shared: &Shared, job: Job, rng: &mut SplitMix64) {
     // over the static image, which live mode does not have.
     if let Some(live) = &shared.live {
         let result = panic::catch_unwind(AssertUnwindSafe(|| live.search(&job.query, job.k)));
-        let (response, outcome_err) = match result {
-            Ok(Ok(resp)) => (Some(resp), None),
-            Ok(Err(error)) => (None, Some(Rejected::Failed { error })),
+        let outcome = match result {
+            Ok(Ok(resp)) => Ok(resp),
+            Ok(Err(error)) => Err(Rejected::Failed { error }),
             Err(payload) => {
                 stats.panicked.fetch_add(1, Ordering::Relaxed);
-                (None, Some(Rejected::Panicked { message: panic_message(payload.as_ref()) }))
+                Err(Rejected::Panicked { message: panic_message(payload.as_ref()) })
             }
         };
-        finish_one(shared, &job, response, outcome_err);
-        return;
+        return finish_one(shared, job, outcome);
     }
 
-    let route = shared.breaker.route();
-    let (mut response, outcome_err) = match route {
-        Route::Device { probe } => match run_device(shared, &job, rng) {
+    let outcome = match shared.breaker.route() {
+        Route::Device { probe } => match run_device(shared, job, rng) {
             DeviceOutcome::Ok { mut response, attempts } => {
                 shared.breaker.on_success(probe);
                 if attempts > 1 {
                     stats.retries.fetch_add(u64::from(attempts - 1), Ordering::Relaxed);
                     response.degraded.push(Degradation::Retried { attempts });
                 }
-                (Some(response), None)
+                Ok(response)
             }
             DeviceOutcome::Deadline => {
                 // The device never got a verdict; don't charge the breaker
                 // either way — but a held probe slot must be released or
                 // the breaker would stick in HalfOpen forever.
                 shared.breaker.on_abandoned(probe);
-                stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                let _ = job.reply.send(Err(Rejected::DeadlineExceeded { stage: "retry" }));
-                return;
+                Err(Rejected::DeadlineExceeded { stage: "retry" })
             }
             DeviceOutcome::GiveUp { reason } => {
                 shared.breaker.on_failure(probe);
-                match run_fallback(shared, &job, reason) {
-                    Ok(resp) => (Some(resp), None),
-                    Err(rej) => (None, Some(rej)),
-                }
+                run_fallback(shared, job, reason)
             }
         },
-        Route::Fallback => {
-            match run_fallback(shared, &job, "circuit breaker open".to_string()) {
-                Ok(resp) => (Some(resp), None),
-                Err(rej) => (None, Some(rej)),
-            }
-        }
+        Route::Fallback => run_fallback(shared, job, "circuit breaker open".to_string()),
     };
-
-    let response = response.take();
-    finish_one(shared, &job, response, outcome_err);
+    finish_one(shared, job, outcome)
 }
 
-/// Shared tail of [`serve_one`]: accounts the outcome and replies.
+/// Shared tail of [`serve_one`]: accounts the outcome and hands it back.
 fn finish_one(
     shared: &Shared,
     job: &Job,
-    response: Option<SearchResponse>,
-    outcome_err: Option<Rejected>,
-) {
+    outcome: Result<SearchResponse, Rejected>,
+) -> Result<SearchResponse, Rejected> {
     let stats = &shared.stats;
-    match (response, outcome_err) {
-        (Some(resp), _) => {
+    match &outcome {
+        Ok(resp) => {
             if resp.degraded.is_empty() {
                 stats.completed.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -528,23 +542,17 @@ fn finish_one(
                 stats.shard_partials.fetch_add(1, Ordering::Relaxed);
             }
             stats.record_latency(job.submitted_at.elapsed());
-            let _ = job.reply.send(Ok(resp));
         }
-        (None, Some(rej)) => {
-            match &rej {
-                Rejected::DeadlineExceeded { .. } => {
-                    stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                }
-                // Panicked still counts as `failed` so that
-                // answered + shed + failed == submitted holds exactly.
-                _ => {
-                    stats.failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let _ = job.reply.send(Err(rej));
+        Err(Rejected::DeadlineExceeded { .. }) => {
+            stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
         }
-        (None, None) => unreachable!("every query resolves to a response or a rejection"),
+        // Panicked still counts as `failed` so that
+        // answered + shed + failed == submitted holds exactly.
+        Err(_) => {
+            stats.failed.fetch_add(1, Ordering::Relaxed);
+        }
     }
+    outcome
 }
 
 fn run_device(shared: &Shared, job: &Job, rng: &mut SplitMix64) -> DeviceOutcome {
@@ -647,6 +655,9 @@ fn run_fallback(
         }
     }
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        if shared.cfg.fault.sabotage_fallback_panic(job.seq) {
+            panic!("injected panic fault (fallback, seq {})", job.seq);
+        }
         // Sharded fan-out when configured (intra-query parallelism, same
         // hits); otherwise the plain single-threaded baseline. The shard
         // pool is shared across serve workers, so the engine is queried

@@ -28,6 +28,11 @@ pub struct ServeStats {
     pub shed_deadline: AtomicU64,
     /// Queries that failed permanently with a typed error.
     pub failed: AtomicU64,
+    /// Queries executed by their own caller inside `PendingQuery::wait`
+    /// (help-first join) instead of by a pool worker. A subset of the
+    /// dequeued outcomes: `caller_runs <= answered + shed_deadline +
+    /// failed`.
+    pub caller_runs: AtomicU64,
     /// Queries that panicked under `catch_unwind` on either path — a
     /// device attempt (the query then fell back) or the CPU fallback
     /// (the query became `Rejected::Panicked`). The worker survived
@@ -70,6 +75,7 @@ impl Default for ServeStats {
             shed_overload: AtomicU64::new(0),
             shed_deadline: AtomicU64::new(0),
             failed: AtomicU64::new(0),
+            caller_runs: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             cpu_fallbacks: AtomicU64::new(0),
@@ -224,6 +230,8 @@ pub struct HealthSnapshot {
     pub shed_deadline: u64,
     /// Permanent typed failures.
     pub failed: u64,
+    /// Queries executed by their waiting caller rather than a worker.
+    pub caller_runs: u64,
     /// Isolated query panics (device attempt or CPU fallback).
     pub panicked: u64,
     /// Extra device attempts.
@@ -302,7 +310,7 @@ impl std::fmt::Display for HealthSnapshot {
         writeln!(
             f,
             "submitted={} completed={} degraded={} shed(overload={} deadline={}) \
-             failed={} panicked={}",
+             failed={} panicked={} caller_runs={}",
             self.submitted,
             self.completed,
             self.degraded_ok,
@@ -310,6 +318,7 @@ impl std::fmt::Display for HealthSnapshot {
             self.shed_deadline,
             self.failed,
             self.panicked,
+            self.caller_runs,
         )?;
         writeln!(
             f,
@@ -468,6 +477,7 @@ mod tests {
             shed_overload: 12,
             shed_deadline: 5,
             failed: 3,
+            caller_runs: 9,
             panicked: 0,
             retries: 4,
             cpu_fallbacks: 6,
@@ -505,6 +515,7 @@ mod tests {
         };
         assert!((h.shed_rate() - 0.20).abs() < 1e-12);
         assert!(h.to_string().contains("breaker=closed"));
+        assert!(h.to_string().contains("caller_runs=9"));
         assert!(h.to_string().contains("fallback_candidates=120"));
         assert!(h.to_string().contains("shards=2"));
         assert!(h.to_string().contains("partial_answers=2"));

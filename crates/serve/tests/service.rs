@@ -7,7 +7,8 @@ use std::time::Duration;
 use iiu_core::{CpuSearchEngine, Degradation, Query, SearchEngine};
 use iiu_index::InvertedIndex;
 use iiu_serve::{
-    BreakerConfig, BreakerState, FaultPlan, QueryService, Rejected, RetryPolicy, ServeConfig,
+    BreakerConfig, BreakerState, FaultPlan, HealthSnapshot, IncrementalOptions, LiveIndex,
+    PendingQuery, QueryService, Rejected, RetryPolicy, ServeConfig,
 };
 use iiu_workloads::{CorpusConfig, QuerySampler};
 
@@ -28,6 +29,28 @@ fn quick_config() -> ServeConfig {
         },
         ..ServeConfig::default()
     }
+}
+
+/// Keeps intentional injected panics from spraying backtraces over the
+/// test output; real panics still print.
+fn silence_injected_panics() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or("");
+        if !msg.contains("injected panic fault") {
+            default_hook(info);
+        }
+    }));
+}
+
+/// Every offered query resolved exactly once, and the ones their own
+/// caller ran are a subset of those that left the queue.
+fn assert_accounting(h: &HealthSnapshot) {
+    assert_eq!(h.submitted, h.answered() + h.rejected_total(), "accounting violated: {h}");
+    assert!(
+        h.caller_runs <= h.answered() + h.shed_deadline + h.failed,
+        "caller-run queries exceed dequeued outcomes: {h}"
+    );
 }
 
 #[test]
@@ -286,15 +309,7 @@ fn breaker_trips_then_recovers() {
 
 #[test]
 fn injected_panic_is_isolated_and_falls_back() {
-    // Keep the intentional panic's backtrace out of the test output;
-    // real panics still print.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or("");
-        if !msg.contains("injected panic fault") {
-            default_hook(info);
-        }
-    }));
+    silence_injected_panics();
     let index = Arc::new(tiny_index(0xFA11));
     let cfg = ServeConfig {
         workers: 1,
@@ -451,4 +466,240 @@ fn hybrid_scheduler_routes_by_cost_and_stays_bit_identical() {
     assert_eq!(h.sched_inline, 1, "the rare query routes inter-query");
     assert_eq!(h.sched_fanout, 3, "heavy-list queries route intra-query");
     assert_eq!(h.sched_inline + h.sched_fanout, h.cpu_fallbacks);
+}
+
+// ---- Help-first join: the waiting caller runs its own head-of-line job ----
+
+/// How long [`pinned_worker`] keeps the only worker asleep.
+const PIN: Duration = Duration::from_millis(400);
+
+/// A one-worker service whose worker is parked in a device retry
+/// back-off of [`PIN`]: query seq 0 stalls on every attempt, and the
+/// function returns once the worker has taken it off the queue. Until the
+/// back-off ends nothing but a waiting caller can execute a query.
+fn pinned_worker(
+    index: &Arc<InvertedIndex>,
+    fault: FaultPlan,
+) -> (QueryService, PendingQuery) {
+    let cfg = ServeConfig {
+        workers: 1,
+        queue_capacity: 64,
+        default_deadline: Duration::from_secs(30),
+        retry: RetryPolicy {
+            max_attempts: 2,
+            base_backoff: PIN,
+            max_backoff: PIN,
+            jitter: 0.0,
+        },
+        fault: FaultPlan { burst: Some((0, 1)), ..fault },
+        ..ServeConfig::default()
+    };
+    let svc = QueryService::start(Arc::clone(index), cfg);
+    let blocker = svc.submit(Query::term(term_of(index, 0)), 5).expect("admission");
+    while svc.health().queue_depth > 0 {
+        std::thread::yield_now();
+    }
+    (svc, blocker)
+}
+
+#[test]
+fn waiting_caller_runs_its_head_of_line_query() {
+    let index = Arc::new(tiny_index(0x4E1F));
+    let (svc, blocker) = pinned_worker(&index, FaultPlan::NONE);
+    let q = Query::term(term_of(&index, 1));
+    let started = std::time::Instant::now();
+    let served = svc.search_blocking(q.clone(), 10).expect("helped query answers");
+    let took = started.elapsed();
+    assert!(took < PIN / 2, "answered in {took:?}: waited for the pinned worker");
+    assert_eq!(svc.health().caller_runs, 1, "the only free thread was the caller");
+    let direct = CpuSearchEngine::new(&index).search(&q, 10).expect("cpu search failed");
+    assert_eq!(served.hits, direct.hits);
+    assert!(served.degraded.is_empty(), "{:?}", served.degraded);
+
+    // The worker's own query is untouched by the help next door.
+    let resp = blocker.wait().expect("pinned query falls back");
+    assert!(resp.degraded.iter().any(|d| matches!(d, Degradation::CpuFallback { .. })));
+    let h = svc.health();
+    assert_eq!((h.caller_runs, h.answered()), (1, 2));
+    assert_accounting(&h);
+}
+
+#[test]
+fn waiter_never_takes_a_job_that_is_not_at_the_front() {
+    let index = Arc::new(tiny_index(0x0F1F0));
+    let (svc, blocker) = pinned_worker(&index, FaultPlan::NONE);
+    let first = svc.submit(Query::term(term_of(&index, 1)), 10).expect("admission");
+    let second = svc.submit(Query::term(term_of(&index, 2)), 10).expect("admission");
+    // `first` is ahead of it in the queue, so this waiter must leave both
+    // alone and block until the worker has run them in admission order.
+    second.wait().expect("second answers");
+    let h = svc.health();
+    assert_eq!(h.caller_runs, 0, "a waiter jumped the queue: {h}");
+    assert_eq!(h.answered(), 3, "the worker ran seq 0, 1, 2 before the reply: {h}");
+    first.wait().expect("first was answered by the worker");
+    blocker.wait().expect("pinned query falls back");
+    assert_accounting(&svc.health());
+}
+
+#[test]
+fn panicking_query_run_by_its_caller_is_isolated() {
+    silence_injected_panics();
+    let index = Arc::new(tiny_index(0xD1E));
+    // Seq 1 panics on its device attempt and again on the CPU fallback:
+    // nothing is left to answer it.
+    let fault = FaultPlan {
+        panic_burst: Some((1, 2)),
+        fallback_panic_burst: Some((1, 2)),
+        ..FaultPlan::NONE
+    };
+    let (svc, blocker) = pinned_worker(&index, fault);
+    let q = Query::term(term_of(&index, 1));
+    match svc.search_blocking(q.clone(), 10) {
+        Err(Rejected::Panicked { message }) => {
+            assert!(message.contains("injected panic fault"), "{message}");
+        }
+        other => panic!("expected an isolated panic, got {other:?}"),
+    }
+    let h = svc.health();
+    assert_eq!((h.caller_runs, h.panicked, h.failed), (1, 2, 1), "{h}");
+    // The calling thread is unharmed and can be helped again.
+    svc.search_blocking(q, 10).expect("next query answers");
+    blocker.wait().expect("pinned query falls back");
+    let h = svc.health();
+    assert_eq!(h.caller_runs, 2);
+    assert_accounting(&h);
+}
+
+#[test]
+fn wait_resolves_across_shutdown_and_drop() {
+    // Extends the lost-wakeup canary above to the help-first join: a
+    // `PendingQuery` outlives `shutdown()` and the service itself, and
+    // must resolve either way — by the drain, or by its own caller.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let churn = std::thread::spawn(move || {
+        let index = Arc::new(tiny_index(0xAB));
+        let q = Query::term(term_of(&index, 0));
+        for i in 0..300 {
+            let cfg = ServeConfig { workers: 2, ..quick_config() };
+            let mut svc = QueryService::start(Arc::clone(&index), cfg);
+            let pending: Vec<_> =
+                (0..3).map(|_| svc.submit(q.clone(), 3).expect("admission")).collect();
+            let resolve = |pending: Vec<PendingQuery>| {
+                for p in pending {
+                    match p.wait() {
+                        Ok(_) | Err(Rejected::ShuttingDown) => {}
+                        Err(other) => panic!("unexpected rejection: {other:?}"),
+                    }
+                }
+            };
+            match i % 3 {
+                // Waiters race the shutdown from another thread.
+                0 => {
+                    let waiter = std::thread::spawn(move || resolve(pending));
+                    svc.shutdown();
+                    waiter.join().expect("waiter panicked");
+                }
+                1 => {
+                    svc.shutdown();
+                    resolve(pending);
+                }
+                _ => {
+                    drop(svc);
+                    resolve(pending);
+                    continue;
+                }
+            }
+            // Admitted before shutdown: drained or helped, never dropped.
+            let h = svc.health();
+            assert_eq!(h.answered(), 3, "{h}");
+            assert_accounting(&h);
+        }
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a wait() hung across shutdown (or the churn thread panicked)");
+    churn.join().expect("churn thread panicked");
+}
+
+/// Runs `q` until it has been executed once by a worker and once by the
+/// calling thread, and returns `(worker_hits, helped_hits)`. Which thread
+/// ran a given execution is read off `caller_runs`, not assumed.
+fn run_both_ways(svc: &QueryService, q: &Query) -> (Vec<iiu_core::Hit>, Vec<iiu_core::Hit>) {
+    // Worker-run: wait only once a worker has taken the job.
+    let before = svc.health().caller_runs;
+    let pending = svc.submit(q.clone(), 10).expect("admission");
+    while svc.health().queue_depth > 0 {
+        std::thread::yield_now();
+    }
+    let by_worker = pending.wait().expect("worker-run query answers").hits;
+    assert_eq!(svc.health().caller_runs, before, "the worker already held the job");
+    // Helped: waiting straight after the submit usually beats the worker's
+    // wake-up to the queue; retry until the counter says it did.
+    for _ in 0..10_000 {
+        let before = svc.health().caller_runs;
+        let hits = svc.search_blocking(q.clone(), 10).expect("query answers").hits;
+        if svc.health().caller_runs > before {
+            return (by_worker, hits);
+        }
+    }
+    panic!("the caller never got to run {q} itself");
+}
+
+fn three_shapes(index: &InvertedIndex) -> [Query; 3] {
+    let (a, b) = (term_of(index, 1), term_of(index, 2));
+    [
+        Query::term(a),
+        Query::and(Query::term(a), Query::term(b)),
+        Query::or(Query::term(a), Query::term(b)),
+    ]
+}
+
+#[test]
+fn helped_and_worker_run_hits_are_bit_identical_static() {
+    let index = Arc::new(tiny_index(0xB17));
+    let mut cpu = CpuSearchEngine::new(&index);
+    // The device path, and the sharded CPU path the benchmarks serve on.
+    let cpu_path = ServeConfig {
+        shards: 2,
+        pruned_cpu_fallback: true,
+        retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+        fault: FaultPlan { burst: Some((0, u64::MAX)), ..FaultPlan::NONE },
+        ..quick_config()
+    };
+    for cfg in [ServeConfig { workers: 1, ..quick_config() }, cpu_path] {
+        let svc = QueryService::start(Arc::clone(&index), cfg);
+        for q in three_shapes(&index) {
+            let (by_worker, helped) = run_both_ways(&svc, &q);
+            assert_eq!(by_worker, helped, "helping changed hits for {q}");
+            assert_eq!(helped, cpu.search(&q, 10).expect("cpu search failed").hits);
+        }
+        assert_accounting(&svc.health());
+    }
+}
+
+#[test]
+fn helped_and_worker_run_hits_are_bit_identical_live() {
+    let dir = std::env::temp_dir().join(format!("iiu-serve-help-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let corpus = CorpusConfig { n_docs: 400, n_terms: 120, ..CorpusConfig::tiny(0x11FE) };
+    let corpus = corpus.generate();
+    // Two sealed segments plus a buffered tail: the live union path.
+    let opts = IncrementalOptions { seal_threshold: 150, ..IncrementalOptions::default() };
+    let live = Arc::new(LiveIndex::open(&dir, opts).expect("open live index"));
+    live.ingest_batch(&corpus.to_docs()).expect("ingest");
+    let index = corpus.into_default_index();
+    let svc = QueryService::start_live(
+        Arc::clone(&live),
+        ServeConfig { workers: 1, ..quick_config() },
+    );
+    for q in three_shapes(&index) {
+        let (by_worker, helped) = run_both_ways(&svc, &q);
+        assert_eq!(by_worker, helped, "helping changed live hits for {q}");
+        assert_eq!(helped, live.search(&q, 10).expect("live search failed").hits);
+        assert!(!helped.is_empty(), "{q} should match documents");
+    }
+    assert_accounting(&svc.health());
+    drop(svc);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1028,6 +1028,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
         "resilience:    {} retries, {} cpu fallbacks, {} isolated panics",
         h.retries, h.cpu_fallbacks, h.panicked
     );
+    println!("executed by:   {} by their waiting caller, the rest by workers", h.caller_runs);
     if h.cpu_fallbacks > 0 {
         println!(
             "fallback work: {} candidates scanned, {:.2} ms modeled CPU time",

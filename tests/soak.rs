@@ -146,6 +146,7 @@ fn soak_overload_with_faults_and_breaker_recovery() {
             burst: Some(BURST),
             panic_burst: Some((BURST.0, BURST.0 + 10)),
             seed: 0xFA_017,
+            ..FaultPlan::NONE
         },
         shards: 2,
         scheduler: SchedulerConfig {
@@ -200,6 +201,12 @@ fn soak_overload_with_faults_and_breaker_recovery() {
         rejected + admission_sheds,
         h.rejected_total(),
         "caller-side vs stats rejected mismatch"
+    );
+    // Queries the draining caller ran itself are a subset of the dequeued
+    // outcomes; they are counted once, by outcome, like worker-run ones.
+    assert!(
+        h.caller_runs <= h.answered() + h.shed_deadline + h.failed,
+        "caller-run queries exceed dequeued outcomes: {h}"
     );
 
     // 3. The fault burst tripped the breaker and it recovered afterwards.

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Full verification gate: build, tests, the fault-injected serving soak,
-# the no-panic lint wall, and the hot-path decode, shard-scaling, mmap
+# Full verification gate: build, tests, the separately-built benchmark
+# package's tests and smoke run, the fault-injected serving soak, the
+# no-panic lint wall, and the hot-path decode, shard-scaling, mmap
 # storage, and serve tail-latency perf gates.
 #
 # Usage: ./verify.sh [--quick]
@@ -32,6 +33,14 @@ done
 
 cargo build --release --workspace
 cargo test -q --workspace
+
+# The repo benchmark (benchmark/, BENCHMARK.json) is a package of its own
+# that the workspace commands above never build: compile it against this
+# tree, run its unit tests, and run every workload once on the small
+# corpus (oracle and fingerprint checks, no timing assertion), so a change
+# to the public API it calls cannot break it unnoticed.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload all --smoke
 
 # Pruned top-k equivalence (DESIGN.md §13): release-mode run of the
 # property suite proving block-max pruned search is bit-identical to
