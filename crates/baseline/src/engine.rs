@@ -40,14 +40,17 @@ impl QueryOutcome {
 /// operation counts.
 ///
 /// The engine owns a [`DecodeScratch`] — reusable decode buffers plus the
-/// decoded-block probe cache — so query methods take `&mut self` and the
-/// steady-state hot path allocates only for results.
+/// decoded-block cache the exhaustive SvS probes through — so query
+/// methods take `&mut self` and the steady-state hot path allocates only
+/// for results.
 ///
 /// With [`CpuEngine::with_pruning`] the engine runs in block-max pruned
 /// mode ([`crate::pruned`]): top-k is fused into the scoring loop and
 /// blocks whose score upper bound cannot beat the heap threshold are
-/// skipped. Results are bit-identical to the exhaustive mode; only the
-/// operation counts (and therefore modeled latency) change.
+/// skipped (two-term queries walk both lists with one forward block
+/// cursor each and never touch the block cache). Results are
+/// bit-identical to the exhaustive mode; only the operation counts (and
+/// therefore modeled latency) change.
 #[derive(Debug, Clone)]
 pub struct CpuEngine<'a> {
     index: &'a InvertedIndex,

@@ -10,35 +10,49 @@
 //! with buffers owned by a [`DecodeScratch`], so steady-state query
 //! processing performs no per-block allocation. The scratch also carries a
 //! small LRU cache of decoded blocks — the software analogue of the paper's
-//! 32-entry traversal cache — that serves repeated membership probes
-//! without re-decoding (cache hits and misses are tallied in [`OpCounts`];
-//! the `blocks_decoded`/`postings_decoded` tallies count *logical* decodes
-//! and are unaffected by caching, so the cost model's pricing is stable).
+//! 32-entry traversal cache — that serves the repeated membership probes of
+//! the exhaustive SvS ([`intersect_svs`]) without re-decoding (cache hits
+//! and misses are tallied in [`OpCounts`]; the exhaustive
+//! `blocks_decoded`/`postings_decoded` tallies count *logical* decodes and
+//! are unaffected by caching, so the cost model's pricing is stable).
+//! Pruned mode ([`crate::pruned`]) moves forward only, decodes a block at
+//! most once and never consults the cache.
 
 use iiu_index::block::EncodedList;
 use iiu_index::{DocId, Posting, TermId};
 
 /// Counters of the primitive operations a query performed.
+///
+/// The exhaustive engine and pruned mode ([`crate::pruned`]) fill the
+/// decode and skip fields differently; this is the one definition of the
+/// pruned reading. Pruned mode decodes a block at most once per query and
+/// has no block cache, so its decode tallies are *physical*, and every
+/// block of the query's one or two lists is either decoded or skipped:
+///
+/// * `blocks_decoded + blocks_skipped` = the lists' block count,
+/// * `postings_decoded + postings_skipped` = the lists' posting count,
+/// * `cache_hits + cache_misses` = 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpCounts {
-    /// Postings decompressed (d-gap + tf decode and prefix-sum). Counts
-    /// logical decodes: a decoded-block cache hit still tallies here.
+    /// Postings decompressed (d-gap + tf decode and prefix-sum). The
+    /// exhaustive engine counts logical decodes: a decoded-block cache hit
+    /// still tallies here. Pruned mode counts physical decodes.
     pub postings_decoded: u64,
-    /// Blocks decompressed (logical; see `postings_decoded`).
+    /// Blocks decompressed (logical or physical as for `postings_decoded`).
     pub blocks_decoded: u64,
-    /// Blocks skipped thanks to skip-list membership testing or block-max
-    /// score pruning.
+    /// Blocks never decompressed: long-list blocks no SvS probe landed in
+    /// (exhaustive), or blocks the pruned cursor passed — or never reached
+    /// — without decoding them.
     pub blocks_skipped: u64,
-    /// Postings never decoded or scored because their block's score upper
-    /// bound (or their own partial score) could not beat the top-k
-    /// threshold (pruned mode only).
+    /// Postings of the blocks pruned mode skipped (pruned mode only).
     pub postings_skipped: u64,
-    /// Skip-list binary-search probes.
+    /// Skip-list search probes: the binary search of the exhaustive SvS,
+    /// the forward gallop of pruned mode.
     pub binary_probes: u64,
-    /// Element comparisons in merge/intersect loops (and within-block
-    /// binary search).
+    /// Element comparisons in merge/intersect loops and in searches
+    /// within a decoded block.
     pub comparisons: u64,
-    /// Documents scored with BM25.
+    /// Documents scored with BM25 (one per term contribution computed).
     pub docs_scored: u64,
     /// Candidates pushed through the top-k heap.
     pub topk_candidates: u64,
@@ -46,9 +60,11 @@ pub struct OpCounts {
     pub results: u64,
     /// Phrase-position verifications performed (host side).
     pub phrase_checks: u64,
-    /// Probe-path block requests served from the decoded-block cache.
+    /// Probe-path block requests served from the decoded-block cache
+    /// (exhaustive SvS only).
     pub cache_hits: u64,
-    /// Probe-path block requests that had to decode for real.
+    /// Probe-path block requests that had to decode for real (exhaustive
+    /// SvS only).
     pub cache_misses: u64,
 }
 
@@ -228,7 +244,8 @@ impl BlockCache {
 
 /// Reusable decode buffers for one query engine. Owning one per engine
 /// (rather than allocating inside every op) is what makes the hot path
-/// allocation-free: `decode_full`-style work lands in `full_a`/`full_b`,
+/// allocation-free: `decode_full`-style work and the pruned cursors'
+/// current blocks land in `full_a`/`full_b`, the exhaustive SvS's
 /// membership probes go through the [`BlockCache`].
 ///
 /// Ownership rule: a `DecodeScratch` belongs to exactly one engine and is

@@ -10,23 +10,40 @@
 //!
 //! * admission is strict (`candidate > heap minimum`), so the heap's
 //!   threshold `t` only grows;
-//! * a candidate is only skipped when an upper bound on its final score is
-//!   `<= t` at decision time — and since `t` is monotone, the candidate
+//! * a candidate is only dropped when an upper bound on its *final* score
+//!   is `<= t` at decision time — and since `t` is monotone, the candidate
 //!   would also have been *refused* by the heap at its own position in the
 //!   exhaustive stream;
+//! * every candidate that is pushed is pushed once, with its full score,
+//!   in ascending docID order;
 //! * therefore the sequence of **admitted** pushes is identical in both
 //!   modes, and the final heap contents (and
 //!   [`crate::topk::rank_cmp`]-sorted output) are equal.
 //!
-//! For unions the bound on a partially-seen document is `partial score +
-//! other list's MaxScore`; skipping one list's block under that bound also
-//! covers documents present in *both* lists, because the combined score is
-//! below `t` and the other list's partial push (which the pruned merge
-//! still makes) is refused just like the combined push would have been.
-//! Once `t` reaches one list's MaxScore the union switches to MaxScore
-//! probe mode: the other list drives, and the non-essential list is only
-//! consulted through skip-list probes — documents unique to it can no
-//! longer enter the heap at all.
+//! # Two-term queries: one forward cursor, one interval rule
+//!
+//! AND and OR share one walk (`search_pair`): a `BlockCursor` per list moves
+//! forward block by block, decoding a block only when something inside it
+//! has to be looked at, and each step handles one docID interval on which
+//! the two *current* blocks are the only source of postings. With `ua`,
+//! `ub` the two blocks' stored bounds and `t` the threshold read once for
+//! the interval, `Rule::choose` picks what to do (a document only in
+//! `a` scores at most `ua`, only in `b` at most `ub`, in both at most
+//! `ua + ub`):
+//!
+//! | condition | action |
+//! |---|---|
+//! | `ua + ub <= t` | skip the interval in both lists, decoding nothing |
+//! | `ua <= t` and `ub <= t` | score only documents present in both |
+//! | exactly one bound `> t` | score that list's postings, adding the other's tf where it matches |
+//! | both `> t`, or the heap is filling | plain merge |
+//! | stretch of one block before the other cursor | single-list run: skipped when `u <= t`, scored alone otherwise |
+//!
+//! An intersection is the same walk with "only in one list" never a
+//! candidate (`u <= t` read as true), so it only ever skips or matches. A
+//! document in both lists is looked up in the other block *before* it is
+//! pushed, so it is never offered with a partial score; a stale `t` is
+//! merely conservative because `t` only grows.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -82,41 +99,6 @@ impl<'a> GatedHeap<'a> {
     fn into_hits(self) -> Vec<Hit> {
         self.heap.into_hits()
     }
-}
-
-/// Binary search over a skip list for the block that could contain
-/// `doc_id` (`None` if the docID precedes the first block). Probes are
-/// tallied exactly like [`crate::ops::intersect_svs`].
-fn candidate_block(skips: &[u32], doc_id: DocId, counts: &mut OpCounts) -> Option<usize> {
-    let mut lo = 0usize;
-    let mut hi = skips.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        counts.binary_probes += 1;
-        if skips[mid] <= doc_id {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo.checked_sub(1)
-}
-
-/// Binary search for `doc_id` inside one decoded block, returning its term
-/// frequency. Comparisons are tallied exactly like the exhaustive SvS.
-fn tf_in_block(block: &[Posting], doc_id: DocId, counts: &mut OpCounts) -> Option<u32> {
-    let mut lo = 0usize;
-    let mut hi = block.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        counts.comparisons += 1;
-        if block[mid].doc_id < doc_id {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo < block.len() && block[lo].doc_id == doc_id).then(|| block[lo].tf)
 }
 
 /// Single-term query with block-max skipping: blocks whose bound is at or
@@ -255,10 +237,441 @@ pub fn prime_single_threshold(
     }
 }
 
-/// SvS intersection with score-aware skipping on top of the candidate-block
-/// skipping the exhaustive SvS already does: whole short-list blocks, then
-/// individual candidates, then long-list probe decodes are dropped whenever
-/// their combined-score upper bound cannot beat the threshold.
+/// One past the largest docID: the exclusive end of a list's last block
+/// and the position of an exhausted cursor. Positions are `u64` because
+/// this value does not fit a [`DocId`].
+const DOC_END: u64 = DocId::MAX as u64 + 1;
+
+/// First index `i >= from` with `key(&xs[i]) >= target` (`xs.len()` if
+/// there is none) in a slice ascending by `key`: doubling steps from
+/// `from`, then a binary search inside the bracket, so a short hop costs
+/// a probe or two and a long one stays logarithmic. The one forward
+/// search of pruned mode — over skip arrays and inside decoded blocks
+/// alike. `probes` is charged one unit per key examined.
+#[inline]
+fn gallop<T>(
+    xs: &[T],
+    from: usize,
+    target: u64,
+    key: impl Fn(&T) -> u64,
+    probes: &mut u64,
+) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1usize);
+    while hi < xs.len() && key(&xs[hi]) < target {
+        lo = hi + 1;
+        hi += step;
+        step <<= 1;
+    }
+    let hi = hi.min(xs.len());
+    *probes +=
+        u64::from(step.trailing_zeros() + 1 + (usize::BITS - (hi - lo).leading_zeros()));
+    lo + xs[lo..hi].partition_point(|x| key(x) < target)
+}
+
+fn doc_key(p: &Posting) -> u64 {
+    u64::from(p.doc_id)
+}
+
+/// A forward-only cursor over one encoded list that decodes lazily: it
+/// can sit on a block, and be moved past it, without ever decoding it.
+///
+/// The current block `blk` is either *decoded* — `buf[pos]` is the next
+/// posting, and `pos < buf.len()` always — or *pending*, in which case
+/// only its skip value, its bound and `floor` are known: `floor` is the
+/// docID a [`skip_to`](Self::skip_to) landed on inside the block, to be
+/// applied if the block is decoded after all. Every block is decoded at
+/// most once; [`finish`](Self::finish) tallies the rest as skipped.
+struct BlockCursor<'b, 'i> {
+    list: &'i EncodedList,
+    skips: &'i [DocId],
+    ubs: &'i [Fixed],
+    idf: Fixed,
+    /// Current block; `skips.len()` once the list is exhausted.
+    blk: usize,
+    buf: &'b mut Vec<Posting>,
+    decoded: bool,
+    pos: usize,
+    floor: DocId,
+    blocks_decoded: u64,
+    postings_decoded: u64,
+}
+
+impl<'b, 'i> BlockCursor<'b, 'i> {
+    fn new(
+        list: &'i EncodedList,
+        bounds: &'i ListBounds,
+        idf: Fixed,
+        buf: &'b mut Vec<Posting>,
+    ) -> Self {
+        BlockCursor {
+            list,
+            skips: list.skips(),
+            ubs: bounds.ubs(),
+            idf,
+            blk: 0,
+            buf,
+            decoded: false,
+            pos: 0,
+            floor: 0,
+            blocks_decoded: 0,
+            postings_decoded: 0,
+        }
+    }
+
+    /// A lower bound on the next posting's docID — exact once the block
+    /// is decoded — and [`DOC_END`] when the list is exhausted.
+    fn low(&self) -> u64 {
+        match self.skips.get(self.blk) {
+            None => DOC_END,
+            Some(_) if self.decoded => doc_key(&self.buf[self.pos]),
+            Some(&first) => u64::from(first.max(self.floor)),
+        }
+    }
+
+    /// Exclusive end of the current block's docID range: the next skip
+    /// value, or [`DOC_END`] for the last block.
+    fn end(&self) -> u64 {
+        self.skips.get(self.blk + 1).map_or(DOC_END, |&s| u64::from(s))
+    }
+
+    /// The current block's stored score bound.
+    fn ub(&self) -> Fixed {
+        self.ubs[self.blk]
+    }
+
+    /// Moves forward so that every remaining posting is `>= target`,
+    /// decoding nothing: across blocks by galloping the skip array, inside
+    /// a decoded block by galloping from the current position, inside a
+    /// pending one by raising `floor`.
+    fn skip_to(&mut self, target: u64, counts: &mut OpCounts) {
+        if target >= self.end() {
+            self.blk = if target >= DOC_END {
+                self.skips.len()
+            } else {
+                // The last block that starts at or before `target`.
+                let key = |&s: &DocId| u64::from(s);
+                gallop(self.skips, self.blk + 1, target + 1, key, &mut counts.binary_probes)
+                    - 1
+            };
+            self.decoded = false;
+        } else if self.decoded {
+            self.consume(gallop(self.buf, self.pos, target, doc_key, &mut counts.comparisons));
+            return;
+        }
+        if target < DOC_END {
+            self.floor = self.floor.max(target as DocId);
+        }
+    }
+
+    /// Decodes the pending current block and drops what lies below
+    /// `floor`. Returns false when that leaves nothing: the cursor is then
+    /// on the next block, still pending, and the caller must start over
+    /// from that block's bound rather than read a posting.
+    fn decode(&mut self, counts: &mut OpCounts) -> bool {
+        debug_assert!(!self.decoded);
+        self.buf.clear();
+        self.list.decode_block_into(self.blk, self.buf);
+        self.blocks_decoded += 1;
+        self.postings_decoded += self.buf.len() as u64;
+        self.decoded = true;
+        let from = if self.floor > self.skips[self.blk] {
+            gallop(self.buf, 0, u64::from(self.floor), doc_key, &mut counts.comparisons)
+        } else {
+            0
+        };
+        self.consume(from);
+        self.decoded
+    }
+
+    /// Index one past the last decoded posting below `stop`.
+    fn limit(&self, stop: u64, counts: &mut OpCounts) -> usize {
+        if stop >= self.end() {
+            self.buf.len()
+        } else {
+            gallop(self.buf, self.pos, stop, doc_key, &mut counts.comparisons)
+        }
+    }
+
+    /// The decoded postings from the current position up to index `lim`.
+    fn run(&self, lim: usize) -> &[Posting] {
+        &self.buf[self.pos..lim]
+    }
+
+    /// Moves the position to index `lim` of the decoded block, and on to
+    /// the next block (pending) when that uses the block up.
+    fn consume(&mut self, lim: usize) {
+        self.pos = lim;
+        if lim == self.buf.len() {
+            self.blk += 1;
+            self.decoded = false;
+        }
+    }
+
+    /// Adds this list's share of the query's tallies: what was decoded,
+    /// and everything else as skipped.
+    fn finish(self, counts: &mut OpCounts) {
+        counts.blocks_decoded += self.blocks_decoded;
+        counts.postings_decoded += self.postings_decoded;
+        counts.blocks_skipped += self.skips.len() as u64 - self.blocks_decoded;
+        counts.postings_skipped += self.list.num_postings() - self.postings_decoded;
+    }
+}
+
+/// What to do with one docID interval served by one block of each list,
+/// given the blocks' bounds `ua`, `ub` and the threshold `t` (the table
+/// in the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// `ua + ub <= t`: nothing in the interval can enter the heap.
+    Skip,
+    /// Neither list can enter alone: only documents in both are scored.
+    Matches,
+    /// Only `a`'s postings can enter alone: they are scored, with `b`'s
+    /// contribution where `b` has the document too.
+    DriveA,
+    /// [`Rule::DriveA`] with the lists swapped.
+    DriveB,
+    /// Either list can enter alone (or the heap is still filling).
+    Merge,
+}
+
+impl Rule {
+    fn choose(ua: Fixed, ub: Fixed, t: Option<Fixed>, conj: bool) -> Rule {
+        // A document in one list only is no candidate of a conjunction.
+        let dead = |u: Fixed| conj || t.is_some_and(|t| u <= t);
+        if t.is_some_and(|t| ua.saturating_add(ub) <= t) {
+            return Rule::Skip;
+        }
+        match (dead(ua), dead(ub)) {
+            (true, true) => Rule::Matches,
+            (false, true) => Rule::DriveA,
+            (true, false) => Rule::DriveB,
+            (false, false) => Rule::Merge,
+        }
+    }
+}
+
+/// Slot of the single-list-run skip in the test tally, after the
+/// [`Rule`] discriminants.
+const LONE_SKIP: usize = 5;
+
+#[cfg(test)]
+thread_local! {
+    /// How often each [`Rule`] (and [`LONE_SKIP`]) was taken on this thread.
+    static RULES_TAKEN: std::cell::Cell<[u32; 6]> = const { std::cell::Cell::new([0; 6]) };
+}
+
+#[inline(always)]
+fn tally(_slot: usize) {
+    #[cfg(test)]
+    RULES_TAKEN.with(|t| {
+        let mut taken = t.get();
+        taken[_slot] += 1;
+        t.set(taken);
+    });
+}
+
+/// The scoring loops of one two-term query: score, count, push.
+struct PairScorer<'q, 'h> {
+    index: &'q InvertedIndex,
+    heap: GatedHeap<'h>,
+    counts: &'q mut OpCounts,
+}
+
+impl PairScorer<'_, '_> {
+    fn score(&mut self, idf: Fixed, dl: Fixed, tf: u32) -> Fixed {
+        self.counts.docs_scored += 1;
+        term_score_fixed(idf, dl, tf)
+    }
+
+    fn push(&mut self, doc_id: DocId, score: Fixed) {
+        self.counts.topk_candidates += 1;
+        self.heap.push(doc_id, score);
+    }
+
+    fn push_one(&mut self, idf: Fixed, p: &Posting) {
+        let s = self.score(idf, self.index.dl_bar(p.doc_id), p.tf);
+        self.push(p.doc_id, s);
+    }
+
+    fn push_both(&mut self, idf_a: Fixed, pa: &Posting, idf_b: Fixed, pb: &Posting) {
+        let dl = self.index.dl_bar(pa.doc_id);
+        let s = self.score(idf_a, dl, pa.tf).saturating_add(self.score(idf_b, dl, pb.tf));
+        self.push(pa.doc_id, s);
+    }
+
+    /// Scores every posting of a single-list run.
+    fn lone(&mut self, idf: Fixed, run: &[Posting]) {
+        for p in run {
+            self.push_one(idf, p);
+        }
+    }
+
+    /// Scores the documents present in both runs, leapfrogging.
+    fn matches(&mut self, idf_a: Fixed, ra: &[Posting], idf_b: Fixed, rb: &[Posting]) {
+        let (mut i, mut j) = (0, 0);
+        while i < ra.len() && j < rb.len() {
+            self.counts.comparisons += 1;
+            match ra[i].doc_id.cmp(&rb[j].doc_id) {
+                std::cmp::Ordering::Less => {
+                    i = gallop(
+                        ra,
+                        i + 1,
+                        doc_key(&rb[j]),
+                        doc_key,
+                        &mut self.counts.comparisons,
+                    );
+                }
+                std::cmp::Ordering::Greater => {
+                    j = gallop(
+                        rb,
+                        j + 1,
+                        doc_key(&ra[i]),
+                        doc_key,
+                        &mut self.counts.comparisons,
+                    );
+                }
+                std::cmp::Ordering::Equal => {
+                    self.push_both(idf_a, &ra[i], idf_b, &rb[j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+    }
+
+    /// Scores every posting of `driver`, looking each up in `probed` first
+    /// so that a document in both is pushed once with its full score.
+    fn drive(&mut self, idf_d: Fixed, driver: &[Posting], idf_p: Fixed, probed: &[Posting]) {
+        let mut j = 0;
+        for p in driver {
+            j = gallop(probed, j, doc_key(p), doc_key, &mut self.counts.comparisons);
+            match probed.get(j) {
+                Some(m) if m.doc_id == p.doc_id => self.push_both(idf_d, p, idf_p, m),
+                _ => self.push_one(idf_d, p),
+            }
+        }
+    }
+
+    /// Plain two-way merge: every document of either run, once.
+    fn merge(&mut self, idf_a: Fixed, ra: &[Posting], idf_b: Fixed, rb: &[Posting]) {
+        let (mut i, mut j) = (0, 0);
+        while i < ra.len() && j < rb.len() {
+            self.counts.comparisons += 1;
+            match ra[i].doc_id.cmp(&rb[j].doc_id) {
+                std::cmp::Ordering::Less => {
+                    self.push_one(idf_a, &ra[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    self.push_one(idf_b, &rb[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    self.push_both(idf_a, &ra[i], idf_b, &rb[j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        self.lone(idf_a, &ra[i..]);
+        self.lone(idf_b, &rb[j..]);
+    }
+}
+
+/// The walk behind both two-term shapes (`conj`: intersection). Each step
+/// looks at the two cursors' positions `la`, `lb` and handles the docIDs
+/// up to the nearest block end:
+///
+/// * with a block still pending and `la != lb`, the stretch of the lower
+///   block before the other cursor holds postings of that list only — it
+///   is skipped on its own bound (for an intersection: always, and as far
+///   as the other cursor, galloping the skip array) or scored alone;
+/// * otherwise both current blocks serve the interval and [`Rule::choose`]
+///   decides: skip it in both lists, or decode what is still pending —
+///   one block per step, so that the other is looked at again against the
+///   position the first turned out to have — and run the rule's loop.
+///
+/// The threshold is read once per step.
+#[allow(clippy::too_many_arguments)]
+fn search_pair(
+    index: &InvertedIndex,
+    ia: TermId,
+    ib: TermId,
+    conj: bool,
+    k: usize,
+    counts: &mut OpCounts,
+    scratch: &mut DecodeScratch,
+    shared: Option<&SharedThreshold>,
+) -> Vec<Hit> {
+    let DecodeScratch { full_a, full_b, .. } = scratch;
+    let cursor = |id: TermId, buf| {
+        let idf = index.term_info(id).idf_bar;
+        BlockCursor::new(index.encoded_list(id), index.list_bounds(id), idf, buf)
+    };
+    let (mut a, mut b) = (cursor(ia, full_a), cursor(ib, full_b));
+    let mut q = PairScorer { index, heap: GatedHeap::new(k, shared), counts };
+
+    loop {
+        let (la, lb) = (a.low(), b.low());
+        // An intersection ends with either list, a union with both.
+        if (if conj { la.max(lb) } else { la.min(lb) }) >= DOC_END {
+            break;
+        }
+        let t = q.heap.threshold();
+
+        if la != lb && !(a.decoded && b.decoded) {
+            let (c, other) = if la < lb { (&mut a, lb) } else { (&mut b, la) };
+            let stop = c.end().min(other);
+            if conj || t.is_some_and(|t| c.ub() <= t) {
+                tally(LONE_SKIP);
+                c.skip_to(if conj { other } else { stop }, q.counts);
+            } else if c.decoded || c.decode(q.counts) {
+                let lim = c.limit(stop, q.counts);
+                q.lone(c.idf, c.run(lim));
+                c.consume(lim);
+            }
+            continue;
+        }
+
+        let stop = a.end().min(b.end());
+        let rule = Rule::choose(a.ub(), b.ub(), t, conj);
+        tally(rule as usize);
+        if rule == Rule::Skip {
+            a.skip_to(stop, q.counts);
+            b.skip_to(stop, q.counts);
+            continue;
+        }
+        if !(a.decoded && b.decoded) {
+            // One block per step: where the first really starts may let
+            // the other go undecoded.
+            let pending = if a.decoded { &mut b } else { &mut a };
+            pending.decode(q.counts);
+            continue;
+        }
+        let (na, nb) = (a.limit(stop, q.counts), b.limit(stop, q.counts));
+        let (ra, rb) = (a.run(na), b.run(nb));
+        match rule {
+            Rule::Skip => {} // taken above, before anything was decoded
+            Rule::Matches => q.matches(a.idf, ra, b.idf, rb),
+            Rule::DriveA => q.drive(a.idf, ra, b.idf, rb),
+            Rule::DriveB => q.drive(b.idf, rb, a.idf, ra),
+            Rule::Merge => q.merge(a.idf, ra, b.idf, rb),
+        }
+        a.consume(na);
+        b.consume(nb);
+    }
+
+    a.finish(q.counts);
+    b.finish(q.counts);
+    let hits = q.heap.into_hits();
+    counts.results += hits.len() as u64;
+    hits
+}
+
+/// Intersection of a short and a long list, scoring only documents
+/// present in both whose blocks' combined bound can still beat the
+/// threshold (the walk described in the module docs).
 pub fn search_intersection_pruned(
     index: &InvertedIndex,
     short_id: TermId,
@@ -282,145 +695,11 @@ pub fn search_intersection_pruned_shared(
     scratch: &mut DecodeScratch,
     shared: Option<&SharedThreshold>,
 ) -> Vec<Hit> {
-    let short = index.encoded_list(short_id);
-    let long = index.encoded_list(long_id);
-    let short_bounds = index.list_bounds(short_id);
-    let long_bounds = index.list_bounds(long_id);
-    let idf_short = index.term_info(short_id).idf_bar;
-    let idf_long = index.term_info(long_id).idf_bar;
-    let max_long = long_bounds.max_ub();
-    let skips = long.skips();
-
-    let mut heap = GatedHeap::new(k, shared);
-    let DecodeScratch { full_a, cache, .. } = scratch;
-    let mut decoded = vec![false; long.num_blocks()];
-    let mut last_block: Option<usize> = None;
-
-    for blk in 0..short.num_blocks() {
-        if let Some(t) = heap.threshold() {
-            if short_bounds.block_ub(blk).saturating_add(max_long) <= t {
-                counts.blocks_skipped += 1;
-                counts.postings_skipped += u64::from(short.metas()[blk].count);
-                continue;
-            }
-        }
-        full_a.clear();
-        short.decode_block_into(blk, full_a);
-        counts.blocks_decoded += 1;
-        counts.postings_decoded += full_a.len() as u64;
-
-        for p in full_a.iter() {
-            let dl = index.dl_bar(p.doc_id);
-            let s_short = term_score_fixed(idf_short, dl, p.tf);
-            counts.docs_scored += 1;
-            if let Some(t) = heap.threshold() {
-                if s_short.saturating_add(max_long) <= t {
-                    counts.postings_skipped += 1;
-                    continue;
-                }
-            }
-            let Some(block_idx) = candidate_block(skips, p.doc_id, counts) else {
-                continue; // docID precedes the long list's first block
-            };
-            if let Some(t) = heap.threshold() {
-                if s_short.saturating_add(long_bounds.block_ub(block_idx)) <= t {
-                    counts.postings_skipped += 1;
-                    continue;
-                }
-            }
-            // Logical decode accounting matches the exhaustive SvS.
-            if last_block != Some(block_idx) {
-                counts.blocks_decoded += 1;
-                decoded[block_idx] = true;
-                counts.postings_decoded += u64::from(long.metas()[block_idx].count);
-                last_block = Some(block_idx);
-            }
-            let block = cache.get_or_decode(long, long_id, block_idx, counts);
-            if let Some(tf_long) = tf_in_block(block, p.doc_id, counts) {
-                let s = s_short.saturating_add(term_score_fixed(idf_long, dl, tf_long));
-                counts.docs_scored += 1;
-                counts.topk_candidates += 1;
-                heap.push(p.doc_id, s);
-            }
-        }
-    }
-
-    counts.blocks_skipped += decoded.iter().filter(|&&d| !d).count() as u64;
-    let hits = heap.into_hits();
-    counts.results += hits.len() as u64;
-    hits
+    search_pair(index, short_id, long_id, true, k, counts, scratch, shared)
 }
 
-/// A block-at-a-time cursor over one encoded list that skips blocks whose
-/// bound (plus the other list's MaxScore) cannot beat the threshold.
-struct Cursor<'b, 'i> {
-    list: &'i EncodedList,
-    bounds: &'i ListBounds,
-    idf: Fixed,
-    /// Added to block bounds before comparing against the threshold: the
-    /// other list's MaxScore while it can still contribute, zero once the
-    /// cursor is draining alone.
-    other_max: Fixed,
-    blk: usize,
-    buf: &'b mut Vec<Posting>,
-    pos: usize,
-}
-
-impl Cursor<'_, '_> {
-    /// Makes `head()` valid, decoding (or skipping) blocks as needed.
-    /// Returns false when the list is exhausted.
-    fn refill(&mut self, t: Option<Fixed>, counts: &mut OpCounts) -> bool {
-        while self.pos >= self.buf.len() {
-            if self.blk >= self.list.num_blocks() {
-                return false;
-            }
-            let b = self.blk;
-            self.blk += 1;
-            if let Some(t) = t {
-                if self.bounds.block_ub(b).saturating_add(self.other_max) <= t {
-                    counts.blocks_skipped += 1;
-                    counts.postings_skipped += u64::from(self.list.metas()[b].count);
-                    continue;
-                }
-            }
-            self.buf.clear();
-            self.pos = 0;
-            self.list.decode_block_into(b, self.buf);
-            counts.blocks_decoded += 1;
-            counts.postings_decoded += self.buf.len() as u64;
-        }
-        true
-    }
-
-    /// The current posting. Only valid after `refill` returned true.
-    fn head(&self) -> Posting {
-        self.buf[self.pos]
-    }
-
-    fn advance(&mut self) {
-        self.pos += 1;
-    }
-
-    /// Skips everything left in the list, counting it as pruned.
-    fn abandon(&mut self, counts: &mut OpCounts) {
-        counts.postings_skipped += (self.buf.len() - self.pos) as u64;
-        self.pos = self.buf.len();
-        while self.blk < self.list.num_blocks() {
-            counts.blocks_skipped += 1;
-            counts.postings_skipped += u64::from(self.list.metas()[self.blk].count);
-            self.blk += 1;
-        }
-    }
-}
-
-/// Union with MaxScore-style pruning.
-///
-/// Phase 1 merges both lists (skipping blocks under the combined bound);
-/// once the threshold reaches one list's MaxScore, documents unique to
-/// that list can no longer qualify, so phase 2 lets the other list drive
-/// and consults the non-essential list only through skip-list probes.
-/// When the threshold reaches the *sum* of both MaxScores, everything
-/// remaining is abandoned.
+/// Union of two lists under the interval-aligned block-max rule (the
+/// walk described in the module docs).
 pub fn search_union_pruned(
     index: &InvertedIndex,
     ia: TermId,
@@ -444,189 +723,242 @@ pub fn search_union_pruned_shared(
     scratch: &mut DecodeScratch,
     shared: Option<&SharedThreshold>,
 ) -> Vec<Hit> {
-    let la = index.encoded_list(ia);
-    let lb = index.encoded_list(ib);
-    let ba = index.list_bounds(ia);
-    let bb = index.list_bounds(ib);
-    let idf_a = index.term_info(ia).idf_bar;
-    let idf_b = index.term_info(ib).idf_bar;
-    let max_a = ba.max_ub();
-    let max_b = bb.max_ub();
-    let both_max = max_a.saturating_add(max_b);
+    search_pair(index, ia, ib, false, k, counts, scratch, shared)
+}
 
-    let mut heap = GatedHeap::new(k, shared);
-    let DecodeScratch { full_a, full_b, cache } = scratch;
-    full_a.clear();
-    full_b.clear();
-    let mut ca = Cursor {
-        list: la,
-        bounds: ba,
-        idf: idf_a,
-        other_max: max_b,
-        blk: 0,
-        buf: full_a,
-        pos: 0,
-    };
-    let mut cb = Cursor {
-        list: lb,
-        bounds: bb,
-        idf: idf_b,
-        other_max: max_a,
-        blk: 0,
-        buf: full_b,
-        pos: 0,
-    };
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::CpuEngine;
+    use iiu_index::{Bm25Params, Partitioner, PostingList};
 
-    // Phase 1: 2-way merge while both lists are essential.
-    let probe = loop {
-        let t = heap.threshold();
-        if let Some(tv) = t {
-            if both_max <= tv {
-                ca.abandon(counts);
-                cb.abandon(counts);
-                break None;
-            }
-            // One list's MaxScore can no longer stand alone: switch to
-            // probe mode with the other list driving.
-            if max_b <= tv {
-                cb.abandon(counts);
-                break Some((ca, lb, bb, idf_b, ib));
-            }
-            if max_a <= tv {
-                ca.abandon(counts);
-                break Some((cb, la, ba, idf_a, ia));
-            }
-        }
-        match (ca.refill(t, counts), cb.refill(t, counts)) {
-            (false, false) => break None,
-            (true, false) => {
-                ca.other_max = Fixed::ZERO;
-                drain_single(index, &mut ca, &mut heap, counts);
-                break None;
-            }
-            (false, true) => {
-                cb.other_max = Fixed::ZERO;
-                drain_single(index, &mut cb, &mut heap, counts);
-                break None;
-            }
-            (true, true) => {
-                let pa = ca.head();
-                let pb = cb.head();
-                counts.comparisons += 1;
-                match pa.doc_id.cmp(&pb.doc_id) {
-                    std::cmp::Ordering::Less => {
-                        let dl = index.dl_bar(pa.doc_id);
-                        let s = term_score_fixed(idf_a, dl, pa.tf);
-                        counts.docs_scored += 1;
-                        counts.topk_candidates += 1;
-                        heap.push(pa.doc_id, s);
-                        ca.advance();
-                    }
-                    std::cmp::Ordering::Greater => {
-                        let dl = index.dl_bar(pb.doc_id);
-                        let s = term_score_fixed(idf_b, dl, pb.tf);
-                        counts.docs_scored += 1;
-                        counts.topk_candidates += 1;
-                        heap.push(pb.doc_id, s);
-                        cb.advance();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        let dl = index.dl_bar(pa.doc_id);
-                        let s = term_score_fixed(idf_a, dl, pa.tf)
-                            .saturating_add(term_score_fixed(idf_b, dl, pb.tf));
-                        counts.docs_scored += 2;
-                        counts.topk_candidates += 1;
-                        heap.push(pa.doc_id, s);
-                        ca.advance();
-                        cb.advance();
-                    }
-                }
-            }
-        }
-    };
+    fn list(postings: &[(DocId, u32)]) -> PostingList {
+        PostingList::from_sorted(postings.iter().map(|&(d, tf)| Posting::new(d, tf)).collect())
+    }
 
-    // Phase 2: essential list drives, non-essential list is probed.
-    if let Some((mut driver, probed, probed_bounds, probed_idf, probed_id)) = probe {
-        let driver_max = driver.bounds.max_ub();
-        let probed_max = probed_bounds.max_ub();
-        let skips = probed.skips();
-        let mut last_block: Option<usize> = None;
-        loop {
-            let t = heap.threshold();
-            if let Some(tv) = t {
-                if driver_max.saturating_add(probed_max) <= tv {
-                    driver.abandon(counts);
-                    break;
-                }
+    fn encode(postings: &[(DocId, u32)], block_len: usize) -> (EncodedList, ListBounds) {
+        let list = list(postings);
+        let lens = Partitioner::fixed(block_len).partition(&list);
+        let encoded = EncodedList::encode(&list, &lens).unwrap();
+        // Bounds are not what these cursor tests look at.
+        let bounds =
+            ListBounds::from_raw_parts(vec![Fixed::ONE; lens.len()], vec![1; lens.len()]);
+        (encoded, bounds)
+    }
+
+    #[test]
+    fn gallop_agrees_with_partition_point_from_every_start() {
+        let xs: Vec<u32> = (0..70).map(|i| i * 3 + i / 7).collect();
+        for from in 0..=xs.len() {
+            for target in 0..=u64::from(xs[xs.len() - 1]) + 2 {
+                let mut probes = 0;
+                let got = gallop(&xs, from, target, |&x| u64::from(x), &mut probes);
+                let want = from + xs[from..].partition_point(|&x| u64::from(x) < target);
+                assert_eq!(got, want, "from {from} target {target}");
+                assert!(probes > 0);
             }
-            if !driver.refill(t, counts) {
-                break;
-            }
-            let p = driver.head();
-            driver.advance();
-            let dl = index.dl_bar(p.doc_id);
-            let s_drv = term_score_fixed(driver.idf, dl, p.tf);
-            counts.docs_scored += 1;
-            let t = heap.threshold();
-            let s = match candidate_block(skips, p.doc_id, counts) {
-                None => s_drv, // precedes the probed list entirely
-                Some(bi) => {
-                    let can_improve = match t {
-                        Some(tv) => s_drv.saturating_add(probed_bounds.block_ub(bi)) > tv,
-                        None => true,
-                    };
-                    if can_improve {
-                        if last_block != Some(bi) {
-                            counts.blocks_decoded += 1;
-                            counts.postings_decoded += u64::from(probed.metas()[bi].count);
-                            last_block = Some(bi);
-                        }
-                        let block = cache.get_or_decode(probed, probed_id, bi, counts);
-                        match tf_in_block(block, p.doc_id, counts) {
-                            Some(tf) => {
-                                counts.docs_scored += 1;
-                                s_drv.saturating_add(term_score_fixed(probed_idf, dl, tf))
-                            }
-                            None => s_drv,
-                        }
-                    } else {
-                        // Even a probed match could not beat the heap, and
-                        // if the doc is absent the driver score alone is
-                        // pushed either way — skip the decode.
-                        counts.postings_skipped += 1;
-                        s_drv
-                    }
-                }
-            };
-            counts.topk_candidates += 1;
-            heap.push(p.doc_id, s);
         }
     }
 
-    let hits = heap.into_hits();
-    counts.results += hits.len() as u64;
-    hits
-}
+    #[test]
+    fn last_block_ends_past_the_largest_doc_id_and_skipping_there_exhausts() {
+        let tail = DocId::MAX - 2;
+        let (enc, bounds) = encode(&[(1, 1), (5, 1), (tail, 1), (tail + 1, 1)], 2);
+        let mut counts = OpCounts::default();
+        let mut buf = Vec::new();
+        let mut c = BlockCursor::new(&enc, &bounds, Fixed::ONE, &mut buf);
+        assert_eq!((c.low(), c.end()), (1, u64::from(tail)));
+        c.skip_to(u64::from(tail), &mut counts);
+        assert_eq!(c.blk, 1);
+        assert_eq!(c.end(), u64::from(DocId::MAX) + 1, "no wrap to 0");
+        assert_eq!(c.end(), DOC_END);
 
-/// Drains the sole remaining cursor of a union merge, skipping blocks that
-/// cannot beat the threshold.
-fn drain_single(
-    index: &InvertedIndex,
-    c: &mut Cursor<'_, '_>,
-    heap: &mut GatedHeap<'_>,
-    counts: &mut OpCounts,
-) {
-    loop {
-        let t = heap.threshold();
-        if !c.refill(t, counts) {
-            return;
+        // The largest docID itself still lands on the last block, which
+        // then turns out to hold nothing that high.
+        c.skip_to(u64::from(DocId::MAX), &mut counts);
+        assert_eq!((c.blk, c.low()), (1, u64::from(DocId::MAX)));
+        assert!(!c.decode(&mut counts));
+        assert_eq!(c.low(), DOC_END);
+
+        let mut buf = Vec::new();
+        let mut c = BlockCursor::new(&enc, &bounds, Fixed::ONE, &mut buf);
+        c.skip_to(u64::from(tail), &mut counts);
+        let end = c.end();
+        c.skip_to(end, &mut counts);
+        assert_eq!((c.blk, c.low()), (2, DOC_END), "skipping to the end exhausts the list");
+        let mut tallies = OpCounts::default();
+        c.finish(&mut tallies);
+        assert_eq!((tallies.blocks_decoded, tallies.blocks_skipped), (0, 2));
+        assert_eq!(tallies.postings_skipped, 4);
+    }
+
+    #[test]
+    fn a_pending_floor_can_leave_a_lazily_decoded_block_empty() {
+        // 50 lies inside block 0's range [10, 100) but above all it holds.
+        let (enc, bounds) = encode(&[(10, 1), (20, 1), (30, 1), (100, 2), (110, 2)], 3);
+        let mut counts = OpCounts::default();
+        let mut buf = Vec::new();
+        let mut c = BlockCursor::new(&enc, &bounds, Fixed::ONE, &mut buf);
+        c.skip_to(50, &mut counts);
+        assert_eq!((c.blk, c.decoded, c.low()), (0, false, 50));
+        assert!(!c.decode(&mut counts), "nothing at or above the floor");
+        assert_eq!((c.blk, c.decoded, c.low()), (1, false, 100), "moved on, still pending");
+
+        // A floor inside the block keeps what lies at or above it.
+        c.skip_to(105, &mut counts);
+        assert!(c.decode(&mut counts));
+        assert_eq!((c.low(), c.run(c.limit(DOC_END, &mut counts)).len()), (110, 1));
+        c.skip_to(111, &mut counts);
+        assert_eq!(c.low(), DOC_END);
+        let mut tallies = OpCounts::default();
+        c.finish(&mut tallies);
+        assert_eq!((tallies.blocks_decoded, tallies.blocks_skipped), (2, 0));
+        assert_eq!(tallies.postings_decoded, 5);
+    }
+
+    #[test]
+    fn rule_table() {
+        let f = Fixed::from_raw;
+        let t = Some(f(10));
+        for conj in [false, true] {
+            assert_eq!(Rule::choose(f(4), f(6), t, conj), Rule::Skip, "sum == t is dead");
+            assert_eq!(Rule::choose(f(5), f(6), t, conj), Rule::Matches);
+            assert_eq!(Rule::choose(f(10), f(10), t, conj), Rule::Matches);
+            assert_eq!(
+                Rule::choose(f(u32::MAX), f(u32::MAX), Some(f(u32::MAX)), conj),
+                Rule::Skip
+            );
         }
-        let p = c.head();
-        c.advance();
-        let dl = index.dl_bar(p.doc_id);
-        let s = term_score_fixed(c.idf, dl, p.tf);
-        counts.docs_scored += 1;
-        counts.topk_candidates += 1;
-        heap.push(p.doc_id, s);
+        assert_eq!(Rule::choose(f(11), f(6), t, false), Rule::DriveA);
+        assert_eq!(Rule::choose(f(6), f(11), t, false), Rule::DriveB);
+        assert_eq!(Rule::choose(f(11), f(11), t, false), Rule::Merge);
+        assert_eq!(Rule::choose(f(0), f(0), None, false), Rule::Merge, "filling heap");
+        // One list alone is never a candidate of an intersection.
+        assert_eq!(Rule::choose(f(11), f(11), t, true), Rule::Matches);
+        assert_eq!(Rule::choose(f(0), f(0), None, true), Rule::Matches);
+    }
+
+    /// Two equally long lists over equally long documents, four postings
+    /// to a block and block boundaries aligned, so that a score is a
+    /// function of the two tfs alone. With k = 2 the regions, in docID
+    /// order, take the walk through every rule:
+    ///
+    /// | docs | a tf | b tf | rule (union) |
+    /// |---|---|---|---|
+    /// | 0..4 | 1 | 1 | merge — the heap is filling; t becomes s(1)+s(1) |
+    /// | 4..12 | 1 | 1 | skip: `ua + ub == t` |
+    /// | 12..20 | 1 | — | single-list run of `a`, skipped: `ua <= t` |
+    /// | 20..24 | 50,1,1,1 | 1 | drive `a`: `ua > t >= ub` |
+    /// | 24..28 | 1 | 50,1,1,1 | drive `b` |
+    /// | 28..32 | 4 | 4 | matches: each bound `<= t`, their sum above |
+    /// | 32..40 | — | 1 | single-list run of `b`, skipped |
+    fn every_rule_index() -> InvertedIndex {
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for d in 0..40u32 {
+            let (tf_a, tf_b) = match d {
+                0..=11 => (1, 1),
+                12..=19 => (1, 0),
+                20 => (50, 1),
+                24 => (1, 50),
+                21..=27 => (1, 1),
+                28..=31 => (4, 4),
+                _ => (0, 1),
+            };
+            if tf_a > 0 {
+                a.push((d, tf_a));
+            }
+            if tf_b > 0 {
+                b.push((d, tf_b));
+            }
+        }
+        assert_eq!(a.len(), b.len(), "equal df, hence equal idf");
+        InvertedIndex::from_lists(
+            vec![("a".to_string(), list(&a)), ("b".to_string(), list(&b))],
+            vec![100; 40],
+            Partitioner::fixed(4),
+            Bm25Params::default(),
+        )
+        .unwrap()
+    }
+
+    /// Runs `query` and returns its outcome with the rules it took.
+    fn rules_taken<T>(query: impl FnOnce() -> T) -> (T, [u32; 6]) {
+        RULES_TAKEN.with(|t| t.set([0; 6]));
+        let out = query();
+        (out, RULES_TAKEN.with(std::cell::Cell::get))
+    }
+
+    /// The definition of the pruned two-term tallies (see the
+    /// [`OpCounts`] field docs).
+    fn assert_pair_tallies(index: &InvertedIndex, c: &OpCounts) {
+        let (la, lb) = (index.encoded_list(0), index.encoded_list(1));
+        assert_eq!(
+            c.blocks_decoded + c.blocks_skipped,
+            (la.num_blocks() + lb.num_blocks()) as u64,
+            "every block is decoded once or skipped: {c:?}"
+        );
+        assert_eq!(
+            c.postings_decoded + c.postings_skipped,
+            la.num_postings() + lb.num_postings(),
+            "decodes are physical, at most one per block: {c:?}"
+        );
+        assert_eq!(c.cache_hits + c.cache_misses, 0, "pruned mode has no block cache");
+    }
+
+    #[test]
+    fn union_reaches_every_interval_rule_and_scores_less_than_exhaustive() {
+        let index = every_rule_index();
+        let mut pruned = CpuEngine::new(&index).with_pruning(true);
+        let (out, taken) = rules_taken(|| pruned.search_union("a", "b", 2).unwrap());
+        for (slot, name) in [
+            (Rule::Skip as usize, "skip"),
+            (Rule::Matches as usize, "matches"),
+            (Rule::DriveA as usize, "drive a"),
+            (Rule::DriveB as usize, "drive b"),
+            (Rule::Merge as usize, "merge"),
+            (LONE_SKIP, "single-list run skipped"),
+        ] {
+            assert!(taken[slot] > 0, "rule '{name}' never taken: {taken:?}");
+        }
+        assert_pair_tallies(&index, &out.counts);
+        assert!(out.counts.blocks_skipped > 0 && out.counts.blocks_decoded > 0);
+
+        let exhaustive = CpuEngine::new(&index).search_union("a", "b", 2).unwrap();
+        assert_eq!(out.hits, exhaustive.hits);
+        assert_eq!(exhaustive.counts.docs_scored, 64);
+        assert!(
+            out.counts.docs_scored < exhaustive.counts.docs_scored,
+            "pruned OR scored {} of {}",
+            out.counts.docs_scored,
+            exhaustive.counts.docs_scored
+        );
+    }
+
+    #[test]
+    fn intersection_drops_block_pairs_on_their_bounds_without_scoring() {
+        let index = every_rule_index();
+        let mut pruned = CpuEngine::new(&index).with_pruning(true);
+        let (out, taken) = rules_taken(|| pruned.search_intersection("a", "b", 2).unwrap());
+        assert!(taken[Rule::Skip as usize] > 0, "bound-drop never taken: {taken:?}");
+        assert_eq!(
+            taken[Rule::DriveA as usize]
+                + taken[Rule::DriveB as usize]
+                + taken[Rule::Merge as usize],
+            0,
+            "an intersection only skips or matches"
+        );
+        assert_pair_tallies(&index, &out.counts);
+
+        let exhaustive = CpuEngine::new(&index).search_intersection("a", "b", 2).unwrap();
+        assert_eq!(out.hits, exhaustive.hits);
+        assert_eq!(out.counts.docs_scored % 2, 0, "only documents in both lists are scored");
+        assert!(out.counts.docs_scored < exhaustive.counts.docs_scored);
+
+        // k = 0 prices out everything: nothing is decoded at all.
+        let none = pruned.search_intersection("a", "b", 0).unwrap();
+        assert!(none.hits.is_empty());
+        assert_eq!(none.counts.blocks_decoded, 0);
+        assert_pair_tallies(&index, &none.counts);
     }
 }

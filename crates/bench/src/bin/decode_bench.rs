@@ -11,7 +11,8 @@
 //! scoring on the same engine at k ∈ {10, 100, 1000} for single/AND/OR
 //! queries, asserting bit-identical hits first. `--check` fails unless
 //! pruning delivers ≥1.5× single-term QPS at k = 10 with a nonzero
-//! skipped-block tally.
+//! skipped-block tally, and unless pruned AND and pruned OR at k = 10 each
+//! beat this same process's exhaustive wall time.
 //!
 //! Also runs the codec shootout (DESIGN.md §18): every integrated
 //! [`BlockCodec`](iiu_index::BlockCodec) — bitpack, stream-vbyte,
@@ -820,6 +821,20 @@ fn main() -> ExitCode {
         }
         if k10["blocks_skipped"].as_u64().unwrap_or(0) == 0 {
             violations.push("pruned single k=10 skipped no blocks".to_string());
+        }
+        // Two-term pruning has to pay for its bookkeeping on the wall, not
+        // only in the tallies: against the exhaustive engine of this same
+        // process, so the rule needs no committed number.
+        for shape in ["and", "or"] {
+            let k10 = &pruned[shape]["k10"];
+            let exhaustive = k10["exhaustive_min_ns"].as_f64().unwrap_or(0.0);
+            let with_pruning = k10["pruned_min_ns"].as_f64().unwrap_or(f64::INFINITY);
+            if with_pruning.partial_cmp(&exhaustive) != Some(std::cmp::Ordering::Less) {
+                violations.push(format!(
+                    "pruned {shape} k=10 ({with_pruning:.0} ns) does not beat exhaustive \
+                     {shape} ({exhaustive:.0} ns)"
+                ));
+            }
         }
         // Codec shootout rules. The SIMD codec must strictly beat the
         // scalar word-window baseline on decode time over the gated

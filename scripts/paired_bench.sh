@@ -1,0 +1,102 @@
+#!/usr/bin/env sh
+# Paired runs of the repo benchmark: a parent commit against this tree.
+#
+# Usage: scripts/paired_bench.sh <parent-ref> [workloads] [seeds]
+#   parent-ref  any commit-ish; its committed files are the parent side
+#   workloads   comma-separated (default: the five of BENCHMARK.json)
+#   seeds       comma-separated (default: 1,2,3)
+#
+# Unpacks <parent-ref> (git archive, so nothing is registered in .git)
+# under target/paired_bench/parent, builds that tree's benchmark/ package
+# and this tree's, each into its own benchmark/target, and for every seed
+# and workload runs the two binaries back to back with --trace 0 — the
+# parent first on odd pairs, this tree first on even ones — each from its
+# own tree root and for the run length BENCHMARK.json fixes. Then prints,
+# per workload and end-to-end metric, each side's per-seed values, the
+# medians and change/parent, and whether every run was correct with no
+# failed op. Raw last lines are kept in target/paired_bench/runs.tsv.
+#
+# Edits nothing under benchmark/; everything it writes is under target/.
+set -eu
+
+if [ $# -lt 1 ]; then
+    echo "usage: $0 <parent-ref> [workloads] [seeds]" >&2
+    exit 2
+fi
+ref=$1
+workloads=${2:-engine_heavy_heap,engine_heavy_mmap,serve_light,serve_mixed,live_ingest_search}
+seeds=${3:-1,2,3}
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+# One shared target directory would make the two builds overwrite each other.
+unset CARGO_TARGET_DIR
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)
+work=$root/target/paired_bench
+parent=$work/parent
+runs=$work/runs.tsv
+
+rm -rf "$parent"
+mkdir -p "$parent"
+git archive "$ref" | tar -x -C "$parent"
+echo "paired_bench: building parent ($ref) and change" >&2
+cargo build --release --offline --quiet --manifest-path "$parent/benchmark/Cargo.toml"
+cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
+
+# run <side> <tree> <workload> <seed>: one line "side workload seed json".
+run() {
+    json=$(cd "$2" && ./benchmark/target/release/benchmark \
+        --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1)
+    printf '%s\t%s\t%s\t%s\n' "$1" "$3" "$4" "$json" >>"$runs"
+}
+
+: >"$runs"
+pair=0
+for seed in $(echo "$seeds" | tr ',' ' '); do
+    for workload in $(echo "$workloads" | tr ',' ' '); do
+        pair=$((pair + 1))
+        echo "paired_bench: pair $pair: $workload seed $seed" >&2
+        if [ $((pair % 2)) -eq 1 ]; then
+            run parent "$parent" "$workload" "$seed"
+            run change "$root" "$workload" "$seed"
+        else
+            run change "$root" "$workload" "$seed"
+            run parent "$parent" "$workload" "$seed"
+        fi
+    done
+done
+
+awk -F '\t' '
+function median(list,    v, n, i, j, t) {
+    n = split(list, v, " ")
+    for (i = 2; i <= n; i++)
+        for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+    return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+}
+{
+    side = $1; workload = $2; json = $4
+    if (!(workload in seen)) { seen[workload] = 1; order[++nw] = workload }
+    if (json !~ /"correct":true/ || json !~ /"failed":0[,}]/) bad = bad "\n  " side " " workload " seed " $3
+    total++
+    while (match(json, /"[a-z0-9_]+":\{"unit":"[^"]*","value":[^}]*\}/)) {
+        field = substr(json, RSTART, RLENGTH); json = substr(json, RSTART + RLENGTH)
+        name = field; sub(/^"/, "", name); sub(/".*/, "", name)
+        value = field; sub(/.*"value":/, "", value); sub(/\}$/, "", value)
+        key = workload SUBSEP name
+        if (!(key in known)) { known[key] = 1; metrics[workload] = metrics[workload] " " name }
+        vals[side, workload, name] = vals[side, workload, name] sprintf(" %.5g", value)
+    }
+}
+END {
+    printf "%-20s %-17s %-34s %-34s %10s %10s %7s\n", "workload", "metric", "parent (per seed)", "change (per seed)", "parent med", "change med", "ratio"
+    for (w = 1; w <= nw; w++) {
+        n = split(metrics[order[w]], names, " ")
+        for (i = 1; i <= n; i++) {
+            p = vals["parent", order[w], names[i]]; c = vals["change", order[w], names[i]]
+            mp = median(p); mc = median(c)
+            printf "%-20s %-17s %-34s %-34s %10.5g %10.5g %7.3f\n", order[w], names[i], substr(p, 2), substr(c, 2), mp, mc, (mp + 0 == 0 ? 0 : mc / mp)
+        }
+    }
+    if (bad == "") printf "all %d runs: correct=true failed=0\n", total
+    else { printf "runs with a wrong answer or a failed op:%s\n", bad; exit 1 }
+}' "$runs"

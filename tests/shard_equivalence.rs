@@ -7,6 +7,8 @@
 //! pins the threshold-broadcast protocol: a seeded two-shard publication
 //! interleaving must stay monotone and never price out a boundary tie.
 
+mod common;
+
 use std::sync::Arc;
 
 use iiu_baseline::topk::{rank_cmp, top_k, Hit, SharedThreshold};
@@ -169,6 +171,45 @@ fn sharded_matches_unsharded_under_every_codec() {
                             "{codec} {ta} OR {tb} n={n} pruned={pruned} k={k}"
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Cursor matrix, sharded leg (DESIGN.md §13, §14): every shard task
+/// walks its lists with the forward block cursor under the shared
+/// threshold, so the adversarial layouts of
+/// [`common::adversarial_layouts`] run split 1, 2 and 4 ways under every
+/// codec. Splitting reshapes them further — the 1000:1 layout leaves
+/// three of four shards without the short list — and the merged hits
+/// must still equal the unsharded exhaustive engine's bit for bit.
+#[test]
+fn sharded_pruned_matches_exhaustive_on_adversarial_layouts() {
+    use iiu_index::CodecId;
+
+    let (ta, tb) = common::TERMS;
+    for layout in common::adversarial_layouts() {
+        for codec in CodecId::ALL {
+            let index = layout.index(codec);
+            let mut plain = CpuEngine::new(&index);
+            for n in [1usize, 2, 4] {
+                let split = Arc::new(ShardedIndex::split(&index, n).expect("split"));
+                let eng = ShardedEngine::new(split).with_pruning(true);
+                for k in common::LAYOUT_KS {
+                    let at = format!("{} / {codec} / n={n} / k={k}", layout.name);
+                    let want = plain.search_single(ta, k).expect("indexed");
+                    let got = eng.search_single(ta, k).expect("indexed");
+                    assert_eq!(got.hits, want.hits, "{ta}: {at}");
+                    let want = plain.search_intersection(ta, tb, k).expect("indexed");
+                    let got = eng.search_intersection(ta, tb, k).expect("indexed");
+                    assert_eq!(got.hits, want.hits, "AND: {at}");
+                    assert!(got.complete(), "healthy shards must all answer: {at}");
+                    let want = plain.search_union(ta, tb, k).expect("indexed");
+                    let got = eng.search_union(ta, tb, k).expect("indexed");
+                    assert_eq!(got.hits, want.hits, "OR: {at}");
+                    let c = got.counts;
+                    assert_eq!(c.cache_hits + c.cache_misses, 0, "OR: {at}");
                 }
             }
         }

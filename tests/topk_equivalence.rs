@@ -2,7 +2,10 @@
 //! mode must return *bit-identical* (docID, score) lists to exhaustive
 //! scoring for every query shape, every k (including k = 0 and k larger
 //! than the result set), on random corpora and on the deterministic
-//! sampled workload — and it must actually skip work on skewed lists.
+//! sampled workload and on two-list layouts built to trip the forward
+//! block cursor — and it must actually skip work on skewed lists.
+
+mod common;
 
 use iiu_baseline::CpuEngine;
 use iiu_core::{CpuSearchEngine, IiuSearchEngine, Query, SearchEngine};
@@ -191,6 +194,61 @@ fn mapped_source_matches_heap_under_every_codec() {
             }
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Cursor matrix (DESIGN.md §13): every adversarial layout of
+/// [`common::adversarial_layouts`] x every block codec x heap and mapped
+/// source x every k of [`common::LAYOUT_KS`]. Pruned hits must equal the
+/// exhaustive heap engine's bit for bit, with the terms in either order,
+/// and the two-term tallies must account for every block exactly once.
+#[test]
+fn pruned_matches_exhaustive_on_adversarial_layouts() {
+    use iiu_index::{io, storage, CodecId};
+
+    let (ta, tb) = common::TERMS;
+    for layout in common::adversarial_layouts() {
+        for codec in CodecId::ALL {
+            let heap = layout.index(codec);
+            let bytes = io::serialize(&heap).expect("serialize");
+            let path = std::env::temp_dir()
+                .join(format!("iiu-topk-layout-{}-{codec}", std::process::id()));
+            std::fs::write(&path, &bytes).expect("temp file writable");
+            let mapped = storage::map_index(&path).expect("mapped load");
+            let blocks: u64 = [ta, tb]
+                .iter()
+                .map(|t| {
+                    heap.encoded_list(heap.term_id(t).expect("indexed")).num_blocks() as u64
+                })
+                .sum();
+
+            let mut plain = CpuEngine::new(&heap);
+            for (source, index) in [("heap", &heap), ("mmap", &mapped)] {
+                let mut pruned = CpuEngine::new(index).with_pruning(true);
+                for k in common::LAYOUT_KS {
+                    let at = format!("{} / {codec} / {source} / k={k}", layout.name);
+                    for t in [ta, tb] {
+                        let want = plain.search_single(t, k).expect("indexed");
+                        let got = pruned.search_single(t, k).expect("indexed");
+                        assert_eq!(got.hits, want.hits, "{t}: {at}");
+                    }
+                    for (x, y) in [(ta, tb), (tb, ta)] {
+                        let want = plain.search_intersection(x, y, k).expect("indexed");
+                        let got = pruned.search_intersection(x, y, k).expect("indexed");
+                        assert_eq!(got.hits, want.hits, "{x} AND {y}: {at}");
+                        let c = got.counts;
+                        assert_eq!(c.blocks_decoded + c.blocks_skipped, blocks, "AND: {at}");
+                        let want = plain.search_union(x, y, k).expect("indexed");
+                        let got = pruned.search_union(x, y, k).expect("indexed");
+                        assert_eq!(got.hits, want.hits, "{x} OR {y}: {at}");
+                        let c = got.counts;
+                        assert_eq!(c.blocks_decoded + c.blocks_skipped, blocks, "OR: {at}");
+                        assert_eq!(c.cache_hits + c.cache_misses, 0, "OR: {at}");
+                    }
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 }
 
