@@ -213,10 +213,8 @@ fn run_rss_child() -> ExitCode {
 /// Spawns the RSS child and parses its JSON report.
 fn run_rss_gate() -> Value {
     let exe = std::env::current_exe().expect("own path");
-    let out = std::process::Command::new(exe)
-        .arg("--rss-child")
-        .output()
-        .expect("spawn RSS child");
+    let out =
+        std::process::Command::new(exe).arg("--rss-child").output().expect("spawn RSS child");
     assert!(
         out.status.success(),
         "RSS child failed: {}",
@@ -329,12 +327,10 @@ fn main() -> ExitCode {
     let ids = top_df_terms(&heap, DECODE_LISTS);
     let mut scratch: Vec<Posting> = Vec::new();
     let decoded = decode_lists(&heap, &ids, &mut scratch);
-    let heap_dec = bench_with("decode/heap", 6, 24, &mut || {
-        decode_lists(&heap, &ids, &mut scratch)
-    });
-    let mmap_dec = bench_with("decode/mmap", 6, 24, &mut || {
-        decode_lists(&mapped, &ids, &mut scratch)
-    });
+    let heap_dec =
+        bench_with("decode/heap", 6, 24, &mut || decode_lists(&heap, &ids, &mut scratch));
+    let mmap_dec =
+        bench_with("decode/mmap", 6, 24, &mut || decode_lists(&mapped, &ids, &mut scratch));
     gate.insert("block_decode_heap".into(), json!(heap_dec.min_ns));
     gate.insert("block_decode_mmap".into(), json!(mmap_dec.min_ns));
     let decode = json!({

@@ -114,11 +114,7 @@ pub(crate) enum PayloadBuf {
     Owned(Vec<u8>),
     /// A byte window of a memory-mapped index file. The `Arc` keeps the
     /// mapping alive for as long as any list references it.
-    Mapped {
-        map: Arc<Mmap>,
-        offset: usize,
-        len: usize,
-    },
+    Mapped { map: Arc<Mmap>, offset: usize, len: usize },
 }
 
 impl Default for PayloadBuf {
@@ -365,14 +361,16 @@ impl EncodedList {
         })
     }
 
-    /// Assembles a list directly from stored parts — the zero-copy load
-    /// path ([`crate::storage`]): no decode, no re-encode, the payload
-    /// stays wherever `payload` points (typically a file mapping).
+    /// Assembles a list directly from stored parts — what the loader
+    /// ([`crate::io`]) builds from every term record: nothing is decoded,
+    /// and the payload stays wherever `payload` points (owned bytes, or a
+    /// window of a file mapping).
     /// `model_bits` is recomputed from the metadata words (exactly what
     /// the encoder charged, since both derive it from the same widths and
     /// counts). The structural invariants are checked before the list is
-    /// returned; payload *content* is covered by `lazy` (or by the
-    /// caller's bounds recompute for checksum-free formats).
+    /// returned; payload *content* is covered by the record CRC — checked
+    /// by the caller, or deferred in `lazy` — and by the caller's decode
+    /// oracle.
     ///
     /// # Errors
     ///
@@ -391,7 +389,8 @@ impl EncodedList {
             .iter()
             .map(|m| ops.block_cost_bits(u64::from(m.count), m.dn_bits, m.tf_bits))
             .sum();
-        let list = EncodedList { metas, skips, payload, num_postings, model_bits, codec, lazy };
+        let list =
+            EncodedList { metas, skips, payload, num_postings, model_bits, codec, lazy };
         list.validate()?;
         Ok(list)
     }

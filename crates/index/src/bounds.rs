@@ -24,8 +24,9 @@
 //!
 //! Bounds are derived data: every construction path
 //! ([`crate::InvertedIndex::from_lists`]) recomputes them from the
-//! postings, so v1/v2 index files load with bounds available and the v3
-//! reader can cross-check the persisted section against the recomputation.
+//! postings, so v1/v2 index files load with bounds available and the heap
+//! load of a v3/v4 file cross-checks the persisted section against the
+//! recomputation.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -57,58 +58,68 @@ impl ListBounds {
         idf_bar: Fixed,
         dl_bars: &[Fixed],
     ) -> Self {
-        let mut ubs = Vec::with_capacity(block_lens.len());
-        let mut max_tfs = Vec::with_capacity(block_lens.len());
-        let mut max_ub = Fixed::ZERO;
+        let mut bounds = ListBounds::default();
         let mut at = 0usize;
         for &len in block_lens {
-            let block = &postings[at..(at + len).min(postings.len())];
+            bounds.push_block(&postings[at..(at + len).min(postings.len())], idf_bar, dl_bars);
             at += len;
-            let mut ub = Fixed::ZERO;
-            let mut max_tf = 0u32;
-            for p in block {
-                let dl = dl_bars.get(p.doc_id as usize).copied().unwrap_or(Fixed::ZERO);
-                ub = ub.max(term_score_fixed(idf_bar, dl, p.tf));
-                max_tf = max_tf.max(p.tf);
-            }
-            max_ub = max_ub.max(ub);
-            ubs.push(ub);
-            max_tfs.push(max_tf);
         }
-        ListBounds { ubs, max_tfs, max_ub }
+        bounds
+    }
+
+    /// Appends the bound of one block: the datapath's score of every
+    /// posting in it, maximized.
+    fn push_block(&mut self, block: &[Posting], idf_bar: Fixed, dl_bars: &[Fixed]) {
+        let mut ub = Fixed::ZERO;
+        let mut max_tf = 0u32;
+        for p in block {
+            let dl = dl_bars.get(p.doc_id as usize).copied().unwrap_or(Fixed::ZERO);
+            ub = ub.max(term_score_fixed(idf_bar, dl, p.tf));
+            max_tf = max_tf.max(p.tf);
+        }
+        self.max_ub = self.max_ub.max(ub);
+        self.ubs.push(ub);
+        self.max_tfs.push(max_tf);
     }
 
     /// Recomputes bounds from an encoded list by decoding every block —
-    /// the oracle [`crate::InvertedIndex::validate`] and the v3 file
-    /// reader hold stored bounds against.
+    /// the content oracle of the load paths ([`crate::io`]) and of
+    /// [`crate::InvertedIndex::validate`]. No block decoder checks docID
+    /// order (a wrapped gap sum decodes to a smaller docID), so this pass
+    /// does, across block boundaries, and holds every docID inside
+    /// `dl_bars` rather than scoring a stray one as if it were there.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::CorruptIndex`] if a block fails to decode.
+    /// Returns [`IndexError::CorruptIndex`] if a block fails to decode, the
+    /// decoded docIDs are not strictly increasing, or one lies beyond the
+    /// corpus `dl_bars` describes.
     pub fn recompute(
         list: &EncodedList,
         idf_bar: Fixed,
         dl_bars: &[Fixed],
     ) -> Result<Self, IndexError> {
-        let mut ubs = Vec::with_capacity(list.num_blocks());
-        let mut max_tfs = Vec::with_capacity(list.num_blocks());
-        let mut max_ub = Fixed::ZERO;
+        let mut bounds = ListBounds::default();
         let mut block = Vec::new();
+        let mut prev = None;
         for b in 0..list.num_blocks() {
             block.clear();
             list.try_decode_block_into(b, &mut block)?;
-            let mut ub = Fixed::ZERO;
-            let mut max_tf = 0u32;
             for p in &block {
-                let dl = dl_bars.get(p.doc_id as usize).copied().unwrap_or(Fixed::ZERO);
-                ub = ub.max(term_score_fixed(idf_bar, dl, p.tf));
-                max_tf = max_tf.max(p.tf);
+                if prev.is_some_and(|d| p.doc_id <= d) {
+                    return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
+                }
+                prev = Some(p.doc_id);
             }
-            max_ub = max_ub.max(ub);
-            ubs.push(ub);
-            max_tfs.push(max_tf);
+            // Increasing, so the last decoded docID is the largest so far.
+            if prev.is_some_and(|d| d as usize >= dl_bars.len()) {
+                return Err(IndexError::CorruptIndex {
+                    context: "posting list references docID beyond corpus",
+                });
+            }
+            bounds.push_block(&block, idf_bar, dl_bars);
         }
-        Ok(ListBounds { ubs, max_tfs, max_ub })
+        Ok(bounds)
     }
 
     /// Constructs bounds from raw per-block values (the v3 file reader).

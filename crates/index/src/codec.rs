@@ -898,7 +898,11 @@ mod tests {
                 let len = ((c >> (2 * k)) & 3) as u8 + 1;
                 for j in 0..4u8 {
                     let want = if j < len { offset + j } else { 0x80 };
-                    assert_eq!(SVB_SHUFFLE[c][4 * k + j as usize], want, "ctrl={c} lane={k} byte={j}");
+                    assert_eq!(
+                        SVB_SHUFFLE[c][4 * k + j as usize],
+                        want,
+                        "ctrl={c} lane={k} byte={j}"
+                    );
                 }
                 offset += len;
             }

@@ -294,7 +294,8 @@ impl MappedSurvivalReport {
     /// or proved to be a semantic no-op.
     pub fn survived(&self) -> bool {
         self.accepted_divergent == 0
-            && self.trials == self.open_rejections + self.touch_rejections + self.accepted_equal
+            && self.trials
+                == self.open_rejections + self.touch_rejections + self.accepted_equal
     }
 }
 
@@ -312,6 +313,41 @@ fn sweep_mapped(idx: &InvertedIndex) -> Result<(), IndexError> {
         }
     }
     Ok(())
+}
+
+/// The campaign both mapped reports run: each of `trials` deterministic
+/// corruptions of `bytes` is written to `scratch` and opened with `open`;
+/// an index that opens is put through `sweep` (the lazily-verified decode
+/// of everything) and, if that passes too, deep-compared to `original`.
+fn mapped_campaign<T: PartialEq>(
+    original: &T,
+    bytes: &[u8],
+    trials: u64,
+    seed_base: u64,
+    scratch: &std::path::Path,
+    open: impl Fn(&std::path::Path) -> Result<T, IndexError>,
+    sweep: impl Fn(&T) -> Result<(), IndexError>,
+) -> std::io::Result<MappedSurvivalReport> {
+    let mut report = MappedSurvivalReport { trials, ..Default::default() };
+    for t in 0..trials {
+        let (mutated, _what) = corrupt(bytes, seed_base + t);
+        std::fs::write(scratch, &mutated)?;
+        match open(scratch) {
+            Err(_) => report.open_rejections += 1,
+            Ok(mapped) => match sweep(&mapped) {
+                Err(e) => {
+                    report.touch_rejections += 1;
+                    if matches!(e, IndexError::ChecksumMismatch { .. }) {
+                        report.touch_checksum_rejections += 1;
+                    }
+                }
+                Ok(()) if mapped == *original => report.accepted_equal += 1,
+                Ok(()) => report.accepted_divergent += 1,
+            },
+        }
+    }
+    std::fs::remove_file(scratch).ok();
+    Ok(report)
 }
 
 /// Runs `trials` deterministic corruptions of `bytes` through the mapped
@@ -332,31 +368,8 @@ pub fn mapped_survival_report(
     seed_base: u64,
     scratch: &std::path::Path,
 ) -> std::io::Result<MappedSurvivalReport> {
-    let mut report = MappedSurvivalReport { trials, ..Default::default() };
-    for t in 0..trials {
-        let (mutated, _what) = corrupt(bytes, seed_base + t);
-        std::fs::write(scratch, &mutated)?;
-        match crate::storage::map_index(scratch) {
-            Err(_) => report.open_rejections += 1,
-            Ok(mapped) => match sweep_mapped(&mapped) {
-                Err(e) => {
-                    report.touch_rejections += 1;
-                    if matches!(e, IndexError::ChecksumMismatch { .. }) {
-                        report.touch_checksum_rejections += 1;
-                    }
-                }
-                Ok(()) => {
-                    if mapped == *original {
-                        report.accepted_equal += 1;
-                    } else {
-                        report.accepted_divergent += 1;
-                    }
-                }
-            },
-        }
-    }
-    std::fs::remove_file(scratch).ok();
-    Ok(report)
+    let open = crate::storage::map_index;
+    mapped_campaign(original, bytes, trials, seed_base, scratch, open, sweep_mapped)
 }
 
 /// [`mapped_survival_report`] for shard manifests via
@@ -376,33 +389,10 @@ pub fn mapped_sharded_survival_report(
     seed_base: u64,
     scratch: &std::path::Path,
 ) -> std::io::Result<MappedSurvivalReport> {
-    let mut report = MappedSurvivalReport { trials, ..Default::default() };
-    for t in 0..trials {
-        let (mutated, _what) = corrupt(bytes, seed_base + t);
-        std::fs::write(scratch, &mutated)?;
-        match crate::storage::map_sharded(scratch) {
-            Err(_) => report.open_rejections += 1,
-            Ok(mapped) => {
-                match mapped.shards().iter().try_for_each(sweep_mapped) {
-                    Err(e) => {
-                        report.touch_rejections += 1;
-                        if matches!(e, IndexError::ChecksumMismatch { .. }) {
-                            report.touch_checksum_rejections += 1;
-                        }
-                    }
-                    Ok(()) => {
-                        if mapped == *original {
-                            report.accepted_equal += 1;
-                        } else {
-                            report.accepted_divergent += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    std::fs::remove_file(scratch).ok();
-    Ok(report)
+    let open = crate::storage::map_sharded;
+    mapped_campaign(original, bytes, trials, seed_base, scratch, open, |mapped| {
+        mapped.shards().iter().try_for_each(sweep_mapped)
+    })
 }
 
 /// Runs `trials` deterministic corruptions (seeds `seed_base..seed_base +

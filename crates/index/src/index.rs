@@ -272,14 +272,15 @@ impl InvertedIndex {
         })
     }
 
-    /// Assembles an index directly from already-encoded parts — the
-    /// zero-copy load path ([`crate::storage`]), which must not decode and
-    /// re-encode every list the way [`crate::io::deserialize`] does.
+    /// Assembles an index directly from already-encoded parts — where
+    /// every load ([`crate::io`], heap or mapped) ends, so a loaded index
+    /// keeps the file's block layout and nothing is re-partitioned.
     ///
     /// The caller is responsible for having validated `lists` (the
     /// [`EncodedList::from_stored_parts`] constructor does) and `bounds`
-    /// (structurally via [`ListBounds::validate_against`], with content
-    /// integrity resting on the section CRCs). This constructor checks the
+    /// (recomputed from the lists, or stored ones checked structurally via
+    /// [`ListBounds::validate_against`] with content integrity resting on
+    /// their section CRC). This constructor checks the
     /// cross-field invariants: table lengths agree, term names are unique,
     /// docIDs stay inside the corpus, and df matches each list.
     ///
@@ -479,9 +480,9 @@ impl InvertedIndex {
     /// corpus.
     ///
     /// A [`deserialize`](crate::io::deserialize)d index always passes (the
-    /// reader rebuilds lists from decoded postings); this is the
-    /// belt-and-braces check for indexes assembled by other means, and the
-    /// oracle the fault-injection harness holds accepted loads against.
+    /// heap load runs the same decode oracle); this is the deep check for
+    /// mapped indexes, whose stored bounds and docID order are otherwise
+    /// taken on their checksums, and for indexes assembled by other means.
     ///
     /// # Errors
     ///

@@ -30,33 +30,54 @@
 //! footer                   crc32 u32 over every preceding byte
 //! ```
 //!
-//! [`deserialize`] verifies each section checksum before trusting its
-//! contents, then rebuilds every posting list by decoding it (bounds
-//! checked) and re-encoding, so a malformed file yields a typed
-//! [`IndexError`] — never a panic or an out-of-bounds read. The codec id
-//! is interpreted only after the header CRC verifies: random corruption
-//! of the byte surfaces as a checksum mismatch, while a CRC-consistent
-//! id this build does not implement is the typed
-//! [`IndexError::UnknownCodec`]. A CRC-consistent *flip* to a different
-//! valid codec decodes the payloads as garbage and is rejected by the
-//! monotonic-docID check or the score-bounds recomputation oracle. The
-//! score bounds section is additionally held against a full recomputation
-//! from the decoded postings: a CRC-consistent file whose stored bounds
-//! disagree with the postings is rejected (`score bounds mismatch`)
-//! rather than silently pruning wrong results. Version 3 (no codec byte —
-//! always the bit-packed codec), version 2 (no bounds section) and
-//! version 1 files (no checksums) remain readable — bounds are derived
-//! data, recomputed on every load path — and unknown versions are
+//! Version 3 (no codec byte — always the bit-packed codec), version 2 (no
+//! bounds section) and version 1 files (no checksums, term count after
+//! the doc table, no footer) remain readable as layout flags of the same
+//! parser, as do the three shard-manifest versions; unknown versions are
 //! rejected with [`IndexError::UnsupportedFormat`].
+//!
+//! # Load policy
+//!
+//! Every format element is parsed by one function, whichever way the file
+//! is opened. The caller's backing — bytes handed to [`deserialize`] /
+//! [`deserialize_sharded`], or a mapping made by [`crate::storage`] —
+//! decides only where payload bytes end up (copied to the heap, or left in
+//! the mapping) and *when* each check runs; a loaded index keeps the
+//! file's block layout byte for byte either way:
+//!
+//! | check | heap load | mapped open | first touch | `validate()` |
+//! |---|---|---|---|---|
+//! | header / doc table / bounds-section CRC | yes | yes | — | — |
+//! | record frame + [`EncodedList::validate`] | yes | yes | — | yes |
+//! | record CRC (covers the payload) | yes | captured | yes, once per list | — |
+//! | footer CRC | yes | framed, not hashed | — | — |
+//! | docID order + in-corpus | yes | only without stored bounds | — | yes |
+//! | stored-bounds oracle | yes | no: section CRC + shape | — | yes |
+//!
+//! The last two rows are the content oracle, one decode pass per list
+//! ([`ListBounds::recompute`]): no block decoder checks docID order, so
+//! the pass does, and where the format stores bounds (v3/v4) they must
+//! equal its result (`score bounds mismatch`) — CRCs cannot catch a file
+//! that was *written* wrong. Formats without stored bounds (v1/v2, every
+//! manifest shard) run it on both backings, since its result *is* their
+//! bounds. So a malformed file yields a typed [`IndexError`] — never a
+//! panic or an out-of-bounds read. The codec id is interpreted only after
+//! the header CRC verifies: random corruption of the byte surfaces as a
+//! checksum mismatch, a CRC-consistent id this build does not implement
+//! as [`IndexError::UnknownCodec`], and a CRC-consistent flip to another
+//! valid codec decodes the payloads as garbage that the oracle rejects.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::block::{BlockMeta, EncodedList};
+use std::sync::Arc;
+
+use crate::block::{BlockMeta, EncodedList, LazyCrc, PayloadBuf};
 use crate::bounds::ListBounds;
 use crate::checksum::{crc32, Crc32};
 use crate::codec::CodecId;
 use crate::error::IndexError;
-use crate::index::InvertedIndex;
+use crate::index::{IndexSource, InvertedIndex, TermInfo};
+use crate::mmap::Mmap;
 use crate::partition::Partitioner;
 use crate::posting::PostingList;
 use crate::score::{Bm25Params, Fixed};
@@ -504,25 +525,22 @@ fn stream_io_err(e: std::io::Error) -> IndexError {
     IndexError::Io { context: "writing streamed index file", message: e.to_string() }
 }
 
-/// Whether `bytes` starts with a shard-manifest magic (either manifest
+/// Whether `bytes` starts with a shard-manifest magic (any manifest
 /// version) — the dispatch probe loaders use to pick
 /// [`deserialize_sharded`] over [`deserialize`].
 pub fn is_sharded(bytes: &[u8]) -> bool {
-    if bytes.len() < 8 {
-        return false;
-    }
-    let magic = u64::from_le_bytes([
-        bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-    ]);
-    magic == MAGIC_SHARD || magic == MAGIC_SHARD_V2 || magic == MAGIC_SHARD_V3
+    matches!(
+        Reader::new(bytes).u64("magic"),
+        Ok(MAGIC_SHARD | MAGIC_SHARD_V2 | MAGIC_SHARD_V3)
+    )
 }
 
-/// Deserializes a shard manifest written by [`serialize_sharded`].
+/// Deserializes a shard manifest written by [`serialize_sharded`] (or a
+/// legacy v1/v2 manifest) onto the heap.
 ///
-/// Each shard is rebuilt with the manifest's *global* statistics via
-/// [`InvertedIndex::from_lists_with_stats`], then the assembled
-/// [`ShardedIndex`] is held against its cross-shard invariants
-/// (round-robin doc counts, per-shard validation).
+/// Every shard keeps the file's block layout and is scored with the
+/// manifest's *global* statistics; the heap column of the module's policy
+/// table says what is verified before the [`ShardedIndex`] is returned.
 ///
 /// # Errors
 ///
@@ -530,67 +548,37 @@ pub fn is_sharded(bytes: &[u8]) -> bool {
 /// [`IndexError::ChecksumMismatch`] when a section checksum fails, and
 /// [`IndexError::CorruptIndex`] on truncated or inconsistent content.
 pub fn deserialize_sharded(bytes: &[u8]) -> Result<ShardedIndex, IndexError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.u64("magic")?;
-    if magic != MAGIC_SHARD && magic != MAGIC_SHARD_V2 && magic != MAGIC_SHARD_V3 {
-        return Err(IndexError::UnsupportedFormat { found: magic });
-    }
-    let header = read_shard_header(&mut r, magic)?;
-    let with_codec = magic == MAGIC_SHARD_V3;
-
-    let mut shards = Vec::with_capacity(header.num_shards.min(r.remaining()));
-    for s in 0..header.num_shards {
-        let body_start = r.pos;
-        let body = read_checksummed_body(&mut r, with_codec)?;
-        if let Some(lens) = &header.body_lens {
-            // A v2/v3 manifest records each body's byte length; a body that
-            // parses but consumed a different span means the length table
-            // and the content disagree (only possible under tampering with
-            // checksums recomputed) — reject rather than trust either.
-            if (r.pos - body_start) as u64 != lens[s] {
-                return Err(IndexError::CorruptIndex {
-                    context: "shard body length mismatch",
-                });
-            }
-        }
-        if body.lists.len() != header.idf_bars.len() {
-            return Err(IndexError::CorruptIndex { context: "shard dictionaries disagree" });
-        }
-        let with_idf = body
-            .lists
-            .into_iter()
-            .zip(&header.idf_bars)
-            .map(|((term, list), &idf)| (term, list, idf))
-            .collect();
-        shards.push(InvertedIndex::from_lists_with_stats_codec(
-            with_idf,
-            body.doc_lens,
-            header.avgdl,
-            body.partitioner,
-            body.params,
-            body.codec,
-        )?);
-    }
-    verify_footer(&mut r)?;
-    ShardedIndex::from_shards(shards, header.n_docs, header.parent_partitioner)
+    load_sharded(Backing::Heap(bytes))
 }
 
-/// Parsed shard-manifest header, shared by [`deserialize_sharded`],
-/// [`scan_sharded`] and the zero-copy loader ([`crate::storage`]).
-pub(crate) struct ShardManifestHeader {
-    pub(crate) num_shards: usize,
-    pub(crate) n_docs: u64,
-    pub(crate) avgdl: f64,
-    pub(crate) parent_partitioner: Partitioner,
-    pub(crate) idf_bars: Vec<Fixed>,
+/// Parsed shard-manifest header.
+struct ShardManifestHeader {
+    /// Manifest format version (1, 2 or 3), from the magic.
+    version: u32,
+    num_shards: usize,
+    n_docs: u64,
+    avgdl: f64,
+    parent_partitioner: Partitioner,
+    idf_bars: Vec<Fixed>,
     /// Per-shard body byte lengths — absent only in legacy v1 manifests.
-    pub(crate) body_lens: Option<Vec<u64>>,
+    body_lens: Option<Vec<u64>>,
 }
 
-pub(crate) fn read_shard_header(
-    r: &mut Reader<'_>,
-    magic: u64,
-) -> Result<ShardManifestHeader, IndexError> {
+impl ShardManifestHeader {
+    /// Shard bodies are sealed; only manifest v3 gives them a codec byte.
+    fn body_layout(&self) -> Layout {
+        Layout { sealed: true, codec_byte: self.version == 3 }
+    }
+}
+
+/// Reads a manifest's magic and CRC-protected header.
+fn read_shard_header(r: &mut Reader<'_>) -> Result<ShardManifestHeader, IndexError> {
+    let version = match r.u64("magic")? {
+        MAGIC_SHARD => 1,
+        MAGIC_SHARD_V2 => 2,
+        MAGIC_SHARD_V3 => 3,
+        found => return Err(IndexError::UnsupportedFormat { found }),
+    };
     let header_start = r.pos;
     let num_shards = r.u32("shard header")? as usize;
     let n_docs = r.u64("shard header")?;
@@ -600,22 +588,13 @@ pub(crate) fn read_shard_header(
     let n_terms = r.u64("shard header")? as usize;
     let idf_bytes =
         n_terms.checked_mul(4).ok_or(IndexError::CorruptIndex { context: "shard header" })?;
-    let raw = r.take(idf_bytes, "shard header")?;
-    let idf_bars: Vec<Fixed> = raw
-        .chunks_exact(4)
-        .map(|c| Fixed::from_raw(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-        .collect();
+    let idf_bars = le_u32s(r.take(idf_bytes, "shard header")?).map(Fixed::from_raw).collect();
     // Legacy v1 manifests have no body-length table; v2 and v3 do.
-    let body_lens = if magic != MAGIC_SHARD {
+    let body_lens = if version >= 2 {
         let len_bytes = num_shards
             .checked_mul(8)
             .ok_or(IndexError::CorruptIndex { context: "shard header" })?;
-        let raw = r.take(len_bytes, "shard header")?;
-        Some(
-            raw.chunks_exact(8)
-                .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                .collect(),
-        )
+        Some(le_u64s(r.take(len_bytes, "shard header")?).collect())
     } else {
         None
     };
@@ -628,6 +607,7 @@ pub(crate) fn read_shard_header(
         return Err(IndexError::CorruptIndex { context: "shard avgdl" });
     }
     Ok(ShardManifestHeader {
+        version,
         num_shards,
         n_docs,
         avgdl,
@@ -662,7 +642,7 @@ pub enum ShardBodyStatus {
 /// [`scan_sharded`] without aborting on the first bad shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardScanReport {
-    /// Manifest format version (1 or 2).
+    /// Manifest format version (1, 2 or 3).
     pub version: u32,
     /// Shard count claimed by the (CRC-verified) header.
     pub num_shards: usize,
@@ -700,7 +680,9 @@ impl ShardScanReport {
 }
 
 /// Scans a shard manifest, CRC-cross-checking every shard body
-/// *independently* instead of erroring on the first bad one.
+/// *independently* instead of erroring on the first bad one. Bodies are
+/// framed by the loaders' parser with every section and record checksum
+/// verified; nothing is decoded (the full load is the content check).
 ///
 /// On a v2 or v3 manifest the header's body-length table addresses each
 /// body directly, so one corrupt shard leaves the others scannable. On a
@@ -715,101 +697,60 @@ impl ShardScanReport {
 /// header there is no shard layout to scan.
 pub fn scan_sharded(bytes: &[u8]) -> Result<ShardScanReport, IndexError> {
     let mut r = Reader::new(bytes);
-    let magic = r.u64("magic")?;
-    if magic != MAGIC_SHARD && magic != MAGIC_SHARD_V2 && magic != MAGIC_SHARD_V3 {
-        return Err(IndexError::UnsupportedFormat { found: magic });
-    }
-    let header = read_shard_header(&mut r, magic)?;
-    let version = match magic {
-        MAGIC_SHARD_V3 => 3,
-        MAGIC_SHARD_V2 => 2,
-        _ => 1,
-    };
-    let with_codec = magic == MAGIC_SHARD_V3;
-
-    let scan_body = |start: usize, limit: usize| -> (ShardBodyStatus, usize) {
-        if start > limit {
-            let error = IndexError::CorruptIndex { context: "shard body truncated" };
-            return (ShardBodyStatus::Corrupt { error }, start);
-        }
-        let mut br = Reader { buf: &bytes[..limit], pos: start };
-        match read_checksummed_body(&mut br, with_codec) {
-            Ok(body) => {
-                let postings = body.lists.iter().map(|(_, l)| l.len() as u64).sum();
-                (ShardBodyStatus::Ok { docs: body.doc_lens.len() as u64, postings }, br.pos)
-            }
-            Err(error) => (ShardBodyStatus::Corrupt { error }, br.pos),
-        }
-    };
+    let header = read_shard_header(&mut r)?;
+    let layout = header.body_layout();
 
     let mut shards = Vec::with_capacity(header.num_shards);
-    let footer_ok;
-    if let Some(lens) = &header.body_lens {
+    let mut pos = r.pos;
+    // Set once a body cannot be located: by a corrupt v1 predecessor, or
+    // by a length-table entry that runs past the file.
+    let mut lost = false;
+    for s in 0..header.num_shards {
         // v2/v3: every body is addressable from the (CRC-verified) length
         // table, so a corrupt shard is reported in place and the scan
-        // moves on to the next shard.
-        let mut start = r.pos;
-        for &len in lens {
-            let end = start.checked_add(len as usize).filter(|&e| e + 4 <= bytes.len());
-            match end {
-                Some(end) => {
-                    let (status, consumed) = scan_body(start, end);
-                    // A body that parses short of its recorded span was
-                    // spliced; don't let it masquerade as clean.
-                    if consumed != end && matches!(status, ShardBodyStatus::Ok { .. }) {
-                        shards.push(ShardBodyStatus::Corrupt {
-                            error: IndexError::CorruptIndex {
-                                context: "shard body length mismatch",
-                            },
-                        });
-                    } else {
-                        shards.push(status);
-                    }
-                    start = end;
-                }
-                None => {
-                    shards.push(ShardBodyStatus::Corrupt {
-                        error: IndexError::CorruptIndex { context: "shard body length" },
-                    });
-                }
-            }
-        }
-        footer_ok = start + 4 == bytes.len()
-            && crc32(&bytes[..start])
-                == u32::from_le_bytes([
-                    bytes[start],
-                    bytes[start + 1],
-                    bytes[start + 2],
-                    bytes[start + 3],
-                ]);
-    } else {
-        // v1: no length table — bodies are only locatable sequentially.
-        let mut pos = r.pos;
-        let mut dead = false;
-        for _ in 0..header.num_shards {
-            if dead {
+        // moves on. v1: a body ends wherever its parse does.
+        let limit = match &header.body_lens {
+            Some(lens) => usize::try_from(lens[s])
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .filter(|&end| end <= bytes.len().saturating_sub(4)),
+            None if lost => {
                 shards.push(ShardBodyStatus::Unscanned);
                 continue;
             }
-            let limit = bytes.len().saturating_sub(4);
-            let (status, consumed) = scan_body(pos, limit);
-            dead = matches!(status, ShardBodyStatus::Corrupt { .. });
-            shards.push(status);
-            pos = consumed;
-        }
-        footer_ok = !dead
-            && pos + 4 == bytes.len()
-            && crc32(&bytes[..pos])
-                == u32::from_le_bytes([
-                    bytes[pos],
-                    bytes[pos + 1],
-                    bytes[pos + 2],
-                    bytes[pos + 3],
-                ]);
+            None => Some(bytes.len().saturating_sub(4).max(pos)),
+        };
+        let Some(limit) = limit else {
+            lost = true;
+            shards.push(ShardBodyStatus::Corrupt {
+                error: IndexError::CorruptIndex { context: "shard body length" },
+            });
+            continue;
+        };
+        let mut br = Reader { buf: &bytes[..limit], pos };
+        let parsed = read_body(&mut br, layout, Backing::Heap(bytes));
+        pos = if header.body_lens.is_some() { limit } else { br.pos };
+        shards.push(match parsed {
+            // A body that parses short of its recorded span was spliced;
+            // don't let it masquerade as clean.
+            Ok(_) if br.pos != pos => ShardBodyStatus::Corrupt {
+                error: IndexError::CorruptIndex { context: "shard body length mismatch" },
+            },
+            Ok(body) => ShardBodyStatus::Ok {
+                docs: body.doc_lens.len() as u64,
+                postings: body.lists.iter().map(EncodedList::num_postings).sum(),
+            },
+            Err(error) => {
+                lost |= header.body_lens.is_none();
+                ShardBodyStatus::Corrupt { error }
+            }
+        });
     }
+    let footer_ok = !lost
+        && read_footer(&mut Reader { buf: bytes, pos }, true, Backing::Heap(bytes)).is_ok();
 
     Ok(ShardScanReport {
-        version,
+        version: header.version,
         num_shards: header.num_shards,
         num_docs: header.n_docs,
         shards,
@@ -819,27 +760,22 @@ pub fn scan_sharded(bytes: &[u8]) -> Result<ShardScanReport, IndexError> {
 
 /// A bounds-checked little-endian cursor over the serialized bytes that
 /// remembers its position, so section checksums can be computed over the
-/// exact byte ranges that were parsed. Shared with the zero-copy loader
-/// ([`crate::storage`]), which parses the same layouts over a mapping.
-pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
+/// exact byte ranges that were parsed.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    pub(crate) fn take(
-        &mut self,
-        n: usize,
-        context: &'static str,
-    ) -> Result<&'a [u8], IndexError> {
+    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], IndexError> {
         if self.remaining() < n {
             return Err(IndexError::CorruptIndex { context });
         }
@@ -848,31 +784,31 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8, IndexError> {
+    fn u8(&mut self, context: &'static str) -> Result<u8, IndexError> {
         Ok(self.take(1, context)?[0])
     }
 
-    pub(crate) fn u32(&mut self, context: &'static str) -> Result<u32, IndexError> {
+    fn u32(&mut self, context: &'static str) -> Result<u32, IndexError> {
         let s = self.take(4, context)?;
         let mut b = [0u8; 4];
         b.copy_from_slice(s);
         Ok(u32::from_le_bytes(b))
     }
 
-    pub(crate) fn u64(&mut self, context: &'static str) -> Result<u64, IndexError> {
+    fn u64(&mut self, context: &'static str) -> Result<u64, IndexError> {
         let s = self.take(8, context)?;
         let mut b = [0u8; 8];
         b.copy_from_slice(s);
         Ok(u64::from_le_bytes(b))
     }
 
-    pub(crate) fn f64(&mut self, context: &'static str) -> Result<f64, IndexError> {
+    fn f64(&mut self, context: &'static str) -> Result<f64, IndexError> {
         Ok(f64::from_bits(self.u64(context)?))
     }
 
     /// Reads a stored section checksum and verifies it against the bytes
     /// parsed since `start`.
-    pub(crate) fn verify_section(
+    fn verify_section(
         &mut self,
         start: usize,
         section: &'static str,
@@ -887,9 +823,22 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The little-endian `u32`s packed in `raw` (whole words only).
+fn le_u32s(raw: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+}
+
+/// The little-endian `u64`s packed in `raw` (whole words only).
+fn le_u64s(raw: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    raw.chunks_exact(8)
+        .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+}
+
 /// Deserializes an index previously written by [`serialize`] (format v4)
 /// or by the legacy v3 (no codec id), v2 (no bounds section) or v1 (no
-/// checksums) writers.
+/// checksums) writers onto the heap. The loaded index keeps the file's
+/// block layout byte for byte; the heap column of the module's policy
+/// table says what is verified first.
 ///
 /// # Errors
 ///
@@ -900,44 +849,31 @@ impl<'a> Reader<'a> {
 /// inconsistent content — including a score-bounds section that passes
 /// its CRC but disagrees with the bounds recomputed from the postings.
 pub fn deserialize(bytes: &[u8]) -> Result<InvertedIndex, IndexError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.u64("magic")?;
-    match magic {
-        MAGIC => deserialize_bounded(r, true),
-        MAGIC_V3 => deserialize_bounded(r, false),
-        MAGIC_V2 => deserialize_v2(r),
-        MAGIC_V1 => deserialize_v1(r),
-        found => Err(IndexError::UnsupportedFormat { found }),
-    }
+    load_plain(Backing::Heap(bytes))
 }
 
 /// Cheaply reads the codec id a plain index file's payloads are encoded
-/// with, verifying only the magic and the header-section CRC (no payload
+/// with, verifying only the magic and the header section (no payload
 /// decode). Pre-v4 files report [`CodecId::BitPack`].
 ///
 /// # Errors
 ///
 /// Returns [`IndexError::UnsupportedFormat`] on an unknown magic,
-/// [`IndexError::ChecksumMismatch`] on a corrupt header, and
+/// [`IndexError::ChecksumMismatch`] on a corrupt header,
+/// [`IndexError::CorruptIndex`] on an invalid partitioner field, and
 /// [`IndexError::UnknownCodec`] on a codec id this build doesn't know.
 pub fn peek_codec(bytes: &[u8]) -> Result<CodecId, IndexError> {
     let mut r = Reader::new(bytes);
-    let magic = r.u64("magic")?;
-    match magic {
+    match r.u64("magic")? {
         MAGIC => {
-            let start = r.pos;
-            let _ = r.take(21, "header")?; // k1, b, partitioner
-            let raw = r.u8("header")?;
-            let _ = r.take(16, "header")?; // num_docs, num_terms
-            r.verify_section(start, "header", "header checksum")?;
-            CodecId::from_u8(raw)
+            Ok(read_body_header(&mut r, Layout { sealed: true, codec_byte: true })?.codec)
         }
         MAGIC_V3 | MAGIC_V2 | MAGIC_V1 => Ok(CodecId::BitPack),
         found => Err(IndexError::UnsupportedFormat { found }),
     }
 }
 
-pub(crate) fn read_partitioner(kind: u8, arg: usize) -> Result<Partitioner, IndexError> {
+fn read_partitioner(kind: u8, arg: usize) -> Result<Partitioner, IndexError> {
     // Validate the range here rather than letting the constructors panic:
     // a CRC-consistent tamper can present any arg with valid checksums.
     if !(1..=crate::block::MAX_BLOCK_LEN).contains(&arg) {
@@ -950,159 +886,134 @@ pub(crate) fn read_partitioner(kind: u8, arg: usize) -> Result<Partitioner, Inde
     }
 }
 
-/// Everything a checksummed file (v2/v3/v4) carries before its
-/// version-specific tail sections.
-struct ChecksummedBody {
+/// What a load reads from, which decides only where payload bytes end up
+/// and when they are verified (the policy table in the module docs). The
+/// entry points imply it: [`deserialize`] is handed bytes,
+/// [`crate::storage`] a path it maps.
+#[derive(Clone, Copy)]
+pub(crate) enum Backing<'a> {
+    /// Caller-owned bytes: payloads are copied out, every checksum is
+    /// verified as it is framed, and content is held to the decode oracle.
+    Heap(&'a [u8]),
+    /// A file mapping: payloads stay in it, record checksums are deferred
+    /// to first touch, and the footer is framed but never hashed (that
+    /// would fault in every page).
+    Mapped(&'a Arc<Mmap>),
+}
+
+impl<'a> Backing<'a> {
+    fn bytes(self) -> &'a [u8] {
+        match self {
+            Backing::Heap(bytes) => bytes,
+            Backing::Mapped(map) => map.as_slice(),
+        }
+    }
+
+    /// The source tag of an index parsed from `start..start + len`.
+    fn source(self, start: usize, len: usize) -> IndexSource {
+        match self {
+            Backing::Heap(_) => IndexSource::Heap,
+            Backing::Mapped(map) => {
+                IndexSource::Mapped { map: map.clone(), span_start: start, span_len: len }
+            }
+        }
+    }
+}
+
+/// The two ways a body's layout differs across format versions.
+#[derive(Clone, Copy)]
+struct Layout {
+    /// Sections carry CRCs, the header carries the term count and a footer
+    /// ends the file — every format but plain v1, which has no checksums,
+    /// counts its terms after the doc table and ends at its last record.
+    sealed: bool,
+    /// The header carries a codec id byte (plain v4, manifest v3); bodies
+    /// without one are bit-packed.
+    codec_byte: bool,
+}
+
+/// A body's header fields. `n_terms` is 0 for an unsealed (v1) layout,
+/// which stores the count after the doc table.
+struct BodyHeader {
     params: Bm25Params,
     partitioner: Partitioner,
     codec: CodecId,
-    doc_lens: Vec<u32>,
-    lists: Vec<(String, PostingList)>,
+    n_docs: usize,
+    n_terms: usize,
 }
 
-/// Reads the header, doc-length table and term records shared by the
-/// checksummed layouts, verifying each section checksum. `with_codec`
-/// selects the v4-style header (one extra codec-id byte after the
-/// partitioner); without it the body is pre-v4 and implicitly bit-packed.
-fn read_checksummed_body(
-    r: &mut Reader<'_>,
-    with_codec: bool,
-) -> Result<ChecksummedBody, IndexError> {
-    let header_start = r.pos;
+fn read_body_header(r: &mut Reader<'_>, layout: Layout) -> Result<BodyHeader, IndexError> {
+    let start = r.pos;
     let k1 = r.f64("header")?;
     let b = r.f64("header")?;
-    let params = Bm25Params { k1, b };
     let part_kind = r.u8("header")?;
     let part_arg = r.u32("header")? as usize;
-    // Read the raw byte here but interpret it only after the section CRC
-    // passes: random corruption of the codec field should surface as a
-    // checksum mismatch, not as a spurious "unknown codec".
-    let codec_raw = if with_codec { Some(r.u8("header")?) } else { None };
+    let codec_raw = if layout.codec_byte { Some(r.u8("header")?) } else { None };
     let n_docs = r.u64("header")? as usize;
-    let n_terms = r.u64("header")? as usize;
-    r.verify_section(header_start, "header", "header checksum")?;
+    let n_terms = if layout.sealed { r.u64("header")? as usize } else { 0 };
+    if layout.sealed {
+        r.verify_section(start, "header", "header checksum")?;
+    }
+    // Interpreted only after the section CRC passes: random corruption of
+    // the codec byte must surface as a checksum mismatch, and only a
+    // CRC-consistent unknown id as `UnknownCodec`.
     let partitioner = read_partitioner(part_kind, part_arg)?;
-    let codec = match codec_raw {
-        Some(raw) => CodecId::from_u8(raw)?,
-        None => CodecId::BitPack,
+    let codec = codec_raw.map_or(Ok(CodecId::BitPack), CodecId::from_u8)?;
+    Ok(BodyHeader { params: Bm25Params { k1, b }, partitioner, codec, n_docs, n_terms })
+}
+
+/// A framed body: header fields, doc-length table and one structurally
+/// validated (never decoded) list per term record, shared by the plain
+/// formats and every manifest shard.
+struct Body {
+    header: BodyHeader,
+    doc_lens: Vec<u32>,
+    names: Vec<String>,
+    lists: Vec<EncodedList>,
+}
+
+fn read_body(
+    r: &mut Reader<'_>,
+    layout: Layout,
+    backing: Backing<'_>,
+) -> Result<Body, IndexError> {
+    let header = read_body_header(r, layout)?;
+    let doc_start = r.pos;
+    let doc_bytes = header
+        .n_docs
+        .checked_mul(4)
+        .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
+    let doc_lens = le_u32s(r.take(doc_bytes, "doc length table")?).collect();
+    let n_terms = if layout.sealed {
+        r.verify_section(doc_start, "doc length table", "doc length checksum")?;
+        header.n_terms
+    } else {
+        r.u64("term count")? as usize
     };
 
-    let doc_start = r.pos;
-    let doc_bytes = n_docs
-        .checked_mul(4)
-        .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
-    let raw = r.take(doc_bytes, "doc length table")?;
-    let doc_lens: Vec<u32> =
-        raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-    r.verify_section(doc_start, "doc length table", "doc length checksum")?;
-
+    let mut names = Vec::with_capacity(n_terms.min(r.remaining()));
     let mut lists = Vec::with_capacity(n_terms.min(r.remaining()));
     for _ in 0..n_terms {
-        let record_start = r.pos;
-        let (name, list) = read_term_record(r, "term record", codec)?;
-        r.verify_section(record_start, "term record", "term record checksum")?;
-        lists.push((name, list));
+        let (name, list) = read_record(r, header.codec, layout.sealed, backing)?;
+        names.push(name);
+        lists.push(list);
     }
-    Ok(ChecksummedBody { params, partitioner, codec, doc_lens, lists })
+    Ok(Body { header, doc_lens, names, lists })
 }
 
-/// Verifies the whole-file footer CRC and that no bytes trail it.
-fn verify_footer(r: &mut Reader<'_>) -> Result<(), IndexError> {
-    let body_end = r.pos;
-    let found = crc32(&r.buf[..body_end]);
-    let expected = r.u32("footer")?;
-    if expected != found {
-        return Err(IndexError::ChecksumMismatch { section: "footer", expected, found });
-    }
-    if r.remaining() != 0 {
-        return Err(IndexError::CorruptIndex { context: "trailing bytes" });
-    }
-    Ok(())
-}
-
-fn deserialize_v2(mut r: Reader<'_>) -> Result<InvertedIndex, IndexError> {
-    let body = read_checksummed_body(&mut r, false)?;
-    verify_footer(&mut r)?;
-    InvertedIndex::from_lists(body.lists, body.doc_lens, body.partitioner, body.params)
-}
-
-/// Shared v3/v4 reader: checksummed body plus a score-bounds section.
-/// `with_codec` distinguishes the v4 header (codec id byte) from v3.
-fn deserialize_bounded(
-    mut r: Reader<'_>,
-    with_codec: bool,
-) -> Result<InvertedIndex, IndexError> {
-    let body = read_checksummed_body(&mut r, with_codec)?;
-
-    let bounds_start = r.pos;
-    let n_terms = body.lists.len();
-    let mut stored: Vec<ListBounds> = Vec::with_capacity(n_terms);
-    for _ in 0..n_terms {
-        let num_blocks = r.u64("score bounds")? as usize;
-        let entry_bytes = num_blocks
-            .checked_mul(8)
-            .ok_or(IndexError::CorruptIndex { context: "score bounds" })?;
-        let raw = r.take(entry_bytes, "score bounds")?;
-        let mut ubs = Vec::with_capacity(num_blocks);
-        let mut max_tfs = Vec::with_capacity(num_blocks);
-        for c in raw.chunks_exact(8) {
-            ubs.push(Fixed::from_raw(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-            max_tfs.push(u32::from_le_bytes([c[4], c[5], c[6], c[7]]));
-        }
-        stored.push(ListBounds::from_raw_parts(ubs, max_tfs));
-    }
-    r.verify_section(bounds_start, "score bounds", "score bounds checksum")?;
-    verify_footer(&mut r)?;
-
-    let index = InvertedIndex::from_lists_codec(
-        body.lists,
-        body.doc_lens,
-        body.partitioner,
-        body.params,
-        body.codec,
-    )?;
-    // `from_lists_codec` recomputed the bounds from the decoded postings;
-    // a CRC-consistent file whose stored bounds disagree was written wrong
-    // (or tampered with checksums recomputed) and must not drive pruning.
-    for (id, stored) in stored.iter().enumerate() {
-        if *stored != *index.list_bounds(id as crate::index::TermId) {
-            return Err(IndexError::CorruptIndex { context: "score bounds mismatch" });
-        }
-    }
-    Ok(index)
-}
-
-fn deserialize_v1(mut r: Reader<'_>) -> Result<InvertedIndex, IndexError> {
-    let k1 = r.f64("header")?;
-    let b = r.f64("header")?;
-    let params = Bm25Params { k1, b };
-    let part_kind = r.u8("header")?;
-    let part_arg = r.u32("header")? as usize;
-    let partitioner = read_partitioner(part_kind, part_arg)?;
-    let n_docs = r.u64("header")? as usize;
-    let doc_bytes = n_docs
-        .checked_mul(4)
-        .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
-    let raw = r.take(doc_bytes, "doc length table")?;
-    let doc_lens: Vec<u32> =
-        raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-
-    let n_terms = r.u64("term count")? as usize;
-    let mut lists = Vec::with_capacity(n_terms.min(r.remaining()));
-    for _ in 0..n_terms {
-        lists.push(read_term_record(&mut r, "term record", CodecId::BitPack)?);
-    }
-    InvertedIndex::from_lists(lists, doc_lens, partitioner, params)
-}
-
-/// Reads one term record (shared by every format version) and rebuilds
-/// the list by decoding and re-encoding: this validates the content and
-/// reconstructs the derived fields (model cost) without trusting the file.
-fn read_term_record(
+/// Frames one term record (the same in every format version) and
+/// assembles its list from the stored parts, which checks the structural
+/// invariants ([`EncodedList::validate`]) without decoding. The record CRC
+/// of a sealed layout is verified here on the heap backing and captured
+/// into a [`LazyCrc`] on the mapped one.
+fn read_record(
     r: &mut Reader<'_>,
-    context: &'static str,
     codec: CodecId,
-) -> Result<(String, PostingList), IndexError> {
+    sealed: bool,
+    backing: Backing<'_>,
+) -> Result<(String, EncodedList), IndexError> {
+    let context = "term record";
+    let start = r.pos;
     let name_len = r.u32(context)? as usize;
     let name = std::str::from_utf8(r.take(name_len, context)?)
         .map_err(|_| IndexError::CorruptIndex { context: "term name utf-8" })?
@@ -1113,127 +1024,227 @@ fn read_term_record(
     let table_bytes = num_blocks
         .checked_mul(12)
         .ok_or(IndexError::CorruptIndex { context: "block tables" })?;
-    let raw = r.take(table_bytes, context)?;
-    let (meta_raw, skip_raw) = raw.split_at(num_blocks * 8);
-    let metas: Vec<BlockMeta> = meta_raw
-        .chunks_exact(8)
-        .map(|c| {
-            BlockMeta::unpack(u64::from_le_bytes([
-                c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-            ]))
-        })
-        .collect();
-    let skips: Vec<u32> = skip_raw
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+    let (meta_raw, skip_raw) = r.take(table_bytes, context)?.split_at(num_blocks * 8);
+    let metas = le_u64s(meta_raw).map(BlockMeta::unpack).collect();
+    let skips = le_u32s(skip_raw).collect();
     let payload_len = r.u64(context)? as usize;
+    let payload_off = r.pos;
     let payload = r.take(payload_len, context)?;
 
-    let total: u64 = metas.iter().map(|m| u64::from(m.count)).sum();
-    if total != num_postings {
-        return Err(IndexError::CorruptIndex { context: "posting count mismatch" });
-    }
-    let decoded = decode_raw(&metas, &skips, payload, codec)?;
-    Ok((name, PostingList::from_sorted(decoded)))
-}
-
-/// Decodes raw block tables into postings, with bounds checking.
-///
-/// The bit-packed path reads the payload directly; other codecs decode
-/// each block through their [`crate::BlockCodec`] implementation and the
-/// strictly-increasing docID post-check below catches any in-bounds
-/// corruption the codec's own bounds checks can't (e.g. wrapped gap sums).
-fn decode_raw(
-    metas: &[BlockMeta],
-    skips: &[u32],
-    payload: &[u8],
-    codec: CodecId,
-) -> Result<Vec<crate::posting::Posting>, IndexError> {
-    use crate::bitpack::BitReader;
-    if metas.len() != skips.len() {
-        return Err(IndexError::CorruptIndex { context: "skip/meta count mismatch" });
-    }
-    if codec != CodecId::BitPack {
-        let ops = codec.ops();
-        let mut out = Vec::new();
-        for (i, (meta, &skip)) in metas.iter().zip(skips).enumerate() {
-            let start = meta.offset as usize;
-            let end = match metas.get(i + 1) {
-                Some(next) => next.offset as usize,
-                None => payload.len(),
-            };
-            if start > end || end > payload.len() {
-                return Err(IndexError::CorruptIndex { context: "payload bounds" });
+    let (payload, lazy) = match backing {
+        Backing::Heap(_) => {
+            if sealed {
+                r.verify_section(start, "term record", "term record checksum")?;
             }
-            let base = out.len();
-            ops.try_decode_block_into(
-                &payload[start..end],
-                meta.count as usize,
-                meta.dn_bits,
-                meta.tf_bits,
-                skip,
-                &mut out,
-            )?;
-            let floor = if base == 0 { None } else { Some(out[base - 1].doc_id) };
-            let mut prev = floor;
-            for p in &out[base..] {
-                if prev.is_some_and(|d| p.doc_id <= d) {
-                    return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
-                }
-                prev = Some(p.doc_id);
-            }
+            (PayloadBuf::Owned(payload.to_vec()), None)
         }
-        return Ok(out);
-    }
-    let mut out = Vec::new();
-    for (meta, &skip) in metas.iter().zip(skips) {
-        let bits_needed =
-            meta.offset as usize * 8 + meta.pair_bits() as usize * meta.count as usize;
-        if bits_needed > payload.len() * 8 {
-            return Err(IndexError::CorruptIndex { context: "payload bounds" });
-        }
-        let mut r = BitReader::with_bit_offset(payload, meta.offset as usize * 8);
-        let mut prev = skip;
-        for i in 0..meta.count {
-            let gap = r.read(meta.dn_bits);
-            let tf = r.read(meta.tf_bits);
-            let doc = if i == 0 {
-                skip
+        Backing::Mapped(map) => {
+            let len = r.pos - start;
+            let lazy = if sealed {
+                let expected = r.u32("term record checksum")?;
+                Some(Arc::new(LazyCrc::new(map.clone(), start, len, expected)))
             } else {
-                prev.checked_add(gap)
-                    .ok_or(IndexError::CorruptIndex { context: "docID overflow" })?
+                None
             };
-            if let Some(last) = out.last() {
-                let last: &crate::posting::Posting = last;
-                if doc <= last.doc_id {
-                    return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
-                }
-            }
-            out.push(crate::posting::Posting::new(doc, tf));
-            prev = doc;
+            let window =
+                PayloadBuf::Mapped { map: map.clone(), offset: payload_off, len: payload_len };
+            (window, lazy)
         }
-    }
-    Ok(out)
+    };
+    let list =
+        EncodedList::from_stored_parts(metas, skips, payload, num_postings, codec, lazy)?;
+    Ok((name, list))
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::builder::{BuildOptions, IndexBuilder};
-
-    fn sample_index() -> InvertedIndex {
-        let mut b = IndexBuilder::new(BuildOptions::default());
-        b.add_document("the quick brown fox jumps over the lazy dog");
-        b.add_document("pack my box with five dozen liquor jugs");
-        b.add_document("the five boxing wizards jump quickly");
-        b.add_document("quick wizards pack the box");
-        b.build()
+/// Reads the stored score-bounds section of a v3/v4 file: one entry list
+/// per term, under one section CRC.
+fn read_bounds_section(
+    r: &mut Reader<'_>,
+    n_terms: usize,
+) -> Result<Vec<ListBounds>, IndexError> {
+    let start = r.pos;
+    let mut stored = Vec::with_capacity(n_terms);
+    for _ in 0..n_terms {
+        let num_blocks = r.u64("score bounds")? as usize;
+        let entry_bytes = num_blocks
+            .checked_mul(8)
+            .ok_or(IndexError::CorruptIndex { context: "score bounds" })?;
+        let mut words = le_u32s(r.take(entry_bytes, "score bounds")?);
+        let mut ubs = Vec::with_capacity(num_blocks);
+        let mut max_tfs = Vec::with_capacity(num_blocks);
+        while let (Some(ub), Some(max_tf)) = (words.next(), words.next()) {
+            ubs.push(Fixed::from_raw(ub));
+            max_tfs.push(max_tf);
+        }
+        stored.push(ListBounds::from_raw_parts(ubs, max_tfs));
     }
+    r.verify_section(start, "score bounds", "score bounds checksum")?;
+    Ok(stored)
+}
+
+/// Ends the file: a sealed layout's whole-file footer CRC — hashed on the
+/// heap backing, only framed on the mapped one — and, for every layout,
+/// nothing after it.
+fn read_footer(
+    r: &mut Reader<'_>,
+    sealed: bool,
+    backing: Backing<'_>,
+) -> Result<(), IndexError> {
+    if sealed {
+        let body_end = r.pos;
+        let expected = r.u32("footer")?;
+        if let Backing::Heap(_) = backing {
+            let found = crc32(&r.buf[..body_end]);
+            if expected != found {
+                return Err(IndexError::ChecksumMismatch {
+                    section: "footer",
+                    expected,
+                    found,
+                });
+            }
+        }
+    }
+    if r.remaining() != 0 {
+        return Err(IndexError::CorruptIndex { context: "trailing bytes" });
+    }
+    Ok(())
+}
+
+/// Turns a framed body into an index that keeps the file's block layout
+/// ([`InvertedIndex::from_stored_parts`]). Stored bounds on the mapped
+/// backing are trusted after their section CRC and a structural
+/// cross-check; everywhere else the content oracle runs — one decode pass
+/// per list ([`ListBounds::recompute`]: docID order, in-corpus, bounds) —
+/// and stored bounds, when the format has them, must equal its result.
+fn assemble(
+    body: Body,
+    idf_bars: &[Fixed],
+    avgdl: f64,
+    stored: Option<Vec<ListBounds>>,
+    backing: Backing<'_>,
+    source: IndexSource,
+) -> Result<InvertedIndex, IndexError> {
+    let bounds = match (stored, backing) {
+        (Some(stored), Backing::Mapped(_)) => {
+            for (bounds, list) in stored.iter().zip(&body.lists) {
+                bounds.validate_against(list)?;
+            }
+            stored
+        }
+        (stored, _) => {
+            let dl_bars: Vec<Fixed> = body
+                .doc_lens
+                .iter()
+                .map(|&l| Fixed::from_f64(body.header.params.dl_bar(l, avgdl)))
+                .collect();
+            let recomputed = body
+                .lists
+                .iter()
+                .zip(idf_bars)
+                .map(|(list, &idf_bar)| ListBounds::recompute(list, idf_bar, &dl_bars))
+                .collect::<Result<Vec<_>, _>>()?;
+            // A CRC-consistent file whose stored bounds disagree with its
+            // postings was written wrong (or tampered with checksums
+            // recomputed) and must not drive pruning.
+            if stored.is_some_and(|stored| stored != recomputed) {
+                return Err(IndexError::CorruptIndex { context: "score bounds mismatch" });
+            }
+            recomputed
+        }
+    };
+    let terms = body
+        .names
+        .into_iter()
+        .zip(&body.lists)
+        .zip(idf_bars)
+        .map(|((term, list), &idf_bar)| TermInfo { term, df: list.num_postings(), idf_bar })
+        .collect();
+    InvertedIndex::from_stored_parts(
+        terms,
+        body.lists,
+        bounds,
+        body.doc_lens,
+        avgdl,
+        body.header.params,
+        body.header.partitioner,
+        body.header.codec,
+        source,
+    )
+}
+
+/// Loads a plain index file of any version from `backing`.
+pub(crate) fn load_plain(backing: Backing<'_>) -> Result<InvertedIndex, IndexError> {
+    let bytes = backing.bytes();
+    let mut r = Reader::new(bytes);
+    let (sealed, codec_byte, has_bounds) = match r.u64("magic")? {
+        MAGIC => (true, true, true),
+        MAGIC_V3 => (true, false, true),
+        MAGIC_V2 => (true, false, false),
+        MAGIC_V1 => (false, false, false),
+        found => return Err(IndexError::UnsupportedFormat { found }),
+    };
+    let body = read_body(&mut r, Layout { sealed, codec_byte }, backing)?;
+    let stored =
+        if has_bounds { Some(read_bounds_section(&mut r, body.lists.len())?) } else { None };
+    read_footer(&mut r, sealed, backing)?;
+
+    // The collection statistics a plain file does not store.
+    let n_docs = body.doc_lens.len() as u64;
+    let avgdl = if body.doc_lens.is_empty() {
+        1.0
+    } else {
+        body.doc_lens.iter().map(|&l| f64::from(l)).sum::<f64>() / n_docs as f64
+    };
+    let idf_bars: Vec<Fixed> = body
+        .lists
+        .iter()
+        .map(|list| Fixed::from_f64(body.header.params.idf_bar(n_docs, list.num_postings())))
+        .collect();
+    assemble(body, &idf_bars, avgdl, stored, backing, backing.source(0, bytes.len()))
+}
+
+/// Loads a shard manifest of any version from `backing`. Manifests store
+/// no bounds, so every shard runs the content oracle under the header's
+/// global statistics (the same idf̄/avgdl on either backing, so scores
+/// and bounds are bit-identical across sources) — which is also the deep
+/// check, so the shards are not validated a second time.
+pub(crate) fn load_sharded(backing: Backing<'_>) -> Result<ShardedIndex, IndexError> {
+    let mut r = Reader::new(backing.bytes());
+    let header = read_shard_header(&mut r)?;
+    let layout = header.body_layout();
+
+    let mut shards = Vec::with_capacity(header.num_shards.min(r.remaining()));
+    for s in 0..header.num_shards {
+        let body_start = r.pos;
+        let body = read_body(&mut r, layout, backing)?;
+        let body_len = r.pos - body_start;
+        // A body that parses but spans a different length than the
+        // header's table recorded means table and content disagree (only
+        // possible under tampering with checksums recomputed) — reject
+        // rather than trust either.
+        if header.body_lens.as_ref().is_some_and(|lens| lens[s] != body_len as u64) {
+            return Err(IndexError::CorruptIndex { context: "shard body length mismatch" });
+        }
+        if body.lists.len() != header.idf_bars.len() {
+            return Err(IndexError::CorruptIndex { context: "shard dictionaries disagree" });
+        }
+        let source = backing.source(body_start, body_len);
+        shards.push(assemble(body, &header.idf_bars, header.avgdl, None, backing, source)?);
+    }
+    read_footer(&mut r, true, backing)?;
+    ShardedIndex::from_shards_prevalidated(shards, header.n_docs, header.parent_partitioner)
+}
+
+/// Writers of the retired layouts (plain v1–v3, manifest v1/v2),
+/// byte-for-byte what the old writers produced: the fixtures the loader
+/// tests here and in [`crate::storage`] read back.
+#[cfg(test)]
+pub(crate) mod legacy {
+    use super::*;
 
     /// Writes `index` in the legacy v1 layout (no checksums), byte-for-byte
     /// what the old writer produced.
-    fn serialize_v1(index: &InvertedIndex) -> Vec<u8> {
+    pub(crate) fn serialize_v1(index: &InvertedIndex) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.put_u64_le(MAGIC_V1);
         buf.put_f64_le(index.params().k1);
@@ -1273,7 +1284,7 @@ mod tests {
 
     /// Writes `index` in the v2 layout (checksummed, no score bounds
     /// section), byte-for-byte what the v2 writer produced.
-    fn serialize_v2(index: &InvertedIndex) -> Vec<u8> {
+    pub(crate) fn serialize_v2(index: &InvertedIndex) -> Vec<u8> {
         fn seal_section(buf: &mut Vec<u8>, start: usize) {
             let crc = crc32(&buf[start..]);
             buf.put_u32_le(crc);
@@ -1325,6 +1336,119 @@ mod tests {
         let footer = crc32(&buf);
         buf.put_u32_le(footer);
         buf
+    }
+
+    /// Writes a legacy v1 shard manifest (no body-length table),
+    /// byte-for-byte what the old writer produced.
+    pub(crate) fn serialize_sharded_v1(sharded: &ShardedIndex) -> Vec<u8> {
+        let first = sharded.shards().first().unwrap();
+        let mut buf = Vec::new();
+        buf.put_u64_le(MAGIC_SHARD);
+        let header_start = buf.len();
+        buf.put_u32_le(sharded.num_shards() as u32);
+        buf.put_u64_le(sharded.num_docs());
+        buf.put_f64_le(first.avgdl());
+        match sharded.parent_partitioner() {
+            Partitioner::Fixed { block_len } => {
+                buf.put_u8(0);
+                buf.put_u32_le(block_len as u32);
+            }
+            Partitioner::Dynamic { max_size } => {
+                buf.put_u8(1);
+                buf.put_u32_le(max_size as u32);
+            }
+        }
+        buf.put_u64_le(first.num_terms() as u64);
+        for info in first.terms() {
+            buf.put_u32_le(info.idf_bar.raw());
+        }
+        seal_section(&mut buf, header_start);
+        for shard in sharded.shards() {
+            write_checksummed_body(&mut buf, shard, false).unwrap();
+        }
+        let footer = crc32(&buf);
+        buf.put_u32_le(footer);
+        buf
+    }
+
+    /// Writes a legacy v2 shard manifest (body-length table but no codec
+    /// id bytes), byte-for-byte what the pre-v4 writer produced.
+    pub(crate) fn serialize_sharded_v2(sharded: &ShardedIndex) -> Vec<u8> {
+        let first = sharded.shards().first().unwrap();
+        let mut bodies: Vec<Vec<u8>> = Vec::new();
+        for shard in sharded.shards() {
+            let mut body = Vec::new();
+            write_checksummed_body(&mut body, shard, false).unwrap();
+            bodies.push(body);
+        }
+        let mut buf = Vec::new();
+        buf.put_u64_le(MAGIC_SHARD_V2);
+        let header_start = buf.len();
+        buf.put_u32_le(sharded.num_shards() as u32);
+        buf.put_u64_le(sharded.num_docs());
+        buf.put_f64_le(first.avgdl());
+        match sharded.parent_partitioner() {
+            Partitioner::Fixed { block_len } => {
+                buf.put_u8(0);
+                buf.put_u32_le(block_len as u32);
+            }
+            Partitioner::Dynamic { max_size } => {
+                buf.put_u8(1);
+                buf.put_u32_le(max_size as u32);
+            }
+        }
+        buf.put_u64_le(first.num_terms() as u64);
+        for info in first.terms() {
+            buf.put_u32_le(info.idf_bar.raw());
+        }
+        for body in &bodies {
+            buf.put_u64_le(body.len() as u64);
+        }
+        seal_section(&mut buf, header_start);
+        for body in &bodies {
+            buf.put_slice(body);
+        }
+        let footer = crc32(&buf);
+        buf.put_u32_le(footer);
+        buf
+    }
+
+    /// Writes `index` in the legacy v3 layout: the v4 layout minus the
+    /// codec id byte, byte-for-byte what the pre-codec writer produced.
+    pub(crate) fn serialize_v3(index: &InvertedIndex) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_u64_le(MAGIC_V3);
+        write_checksummed_body(&mut buf, index, false).unwrap();
+        let bounds_start = buf.len();
+        for bounds in index.bounds() {
+            buf.put_u64_le(bounds.num_blocks() as u64);
+            for (ub, &max_tf) in bounds.ubs().iter().zip(bounds.max_tfs()) {
+                buf.put_u32_le(ub.raw());
+                buf.put_u32_le(max_tf);
+            }
+        }
+        seal_section(&mut buf, bounds_start);
+        let footer = crc32(&buf);
+        buf.put_u32_le(footer);
+        buf
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::legacy::{
+        serialize_sharded_v1, serialize_sharded_v2, serialize_v1, serialize_v2, serialize_v3,
+    };
+    use super::*;
+    use crate::builder::{BuildOptions, IndexBuilder};
+
+    fn sample_index() -> InvertedIndex {
+        let mut b = IndexBuilder::new(BuildOptions::default());
+        b.add_document("the quick brown fox jumps over the lazy dog");
+        b.add_document("pack my box with five dozen liquor jugs");
+        b.add_document("the five boxing wizards jump quickly");
+        b.add_document("quick wizards pack the box");
+        b.build()
     }
 
     #[test]
@@ -1582,39 +1706,6 @@ mod tests {
         assert!(matches!(scan_sharded(&plain), Err(IndexError::UnsupportedFormat { .. })));
     }
 
-    /// Writes a legacy v1 shard manifest (no body-length table),
-    /// byte-for-byte what the old writer produced.
-    fn serialize_sharded_v1(sharded: &ShardedIndex) -> Vec<u8> {
-        let first = sharded.shards().first().unwrap();
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_SHARD);
-        let header_start = buf.len();
-        buf.put_u32_le(sharded.num_shards() as u32);
-        buf.put_u64_le(sharded.num_docs());
-        buf.put_f64_le(first.avgdl());
-        match sharded.parent_partitioner() {
-            Partitioner::Fixed { block_len } => {
-                buf.put_u8(0);
-                buf.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                buf.put_u8(1);
-                buf.put_u32_le(max_size as u32);
-            }
-        }
-        buf.put_u64_le(first.num_terms() as u64);
-        for info in first.terms() {
-            buf.put_u32_le(info.idf_bar.raw());
-        }
-        seal_section(&mut buf, header_start);
-        for shard in sharded.shards() {
-            write_checksummed_body(&mut buf, shard, false).unwrap();
-        }
-        let footer = crc32(&buf);
-        buf.put_u32_le(footer);
-        buf
-    }
-
     #[test]
     fn legacy_v1_shard_manifest_still_loads() {
         let sharded = sample_sharded();
@@ -1627,48 +1718,6 @@ mod tests {
         assert!(report.is_clean(), "clean v1 manifest must scan clean: {report:?}");
     }
 
-    /// Writes a legacy v2 shard manifest (body-length table but no codec
-    /// id bytes), byte-for-byte what the pre-v4 writer produced.
-    fn serialize_sharded_v2(sharded: &ShardedIndex) -> Vec<u8> {
-        let first = sharded.shards().first().unwrap();
-        let mut bodies: Vec<Vec<u8>> = Vec::new();
-        for shard in sharded.shards() {
-            let mut body = Vec::new();
-            write_checksummed_body(&mut body, shard, false).unwrap();
-            bodies.push(body);
-        }
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_SHARD_V2);
-        let header_start = buf.len();
-        buf.put_u32_le(sharded.num_shards() as u32);
-        buf.put_u64_le(sharded.num_docs());
-        buf.put_f64_le(first.avgdl());
-        match sharded.parent_partitioner() {
-            Partitioner::Fixed { block_len } => {
-                buf.put_u8(0);
-                buf.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                buf.put_u8(1);
-                buf.put_u32_le(max_size as u32);
-            }
-        }
-        buf.put_u64_le(first.num_terms() as u64);
-        for info in first.terms() {
-            buf.put_u32_le(info.idf_bar.raw());
-        }
-        for body in &bodies {
-            buf.put_u64_le(body.len() as u64);
-        }
-        seal_section(&mut buf, header_start);
-        for body in &bodies {
-            buf.put_slice(body);
-        }
-        let footer = crc32(&buf);
-        buf.put_u32_le(footer);
-        buf
-    }
-
     #[test]
     fn legacy_v2_shard_manifest_still_loads() {
         let sharded = sample_sharded();
@@ -1679,26 +1728,6 @@ mod tests {
         let report = scan_sharded(&bytes).unwrap();
         assert_eq!(report.version, 2);
         assert!(report.is_clean(), "clean v2 manifest must scan clean: {report:?}");
-    }
-
-    /// Writes `index` in the legacy v3 layout: the v4 layout minus the
-    /// codec id byte, byte-for-byte what the pre-codec writer produced.
-    fn serialize_v3(index: &InvertedIndex) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_V3);
-        write_checksummed_body(&mut buf, index, false).unwrap();
-        let bounds_start = buf.len();
-        for bounds in index.bounds() {
-            buf.put_u64_le(bounds.num_blocks() as u64);
-            for (ub, &max_tf) in bounds.ubs().iter().zip(bounds.max_tfs()) {
-                buf.put_u32_le(ub.raw());
-                buf.put_u32_le(max_tf);
-            }
-        }
-        seal_section(&mut buf, bounds_start);
-        let footer = crc32(&buf);
-        buf.put_u32_le(footer);
-        buf
     }
 
     #[test]

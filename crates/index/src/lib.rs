@@ -76,8 +76,8 @@ pub use checksum::{crc32, Crc32};
 pub use codec::{BlockCodec, CodecId};
 pub use error::IndexError;
 pub use faultinject::{
-    corrupt, mapped_sharded_survival_report, mapped_survival_report, survival_report, Corruption,
-    MappedSurvivalReport, ShardChaosPlan, SplitMix64, SurvivalReport,
+    corrupt, mapped_sharded_survival_report, mapped_survival_report, survival_report,
+    Corruption, MappedSurvivalReport, ShardChaosPlan, SplitMix64, SurvivalReport,
 };
 pub use incremental::{IncrementalIndex, IncrementalOptions};
 pub use index::{IndexSource, InvertedIndex, TermId, TermInfo};

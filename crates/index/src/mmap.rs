@@ -132,10 +132,7 @@ impl Mmap {
     #[cfg(unix)]
     pub fn from_file(file: &File) -> Result<Self, IndexError> {
         use std::os::unix::io::AsRawFd;
-        let len = file
-            .metadata()
-            .map_err(|e| io_err("sizing an index file to map", e))?
-            .len();
+        let len = file.metadata().map_err(|e| io_err("sizing an index file to map", e))?.len();
         let len = usize::try_from(len)
             .map_err(|_| IndexError::CorruptIndex { context: "index file exceeds usize" })?;
         if len == 0 {
@@ -182,9 +179,7 @@ impl Mmap {
             // SAFETY: ptr/len describe a live PROT_READ mapping owned by
             // self; the borrow is tied to &self so it cannot outlive the
             // munmap in Drop.
-            Backing::Mapped { ptr, len } => unsafe {
-                std::slice::from_raw_parts(*ptr, *len)
-            },
+            Backing::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
             Backing::Owned(v) => v.as_slice(),
         }
     }
@@ -316,7 +311,8 @@ mod tests {
     use super::*;
 
     fn tmp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("iiu-mmap-{}-{name}", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("iiu-mmap-{}-{name}", std::process::id()));
         std::fs::write(&path, bytes).unwrap();
         path
     }

@@ -327,8 +327,8 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// Assembles a sharded index from parts (the deserializer's entry
-    /// point). Validates the cross-shard invariants before accepting.
+    /// Assembles a sharded index from parts, deep-validating every shard
+    /// and the cross-shard invariants before accepting.
     ///
     /// # Errors
     ///
@@ -344,11 +344,11 @@ impl ShardedIndex {
     }
 
     /// [`from_shards`](Self::from_shards) minus the per-shard deep
-    /// validation — the zero-copy manifest loader's entry point
-    /// ([`crate::storage`]), which has already validated each shard
-    /// structurally while parsing it and recomputed its score bounds from
-    /// the decoded postings. Re-running [`InvertedIndex::validate`] here
-    /// would decode every payload a second time.
+    /// validation — the manifest loader's entry point ([`crate::io`], heap
+    /// or mapped), which has already validated each shard structurally
+    /// while parsing it and run the decode oracle that yields its score
+    /// bounds. Re-running [`InvertedIndex::validate`] here would decode
+    /// every payload a second time.
     ///
     /// # Errors
     ///

@@ -1,51 +1,32 @@
 //! Zero-copy, mmap-backed index loading (DESIGN.md §19).
 //!
-//! [`crate::io::deserialize`] materializes every posting list on the
-//! heap, decoding and re-encoding each payload as it goes — a fine
-//! trade for laptop-sized corpora and the strongest possible integrity
-//! check, but it caps the corpus at RAM and pays a full decode before
-//! the first query. This module is the other end of that trade: it
-//! memory-maps an index file (any plain format v1–v4, or a
-//! `MAGIC_SHARD*` manifest) and assembles an [`InvertedIndex`] whose
-//! payload bytes are *borrowed windows of the mapping*. No posting byte
-//! is copied; the page cache is the storage tier.
+//! [`crate::io::deserialize`] copies every payload onto the heap and
+//! holds the whole file to its checksums and the decode oracle before the
+//! first query — the strongest integrity check, at the cost of capping
+//! the corpus at RAM. This module is the other end of that trade: it
+//! memory-maps an index file (any plain format v1–v4, or a `MAGIC_SHARD*`
+//! manifest) and hands the mapping to the same parser, which assembles an
+//! [`InvertedIndex`] whose payload bytes are *borrowed windows of the
+//! mapping*. No posting byte is copied; the page cache is the storage
+//! tier.
 //!
-//! # Integrity contract
-//!
-//! The two load paths verify the same checksums, at different times:
-//!
-//! * **Eager at open** — magic, header CRC, doc-length-table CRC,
-//!   score-bounds-section CRC (v3/v4), and every structural invariant of
-//!   every term record: metadata/skip table shapes, posting-count
-//!   cross-checks, payload byte ranges, strictly increasing skip values
-//!   ([`EncodedList::validate`]). Opening a file costs reading the
-//!   header, tables and record frames — not the payload pages.
-//! * **Lazy on first touch** — each term record's section CRC (which
-//!   covers its payload bytes). The stored CRC and record byte range are
-//!   retained per list ([`crate::block::LazyCrc`]); the first decode of
-//!   any block of that list (or an engine's `verify_term` at query
-//!   resolve) hashes the record and caches the verdict. Corruption
-//!   discovered late is a typed [`IndexError::ChecksumMismatch`] — never
-//!   a panic, never an out-of-bounds read.
-//!
-//! What the mapped path does **not** re-verify, by design (the documented
-//! weaker-integrity/zero-copy trade against [`crate::io::deserialize`]):
-//!
-//! * the whole-file footer CRC (hashing it would fault in every page —
-//!   the per-section CRCs cover all content bytes anyway; only v1 files,
-//!   which have no CRCs at all, lose real protection here);
-//! * the score-bounds recompute oracle on v3/v4 files: stored bounds are
-//!   trusted after their section CRC and a structural cross-check
-//!   against each list ([`ListBounds::validate_against`]). A file
-//!   *written* wrong with consistent CRCs would mis-prune; `iiu
-//!   inspect`'s deep validation still catches that offline.
-//! * intra-block docID monotonicity (the heap loader's decode pass
-//!   checks it): a CRC-valid record decodes to whatever it encodes.
-//!
-//! Formats without stored derived data fall back to computing it at
-//! open: v1/v2 files and every manifest shard body recompute score
-//! bounds, which decodes each payload once (verifying the lazy CRCs as a
-//! side effect) — still without materializing any owned payload copy.
+//! What is verified at open, on first touch of a list, and only by
+//! [`InvertedIndex::validate`] is the "mapped open" / "first touch" /
+//! `validate()` columns of the policy table in [`crate::io`]. In short:
+//! opening costs reading the header, tables and record frames — not the
+//! payload pages — and each record's CRC is checked by the first decode
+//! of any of its blocks (or an engine's `verify_term` at query resolve),
+//! so corruption discovered late is a typed
+//! [`IndexError::ChecksumMismatch`], never a panic or an out-of-bounds
+//! read. The footer CRC is framed but not hashed (hashing it would fault
+//! in every page; the section CRCs cover all content bytes anyway, so only
+//! v1 files, which have no CRCs at all, lose real protection), and stored
+//! bounds are trusted after their section CRC: a v3/v4 file *written*
+//! wrong with consistent CRCs would mis-prune until `iiu inspect`'s
+//! `validate()` catches it offline. Formats without stored bounds (v1/v2,
+//! every manifest shard) run the content oracle at open instead, which
+//! decodes each payload once — verifying the lazy CRCs as a side effect —
+//! still without materializing any owned payload copy.
 //!
 //! The `unsafe` mapping itself lives in [`crate::mmap`]; see that
 //! module's safety argument (immutable published files, `SIGBUS` on
@@ -56,14 +37,10 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::block::{BlockMeta, EncodedList, LazyCrc, PayloadBuf};
-use crate::bounds::ListBounds;
-use crate::codec::CodecId;
 use crate::error::IndexError;
-use crate::index::{IndexSource, InvertedIndex, TermInfo};
-use crate::io::{self, Reader};
+use crate::index::InvertedIndex;
+use crate::io::{self, Backing};
 use crate::mmap::Mmap;
-use crate::score::Fixed;
 use crate::shard::ShardedIndex;
 
 /// A mapped index of either shape, as dispatched by the file's magic.
@@ -92,7 +69,7 @@ pub fn open(path: &Path) -> Result<MappedIndex, IndexError> {
 }
 
 /// Maps a plain index file (format v1–v4) without materializing payload
-/// bytes. See the module docs for the integrity contract.
+/// bytes. See the module docs for what is verified when.
 ///
 /// # Errors
 ///
@@ -119,376 +96,19 @@ pub fn map_sharded(path: &Path) -> Result<ShardedIndex, IndexError> {
 /// [`map_index`] over an existing mapping (tests and benches map once
 /// and reuse).
 pub fn map_index_from(map: Arc<Mmap>) -> Result<InvertedIndex, IndexError> {
-    let mut r = Reader::new(map.as_slice());
-    let magic = r.u64("magic")?;
-    match magic {
-        io::MAGIC => map_checksummed(&map, r, true, true),
-        io::MAGIC_V3 => map_checksummed(&map, r, false, true),
-        io::MAGIC_V2 => map_checksummed(&map, r, false, false),
-        io::MAGIC_V1 => map_v1(&map, r),
-        found => Err(IndexError::UnsupportedFormat { found }),
-    }
+    io::load_plain(Backing::Mapped(&map))
 }
 
 /// [`map_sharded`] over an existing mapping.
 pub fn map_sharded_from(map: Arc<Mmap>) -> Result<ShardedIndex, IndexError> {
-    let mut r = Reader::new(map.as_slice());
-    let magic = r.u64("magic")?;
-    if magic != io::MAGIC_SHARD && magic != io::MAGIC_SHARD_V2 && magic != io::MAGIC_SHARD_V3 {
-        return Err(IndexError::UnsupportedFormat { found: magic });
-    }
-    let header = io::read_shard_header(&mut r, magic)?;
-    let with_codec = magic == io::MAGIC_SHARD_V3;
-
-    let mut shards = Vec::with_capacity(header.num_shards.min(r.remaining()));
-    for s in 0..header.num_shards {
-        let body_start = r.pos;
-        let body = read_mapped_body(&map, &mut r, with_codec, true)?;
-        if let Some(lens) = &header.body_lens {
-            if (r.pos - body_start) as u64 != lens[s] {
-                return Err(IndexError::CorruptIndex { context: "shard body length mismatch" });
-            }
-        }
-        if body.names.len() != header.idf_bars.len() {
-            return Err(IndexError::CorruptIndex { context: "shard dictionaries disagree" });
-        }
-        // Global statistics from the manifest header: the same idf̄/avgdl
-        // every shard of the heap path gets, so scores (and bounds) are
-        // bit-identical across sources.
-        let terms: Vec<TermInfo> = body
-            .names
-            .iter()
-            .zip(&body.lists)
-            .zip(&header.idf_bars)
-            .map(|((name, list), &idf_bar)| TermInfo {
-                term: name.clone(),
-                df: list.num_postings(),
-                idf_bar,
-            })
-            .collect();
-        let bounds = recompute_bounds(&body, &terms, header.avgdl)?;
-        let source = IndexSource::Mapped {
-            map: map.clone(),
-            span_start: body_start,
-            span_len: r.pos - body_start,
-        };
-        shards.push(InvertedIndex::from_stored_parts(
-            terms,
-            body.lists,
-            bounds,
-            body.doc_lens,
-            header.avgdl,
-            body.params,
-            body.partitioner,
-            body.codec,
-            source,
-        )?);
-    }
-    expect_footer(&r)?;
-    ShardedIndex::from_shards_prevalidated(shards, header.n_docs, header.parent_partitioner)
-}
-
-/// The structurally-parsed (never decoded) counterpart of
-/// `io::read_checksummed_body`: header and doc table eagerly CRC-checked,
-/// each term record framed and structurally validated with its payload
-/// left in the mapping and its CRC deferred to a [`LazyCrc`].
-struct MappedBody {
-    params: crate::score::Bm25Params,
-    partitioner: crate::partition::Partitioner,
-    codec: CodecId,
-    doc_lens: Vec<u32>,
-    names: Vec<String>,
-    lists: Vec<EncodedList>,
-}
-
-fn read_mapped_body(
-    map: &Arc<Mmap>,
-    r: &mut Reader<'_>,
-    with_codec: bool,
-    with_crc: bool,
-) -> Result<MappedBody, IndexError> {
-    let header_start = r.pos;
-    let k1 = r.f64("header")?;
-    let b = r.f64("header")?;
-    let params = crate::score::Bm25Params { k1, b };
-    let part_kind = r.u8("header")?;
-    let part_arg = r.u32("header")? as usize;
-    let codec_raw = if with_codec { Some(r.u8("header")?) } else { None };
-    let n_docs = r.u64("header")? as usize;
-    let n_terms = r.u64("header")? as usize;
-    if with_crc {
-        r.verify_section(header_start, "header", "header checksum")?;
-    }
-    let partitioner = io::read_partitioner(part_kind, part_arg)?;
-    let codec = match codec_raw {
-        Some(raw) => CodecId::from_u8(raw)?,
-        None => CodecId::BitPack,
-    };
-
-    let doc_start = r.pos;
-    let doc_bytes = n_docs
-        .checked_mul(4)
-        .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
-    let raw = r.take(doc_bytes, "doc length table")?;
-    let doc_lens: Vec<u32> =
-        raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-    if with_crc {
-        r.verify_section(doc_start, "doc length table", "doc length checksum")?;
-    }
-
-    let mut names = Vec::with_capacity(n_terms.min(r.remaining()));
-    let mut lists = Vec::with_capacity(n_terms.min(r.remaining()));
-    for _ in 0..n_terms {
-        let (name, list) = read_mapped_record(map, r, codec, with_crc)?;
-        names.push(name);
-        lists.push(list);
-    }
-    Ok(MappedBody { params, partitioner, codec, doc_lens, names, lists })
-}
-
-/// Parses one term record without decoding or hashing its payload. The
-/// frame (name, counts, metadata words, skip values, payload length) is
-/// bounds-checked and the assembled list passes [`EncodedList::validate`]
-/// before it's returned; the record CRC (when the format has one) is
-/// captured into a [`LazyCrc`] for first-touch verification.
-fn read_mapped_record(
-    map: &Arc<Mmap>,
-    r: &mut Reader<'_>,
-    codec: CodecId,
-    with_crc: bool,
-) -> Result<(String, EncodedList), IndexError> {
-    let context = "term record";
-    let record_start = r.pos;
-    let name_len = r.u32(context)? as usize;
-    let name = std::str::from_utf8(r.take(name_len, context)?)
-        .map_err(|_| IndexError::CorruptIndex { context: "term name utf-8" })?
-        .to_owned();
-
-    let num_postings = r.u64(context)?;
-    let num_blocks = r.u64(context)? as usize;
-    let table_bytes = num_blocks
-        .checked_mul(12)
-        .ok_or(IndexError::CorruptIndex { context: "block tables" })?;
-    let raw = r.take(table_bytes, context)?;
-    let (meta_raw, skip_raw) = raw.split_at(num_blocks * 8);
-    let metas: Vec<BlockMeta> = meta_raw
-        .chunks_exact(8)
-        .map(|c| {
-            BlockMeta::unpack(u64::from_le_bytes([
-                c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-            ]))
-        })
-        .collect();
-    let skips: Vec<u32> = skip_raw
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    let payload_len = r.u64(context)? as usize;
-    let payload_off = r.pos;
-    // Bounds-check the payload span without reading a byte of it.
-    let _ = r.take(payload_len, context)?;
-    let record_len = r.pos - record_start;
-
-    let lazy = if with_crc {
-        let expected = r.u32("term record checksum")?;
-        Some(Arc::new(LazyCrc::new(map.clone(), record_start, record_len, expected)))
-    } else {
-        None
-    };
-    let payload = PayloadBuf::Mapped { map: map.clone(), offset: payload_off, len: payload_len };
-    let list = EncodedList::from_stored_parts(metas, skips, payload, num_postings, codec, lazy)?;
-    Ok((name, list))
-}
-
-/// Requires the remaining bytes to be exactly the 4-byte footer CRC —
-/// which is *not* hashed (see the module docs: the footer covers every
-/// byte of the file, and faulting in all payload pages at open would
-/// forfeit the mapping).
-fn expect_footer(r: &Reader<'_>) -> Result<(), IndexError> {
-    if r.remaining() != 4 {
-        return Err(IndexError::CorruptIndex { context: "trailing bytes" });
-    }
-    Ok(())
-}
-
-/// Recomputes score bounds from the mapped payloads — the open-time cost
-/// formats without a stored bounds section pay (v1/v2 plain files, every
-/// manifest shard body). Decoding goes through the same lazily-verified
-/// path queries use, so record CRCs are checked as a side effect.
-fn recompute_bounds(
-    body: &MappedBody,
-    terms: &[TermInfo],
-    avgdl: f64,
-) -> Result<Vec<ListBounds>, IndexError> {
-    let dl_bars: Vec<Fixed> = body
-        .doc_lens
-        .iter()
-        .map(|&l| Fixed::from_f64(body.params.dl_bar(l, avgdl)))
-        .collect();
-    body.lists
-        .iter()
-        .zip(terms)
-        .map(|(list, info)| ListBounds::recompute(list, info.idf_bar, &dl_bars))
-        .collect()
-}
-
-/// Shared tail of the checksummed plain formats (v2/v3/v4): body, then
-/// (for v3/v4) the stored bounds section, then the footer frame.
-fn map_checksummed(
-    map: &Arc<Mmap>,
-    mut r: Reader<'_>,
-    with_codec: bool,
-    has_bounds: bool,
-) -> Result<InvertedIndex, IndexError> {
-    let body = read_mapped_body(map, &mut r, with_codec, true)?;
-    let n_docs = body.doc_lens.len() as u64;
-    let avgdl = if body.doc_lens.is_empty() {
-        1.0
-    } else {
-        body.doc_lens.iter().map(|&l| f64::from(l)).sum::<f64>() / n_docs as f64
-    };
-    let terms: Vec<TermInfo> = body
-        .names
-        .iter()
-        .zip(&body.lists)
-        .map(|(name, list)| {
-            let df = list.num_postings();
-            TermInfo {
-                term: name.clone(),
-                df,
-                idf_bar: Fixed::from_f64(body.params.idf_bar(n_docs, df)),
-            }
-        })
-        .collect();
-
-    let bounds = if has_bounds {
-        // Stored bounds: eagerly CRC-verified and structurally
-        // cross-checked against each list, then trusted (no recompute
-        // oracle — the zero-copy trade documented in the module docs).
-        let bounds_start = r.pos;
-        let mut stored: Vec<ListBounds> = Vec::with_capacity(body.lists.len());
-        for _ in 0..body.lists.len() {
-            let num_blocks = r.u64("score bounds")? as usize;
-            let entry_bytes = num_blocks
-                .checked_mul(8)
-                .ok_or(IndexError::CorruptIndex { context: "score bounds" })?;
-            let raw = r.take(entry_bytes, "score bounds")?;
-            let mut ubs = Vec::with_capacity(num_blocks);
-            let mut max_tfs = Vec::with_capacity(num_blocks);
-            for c in raw.chunks_exact(8) {
-                ubs.push(Fixed::from_raw(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-                max_tfs.push(u32::from_le_bytes([c[4], c[5], c[6], c[7]]));
-            }
-            stored.push(ListBounds::from_raw_parts(ubs, max_tfs));
-        }
-        r.verify_section(bounds_start, "score bounds", "score bounds checksum")?;
-        for (bounds, list) in stored.iter().zip(&body.lists) {
-            bounds.validate_against(list)?;
-        }
-        stored
-    } else {
-        recompute_bounds(&body, &terms, avgdl)?
-    };
-    expect_footer(&r)?;
-
-    let source = IndexSource::Mapped {
-        map: map.clone(),
-        span_start: 0,
-        span_len: map.len(),
-    };
-    InvertedIndex::from_stored_parts(
-        terms,
-        body.lists,
-        bounds,
-        body.doc_lens,
-        avgdl,
-        body.params,
-        body.partitioner,
-        body.codec,
-        source,
-    )
-}
-
-/// The legacy v1 layout: no checksums anywhere, term count after the doc
-/// table, no bounds section, no footer. Mapped v1 loads are best-effort
-/// by design — structural validation plus the bounds recompute are the
-/// only corruption nets (matching the format's own guarantees).
-fn map_v1(map: &Arc<Mmap>, mut r: Reader<'_>) -> Result<InvertedIndex, IndexError> {
-    let k1 = r.f64("header")?;
-    let b = r.f64("header")?;
-    let params = crate::score::Bm25Params { k1, b };
-    let part_kind = r.u8("header")?;
-    let part_arg = r.u32("header")? as usize;
-    let partitioner = io::read_partitioner(part_kind, part_arg)?;
-    let n_docs = r.u64("header")? as usize;
-    let doc_bytes = n_docs
-        .checked_mul(4)
-        .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
-    let raw = r.take(doc_bytes, "doc length table")?;
-    let doc_lens: Vec<u32> =
-        raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-
-    let n_terms = r.u64("term count")? as usize;
-    let mut names = Vec::with_capacity(n_terms.min(r.remaining()));
-    let mut lists = Vec::with_capacity(n_terms.min(r.remaining()));
-    for _ in 0..n_terms {
-        let (name, list) = read_mapped_record(map, &mut r, CodecId::BitPack, false)?;
-        names.push(name);
-        lists.push(list);
-    }
-    if r.remaining() != 0 {
-        return Err(IndexError::CorruptIndex { context: "trailing bytes" });
-    }
-
-    let n = doc_lens.len() as u64;
-    let avgdl = if doc_lens.is_empty() {
-        1.0
-    } else {
-        doc_lens.iter().map(|&l| f64::from(l)).sum::<f64>() / n as f64
-    };
-    let terms: Vec<TermInfo> = names
-        .iter()
-        .zip(&lists)
-        .map(|(name, list)| {
-            let df = list.num_postings();
-            TermInfo {
-                term: name.clone(),
-                df,
-                idf_bar: Fixed::from_f64(params.idf_bar(n, df)),
-            }
-        })
-        .collect();
-    let body = MappedBody {
-        params,
-        partitioner,
-        codec: CodecId::BitPack,
-        doc_lens,
-        names,
-        lists,
-    };
-    let bounds = recompute_bounds(&body, &terms, avgdl)?;
-    let source = IndexSource::Mapped {
-        map: map.clone(),
-        span_start: 0,
-        span_len: map.len(),
-    };
-    InvertedIndex::from_stored_parts(
-        terms,
-        body.lists,
-        bounds,
-        body.doc_lens,
-        avgdl,
-        body.params,
-        body.partitioner,
-        body.codec,
-        source,
-    )
+    io::load_sharded(Backing::Mapped(&map))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{BuildOptions, IndexBuilder};
+    use crate::codec::CodecId;
     use crate::partition::Partitioner;
 
     fn sample_index(codec: CodecId) -> InvertedIndex {
@@ -558,8 +178,7 @@ mod tests {
         let idx = sample_index(CodecId::BitPack);
         let plain = write_tmp("dispatch-plain", &io::serialize(&idx).unwrap());
         let sharded = ShardedIndex::split(&idx, 2).unwrap();
-        let manifest =
-            write_tmp("dispatch-shard", &io::serialize_sharded(&sharded).unwrap());
+        let manifest = write_tmp("dispatch-shard", &io::serialize_sharded(&sharded).unwrap());
         assert!(matches!(open(&plain).unwrap(), MappedIndex::Plain(_)));
         assert!(matches!(open(&manifest).unwrap(), MappedIndex::Sharded(_)));
         std::fs::remove_file(&plain).ok();
@@ -569,10 +188,7 @@ mod tests {
     #[test]
     fn unknown_magic_is_unsupported_format() {
         let path = write_tmp("badmagic", &[0xFFu8; 64]);
-        assert!(matches!(
-            map_index(&path),
-            Err(IndexError::UnsupportedFormat { .. })
-        ));
+        assert!(matches!(map_index(&path), Err(IndexError::UnsupportedFormat { .. })));
         std::fs::remove_file(&path).ok();
     }
 
@@ -601,8 +217,10 @@ mod tests {
         let mapped = map_index(&path).unwrap();
         // First touch of the corrupted term reports the checksum mismatch.
         let err = mapped.verify_term(id).unwrap_err();
-        assert!(matches!(err, IndexError::ChecksumMismatch { section: "term record", .. }),
-            "{err:?}");
+        assert!(
+            matches!(err, IndexError::ChecksumMismatch { section: "term record", .. }),
+            "{err:?}"
+        );
         // Typed error from the decode path too, and find degrades to None.
         let mut out = Vec::new();
         assert!(mapped.encoded_list(id).try_decode_block_into(0, &mut out).is_err());
@@ -616,19 +234,285 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn legacy_v2_and_sharded_recompute_bounds() {
-        // A v2 file has no bounds section: the mapped load recomputes and
-        // must agree with the heap load exactly.
-        let idx = sample_index(CodecId::BitPack);
-        let v4 = io::serialize(&idx).unwrap();
-        let heap = io::deserialize(&v4).unwrap();
-        let path = write_tmp("v4-bounds", &v4);
-        let mapped = map_index(&path).unwrap();
-        assert_eq!(mapped.bounds().len(), heap.bounds().len());
-        for id in 0..heap.num_terms() as u32 {
-            assert_eq!(mapped.list_bounds(id), heap.list_bounds(id), "term {id}");
-        }
+    /// Loads `bytes` through both backings: the heap parse of the bytes
+    /// and the mapped open of a scratch file holding them.
+    fn load_both(
+        tag: &str,
+        bytes: &[u8],
+    ) -> (Result<MappedIndex, IndexError>, Result<MappedIndex, IndexError>) {
+        let heap = if io::is_sharded(bytes) {
+            io::deserialize_sharded(bytes).map(MappedIndex::Sharded)
+        } else {
+            io::deserialize(bytes).map(MappedIndex::Plain)
+        };
+        let path = write_tmp(tag, bytes);
+        let mapped = open(&path);
         std::fs::remove_file(&path).ok();
+        (heap, mapped)
+    }
+
+    fn shards_of(index: &MappedIndex) -> &[InvertedIndex] {
+        match index {
+            MappedIndex::Plain(index) => std::slice::from_ref(index),
+            MappedIndex::Sharded(sharded) => sharded.shards(),
+        }
+    }
+
+    fn same(a: &MappedIndex, b: &MappedIndex) -> bool {
+        match (a, b) {
+            (MappedIndex::Plain(a), MappedIndex::Plain(b)) => a == b,
+            (MappedIndex::Sharded(a), MappedIndex::Sharded(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn every_format_loads_identically_on_both_backings() {
+        use io::legacy;
+        let bitpack = sample_index(CodecId::BitPack);
+        let split = |idx: &InvertedIndex| ShardedIndex::split(idx, 3).unwrap();
+        let mut table: Vec<(String, Vec<u8>, MappedIndex)> = vec![
+            ("v1".into(), legacy::serialize_v1(&bitpack), MappedIndex::Plain(bitpack.clone())),
+            ("v2".into(), legacy::serialize_v2(&bitpack), MappedIndex::Plain(bitpack.clone())),
+            ("v3".into(), legacy::serialize_v3(&bitpack), MappedIndex::Plain(bitpack.clone())),
+            (
+                "manifest-v1".into(),
+                legacy::serialize_sharded_v1(&split(&bitpack)),
+                MappedIndex::Sharded(split(&bitpack)),
+            ),
+            (
+                "manifest-v2".into(),
+                legacy::serialize_sharded_v2(&split(&bitpack)),
+                MappedIndex::Sharded(split(&bitpack)),
+            ),
+        ];
+        for codec in CodecId::ALL {
+            let idx = sample_index(codec);
+            let sharded = split(&idx);
+            table.push((
+                format!("manifest-v3-{codec}"),
+                io::serialize_sharded(&sharded).unwrap(),
+                MappedIndex::Sharded(sharded),
+            ));
+            table.push((
+                format!("v4-{codec}"),
+                io::serialize(&idx).unwrap(),
+                MappedIndex::Plain(idx),
+            ));
+        }
+
+        for (label, bytes, original) in &table {
+            let (heap, mapped) = load_both(&format!("matrix-{label}"), bytes);
+            let (heap, mapped) = (heap.unwrap(), mapped.unwrap());
+            assert!(same(&heap, original), "{label}: heap load differs from the original");
+            assert!(same(&mapped, original), "{label}: mapped load differs from the original");
+            assert!(same(&heap, &mapped), "{label}: the two backings disagree");
+            for (h, m) in shards_of(&heap).iter().zip(shards_of(&mapped)) {
+                assert!(!h.source().is_mapped() && m.source().is_mapped(), "{label}");
+                h.validate().unwrap();
+                m.validate().unwrap();
+                assert_eq!(h.bounds(), m.bounds(), "{label}: bounds differ across backings");
+            }
+        }
+    }
+
+    /// Byte range (CRC excluded) of term `id`'s record in a sealed file
+    /// whose body — `idx`'s — starts at `body_start` with a
+    /// `header_len`-byte header.
+    fn record_span(
+        idx: &InvertedIndex,
+        id: u32,
+        body_start: usize,
+        header_len: usize,
+    ) -> (usize, usize) {
+        let record_len = |t: u32| {
+            let list = idx.encoded_list(t);
+            let frame = 4 + idx.term_info(t).term.len() + 8 + 8 + list.num_blocks() * 12 + 8;
+            frame + list.payload().len()
+        };
+        let records = body_start + header_len + 4 + idx.doc_lens().len() * 4 + 4;
+        let start = records + (0..id).map(|t| record_len(t) + 4).sum::<usize>();
+        (start, start + record_len(id))
+    }
+
+    /// Recomputes the CRC of the record spanning `start..end` and the
+    /// whole-file footer, so a deliberate tamper passes every checksum.
+    fn reseal(file: &mut [u8], (start, end): (usize, usize)) {
+        let crc = crate::checksum::crc32(&file[start..end]);
+        file[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+        let n = file.len();
+        let footer = crate::checksum::crc32(&file[..n - 4]);
+        file[n - 4..].copy_from_slice(&footer.to_le_bytes());
+    }
+
+    /// The term of `idx` with the largest payload among lists whose first
+    /// block holds at least two postings.
+    fn widest_term(idx: &InvertedIndex) -> u32 {
+        (0..idx.num_terms() as u32)
+            .filter(|&id| idx.encoded_list(id).metas().first().is_some_and(|m| m.count >= 2))
+            .max_by_key(|&id| idx.encoded_list(id).payload().len())
+            .unwrap()
+    }
+
+    #[test]
+    fn crc_consistent_repeated_docids_are_rejected_by_both_backings() {
+        // Zero the first block of one list — every gap becomes 0, so the
+        // block decodes to its skip value repeated — and reseal the
+        // record CRC and the footer. Neither a v2 file nor a manifest
+        // stores bounds, so the content oracle is the only check left on
+        // either backing, and it must hold docID order.
+        let idx = sample_index(CodecId::BitPack);
+        let sharded = ShardedIndex::split(&idx, 2).unwrap();
+        // Shard 0's body follows the magic, the manifest header and its CRC.
+        let manifest_header = 4 + 8 + 8 + 5 + 8 + idx.num_terms() * 4 + 2 * 8;
+        let cases = [
+            ("v2", io::legacy::serialize_v2(&idx), &idx, 8, 37),
+            (
+                "manifest",
+                io::serialize_sharded(&sharded).unwrap(),
+                sharded.shard(0),
+                8 + manifest_header + 4,
+                38,
+            ),
+        ];
+        for (label, mut bytes, source, body_start, header_len) in cases {
+            let id = widest_term(source);
+            let list = source.encoded_list(id);
+            let span = record_span(source, id, body_start, header_len);
+            let payload_start = span.1 - list.payload().len();
+            let block_end =
+                list.metas().get(1).map_or(list.payload().len(), |m| m.offset as usize);
+            bytes[payload_start..payload_start + block_end].fill(0);
+            reseal(&mut bytes, span);
+
+            let (heap, mapped) = load_both(&format!("repeat-{label}"), &bytes);
+            for (backing, loaded) in [("heap", heap), ("mapped", mapped)] {
+                assert!(
+                    matches!(
+                        loaded,
+                        Err(IndexError::CorruptIndex { context: "docIDs not increasing" })
+                    ),
+                    "{label}/{backing}: repeated docIDs must be rejected at open"
+                );
+            }
+        }
+    }
+
+    /// The policy table of [`crate::io`], one row per test: a single
+    /// mutation of a v4 file run through both backings.
+    mod policy {
+        use super::*;
+
+        fn plain(
+            loaded: Result<MappedIndex, IndexError>,
+        ) -> Result<InvertedIndex, IndexError> {
+            loaded.map(|index| match index {
+                MappedIndex::Plain(index) => index,
+                MappedIndex::Sharded(_) => panic!("plain file loaded as a manifest"),
+            })
+        }
+
+        #[test]
+        fn footer_crc_is_hashed_on_the_heap_and_only_framed_when_mapped() {
+            let idx = sample_index(CodecId::BitPack);
+            let mut bytes = io::serialize(&idx).unwrap();
+            let n = bytes.len();
+            bytes[n - 2] ^= 0x20;
+            let (heap, mapped) = load_both("policy-footer", &bytes);
+            assert!(matches!(
+                plain(heap),
+                Err(IndexError::ChecksumMismatch { section: "footer", .. })
+            ));
+            let mapped = plain(mapped).unwrap();
+            assert_eq!(mapped, idx);
+            mapped.validate().unwrap();
+        }
+
+        #[test]
+        fn record_crc_is_checked_at_heap_load_and_at_first_touch_when_mapped() {
+            let idx = sample_index(CodecId::BitPack);
+            let mut bytes = io::serialize(&idx).unwrap();
+            let id = widest_term(&idx);
+            let (_, end) = record_span(&idx, id, 8, 38);
+            bytes[end - 1] ^= 0x04;
+            let (heap, mapped) = load_both("policy-payload", &bytes);
+            assert!(matches!(
+                plain(heap),
+                Err(IndexError::ChecksumMismatch { section: "term record", .. })
+            ));
+            let mapped = plain(mapped).unwrap();
+            assert!(matches!(
+                mapped.verify_term(id),
+                Err(IndexError::ChecksumMismatch { section: "term record", .. })
+            ));
+            let mut out = Vec::new();
+            assert!(matches!(
+                mapped.encoded_list(id).try_decode_block_into(0, &mut out),
+                Err(IndexError::ChecksumMismatch { section: "term record", .. })
+            ));
+        }
+
+        #[test]
+        fn stored_bounds_meet_the_oracle_at_heap_load_and_at_validate_when_mapped() {
+            // Raise one stored block bound, then recompute the section CRC
+            // and the footer: the file tail is
+            // [bounds content][bounds crc 4][footer 4].
+            let idx = sample_index(CodecId::BitPack);
+            let mut bytes = io::serialize(&idx).unwrap();
+            let n = bytes.len();
+            let bounds_len: usize = idx.bounds().iter().map(|b| 8 + b.num_blocks() * 8).sum();
+            let start = n - 8 - bounds_len;
+            bytes[start + 8] ^= 0x01;
+            reseal(&mut bytes, (start, n - 8));
+            let (heap, mapped) = load_both("policy-bounds", &bytes);
+            assert!(matches!(
+                plain(heap),
+                Err(IndexError::CorruptIndex { context: "score bounds mismatch" })
+            ));
+            let mapped = plain(mapped).unwrap();
+            assert_ne!(mapped, idx, "the tampered bound is what the mapped index prunes with");
+            assert!(matches!(
+                mapped.validate(),
+                Err(IndexError::CorruptIndex { context: "score bounds mismatch" })
+            ));
+        }
+
+        #[test]
+        fn a_heap_load_keeps_the_stored_layout_byte_for_byte() {
+            for codec in CodecId::ALL {
+                let idx = sample_index(codec);
+                let back = io::deserialize(&io::serialize(&idx).unwrap()).unwrap();
+                for id in 0..idx.num_terms() as u32 {
+                    let (a, b) = (idx.encoded_list(id), back.encoded_list(id));
+                    assert_eq!(a.metas(), b.metas(), "{codec} list {id}");
+                    assert_eq!(a.skips(), b.skips(), "{codec} list {id}");
+                    assert_eq!(a.payload(), b.payload(), "{codec} list {id}");
+                }
+            }
+        }
+
+        #[test]
+        fn streamed_files_load_identically_on_both_backings() {
+            for codec in CodecId::ALL {
+                let idx = sample_index(codec);
+                let mut w = io::StreamingWriter::new(
+                    Vec::new(),
+                    idx.doc_lens(),
+                    idx.num_terms() as u64,
+                    idx.partitioner(),
+                    idx.params(),
+                    codec,
+                )
+                .unwrap();
+                for info in idx.terms() {
+                    w.push_term(&info.term, &idx.decode_term(&info.term).unwrap()).unwrap();
+                }
+                let bytes = w.finish().unwrap();
+                let (heap, mapped) = load_both(&format!("policy-streamed-{codec}"), &bytes);
+                let (heap, mapped) = (plain(heap).unwrap(), plain(mapped).unwrap());
+                assert_eq!(heap, mapped, "{codec}");
+                assert_eq!(heap, idx, "{codec}");
+            }
+        }
     }
 }

@@ -912,9 +912,8 @@ impl<'a> IiuMachine<'a> {
     /// corruption as a typed error at admission instead of a panic inside
     /// a DCU tick.
     fn admit(&self, query: &SimQuery) -> Result<(), SimError> {
-        let check = |t: TermId| {
-            self.index.verify_term(t).map_err(|source| SimError::Index { source })
-        };
+        let check =
+            |t: TermId| self.index.verify_term(t).map_err(|source| SimError::Index { source });
         match *query {
             SimQuery::Single(t) => check(t),
             SimQuery::Intersect(a, b) | SimQuery::Union(a, b) => {

@@ -311,11 +311,9 @@ fn source_line(index: &InvertedIndex) -> String {
     }
     let mapped = src.mapped_bytes();
     match src.resident_bytes() {
-        Some(resident) => format!(
-            "mmap ({} KiB mapped, ~{} KiB resident)",
-            mapped / 1024,
-            resident / 1024
-        ),
+        Some(resident) => {
+            format!("mmap ({} KiB mapped, ~{} KiB resident)", mapped / 1024, resident / 1024)
+        }
         None => format!("mmap ({} KiB mapped, residency unavailable)", mapped / 1024),
     }
 }
@@ -354,7 +352,8 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         if shards > 1 {
             return Err("--stream writes a plain (unsharded) index; drop --shards".into());
         }
-        let file = std::fs::File::create(out).map_err(|e| format!("cannot write {out}: {e}"))?;
+        let file =
+            std::fs::File::create(out).map_err(|e| format!("cannot write {out}: {e}"))?;
         let sink = std::io::BufWriter::new(file);
         let (_, stats) = cfg
             .generate_streamed(sink, Partitioner::default(), Bm25Params::default(), codec)
@@ -453,7 +452,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         for shard in sharded.shards() {
             s.merge(&shard.size_stats());
         }
-        println!("documents:        {} across {} shards", sharded.num_docs(), sharded.num_shards());
+        println!(
+            "documents:        {} across {} shards",
+            sharded.num_docs(),
+            sharded.num_shards()
+        );
         println!("terms:            {}", sharded.shard(0).num_terms());
         println!("postings:         {}", s.postings);
         println!("blocks:           {} (avg {:.1} postings)", s.num_blocks, s.avg_block_len());

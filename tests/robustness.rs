@@ -98,7 +98,8 @@ fn footer_flip_loads_mapped_but_fails_heap() {
     assert!(deserialize(&bytes).is_err(), "heap load must reject a footer flip");
     let scratch = scratch_path("footer-flip");
     std::fs::write(&scratch, &bytes).expect("scratch file writable");
-    let mapped = iiu_index::storage::map_index(&scratch).expect("mapped load skips the footer");
+    let mapped =
+        iiu_index::storage::map_index(&scratch).expect("mapped load skips the footer");
     for id in 0..mapped.num_terms() as u32 {
         mapped.verify_term(id).expect("content sections are intact");
     }

@@ -239,8 +239,8 @@ fn mapped_manifest_matches_heap_under_every_codec() {
         );
         let split = ShardedIndex::split(&index, 3).expect("split");
         let bytes = io::serialize_sharded(&split).expect("serialize manifest");
-        let path = std::env::temp_dir()
-            .join(format!("iiu-shard-src-{}-{codec}", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("iiu-shard-src-{}-{codec}", std::process::id()));
         std::fs::write(&path, &bytes).expect("temp file writable");
         let mapped = Arc::new(storage::map_sharded(&path).expect("mapped manifest"));
         let heap = Arc::new(io::deserialize_sharded(&bytes).expect("heap manifest"));
@@ -257,7 +257,10 @@ fn mapped_manifest_matches_heap_under_every_codec() {
                     let r = ref_plain.search_single(t, k).expect("sampled term");
                     let h = h_eng.search_single(t, k).expect("sampled term");
                     let m = m_eng.search_single(t, k).expect("sampled term");
-                    assert_eq!(m.hits, r.hits, "{codec} mmap single {t} pruned={pruned} k={k}");
+                    assert_eq!(
+                        m.hits, r.hits,
+                        "{codec} mmap single {t} pruned={pruned} k={k}"
+                    );
                     assert_eq!(m.missing, h.missing, "{codec} single {t} k={k}");
                     assert!(m.complete(), "{codec} healthy shards must all answer");
                 }

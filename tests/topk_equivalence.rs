@@ -164,8 +164,8 @@ fn mapped_source_matches_heap_under_every_codec() {
             codec,
         );
         let bytes = io::serialize(&heap).expect("serialize");
-        let path = std::env::temp_dir()
-            .join(format!("iiu-topk-src-{}-{codec}", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("iiu-topk-src-{}-{codec}", std::process::id()));
         std::fs::write(&path, &bytes).expect("temp file writable");
         let mapped = storage::map_index(&path).expect("mapped load");
         assert!(mapped.source().is_mapped() && !heap.source().is_mapped());
