@@ -20,6 +20,7 @@ pub mod engine;
 pub mod ops;
 pub mod pruned;
 pub mod sharded;
+pub mod supervise;
 pub mod throughput;
 pub mod topk;
 

@@ -16,12 +16,12 @@
 //! runs under `catch_unwind`, so a panicking query marks its shard's
 //! slot failed instead of killing the worker or hanging the caller.
 //!
-//! Supervision is two-plane: *shard* state (quarantine after repeated
-//! failures, half-open probes, wedge/drain accounting for tasks that
-//! missed a fan-out deadline) and *worker* state (liveness, kill
-//! switches, respawn with bounded exponential backoff). A dead worker no
-//! longer takes a shard down with it — the remaining workers keep
-//! serving every shard.
+//! Supervision is two-plane, one [`Supervisor`] per shard and per worker
+//! slot: *shard* state (quarantine after repeated failures, half-open
+//! probes, plus wedge/drain accounting for tasks that missed a fan-out
+//! deadline) and *worker* state (liveness, kill switches, respawn with
+//! bounded exponential backoff). A dead worker no longer takes a shard
+//! down with it — the remaining workers keep serving every shard.
 //!
 //! # Why sharded results are bit-identical
 //!
@@ -62,6 +62,7 @@ use iiu_index::{IndexError, InvertedIndex, TermId};
 use crate::cost::{CpuCostModel, PhaseBreakdown};
 use crate::ops::{self, DecodeScratch, OpCounts};
 use crate::pruned;
+use crate::supervise::{Policy, State, Supervisor};
 use crate::topk::{rank_cmp, top_k, Hit, SharedThreshold};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked
@@ -86,8 +87,10 @@ impl std::fmt::Debug for Task {
 }
 
 /// Supervision policy for a [`ShardPool`]: how many workers share the
-/// task deque, how long the coordinator waits per fan-out, when a
-/// failing shard is quarantined, and how dead workers are respawned.
+/// task deque, how long the coordinator waits per fan-out, and when a
+/// failing shard is quarantined. (Dead workers are respawned on a fixed
+/// ladder: at once, then after 10 ms doubling up to 1 s while respawned
+/// threads keep dying before finishing a task.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardPoolConfig {
     /// Number of pool worker threads draining the shared task deque.
@@ -107,17 +110,24 @@ pub struct ShardPoolConfig {
     /// after [`Self::quarantine_cooldown`]. `0` disables quarantine.
     pub quarantine_threshold: u32,
     /// How long a quarantined shard sits out before one probe query is
-    /// allowed through (half-open, mirroring the serve circuit breaker).
+    /// allowed through (half-open, the same machine as the serve circuit
+    /// breaker); a failed probe sits out the same time again.
     pub quarantine_cooldown: Duration,
-    /// Base delay before respawning a dead worker; doubles per
-    /// consecutive failed attempt up to [`Self::respawn_max_backoff`].
-    pub respawn_base_backoff: Duration,
-    /// Cap on the respawn backoff.
-    pub respawn_max_backoff: Duration,
-    /// How long `Drop` waits for each worker to finish before detaching
-    /// it (a wedged worker must not deadlock shutdown).
-    pub drop_join_timeout: Duration,
 }
+
+/// The pool-worker respawn ladder: a slot's first respawn is immediate;
+/// a respawned thread that dies before finishing a task, or a failed
+/// spawn, waits 10 ms, doubling per failed attempt up to 1 s.
+pub(crate) const RESPAWN: Policy = Policy {
+    threshold: 1,
+    cooldown: Duration::from_millis(10),
+    cap: Duration::from_secs(1),
+    probes: 1,
+};
+
+/// How long `Drop` waits for the workers to finish before detaching the
+/// rest (a wedged worker must not deadlock shutdown).
+const DROP_JOIN_TIMEOUT: Duration = Duration::from_millis(500);
 
 impl ShardPoolConfig {
     /// The effective worker count for an index with `num_shards` shards
@@ -144,6 +154,16 @@ impl ShardPoolConfig {
     pub fn fanout_deadline(&self) -> Option<Instant> {
         self.fanout_deadline_from(Instant::now())
     }
+
+    /// Each shard's quarantine policy: a fixed cooldown, one probe.
+    pub(crate) fn quarantine(&self) -> Policy {
+        Policy {
+            threshold: self.quarantine_threshold,
+            cooldown: self.quarantine_cooldown,
+            cap: self.quarantine_cooldown,
+            probes: 1,
+        }
+    }
 }
 
 impl Default for ShardPoolConfig {
@@ -153,9 +173,6 @@ impl Default for ShardPoolConfig {
             deadline: None,
             quarantine_threshold: 3,
             quarantine_cooldown: Duration::from_millis(100),
-            respawn_base_backoff: Duration::from_millis(10),
-            respawn_max_backoff: Duration::from_secs(1),
-            drop_join_timeout: Duration::from_millis(500),
         }
     }
 }
@@ -229,15 +246,16 @@ pub struct ShardHealthReport {
     pub shard: usize,
     /// Current state.
     pub health: ShardHealth,
-    /// Consecutive failures since the last success.
+    /// Consecutive failures since the last success, counted while the
+    /// shard is not quarantined.
     pub consecutive_failures: u32,
-    /// Total failed executions (panics + timeouts + dead dispatches).
+    /// Total failed executions (panics + timeouts).
     pub failures: u64,
     /// Executions that panicked.
     pub panics: u64,
     /// Executions that missed the fan-out deadline.
     pub timeouts: u64,
-    /// Times quarantine tripped.
+    /// Times quarantine tripped, failed half-open probes included.
     pub quarantine_trips: u64,
     /// Times a half-open probe recovered the shard from quarantine.
     pub quarantine_recoveries: u64,
@@ -282,34 +300,24 @@ struct ShardState {
     /// Tasks enqueued for this shard. `completed >= submitted` (see
     /// [`PoolShared::completed`]) means the backlog has drained.
     submitted: u64,
-    health: ShardHealth,
-    consecutive_failures: u32,
-    quarantined_at: Option<Instant>,
-    probe_in_flight: bool,
+    /// The quarantine: not `Closed` means [`ShardHealth::Quarantined`].
+    sup: Supervisor,
+    /// Health while not quarantined: `Ok` or the kind of the last
+    /// failure. `Wedged` also keeps the shard out of fan-outs until its
+    /// backlog drains.
+    kind: ShardHealth,
     failures: u64,
     panics: u64,
     timeouts: u64,
     dead_dispatches: u64,
-    quarantine_trips: u64,
-    quarantine_recoveries: u64,
 }
 
-impl ShardState {
-    fn new() -> Self {
-        ShardState {
-            submitted: 0,
-            health: ShardHealth::Ok,
-            consecutive_failures: 0,
-            quarantined_at: None,
-            probe_in_flight: false,
-            failures: 0,
-            panics: 0,
-            timeouts: 0,
-            dead_dispatches: 0,
-            quarantine_trips: 0,
-            quarantine_recoveries: 0,
-        }
-    }
+/// One worker thread's kill switch and finished-task count, shared with
+/// the thread.
+#[derive(Debug, Default)]
+struct Life {
+    die: AtomicBool,
+    tasks: AtomicU64,
 }
 
 /// Worker-plane bookkeeping for one pool worker slot (behind the
@@ -317,22 +325,39 @@ impl ShardState {
 #[derive(Debug)]
 struct PoolWorker {
     handle: Option<JoinHandle<()>>,
-    /// Kill switch the worker checks between tasks
-    /// ([`ShardPool::kill_worker`]).
-    die: Arc<AtomicBool>,
-    /// Tasks finished by this slot's threads (incremented by the worker).
-    tasks_done: Arc<AtomicU64>,
-    /// `tasks_done` observed at the last (re)spawn; progress past it
-    /// proves the respawned thread works and resets the backoff.
-    tasks_done_at_spawn: u64,
-    respawn_attempts: u32,
-    last_respawn: Option<Instant>,
+    /// The current thread's life ([`ShardPool::kill_worker`] sets its
+    /// kill switch).
+    life: Arc<Life>,
+    /// Tasks finished by this slot's earlier threads.
+    earlier_tasks: u64,
     respawns: u64,
+    /// The respawn ladder.
+    sup: Supervisor,
+    /// `Some(probe)` while the current thread is a (re)spawn whose
+    /// verdict is pending: its first finished task is the success, its
+    /// death before one (or a failed spawn) the failure.
+    ticket: Option<bool>,
 }
 
 impl PoolWorker {
     fn dead(&self) -> bool {
         self.handle.as_ref().is_none_or(|h| h.is_finished())
+    }
+
+    /// Reports a pending (re)spawn's verdict once there is one.
+    fn settle(&mut self, now: Instant) {
+        let Some(probe) = self.ticket else { return };
+        // Liveness first: a thread that finished a task and then died
+        // made progress.
+        let dead = self.dead();
+        if self.life.tasks.load(Ordering::Relaxed) > 0 {
+            self.sup.on_success(probe);
+        } else if dead {
+            self.sup.on_failure(probe, now);
+        } else {
+            return;
+        }
+        self.ticket = None;
     }
 }
 
@@ -353,21 +378,31 @@ pub struct ShardRun<T> {
     pub outcomes: Vec<ShardOutcome>,
 }
 
+/// Starts a thread for worker slot `w`; `None` when the spawn fails (or
+/// `fail_spawn_mask` sabotages the slot).
 fn spawn_pool_worker(
     shared: &Arc<PoolShared>,
     w: usize,
-    die: Arc<AtomicBool>,
-    tasks_done: Arc<AtomicU64>,
-) -> std::io::Result<JoinHandle<()>> {
+    life: Arc<Life>,
+    fail_spawn_mask: u64,
+) -> Option<JoinHandle<()>> {
+    if w < 64 && fail_spawn_mask & (1u64 << w) != 0 {
+        return None;
+    }
     let shared = Arc::clone(shared);
     let builder = std::thread::Builder::new().name(format!("iiu-pool-{w}"));
-    builder.spawn(move || {
+    let spawned = builder.spawn(move || {
         let mut scratch = DecodeScratch::new();
         loop {
             let Task { shard, job } = {
                 let mut q = lock(&shared.queue);
                 loop {
-                    if die.load(Ordering::Relaxed) || shared.shutdown.load(Ordering::Relaxed) {
+                    // Both flags flip under this lock (see `Drop` and
+                    // `kill_worker`), so none can land between this check
+                    // and the wait below.
+                    if life.die.load(Ordering::Relaxed)
+                        || shared.shutdown.load(Ordering::Relaxed)
+                    {
                         return;
                     }
                     if let Some(t) = q.pop_front() {
@@ -390,9 +425,10 @@ fn spawn_pool_worker(
             if let Some(c) = shared.completed.get(shard) {
                 c.fetch_add(1, Ordering::Relaxed);
             }
-            tasks_done.fetch_add(1, Ordering::Relaxed);
+            life.tasks.fetch_add(1, Ordering::Relaxed);
         }
-    })
+    });
+    spawned.ok()
 }
 
 /// A persistent shared work pool: `pool_threads` supervised workers
@@ -418,6 +454,9 @@ pub struct ShardPool {
     /// Test-only spawn sabotage: bit `w` set means pool worker slot `w`
     /// can never spawn (exercises the spawn-failure path end to end).
     fail_spawn_mask: u64,
+    /// Test-only: `Some` freezes the supervision clock ([`Self::now`]).
+    #[cfg(test)]
+    frozen: Mutex<Option<Instant>>,
 }
 
 impl ShardPool {
@@ -446,38 +485,52 @@ impl ShardPool {
             shutdown: AtomicBool::new(false),
             completed: (0..n).map(|_| AtomicU64::new(0)).collect(),
         });
-        let mut workers = Vec::with_capacity(n_workers);
-        for w in 0..n_workers {
-            let die = Arc::new(AtomicBool::new(false));
-            let tasks_done = Arc::new(AtomicU64::new(0));
-            let masked = w < 64 && fail_spawn_mask & (1u64 << w) != 0;
-            let handle = if masked {
-                None
-            } else {
-                // Spawn failure: dispatch reports NoWorker when no slot
-                // is live and retries the spawn with backoff later.
-                spawn_pool_worker(&shared, w, Arc::clone(&die), Arc::clone(&tasks_done)).ok()
-            };
-            let (attempts, last) =
-                if handle.is_some() { (0, None) } else { (1, Some(Instant::now())) };
-            workers.push(PoolWorker {
-                handle,
-                die,
-                tasks_done,
-                tasks_done_at_spawn: 0,
-                respawn_attempts: attempts,
-                last_respawn: last,
-                respawns: 0,
-            });
-        }
-        let shards = (0..n).map(|_| ShardState::new()).collect();
+        let workers = (0..n_workers)
+            .map(|w| {
+                let life = Arc::new(Life::default());
+                let handle = spawn_pool_worker(&shared, w, Arc::clone(&life), fail_spawn_mask);
+                PoolWorker {
+                    // A failed spawn is a spawn with its verdict already
+                    // in: the first dispatch counts it as a failure.
+                    ticket: handle.is_none().then_some(false),
+                    handle,
+                    life,
+                    earlier_tasks: 0,
+                    respawns: 0,
+                    sup: Supervisor::new(RESPAWN),
+                }
+            })
+            .collect();
+        let shards = (0..n)
+            .map(|_| ShardState {
+                submitted: 0,
+                sup: Supervisor::new(cfg.quarantine()),
+                kind: ShardHealth::Ok,
+                failures: 0,
+                panics: 0,
+                timeouts: 0,
+                dead_dispatches: 0,
+            })
+            .collect();
         ShardPool {
             shared,
             cfg,
             n_workers,
             state: Mutex::new(PoolState { shards, workers }),
             fail_spawn_mask,
+            #[cfg(test)]
+            frozen: Mutex::new(None),
         }
+    }
+
+    /// The supervision clock: the wall clock, unless a unit test froze
+    /// it. (Fan-out deadlines always run on the wall clock.)
+    fn now(&self) -> Instant {
+        #[cfg(test)]
+        if let Some(t) = *lock(&self.frozen) {
+            return t;
+        }
+        Instant::now()
     }
 
     /// The sharded index the pool serves.
@@ -500,72 +553,35 @@ impl ShardPool {
         &self.cfg
     }
 
-    fn backoff(cfg: &ShardPoolConfig, attempts: u32) -> Duration {
-        let mult = 1u32 << attempts.min(16).min(31);
-        cfg.respawn_base_backoff.saturating_mul(mult).min(cfg.respawn_max_backoff)
-    }
-
-    /// Attempts to respawn a dead worker slot, honoring the exponential
-    /// backoff. Returns whether the slot now has a live thread. Unlike
-    /// the old thread-per-shard topology, queued tasks are never lost on
-    /// worker death — the shared deque outlives any one thread.
-    fn try_respawn_worker(&self, w: &mut PoolWorker, slot: usize) -> bool {
-        // Progress since the last spawn proves the thread worked;
-        // restart the backoff ladder for the next death.
-        if w.tasks_done.load(Ordering::Relaxed) > w.tasks_done_at_spawn {
-            w.respawn_attempts = 0;
-        }
-        let backoff = Self::backoff(&self.cfg, w.respawn_attempts);
-        if w.last_respawn.is_some_and(|t| t.elapsed() < backoff) {
-            return false;
-        }
-        w.last_respawn = Some(Instant::now());
-        w.respawn_attempts = w.respawn_attempts.saturating_add(1);
-        if slot < 64 && self.fail_spawn_mask & (1u64 << slot) != 0 {
-            return false;
-        }
-        let die = Arc::new(AtomicBool::new(false));
-        match spawn_pool_worker(
-            &self.shared,
-            slot,
-            Arc::clone(&die),
-            Arc::clone(&w.tasks_done),
-        ) {
-            Ok(handle) => {
-                w.tasks_done_at_spawn = w.tasks_done.load(Ordering::Relaxed);
-                w.handle = Some(handle);
-                w.die = die;
-                w.respawns += 1;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Revives dead worker slots (bounded backoff) and returns how many
-    /// are live. Called at every dispatch under the supervision lock.
-    fn ensure_workers(&self, workers: &mut [PoolWorker]) -> usize {
+    /// Settles every worker slot's pending respawn verdict, then
+    /// respawns the dead slots their ladders admit, and returns how many
+    /// slots are live. Called at every dispatch under the supervision
+    /// lock. Unlike the old thread-per-shard topology, queued tasks are
+    /// never lost on worker death — the shared deque outlives any one
+    /// thread.
+    fn ensure_workers(&self, workers: &mut [PoolWorker], now: Instant) -> usize {
         let mut alive = 0usize;
-        for (i, w) in workers.iter_mut().enumerate() {
-            if !w.dead() || self.try_respawn_worker(w, i) {
-                alive += 1;
+        for (slot, w) in workers.iter_mut().enumerate() {
+            w.settle(now);
+            if w.dead() {
+                if let Some(probe) = w.sup.admit(now) {
+                    w.earlier_tasks += w.life.tasks.load(Ordering::Relaxed);
+                    w.life = Arc::new(Life::default());
+                    w.handle = spawn_pool_worker(
+                        &self.shared,
+                        slot,
+                        Arc::clone(&w.life),
+                        self.fail_spawn_mask,
+                    );
+                    w.respawns += u64::from(w.handle.is_some());
+                    w.ticket = Some(probe);
+                    // A failed spawn settles as a failure right away.
+                    w.settle(now);
+                }
             }
+            alive += usize::from(!w.dead());
         }
         alive
-    }
-
-    fn record_failure(cfg: &ShardPoolConfig, w: &mut ShardState, kind: ShardHealth) {
-        w.failures += 1;
-        w.consecutive_failures = w.consecutive_failures.saturating_add(1);
-        if cfg.quarantine_threshold > 0 && w.consecutive_failures >= cfg.quarantine_threshold {
-            if w.health != ShardHealth::Quarantined {
-                w.quarantine_trips += 1;
-            }
-            w.health = ShardHealth::Quarantined;
-            w.quarantined_at = Some(Instant::now());
-        } else {
-            w.health = kind;
-        }
     }
 
     /// Kills pool worker `w`'s thread: the chaos-campaign instrument for
@@ -575,14 +591,26 @@ impl ShardPool {
     pub fn kill_worker(&self, w: usize) {
         let st = lock(&self.state);
         let Some(w) = st.workers.get(w) else { return };
-        w.die.store(true, Ordering::Relaxed);
+        // Under the queue lock, or an idle victim between its flag check
+        // and its wait would miss the only notify (DESIGN.md §15).
+        {
+            let _q = lock(&self.shared.queue);
+            w.life.die.store(true, Ordering::Relaxed);
+        }
         // Wake everything blocked on the deque so the victim sees the
         // kill switch even while idle (the others re-check and re-wait).
         self.shared.not_empty.notify_all();
     }
 
-    fn drained(&self, sh: &ShardState, s: usize) -> bool {
-        self.shared.completed.get(s).is_none_or(|c| c.load(Ordering::Relaxed) >= sh.submitted)
+    /// Whether shard `s` is still draining the backlog of a timed-out
+    /// task (a wedge keeps it out of fan-outs until then).
+    fn backlogged(&self, sh: &ShardState, s: usize) -> bool {
+        sh.kind == ShardHealth::Wedged
+            && self
+                .shared
+                .completed
+                .get(s)
+                .is_some_and(|c| c.load(Ordering::Relaxed) < sh.submitted)
     }
 
     /// Current per-shard supervision state and counters (the shard
@@ -592,15 +620,19 @@ impl ShardPool {
         st.shards
             .iter()
             .enumerate()
-            .map(|(shard, w)| ShardHealthReport {
+            .map(|(shard, sh)| ShardHealthReport {
                 shard,
-                health: w.health,
-                consecutive_failures: w.consecutive_failures,
-                failures: w.failures,
-                panics: w.panics,
-                timeouts: w.timeouts,
-                quarantine_trips: w.quarantine_trips,
-                quarantine_recoveries: w.quarantine_recoveries,
+                health: if sh.sup.state() == State::Closed {
+                    sh.kind
+                } else {
+                    ShardHealth::Quarantined
+                },
+                consecutive_failures: sh.sup.streak(),
+                failures: sh.failures,
+                panics: sh.panics,
+                timeouts: sh.timeouts,
+                quarantine_trips: sh.sup.trips(),
+                quarantine_recoveries: sh.sup.recoveries(),
             })
             .collect()
     }
@@ -614,45 +646,32 @@ impl ShardPool {
             .map(|(worker, w)| PoolWorkerReport {
                 worker,
                 alive: !w.dead(),
-                tasks_completed: w.tasks_done.load(Ordering::Relaxed),
+                tasks_completed: w.earlier_tasks + w.life.tasks.load(Ordering::Relaxed),
                 respawns: w.respawns,
             })
             .collect()
     }
 
-    /// Shards a fan-out would currently dispatch to (no side effects):
-    /// shards that are neither quarantine-cooling nor draining a wedge
-    /// backlog — provided at least one worker slot is live or
-    /// respawn-due. Engines use this to pick fan-out targets (and the
-    /// threshold primer shard) up front instead of discovering
-    /// unavailability mid-run.
+    /// Shards a fan-out would currently dispatch to (it dispatches
+    /// nothing): shards whose supervisor is [`Supervisor::ready`] and
+    /// that are not draining a wedge backlog — provided at least one
+    /// worker slot is live or respawn-due. Engines use this to pick
+    /// fan-out targets (and the threshold primer shard) up front instead
+    /// of discovering unavailability mid-run.
     pub fn ready_shards(&self) -> Vec<usize> {
-        let st = lock(&self.state);
+        let now = self.now();
+        let mut st = lock(&self.state);
+        st.workers.iter_mut().for_each(|w| w.settle(now));
         // With no live worker and none due for a respawn attempt there
         // is no execution substrate at all.
-        let any_worker = st.workers.iter().any(|w| {
-            if !w.dead() {
-                return true;
-            }
-            let backoff = Self::backoff(&self.cfg, w.respawn_attempts);
-            w.last_respawn.is_none_or(|t| t.elapsed() >= backoff)
-        });
-        if !any_worker {
+        if !st.workers.iter().any(|w| !w.dead() || w.sup.ready(now)) {
             return Vec::new();
         }
         st.shards
             .iter()
             .enumerate()
-            .filter_map(|(s, w)| match w.health {
-                ShardHealth::Quarantined => {
-                    let cooled = w
-                        .quarantined_at
-                        .is_none_or(|t| t.elapsed() >= self.cfg.quarantine_cooldown);
-                    (cooled && !w.probe_in_flight && self.drained(w, s)).then_some(s)
-                }
-                ShardHealth::Wedged => self.drained(w, s).then_some(s),
-                _ => Some(s),
-            })
+            .filter(|&(s, sh)| sh.sup.ready(now) && !self.backlogged(sh, s))
+            .map(|(s, _)| s)
             .collect()
     }
 
@@ -737,58 +756,42 @@ impl ShardPool {
         let mut probing = vec![false; n];
         let mut expected = 0usize;
         {
+            let now = self.now();
             let mut st = lock(&self.state);
             let st = &mut *st;
             // Revive dead worker slots first; with zero live workers the
             // targeted shards report NoWorker immediately instead of
             // burning the fan-out deadline on tasks nothing can run.
-            let alive = self.ensure_workers(&mut st.workers);
+            let alive = self.ensure_workers(&mut st.workers, now);
             let mut batch: Vec<Task> = Vec::new();
-            for (s, w) in st.shards.iter_mut().enumerate() {
+            for (s, sh) in st.shards.iter_mut().enumerate() {
                 if targets.is_some_and(|t| !t.contains(&s)) {
                     continue;
                 }
                 if alive == 0 {
-                    w.dead_dispatches += 1;
-                    if w.health != ShardHealth::Quarantined {
-                        w.health = ShardHealth::DeadWorker;
-                    }
+                    sh.dead_dispatches += 1;
+                    sh.kind = ShardHealth::DeadWorker;
                     outcomes[s] = ShardOutcome::NoWorker;
                     continue;
                 }
-                match w.health {
-                    ShardHealth::Quarantined => {
-                        let cooled = w
-                            .quarantined_at
-                            .is_none_or(|t| t.elapsed() >= self.cfg.quarantine_cooldown);
-                        let drained = self
-                            .shared
-                            .completed
-                            .get(s)
-                            .is_none_or(|c| c.load(Ordering::Relaxed) >= w.submitted);
-                        if !cooled || w.probe_in_flight || !drained {
-                            outcomes[s] = ShardOutcome::SkippedQuarantined;
-                            continue;
-                        }
-                        // Half-open: let exactly one probe through.
-                        w.probe_in_flight = true;
-                        probing[s] = true;
-                    }
-                    ShardHealth::Wedged => {
-                        let drained = self
-                            .shared
-                            .completed
-                            .get(s)
-                            .is_none_or(|c| c.load(Ordering::Relaxed) >= w.submitted);
-                        if drained {
-                            // Backlog flushed; the wedge is over.
-                            w.health = ShardHealth::Ok;
-                        } else {
-                            outcomes[s] = ShardOutcome::SkippedWedged;
-                            continue;
-                        }
-                    }
-                    _ => {}
+                if self.backlogged(sh, s) {
+                    outcomes[s] = if sh.sup.state() == State::Closed {
+                        ShardOutcome::SkippedWedged
+                    } else {
+                        ShardOutcome::SkippedQuarantined
+                    };
+                    continue;
+                }
+                // Closed admits; a quarantine admits one half-open probe
+                // once its cooldown has elapsed.
+                let Some(probe) = sh.sup.admit(now) else {
+                    outcomes[s] = ShardOutcome::SkippedQuarantined;
+                    continue;
+                };
+                probing[s] = probe;
+                if sh.kind == ShardHealth::Wedged {
+                    // Backlog flushed; the wedge is over.
+                    sh.kind = ShardHealth::Ok;
                 }
                 let f = Arc::clone(&f);
                 let slot = Arc::clone(&slot);
@@ -808,7 +811,7 @@ impl ShardPool {
                     }
                 });
                 batch.push(Task { shard: s, job });
-                w.submitted += 1;
+                sh.submitted += 1;
                 dispatched[s] = true;
                 expected += 1;
             }
@@ -855,33 +858,31 @@ impl ShardPool {
         };
 
         {
+            let now = self.now();
             let mut st = lock(&self.state);
-            for (s, w) in st.shards.iter_mut().enumerate() {
+            for (s, sh) in st.shards.iter_mut().enumerate() {
                 if !dispatched[s] {
                     continue;
                 }
+                // Outcomes of tasks dispatched before a trip (not
+                // `probing`) reach the counters but not the quarantine.
+                if values[s].is_some() {
+                    outcomes[s] = ShardOutcome::Answered;
+                    sh.kind = ShardHealth::Ok;
+                    sh.sup.on_success(probing[s]);
+                    continue;
+                }
                 if done_flags[s] {
-                    if values[s].is_some() {
-                        outcomes[s] = ShardOutcome::Answered;
-                        w.consecutive_failures = 0;
-                        if w.health == ShardHealth::Quarantined {
-                            w.quarantine_recoveries += 1;
-                            w.quarantined_at = None;
-                        }
-                        w.health = ShardHealth::Ok;
-                    } else {
-                        outcomes[s] = ShardOutcome::Panicked;
-                        w.panics += 1;
-                        Self::record_failure(&self.cfg, w, ShardHealth::Panicked);
-                    }
+                    outcomes[s] = ShardOutcome::Panicked;
+                    sh.panics += 1;
+                    sh.kind = ShardHealth::Panicked;
                 } else {
                     outcomes[s] = ShardOutcome::TimedOut;
-                    w.timeouts += 1;
-                    Self::record_failure(&self.cfg, w, ShardHealth::Wedged);
+                    sh.timeouts += 1;
+                    sh.kind = ShardHealth::Wedged;
                 }
-                if probing[s] {
-                    w.probe_in_flight = false;
-                }
+                sh.failures += 1;
+                sh.sup.on_failure(probing[s], now);
             }
         }
         ShardRun { slots: values, outcomes }
@@ -893,14 +894,17 @@ impl Drop for ShardPool {
         // The shutdown flag (plus a broadcast) ends every worker loop;
         // join with a timeout so a wedged worker cannot deadlock
         // shutdown — past the timeout the thread is detached and keeps
-        // its Arc of the pool state until it finishes on its own.
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
-        for w in st.workers.iter_mut() {
-            w.die.store(true, Ordering::Relaxed);
+        // its Arc of the pool state until it finishes on its own. The
+        // flag flips under the queue lock, or an idle worker between its
+        // flag check and its wait would miss the only notify and park
+        // forever, pinning the index (DESIGN.md §15).
+        {
+            let _q = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Relaxed);
         }
         self.shared.not_empty.notify_all();
-        let deadline = Instant::now() + self.cfg.drop_join_timeout;
+        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let deadline = Instant::now() + DROP_JOIN_TIMEOUT;
         for w in st.workers.iter_mut() {
             let Some(h) = w.handle.take() else { continue };
             while !h.is_finished() && Instant::now() < deadline {
@@ -1501,6 +1505,20 @@ mod tests {
         ShardedEngine::new(s).with_pruning(pruned)
     }
 
+    impl ShardPool {
+        /// Stops the supervision clock at the current instant.
+        fn freeze_clock(&self) {
+            *lock(&self.frozen) = Some(Instant::now());
+        }
+
+        /// Moves a frozen supervision clock forward.
+        fn advance_clock(&self, by: Duration) {
+            if let Some(t) = lock(&self.frozen).as_mut() {
+                *t += by;
+            }
+        }
+    }
+
     #[test]
     fn sharded_matches_unsharded_on_all_shapes() {
         let idx = sample_index();
@@ -1768,7 +1786,6 @@ mod tests {
         let s = Arc::new(ShardedIndex::split(&idx, 3).unwrap());
         let cfg = ShardPoolConfig {
             deadline: Some(Duration::from_millis(100)),
-            respawn_base_backoff: Duration::from_millis(1),
             ..Default::default()
         };
         let chaos = ShardChaosPlan { kills: vec![(0, 1)], ..ShardChaosPlan::NONE };
@@ -1794,15 +1811,11 @@ mod tests {
         // goes dark with the shared deque.
         let idx = sample_index();
         let s = Arc::new(ShardedIndex::split(&idx, 3).unwrap());
-        let cfg = ShardPoolConfig {
-            pool_threads: 3,
-            // Park the respawn far in the future so the dead slot stays
-            // dead for the whole test.
-            respawn_base_backoff: Duration::from_secs(3600),
-            respawn_max_backoff: Duration::from_secs(3600),
-            ..Default::default()
-        };
+        let cfg = ShardPoolConfig { pool_threads: 3, ..Default::default() };
         let pool = ShardPool::with_unspawnable(Arc::clone(&s), cfg, 1 << 1);
+        // Stop the supervision clock so the dead slot's respawn back-off
+        // never elapses during the test.
+        pool.freeze_clock();
         let run = pool.run_on(None, |s, _, _| s);
         assert_eq!(run.slots, vec![Some(0), Some(1), Some(2)]);
         let w = pool.worker_reports();
@@ -1823,11 +1836,10 @@ mod tests {
         let cfg = ShardPoolConfig {
             pool_threads: 2,
             deadline: Some(Duration::from_secs(5)),
-            respawn_base_backoff: Duration::from_secs(3600),
-            respawn_max_backoff: Duration::from_secs(3600),
             ..Default::default()
         };
         let pool = ShardPool::with_unspawnable(Arc::clone(&s), cfg, 0b11);
+        pool.freeze_clock();
         let start = Instant::now();
         let run = pool.run_on(None, |s, _, _| s);
         assert!(
@@ -1896,7 +1908,6 @@ mod tests {
         let s = Arc::new(ShardedIndex::split(&idx, 2).unwrap());
         let cfg = ShardPoolConfig {
             deadline: Some(Duration::from_millis(10)),
-            drop_join_timeout: Duration::from_millis(50),
             ..Default::default()
         };
         let pool = ShardPool::with_config(s, cfg);
@@ -1915,6 +1926,95 @@ mod tests {
             start.elapsed() < Duration::from_secs(2),
             "drop must detach the wedged worker, not wait for it"
         );
+    }
+
+    #[test]
+    fn dropping_idle_pools_never_strands_a_worker() {
+        // Churn canary for the shutdown lost wake-up (DESIGN.md §15): a
+        // worker that had checked the flags but not yet parked used to
+        // miss Drop's only notify, park for good and pin the index.
+        let idx = sample_index();
+        let s = Arc::new(ShardedIndex::split(&idx, 2).unwrap());
+        let cfg = ShardPoolConfig { pool_threads: 2, ..Default::default() };
+        for _ in 0..2_000 {
+            drop(ShardPool::with_config(Arc::clone(&s), cfg));
+        }
+        assert_eq!(Arc::strong_count(&s), 1, "a dropped pool stranded a worker");
+    }
+
+    /// Two runs across one quarantine trip, ordered by channels: run A's
+    /// shard-0 task blocks, run B's panics and trips shard 0 (threshold
+    /// 1), `between` runs, then A's task is released and answers — or
+    /// panics when `fail`. A is a straggler: dispatched before the trip,
+    /// finished after it.
+    fn straggle_across_a_trip(
+        cooldown: Duration,
+        fail: bool,
+        between: impl FnOnce(&ShardPool),
+    ) -> Arc<ShardPool> {
+        let idx = sample_index();
+        let s = Arc::new(ShardedIndex::split(&idx, 2).unwrap());
+        let cfg = ShardPoolConfig {
+            pool_threads: 2,
+            quarantine_threshold: 1,
+            quarantine_cooldown: cooldown,
+            ..Default::default()
+        };
+        let pool = Arc::new(ShardPool::with_config(s, cfg));
+        pool.freeze_clock();
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new((started_tx, release_rx));
+        let run_a = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                pool.run_on(Some(&[0]), move |_, _, _| {
+                    let g = gate.lock().unwrap();
+                    g.0.send(()).unwrap();
+                    g.1.recv().unwrap();
+                    assert!(!fail, "injected shard panic (straggler)");
+                })
+            })
+        };
+        started.recv().unwrap();
+        let run_b = pool.run_on(Some(&[0]), |_, _, _| panic!("injected shard panic"));
+        assert_eq!(run_b.outcomes[0], ShardOutcome::Panicked);
+        assert_eq!(pool.supervision()[0].health, ShardHealth::Quarantined);
+        between(&pool);
+        release.send(()).unwrap();
+        let want = if fail { ShardOutcome::Panicked } else { ShardOutcome::Answered };
+        assert_eq!(run_a.join().unwrap().outcomes[0], want);
+        pool
+    }
+
+    #[test]
+    fn a_straggler_success_never_lifts_a_quarantine() {
+        let pool = straggle_across_a_trip(Duration::from_secs(3600), false, |_| {});
+        let sup = &pool.supervision()[0];
+        assert_eq!(sup.health, ShardHealth::Quarantined);
+        assert_eq!((sup.quarantine_trips, sup.quarantine_recoveries), (1, 0));
+        assert!(!pool.ready_shards().contains(&0));
+        assert_eq!(
+            pool.run_on(None, |s, _, _| s).outcomes[0],
+            ShardOutcome::SkippedQuarantined
+        );
+    }
+
+    #[test]
+    fn a_straggler_failure_never_restarts_the_cooldown() {
+        let cooldown = Duration::from_millis(100);
+        let pool = straggle_across_a_trip(cooldown, true, |p| p.advance_clock(cooldown / 2));
+        // Had the straggler's failure re-armed the quarantine, shard 0
+        // would sit out until 150 ms; the trip at 0 ms lets it probe at
+        // 100 ms.
+        pool.advance_clock(cooldown / 2);
+        assert!(pool.ready_shards().contains(&0), "a straggler restarted the cooldown");
+        let sup = &pool.supervision()[0];
+        assert_eq!((sup.panics, sup.quarantine_trips), (2, 1));
+        let run = pool.run_on(None, |s, _, _| s);
+        assert_eq!(run.outcomes[0], ShardOutcome::Answered);
+        let sup = &pool.supervision()[0];
+        assert_eq!((sup.health, sup.quarantine_recoveries), (ShardHealth::Ok, 1));
     }
 
     #[test]

@@ -114,11 +114,7 @@ fn mode_config(hybrid: bool, heavy_df_threshold: u64) -> ServeConfig {
             pool_threads: POOL_THREADS,
             ..ShardPoolConfig::default()
         },
-        scheduler: SchedulerConfig {
-            hybrid,
-            heavy_df_threshold,
-            ..SchedulerConfig::default()
-        },
+        scheduler: SchedulerConfig { hybrid, heavy_df_threshold },
         ..ServeConfig::default()
     }
 }

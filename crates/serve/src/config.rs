@@ -50,10 +50,12 @@ impl RetryPolicy {
     }
 }
 
-/// Circuit-breaker thresholds for the device (IIU) path.
+/// Circuit-breaker thresholds for the device (IIU) path: the breaker's
+/// [`iiu_baseline::supervise::Policy`], with a fixed cooldown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Consecutive device-path query failures that trip the breaker open.
+    /// Consecutive device-path query failures that trip the breaker open
+    /// (`0` never trips).
     pub failure_threshold: u32,
     /// How long the breaker stays open before allowing half-open probes.
     pub cooldown: Duration,
@@ -148,7 +150,7 @@ impl Default for FaultPlan {
 }
 
 /// Per-query parallelism policy for the sharded CPU path (the paper's
-/// §4.4 hybrid inter/intra-query scheduling) plus admission batching.
+/// §4.4 hybrid inter/intra-query scheduling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// When `true`, each query is routed by estimated cost: cheap queries
@@ -162,28 +164,11 @@ pub struct SchedulerConfig {
     /// to [`iiu_core::HEAVY_DF_THRESHOLD`], the `shard_bench` calibration
     /// point where intra-query fan-out pays for itself.
     pub heavy_df_threshold: u64,
-    /// Upper bound on jobs a worker drains from the admission queue in
-    /// one lock acquisition. Batching only engages when the backlog is
-    /// deep enough to feed every worker (a worker never grabs more than
-    /// its fair share of the queue), so light load keeps per-job
-    /// latency. Clamped to at least 1 at service start.
-    pub admission_batch: usize,
-    /// Minimum deadline slack a dequeued job must have left to be worth
-    /// starting; jobs below it are shed immediately with
-    /// `DeadlineExceeded` instead of burning pool time on an answer
-    /// that will miss its deadline anyway. `Duration::ZERO` (the
-    /// default) sheds only jobs already past their deadline.
-    pub min_slack: Duration,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
-        SchedulerConfig {
-            hybrid: false,
-            heavy_df_threshold: iiu_core::HEAVY_DF_THRESHOLD,
-            admission_batch: 8,
-            min_slack: Duration::ZERO,
-        }
+        SchedulerConfig { hybrid: false, heavy_df_threshold: iiu_core::HEAVY_DF_THRESHOLD }
     }
 }
 
@@ -221,7 +206,7 @@ pub struct ServeConfig {
     /// on an N-worker shard pool with bit-identical results.
     pub shards: usize,
     /// Supervision policy for the shard pool (fan-out deadline,
-    /// quarantine, respawn backoff). A `None` deadline here is replaced
+    /// quarantine). A `None` deadline here is replaced
     /// with [`Self::default_deadline`] at service start so a wedged shard
     /// can never hang the coordinator.
     pub shard_pool: iiu_core::ShardPoolConfig,
@@ -232,7 +217,7 @@ pub struct ServeConfig {
     /// (and falls into the error path) instead of answering partially
     /// with [`iiu_core::Degradation::ShardsUnavailable`].
     pub fail_closed_shards: bool,
-    /// Per-query parallelism policy and admission batching.
+    /// Per-query parallelism policy.
     pub scheduler: SchedulerConfig,
 }
 

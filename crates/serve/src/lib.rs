@@ -30,7 +30,8 @@
 //!   `catch_unwind`; a poisoned query cannot take down a worker.
 //! * **Circuit breaker** — consecutive device failures trip the service
 //!   onto the CPU baseline; half-open probes restore the device path once
-//!   it heals ([`CircuitBreaker`]).
+//!   it heals (an [`iiu_baseline::supervise::Supervisor`], the same
+//!   machine that quarantines shards and respawns pool workers).
 //!
 //! Deterministic fault injection ([`FaultPlan`]) sabotages chosen device
 //! attempts with a 1-cycle budget so soak tests and `iiu serve-bench` can
@@ -44,14 +45,13 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod breaker;
 pub mod config;
 pub mod scheduler;
 pub mod service;
 pub mod stats;
 
-pub use breaker::{BreakerState, CircuitBreaker, Route};
 pub use config::{BreakerConfig, FaultPlan, RetryPolicy, SchedulerConfig, ServeConfig};
+pub use iiu_baseline::supervise::State as BreakerState;
 pub use iiu_core::{
     IncrementalOptions, IngestDoc, LiveIndex, PoolWorkerReport, ShardChaosPlan, ShardHealth,
     ShardHealthReport, ShardPoolConfig,

@@ -72,8 +72,7 @@ mod tests {
     #[test]
     fn fixed_topology_always_fans_out() {
         let idx = tiny_index();
-        let cfg =
-            SchedulerConfig { hybrid: false, heavy_df_threshold: 1, ..Default::default() };
+        let cfg = SchedulerConfig { hybrid: false, heavy_df_threshold: 1 };
         for text in ["rare", "common", "rare AND common"] {
             let q = Query::parse(text).unwrap();
             assert_eq!(route(&idx, &q, &cfg).mode, ParallelismMode::IntraQuery, "{text}");
@@ -83,8 +82,7 @@ mod tests {
     #[test]
     fn hybrid_routes_by_longest_list() {
         let idx = tiny_index();
-        let cfg =
-            SchedulerConfig { hybrid: true, heavy_df_threshold: 100, ..Default::default() };
+        let cfg = SchedulerConfig { hybrid: true, heavy_df_threshold: 100 };
         let rare = Query::parse("rare").unwrap();
         let common = Query::parse("common").unwrap();
         let mixed = Query::parse("rare AND common").unwrap();
@@ -105,8 +103,7 @@ mod tests {
     #[test]
     fn unknown_terms_are_cheap() {
         let idx = tiny_index();
-        let cfg =
-            SchedulerConfig { hybrid: true, heavy_df_threshold: 1, ..Default::default() };
+        let cfg = SchedulerConfig { hybrid: true, heavy_df_threshold: 1 };
         let q = Query::parse("zzzneverindexed").unwrap();
         let d = route(&idx, &q, &cfg);
         assert_eq!(d.mode, ParallelismMode::InterQuery);

@@ -21,6 +21,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use iiu_baseline::supervise::{Policy, Supervisor};
 use iiu_core::{
     CpuSearchEngine, Degradation, IiuSearchEngine, IngestDoc, LiveIndex, Query, SearchEngine,
     SearchError, SearchResponse, ShardedSearchEngine,
@@ -29,7 +30,6 @@ use iiu_index::faultinject::SplitMix64;
 use iiu_index::{IndexError, InvertedIndex};
 use iiu_sim::SimConfig;
 
-use crate::breaker::{CircuitBreaker, Route};
 use crate::config::ServeConfig;
 use crate::stats::{HealthSnapshot, ServeStats};
 
@@ -115,7 +115,8 @@ struct Shared {
     not_empty: Condvar,
     shutdown: AtomicBool,
     stats: ServeStats,
-    breaker: CircuitBreaker,
+    /// The device-path circuit breaker (DESIGN.md §15).
+    breaker: Mutex<Supervisor>,
     seq: AtomicU64,
     /// Shard fan-out engine for the CPU-fallback path when
     /// `cfg.shards > 1`. One shard pool shared by every serve worker
@@ -124,8 +125,9 @@ struct Shared {
 }
 
 /// Locks a mutex, recovering from poisoning. Queue contents are plain
-/// data pushed/popped atomically under the lock, so a poisoned guard
-/// cannot expose a half-updated queue.
+/// data pushed/popped atomically under the lock, and no breaker
+/// transition can panic, so a poisoned guard cannot expose a
+/// half-updated queue or breaker.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -224,7 +226,6 @@ impl QueryService {
         cfg.queue_capacity = cfg.queue_capacity.max(1);
         cfg.cores_per_query = cfg.cores_per_query.clamp(1, cfg.sim.n_cores.max(1));
         cfg.shards = cfg.shards.max(1);
-        cfg.scheduler.admission_batch = cfg.scheduler.admission_batch.max(1);
         // A shard pool without a fan-out deadline could hang the
         // coordinator on a wedged worker; default it to the query
         // deadline so every fan-out resolves in bounded time.
@@ -239,7 +240,12 @@ impl QueryService {
         cfg: ServeConfig,
         sharded: Option<ShardedSearchEngine>,
     ) -> Self {
-        let breaker = CircuitBreaker::new(cfg.breaker);
+        let breaker = Supervisor::new(Policy {
+            threshold: cfg.breaker.failure_threshold,
+            cooldown: cfg.breaker.cooldown,
+            cap: cfg.breaker.cooldown,
+            probes: cfg.breaker.probe_successes,
+        });
         let shared = Arc::new(Shared {
             index,
             live,
@@ -248,7 +254,7 @@ impl QueryService {
             not_empty: Condvar::new(),
             shutdown: AtomicBool::new(false),
             stats: ServeStats::default(),
-            breaker,
+            breaker: Mutex::new(breaker),
             seq: AtomicU64::new(0),
             sharded,
         });
@@ -331,6 +337,10 @@ impl QueryService {
     /// Point-in-time operator snapshot.
     pub fn health(&self) -> HealthSnapshot {
         let s = &self.shared.stats;
+        let (breaker, breaker_trips, breaker_recoveries) = {
+            let b = lock(&self.shared.breaker);
+            (b.state(), b.trips(), b.recoveries())
+        };
         HealthSnapshot {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
@@ -367,9 +377,9 @@ impl QueryService {
                 .as_ref()
                 .map(|e| e.inner().pool().worker_reports())
                 .unwrap_or_default(),
-            breaker: self.shared.breaker.state(),
-            breaker_trips: self.shared.breaker.trips(),
-            breaker_recoveries: self.shared.breaker.recoveries(),
+            breaker,
+            breaker_trips,
+            breaker_recoveries,
             p50: s.latency_quantile_estimate(0.5),
             p99: s.latency_quantile_estimate(0.99),
             p999: s.latency_quantile_estimate(0.999),
@@ -426,14 +436,17 @@ enum DeviceOutcome {
     Deadline,
 }
 
+/// Most jobs a worker drains from the admission queue in one lock
+/// acquisition.
+const ADMISSION_BATCH: usize = 8;
+
 fn worker_loop(shared: &Shared, worker_id: u64) {
     // Per-worker jitter stream, decorrelated across workers and runs.
     let mut rng =
         SplitMix64::new(shared.cfg.fault.seed ^ worker_id.wrapping_mul(0xA076_1D64_78BD_642F));
-    let batch_cap = shared.cfg.scheduler.admission_batch.max(1);
     let workers = shared.cfg.workers.max(1);
     loop {
-        // Batched admission: drain up to `admission_batch` jobs in one
+        // Batched admission: drain up to `ADMISSION_BATCH` jobs in one
         // lock acquisition, but never more than this worker's fair share
         // of the backlog — batching amortizes lock traffic under
         // overload without serializing a shallow queue behind one worker.
@@ -442,7 +455,7 @@ fn worker_loop(shared: &Shared, worker_id: u64) {
             loop {
                 if !q.is_empty() {
                     let fair = q.len().div_ceil(workers);
-                    let n = fair.clamp(1, batch_cap);
+                    let n = fair.clamp(1, ADMISSION_BATCH);
                     break q.drain(..n).collect();
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -469,12 +482,10 @@ fn serve_one(
     rng: &mut SplitMix64,
 ) -> Result<SearchResponse, Rejected> {
     let stats = &shared.stats;
-    // Slack shedding: a job without `min_slack` of runway left would miss
-    // its deadline mid-execution anyway — rejecting it now costs nothing
-    // and keeps the doomed work from snowballing the backlog. With ZERO
-    // slack this sheds exactly the jobs already past their deadline.
-    let slack = job.deadline.saturating_duration_since(Instant::now());
-    if slack.is_zero() || slack < shared.cfg.scheduler.min_slack {
+    // A job already past its deadline is shed before any work: answering
+    // it could only miss, and running it would snowball the backlog.
+    let now = Instant::now();
+    if now >= job.deadline {
         stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
         return Err(Rejected::DeadlineExceeded { stage: "queue" });
     }
@@ -496,10 +507,12 @@ fn serve_one(
         return finish_one(shared, job, outcome);
     }
 
-    let outcome = match shared.breaker.route() {
-        Route::Device { probe } => match run_device(shared, job, rng) {
+    // Its own statement: the guard must not live across the device run.
+    let admitted = lock(&shared.breaker).admit(now);
+    let outcome = match admitted {
+        Some(probe) => match run_device(shared, job, rng) {
             DeviceOutcome::Ok { mut response, attempts } => {
-                shared.breaker.on_success(probe);
+                lock(&shared.breaker).on_success(probe);
                 if attempts > 1 {
                     stats.retries.fetch_add(u64::from(attempts - 1), Ordering::Relaxed);
                     response.degraded.push(Degradation::Retried { attempts });
@@ -510,15 +523,15 @@ fn serve_one(
                 // The device never got a verdict; don't charge the breaker
                 // either way — but a held probe slot must be released or
                 // the breaker would stick in HalfOpen forever.
-                shared.breaker.on_abandoned(probe);
+                lock(&shared.breaker).on_abandoned(probe);
                 Err(Rejected::DeadlineExceeded { stage: "retry" })
             }
             DeviceOutcome::GiveUp { reason } => {
-                shared.breaker.on_failure(probe);
+                lock(&shared.breaker).on_failure(probe, Instant::now());
                 run_fallback(shared, job, reason)
             }
         },
-        Route::Fallback => run_fallback(shared, job, "circuit breaker open".to_string()),
+        None => run_fallback(shared, job, "circuit breaker open".to_string()),
     };
     finish_one(shared, job, outcome)
 }

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::breaker::BreakerState;
+use crate::BreakerState;
 
 /// Number of log₂ latency buckets. Bucket `i` holds latencies in
 /// `[2^i, 2^(i+1))` microseconds; the last bucket is open-ended, covering

@@ -443,7 +443,6 @@ fn hybrid_scheduler_routes_by_cost_and_stays_bit_identical() {
         scheduler: iiu_serve::SchedulerConfig {
             hybrid: true,
             heavy_df_threshold: df_of(common),
-            ..iiu_serve::SchedulerConfig::default()
         },
         ..quick_config()
     };

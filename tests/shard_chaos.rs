@@ -159,7 +159,6 @@ fn shard_chaos_campaign_stays_available_and_truthful() {
         scheduler: SchedulerConfig {
             hybrid: true,
             heavy_df_threshold: stream_median_heavy_df(&index, &texts),
-            ..SchedulerConfig::default()
         },
         ..ServeConfig::default()
     };

@@ -152,7 +152,6 @@ fn soak_overload_with_faults_and_breaker_recovery() {
         scheduler: SchedulerConfig {
             hybrid: true,
             heavy_df_threshold: maxes[maxes.len() / 2],
-            ..SchedulerConfig::default()
         },
         ..base_config(workers)
     };
