@@ -166,6 +166,15 @@ pub trait BlockCodec: Sync {
     /// d-gap/tf widths are `gap_bits`/`tf_bits`, including the 96-bit
     /// metadata + skip overhead — the per-codec generalization of the
     /// paper's Eq. 3 that the dynamic-programming partitioner minimizes.
+    ///
+    /// The partitioner's exact early stop relies on this contract, for all
+    /// widths `0..=32`:
+    ///
+    /// * **affine in `len`**:
+    ///   `block_cost_bits(len, g, t) = len · slope(g, t) + overhead`, with
+    ///   `overhead = block_cost_bits(0, g, t)` the same for every width pair;
+    /// * **monotone slope**: `slope(g, t)` is non-decreasing in `g` and in
+    ///   `t`, so widening a block never makes a posting cheaper.
     fn block_cost_bits(&self, len: u64, gap_bits: u8, tf_bits: u8) -> u64;
 }
 
@@ -851,6 +860,40 @@ mod tests {
                 ((x >> 33) as u32) & mask
             })
             .collect()
+    }
+
+    #[test]
+    fn block_cost_is_affine_in_len_with_a_monotone_slope() {
+        // The contract on `block_cost_bits` that the partitioner's early
+        // stop is proved from.
+        for codec in CodecId::ALL {
+            let ops = codec.ops();
+            let overhead = ops.block_cost_bits(0, 0, 0);
+            let slope = |g: u8, t: u8| ops.block_cost_bits(1, g, t) - overhead;
+            for g in 0..=32u8 {
+                for t in 0..=32u8 {
+                    for len in [0u64, 1, 2, 3, 17, 128, 255, 256, 2048] {
+                        assert_eq!(
+                            ops.block_cost_bits(len, g, t),
+                            len * slope(g, t) + overhead,
+                            "{codec}: not affine at len={len} g={g} t={t}"
+                        );
+                    }
+                    if g < 32 {
+                        assert!(
+                            slope(g + 1, t) >= slope(g, t),
+                            "{codec}: slope falls in g at {g}"
+                        );
+                    }
+                    if t < 32 {
+                        assert!(
+                            slope(g, t + 1) >= slope(g, t),
+                            "{codec}: slope falls in t at {t}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

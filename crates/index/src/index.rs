@@ -135,8 +135,7 @@ impl InvertedIndex {
     ///
     /// # Errors
     ///
-    /// Returns an error if a list references an out-of-range docID or fails
-    /// to encode (see [`EncodedList::encode`]).
+    /// Same contract as [`from_lists_with_stats`](Self::from_lists_with_stats).
     pub fn from_lists(
         lists: Vec<(String, PostingList)>,
         doc_lens: Vec<u32>,
@@ -196,8 +195,10 @@ impl InvertedIndex {
     ///
     /// # Errors
     ///
-    /// Returns an error if a list references an out-of-range docID or fails
-    /// to encode (see [`EncodedList::encode`]).
+    /// Returns an error if a list references an out-of-range docID, a term
+    /// name repeats (`CorruptIndex { context: "duplicate term" }`, the error
+    /// the loader gives such a file), or a list fails to encode (see
+    /// [`EncodedList::encode`]).
     pub fn from_lists_with_stats(
         lists: Vec<(String, PostingList, Fixed)>,
         doc_lens: Vec<u32>,
@@ -249,12 +250,14 @@ impl InvertedIndex {
                 }
             }
             let id = terms.len() as TermId;
+            if dictionary.insert(term.clone(), id).is_some() {
+                return Err(IndexError::CorruptIndex { context: "duplicate term" });
+            }
             let df = list.len() as u64;
             let partition = partitioner.partition_for(&list, codec);
             bounds.push(ListBounds::compute(list.as_slice(), &partition, idf_bar, &dl_bars));
             encoded.push(EncodedList::encode_with(&list, &partition, codec)?);
-            terms.push(TermInfo { idf_bar, df, term: term.clone() });
-            dictionary.insert(term, id);
+            terms.push(TermInfo { idf_bar, df, term });
         }
 
         Ok(InvertedIndex {
@@ -590,6 +593,21 @@ mod tests {
             Bm25Params::default(),
         );
         assert!(matches!(err, Err(IndexError::CorruptIndex { .. })));
+    }
+
+    #[test]
+    fn rejects_duplicate_term_names() {
+        // A repeated name would overwrite the earlier dictionary entry and
+        // write a file the loader rejects; the builder must refuse it with
+        // the loader's own error.
+        let list = || PostingList::from_sorted(vec![Posting::new(1, 1)]);
+        let err = InvertedIndex::from_lists(
+            vec![("a".into(), list()), ("b".into(), list()), ("a".into(), list())],
+            vec![10; 4],
+            Partitioner::default(),
+            Bm25Params::default(),
+        );
+        assert!(matches!(err, Err(IndexError::CorruptIndex { context: "duplicate term" })));
     }
 
     #[test]

@@ -1459,6 +1459,83 @@ mod tests {
         assert_eq!(idx, back);
     }
 
+    /// A small seeded corpus whose lists give the block partitioner real
+    /// choices: dense runs, outlier gaps, tf spikes, all-equal gaps, and
+    /// lists both shorter and longer than every pinned `maxSize`.
+    fn layout_pin_corpus() -> (Vec<(String, PostingList)>, Vec<u32>) {
+        let mut state = 1u64;
+        let mut next = move |bound: u32| -> u32 {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % u64::from(bound)) as u32
+        };
+        let lens = [1usize, 2, 3, 16, 17, 100, 255, 256, 257, 700, 2100, 2600];
+        let mut lists = Vec::with_capacity(lens.len());
+        let mut n_docs = 0u32;
+        for (t, &len) in lens.iter().enumerate() {
+            let mut doc = next(50);
+            let mut postings = Vec::with_capacity(len);
+            for k in 0..len {
+                if k > 0 {
+                    doc += match (t % 4, next(100)) {
+                        (2, _) => 3,
+                        (_, 0..=1) => 1000 + next(3000),
+                        (3, _) if (k / 64) % 2 == 1 => 20 + next(40),
+                        _ => 1 + next(8),
+                    };
+                }
+                let tf = if next(50) == 0 { 100 + next(900) } else { 1 + next(3) };
+                postings.push(crate::Posting::new(doc, tf));
+            }
+            n_docs = n_docs.max(doc + 1);
+            lists.push((format!("t{t:02}"), PostingList::from_sorted(postings)));
+        }
+        let doc_lens = (0..n_docs).map(|d| 5 + d * 7 % 40).collect();
+        (lists, doc_lens)
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn serialized_layout_is_pinned() {
+        // FNV-1a over the whole file: a CRC32 would be useless here, since
+        // the file ends with its own CRC and so every file's CRC32 agrees.
+        // Any change to block boundaries, payload bytes or section layout
+        // moves these hashes.
+        let pinned: [(CodecId, usize, u64); 9] = [
+            (CodecId::BitPack, 16, 0xeb01_89f5_4160_3570),
+            (CodecId::BitPack, 256, 0xc182_8d43_e883_0229),
+            (CodecId::BitPack, 2048, 0xa8d0_bdfe_9113_7c1b),
+            (CodecId::StreamVByte, 16, 0x9040_5444_14a8_e2bf),
+            (CodecId::StreamVByte, 256, 0xe529_d5aa_8d25_1ecf),
+            (CodecId::StreamVByte, 2048, 0xb750_5e18_7c3a_f071),
+            (CodecId::SimdBp128, 16, 0x9d89_f8a9_338c_3fea),
+            (CodecId::SimdBp128, 256, 0x996d_1e31_b2f7_43c9),
+            (CodecId::SimdBp128, 2048, 0xf5ce_828b_62a1_68af),
+        ];
+        let mut got = Vec::new();
+        for (codec, max_size, _) in pinned {
+            let (lists, doc_lens) = layout_pin_corpus();
+            let idx = InvertedIndex::from_lists_codec(
+                lists,
+                doc_lens,
+                Partitioner::dynamic(max_size),
+                Bm25Params::default(),
+                codec,
+            )
+            .unwrap();
+            got.push((codec, max_size, fnv1a64(&serialize(&idx).unwrap())));
+        }
+        assert_eq!(got, pinned, "serialized bytes moved");
+    }
+
     #[test]
     fn reads_legacy_v1_files() {
         let idx = sample_index();

@@ -9,12 +9,18 @@
 # Unpacks <parent-ref> (git archive, so nothing is registered in .git)
 # under target/paired_bench/parent, builds that tree's benchmark/ package
 # and this tree's, each into its own benchmark/target, and for every seed
-# and workload runs the two binaries back to back with --trace 0 — the
-# parent first on odd pairs, this tree first on even ones — each from its
-# own tree root and for the run length BENCHMARK.json fixes. Then prints,
-# per workload and end-to-end metric, each side's per-seed values, the
-# medians and change/parent, and whether every run was correct with no
-# failed op. Raw last lines are kept in target/paired_bench/runs.tsv.
+# and workload runs the two binaries back to back with --trace 0 — which
+# side goes first alternates from one seed to the next and from one
+# workload to the next — each from its own tree root and for the run
+# length BENCHMARK.json fixes. Then prints, per workload and end-to-end
+# metric, each side's per-seed values, the medians and change/parent, and
+# whether every run was correct with no failed op. Raw last lines are kept
+# in target/paired_bench/runs.tsv.
+#
+# Each change/parent ratio is checked against the metric's `better` and
+# `bound` in BENCHMARK.json: a lower-is-better metric above 1 + bound, or a
+# higher-is-better one below 1 - bound, is marked WORSE. Exits non-zero if
+# any metric is WORSE or any run was wrong or failed an op.
 #
 # Edits nothing under benchmark/; everything it writes is under target/.
 set -eu
@@ -52,11 +58,17 @@ run() {
 
 : >"$runs"
 pair=0
+s=0
 for seed in $(echo "$seeds" | tr ',' ' '); do
+    s=$((s + 1))
+    w=0
     for workload in $(echo "$workloads" | tr ',' ' '); do
+        w=$((w + 1))
         pair=$((pair + 1))
         echo "paired_bench: pair $pair: $workload seed $seed" >&2
-        if [ $((pair % 2)) -eq 1 ]; then
+        # Seed and workload positions together pick who goes first, so each
+        # workload alternates from seed to seed whatever the workload count.
+        if [ $(((s + w) % 2)) -eq 0 ]; then
             run parent "$parent" "$workload" "$seed"
             run change "$root" "$workload" "$seed"
         else
@@ -66,6 +78,20 @@ for seed in $(echo "$seeds" | tr ',' ' '); do
     done
 done
 
+# "name<TAB>better<TAB>bound" for every end-to-end metric: the objects of
+# BENCHMARK.json that carry a bound.
+bounds=$work/bounds.tsv
+tr -d ' \t\n' <BENCHMARK.json | awk '{
+    s = $0
+    while (match(s, /\{[^{}]*"bound":[^{}]*\}/)) {
+        f = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
+        match(f, /"name":"[^"]*"/); name = substr(f, RSTART + 8, RLENGTH - 9)
+        match(f, /"better":"[^"]*"/); better = substr(f, RSTART + 10, RLENGTH - 11)
+        match(f, /"bound":[0-9.]+/); bound = substr(f, RSTART + 8, RLENGTH - 8)
+        printf "%s\t%s\t%s\n", name, better, bound
+    }
+}' >"$bounds"
+
 awk -F '\t' '
 function median(list,    v, n, i, j, t) {
     n = split(list, v, " ")
@@ -73,6 +99,7 @@ function median(list,    v, n, i, j, t) {
         for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
     return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
 }
+FNR == NR { better[$1] = $2; bound[$1] = $3; next }
 {
     side = $1; workload = $2; json = $4
     if (!(workload in seen)) { seen[workload] = 1; order[++nw] = workload }
@@ -94,9 +121,21 @@ END {
         for (i = 1; i <= n; i++) {
             p = vals["parent", order[w], names[i]]; c = vals["change", order[w], names[i]]
             mp = median(p); mc = median(c)
-            printf "%-20s %-17s %-34s %-34s %10.5g %10.5g %7.3f\n", order[w], names[i], substr(p, 2), substr(c, 2), mp, mc, (mp + 0 == 0 ? 0 : mc / mp)
+            ratio = mp + 0 == 0 ? 0 : mc / mp
+            flag = ""
+            if (mp + 0 != 0 && names[i] in bound) {
+                b = bound[names[i]]
+                if ((better[names[i]] == "lower" && ratio > 1 + b) || (better[names[i]] == "higher" && ratio < 1 - b)) {
+                    flag = "WORSE"; worse = worse "\n  " order[w] " " names[i] sprintf(" %.3f", ratio)
+                }
+            }
+            printf "%-20s %-17s %-34s %-34s %10.5g %10.5g %7.3f %s\n", order[w], names[i], substr(p, 2), substr(c, 2), mp, mc, ratio, flag
         }
     }
+    status = 0
     if (bad == "") printf "all %d runs: correct=true failed=0\n", total
-    else { printf "runs with a wrong answer or a failed op:%s\n", bad; exit 1 }
-}' "$runs"
+    else { printf "runs with a wrong answer or a failed op:%s\n", bad; status = 1 }
+    if (worse == "") print "every metric within its BENCHMARK.json bound"
+    else { printf "WORSE than the parent beyond the BENCHMARK.json bound:%s\n", worse; status = 1 }
+    exit status
+}' "$bounds" "$runs"
