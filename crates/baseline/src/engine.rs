@@ -2,7 +2,7 @@
 //! counts.
 
 use iiu_index::score::term_score_fixed;
-use iiu_index::{IndexError, InvertedIndex, TermId};
+use iiu_index::{DocWindow, IndexError, InvertedIndex, TermId};
 
 use crate::cost::{CpuCostModel, PhaseBreakdown};
 use crate::ops::{self, DecodeScratch, OpCounts};
@@ -92,8 +92,8 @@ impl<'a> CpuEngine<'a> {
         self.pruned
     }
 
-    /// Wraps pruned-path results into a [`QueryOutcome`].
-    fn pruned_outcome(&self, hits: Vec<Hit>, counts: OpCounts) -> QueryOutcome {
+    /// Wraps a kernel's results into a [`QueryOutcome`].
+    fn outcome(&self, hits: Vec<Hit>, counts: OpCounts) -> QueryOutcome {
         let candidates = counts.topk_candidates;
         let phases = self.cost.price(&counts);
         QueryOutcome { hits, candidates, counts, phases }
@@ -133,39 +133,14 @@ impl<'a> CpuEngine<'a> {
     /// Returns [`IndexError::UnknownTerm`] if `term` is not indexed.
     pub fn search_single(&mut self, term: &str, k: usize) -> Result<QueryOutcome, IndexError> {
         let id = self.resolve(term)?;
-        if self.pruned {
-            let mut counts = OpCounts::default();
-            let hits = pruned::search_single_pruned(
-                self.index,
-                id,
-                k,
-                &mut counts,
-                &mut self.scratch,
-            );
-            return Ok(self.pruned_outcome(hits, counts));
-        }
-        let list = self.index.encoded_list(id);
-        let idf_bar = self.index.term_info(id).idf_bar;
-
+        let (index, all, scratch) = (self.index, DocWindow::ALL, &mut self.scratch);
         let mut counts = OpCounts::default();
-        ops::decode_full_into(list, &mut counts, &mut self.scratch.full_a);
-        let index = self.index;
-        let hits: Vec<Hit> = self
-            .scratch
-            .full_a
-            .iter()
-            .map(|p| Hit {
-                doc_id: p.doc_id,
-                score: term_score_fixed(idf_bar, index.dl_bar(p.doc_id), p.tf).to_f64(),
-            })
-            .collect();
-        counts.docs_scored = hits.len() as u64;
-        counts.topk_candidates = hits.len() as u64;
-        counts.results = hits.len() as u64;
-        let candidates = hits.len() as u64;
-
-        let phases = self.cost.price(&counts);
-        Ok(QueryOutcome { hits: top_k(hits, k), candidates, counts, phases })
+        let hits = if self.pruned {
+            pruned::search_single_pruned(index, id, all, k, &mut counts, scratch, None)
+        } else {
+            exhaustive_single(index, id, all, k, &mut counts, scratch)
+        };
+        Ok(self.outcome(hits, counts))
     }
 
     /// Intersection query via Small-versus-Small (§2.2).
@@ -181,47 +156,24 @@ impl<'a> CpuEngine<'a> {
     ) -> Result<QueryOutcome, IndexError> {
         let ia = self.resolve(term_a)?;
         let ib = self.resolve(term_b)?;
-        // SvS orders by list length: shorter list drives the probing.
-        let (short_id, long_id) = if self.index.term_info(ia).df <= self.index.term_info(ib).df
-        {
-            (ia, ib)
-        } else {
-            (ib, ia)
-        };
-        if self.pruned {
-            let mut counts = OpCounts::default();
-            let hits = pruned::search_intersection_pruned(
-                self.index,
+        let (short_id, long_id) = short_first(self.index, ia, ib);
+        let (index, all, scratch) = (self.index, DocWindow::ALL, &mut self.scratch);
+        let mut counts = OpCounts::default();
+        let hits = if self.pruned {
+            pruned::search_intersection_pruned(
+                index,
                 short_id,
                 long_id,
+                all,
                 k,
                 &mut counts,
-                &mut self.scratch,
-            );
-            return Ok(self.pruned_outcome(hits, counts));
-        }
-        let short = self.index.encoded_list(short_id);
-        let long = self.index.encoded_list(long_id);
-        let idf_short = self.index.term_info(short_id).idf_bar;
-        let idf_long = self.index.term_info(long_id).idf_bar;
-
-        let mut counts = OpCounts::default();
-        let matches = ops::intersect_svs(short, long, long_id, &mut counts, &mut self.scratch);
-        let hits: Vec<Hit> = matches
-            .iter()
-            .map(|&(doc_id, tf_s, tf_l)| {
-                let dl = self.index.dl_bar(doc_id);
-                let s = term_score_fixed(idf_short, dl, tf_s)
-                    .saturating_add(term_score_fixed(idf_long, dl, tf_l));
-                Hit { doc_id, score: s.to_f64() }
-            })
-            .collect();
-        counts.docs_scored = 2 * hits.len() as u64;
-        counts.topk_candidates = hits.len() as u64;
-        let candidates = hits.len() as u64;
-
-        let phases = self.cost.price(&counts);
-        Ok(QueryOutcome { hits: top_k(hits, k), candidates, counts, phases })
+                scratch,
+                None,
+            )
+        } else {
+            exhaustive_intersection(index, short_id, long_id, all, k, &mut counts, scratch)
+        };
+        Ok(self.outcome(hits, counts))
     }
 
     /// Union query via linear merge (§2.2).
@@ -237,49 +189,118 @@ impl<'a> CpuEngine<'a> {
     ) -> Result<QueryOutcome, IndexError> {
         let ia = self.resolve(term_a)?;
         let ib = self.resolve(term_b)?;
-        if self.pruned {
-            let mut counts = OpCounts::default();
-            let hits = pruned::search_union_pruned(
-                self.index,
-                ia,
-                ib,
-                k,
-                &mut counts,
-                &mut self.scratch,
-            );
-            return Ok(self.pruned_outcome(hits, counts));
-        }
-        let la = self.index.encoded_list(ia);
-        let lb = self.index.encoded_list(ib);
-        let idf_a = self.index.term_info(ia).idf_bar;
-        let idf_b = self.index.term_info(ib).idf_bar;
-
+        let (index, all, scratch) = (self.index, DocWindow::ALL, &mut self.scratch);
         let mut counts = OpCounts::default();
-        let merged = ops::union_merge(la, lb, &mut counts, &mut self.scratch);
-        let mut scored = 0u64;
-        let hits: Vec<Hit> = merged
-            .iter()
-            .map(|&(doc_id, tf_a, tf_b)| {
-                let dl = self.index.dl_bar(doc_id);
-                let mut s = iiu_index::Fixed::ZERO;
-                if tf_a > 0 {
-                    s = s.saturating_add(term_score_fixed(idf_a, dl, tf_a));
-                    scored += 1;
-                }
-                if tf_b > 0 {
-                    s = s.saturating_add(term_score_fixed(idf_b, dl, tf_b));
-                    scored += 1;
-                }
-                Hit { doc_id, score: s.to_f64() }
-            })
-            .collect();
-        counts.docs_scored = scored;
-        counts.topk_candidates = hits.len() as u64;
-        let candidates = hits.len() as u64;
-
-        let phases = self.cost.price(&counts);
-        Ok(QueryOutcome { hits: top_k(hits, k), candidates, counts, phases })
+        let hits = if self.pruned {
+            pruned::search_union_pruned(index, ia, ib, all, k, &mut counts, scratch, None)
+        } else {
+            exhaustive_union(index, ia, ib, all, k, &mut counts, scratch)
+        };
+        Ok(self.outcome(hits, counts))
     }
+}
+
+/// SvS orders by list length: the term with the shorter list (by `df`)
+/// comes first and drives the probing.
+pub(crate) fn short_first(index: &InvertedIndex, a: TermId, b: TermId) -> (TermId, TermId) {
+    if index.term_info(a).df <= index.term_info(b).df {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// Exhaustive single-term query over the documents of `window`:
+/// decompress, score, top-k (§2.2 workflow).
+pub(crate) fn exhaustive_single(
+    index: &InvertedIndex,
+    id: TermId,
+    window: DocWindow,
+    k: usize,
+    counts: &mut OpCounts,
+    scratch: &mut DecodeScratch,
+) -> Vec<Hit> {
+    let idf_bar = index.term_info(id).idf_bar;
+    ops::decode_window_into(index.encoded_list(id), window, counts, &mut scratch.full_a);
+    let hits: Vec<Hit> = scratch
+        .full_a
+        .iter()
+        .map(|p| Hit {
+            doc_id: p.doc_id,
+            score: term_score_fixed(idf_bar, index.dl_bar(p.doc_id), p.tf).to_f64(),
+        })
+        .collect();
+    counts.docs_scored = hits.len() as u64;
+    counts.topk_candidates = hits.len() as u64;
+    counts.results = hits.len() as u64;
+    top_k(hits, k)
+}
+
+/// Exhaustive Small-versus-Small intersection over the documents of
+/// `window` (§2.2).
+pub(crate) fn exhaustive_intersection(
+    index: &InvertedIndex,
+    short_id: TermId,
+    long_id: TermId,
+    window: DocWindow,
+    k: usize,
+    counts: &mut OpCounts,
+    scratch: &mut DecodeScratch,
+) -> Vec<Hit> {
+    let short = index.encoded_list(short_id);
+    let long = index.encoded_list(long_id);
+    let idf_short = index.term_info(short_id).idf_bar;
+    let idf_long = index.term_info(long_id).idf_bar;
+    let matches = ops::intersect_svs_window(short, long, long_id, window, counts, scratch);
+    let hits: Vec<Hit> = matches
+        .iter()
+        .map(|&(doc_id, tf_s, tf_l)| {
+            let dl = index.dl_bar(doc_id);
+            let s = term_score_fixed(idf_short, dl, tf_s)
+                .saturating_add(term_score_fixed(idf_long, dl, tf_l));
+            Hit { doc_id, score: s.to_f64() }
+        })
+        .collect();
+    counts.docs_scored = 2 * hits.len() as u64;
+    counts.topk_candidates = hits.len() as u64;
+    top_k(hits, k)
+}
+
+/// Exhaustive linear-merge union over the documents of `window` (§2.2).
+pub(crate) fn exhaustive_union(
+    index: &InvertedIndex,
+    ia: TermId,
+    ib: TermId,
+    window: DocWindow,
+    k: usize,
+    counts: &mut OpCounts,
+    scratch: &mut DecodeScratch,
+) -> Vec<Hit> {
+    let la = index.encoded_list(ia);
+    let lb = index.encoded_list(ib);
+    let idf_a = index.term_info(ia).idf_bar;
+    let idf_b = index.term_info(ib).idf_bar;
+    let merged = ops::union_merge_window(la, lb, window, counts, scratch);
+    let mut scored = 0u64;
+    let hits: Vec<Hit> = merged
+        .iter()
+        .map(|&(doc_id, tf_a, tf_b)| {
+            let dl = index.dl_bar(doc_id);
+            let mut s = iiu_index::Fixed::ZERO;
+            if tf_a > 0 {
+                s = s.saturating_add(term_score_fixed(idf_a, dl, tf_a));
+                scored += 1;
+            }
+            if tf_b > 0 {
+                s = s.saturating_add(term_score_fixed(idf_b, dl, tf_b));
+                scored += 1;
+            }
+            Hit { doc_id, score: s.to_f64() }
+        })
+        .collect();
+    counts.docs_scored = scored;
+    counts.topk_candidates = hits.len() as u64;
+    top_k(hits, k)
 }
 
 #[cfg(test)]

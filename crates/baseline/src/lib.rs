@@ -30,8 +30,8 @@ pub use cost::{
 pub use engine::{CpuEngine, QueryOutcome};
 pub use ops::{BlockCache, DecodeScratch, OpCounts, BLOCK_CACHE_ENTRIES};
 pub use sharded::{
-    PoolWorkerReport, ShardHealth, ShardHealthReport, ShardOutcome, ShardPool,
-    ShardPoolConfig, ShardRun, ShardedEngine, ShardedOutcome,
+    Part, PartSource, PoolWorkerReport, ShardHealth, ShardHealthReport, ShardOutcome,
+    ShardPool, ShardPoolConfig, ShardRun, ShardedEngine, ShardedOutcome,
 };
 pub use throughput::parallel_makespan_ns;
 pub use topk::{rank_cmp, top_k, FusedTopK, Hit, SharedThreshold};

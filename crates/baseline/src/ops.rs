@@ -19,7 +19,7 @@
 //! most once and never consults the cache.
 
 use iiu_index::block::EncodedList;
-use iiu_index::{DocId, Posting, TermId};
+use iiu_index::{DocId, DocWindow, Posting, TermId};
 
 /// Counters of the primitive operations a query performed.
 ///
@@ -292,13 +292,25 @@ impl DecodeScratch {
 /// Decompresses an entire list into `out` (cleared first), counting blocks
 /// and postings. The zero-alloc form of [`decode_full`].
 pub fn decode_full_into(list: &EncodedList, counts: &mut OpCounts, out: &mut Vec<Posting>) {
+    decode_window_into(list, DocWindow::ALL, counts, out);
+}
+
+/// Decompresses the postings of `list` that lie in `window` into `out`
+/// (cleared first), counting the blocks and postings decoded.
+pub fn decode_window_into(
+    list: &EncodedList,
+    window: DocWindow,
+    counts: &mut OpCounts,
+    out: &mut Vec<Posting>,
+) {
     out.clear();
-    out.reserve(list.num_postings() as usize);
-    for b in 0..list.num_blocks() {
-        list.decode_block_into(b, out);
+    if window == DocWindow::ALL {
+        out.reserve(list.num_postings() as usize);
+    }
+    for b in list.window_blocks(window) {
+        counts.postings_decoded += list.decode_window_into(b, window, out) as u64;
         counts.blocks_decoded += 1;
     }
-    counts.postings_decoded += out.len() as u64;
 }
 
 /// Decompresses an entire list (single-term query path), allocating the
@@ -323,14 +335,30 @@ pub fn intersect_svs(
     counts: &mut OpCounts,
     scratch: &mut DecodeScratch,
 ) -> Vec<(DocId, u32, u32)> {
+    intersect_svs_window(short, long, long_term, DocWindow::ALL, counts, scratch)
+}
+
+/// [`intersect_svs`] over the documents of `window`: the short list is
+/// decoded inside the window, so every probe lands in one of the long
+/// list's window blocks, and only those count as skipped when no probe
+/// lands in them.
+pub fn intersect_svs_window(
+    short: &EncodedList,
+    long: &EncodedList,
+    long_term: TermId,
+    window: DocWindow,
+    counts: &mut OpCounts,
+    scratch: &mut DecodeScratch,
+) -> Vec<(DocId, u32, u32)> {
     debug_assert!(short.num_postings() <= long.num_postings());
     let DecodeScratch { full_a, cache, .. } = scratch;
-    decode_full_into(short, counts, full_a);
+    decode_window_into(short, window, counts, full_a);
     let short_postings: &[Posting] = full_a;
     let skips = long.skips();
     let mut out = Vec::new();
     let mut last_block: Option<usize> = None;
-    let mut decoded_blocks = vec![false; long.num_blocks()];
+    let long_blocks = long.window_blocks(window);
+    let mut decoded_blocks = vec![false; long_blocks.len()];
 
     for p in short_postings {
         // Binary search over the skip list for the last skip <= docID.
@@ -354,7 +382,10 @@ pub fn intersect_svs(
         // or not the cache already holds it.
         if last_block != Some(block_idx) {
             counts.blocks_decoded += 1;
-            decoded_blocks[block_idx] = true;
+            // A short posting lies in the window, so its block does too.
+            if let Some(d) = decoded_blocks.get_mut(block_idx - long_blocks.start) {
+                *d = true;
+            }
             counts.postings_decoded += u64::from(long.metas()[block_idx].count);
             last_block = Some(block_idx);
         }
@@ -394,9 +425,20 @@ pub fn union_merge(
     counts: &mut OpCounts,
     scratch: &mut DecodeScratch,
 ) -> Vec<(DocId, u32, u32)> {
+    union_merge_window(a, b, DocWindow::ALL, counts, scratch)
+}
+
+/// [`union_merge`] over the documents of `window`.
+pub fn union_merge_window(
+    a: &EncodedList,
+    b: &EncodedList,
+    window: DocWindow,
+    counts: &mut OpCounts,
+    scratch: &mut DecodeScratch,
+) -> Vec<(DocId, u32, u32)> {
     let DecodeScratch { full_a, full_b, .. } = scratch;
-    decode_full_into(a, counts, full_a);
-    decode_full_into(b, counts, full_b);
+    decode_window_into(a, window, counts, full_a);
+    decode_window_into(b, window, counts, full_b);
     let (pa, pb): (&[Posting], &[Posting]) = (full_a, full_b);
     let mut out = Vec::with_capacity(pa.len() + pb.len());
     let (mut i, mut j) = (0usize, 0usize);

@@ -49,7 +49,7 @@
 
 use iiu_index::block::EncodedList;
 use iiu_index::score::term_score_fixed;
-use iiu_index::{DocId, Fixed, InvertedIndex, ListBounds, Posting, TermId};
+use iiu_index::{DocId, DocWindow, Fixed, InvertedIndex, ListBounds, Posting, TermId};
 
 use crate::ops::{DecodeScratch, OpCounts};
 use crate::topk::{FusedTopK, Hit, SharedThreshold};
@@ -101,27 +101,19 @@ impl<'a> GatedHeap<'a> {
     }
 }
 
-/// Single-term query with block-max skipping: blocks whose bound is at or
-/// below the heap threshold are never decoded.
+/// Single-term query over the documents of `window` with block-max
+/// skipping: blocks whose bound is at or below the heap threshold are
+/// never decoded.
+///
+/// With a cross-shard threshold the heap publishes its threshold as it
+/// grows and skips additionally under the strict foreign threshold. The
+/// returned hits always contain every member of the *global* top-k that
+/// lives in the window, so a [`crate::topk::rank_cmp`] merge across
+/// windows is bit-identical to the unsharded engine.
 pub fn search_single_pruned(
     index: &InvertedIndex,
     id: TermId,
-    k: usize,
-    counts: &mut OpCounts,
-    scratch: &mut DecodeScratch,
-) -> Vec<Hit> {
-    search_single_pruned_shared(index, id, k, counts, scratch, None)
-}
-
-/// [`search_single_pruned`] with an optional cross-shard threshold: the
-/// heap publishes its threshold as it grows and skips additionally under
-/// the strict foreign threshold. The returned hits always contain every
-/// member of the *global* top-k that lives in this index (shard), so a
-/// [`crate::topk::rank_cmp`] merge across shards is bit-identical to the
-/// unsharded engine.
-pub fn search_single_pruned_shared(
-    index: &InvertedIndex,
-    id: TermId,
+    window: DocWindow,
     k: usize,
     counts: &mut OpCounts,
     scratch: &mut DecodeScratch,
@@ -132,7 +124,7 @@ pub fn search_single_pruned_shared(
     let idf = index.term_info(id).idf_bar;
     let mut heap = GatedHeap::new(k, shared);
     let buf = &mut scratch.full_a;
-    for b in 0..list.num_blocks() {
+    for b in list.window_blocks(window) {
         if let Some(t) = heap.threshold() {
             if bounds.block_ub(b) <= t {
                 counts.blocks_skipped += 1;
@@ -141,9 +133,8 @@ pub fn search_single_pruned_shared(
             }
         }
         buf.clear();
-        list.decode_block_into(b, buf);
+        counts.postings_decoded += list.decode_window_into(b, window, buf) as u64;
         counts.blocks_decoded += 1;
-        counts.postings_decoded += buf.len() as u64;
         for p in buf.iter() {
             let s = term_score_fixed(idf, index.dl_bar(p.doc_id), p.tf);
             counts.docs_scored += 1;
@@ -179,12 +170,18 @@ const PRIME_MAX_POSTINGS: usize = 256;
 /// publishes — so foreign shards reading it strictly still return every
 /// global top-k member and the merged output stays bit-identical.
 ///
+/// Only postings in `window` are scored, and the published score must
+/// belong to a document the fan-out covers: pass [`DocWindow::ALL`] when
+/// every window of one index takes part, else the window of one part
+/// that does.
+///
 /// All work is tallied into `counts`; the caller prices it onto the
 /// serial (pre-dispatch) part of the critical path. Does nothing when `k`
 /// is 0 or the whole list holds fewer than `k` postings.
 pub fn prime_single_threshold(
     index: &InvertedIndex,
     id: TermId,
+    window: DocWindow,
     k: usize,
     counts: &mut OpCounts,
     scratch: &mut DecodeScratch,
@@ -198,7 +195,7 @@ pub fn prime_single_threshold(
         return;
     }
     let bounds = index.list_bounds(id);
-    let mut order: Vec<usize> = (0..list.num_blocks()).collect();
+    let mut order: Vec<usize> = list.window_blocks(window).collect();
     order.sort_unstable_by(|&a, &b| {
         counts.comparisons += 1;
         bounds.block_ub(b).cmp(&bounds.block_ub(a))
@@ -220,9 +217,8 @@ pub fn prime_single_threshold(
             }
         }
         buf.clear();
-        list.decode_block_into(b, buf);
+        counts.postings_decoded += list.decode_window_into(b, window, buf) as u64;
         counts.blocks_decoded += 1;
-        counts.postings_decoded += buf.len() as u64;
         for p in buf.iter() {
             counts.docs_scored += 1;
             counts.topk_candidates += 1;
@@ -236,11 +232,6 @@ pub fn prime_single_threshold(
         shared.publish(kth);
     }
 }
-
-/// One past the largest docID: the exclusive end of a list's last block
-/// and the position of an exhausted cursor. Positions are `u64` because
-/// this value does not fit a [`DocId`].
-const DOC_END: u64 = DocId::MAX as u64 + 1;
 
 /// First index `i >= from` with `key(&xs[i]) >= target` (`xs.len()` if
 /// there is none) in a slice ascending by `key`: doubling steps from
@@ -272,8 +263,9 @@ fn doc_key(p: &Posting) -> u64 {
     u64::from(p.doc_id)
 }
 
-/// A forward-only cursor over one encoded list that decodes lazily: it
-/// can sit on a block, and be moved past it, without ever decoding it.
+/// A forward-only cursor over the blocks of one encoded list that meet a
+/// [`DocWindow`], decoding lazily: it can sit on a block, and be moved
+/// past it, without ever decoding it.
 ///
 /// The current block `blk` is either *decoded* — `buf[pos]` is the next
 /// posting, and `pos < buf.len()` always — or *pending*, in which case
@@ -281,12 +273,24 @@ fn doc_key(p: &Posting) -> u64 {
 /// docID a [`skip_to`](Self::skip_to) landed on inside the block, to be
 /// applied if the block is decoded after all. Every block is decoded at
 /// most once; [`finish`](Self::finish) tallies the rest as skipped.
+///
+/// The window's `lo` is the first floor, and its `hi` ends the last block
+/// and is the position of an exhausted cursor
+/// ([`DOC_END`](iiu_index::DOC_END) on the unsharded path). A decode
+/// drops what lies outside the window, which only the two edge blocks
+/// hold.
 struct BlockCursor<'b, 'i> {
     list: &'i EncodedList,
+    /// Skip values up to the window's last block.
     skips: &'i [DocId],
     ubs: &'i [Fixed],
     idf: Fixed,
-    /// Current block; `skips.len()` once the list is exhausted.
+    window: DocWindow,
+    /// The window's first block, where the cursor starts.
+    first: usize,
+    /// Postings in the window's blocks.
+    postings: u64,
+    /// Current block; `skips.len()` once the window is exhausted.
     blk: usize,
     buf: &'b mut Vec<Posting>,
     decoded: bool,
@@ -301,37 +305,47 @@ impl<'b, 'i> BlockCursor<'b, 'i> {
         list: &'i EncodedList,
         bounds: &'i ListBounds,
         idf: Fixed,
+        window: DocWindow,
         buf: &'b mut Vec<Posting>,
     ) -> Self {
+        let blocks = list.window_blocks(window);
+        let postings = if blocks.len() == list.num_blocks() {
+            list.num_postings()
+        } else {
+            list.metas()[blocks.clone()].iter().map(|m| u64::from(m.count)).sum()
+        };
         BlockCursor {
             list,
-            skips: list.skips(),
-            ubs: bounds.ubs(),
+            skips: &list.skips()[..blocks.end],
+            ubs: &bounds.ubs()[..blocks.end],
             idf,
-            blk: 0,
+            window,
+            first: blocks.start,
+            postings,
+            blk: blocks.start,
             buf,
             decoded: false,
             pos: 0,
-            floor: 0,
+            floor: window.lo(),
             blocks_decoded: 0,
             postings_decoded: 0,
         }
     }
 
     /// A lower bound on the next posting's docID — exact once the block
-    /// is decoded — and [`DOC_END`] when the list is exhausted.
+    /// is decoded — and the window's end when the cursor is exhausted.
     fn low(&self) -> u64 {
         match self.skips.get(self.blk) {
-            None => DOC_END,
+            None => self.window.hi(),
             Some(_) if self.decoded => doc_key(&self.buf[self.pos]),
             Some(&first) => u64::from(first.max(self.floor)),
         }
     }
 
     /// Exclusive end of the current block's docID range: the next skip
-    /// value, or [`DOC_END`] for the last block.
+    /// value, or the window's end for its last block.
     fn end(&self) -> u64 {
-        self.skips.get(self.blk + 1).map_or(DOC_END, |&s| u64::from(s))
+        self.skips.get(self.blk + 1).map_or(self.window.hi(), |&s| u64::from(s))
     }
 
     /// The current block's stored score bound.
@@ -344,8 +358,9 @@ impl<'b, 'i> BlockCursor<'b, 'i> {
     /// a decoded block by galloping from the current position, inside a
     /// pending one by raising `floor`.
     fn skip_to(&mut self, target: u64, counts: &mut OpCounts) {
+        let stop = self.window.hi();
         if target >= self.end() {
-            self.blk = if target >= DOC_END {
+            self.blk = if target >= stop {
                 self.skips.len()
             } else {
                 // The last block that starts at or before `target`.
@@ -358,21 +373,22 @@ impl<'b, 'i> BlockCursor<'b, 'i> {
             self.consume(gallop(self.buf, self.pos, target, doc_key, &mut counts.comparisons));
             return;
         }
-        if target < DOC_END {
+        if target < stop {
             self.floor = self.floor.max(target as DocId);
         }
     }
 
     /// Decodes the pending current block and drops what lies below
-    /// `floor`. Returns false when that leaves nothing: the cursor is then
-    /// on the next block, still pending, and the caller must start over
-    /// from that block's bound rather than read a posting.
+    /// `floor` or outside the window. Returns false when that leaves
+    /// nothing: the cursor is then on the next block, still pending, and
+    /// the caller must start over from that block's bound rather than read
+    /// a posting.
     fn decode(&mut self, counts: &mut OpCounts) -> bool {
         debug_assert!(!self.decoded);
         self.buf.clear();
-        self.list.decode_block_into(self.blk, self.buf);
+        self.postings_decoded +=
+            self.list.decode_window_into(self.blk, self.window, self.buf) as u64;
         self.blocks_decoded += 1;
-        self.postings_decoded += self.buf.len() as u64;
         self.decoded = true;
         let from = if self.floor > self.skips[self.blk] {
             gallop(self.buf, 0, u64::from(self.floor), doc_key, &mut counts.comparisons)
@@ -412,8 +428,8 @@ impl<'b, 'i> BlockCursor<'b, 'i> {
     fn finish(self, counts: &mut OpCounts) {
         counts.blocks_decoded += self.blocks_decoded;
         counts.postings_decoded += self.postings_decoded;
-        counts.blocks_skipped += self.skips.len() as u64 - self.blocks_decoded;
-        counts.postings_skipped += self.list.num_postings() - self.postings_decoded;
+        counts.blocks_skipped += (self.skips.len() - self.first) as u64 - self.blocks_decoded;
+        counts.postings_skipped += self.postings - self.postings_decoded;
     }
 }
 
@@ -599,6 +615,7 @@ fn search_pair(
     ia: TermId,
     ib: TermId,
     conj: bool,
+    window: DocWindow,
     k: usize,
     counts: &mut OpCounts,
     scratch: &mut DecodeScratch,
@@ -607,7 +624,7 @@ fn search_pair(
     let DecodeScratch { full_a, full_b, .. } = scratch;
     let cursor = |id: TermId, buf| {
         let idf = index.term_info(id).idf_bar;
-        BlockCursor::new(index.encoded_list(id), index.list_bounds(id), idf, buf)
+        BlockCursor::new(index.encoded_list(id), index.list_bounds(id), idf, window, buf)
     };
     let (mut a, mut b) = (cursor(ia, full_a), cursor(ib, full_b));
     let mut q = PairScorer { index, heap: GatedHeap::new(k, shared), counts };
@@ -615,7 +632,7 @@ fn search_pair(
     loop {
         let (la, lb) = (a.low(), b.low());
         // An intersection ends with either list, a union with both.
-        if (if conj { la.max(lb) } else { la.min(lb) }) >= DOC_END {
+        if (if conj { la.max(lb) } else { la.min(lb) }) >= window.hi() {
             break;
         }
         let t = q.heap.threshold();
@@ -669,68 +686,48 @@ fn search_pair(
     hits
 }
 
-/// Intersection of a short and a long list, scoring only documents
-/// present in both whose blocks' combined bound can still beat the
-/// threshold (the walk described in the module docs).
+/// Intersection of a short and a long list over the documents of
+/// `window`, scoring only documents present in both whose blocks'
+/// combined bound can still beat the threshold (the walk described in the
+/// module docs), with an optional cross-shard threshold (see
+/// [`search_single_pruned`]).
+#[allow(clippy::too_many_arguments)]
 pub fn search_intersection_pruned(
     index: &InvertedIndex,
     short_id: TermId,
     long_id: TermId,
-    k: usize,
-    counts: &mut OpCounts,
-    scratch: &mut DecodeScratch,
-) -> Vec<Hit> {
-    search_intersection_pruned_shared(index, short_id, long_id, k, counts, scratch, None)
-}
-
-/// [`search_intersection_pruned`] with an optional cross-shard threshold
-/// (see [`search_single_pruned_shared`]).
-#[allow(clippy::too_many_arguments)]
-pub fn search_intersection_pruned_shared(
-    index: &InvertedIndex,
-    short_id: TermId,
-    long_id: TermId,
+    window: DocWindow,
     k: usize,
     counts: &mut OpCounts,
     scratch: &mut DecodeScratch,
     shared: Option<&SharedThreshold>,
 ) -> Vec<Hit> {
-    search_pair(index, short_id, long_id, true, k, counts, scratch, shared)
+    search_pair(index, short_id, long_id, true, window, k, counts, scratch, shared)
 }
 
-/// Union of two lists under the interval-aligned block-max rule (the
-/// walk described in the module docs).
+/// Union of two lists over the documents of `window` under the
+/// interval-aligned block-max rule (the walk described in the module
+/// docs), with an optional cross-shard threshold (see
+/// [`search_single_pruned`]).
+#[allow(clippy::too_many_arguments)]
 pub fn search_union_pruned(
     index: &InvertedIndex,
     ia: TermId,
     ib: TermId,
-    k: usize,
-    counts: &mut OpCounts,
-    scratch: &mut DecodeScratch,
-) -> Vec<Hit> {
-    search_union_pruned_shared(index, ia, ib, k, counts, scratch, None)
-}
-
-/// [`search_union_pruned`] with an optional cross-shard threshold
-/// (see [`search_single_pruned_shared`]).
-#[allow(clippy::too_many_arguments)]
-pub fn search_union_pruned_shared(
-    index: &InvertedIndex,
-    ia: TermId,
-    ib: TermId,
+    window: DocWindow,
     k: usize,
     counts: &mut OpCounts,
     scratch: &mut DecodeScratch,
     shared: Option<&SharedThreshold>,
 ) -> Vec<Hit> {
-    search_pair(index, ia, ib, false, k, counts, scratch, shared)
+    search_pair(index, ia, ib, false, window, k, counts, scratch, shared)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::CpuEngine;
-    use iiu_index::{Bm25Params, Partitioner, PostingList};
+    use iiu_index::{Bm25Params, Partitioner, PostingList, DOC_END};
 
     fn list(postings: &[(DocId, u32)]) -> PostingList {
         PostingList::from_sorted(postings.iter().map(|&(d, tf)| Posting::new(d, tf)).collect())
@@ -766,7 +763,7 @@ mod tests {
         let (enc, bounds) = encode(&[(1, 1), (5, 1), (tail, 1), (tail + 1, 1)], 2);
         let mut counts = OpCounts::default();
         let mut buf = Vec::new();
-        let mut c = BlockCursor::new(&enc, &bounds, Fixed::ONE, &mut buf);
+        let mut c = BlockCursor::new(&enc, &bounds, Fixed::ONE, DocWindow::ALL, &mut buf);
         assert_eq!((c.low(), c.end()), (1, u64::from(tail)));
         c.skip_to(u64::from(tail), &mut counts);
         assert_eq!(c.blk, 1);
@@ -781,7 +778,7 @@ mod tests {
         assert_eq!(c.low(), DOC_END);
 
         let mut buf = Vec::new();
-        let mut c = BlockCursor::new(&enc, &bounds, Fixed::ONE, &mut buf);
+        let mut c = BlockCursor::new(&enc, &bounds, Fixed::ONE, DocWindow::ALL, &mut buf);
         c.skip_to(u64::from(tail), &mut counts);
         let end = c.end();
         c.skip_to(end, &mut counts);
@@ -798,7 +795,7 @@ mod tests {
         let (enc, bounds) = encode(&[(10, 1), (20, 1), (30, 1), (100, 2), (110, 2)], 3);
         let mut counts = OpCounts::default();
         let mut buf = Vec::new();
-        let mut c = BlockCursor::new(&enc, &bounds, Fixed::ONE, &mut buf);
+        let mut c = BlockCursor::new(&enc, &bounds, Fixed::ONE, DocWindow::ALL, &mut buf);
         c.skip_to(50, &mut counts);
         assert_eq!((c.blk, c.decoded, c.low()), (0, false, 50));
         assert!(!c.decode(&mut counts), "nothing at or above the floor");

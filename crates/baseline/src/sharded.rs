@@ -1,7 +1,23 @@
-//! Document-sharded intra-query parallelism: a persistent per-shard
-//! worker pool and an engine that fans one query out across shards,
-//! merges with [`rank_cmp`], and stays bit-identical to the unsharded
-//! engine.
+//! Document-sharded intra-query parallelism: a persistent worker pool and
+//! an engine that fans one query out across *parts*, merges with
+//! [`rank_cmp`], and stays bit-identical to the unsharded engine.
+//!
+//! # Parts
+//!
+//! A [`Part`] is one task's share of a query: an index, a [`DocWindow`]
+//! of it, and the map from its docIDs to global ones. A [`PartSource`]
+//! cuts them two ways:
+//!
+//! * **windows** of the one index the caller already holds, heap or
+//!   mapped (what the serving layer uses): nothing is copied, and docIDs
+//!   stay global, so the map is the identity;
+//! * the shards of a materialised round-robin [`ShardedIndex`] (a loaded
+//!   manifest), each a whole-window part whose local docID `d` is global
+//!   `d · n + s`.
+//!
+//! That map is the only place the two differ: every kernel takes a
+//! window, and an unsharded search is the window [`DocWindow::ALL`].
+//! Shard-level names below (`ShardHealth`, `ready_shards`, …) mean parts.
 //!
 //! # Execution substrate
 //!
@@ -25,17 +41,17 @@
 //!
 //! # Why sharded results are bit-identical
 //!
-//! Shards are built with global scoring statistics
-//! ([`iiu_index::shard`]), so any document's Q16.16 score is the same in
-//! its shard as in the whole index. Each shard computes a *local* top-k
-//! under [`rank_cmp`] on (score, local docID); the round-robin docID map
-//! is monotone per shard, so local rank order equals global rank order
-//! restricted to the shard. If a document is in the global top-k, fewer
-//! than k documents rank ahead of it globally — so fewer than k rank
-//! ahead of it in its own shard, and it survives the shard-local top-k.
-//! Concatenating the per-shard results, mapping docIDs back to global,
-//! sorting with the shared [`rank_cmp`], and truncating to k therefore
-//! yields exactly the unsharded result, ties included.
+//! A window scores with the index's own statistics, and split shards are
+//! built with the global ones ([`iiu_index::shard`]), so any document's
+//! Q16.16 score is the same in its part as in the whole index. Each part
+//! computes a *local* top-k under [`rank_cmp`] on (score, local docID);
+//! both docID maps are monotone per part, so local rank order equals
+//! global rank order restricted to the part. If a document is in the
+//! global top-k, fewer than k documents rank ahead of it globally — so
+//! fewer than k rank ahead of it in its own part, and it survives the
+//! part-local top-k. Concatenating the per-part results, mapping docIDs
+//! to global, sorting with the shared [`rank_cmp`], and truncating to k
+//! therefore yields exactly the unsharded result, ties included.
 //!
 //! Pruned execution additionally exchanges a [`SharedThreshold`]: shards
 //! publish their local heap thresholds monotonically and skip blocks
@@ -55,15 +71,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use iiu_index::faultinject::ShardChaosPlan;
-use iiu_index::score::term_score_fixed;
 use iiu_index::shard::ShardedIndex;
-use iiu_index::{IndexError, InvertedIndex, TermId};
+use iiu_index::{DocId, DocWindow, Fixed, IndexError, InvertedIndex, TermId};
 
 use crate::cost::{CpuCostModel, PhaseBreakdown};
-use crate::ops::{self, DecodeScratch, OpCounts};
+use crate::engine::{
+    exhaustive_intersection, exhaustive_single, exhaustive_union, short_first,
+};
+use crate::ops::{DecodeScratch, OpCounts};
 use crate::pruned;
 use crate::supervise::{Policy, State, Supervisor};
-use crate::topk::{rank_cmp, top_k, Hit, SharedThreshold};
+use crate::topk::{rank_cmp, Hit, SharedThreshold};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked
 /// (shard state stays usable; the panicked query already reported
@@ -72,7 +90,130 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-type Job = Box<dyn FnOnce(&InvertedIndex, &mut DecodeScratch) + Send>;
+/// One pool task's share of a query: a docID window of an index, and how
+/// that index's docIDs map to global ones.
+#[derive(Debug, Clone, Copy)]
+pub struct Part<'a> {
+    /// The index the task searches.
+    pub index: &'a InvertedIndex,
+    /// The documents of `index` the task covers.
+    pub window: DocWindow,
+    /// Global docID of local `d` is `d · stride + offset`: `(1, 0)` for a
+    /// window of the one index, `(n, s)` for shard `s` of an `n`-way
+    /// round-robin split.
+    stride: u32,
+    offset: u32,
+}
+
+impl Part<'_> {
+    /// The global docID of this part's docID `local`.
+    pub fn global_doc(&self, local: DocId) -> DocId {
+        local * self.stride + self.offset
+    }
+
+    /// The highest block bound of term `id` inside the window.
+    fn max_ub(&self, id: TermId) -> Fixed {
+        let bounds = self.index.list_bounds(id);
+        if self.window == DocWindow::ALL {
+            return bounds.max_ub();
+        }
+        let blocks = self.index.encoded_list(id).window_blocks(self.window);
+        bounds.ubs()[blocks].iter().copied().max().unwrap_or(Fixed::ZERO)
+    }
+}
+
+/// What a fan-out cuts its parts from.
+#[derive(Debug, Clone)]
+pub enum PartSource {
+    /// DocID windows of one index, heap or mapped: nothing is copied and
+    /// docIDs stay global. The windows hold every docID exactly once, in
+    /// ascending order, as [`DocWindow::cut`] and [`DocWindow::split`]
+    /// make them.
+    Windows {
+        /// The index every window belongs to.
+        index: Arc<InvertedIndex>,
+        /// One per part, in part order.
+        windows: Vec<DocWindow>,
+    },
+    /// The shards of a materialised round-robin split (a loaded manifest),
+    /// each searched whole.
+    Split(Arc<ShardedIndex>),
+}
+
+impl PartSource {
+    /// `n` docID windows of equal document count over `index`.
+    pub fn windows(index: Arc<InvertedIndex>, n: usize) -> Self {
+        let windows = DocWindow::split(index.num_docs(), n);
+        PartSource::Windows { index, windows }
+    }
+
+    /// Number of parts a query fans out over.
+    pub(crate) fn num_parts(&self) -> usize {
+        match self {
+            PartSource::Windows { windows, .. } => windows.len(),
+            PartSource::Split(split) => split.num_shards(),
+        }
+    }
+
+    /// Part `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub(crate) fn part(&self, p: usize) -> Part<'_> {
+        match self {
+            PartSource::Windows { index, windows } => {
+                Part { index, window: windows[p], stride: 1, offset: 0 }
+            }
+            PartSource::Split(split) => Part {
+                index: split.shard(p),
+                window: DocWindow::ALL,
+                stride: split.num_shards() as u32,
+                offset: p as u32,
+            },
+        }
+    }
+
+    /// The dictionary terms resolve against (split shards share one).
+    pub(crate) fn dictionary(&self) -> &InvertedIndex {
+        match self {
+            PartSource::Windows { index, .. } => index,
+            PartSource::Split(split) => split.shard(0),
+        }
+    }
+
+    /// Verifies term `id`'s lazily checked record once per index, so late
+    /// corruption of a mapped source is a typed error before any task
+    /// decodes.
+    fn verify_term(&self, id: TermId) -> Result<(), IndexError> {
+        match self {
+            PartSource::Windows { index, .. } => index.verify_term(id),
+            PartSource::Split(split) => {
+                split.shards().iter().try_for_each(|shard| shard.verify_term(id))
+            }
+        }
+    }
+
+    /// What the pruned primer scores, among the parts in `alive`: the
+    /// whole list when they are every window of one index, else the part
+    /// whose window holds the list's highest block bound.
+    fn primer(&self, alive: &[usize], id: TermId) -> Option<Part<'_>> {
+        match self {
+            PartSource::Windows { index, windows } if alive.len() == windows.len() => {
+                Some(Part { index, window: DocWindow::ALL, stride: 1, offset: 0 })
+            }
+            _ => alive.iter().map(|&p| self.part(p)).max_by_key(|p| p.max_ub(id)),
+        }
+    }
+}
+
+impl From<Arc<ShardedIndex>> for PartSource {
+    fn from(split: Arc<ShardedIndex>) -> Self {
+        PartSource::Split(split)
+    }
+}
+
+type Job = Box<dyn FnOnce(Part<'_>, &mut DecodeScratch) + Send>;
 
 /// One queued unit of work: one fan-out's closure bound to one shard.
 struct Task {
@@ -145,9 +286,10 @@ impl ShardPoolConfig {
     /// absolute instant, shared by [`ShardPool::run_on`] (supervision)
     /// and scheduler layers that pre-compute a query's slack: `None`
     /// waits unboundedly, otherwise the run resolves by `now +
-    /// deadline`.
+    /// deadline`. A deadline too far out for an [`Instant`] (such as
+    /// `Duration::MAX`) is no deadline.
     pub fn fanout_deadline_from(&self, now: Instant) -> Option<Instant> {
-        self.deadline.map(|d| now + d)
+        self.deadline.and_then(|d| now.checked_add(d))
     }
 
     /// [`Self::fanout_deadline_from`] anchored at the current instant.
@@ -281,7 +423,7 @@ pub struct PoolWorkerReport {
 /// State shared between the pool handle and its worker threads.
 #[derive(Debug)]
 struct PoolShared {
-    index: Arc<ShardedIndex>,
+    source: PartSource,
     /// The single task deque every worker drains.
     queue: Mutex<VecDeque<Task>>,
     not_empty: Condvar,
@@ -415,12 +557,12 @@ fn spawn_pool_worker(
             // catch_unwind so the result slot is always signalled; this
             // outer guard keeps the worker alive even if that wrapper
             // itself panics.
-            // Re-key the block cache to this task's shard: `(term,
-            // block)` is only unique within one index, and this worker
-            // serves them all.
+            // Re-key the block cache to this task's part: `(term, block)`
+            // is only unique within one index, and this worker serves
+            // every split shard.
             scratch.set_realm(shard as u64);
             let _ = catch_unwind(AssertUnwindSafe(|| {
-                job(shared.index.shard(shard), &mut scratch);
+                job(shared.source.part(shard), &mut scratch);
             }));
             if let Some(c) = shared.completed.get(shard) {
                 c.fetch_add(1, Ordering::Relaxed);
@@ -460,26 +602,30 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Spawns one worker per shard of `index` with default supervision.
-    pub fn new(index: Arc<ShardedIndex>) -> Self {
-        Self::with_config(index, ShardPoolConfig::default())
+    /// Spawns a pool over the parts of `source` with default supervision.
+    pub fn new(source: impl Into<PartSource>) -> Self {
+        Self::with_config(source, ShardPoolConfig::default())
     }
 
-    /// Spawns one worker per shard of `index` under `cfg`.
-    pub fn with_config(index: Arc<ShardedIndex>, cfg: ShardPoolConfig) -> Self {
-        Self::build(index, cfg, 0)
+    /// Spawns a pool over the parts of `source` under `cfg`.
+    pub fn with_config(source: impl Into<PartSource>, cfg: ShardPoolConfig) -> Self {
+        Self::build(source.into(), cfg, 0)
     }
 
     #[cfg(test)]
-    fn with_unspawnable(index: Arc<ShardedIndex>, cfg: ShardPoolConfig, mask: u64) -> Self {
-        Self::build(index, cfg, mask)
+    fn with_unspawnable(
+        source: impl Into<PartSource>,
+        cfg: ShardPoolConfig,
+        mask: u64,
+    ) -> Self {
+        Self::build(source.into(), cfg, mask)
     }
 
-    fn build(index: Arc<ShardedIndex>, cfg: ShardPoolConfig, fail_spawn_mask: u64) -> Self {
-        let n = index.num_shards();
+    fn build(source: PartSource, cfg: ShardPoolConfig, fail_spawn_mask: u64) -> Self {
+        let n = source.num_parts();
         let n_workers = cfg.effective_pool_threads(n);
         let shared = Arc::new(PoolShared {
-            index,
+            source,
             queue: Mutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -533,14 +679,14 @@ impl ShardPool {
         Instant::now()
     }
 
-    /// The sharded index the pool serves.
-    pub fn index(&self) -> &Arc<ShardedIndex> {
-        &self.shared.index
+    /// What the pool's parts are cut from.
+    pub fn source(&self) -> &PartSource {
+        &self.shared.source
     }
 
-    /// Number of shards queries fan out across.
+    /// Number of parts queries fan out across.
     pub fn num_shards(&self) -> usize {
-        self.shared.index.num_shards()
+        self.shared.source.num_parts()
     }
 
     /// Number of pool worker slots draining the shared deque.
@@ -682,7 +828,7 @@ impl ShardPool {
     /// complete and the pool remains usable.
     pub fn run<T, F>(&self, f: F) -> Vec<Option<T>>
     where
-        F: Fn(usize, &InvertedIndex, &mut DecodeScratch) -> T + Send + Sync + 'static,
+        F: Fn(usize, Part<'_>, &mut DecodeScratch) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
         self.run_on(None, f).slots
@@ -691,7 +837,7 @@ impl ShardPool {
     /// Like [`Self::run`] but also reports what happened to every shard.
     pub fn run_with_report<T, F>(&self, f: F) -> ShardRun<T>
     where
-        F: Fn(usize, &InvertedIndex, &mut DecodeScratch) -> T + Send + Sync + 'static,
+        F: Fn(usize, Part<'_>, &mut DecodeScratch) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
         self.run_on(None, f)
@@ -703,7 +849,7 @@ impl ShardPool {
     /// state from the outcomes.
     pub fn run_on<T, F>(&self, targets: Option<&[usize]>, f: F) -> ShardRun<T>
     where
-        F: Fn(usize, &InvertedIndex, &mut DecodeScratch) -> T + Send + Sync + 'static,
+        F: Fn(usize, Part<'_>, &mut DecodeScratch) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
         self.run_on_until(targets, self.cfg.fanout_deadline(), f)
@@ -719,7 +865,7 @@ impl ShardPool {
         f: F,
     ) -> ShardRun<T>
     where
-        F: Fn(usize, &InvertedIndex, &mut DecodeScratch) -> T + Send + Sync + 'static,
+        F: Fn(usize, Part<'_>, &mut DecodeScratch) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
         struct SlotState<T> {
@@ -795,13 +941,13 @@ impl ShardPool {
                 }
                 let f = Arc::clone(&f);
                 let slot = Arc::clone(&slot);
-                let job: Job = Box::new(move |shard, scratch| {
+                let job: Job = Box::new(move |part, scratch| {
                     if slot.abandoned.load(Ordering::Relaxed) {
                         // Stale task from a run that already gave up:
                         // drain the accounting without the query work.
                         return;
                     }
-                    let out = catch_unwind(AssertUnwindSafe(|| f(s, shard, scratch))).ok();
+                    let out = catch_unwind(AssertUnwindSafe(|| f(s, part, scratch))).ok();
                     let mut g = lock(&slot.state);
                     g.values[s] = out;
                     g.done[s] = true;
@@ -940,10 +1086,11 @@ pub struct ShardedOutcome {
     /// Modeled parallel timing: the critical-path (slowest) shard's phase
     /// breakdown plus the cross-shard merge priced into the top-k phase.
     pub phases: PhaseBreakdown,
-    /// Shards that did not contribute (panicked, wedged, quarantined, or
-    /// worker gone), in shard order. Empty for a full-coverage answer;
-    /// non-empty means `hits` covers only the surviving shards' documents
-    /// (each missing round-robin shard drops a uniform ~1/total slice).
+    /// Parts that did not contribute (panicked, wedged, quarantined, or
+    /// worker gone), in part order. Empty for a full-coverage answer;
+    /// non-empty means `hits` covers only the surviving parts' documents:
+    /// each missing window drops its contiguous docID range, each missing
+    /// split shard every `total`-th document.
     pub missing: Vec<usize>,
     /// Total number of shards fanned out across.
     pub total: usize,
@@ -961,8 +1108,8 @@ impl ShardedOutcome {
     }
 }
 
-/// A query engine executing every query across the shards of a
-/// [`ShardedIndex`] in parallel. The sharded mirror of
+/// A query engine executing every query across the parts of a
+/// [`PartSource`] in parallel. The sharded mirror of
 /// [`crate::engine::CpuEngine`]: same query shapes, same error contract,
 /// bit-identical hits.
 ///
@@ -985,15 +1132,16 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Creates an engine (and its worker pool) over a sharded index, with
-    /// the default cost model, in exhaustive mode.
-    pub fn new(index: Arc<ShardedIndex>) -> Self {
-        Self::with_config(index, ShardPoolConfig::default())
+    /// Creates an engine (and its worker pool) over the parts of `source`
+    /// — windows of one index, or a split's shards — with the default
+    /// cost model, in exhaustive mode.
+    pub fn new(source: impl Into<PartSource>) -> Self {
+        Self::with_config(source, ShardPoolConfig::default())
     }
 
     /// Creates an engine whose worker pool follows `cfg`.
-    pub fn with_config(index: Arc<ShardedIndex>, cfg: ShardPoolConfig) -> Self {
-        Self::from_pool(ShardPool::with_config(index, cfg))
+    pub fn with_config(source: impl Into<PartSource>, cfg: ShardPoolConfig) -> Self {
+        Self::from_pool(ShardPool::with_config(source, cfg))
     }
 
     fn from_pool(pool: ShardPool) -> Self {
@@ -1061,9 +1209,9 @@ impl ShardedEngine {
         self.loads.iter().map(|l| l.load(std::sync::atomic::Ordering::Relaxed)).collect()
     }
 
-    /// The underlying sharded index.
-    pub fn index(&self) -> &Arc<ShardedIndex> {
-        self.pool.index()
+    /// The dictionary queries resolve their terms against.
+    pub fn dictionary(&self) -> &InvertedIndex {
+        self.pool.source().dictionary()
     }
 
     /// The worker pool (for layers running general query trees).
@@ -1071,45 +1219,30 @@ impl ShardedEngine {
         &self.pool
     }
 
-    /// Number of shards queries fan out across.
+    /// Number of parts queries fan out across.
     pub fn num_shards(&self) -> usize {
         self.pool.num_shards()
     }
 
     fn resolve(&self, term: &str) -> Result<TermId, IndexError> {
-        // Dictionaries are uniform across shards; shard 0 speaks for all.
         let id = self
-            .pool
-            .index()
-            .shard(0)
+            .dictionary()
             .term_id(term)
             .ok_or_else(|| IndexError::UnknownTerm { term: term.to_owned() })?;
-        // Mmap-backed shards defer record CRCs to first touch; verifying
-        // the term in every shard here surfaces late corruption as a typed
-        // error before the workers' decode paths run.
-        for shard in self.pool.index().shards() {
-            shard.verify_term(id)?;
-        }
+        self.pool.source().verify_term(id)?;
         Ok(id)
     }
 
-    /// Sums a term's document frequency across shards (the global df).
-    fn global_df(&self, id: TermId) -> u64 {
-        self.pool.index().shards().iter().map(|s| s.term_info(id).df).sum()
-    }
-
-    /// Merges per-shard `(hits, counts)` results into a [`ShardedOutcome`],
-    /// mapping shard-local docIDs back to global ones. Fail-soft: a `None`
-    /// slot lands in `missing` (with zeroed shard counts) and the merge
-    /// covers the shards that answered; only a fully-empty result set is
-    /// an error.
+    /// Merges per-part `(hits, counts)` results, their docIDs already
+    /// global, into a [`ShardedOutcome`]. Fail-soft: a `None` slot lands
+    /// in `missing` (with zeroed part counts) and the merge covers the
+    /// parts that answered; only a fully-empty result set is an error.
     fn merge_outcome(
         &self,
         results: Vec<Option<(Vec<Hit>, OpCounts)>>,
         k: usize,
         primer: OpCounts,
     ) -> Result<ShardedOutcome, IndexError> {
-        let n = self.num_shards() as u32;
         let total = results.len();
         let mut all_hits = Vec::new();
         let mut counts = OpCounts::default();
@@ -1122,10 +1255,7 @@ impl ShardedEngine {
                 shard_counts.push(OpCounts::default());
                 continue;
             };
-            all_hits.extend(
-                hits.into_iter()
-                    .map(|h| Hit { doc_id: h.doc_id * n + s as u32, score: h.score }),
-            );
+            all_hits.extend(hits);
             counts.merge(&shard);
             if let Some(load) = self.loads.get(s) {
                 load.fetch_add(shard.docs_scored, std::sync::atomic::Ordering::Relaxed);
@@ -1179,7 +1309,7 @@ impl ShardedEngine {
     /// the query methods instead).
     pub fn run_shards<T, F>(&self, f: F) -> ShardRun<T>
     where
-        F: Fn(usize, &InvertedIndex, &mut DecodeScratch) -> T + Send + Sync + 'static,
+        F: Fn(usize, Part<'_>, &mut DecodeScratch) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
         let n = self.num_shards();
@@ -1194,37 +1324,38 @@ impl ShardedEngine {
             alive = (0..n).collect();
         }
         let chaos = self.chaos.clone();
-        self.pool.run_on(Some(&alive), move |s, shard, scratch| {
+        self.pool.run_on(Some(&alive), move |s, part, scratch| {
             if let Some(d) = chaos.sabotage_stall(seq, s) {
                 std::thread::sleep(d);
             }
             if chaos.sabotage_panic(seq, s) {
                 panic!("injected shard panic fault (seq {seq}, shard {s})");
             }
-            f(s, shard, scratch)
+            f(s, part, scratch)
         })
     }
 
     /// The fail-soft fan-out driver behind every query shape.
     ///
-    /// `shard_fn` runs one shard's query; it receives the shared
-    /// cross-shard threshold only in pruned mode. Exhaustive shards are
-    /// independent, so survivors merge directly whatever failed. Pruned
-    /// shards exchange thresholds through [`SharedThreshold`], so a shard
-    /// that published thresholds and then failed mid-run may have
-    /// over-pruned the survivors — in that case the query reruns
-    /// restricted to the survivors with a fresh threshold (and a primer
-    /// re-chosen among them, tolerating the best shard being the missing
-    /// one). Each rerun loses at least one shard, so the loop is bounded.
+    /// `part_fn` runs one part's query over the part's window; it
+    /// receives the shared cross-part threshold only in pruned mode.
+    /// Exhaustive parts are independent, so survivors merge directly
+    /// whatever failed. Pruned parts exchange thresholds through
+    /// [`SharedThreshold`], so a part that published thresholds and then
+    /// failed mid-run may have over-pruned the survivors — in that case
+    /// the query reruns restricted to the survivors with a fresh threshold
+    /// (and a primer re-chosen among them, tolerating the best part being
+    /// the missing one). Each rerun loses at least one part, so the loop
+    /// is bounded.
     fn fan_out<F>(
         &self,
         k: usize,
         primer_term: Option<TermId>,
-        shard_fn: F,
+        part_fn: F,
     ) -> Result<ShardedOutcome, IndexError>
     where
         F: Fn(
-                &InvertedIndex,
+                Part<'_>,
                 Option<&SharedThreshold>,
                 &mut OpCounts,
                 &mut DecodeScratch,
@@ -1241,44 +1372,37 @@ impl ShardedEngine {
                 self.pool.kill_worker(victim);
             }
         }
-        // Skip shards supervision already knows are unavailable, so the
-        // primer (and pruned threshold exchange) only involves shards
-        // that can actually reach the merge.
+        // Skip parts supervision already knows are unavailable, so the
+        // primer (and pruned threshold exchange) only involves parts that
+        // can actually reach the merge.
         let mut alive = self.pool.ready_shards();
         if alive.is_empty() {
             alive = (0..n).collect();
         }
         for _pass in 0..=n {
             let shared = Arc::new(SharedThreshold::new());
-            // Prime the shared threshold from the live shard holding the
-            // highest-bound block, so no shard pays the cold-heap ramp-up
-            // (the serial fraction that would otherwise cap scaling).
+            // Prime the shared threshold before dispatch, so no part pays
+            // the cold-heap ramp-up (the serial fraction that would
+            // otherwise cap scaling).
             let mut primer = OpCounts::default();
-            if let Some(id) = primer_term {
-                if self.pruned && alive.len() > 1 {
-                    let shards = self.pool.index().shards();
-                    let best = alive
-                        .iter()
-                        .filter_map(|&s| shards.get(s))
-                        .max_by_key(|sh| sh.list_bounds(id).max_ub());
-                    if let Some(best) = best {
-                        let mut scratch = DecodeScratch::default();
-                        pruned::prime_single_threshold(
-                            best,
-                            id,
-                            k,
-                            &mut primer,
-                            &mut scratch,
-                            &shared,
-                        );
-                    }
+            if let Some(id) = primer_term.filter(|_| self.pruned && alive.len() > 1) {
+                if let Some(best) = self.pool.source().primer(&alive, id) {
+                    pruned::prime_single_threshold(
+                        best.index,
+                        id,
+                        best.window,
+                        k,
+                        &mut primer,
+                        &mut DecodeScratch::default(),
+                        &shared,
+                    );
                 }
             }
             let chaos = self.chaos.clone();
-            let f = shard_fn.clone();
+            let f = part_fn.clone();
             let sh = Arc::clone(&shared);
             let pruned_mode = self.pruned;
-            let run = self.pool.run_on(Some(&alive), move |s, shard, scratch| {
+            let run = self.pool.run_on(Some(&alive), move |s, part, scratch| {
                 if let Some(d) = chaos.sabotage_stall(seq, s) {
                     std::thread::sleep(d);
                 }
@@ -1286,7 +1410,10 @@ impl ShardedEngine {
                     panic!("injected shard panic fault (seq {seq}, shard {s})");
                 }
                 let mut counts = OpCounts::default();
-                let hits = f(shard, pruned_mode.then_some(&*sh), &mut counts, scratch);
+                let mut hits = f(part, pruned_mode.then_some(&*sh), &mut counts, scratch);
+                for h in &mut hits {
+                    h.doc_id = part.global_doc(h.doc_id);
+                }
                 (hits, counts)
             });
             let survivors: Vec<usize> = (0..n).filter(|&s| run.slots[s].is_some()).collect();
@@ -1315,11 +1442,20 @@ impl ShardedEngine {
     /// [`Self::with_fail_closed`], if any shard could not).
     pub fn search_single(&self, term: &str, k: usize) -> Result<ShardedOutcome, IndexError> {
         let id = self.resolve(term)?;
-        self.fan_out(k, Some(id), move |shard, shared, counts, scratch| match shared {
-            Some(sh) => {
-                pruned::search_single_pruned_shared(shard, id, k, counts, scratch, Some(sh))
+        self.fan_out(k, Some(id), move |part, shared, counts, scratch| {
+            let (index, window) = (part.index, part.window);
+            match shared {
+                Some(sh) => pruned::search_single_pruned(
+                    index,
+                    id,
+                    window,
+                    k,
+                    counts,
+                    scratch,
+                    Some(sh),
+                ),
+                None => exhaustive_single(index, id, window, k, counts, scratch),
             }
-            None => exhaustive_single(shard, id, k, counts, scratch),
         })
     }
 
@@ -1338,27 +1474,25 @@ impl ShardedEngine {
     ) -> Result<ShardedOutcome, IndexError> {
         let ia = self.resolve(term_a)?;
         let ib = self.resolve(term_b)?;
-        // Global SvS order by global df; a shard whose local lists invert
-        // the order swaps locally (hits are symmetric, only work differs).
-        let (ga, gb) =
-            if self.global_df(ia) <= self.global_df(ib) { (ia, ib) } else { (ib, ia) };
-        self.fan_out(k, None, move |shard, shared, counts, scratch| {
-            let (short_id, long_id) = if shard.term_info(ga).df <= shard.term_info(gb).df {
-                (ga, gb)
-            } else {
-                (gb, ga)
-            };
+        self.fan_out(k, None, move |part, shared, counts, scratch| {
+            let (index, window) = (part.index, part.window);
+            // SvS order by the part's own lists: a split shard may invert
+            // the global order (hits are symmetric, only work differs).
+            let (short_id, long_id) = short_first(index, ia, ib);
             match shared {
-                Some(sh) => pruned::search_intersection_pruned_shared(
-                    shard,
+                Some(sh) => pruned::search_intersection_pruned(
+                    index,
                     short_id,
                     long_id,
+                    window,
                     k,
                     counts,
                     scratch,
                     Some(sh),
                 ),
-                None => exhaustive_intersection(shard, short_id, long_id, k, counts, scratch),
+                None => exhaustive_intersection(
+                    index, short_id, long_id, window, k, counts, scratch,
+                ),
             }
         })
     }
@@ -1378,105 +1512,23 @@ impl ShardedEngine {
     ) -> Result<ShardedOutcome, IndexError> {
         let ia = self.resolve(term_a)?;
         let ib = self.resolve(term_b)?;
-        self.fan_out(k, None, move |shard, shared, counts, scratch| match shared {
-            Some(sh) => {
-                pruned::search_union_pruned_shared(shard, ia, ib, k, counts, scratch, Some(sh))
+        self.fan_out(k, None, move |part, shared, counts, scratch| {
+            let (index, window) = (part.index, part.window);
+            match shared {
+                Some(sh) => pruned::search_union_pruned(
+                    index,
+                    ia,
+                    ib,
+                    window,
+                    k,
+                    counts,
+                    scratch,
+                    Some(sh),
+                ),
+                None => exhaustive_union(index, ia, ib, window, k, counts, scratch),
             }
-            None => exhaustive_union(shard, ia, ib, k, counts, scratch),
         })
     }
-}
-
-/// Per-shard exhaustive single-term execution, count-compatible with
-/// [`crate::engine::CpuEngine::search_single`].
-fn exhaustive_single(
-    index: &InvertedIndex,
-    id: TermId,
-    k: usize,
-    counts: &mut OpCounts,
-    scratch: &mut DecodeScratch,
-) -> Vec<Hit> {
-    let list = index.encoded_list(id);
-    let idf_bar = index.term_info(id).idf_bar;
-    ops::decode_full_into(list, counts, &mut scratch.full_a);
-    let hits: Vec<Hit> = scratch
-        .full_a
-        .iter()
-        .map(|p| Hit {
-            doc_id: p.doc_id,
-            score: term_score_fixed(idf_bar, index.dl_bar(p.doc_id), p.tf).to_f64(),
-        })
-        .collect();
-    counts.docs_scored = hits.len() as u64;
-    counts.topk_candidates = hits.len() as u64;
-    counts.results = hits.len() as u64;
-    top_k(hits, k)
-}
-
-/// Per-shard exhaustive SvS intersection, count-compatible with
-/// [`crate::engine::CpuEngine::search_intersection`].
-fn exhaustive_intersection(
-    index: &InvertedIndex,
-    short_id: TermId,
-    long_id: TermId,
-    k: usize,
-    counts: &mut OpCounts,
-    scratch: &mut DecodeScratch,
-) -> Vec<Hit> {
-    let short = index.encoded_list(short_id);
-    let long = index.encoded_list(long_id);
-    let idf_short = index.term_info(short_id).idf_bar;
-    let idf_long = index.term_info(long_id).idf_bar;
-    let matches = ops::intersect_svs(short, long, long_id, counts, scratch);
-    let hits: Vec<Hit> = matches
-        .iter()
-        .map(|&(doc_id, tf_s, tf_l)| {
-            let dl = index.dl_bar(doc_id);
-            let s = term_score_fixed(idf_short, dl, tf_s)
-                .saturating_add(term_score_fixed(idf_long, dl, tf_l));
-            Hit { doc_id, score: s.to_f64() }
-        })
-        .collect();
-    counts.docs_scored = 2 * hits.len() as u64;
-    counts.topk_candidates = hits.len() as u64;
-    top_k(hits, k)
-}
-
-/// Per-shard exhaustive union merge, count-compatible with
-/// [`crate::engine::CpuEngine::search_union`].
-fn exhaustive_union(
-    index: &InvertedIndex,
-    ia: TermId,
-    ib: TermId,
-    k: usize,
-    counts: &mut OpCounts,
-    scratch: &mut DecodeScratch,
-) -> Vec<Hit> {
-    let la = index.encoded_list(ia);
-    let lb = index.encoded_list(ib);
-    let idf_a = index.term_info(ia).idf_bar;
-    let idf_b = index.term_info(ib).idf_bar;
-    let merged = ops::union_merge(la, lb, counts, scratch);
-    let mut scored = 0u64;
-    let hits: Vec<Hit> = merged
-        .iter()
-        .map(|&(doc_id, tf_a, tf_b)| {
-            let dl = index.dl_bar(doc_id);
-            let mut s = iiu_index::Fixed::ZERO;
-            if tf_a > 0 {
-                s = s.saturating_add(term_score_fixed(idf_a, dl, tf_a));
-                scored += 1;
-            }
-            if tf_b > 0 {
-                s = s.saturating_add(term_score_fixed(idf_b, dl, tf_b));
-                scored += 1;
-            }
-            Hit { doc_id, score: s.to_f64() }
-        })
-        .collect();
-    counts.docs_scored = scored;
-    counts.topk_candidates = hits.len() as u64;
-    top_k(hits, k)
 }
 
 #[cfg(test)]
@@ -1499,10 +1551,17 @@ mod tests {
         b.build()
     }
 
+    /// `n` windows of the sample index: what the serving layer fans over.
     fn sharded(n: usize, pruned: bool) -> ShardedEngine {
+        ShardedEngine::new(PartSource::windows(Arc::new(sample_index()), n))
+            .with_pruning(pruned)
+    }
+
+    /// Both ways of cutting `n` parts out of the sample index.
+    fn sources(n: usize) -> [PartSource; 2] {
         let idx = sample_index();
-        let s = Arc::new(ShardedIndex::split(&idx, n).unwrap());
-        ShardedEngine::new(s).with_pruning(pruned)
+        let split = Arc::new(ShardedIndex::split(&idx, n).unwrap());
+        [PartSource::windows(Arc::new(idx), n), PartSource::Split(split)]
     }
 
     impl ShardPool {
@@ -1523,8 +1582,10 @@ mod tests {
     fn sharded_matches_unsharded_on_all_shapes() {
         let idx = sample_index();
         for n in [1usize, 2, 3, 4, 7] {
-            for pruned in [false, true] {
-                let eng = sharded(n, pruned);
+            for (source, pruned) in
+                sources(n).into_iter().flat_map(|s| [(s.clone(), false), (s, true)])
+            {
+                let eng = ShardedEngine::new(source).with_pruning(pruned);
                 let mut cpu = CpuEngine::new(&idx).with_pruning(pruned);
                 for k in [0usize, 1, 5, 10, 1000] {
                     let a = cpu.search_single("hot", k).unwrap();
@@ -1576,7 +1637,7 @@ mod tests {
         });
         assert_eq!(r, vec![Some(0), None, Some(20)]);
         // The pool (including the worker whose job panicked) still works.
-        let r = pool.run(|s, shard, _| (s, shard.num_docs()));
+        let r = pool.run(|s, part, _| (s, part.index.num_docs()));
         assert!(r.iter().all(|x| x.is_some()));
     }
 
@@ -1593,8 +1654,8 @@ mod tests {
     }
 
     /// Reference: the unsharded engine's answer restricted to the
-    /// documents of the surviving shards (round-robin: doc d lives on
-    /// shard d % n).
+    /// documents of the surviving windows (doc d lives in the one of the
+    /// `n` windows that contains it).
     fn surviving_reference(
         idx: &InvertedIndex,
         shape: (&str, Option<&str>, bool),
@@ -1611,10 +1672,11 @@ mod tests {
             Some(b) if and => cpu.search_intersection(a, b, all).unwrap(),
             Some(b) => cpu.search_union(a, b, all).unwrap(),
         };
+        let windows = DocWindow::split(idx.num_docs(), n);
         let mut hits: Vec<Hit> = full
             .hits
             .into_iter()
-            .filter(|h| !missing.contains(&(h.doc_id as usize % n)))
+            .filter(|h| !missing.iter().any(|&w| windows[w].contains(h.doc_id)))
             .collect();
         hits.truncate(k);
         hits
@@ -1629,12 +1691,11 @@ mod tests {
         let n = 4;
         for victim in 0..n {
             for pruned in [false, true] {
-                let s = Arc::new(ShardedIndex::split(&idx, n).unwrap());
                 let chaos = ShardChaosPlan {
                     panic_burst: Some((0, u64::MAX, victim)),
                     ..ShardChaosPlan::NONE
                 };
-                let eng = ShardedEngine::new(s).with_pruning(pruned).with_chaos(chaos);
+                let eng = sharded(n, pruned).with_chaos(chaos);
                 for (shape, label) in [
                     (("hot", None, false), "single"),
                     (("hot", Some("cold"), true), "and"),
@@ -1900,6 +1961,9 @@ mod tests {
         assert_eq!(cfg.fanout_deadline_from(now), Some(now + Duration::from_millis(40)));
         let unbounded = ShardPoolConfig::default();
         assert_eq!(unbounded.fanout_deadline_from(now), None);
+        // Too far out for an Instant: no deadline, not an overflow panic.
+        let forever = ShardPoolConfig { deadline: Some(Duration::MAX), ..Default::default() };
+        assert_eq!(forever.fanout_deadline_from(now), None);
     }
 
     #[test]

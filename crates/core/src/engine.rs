@@ -2,9 +2,9 @@
 //!
 //! * [`CpuSearchEngine`] — the Lucene-like software baseline, priced by the
 //!   calibrated CPU cost model;
-//! * [`ShardedSearchEngine`] — the same baseline fanned across the document
-//!   shards of a [`ShardedIndex`] with a shared pruning threshold
-//!   (intra-query parallelism on the host);
+//! * [`ShardedSearchEngine`] — the same baseline fanned across docID
+//!   windows of one index (or the shards of a [`ShardedIndex`]) with a
+//!   shared pruning threshold (intra-query parallelism on the host);
 //! * [`IiuSearchEngine`] — the cycle-level accelerator simulation plus the
 //!   host-side top-k pass.
 //!
@@ -16,11 +16,14 @@ use std::sync::Arc;
 
 use iiu_baseline::topk::{top_k, Hit};
 use iiu_baseline::{
-    CpuCostModel, CpuEngine, OpCounts, PhaseBreakdown, ShardPoolConfig, ShardedEngine,
+    CpuCostModel, CpuEngine, OpCounts, PartSource, PhaseBreakdown, ShardPoolConfig,
+    ShardedEngine,
 };
 use iiu_index::score::term_score_fixed;
 use iiu_index::shard::ShardedIndex;
-use iiu_index::{DocId, Fixed, IndexError, InvertedIndex, PositionIndex, ShardChaosPlan};
+use iiu_index::{
+    DocId, DocWindow, Fixed, IndexError, InvertedIndex, PositionIndex, ShardChaosPlan,
+};
 use iiu_sim::{HostModel, IiuMachine, SimConfig, SimQuery};
 
 use crate::error::{Degradation, SearchError};
@@ -207,12 +210,13 @@ fn prune_tree(
 // Shared functional evaluation of arbitrary expression trees
 // ---------------------------------------------------------------------------
 
-/// Evaluates an expression tree over decoded, scored lists (the §4.5
-/// "operations on an uncompressed list" path), accumulating operation
-/// counts for the cost model.
+/// Evaluates an expression tree over the documents of `window` on
+/// decoded, scored lists (the §4.5 "operations on an uncompressed list"
+/// path), accumulating operation counts for the cost model.
 fn eval_tree(
     index: &InvertedIndex,
     q: &Query,
+    window: DocWindow,
     counts: &mut OpCounts,
     positions: Option<&PositionIndex>,
 ) -> Result<Vec<(DocId, Fixed)>, IndexError> {
@@ -221,15 +225,17 @@ fn eval_tree(
             let id = t_id(index, t)?;
             let list = index.encoded_list(id);
             let idf = index.term_info(id).idf_bar;
-            let mut scored = Vec::with_capacity(list.num_postings() as usize);
+            let whole = window == DocWindow::ALL;
+            let mut scored =
+                Vec::with_capacity(if whole { list.num_postings() as usize } else { 0 });
             // One reused buffer per term, not one allocation per block; a
             // corrupt payload surfaces as Err instead of a decode panic.
             let mut block = Vec::new();
-            for b in 0..list.num_blocks() {
+            for b in list.window_blocks(window) {
                 counts.blocks_decoded += 1;
                 block.clear();
-                list.try_decode_block_into(b, &mut block)?;
-                counts.postings_decoded += block.len() as u64;
+                counts.postings_decoded +=
+                    list.try_decode_window_into(b, window, &mut block)? as u64;
                 counts.docs_scored += block.len() as u64;
                 for p in &block {
                     scored
@@ -244,7 +250,7 @@ fn eval_tree(
             // accelerates); verification: consecutive-position check.
             let mut acc: Option<Vec<(DocId, Fixed)>> = None;
             for t in terms {
-                let lt = eval_tree(index, &Query::term(t.clone()), counts, positions)?;
+                let lt = eval_tree(index, &Query::term(t.clone()), window, counts, positions)?;
                 acc = Some(match acc {
                     None => lt,
                     Some(prev) => merge_lists(&prev, &lt, true, counts),
@@ -258,13 +264,13 @@ fn eval_tree(
                 .collect())
         }
         Query::And(a, b) => {
-            let la = eval_tree(index, a, counts, positions)?;
-            let lb = eval_tree(index, b, counts, positions)?;
+            let la = eval_tree(index, a, window, counts, positions)?;
+            let lb = eval_tree(index, b, window, counts, positions)?;
             Ok(merge_lists(&la, &lb, true, counts))
         }
         Query::Or(a, b) => {
-            let la = eval_tree(index, a, counts, positions)?;
-            let lb = eval_tree(index, b, counts, positions)?;
+            let la = eval_tree(index, a, window, counts, positions)?;
+            let lb = eval_tree(index, b, window, counts, positions)?;
             Ok(merge_lists(&la, &lb, false, counts))
         }
     }
@@ -365,7 +371,8 @@ impl SearchEngine for CpuSearchEngine<'_> {
 
         // General expression tree.
         let mut counts = OpCounts::default();
-        let scored = eval_tree(self.inner.index(), query, &mut counts, self.positions)?;
+        let scored =
+            eval_tree(self.inner.index(), query, DocWindow::ALL, &mut counts, self.positions)?;
         counts.topk_candidates = scored.len() as u64;
         let phases = self.inner.cost_model().price(&counts);
         Ok(SearchResponse {
@@ -385,35 +392,36 @@ impl SearchEngine for CpuSearchEngine<'_> {
 // Sharded CPU engine
 // ---------------------------------------------------------------------------
 
-/// The baseline engine fanned across document shards, behind the
+/// The baseline engine fanned across the parts of a [`PartSource`] —
+/// docID windows of one index, or the shards of a split — behind the
 /// [`SearchEngine`] interface.
 ///
-/// Primitive shapes (single term, two-term AND/OR) execute on every shard
-/// in parallel — pruned mode exchanges a shared threshold between shards —
+/// Primitive shapes (single term, two-term AND/OR) execute on every part
+/// in parallel — pruned mode exchanges a shared threshold between parts —
 /// and merge under the common rank order, so hits are bit-identical to
 /// [`CpuSearchEngine`] over the unsharded index. General expression trees
-/// also fan out: each shard evaluates the whole tree over its documents
+/// also fan out: each part evaluates the whole tree over its documents
 /// exhaustively, and the host merges the scored lists. Phrase queries need
 /// the (global-docID) positional sidecar and are not supported sharded;
 /// they fail with [`IndexError::PositionsUnavailable`].
 ///
-/// The modeled latency prices the critical-path (slowest) shard plus the
-/// host-side merge, not the sum of all shards.
+/// The modeled latency prices the critical-path (slowest) part plus the
+/// host-side merge, not the sum of all parts.
 #[derive(Debug)]
 pub struct ShardedSearchEngine {
     inner: ShardedEngine,
 }
 
 impl ShardedSearchEngine {
-    /// Creates an engine (and its shard worker pool) over a sharded index.
-    pub fn new(index: Arc<ShardedIndex>) -> Self {
-        ShardedSearchEngine { inner: ShardedEngine::new(index) }
+    /// Creates an engine (and its worker pool) over the parts of `source`.
+    pub fn new(source: impl Into<PartSource>) -> Self {
+        ShardedSearchEngine { inner: ShardedEngine::new(source) }
     }
 
     /// Creates an engine whose worker pool follows the given supervision
     /// policy (fan-out deadline, quarantine, respawn backoff).
-    pub fn with_config(index: Arc<ShardedIndex>, cfg: ShardPoolConfig) -> Self {
-        ShardedSearchEngine { inner: ShardedEngine::with_config(index, cfg) }
+    pub fn with_config(source: impl Into<PartSource>, cfg: ShardPoolConfig) -> Self {
+        ShardedSearchEngine { inner: ShardedEngine::with_config(source, cfg) }
     }
 
     /// Splits an unsharded index into `shards` document shards and builds
@@ -485,9 +493,7 @@ impl ShardedSearchEngine {
     /// Same contract as [`SearchEngine::search`].
     pub fn search_ref(&self, query: &Query, k: usize) -> Result<SearchResponse, SearchError> {
         let mut degraded = Vec::new();
-        // Dictionaries are uniform across shards; shard 0 speaks for all.
-        let dict = self.inner.index().shard(0);
-        let Some(query) = prune_query(dict, query, &mut degraded) else {
+        let Some(query) = prune_query(self.inner.dictionary(), query, &mut degraded) else {
             return Ok(SearchResponse::empty(degraded));
         };
         let query = &query;
@@ -544,14 +550,14 @@ impl ShardedSearchEngine {
         })
     }
 
-    /// Fans a general expression tree out: every shard evaluates the whole
-    /// tree over its own documents, the host concatenates (mapping local
-    /// docIDs to global) and selects top-k. Fail-soft: shards that do not
-    /// answer (panic, deadline, quarantine, dead worker) are reported in
-    /// the returned `missing` list and the merge covers the survivors —
-    /// exhaustive tree evaluation has no cross-shard coupling, so the
+    /// Fans a general expression tree out: every part evaluates the whole
+    /// tree over its own documents and maps its docIDs to global ones, and
+    /// the host concatenates and selects top-k. Fail-soft: parts that do
+    /// not answer (panic, deadline, quarantine, dead worker) are reported
+    /// in the returned `missing` list and the merge covers the survivors —
+    /// exhaustive tree evaluation has no cross-part coupling, so the
     /// surviving hits are exact over the surviving documents. An
-    /// index-plane `Err` from any shard still fails the query: that is a
+    /// index-plane `Err` from any part still fails the query: that is a
     /// data problem, not an availability problem.
     fn eval_sharded(
         &self,
@@ -561,13 +567,16 @@ impl ShardedSearchEngine {
         let q = query.clone();
         let per_shard = self
             .inner
-            .run_shards(move |_, shard, _| {
+            .run_shards(move |_, part, _| {
                 let mut counts = OpCounts::default();
-                let scored = eval_tree(shard, &q, &mut counts, None);
-                scored.map(|s| (s, counts))
+                let scored = eval_tree(part.index, &q, part.window, &mut counts, None);
+                scored.map(|s| {
+                    let s: Vec<_> =
+                        s.into_iter().map(|(d, sc)| (part.global_doc(d), sc)).collect();
+                    (s, counts)
+                })
             })
             .slots;
-        let n = self.num_shards() as u32;
         let cost = self.inner.cost_model();
         let mut all = Vec::new();
         let mut missing = Vec::new();
@@ -583,7 +592,7 @@ impl ShardedSearchEngine {
             if phases.total_ns() > crit.total_ns() {
                 crit = phases;
             }
-            all.extend(scored.into_iter().map(|(d, sc)| (d * n + s as u32, sc)));
+            all.extend(scored);
         }
         if missing.len() == self.num_shards() {
             return Err(SearchError::Index(IndexError::CorruptIndex {

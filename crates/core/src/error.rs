@@ -96,9 +96,10 @@ pub enum Degradation {
         attempts: u32,
     },
     /// One or more shards did not contribute to a sharded answer; the
-    /// hits cover only the surviving shards' documents. Round-robin
-    /// sharding makes the loss uniform: each missing shard drops about
-    /// `1/total` of the corpus.
+    /// hits cover only the surviving shards' documents. A missing docID
+    /// window drops its contiguous docID range (about `1/total` of the
+    /// corpus); a missing shard of a round-robin split drops every
+    /// `total`-th document.
     ShardsUnavailable {
         /// Shard indices that did not answer, in ascending order.
         missing: Vec<usize>,

@@ -48,10 +48,10 @@ pub use engine::{
 pub use error::{Degradation, SearchError};
 pub use iiu_baseline::topk::Hit;
 pub use iiu_baseline::{
-    estimate_query_cost, PoolWorkerReport, QueryCostEstimate, ShardHealth, ShardHealthReport,
-    ShardPoolConfig, HEAVY_DF_THRESHOLD,
+    estimate_query_cost, PartSource, PoolWorkerReport, QueryCostEstimate, ShardHealth,
+    ShardHealthReport, ShardPoolConfig, HEAVY_DF_THRESHOLD,
 };
-pub use iiu_index::shard::{ShardBalance, ShardedIndex};
+pub use iiu_index::shard::{DocWindow, ShardBalance, ShardedIndex};
 pub use iiu_index::{
     Bm25Params, DocId, IncrementalIndex, IncrementalOptions, IndexError, IngestDoc,
     InvertedIndex, Partitioner, RecoveryReport, ShardChaosPlan,

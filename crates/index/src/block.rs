@@ -22,6 +22,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -31,6 +32,7 @@ use crate::codec::CodecId;
 use crate::error::IndexError;
 use crate::mmap::Mmap;
 use crate::posting::{DocId, Posting, PostingList};
+use crate::shard::{DocWindow, DOC_END};
 
 /// Maximum number of postings a block can hold: the metadata word has an
 /// 11-bit count field storing `count - 1`.
@@ -579,6 +581,71 @@ impl EncodedList {
     pub fn candidate_block(&self, doc_id: DocId) -> Option<usize> {
         let n = self.skips.partition_point(|&s| s <= doc_id);
         n.checked_sub(1)
+    }
+
+    /// The blocks that can hold postings of `window`: from the block
+    /// holding `window.lo()` up to the last block starting before
+    /// `window.hi()`, by binary search of the skip list.
+    /// [`DocWindow::ALL`] takes every block without a search.
+    pub fn window_blocks(&self, window: DocWindow) -> Range<usize> {
+        if window.is_empty() {
+            return 0..0;
+        }
+        let start = match window.lo() {
+            0 => 0,
+            lo => self.candidate_block(lo).unwrap_or(0),
+        };
+        let end = if window.hi() >= DOC_END {
+            self.skips.len()
+        } else {
+            self.skips.partition_point(|&s| u64::from(s) < window.hi())
+        };
+        start..end
+    }
+
+    /// Appends the postings of block `idx` that lie in `window` onto `out`
+    /// and returns how many the block decoded to. Only the block holding
+    /// `window.lo()` and the one reaching past `window.hi()` lose any; the
+    /// others cost two comparisons.
+    ///
+    /// # Errors
+    ///
+    /// As [`EncodedList::try_decode_block_into`].
+    pub fn try_decode_window_into(
+        &self,
+        idx: usize,
+        window: DocWindow,
+        out: &mut Vec<Posting>,
+    ) -> Result<usize, IndexError> {
+        let from = out.len();
+        self.try_decode_block_into(idx, out)?;
+        let decoded = out.len() - from;
+        if self.skips.get(idx).is_some_and(|&s| s < window.lo()) {
+            let below = out[from..].partition_point(|p| p.doc_id < window.lo());
+            out.drain(from..from + below);
+        }
+        if self.skips.get(idx + 1).map_or(DOC_END, |&s| u64::from(s)) > window.hi() {
+            let keep = out[from..].partition_point(|p| u64::from(p.doc_id) < window.hi());
+            out.truncate(from + keep);
+        }
+        Ok(decoded)
+    }
+
+    /// [`EncodedList::try_decode_window_into`] for trusted payloads.
+    ///
+    /// # Panics
+    ///
+    /// As [`EncodedList::decode_block_into`].
+    pub fn decode_window_into(
+        &self,
+        idx: usize,
+        window: DocWindow,
+        out: &mut Vec<Posting>,
+    ) -> usize {
+        match self.try_decode_window_into(idx, window, out) {
+            Ok(decoded) => decoded,
+            Err(e) => panic!("decode of block {idx} failed: {e}"),
+        }
     }
 
     /// Physical compressed size in bytes: payload + 8 B metadata and 4 B

@@ -89,7 +89,7 @@ pub use posting::{DocId, Posting, PostingList, TermFreq};
 pub use recovery::RecoveryReport;
 pub use score::{Bm25Params, Fixed};
 pub use segment::{LoadedSegment, SegmentMeta};
-pub use shard::{ShardBalance, ShardedIndex};
+pub use shard::{DocWindow, ShardBalance, ShardedIndex, DOC_END};
 pub use stats::IndexSizeStats;
 pub use storage::MappedIndex;
 pub use wal::{IngestDoc, Wal, WalReplay};

@@ -1,5 +1,10 @@
-//! Document-space sharding: round-robin partitioning of a corpus into N
-//! sub-indexes that score identically to the whole.
+//! Document-space sharding: the docID windows a query fans out over, and
+//! the round-robin split that survives as a storage format.
+//!
+//! A [`DocWindow`] is a contiguous docID range `[lo, hi)` of one index.
+//! The serving layer fans a query out over `n` windows of the index it
+//! already holds, heap or mapped: nothing is copied or re-encoded, and
+//! docIDs stay global, so a window's hits need no remap.
 //!
 //! A [`ShardedIndex`] splits the docID space round-robin: global document
 //! `d` lives in shard `d % n` under the shard-local identifier `d / n`.
@@ -20,6 +25,9 @@
 //!    shard get an empty posting list), so a term resolves to the same
 //!    [`TermId`] everywhere and per-shard block bounds line up with the
 //!    global term table.
+//!
+//! Split shards are what `MAGIC_SHARD` manifests store; a query over one
+//! fans out over its shards as whole-window parts.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -27,6 +35,71 @@ use crate::error::IndexError;
 use crate::index::{InvertedIndex, TermId};
 use crate::partition::Partitioner;
 use crate::posting::{DocId, Posting, PostingList};
+
+/// One past the largest docID: the open end of [`DocWindow::ALL`] and of
+/// the last window of every [`DocWindow::cut`]. A `u64` because it does
+/// not fit a [`DocId`].
+pub const DOC_END: u64 = DocId::MAX as u64 + 1;
+
+/// A contiguous docID range `[lo, hi)` of one index: the unit of work a
+/// fan-out hands to one pool task.
+///
+/// Kernels find a window's blocks per query on the skip list
+/// ([`crate::EncodedList::window_blocks`]) and clip postings only in the
+/// two edge blocks ([`crate::EncodedList::decode_window_into`]), so a
+/// window costs nothing per posting and needs no stored table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DocWindow {
+    lo: DocId,
+    hi: u64,
+}
+
+impl DocWindow {
+    /// Every docID: the window an unsharded search walks.
+    pub const ALL: DocWindow = DocWindow { lo: 0, hi: DOC_END };
+
+    /// The windows between the `cuts`, taken in ascending order: `[0, c₀),
+    /// [c₀, c₁), …, [cₖ, DOC_END)`. Together they hold every docID exactly
+    /// once; a repeated cut gives an empty window.
+    pub fn cut(cuts: &[DocId]) -> Vec<DocWindow> {
+        let mut cuts = cuts.to_vec();
+        cuts.sort_unstable();
+        let los = std::iter::once(0).chain(cuts.iter().copied());
+        let his = cuts.iter().map(|&c| u64::from(c)).chain(std::iter::once(DOC_END));
+        los.zip(his).map(|(lo, hi)| DocWindow { lo, hi }).collect()
+    }
+
+    /// `n` windows of equal document count, to within one, over a corpus
+    /// of `num_docs` documents: [`DocWindow::cut`] at `s · num_docs / n`.
+    /// With `n > num_docs` some of them are empty.
+    pub fn split(num_docs: u64, n: usize) -> Vec<DocWindow> {
+        let n = n.max(1) as u128;
+        let cuts: Vec<DocId> = (1..n)
+            .map(|s| DocId::try_from(s * u128::from(num_docs) / n).unwrap_or(DocId::MAX))
+            .collect();
+        Self::cut(&cuts)
+    }
+
+    /// The first docID of the window.
+    pub fn lo(&self) -> DocId {
+        self.lo
+    }
+
+    /// One past the window's last docID ([`DOC_END`] for an open end).
+    pub fn hi(&self) -> u64 {
+        self.hi
+    }
+
+    /// Whether `doc` lies in the window.
+    pub fn contains(&self, doc: DocId) -> bool {
+        doc >= self.lo && u64::from(doc) < self.hi
+    }
+
+    /// True when the window holds no docID.
+    pub fn is_empty(&self) -> bool {
+        u64::from(self.lo) >= self.hi
+    }
+}
 
 /// Floor on the shard partitioner's block-length parameter, so a
 /// degenerate parent (or a huge shard count) cannot produce one-posting
@@ -79,7 +152,9 @@ pub struct ShardBalance {
     pub bounded_lists: u64,
 }
 
-/// A corpus split round-robin across N shard sub-indexes.
+/// A corpus split round-robin across N shard sub-indexes: the storage
+/// format of sharded manifests. (Serving fans out over [`DocWindow`]s of
+/// one index instead, and copies nothing.)
 ///
 /// Built with [`ShardedIndex::split`]; reassembled (exactly) with
 /// [`ShardedIndex::merge`]. Each shard is a full [`InvertedIndex`] over
@@ -383,6 +458,64 @@ mod tests {
             b.add_document(&format!("alpha filler{} beta", i % 5));
         }
         b.build()
+    }
+
+    #[test]
+    fn windows_hold_every_doc_exactly_once() {
+        for (n_docs, n) in [(10u64, 1usize), (10, 3), (10, 4), (2, 5), (0, 3)] {
+            let windows = DocWindow::split(n_docs, n);
+            assert_eq!(windows.len(), n);
+            assert_eq!((windows[0].lo(), windows[n - 1].hi()), (0, DOC_END));
+            for d in 0..n_docs as DocId + 3 {
+                assert_eq!(windows.iter().filter(|w| w.contains(d)).count(), 1, "doc {d}");
+            }
+            let sizes: Vec<u64> = windows
+                .iter()
+                .map(|w| w.hi().min(n_docs).saturating_sub(u64::from(w.lo())))
+                .collect();
+            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            assert!(max - min <= 1, "{n_docs} docs in {n}: {sizes:?}");
+        }
+        let cut: Vec<(DocId, u64)> =
+            DocWindow::cut(&[7, 3, 3]).iter().map(|w| (w.lo(), w.hi())).collect();
+        assert_eq!(cut, vec![(0, 3), (3, 3), (3, 7), (7, DOC_END)]);
+        assert!(DocWindow::cut(&[3, 3])[1].is_empty());
+    }
+
+    #[test]
+    fn a_window_decodes_its_blocks_and_clips_only_the_edges() {
+        use crate::block::EncodedList;
+        // Docs 0, 3, …, 117 in five blocks starting at 0, 24, 48, 72, 96.
+        let list = PostingList::from_sorted((0..40).map(|i| Posting::new(i * 3, 1)).collect());
+        let enc = EncodedList::encode(&list, &[8; 5]).unwrap();
+        assert_eq!(enc.window_blocks(DocWindow::ALL), 0..5);
+        for lo in 0..125 {
+            for hi in lo..125 {
+                let window = DocWindow::cut(&[lo, hi])[1];
+                let blocks = enc.window_blocks(window);
+                let mut got = Vec::new();
+                for b in blocks.clone() {
+                    let from = got.len();
+                    let decoded = enc.decode_window_into(b, window, &mut got);
+                    assert_eq!(decoded, 8);
+                    if b != blocks.start && b + 1 != blocks.end {
+                        assert_eq!(
+                            got.len() - from,
+                            8,
+                            "[{lo}, {hi}) clipped inner block {b}"
+                        );
+                    }
+                }
+                let want: Vec<Posting> =
+                    list.iter().copied().filter(|p| window.contains(p.doc_id)).collect();
+                assert_eq!(got, want, "[{lo}, {hi})");
+                // Tight: the first block holds `lo`, the last starts below `hi`.
+                if !blocks.is_empty() {
+                    assert!(enc.skips().get(blocks.start + 1).is_none_or(|&s| s > lo));
+                    assert!(u64::from(enc.skips()[blocks.end - 1]) < window.hi());
+                }
+            }
+        }
     }
 
     #[test]

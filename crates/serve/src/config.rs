@@ -201,9 +201,10 @@ pub struct ServeConfig {
     pub pruned_cpu_fallback: bool,
     /// Document shards the CPU-fallback path fans each query across
     /// (intra-query parallelism). `1` (the default, and the floor the
-    /// service clamps to) keeps the unsharded fallback; `N > 1` splits the
-    /// index round-robin at service start and answers every fallback query
-    /// on an N-worker shard pool with bit-identical results.
+    /// service clamps to) keeps the unsharded fallback; `N > 1` cuts the
+    /// index into N equal docID windows at service start, copying
+    /// nothing, and answers every fallback query on a shard pool over
+    /// those windows with bit-identical results.
     pub shards: usize,
     /// Supervision policy for the shard pool (fan-out deadline,
     /// quarantine). A `None` deadline here is replaced

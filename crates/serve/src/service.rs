@@ -19,12 +19,12 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use iiu_baseline::supervise::{Policy, Supervisor};
 use iiu_core::{
-    CpuSearchEngine, Degradation, IiuSearchEngine, IngestDoc, LiveIndex, Query, SearchEngine,
-    SearchError, SearchResponse, ShardedSearchEngine,
+    CpuSearchEngine, Degradation, IiuSearchEngine, IngestDoc, LiveIndex, PartSource, Query,
+    SearchEngine, SearchError, SearchResponse, ShardedSearchEngine,
 };
 use iiu_index::faultinject::SplitMix64;
 use iiu_index::{IndexError, InvertedIndex};
@@ -98,9 +98,18 @@ struct Job {
     /// here, so queue wait shows up in the histogram (tail latency under
     /// load is mostly queueing; measuring from dequeue would hide it).
     submitted_at: Instant,
-    deadline: Instant,
+    /// `None` when the default deadline lies beyond what an [`Instant`]
+    /// can hold (`Duration::MAX`): the query has no deadline.
+    deadline: Option<Instant>,
     seq: u64,
     reply: mpsc::Sender<Result<SearchResponse, Rejected>>,
+}
+
+impl Job {
+    /// Whether the query's deadline has passed at `now`.
+    fn expired(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|d| now >= d)
+    }
 }
 
 struct Shared {
@@ -191,19 +200,15 @@ impl QueryService {
     /// misconfigured pool cannot panic the simulator's allocator.
     pub fn start(index: Arc<InvertedIndex>, mut cfg: ServeConfig) -> Self {
         Self::normalize(&mut cfg);
-        // Splitting a valid index cannot fail for shards >= 1; if it ever
-        // does, serving unsharded is strictly better than refusing to
-        // start (same results, just no fan-out).
-        let sharded = (cfg.shards > 1)
-            .then(|| {
-                iiu_core::ShardedIndex::split(&index, cfg.shards).ok().map(|s| {
-                    ShardedSearchEngine::with_config(Arc::new(s), cfg.shard_pool)
-                        .with_pruning(cfg.pruned_cpu_fallback)
-                        .with_fail_closed(cfg.fail_closed_shards)
-                        .with_chaos(cfg.shard_chaos.clone())
-                })
-            })
-            .flatten();
+        // The fan-out cuts `shards` docID windows of this very index:
+        // nothing is copied at start.
+        let sharded = (cfg.shards > 1).then(|| {
+            let windows = PartSource::windows(Arc::clone(&index), cfg.shards);
+            ShardedSearchEngine::with_config(windows, cfg.shard_pool)
+                .with_pruning(cfg.pruned_cpu_fallback)
+                .with_fail_closed(cfg.fail_closed_shards)
+                .with_chaos(cfg.shard_chaos.clone())
+        });
         Self::spawn(Some(index), None, cfg, sharded)
     }
 
@@ -302,7 +307,7 @@ impl QueryService {
         }
         let stats = &self.shared.stats;
         let now = Instant::now();
-        let deadline = now + self.shared.cfg.default_deadline;
+        let deadline = now.checked_add(self.shared.cfg.default_deadline);
         let (tx, rx) = mpsc::channel();
         let seq = {
             let mut q = lock(&self.shared.queue);
@@ -354,7 +359,7 @@ impl QueryService {
             cpu_fallbacks: s.cpu_fallbacks.load(Ordering::Relaxed),
             fallback_candidates: s.fallback_candidates.load(Ordering::Relaxed),
             fallback_modeled_ns: s.fallback_modeled_ns.load(Ordering::Relaxed),
-            shards: self.shared.cfg.shards,
+            shards: self.shared.sharded.as_ref().map_or(1, ShardedSearchEngine::num_shards),
             shard_docs_scored: self
                 .shared
                 .sharded
@@ -485,7 +490,7 @@ fn serve_one(
     // A job already past its deadline is shed before any work: answering
     // it could only miss, and running it would snowball the backlog.
     let now = Instant::now();
-    if now >= job.deadline {
+    if job.expired(now) {
         stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
         return Err(Rejected::DeadlineExceeded { stage: "queue" });
     }
@@ -571,7 +576,7 @@ fn finish_one(
 fn run_device(shared: &Shared, job: &Job, rng: &mut SplitMix64) -> DeviceOutcome {
     let cfg = &shared.cfg;
     for attempt in 0..cfg.retry.max_attempts.max(1) {
-        if Instant::now() >= job.deadline {
+        if job.expired(Instant::now()) {
             return DeviceOutcome::Deadline;
         }
         // Sabotaged attempts run with a 1-cycle budget so the watchdog
@@ -601,7 +606,9 @@ fn run_device(shared: &Shared, job: &Job, rng: &mut SplitMix64) -> DeviceOutcome
             Ok(Ok(response)) => return DeviceOutcome::Ok { response, attempts: attempt + 1 },
             Ok(Err(e)) if e.is_transient() && attempt + 1 < cfg.retry.max_attempts => {
                 let sleep = cfg.retry.backoff(attempt + 1, rng);
-                let remaining = job.deadline.saturating_duration_since(Instant::now());
+                let remaining = job
+                    .deadline
+                    .map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
                 if remaining.is_zero() {
                     return DeviceOutcome::Deadline;
                 }
@@ -637,7 +644,7 @@ fn run_fallback(
     job: &Job,
     reason: String,
 ) -> Result<SearchResponse, Rejected> {
-    if Instant::now() >= job.deadline {
+    if job.expired(Instant::now()) {
         return Err(Rejected::DeadlineExceeded { stage: "fallback" });
     }
     shared.stats.cpu_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -734,6 +741,41 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{FaultPlan, RetryPolicy};
+
+    #[test]
+    fn sharded_service_fans_out_over_the_index_it_was_given() {
+        let mut b = iiu_index::IndexBuilder::new(iiu_index::BuildOptions::default());
+        for i in 0..300 {
+            b.add_document(&format!("common w{} w{}", i % 7, i % 11));
+        }
+        let index = Arc::new(b.build());
+        let cfg = ServeConfig {
+            shards: 2,
+            retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+            fault: FaultPlan { burst: Some((0, u64::MAX)), ..FaultPlan::NONE },
+            pruned_cpu_fallback: true,
+            ..ServeConfig::default()
+        };
+        let svc = QueryService::start(Arc::clone(&index), cfg);
+        let engine = svc.shared.sharded.as_ref().expect("shards: 2 fans out");
+        match engine.inner().pool().source() {
+            PartSource::Windows { index: served, windows } => {
+                assert!(Arc::ptr_eq(served, &index), "the windows cut a copy");
+                assert_eq!(windows.len(), 2);
+            }
+            PartSource::Split(_) => panic!("the service split the index"),
+        }
+        let mut cpu = CpuSearchEngine::new(&index);
+        for text in ["common", "w3 AND common", "w1 OR w5", "(w2 OR w4) AND common"] {
+            let q = Query::parse(text).expect("parses");
+            let served = svc.search_blocking(q.clone(), 10).expect("serves");
+            assert_eq!(served.hits, cpu.search(&q, 10).expect("searches").hits, "{text}");
+        }
+        let h = svc.health();
+        assert_eq!(h.shards, 2);
+        assert!(h.sched_fanout > 0, "nothing fanned out: {h}");
+    }
 
     #[test]
     fn rejected_is_a_full_error() {

@@ -242,7 +242,8 @@ pub struct HealthSnapshot {
     pub fallback_candidates: u64,
     /// Modeled nanoseconds of CPU work spent by fallback answers.
     pub fallback_modeled_ns: u64,
-    /// Document shards the CPU fallback fans out across (1 = unsharded).
+    /// DocID windows the CPU fallback actually fans out across (1 =
+    /// unsharded).
     pub shards: usize,
     /// Cumulative documents scored per shard (empty when unsharded) — the
     /// operator's load-balance view.

@@ -206,6 +206,27 @@ fn sharded_fallback_serves_identical_hits_and_reports_shard_stats() {
 }
 
 #[test]
+fn a_deadline_beyond_any_instant_means_no_deadline() {
+    // `Duration::MAX` overflows `Instant + Duration`: the service must read
+    // it as "no deadline", at admission and in the shard fan-out the pool
+    // deadline is defaulted from.
+    let index = Arc::new(tiny_index(0xD1A7));
+    let cfg = ServeConfig {
+        default_deadline: Duration::MAX,
+        shards: 2,
+        retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+        fault: FaultPlan { burst: Some((0, u64::MAX)), ..FaultPlan::NONE },
+        ..quick_config()
+    };
+    let svc = QueryService::start(Arc::clone(&index), cfg);
+    let q = Query::term(term_of(&index, 3));
+    let served = svc.search_blocking(q.clone(), 10).expect("no deadline, no shed");
+    let direct = CpuSearchEngine::new(&index).search(&q, 10).expect("cpu search failed");
+    assert_eq!(served.hits, direct.hits);
+    assert_eq!(svc.health().sched_fanout, 1);
+}
+
+#[test]
 fn unsharded_fallback_still_records_its_work() {
     let index = Arc::new(tiny_index(0x5AAE));
     let cfg = ServeConfig {

@@ -22,6 +22,10 @@
 # higher-is-better one below 1 - bound, is marked WORSE. Exits non-zero if
 # any metric is WORSE or any run was wrong or failed an op.
 #
+# Beside each rss_mib row it prints the median of the benchmark harness's
+# own sample buffer, `attempted` ops × 8 bytes, in MiB per side: the part
+# of rss_mib that grows with ops_per_s rather than with the product.
+#
 # Edits nothing under benchmark/; everything it writes is under target/.
 set -eu
 
@@ -105,6 +109,8 @@ FNR == NR { better[$1] = $2; bound[$1] = $3; next }
     if (!(workload in seen)) { seen[workload] = 1; order[++nw] = workload }
     if (json !~ /"correct":true/ || json !~ /"failed":0[,}]/) bad = bad "\n  " side " " workload " seed " $3
     total++
+    if (match(json, /"attempted":[0-9]+/))
+        samples[side, workload] = samples[side, workload] sprintf(" %.5g", substr(json, RSTART + 12, RLENGTH - 12) * 8 / 1048576)
     while (match(json, /"[a-z0-9_]+":\{"unit":"[^"]*","value":[^}]*\}/)) {
         field = substr(json, RSTART, RLENGTH); json = substr(json, RSTART + RLENGTH)
         name = field; sub(/^"/, "", name); sub(/".*/, "", name)
@@ -129,6 +135,8 @@ END {
                     flag = "WORSE"; worse = worse "\n  " order[w] " " names[i] sprintf(" %.3f", ratio)
                 }
             }
+            if (names[i] == "rss_mib" && (("parent", order[w]) in samples))
+                flag = flag sprintf(" (harness samples: parent %.3g, change %.3g MiB)", median(samples["parent", order[w]]), median(samples["change", order[w]]))
             printf "%-20s %-17s %-34s %-34s %10.5g %10.5g %7.3f %s\n", order[w], names[i], substr(p, 2), substr(c, 2), mp, mc, ratio, flag
         }
     }

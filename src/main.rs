@@ -29,9 +29,11 @@
 //! shed rate and circuit-breaker activity.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use iiu_core::{
-    CpuSearchEngine, IiuSearchEngine, Query, SearchEngine, SearchResponse, ShardedSearchEngine,
+    CpuSearchEngine, IiuSearchEngine, PartSource, Query, SearchEngine, SearchResponse,
+    ShardedSearchEngine,
 };
 use iiu_index::io::{
     deserialize, deserialize_sharded, is_sharded, peek_codec, scan_sharded, serialize,
@@ -120,13 +122,14 @@ fn print_usage() {
          top-k threshold are skipped. Results are bit-identical to\n\
          exhaustive scoring; only the work done changes.\n\
          \n\
-         --shards N splits the document space round-robin across N shards\n\
-         and fans each query out across a shard worker pool (intra-query\n\
-         parallelism); pruned shards exchange a shared top-k threshold.\n\
-         Hits stay bit-identical to the unsharded engine. In `gen` the flag\n\
-         writes a sharded manifest instead of a plain index (every other\n\
-         command loads either format; `inspect` reports per-shard balance\n\
-         and bounds coverage).\n\
+         --shards N cuts the loaded index into N docID windows, copying\n\
+         nothing, and fans each query out across a shard worker pool\n\
+         (intra-query parallelism); pruned windows exchange a shared top-k\n\
+         threshold. Hits stay bit-identical to the unsharded engine. In\n\
+         `gen` the flag instead writes a sharded manifest, the corpus split\n\
+         round-robin into N re-encoded shards (every other command loads\n\
+         either format; `inspect` reports per-shard balance and bounds\n\
+         coverage).\n\
          \n\
          serve-bench submits a Poisson open-loop query stream to the\n\
          resilient serving layer (deadlines, load shedding, retry, CPU\n\
@@ -876,7 +879,6 @@ fn inspect_sharded(path: &str, bytes: &[u8], parsed: &Args<'_>) -> Result<(), St
 }
 
 fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     let parsed = split_args(args);
@@ -1143,6 +1145,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         }
         CliIndex::Plain(index) => *index,
     };
+    let index = Arc::new(index);
     if mmap {
         println!("[source: {}]", source_line(&index));
     }
@@ -1181,11 +1184,10 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         None
     };
     if shards > 1 && engine != "iiu" {
-        // Same baseline fanned across document shards: bit-identical hits,
+        // Same baseline fanned across docID windows: bit-identical hits,
         // critical-path (not summed) modeled latency.
-        let eng = ShardedSearchEngine::split(&index, shards)
-            .map_err(|e| e.to_string())?
-            .with_pruning(pruned);
+        let windows = PartSource::windows(Arc::clone(&index), shards);
+        let eng = ShardedSearchEngine::new(windows).with_pruning(pruned);
         let r = eng.search_ref(&query, k).map_err(|e| e.to_string())?;
         show(
             &format!("baseline ({shards} shards{})", if pruned { ", pruned" } else { "" }),

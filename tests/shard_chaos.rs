@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use iiu_core::{CpuSearchEngine, Degradation, Hit, Query, SearchEngine};
+use iiu_core::{CpuSearchEngine, Degradation, DocWindow, Hit, Query, SearchEngine};
 use iiu_index::InvertedIndex;
 use iiu_serve::{
     BreakerConfig, FaultPlan, QueryService, RetryPolicy, SchedulerConfig, ServeConfig,
@@ -89,8 +89,9 @@ fn silence_injected_panics() {
 }
 
 /// What an unsharded engine answers over only the surviving documents: the
-/// full ranking, minus documents living on missing shards, cut to `k`.
-/// Exact because `top_k`'s `rank_cmp` ordering is total and deterministic.
+/// full ranking, minus documents living in missing docID windows, cut to
+/// `k`. Exact because `top_k`'s `rank_cmp` ordering is total and
+/// deterministic.
 fn surviving_reference(
     index: &InvertedIndex,
     text: &str,
@@ -101,7 +102,8 @@ fn surviving_reference(
     let full_k = index.num_docs() as usize + 1;
     let mut engine = CpuSearchEngine::new(index);
     let mut hits = engine.search(&query, full_k).expect("reference search succeeds").hits;
-    hits.retain(|h| !missing.contains(&(h.doc_id as usize % SHARDS)));
+    let windows = DocWindow::split(index.num_docs(), SHARDS);
+    hits.retain(|h| !missing.iter().any(|&w| windows[w].contains(h.doc_id)));
     hits.truncate(k);
     hits
 }

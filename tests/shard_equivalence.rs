@@ -216,6 +216,108 @@ fn sharded_pruned_matches_exhaustive_on_adversarial_layouts() {
     }
 }
 
+/// Window matrix (DESIGN.md §14): the serving layer fans a query out over
+/// docID windows of the one index it holds. Over the adversarial layouts
+/// of [`common::adversarial_layouts`], under every codec, heap-loaded and
+/// mapped, pruned and exhaustive, for single / AND / OR and a general
+/// tree, windowed hits must equal the unsharded engine's bit for bit —
+/// for 1, 2, 3, 4 and 7 equal windows, for cuts on block starts and just
+/// past them (mid-block), and with empty windows at both ends.
+#[test]
+fn windows_match_unsharded_across_the_matrix() {
+    use iiu_core::{CpuSearchEngine, PartSource, Query, SearchEngine, ShardedSearchEngine};
+    use iiu_index::{io, storage, CodecId, DocWindow};
+
+    let (ta, tb) = common::TERMS;
+    let queries = [
+        Query::term(ta),
+        Query::and(Query::term(ta), Query::term(tb)),
+        Query::or(Query::term(ta), Query::term(tb)),
+        Query::or(Query::and(Query::term(ta), Query::term(tb)), Query::term(ta)),
+    ];
+    let pool = iiu_baseline::ShardPoolConfig { pool_threads: 2, ..Default::default() };
+    for layout in common::adversarial_layouts() {
+        for codec in CodecId::ALL {
+            let heap = Arc::new(layout.index(codec));
+            let path = std::env::temp_dir()
+                .join(format!("iiu-windows-{}-{codec}", std::process::id()));
+            std::fs::write(&path, io::serialize(&heap).expect("serialize"))
+                .expect("temp file");
+            let mapped = Arc::new(storage::map_index(&path).expect("map"));
+            std::fs::remove_file(&path).ok();
+
+            let n_docs = heap.num_docs();
+            let skips = heap.encoded_list(heap.term_id(ta).expect("indexed")).skips();
+            let start = |q: usize| skips[(skips.len() * q / 4).min(skips.len() - 1)];
+            let mut cuts: Vec<(String, Vec<DocWindow>)> = [1usize, 2, 3, 4, 7]
+                .into_iter()
+                .map(|n| (format!("{n} equal"), DocWindow::split(n_docs, n)))
+                .collect();
+            cuts.push((
+                "block starts".into(),
+                DocWindow::cut(&[start(1), start(2), start(3)]),
+            ));
+            cuts.push(("mid-block".into(), DocWindow::cut(&[start(1) + 1, start(3) + 1])));
+            cuts.push(("empty ends".into(), DocWindow::cut(&[0, n_docs as u32])));
+
+            let mut reference = CpuSearchEngine::new(&heap);
+            let wants: Vec<(&Query, usize, Vec<Hit>)> = queries
+                .iter()
+                .flat_map(|q| common::LAYOUT_KS.map(|k| (q, k)))
+                .map(|(q, k)| (q, k, reference.search(q, k).expect("indexed").hits))
+                .collect();
+            for index in [&heap, &mapped] {
+                let source = if index.source().is_mapped() { "mmap" } else { "heap" };
+                for (cut, windows) in &cuts {
+                    for pruned in [false, true] {
+                        let parts = PartSource::Windows {
+                            index: Arc::clone(index),
+                            windows: windows.clone(),
+                        };
+                        let eng =
+                            ShardedSearchEngine::with_config(parts, pool).with_pruning(pruned);
+                        for (q, k, want) in &wants {
+                            let got = eng.search_ref(q, *k).expect("indexed");
+                            assert_eq!(
+                                &got.hits, want,
+                                "{} / {codec} / {source} / {cut} / pruned={pruned} / {q} / k={k}",
+                                layout.name
+                            );
+                            assert!(got.degraded.is_empty(), "{cut}: {:?}", got.degraded);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// More windows than documents: every window past the corpus is empty,
+/// answers nothing, and still answers in time.
+#[test]
+fn more_windows_than_documents_leave_empty_windows() {
+    use iiu_core::{CpuSearchEngine, PartSource, Query, SearchEngine, ShardedSearchEngine};
+
+    let index = Arc::new(build_index(&[vec![0, 1, 2], vec![1, 2], vec![0, 2, 2, 3]]));
+    let mut reference = CpuSearchEngine::new(&index);
+    for n in [4usize, 9] {
+        for pruned in [false, true] {
+            let windows = PartSource::windows(Arc::clone(&index), n);
+            let eng = ShardedSearchEngine::new(windows).with_pruning(pruned);
+            assert_eq!(eng.num_shards(), n);
+            for text in ["t2", "t0 AND t2", "t1 OR t3", "(t0 AND t2) OR t1"] {
+                let q = Query::parse(text).expect("parses");
+                for k in KS {
+                    let want = reference.search(&q, k).expect("indexed");
+                    let got = eng.search_ref(&q, k).expect("indexed");
+                    assert_eq!(got.hits, want.hits, "{text} n={n} pruned={pruned} k={k}");
+                    assert!(got.degraded.is_empty(), "{text} n={n}: {:?}", got.degraded);
+                }
+            }
+        }
+    }
+}
+
 /// Source matrix, sharded leg (DESIGN.md §19): a shard manifest loaded
 /// heap-side and through the mapped loader drives the sharded engine to
 /// bit-identical hits — and identical degradation labels — against the
