@@ -354,7 +354,7 @@ pub fn intersect_svs_window(
     let DecodeScratch { full_a, cache, .. } = scratch;
     decode_window_into(short, window, counts, full_a);
     let short_postings: &[Posting] = full_a;
-    let skips = long.skips();
+    let (skips, metas) = (long.skips(), long.metas());
     let mut out = Vec::new();
     let mut last_block: Option<usize> = None;
     let long_blocks = long.window_blocks(window);
@@ -386,7 +386,7 @@ pub fn intersect_svs_window(
             if let Some(d) = decoded_blocks.get_mut(block_idx - long_blocks.start) {
                 *d = true;
             }
-            counts.postings_decoded += u64::from(long.metas()[block_idx].count);
+            counts.postings_decoded += u64::from(metas[block_idx].count);
             last_block = Some(block_idx);
         }
         let block = cache.get_or_decode(long, long_term, block_idx, counts);

@@ -120,15 +120,15 @@ pub fn search_single_pruned(
     shared: Option<&SharedThreshold>,
 ) -> Vec<Hit> {
     let list = index.encoded_list(id);
-    let bounds = index.list_bounds(id);
+    let (metas, ubs) = (list.metas(), index.list_bounds(id).ubs());
     let idf = index.term_info(id).idf_bar;
     let mut heap = GatedHeap::new(k, shared);
     let buf = &mut scratch.full_a;
     for b in list.window_blocks(window) {
         if let Some(t) = heap.threshold() {
-            if bounds.block_ub(b) <= t {
+            if ubs[b] <= t {
                 counts.blocks_skipped += 1;
-                counts.postings_skipped += u64::from(list.metas()[b].count);
+                counts.postings_skipped += u64::from(metas[b].count);
                 continue;
             }
         }
@@ -194,11 +194,11 @@ pub fn prime_single_threshold(
     if (list.num_postings() as usize) < k {
         return;
     }
-    let bounds = index.list_bounds(id);
+    let ubs = index.list_bounds(id).ubs();
     let mut order: Vec<usize> = list.window_blocks(window).collect();
     order.sort_unstable_by(|&a, &b| {
         counts.comparisons += 1;
-        bounds.block_ub(b).cmp(&bounds.block_ub(a))
+        ubs[b].cmp(&ubs[a])
     });
     let idf = index.term_info(id).idf_bar;
     let buf = &mut scratch.full_a;
@@ -212,7 +212,7 @@ pub fn prime_single_threshold(
             // — the tightest threshold the shard can contribute. The cap
             // bounds the serial spend when upper bounds are flat.
             counts.comparisons += 1;
-            if bounds.block_ub(b) <= scores[k - 1] || scored >= PRIME_MAX_POSTINGS {
+            if ubs[b] <= scores[k - 1] || scored >= PRIME_MAX_POSTINGS {
                 break;
             }
         }

@@ -19,11 +19,20 @@
 //! [`crate::codec::BlockCodec`]. The default [`CodecId::BitPack`] payload
 //! is decoded inline here by the word-window kernels, byte-identical to
 //! the pre-codec format.
+//!
+//! # Memory layout
+//!
+//! An index keeps the metadata words, skip values and lazy-CRC records of
+//! *all* its lists in one set of flat [`BlockTables`] over one payload
+//! backing: the index file's mapping, or one owned buffer for an index
+//! built or loaded onto the heap. An [`EncodedList`] is a handle — the
+//! shared tables and the list's span in them — so a term costs a fixed
+//! record instead of a heap allocation per table (DESIGN.md §19).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::bitpack::{self, bits_for};
@@ -106,166 +115,501 @@ impl BlockMeta {
     }
 }
 
-/// Backing storage of an [`EncodedList`] payload: owned heap bytes (the
-/// encoder's output, and every deserialized-into-RAM list) or a borrowed
-/// window of a shared file mapping (the zero-copy storage layer,
-/// DESIGN.md §19). Everything downstream sees `&[u8]` either way.
-#[derive(Debug, Clone)]
-pub(crate) enum PayloadBuf {
-    /// Heap-owned payload bytes.
-    Owned(Vec<u8>),
-    /// A byte window of a memory-mapped index file. The `Arc` keeps the
-    /// mapping alive for as long as any list references it.
-    Mapped { map: Arc<Mmap>, offset: usize, len: usize },
-}
-
-impl Default for PayloadBuf {
-    fn default() -> Self {
-        PayloadBuf::Owned(Vec::new())
-    }
-}
-
-impl PayloadBuf {
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        match self {
-            PayloadBuf::Owned(v) => v.as_slice(),
-            // The range is validated at construction; a malformed one
-            // degrades to an empty payload (callers then report "payload
-            // bounds") rather than panicking.
-            PayloadBuf::Mapped { map, offset, len } => offset
-                .checked_add(*len)
-                .and_then(|end| map.as_slice().get(*offset..end))
-                .unwrap_or(&[]),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            PayloadBuf::Owned(v) => v.len(),
-            PayloadBuf::Mapped { len, .. } => *len,
-        }
-    }
-
-    /// Shortens the payload to `n` bytes (fault-injection helper: works on
-    /// both backings without copying the mapped bytes).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn truncate(&mut self, n: usize) {
-        match self {
-            PayloadBuf::Owned(v) => v.truncate(n),
-            PayloadBuf::Mapped { len, .. } => *len = (*len).min(n),
-        }
-    }
-}
-
-/// Deferred integrity check for a list loaded from a mapped file: the
-/// stored CRC of the term record's bytes, verified on first touch instead
-/// of at open (verifying eagerly would fault in every payload page and
-/// forfeit the point of mapping). The verdict is cached, so the steady
-/// state is one atomic load per decode.
-///
-/// Shared via `Arc` so clones of a list (and the engines holding them)
-/// agree on the verdict.
+/// The flat tables behind every [`EncodedList`] of one index: one entry
+/// per block in `metas` and `skips`, one [`RecordCrc`] per term record of
+/// a sealed mapped file, and the payload backing each list's span points
+/// into. Immutable once frozen by [`TableBuilder::freeze`].
 #[derive(Debug)]
-pub struct LazyCrc {
-    map: Arc<Mmap>,
-    start: usize,
-    len: usize,
-    expected: u32,
-    /// 0 = unverified, 1 = verified ok, 2 = checksum mismatch.
-    state: AtomicU8,
-    /// The computed CRC when `state == 2`.
-    found: AtomicU32,
+pub(crate) struct BlockTables {
+    metas: Vec<BlockMeta>,
+    skips: Vec<DocId>,
+    crcs: Vec<RecordCrc>,
+    /// The index file's mapping, or an owned buffer ([`Mmap::from_vec`]).
+    payload: Arc<Mmap>,
+    /// Documents in the index: the first touch of a list holds its
+    /// docIDs below this.
+    num_docs: u64,
 }
 
-const LAZY_UNVERIFIED: u8 = 0;
-const LAZY_OK: u8 = 1;
-const LAZY_BAD: u8 = 2;
-
-impl LazyCrc {
-    pub(crate) fn new(map: Arc<Mmap>, start: usize, len: usize, expected: u32) -> Self {
-        LazyCrc {
-            map,
-            start,
-            len,
-            expected,
-            state: AtomicU8::new(LAZY_UNVERIFIED),
-            found: AtomicU32::new(0),
+impl Default for BlockTables {
+    fn default() -> Self {
+        BlockTables {
+            metas: Vec::new(),
+            skips: Vec::new(),
+            crcs: Vec::new(),
+            payload: Arc::new(Mmap::from_vec(Vec::new())),
+            num_docs: 0,
         }
     }
+}
 
-    /// Checks the record bytes against the stored CRC, computing at most
-    /// once (concurrent racers recompute harmlessly — the verdict is a
-    /// pure function of immutable bytes).
+/// Heap bytes of one set of block tables
+/// ([`crate::InvertedIndex::heap_bytes`]).
+#[derive(Debug, Default)]
+pub(crate) struct TableHeapBytes {
+    /// Metadata and skip tables.
+    pub(crate) blocks: u64,
+    /// Lazy-CRC records.
+    pub(crate) crcs: u64,
+    /// Payload owned on the heap (0 for a mapping).
+    pub(crate) payload: u64,
+}
+
+impl TableHeapBytes {
+    /// The tables behind `list` — and so behind every list of its index,
+    /// which all share them.
+    pub(crate) fn of(list: &EncodedList) -> Self {
+        let tables = &list.tables;
+        TableHeapBytes {
+            blocks: (tables.metas.capacity() * std::mem::size_of::<BlockMeta>()
+                + tables.skips.capacity() * std::mem::size_of::<DocId>())
+                as u64,
+            crcs: (tables.crcs.capacity() * std::mem::size_of::<RecordCrc>()) as u64,
+            payload: tables.payload.heap_bytes(),
+        }
+    }
+}
+
+/// The deferred checksum of one term record of a mapped file, checked on
+/// the list's first touch instead of at open (hashing every record at
+/// open would fault in every payload page for nothing). The verdict is
+/// cached, so the steady state is one atomic load per decode, and clones
+/// of a list agree on it because they share the tables.
+#[derive(Debug)]
+struct RecordCrc {
+    /// Offset of the record's first byte in the mapping. The record ends
+    /// where its list's payload does, and its stored CRC follows it.
+    start: usize,
+    /// [`UNVERIFIED`], [`VERIFIED`], [`BEYOND_CORPUS`], or [`CHECKSUM_BAD`]
+    /// with the computed CRC in the high 32 bits.
+    verdict: AtomicU64,
+}
+
+const UNVERIFIED: u64 = 0;
+const VERIFIED: u64 = 1;
+const BEYOND_CORPUS: u64 = 2;
+const CHECKSUM_BAD: u64 = 3;
+
+/// The `crc` slot of a list with no deferred checksum.
+const NO_CRC: u32 = u32::MAX;
+
+const BEYOND_CORPUS_ERROR: IndexError =
+    IndexError::CorruptIndex { context: "posting list references docID beyond corpus" };
+
+/// Where one list lives in its index's [`BlockTables`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ListSpan {
+    first: u32,
+    blocks: u32,
+    /// Slot in the CRC table, or [`NO_CRC`].
+    crc: u32,
+    /// How the payload bytes encode each block's `(d-gap, tf)` pairs.
+    codec: CodecId,
+    payload_start: usize,
+    payload_len: usize,
+    num_postings: u64,
+}
+
+impl ListSpan {
+    const EMPTY: ListSpan = ListSpan {
+        first: 0,
+        blocks: 0,
+        crc: NO_CRC,
+        codec: CodecId::BitPack,
+        payload_start: 0,
+        payload_len: 0,
+        num_postings: 0,
+    };
+
+    /// Postings the list's record declares.
+    pub(crate) fn num_postings(&self) -> u64 {
+        self.num_postings
+    }
+
+    fn blocks(&self) -> Range<usize> {
+        let first = self.first as usize;
+        first..first + self.blocks as usize
+    }
+}
+
+/// Accumulates the tables of an index's lists, in term order: what a build
+/// encodes into and a load parses into, until [`freeze`](Self::freeze).
+#[derive(Debug, Default)]
+pub(crate) struct TableBuilder {
+    metas: Vec<BlockMeta>,
+    skips: Vec<DocId>,
+    crcs: Vec<RecordCrc>,
+    payload: Vec<u8>,
+    /// Encoder scratch reused across blocks and lists: the stored d-gap
+    /// and tf columns of one block.
+    gaps: Vec<u32>,
+    tfs: Vec<u32>,
+}
+
+impl TableBuilder {
+    /// Compresses `list` using the block boundaries produced by a
+    /// partitioner and appends it: the encoder behind
+    /// [`EncodedList::encode_with`] and every index build.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::ChecksumMismatch`] if the record bytes do not
-    /// hash to the stored CRC, or [`IndexError::CorruptIndex`] if the
-    /// recorded range fell outside the mapping.
-    pub fn verify(&self) -> Result<(), IndexError> {
-        match self.state.load(Ordering::Acquire) {
-            LAZY_OK => return Ok(()),
-            LAZY_BAD => {
-                return Err(IndexError::ChecksumMismatch {
-                    section: "term record",
-                    expected: self.expected,
-                    found: self.found.load(Ordering::Acquire),
-                })
+    /// As [`EncodedList::encode`].
+    pub(crate) fn encode(
+        &mut self,
+        list: &PostingList,
+        block_lens: &[usize],
+        codec: CodecId,
+    ) -> Result<ListSpan, IndexError> {
+        let postings = list.as_slice();
+        let total: usize = block_lens.iter().sum();
+        if total != postings.len() || block_lens.iter().any(|&l| l == 0 || l > MAX_BLOCK_LEN) {
+            return Err(IndexError::BadPartition {
+                list_len: postings.len(),
+                partition_sum: total,
+            });
+        }
+
+        let ops = codec.ops();
+        let first = self.metas.len();
+        let payload_start = self.payload.len();
+        self.metas.reserve(block_lens.len());
+        self.skips.reserve(block_lens.len());
+        let mut start = 0usize;
+        for &len in block_lens {
+            let block = &postings[start..start + len];
+            let skip = block[0].doc_id;
+
+            // Stored d-gaps: 0 for the first posting (recovered from the skip
+            // value), successor differences for the rest.
+            self.gaps.clear();
+            self.tfs.clear();
+            let mut max_gap = 0u32;
+            let mut max_tf = 0u32;
+            for (i, p) in block.iter().enumerate() {
+                let gap = if i == 0 { 0 } else { p.doc_id - block[i - 1].doc_id };
+                max_gap = max_gap.max(gap);
+                max_tf = max_tf.max(p.tf);
+                self.gaps.push(gap);
+                self.tfs.push(p.tf);
             }
-            _ => {}
+            let dn_bits = bits_for(max_gap);
+            let tf_bits = bits_for(max_tf);
+            if dn_bits >= 32 || tf_bits >= 32 {
+                return Err(IndexError::ValueTooWide { dn_bits, tf_bits });
+            }
+
+            let offset = (self.payload.len() - payload_start) as u64;
+            if offset >= (1 << 43) {
+                return Err(IndexError::ListTooLarge { bytes: offset });
+            }
+            ops.encode_block(&self.gaps, &self.tfs, dn_bits, tf_bits, &mut self.payload);
+
+            self.metas.push(BlockMeta { dn_bits, tf_bits, count: len as u16, offset });
+            self.skips.push(skip);
+            start += len;
         }
-        let bytes = self
-            .start
-            .checked_add(self.len)
-            .and_then(|end| self.map.as_slice().get(self.start..end))
-            .ok_or(IndexError::CorruptIndex { context: "term record range" })?;
-        let found = checksum::crc32(bytes);
-        if found == self.expected {
-            self.state.store(LAZY_OK, Ordering::Release);
-            Ok(())
-        } else {
-            self.found.store(found, Ordering::Release);
-            self.state.store(LAZY_BAD, Ordering::Release);
-            Err(IndexError::ChecksumMismatch {
-                section: "term record",
-                expected: self.expected,
-                found,
-            })
+        let (first, blocks) = self.blocks_since(first)?;
+        Ok(ListSpan {
+            first,
+            blocks,
+            crc: NO_CRC,
+            codec,
+            payload_start,
+            payload_len: self.payload.len() - payload_start,
+            num_postings: postings.len() as u64,
+        })
+    }
+
+    /// Appends a list parsed from a term record — nothing is decoded — and
+    /// checks its structure ([`EncodedList::validate`]). `payload` is the
+    /// record's payload: at offset `mapped_at` of the mapping the tables
+    /// will be frozen over, or copied into the owned buffer when `None`.
+    /// `record_start` is the record's offset in the mapping when its CRC
+    /// is deferred to first touch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IndexError::CorruptIndex`] if the list fails validation.
+    #[allow(clippy::too_many_arguments)] // the fields of one term record
+    pub(crate) fn push_stored(
+        &mut self,
+        meta_words: impl Iterator<Item = u64>,
+        skips: impl Iterator<Item = DocId>,
+        payload: &[u8],
+        mapped_at: Option<usize>,
+        num_postings: u64,
+        record_start: Option<usize>,
+        codec: CodecId,
+    ) -> Result<ListSpan, IndexError> {
+        let first = self.metas.len();
+        self.metas.extend(meta_words.map(BlockMeta::unpack));
+        self.skips.extend(skips);
+        let payload_start = mapped_at.unwrap_or_else(|| {
+            self.payload.extend_from_slice(payload);
+            self.payload.len() - payload.len()
+        });
+        let crc = match record_start {
+            Some(start) => {
+                self.crcs.push(RecordCrc { start, verdict: AtomicU64::new(UNVERIFIED) });
+                u32::try_from(self.crcs.len() - 1).map_err(|_| TABLE_OVERFLOW)?
+            }
+            None => NO_CRC,
+        };
+        let view = ListRef {
+            metas: &self.metas[first..],
+            skips: &self.skips[first..],
+            payload,
+            num_postings,
+            codec,
+        };
+        view.validate()?;
+        let (first, blocks) = self.blocks_since(first)?;
+        Ok(ListSpan {
+            first,
+            blocks,
+            crc,
+            codec,
+            payload_start,
+            payload_len: payload.len(),
+            num_postings,
+        })
+    }
+
+    /// The span `first..` of the block tables as `(first, count)`: `u32`s,
+    /// which hold as long as the whole table does.
+    fn blocks_since(&self, first: usize) -> Result<(u32, u32), IndexError> {
+        u32::try_from(self.metas.len()).map_err(|_| TABLE_OVERFLOW)?;
+        Ok((first as u32, (self.metas.len() - first) as u32))
+    }
+
+    /// Ends the build or load: the tables, trimmed to size, over `mapping`
+    /// when the lists' payloads lie in it, else over the owned buffer.
+    /// `num_docs` is the corpus the first touch holds docIDs to.
+    pub(crate) fn freeze(self, mapping: Option<Arc<Mmap>>, num_docs: u64) -> Arc<BlockTables> {
+        let TableBuilder { mut metas, mut skips, mut crcs, mut payload, .. } = self;
+        metas.shrink_to_fit();
+        skips.shrink_to_fit();
+        crcs.shrink_to_fit();
+        let payload = mapping.unwrap_or_else(|| {
+            payload.shrink_to_fit();
+            Arc::new(Mmap::from_vec(payload))
+        });
+        Arc::new(BlockTables { metas, skips, crcs, payload, num_docs })
+    }
+}
+
+const TABLE_OVERFLOW: IndexError =
+    IndexError::CorruptIndex { context: "block table exceeds 2^32 entries" };
+
+/// One list's slices of its tables, taken once per call: the view the
+/// decode and validation kernels run on, before and after a freeze.
+#[derive(Debug, Clone, Copy)]
+struct ListRef<'a> {
+    metas: &'a [BlockMeta],
+    skips: &'a [DocId],
+    payload: &'a [u8],
+    num_postings: u64,
+    codec: CodecId,
+}
+
+impl ListRef<'_> {
+    /// The payload byte range of block `idx`: from its offset to the next
+    /// block's offset (or the end of the payload for the last block).
+    /// Codecs whose block size is not derivable from the metadata widths
+    /// (Stream-VByte) rely on this contiguity invariant.
+    fn block_slice(&self, idx: usize) -> Result<&[u8], IndexError> {
+        let start = self.metas[idx].offset as usize;
+        let end = self.metas.get(idx + 1).map_or(self.payload.len(), |m| m.offset as usize);
+        if start > end || end > self.payload.len() {
+            return Err(IndexError::CorruptIndex { context: "payload bounds" });
         }
+        Ok(&self.payload[start..end])
+    }
+
+    /// [`EncodedList::try_decode_block_into`] minus the deferred checksum.
+    fn try_decode_block_into(
+        &self,
+        idx: usize,
+        out: &mut Vec<Posting>,
+    ) -> Result<(), IndexError> {
+        let meta = *self
+            .metas
+            .get(idx)
+            .ok_or(IndexError::CorruptIndex { context: "block index out of range" })?;
+        let skip = *self
+            .skips
+            .get(idx)
+            .ok_or(IndexError::CorruptIndex { context: "skip/meta count mismatch" })?;
+        if self.codec != CodecId::BitPack {
+            let block = self.block_slice(idx)?;
+            return self.codec.ops().try_decode_block_into(
+                block,
+                meta.count as usize,
+                meta.dn_bits,
+                meta.tf_bits,
+                skip,
+                out,
+            );
+        }
+        if meta.dn_bits > 31 || meta.tf_bits > 31 {
+            return Err(IndexError::CorruptIndex { context: "block bitwidths" });
+        }
+        let count = meta.count as usize;
+        let end_bits = meta
+            .offset
+            .checked_mul(8)
+            .and_then(|b| b.checked_add(u64::from(meta.pair_bits()) * count as u64))
+            .ok_or(IndexError::CorruptIndex { context: "payload bounds" })?;
+        if end_bits > self.payload.len() as u64 * 8 {
+            return Err(IndexError::CorruptIndex { context: "payload bounds" });
+        }
+
+        let payload = self.payload;
+        let dn = meta.dn_bits;
+        let tf_bits = meta.tf_bits;
+        let mut bit = meta.offset as usize * 8;
+        out.reserve(count);
+        let mut prev = skip;
+        for i in 0..count {
+            let gap = bitpack::extract(payload, bit, dn);
+            bit += dn as usize;
+            let tf = bitpack::extract(payload, bit, tf_bits);
+            bit += tf_bits as usize;
+            // wrapping: bounds were checked above, but a corrupt (yet
+            // in-bounds) payload must degrade to garbage values, not a
+            // debug-build overflow panic.
+            let doc = if i == 0 { skip } else { prev.wrapping_add(gap) };
+            out.push(Posting::new(doc, tf));
+            prev = doc;
+        }
+        Ok(())
+    }
+
+    /// [`EncodedList::find`] minus the deferred checksum.
+    fn find(&self, doc_id: DocId) -> Option<u32> {
+        let block = self.skips.partition_point(|&s| s <= doc_id).checked_sub(1)?;
+        if self.codec != CodecId::BitPack {
+            // Non-default codecs materialize the one candidate block and
+            // binary-search it; still a single-block decompression.
+            let mut buf = Vec::with_capacity(self.metas[block].count as usize);
+            self.try_decode_block_into(block, &mut buf).ok()?;
+            return buf.binary_search_by_key(&doc_id, |p| p.doc_id).ok().map(|i| buf[i].tf);
+        }
+        // Scan the packed pairs directly — no block materialization. DocIDs
+        // within a block are increasing, so the scan stops at the first
+        // docID past the probe.
+        let meta = self.metas[block];
+        let skip = self.skips[block];
+        let end_bits =
+            meta.offset as usize * 8 + meta.pair_bits() as usize * meta.count as usize;
+        assert!(end_bits <= self.payload.len() * 8, "bit read past end of buffer");
+        let mut bit = meta.offset as usize * 8;
+        let mut prev = skip;
+        for i in 0..meta.count as usize {
+            let gap = bitpack::extract(self.payload, bit, meta.dn_bits);
+            bit += meta.dn_bits as usize;
+            let tf = bitpack::extract(self.payload, bit, meta.tf_bits);
+            bit += meta.tf_bits as usize;
+            let doc = if i == 0 { skip } else { prev.wrapping_add(gap) };
+            if doc == doc_id {
+                return Some(tf);
+            }
+            if doc > doc_id {
+                return None;
+            }
+            prev = doc;
+        }
+        None
+    }
+
+    /// See [`EncodedList::validate`].
+    fn validate(&self) -> Result<(), IndexError> {
+        if self.metas.len() != self.skips.len() {
+            return Err(IndexError::CorruptIndex { context: "skip/meta count mismatch" });
+        }
+        let mut total: u64 = 0;
+        for meta in self.metas {
+            if meta.dn_bits > 31 || meta.tf_bits > 31 {
+                return Err(IndexError::CorruptIndex { context: "block bitwidths" });
+            }
+            if meta.count == 0 || meta.count as usize > MAX_BLOCK_LEN {
+                return Err(IndexError::CorruptIndex { context: "block count" });
+            }
+            total += u64::from(meta.count);
+            // Minimum payload bits the block needs under its codec: exact
+            // for the bit-packed layouts, a 1-byte-per-value floor for
+            // Stream-VByte (the decoder re-checks exact lengths).
+            let min_bits = match self.codec {
+                CodecId::BitPack | CodecId::SimdBp128 => {
+                    u64::from(meta.pair_bits()) * u64::from(meta.count)
+                }
+                CodecId::StreamVByte => {
+                    let n = u64::from(meta.count);
+                    8 * 2 * (n.div_ceil(4) + n)
+                }
+            };
+            let bits_needed = meta
+                .offset
+                .checked_mul(8)
+                .and_then(|b| b.checked_add(min_bits))
+                .ok_or(IndexError::CorruptIndex { context: "payload bounds" })?;
+            if bits_needed > self.payload.len() as u64 * 8 {
+                return Err(IndexError::CorruptIndex { context: "payload bounds" });
+            }
+        }
+        if total != self.num_postings {
+            return Err(IndexError::CorruptIndex { context: "posting count mismatch" });
+        }
+        if self.skips.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(IndexError::CorruptIndex { context: "skip values not increasing" });
+        }
+        Ok(())
     }
 }
 
 /// A posting list compressed with the IIU scheme: block metadata, skip list
 /// and a byte-aligned bit-packed payload.
-#[derive(Debug, Clone, Default)]
+///
+/// A handle into its index's [`BlockTables`] (or, for a list encoded on
+/// its own, tables of its own): cloning it copies the handle, not the
+/// tables.
+#[derive(Clone)]
 pub struct EncodedList {
-    metas: Vec<BlockMeta>,
-    skips: Vec<DocId>,
-    payload: PayloadBuf,
-    num_postings: u64,
-    /// Total cost in bits under the codec's model (the paper's Eq. 3 for
-    /// the default codec): modeled payload bits plus 96 bits of overhead
-    /// per block, *before* byte alignment.
-    model_bits: u64,
-    /// How the payload bytes encode each block's `(d-gap, tf)` pairs.
-    codec: CodecId,
-    /// Deferred whole-record checksum for lists served out of a mapping.
-    /// `None` for owned lists and for checksum-free v1 files.
-    lazy: Option<Arc<LazyCrc>>,
+    tables: Arc<BlockTables>,
+    span: ListSpan,
+}
+
+/// This list's slice of the tables, not the whole index's.
+impl std::fmt::Debug for EncodedList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EncodedList")
+            .field("codec", &self.codec())
+            .field("num_postings", &self.num_postings())
+            .field("metas", &self.metas())
+            .field("skips", &self.skips())
+            .field("payload_len", &self.payload().len())
+            .field("mapped", &self.is_mapped())
+            .finish()
+    }
+}
+
+impl Default for EncodedList {
+    fn default() -> Self {
+        EncodedList::new(&Arc::default(), ListSpan::EMPTY)
+    }
 }
 
 /// Equality is over logical content (structure + payload bytes + codec);
-/// the backing (heap vs mapping) and lazy-verification state are
-/// representation details — a mapped index must compare equal to the heap
-/// index it was serialized from.
+/// where the tables live (heap vs mapping, shared or not) and
+/// lazy-verification state are representation details — a mapped index
+/// must compare equal to the heap index it was serialized from.
 impl PartialEq for EncodedList {
     fn eq(&self, other: &Self) -> bool {
-        self.metas == other.metas
-            && self.skips == other.skips
-            && self.payload.as_slice() == other.payload.as_slice()
-            && self.num_postings == other.num_postings
-            && self.model_bits == other.model_bits
-            && self.codec == other.codec
+        self.metas() == other.metas()
+            && self.skips() == other.skips()
+            && self.payload() == other.payload()
+            && self.num_postings() == other.num_postings()
+            && self.codec() == other.codec()
     }
 }
 
@@ -298,170 +642,145 @@ impl EncodedList {
         block_lens: &[usize],
         codec: CodecId,
     ) -> Result<Self, IndexError> {
-        let postings = list.as_slice();
-        let total: usize = block_lens.iter().sum();
-        if total != postings.len() || block_lens.iter().any(|&l| l == 0 || l > MAX_BLOCK_LEN) {
-            return Err(IndexError::BadPartition {
-                list_len: postings.len(),
-                partition_sum: total,
-            });
-        }
-
-        let ops = codec.ops();
-        let mut metas = Vec::with_capacity(block_lens.len());
-        let mut skips = Vec::with_capacity(block_lens.len());
-        let mut payload: Vec<u8> = Vec::new();
-        let mut model_bits: u64 = 0;
-        let mut start = 0usize;
-        // Scratch reused across blocks: the stored d-gap / tf columns.
-        let mut gaps: Vec<u32> = Vec::new();
-        let mut tfs: Vec<u32> = Vec::new();
-
-        for &len in block_lens {
-            let block = &postings[start..start + len];
-            let skip = block[0].doc_id;
-
-            // Stored d-gaps: 0 for the first posting (recovered from the skip
-            // value), successor differences for the rest.
-            gaps.clear();
-            tfs.clear();
-            let mut max_gap = 0u32;
-            let mut max_tf = 0u32;
-            for (i, p) in block.iter().enumerate() {
-                let gap = if i == 0 { 0 } else { p.doc_id - block[i - 1].doc_id };
-                max_gap = max_gap.max(gap);
-                max_tf = max_tf.max(p.tf);
-                gaps.push(gap);
-                tfs.push(p.tf);
-            }
-            let dn_bits = bits_for(max_gap);
-            let tf_bits = bits_for(max_tf);
-            if dn_bits >= 32 || tf_bits >= 32 {
-                return Err(IndexError::ValueTooWide { dn_bits, tf_bits });
-            }
-
-            let offset = payload.len() as u64;
-            if offset >= (1 << 43) {
-                return Err(IndexError::ListTooLarge { bytes: offset });
-            }
-            ops.encode_block(&gaps, &tfs, dn_bits, tf_bits, &mut payload);
-
-            metas.push(BlockMeta { dn_bits, tf_bits, count: len as u16, offset });
-            skips.push(skip);
-            model_bits += ops.block_cost_bits(len as u64, dn_bits, tf_bits);
-            start += len;
-        }
-
-        Ok(EncodedList {
-            metas,
-            skips,
-            payload: PayloadBuf::Owned(payload),
-            num_postings: postings.len() as u64,
-            model_bits,
-            codec,
-            lazy: None,
-        })
+        let mut tables = TableBuilder::default();
+        let span = tables.encode(list, block_lens, codec)?;
+        Ok(EncodedList::new(&tables.freeze(None, 0), span))
     }
 
-    /// Assembles a list directly from stored parts — what the loader
-    /// ([`crate::io`]) builds from every term record: nothing is decoded,
-    /// and the payload stays wherever `payload` points (owned bytes, or a
-    /// window of a file mapping).
-    /// `model_bits` is recomputed from the metadata words (exactly what
-    /// the encoder charged, since both derive it from the same widths and
-    /// counts). The structural invariants are checked before the list is
-    /// returned; payload *content* is covered by the record CRC — checked
-    /// by the caller, or deferred in `lazy` — and by the caller's decode
-    /// oracle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if the parts fail
-    /// [`EncodedList::validate`].
-    pub(crate) fn from_stored_parts(
-        metas: Vec<BlockMeta>,
-        skips: Vec<DocId>,
-        payload: PayloadBuf,
-        num_postings: u64,
-        codec: CodecId,
-        lazy: Option<Arc<LazyCrc>>,
-    ) -> Result<Self, IndexError> {
-        let ops = codec.ops();
-        let model_bits = metas
-            .iter()
-            .map(|m| ops.block_cost_bits(u64::from(m.count), m.dn_bits, m.tf_bits))
-            .sum();
-        let list =
-            EncodedList { metas, skips, payload, num_postings, model_bits, codec, lazy };
-        list.validate()?;
-        Ok(list)
+    /// The handle of the list at `span` of `tables`.
+    pub(crate) fn new(tables: &Arc<BlockTables>, span: ListSpan) -> Self {
+        EncodedList { tables: Arc::clone(tables), span }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> &Arc<BlockTables> {
+        &self.tables
+    }
+
+    fn view(&self) -> ListRef<'_> {
+        let blocks = self.span.blocks();
+        ListRef {
+            metas: self.tables.metas.get(blocks.clone()).unwrap_or(&[]),
+            skips: self.tables.skips.get(blocks).unwrap_or(&[]),
+            payload: self.payload(),
+            num_postings: self.span.num_postings,
+            codec: self.span.codec,
+        }
     }
 
     /// Runs the deferred record checksum, if this list carries one (lists
-    /// served from a mapping). Owned lists return `Ok` unconditionally.
-    /// Engines call this at term-resolve time so corruption surfaces as a
-    /// typed error before any panicking decode wrapper runs; the decode
-    /// entry points below also call it as defense in depth.
+    /// served from a sealed mapped file), once: the record CRC, then its
+    /// last block against the corpus size. Owned lists return `Ok`
+    /// unconditionally. Engines call this at term-resolve time so
+    /// corruption surfaces as a typed error before any panicking decode
+    /// wrapper runs; the decode entry points below also call it as defense
+    /// in depth.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::ChecksumMismatch`] on a corrupt record.
+    /// Returns [`IndexError::ChecksumMismatch`] on a corrupt record, and
+    /// [`IndexError::CorruptIndex`] when its last block holds a docID
+    /// beyond the corpus.
     pub fn ensure_verified(&self) -> Result<(), IndexError> {
-        match &self.lazy {
-            None => Ok(()),
-            Some(l) => l.verify(),
+        let Some(crc) = self.tables.crcs.get(self.span.crc as usize) else {
+            return Ok(());
+        };
+        match crc.verdict.load(Ordering::Acquire) {
+            VERIFIED => Ok(()),
+            UNVERIFIED => self.first_touch(crc),
+            BEYOND_CORPUS => Err(BEYOND_CORPUS_ERROR),
+            bad => Err(IndexError::ChecksumMismatch {
+                section: "term record",
+                expected: self.record(crc)?.1,
+                found: (bad >> 32) as u32,
+            }),
         }
+    }
+
+    /// The bytes of this list's term record and the CRC stored after them.
+    fn record(&self, crc: &RecordCrc) -> Result<(&[u8], u32), IndexError> {
+        let map = self.tables.payload.as_slice();
+        let end = self.span.payload_start.saturating_add(self.span.payload_len);
+        match (map.get(crc.start..end), map.get(end..end.saturating_add(4))) {
+            (Some(record), Some(&[a, b, c, d])) => {
+                Ok((record, u32::from_le_bytes([a, b, c, d])))
+            }
+            _ => Err(IndexError::CorruptIndex { context: "term record range" }),
+        }
+    }
+
+    /// The one check behind [`EncodedList::ensure_verified`]. Concurrent
+    /// racers recompute harmlessly: the verdict is a pure function of
+    /// immutable bytes.
+    fn first_touch(&self, crc: &RecordCrc) -> Result<(), IndexError> {
+        let (record, expected) = self.record(crc)?;
+        let found = checksum::crc32(record);
+        if found != expected {
+            crc.verdict.store(CHECKSUM_BAD | u64::from(found) << 32, Ordering::Release);
+            return Err(IndexError::ChecksumMismatch {
+                section: "term record",
+                expected,
+                found,
+            });
+        }
+        // A mapped open with stored bounds takes docID order on the record
+        // CRC, which puts the largest docID in the last block; the open
+        // held only that block's first docID to the corpus.
+        let view = self.view();
+        if let Some(last) = view.metas.len().checked_sub(1) {
+            let mut block = Vec::with_capacity(usize::from(view.metas[last].count));
+            view.try_decode_block_into(last, &mut block)?;
+            if block.iter().any(|p| u64::from(p.doc_id) >= self.tables.num_docs) {
+                crc.verdict.store(BEYOND_CORPUS, Ordering::Release);
+                return Err(BEYOND_CORPUS_ERROR);
+            }
+        }
+        crc.verdict.store(VERIFIED, Ordering::Release);
+        Ok(())
     }
 
     /// The block codec the payload is encoded with.
     pub fn codec(&self) -> CodecId {
-        self.codec
-    }
-
-    /// The payload byte range of block `idx`: from its offset to the next
-    /// block's offset (or the end of the payload for the last block).
-    /// Codecs whose block size is not derivable from the metadata widths
-    /// (Stream-VByte) rely on this contiguity invariant.
-    fn block_slice(&self, idx: usize) -> Result<&[u8], IndexError> {
-        let payload = self.payload.as_slice();
-        let start = self.metas[idx].offset as usize;
-        let end = self.metas.get(idx + 1).map_or(payload.len(), |m| m.offset as usize);
-        if start > end || end > payload.len() {
-            return Err(IndexError::CorruptIndex { context: "payload bounds" });
-        }
-        Ok(&payload[start..end])
+        self.span.codec
     }
 
     /// Number of blocks.
     pub fn num_blocks(&self) -> usize {
-        self.metas.len()
+        self.span.blocks as usize
     }
 
     /// Number of postings across all blocks.
     pub fn num_postings(&self) -> u64 {
-        self.num_postings
+        self.span.num_postings
     }
 
     /// Block metadata words.
     pub fn metas(&self) -> &[BlockMeta] {
-        &self.metas
+        self.view().metas
     }
 
     /// Skip list: the raw first docID of each block.
     pub fn skips(&self) -> &[DocId] {
-        &self.skips
+        self.view().skips
     }
 
     /// The bit-packed payload bytes (borrowed from the heap or straight
     /// from a file mapping, depending on how the list was loaded).
     pub fn payload(&self) -> &[u8] {
-        self.payload.as_slice()
+        // The span is validated at construction; a malformed one degrades
+        // to an empty payload (decoders then report "payload bounds")
+        // rather than panicking.
+        let start = self.span.payload_start;
+        start
+            .checked_add(self.span.payload_len)
+            .and_then(|end| self.tables.payload.as_slice().get(start..end))
+            .unwrap_or(&[])
     }
 
     /// True when the payload is served from a file mapping rather than
     /// owned heap bytes.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.payload, PayloadBuf::Mapped { .. })
+        self.tables.payload.is_mapped()
     }
 
     /// Decodes block `idx` into postings.
@@ -473,7 +792,8 @@ impl EncodedList {
     ///
     /// Panics if `idx` is out of range or the payload is corrupt.
     pub fn decode_block(&self, idx: usize) -> Vec<Posting> {
-        let mut out = Vec::with_capacity(self.metas.get(idx).map_or(0, |m| m.count as usize));
+        let mut out =
+            Vec::with_capacity(self.metas().get(idx).map_or(0, |m| m.count as usize));
         self.decode_block_into(idx, &mut out);
         out
     }
@@ -512,62 +832,12 @@ impl EncodedList {
         out: &mut Vec<Posting>,
     ) -> Result<(), IndexError> {
         self.ensure_verified()?;
-        let meta = *self
-            .metas
-            .get(idx)
-            .ok_or(IndexError::CorruptIndex { context: "block index out of range" })?;
-        let skip = *self
-            .skips
-            .get(idx)
-            .ok_or(IndexError::CorruptIndex { context: "skip/meta count mismatch" })?;
-        if self.codec != CodecId::BitPack {
-            let block = self.block_slice(idx)?;
-            return self.codec.ops().try_decode_block_into(
-                block,
-                meta.count as usize,
-                meta.dn_bits,
-                meta.tf_bits,
-                skip,
-                out,
-            );
-        }
-        if meta.dn_bits > 31 || meta.tf_bits > 31 {
-            return Err(IndexError::CorruptIndex { context: "block bitwidths" });
-        }
-        let count = meta.count as usize;
-        let end_bits = meta
-            .offset
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(u64::from(meta.pair_bits()) * count as u64))
-            .ok_or(IndexError::CorruptIndex { context: "payload bounds" })?;
-        if end_bits > self.payload.len() as u64 * 8 {
-            return Err(IndexError::CorruptIndex { context: "payload bounds" });
-        }
-
-        let payload = self.payload.as_slice();
-        let dn = meta.dn_bits;
-        let tf_bits = meta.tf_bits;
-        let mut bit = meta.offset as usize * 8;
-        out.reserve(count);
-        let mut prev = skip;
-        for i in 0..count {
-            let gap = bitpack::extract(payload, bit, dn);
-            bit += dn as usize;
-            let tf = bitpack::extract(payload, bit, tf_bits);
-            bit += tf_bits as usize;
-            // wrapping: bounds were checked above, but a corrupt (yet
-            // in-bounds) payload must degrade to garbage values, not a
-            // debug-build overflow panic.
-            let doc = if i == 0 { skip } else { prev.wrapping_add(gap) };
-            out.push(Posting::new(doc, tf));
-            prev = doc;
-        }
-        Ok(())
+        self.view().try_decode_block_into(idx, out)
     }
 
     /// Decodes the entire list.
     pub fn decode_all(&self) -> PostingList {
-        let mut postings = Vec::with_capacity(self.num_postings as usize);
+        let mut postings = Vec::with_capacity(self.num_postings() as usize);
         for i in 0..self.num_blocks() {
             self.decode_block_into(i, &mut postings);
         }
@@ -579,7 +849,7 @@ impl EncodedList {
     /// skip value is `<= doc_id`. Returns `None` if `doc_id` precedes the
     /// first skip value or the list is empty.
     pub fn candidate_block(&self, doc_id: DocId) -> Option<usize> {
-        let n = self.skips.partition_point(|&s| s <= doc_id);
+        let n = self.skips().partition_point(|&s| s <= doc_id);
         n.checked_sub(1)
     }
 
@@ -596,9 +866,9 @@ impl EncodedList {
             lo => self.candidate_block(lo).unwrap_or(0),
         };
         let end = if window.hi() >= DOC_END {
-            self.skips.len()
+            self.skips().len()
         } else {
-            self.skips.partition_point(|&s| u64::from(s) < window.hi())
+            self.skips().partition_point(|&s| u64::from(s) < window.hi())
         };
         start..end
     }
@@ -617,14 +887,16 @@ impl EncodedList {
         window: DocWindow,
         out: &mut Vec<Posting>,
     ) -> Result<usize, IndexError> {
+        self.ensure_verified()?;
+        let view = self.view();
         let from = out.len();
-        self.try_decode_block_into(idx, out)?;
+        view.try_decode_block_into(idx, out)?;
         let decoded = out.len() - from;
-        if self.skips.get(idx).is_some_and(|&s| s < window.lo()) {
+        if view.skips.get(idx).is_some_and(|&s| s < window.lo()) {
             let below = out[from..].partition_point(|p| p.doc_id < window.lo());
             out.drain(from..from + below);
         }
-        if self.skips.get(idx + 1).map_or(DOC_END, |&s| u64::from(s)) > window.hi() {
+        if view.skips.get(idx + 1).map_or(DOC_END, |&s| u64::from(s)) > window.hi() {
             let keep = out[from..].partition_point(|p| u64::from(p.doc_id) < window.hi());
             out.truncate(from + keep);
         }
@@ -651,7 +923,7 @@ impl EncodedList {
     /// Physical compressed size in bytes: payload + 8 B metadata and 4 B
     /// skip value per block.
     pub fn compressed_bytes(&self) -> u64 {
-        self.payload.len() as u64 + self.metas.len() as u64 * 12
+        self.payload().len() as u64 + self.num_blocks() as u64 * 12
     }
 
     /// Streaming decoder over all postings, one block at a time — the
@@ -694,46 +966,18 @@ impl EncodedList {
         // rather than panicking; engines surface the typed error via
         // `ensure_verified` at resolve time.
         self.ensure_verified().ok()?;
-        let block = self.candidate_block(doc_id)?;
-        if self.codec != CodecId::BitPack {
-            // Non-default codecs materialize the one candidate block and
-            // binary-search it; still a single-block decompression.
-            let mut buf = Vec::with_capacity(self.metas[block].count as usize);
-            self.try_decode_block_into(block, &mut buf).ok()?;
-            return buf.binary_search_by_key(&doc_id, |p| p.doc_id).ok().map(|i| buf[i].tf);
-        }
-        // Scan the packed pairs directly — no block materialization. DocIDs
-        // within a block are increasing, so the scan stops at the first
-        // docID past the probe.
-        let meta = self.metas[block];
-        let skip = self.skips[block];
-        let end_bits =
-            meta.offset as usize * 8 + meta.pair_bits() as usize * meta.count as usize;
-        assert!(end_bits <= self.payload.len() * 8, "bit read past end of buffer");
-        let payload = self.payload.as_slice();
-        let mut bit = meta.offset as usize * 8;
-        let mut prev = skip;
-        for i in 0..meta.count as usize {
-            let gap = bitpack::extract(payload, bit, meta.dn_bits);
-            bit += meta.dn_bits as usize;
-            let tf = bitpack::extract(payload, bit, meta.tf_bits);
-            bit += meta.tf_bits as usize;
-            let doc = if i == 0 { skip } else { prev.wrapping_add(gap) };
-            if doc == doc_id {
-                return Some(tf);
-            }
-            if doc > doc_id {
-                return None;
-            }
-            prev = doc;
-        }
-        None
+        self.view().find(doc_id)
     }
 
     /// Cost in bits under the codec's model (the paper's Eq. 3 for the
-    /// default codec), before byte alignment.
+    /// default codec), before byte alignment: modeled payload bits plus
+    /// the per-block overhead, summed from the metadata words.
     pub fn model_bits(&self) -> u64 {
-        self.model_bits
+        let ops = self.codec().ops();
+        self.metas()
+            .iter()
+            .map(|m| ops.block_cost_bits(u64::from(m.count), m.dn_bits, m.tf_bits))
+            .sum()
     }
 
     /// Checks the structural invariants every decoder on the hot path
@@ -751,46 +995,7 @@ impl EncodedList {
     ///
     /// Returns [`IndexError::CorruptIndex`] naming the violated invariant.
     pub fn validate(&self) -> Result<(), IndexError> {
-        if self.metas.len() != self.skips.len() {
-            return Err(IndexError::CorruptIndex { context: "skip/meta count mismatch" });
-        }
-        let mut total: u64 = 0;
-        for meta in &self.metas {
-            if meta.dn_bits > 31 || meta.tf_bits > 31 {
-                return Err(IndexError::CorruptIndex { context: "block bitwidths" });
-            }
-            if meta.count == 0 || meta.count as usize > MAX_BLOCK_LEN {
-                return Err(IndexError::CorruptIndex { context: "block count" });
-            }
-            total += u64::from(meta.count);
-            // Minimum payload bits the block needs under its codec: exact
-            // for the bit-packed layouts, a 1-byte-per-value floor for
-            // Stream-VByte (the decoder re-checks exact lengths).
-            let min_bits = match self.codec {
-                CodecId::BitPack | CodecId::SimdBp128 => {
-                    u64::from(meta.pair_bits()) * u64::from(meta.count)
-                }
-                CodecId::StreamVByte => {
-                    let n = u64::from(meta.count);
-                    8 * 2 * (n.div_ceil(4) + n)
-                }
-            };
-            let bits_needed = meta
-                .offset
-                .checked_mul(8)
-                .and_then(|b| b.checked_add(min_bits))
-                .ok_or(IndexError::CorruptIndex { context: "payload bounds" })?;
-            if bits_needed > self.payload.len() as u64 * 8 {
-                return Err(IndexError::CorruptIndex { context: "payload bounds" });
-            }
-        }
-        if total != self.num_postings {
-            return Err(IndexError::CorruptIndex { context: "posting count mismatch" });
-        }
-        if self.skips.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(IndexError::CorruptIndex { context: "skip values not increasing" });
-        }
-        Ok(())
+        self.view().validate()
     }
 }
 
@@ -828,7 +1033,7 @@ impl Iterator for Iter<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         // Remaining = total - consumed (cheap lower bound via buffered).
         let consumed_blocks: u64 =
-            self.list.metas.iter().take(self.block).map(|m| u64::from(m.count)).sum();
+            self.list.metas().iter().take(self.block).map(|m| u64::from(m.count)).sum();
         let remaining = self.list.num_postings()
             - (consumed_blocks - (self.buffered.len() - self.pos) as u64);
         (remaining as usize, Some(remaining as usize))
@@ -850,6 +1055,40 @@ mod tests {
 
     fn list(pairs: &[(u32, u32)]) -> PostingList {
         PostingList::from_sorted(pairs.iter().map(|&(d, t)| Posting::new(d, t)).collect())
+    }
+
+    /// The parts of a list, as a test edits them.
+    struct Parts {
+        metas: Vec<BlockMeta>,
+        skips: Vec<DocId>,
+        payload: Vec<u8>,
+        num_postings: u64,
+    }
+
+    /// `enc` with its parts edited, in tables of its own assembled without
+    /// validation — the way a hostile file would present them.
+    fn tampered(enc: &EncodedList, edit: impl FnOnce(&mut Parts)) -> EncodedList {
+        let mut parts = Parts {
+            metas: enc.metas().to_vec(),
+            skips: enc.skips().to_vec(),
+            payload: enc.payload().to_vec(),
+            num_postings: enc.num_postings(),
+        };
+        edit(&mut parts);
+        let span = ListSpan {
+            blocks: parts.metas.len() as u32,
+            payload_len: parts.payload.len(),
+            num_postings: parts.num_postings,
+            codec: enc.codec(),
+            ..ListSpan::EMPTY
+        };
+        let tables = Arc::new(BlockTables {
+            metas: parts.metas,
+            skips: parts.skips,
+            payload: Arc::new(Mmap::from_vec(parts.payload)),
+            ..BlockTables::default()
+        });
+        EncodedList::new(&tables, span)
     }
 
     #[test]
@@ -1024,24 +1263,21 @@ mod tests {
         ));
 
         // Offset pointing past the payload.
-        let mut bad = enc.clone();
-        bad.metas[1].offset = (1 << 43) - 1;
+        let bad = tampered(&enc, |p| p.metas[1].offset = (1 << 43) - 1);
         assert!(matches!(
             bad.try_decode_block_into(1, &mut out),
             Err(IndexError::CorruptIndex { context: "payload bounds" })
         ));
 
         // Widths out of the packed range.
-        let mut bad = enc.clone();
-        bad.metas[0].dn_bits = 40;
+        let bad = tampered(&enc, |p| p.metas[0].dn_bits = 40);
         assert!(matches!(
             bad.try_decode_block_into(0, &mut out),
             Err(IndexError::CorruptIndex { context: "block bitwidths" })
         ));
 
         // A count overrunning the payload.
-        let mut bad = enc;
-        bad.metas[1].count = MAX_BLOCK_LEN as u16;
+        let bad = tampered(&enc, |p| p.metas[1].count = MAX_BLOCK_LEN as u16);
         assert!(matches!(
             bad.try_decode_block_into(1, &mut out),
             Err(IndexError::CorruptIndex { context: "payload bounds" })
@@ -1057,36 +1293,33 @@ mod tests {
         let enc = EncodedList::encode(&l, &[2, 2, 2]).unwrap();
         assert!(enc.validate().is_ok());
 
-        let mut bad = enc.clone();
-        bad.num_postings += 1;
+        let bad = tampered(&enc, |p| p.num_postings += 1);
         assert!(matches!(
             bad.validate(),
             Err(IndexError::CorruptIndex { context: "posting count mismatch" })
         ));
 
-        let mut bad = enc.clone();
-        bad.skips[1] = bad.skips[0]; // not strictly increasing
+        let bad = tampered(&enc, |p| p.skips[1] = p.skips[0]); // not strictly increasing
         assert!(matches!(
             bad.validate(),
             Err(IndexError::CorruptIndex { context: "skip values not increasing" })
         ));
 
-        let mut bad = enc.clone();
-        bad.metas[2].offset = (1 << 43) - 1; // way out of the payload
+        let bad = tampered(&enc, |p| p.metas[2].offset = (1 << 43) - 1); // out of the payload
         assert!(matches!(
             bad.validate(),
             Err(IndexError::CorruptIndex { context: "payload bounds" })
         ));
 
-        let mut bad = enc.clone();
-        bad.skips.pop();
+        let bad = tampered(&enc, |p| {
+            p.skips.pop();
+        });
         assert!(matches!(
             bad.validate(),
             Err(IndexError::CorruptIndex { context: "skip/meta count mismatch" })
         ));
 
-        let mut bad = enc;
-        bad.metas[0].dn_bits = 63;
+        let bad = tampered(&enc, |p| p.metas[0].dn_bits = 63);
         assert!(matches!(
             bad.validate(),
             Err(IndexError::CorruptIndex { context: "block bitwidths" })
@@ -1153,8 +1386,7 @@ mod tests {
         let l = list(&[(0, 1), (2, 2), (11, 1), (20, 9), (38, 1), (46, 2)]);
         for codec in [CodecId::StreamVByte, CodecId::SimdBp128] {
             let enc = EncodedList::encode_with(&l, &[3, 3], codec).unwrap();
-            let mut bad = enc.clone();
-            bad.payload.truncate(1);
+            let bad = tampered(&enc, |p| p.payload.truncate(1));
             let mut out = Vec::new();
             assert!(bad.try_decode_block_into(0, &mut out).is_err(), "{codec}");
             assert!(out.is_empty(), "{codec}");

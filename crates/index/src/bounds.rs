@@ -9,6 +9,10 @@
 //! * `max_tf` — the largest term frequency in the block (kept for
 //!   inspection and as a cheap cross-check; `ub` is what pruning uses).
 //!
+//! An index keeps both for all its lists in one pair of flat tables; a
+//! [`ListBounds`] is a handle on one list's span of them, as an
+//! [`EncodedList`] is on its block tables.
+//!
 //! # Why the bound is the exact per-block maximum
 //!
 //! The obvious closed-form bound `score(max_tf, min dl̄)` is *not* sound
@@ -30,17 +34,179 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::sync::Arc;
+
 use crate::block::EncodedList;
 use crate::error::IndexError;
 use crate::posting::Posting;
 use crate::score::{term_score_fixed, Fixed};
 
-/// Per-block score upper bounds for one posting list.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ListBounds {
+/// The flat tables behind every [`ListBounds`] of one index: one entry per
+/// block, in term order.
+#[derive(Debug, Default)]
+pub(crate) struct BoundTables {
     ubs: Vec<Fixed>,
     max_tfs: Vec<u32>,
+}
+
+impl BoundTables {
+    /// Heap bytes of the tables behind `bounds` — and so behind every
+    /// list's bounds of its index, which all share them.
+    pub(crate) fn heap_bytes_of(bounds: &ListBounds) -> u64 {
+        let tables = &bounds.tables;
+        (tables.ubs.capacity() * std::mem::size_of::<Fixed>()
+            + tables.max_tfs.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+}
+
+/// Per-block score upper bounds for one posting list.
+#[derive(Clone, Default)]
+pub struct ListBounds {
+    tables: Arc<BoundTables>,
+    first: usize,
+    blocks: usize,
     max_ub: Fixed,
+}
+
+/// This list's slice of the tables, not the whole index's.
+impl std::fmt::Debug for ListBounds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ListBounds")
+            .field("ubs", &self.ubs())
+            .field("max_tfs", &self.max_tfs())
+            .field("max_ub", &self.max_ub)
+            .finish()
+    }
+}
+
+/// Equality is over the bounds, wherever their tables live.
+impl PartialEq for ListBounds {
+    fn eq(&self, other: &Self) -> bool {
+        self.ubs() == other.ubs()
+            && self.max_tfs() == other.max_tfs()
+            && self.max_ub == other.max_ub
+    }
+}
+
+impl Eq for ListBounds {}
+
+/// Accumulates the bound tables of an index's lists in term order, until
+/// [`finish`](Self::finish) hands out one [`ListBounds`] per list.
+#[derive(Debug, Default)]
+pub(crate) struct BoundsBuilder {
+    ubs: Vec<Fixed>,
+    max_tfs: Vec<u32>,
+    /// Per list: first block, block count, list maximum.
+    lists: Vec<(usize, usize, Fixed)>,
+}
+
+impl BoundsBuilder {
+    /// Appends the bounds of a list laid out as `block_lens`-sized runs of
+    /// `postings` (see [`ListBounds::compute`]).
+    pub(crate) fn push_computed(
+        &mut self,
+        postings: &[Posting],
+        block_lens: &[usize],
+        idf_bar: Fixed,
+        dl_bars: &[Fixed],
+    ) {
+        let first = self.ubs.len();
+        let mut max_ub = Fixed::ZERO;
+        let mut at = 0usize;
+        for &len in block_lens {
+            let block = &postings[at.min(postings.len())..(at + len).min(postings.len())];
+            max_ub = max_ub.max(self.push_block(block, idf_bar, dl_bars));
+            at += len;
+        }
+        self.lists.push((first, block_lens.len(), max_ub));
+    }
+
+    /// Appends the bounds of `list` by decoding every block (see
+    /// [`ListBounds::recompute`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ListBounds::recompute`]; the builder then holds a partial list
+    /// and is for discarding.
+    pub(crate) fn push_recomputed(
+        &mut self,
+        list: &EncodedList,
+        idf_bar: Fixed,
+        dl_bars: &[Fixed],
+    ) -> Result<(), IndexError> {
+        let first = self.ubs.len();
+        let mut max_ub = Fixed::ZERO;
+        let mut block = Vec::new();
+        let mut prev = None;
+        for b in 0..list.num_blocks() {
+            block.clear();
+            list.try_decode_block_into(b, &mut block)?;
+            for p in &block {
+                if prev.is_some_and(|d| p.doc_id <= d) {
+                    return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
+                }
+                prev = Some(p.doc_id);
+            }
+            // Increasing, so the last decoded docID is the largest so far.
+            if prev.is_some_and(|d| d as usize >= dl_bars.len()) {
+                return Err(IndexError::CorruptIndex {
+                    context: "posting list references docID beyond corpus",
+                });
+            }
+            max_ub = max_ub.max(self.push_block(&block, idf_bar, dl_bars));
+        }
+        self.lists.push((first, list.num_blocks(), max_ub));
+        Ok(())
+    }
+
+    /// Appends one list's stored `(ub, max_tf)` pairs, block by block.
+    pub(crate) fn push_stored(&mut self, pairs: impl Iterator<Item = (Fixed, u32)>) {
+        let first = self.ubs.len();
+        let mut max_ub = Fixed::ZERO;
+        for (ub, max_tf) in pairs {
+            max_ub = max_ub.max(ub);
+            self.ubs.push(ub);
+            self.max_tfs.push(max_tf);
+        }
+        self.lists.push((first, self.ubs.len() - first, max_ub));
+    }
+
+    /// Appends the bound of one block — the datapath's score of every
+    /// posting in it, maximized — and returns it.
+    fn push_block(&mut self, block: &[Posting], idf_bar: Fixed, dl_bars: &[Fixed]) -> Fixed {
+        let mut ub = Fixed::ZERO;
+        let mut max_tf = 0u32;
+        for p in block {
+            let dl = dl_bars.get(p.doc_id as usize).copied().unwrap_or(Fixed::ZERO);
+            ub = ub.max(term_score_fixed(idf_bar, dl, p.tf));
+            max_tf = max_tf.max(p.tf);
+        }
+        self.ubs.push(ub);
+        self.max_tfs.push(max_tf);
+        ub
+    }
+
+    /// One [`ListBounds`] per pushed list, over the tables trimmed to size.
+    pub(crate) fn finish(self) -> Vec<ListBounds> {
+        let BoundsBuilder { mut ubs, mut max_tfs, lists } = self;
+        ubs.shrink_to_fit();
+        max_tfs.shrink_to_fit();
+        let tables = Arc::new(BoundTables { ubs, max_tfs });
+        lists
+            .into_iter()
+            .map(|(first, blocks, max_ub)| ListBounds {
+                tables: Arc::clone(&tables),
+                first,
+                blocks,
+                max_ub,
+            })
+            .collect()
+    }
+
+    /// The bounds of the one list pushed.
+    fn finish_one(self) -> ListBounds {
+        self.finish().pop().unwrap_or_default()
+    }
 }
 
 impl ListBounds {
@@ -58,28 +224,9 @@ impl ListBounds {
         idf_bar: Fixed,
         dl_bars: &[Fixed],
     ) -> Self {
-        let mut bounds = ListBounds::default();
-        let mut at = 0usize;
-        for &len in block_lens {
-            bounds.push_block(&postings[at..(at + len).min(postings.len())], idf_bar, dl_bars);
-            at += len;
-        }
-        bounds
-    }
-
-    /// Appends the bound of one block: the datapath's score of every
-    /// posting in it, maximized.
-    fn push_block(&mut self, block: &[Posting], idf_bar: Fixed, dl_bars: &[Fixed]) {
-        let mut ub = Fixed::ZERO;
-        let mut max_tf = 0u32;
-        for p in block {
-            let dl = dl_bars.get(p.doc_id as usize).copied().unwrap_or(Fixed::ZERO);
-            ub = ub.max(term_score_fixed(idf_bar, dl, p.tf));
-            max_tf = max_tf.max(p.tf);
-        }
-        self.max_ub = self.max_ub.max(ub);
-        self.ubs.push(ub);
-        self.max_tfs.push(max_tf);
+        let mut bounds = BoundsBuilder::default();
+        bounds.push_computed(postings, block_lens, idf_bar, dl_bars);
+        bounds.finish_one()
     }
 
     /// Recomputes bounds from an encoded list by decoding every block —
@@ -99,38 +246,22 @@ impl ListBounds {
         idf_bar: Fixed,
         dl_bars: &[Fixed],
     ) -> Result<Self, IndexError> {
-        let mut bounds = ListBounds::default();
-        let mut block = Vec::new();
-        let mut prev = None;
-        for b in 0..list.num_blocks() {
-            block.clear();
-            list.try_decode_block_into(b, &mut block)?;
-            for p in &block {
-                if prev.is_some_and(|d| p.doc_id <= d) {
-                    return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
-                }
-                prev = Some(p.doc_id);
-            }
-            // Increasing, so the last decoded docID is the largest so far.
-            if prev.is_some_and(|d| d as usize >= dl_bars.len()) {
-                return Err(IndexError::CorruptIndex {
-                    context: "posting list references docID beyond corpus",
-                });
-            }
-            bounds.push_block(&block, idf_bar, dl_bars);
-        }
-        Ok(bounds)
+        let mut bounds = BoundsBuilder::default();
+        bounds.push_recomputed(list, idf_bar, dl_bars)?;
+        Ok(bounds.finish_one())
     }
 
-    /// Constructs bounds from raw per-block values (the v3 file reader).
+    /// Constructs bounds from raw per-block values, paired block by block
+    /// (a longer one is cut to the shorter).
     pub fn from_raw_parts(ubs: Vec<Fixed>, max_tfs: Vec<u32>) -> Self {
-        let max_ub = ubs.iter().copied().max().unwrap_or(Fixed::ZERO);
-        ListBounds { ubs, max_tfs, max_ub }
+        let mut bounds = BoundsBuilder::default();
+        bounds.push_stored(ubs.into_iter().zip(max_tfs));
+        bounds.finish_one()
     }
 
     /// Number of blocks covered.
     pub fn num_blocks(&self) -> usize {
-        self.ubs.len()
+        self.blocks
     }
 
     /// Upper bound on the fixed-point score of any posting in block `b`.
@@ -139,17 +270,17 @@ impl ListBounds {
     ///
     /// Panics if `b` is out of range.
     pub fn block_ub(&self, b: usize) -> Fixed {
-        self.ubs[b]
+        self.ubs()[b]
     }
 
     /// All per-block upper bounds, in block order.
     pub fn ubs(&self) -> &[Fixed] {
-        &self.ubs
+        self.tables.ubs.get(self.first..self.first + self.blocks).unwrap_or(&[])
     }
 
     /// All per-block maximum term frequencies, in block order.
     pub fn max_tfs(&self) -> &[u32] {
-        &self.max_tfs
+        self.tables.max_tfs.get(self.first..self.first + self.blocks).unwrap_or(&[])
     }
 
     /// Upper bound over the whole list (max of the block bounds) — the
@@ -165,10 +296,10 @@ impl ListBounds {
     /// Returns [`IndexError::CorruptIndex`] if the block counts disagree
     /// or the cached list-level maximum does not match the blocks.
     pub fn validate_against(&self, list: &EncodedList) -> Result<(), IndexError> {
-        if self.ubs.len() != list.num_blocks() || self.max_tfs.len() != list.num_blocks() {
+        if self.ubs().len() != list.num_blocks() || self.max_tfs().len() != list.num_blocks() {
             return Err(IndexError::CorruptIndex { context: "score bounds block count" });
         }
-        let max = self.ubs.iter().copied().max().unwrap_or(Fixed::ZERO);
+        let max = self.ubs().iter().copied().max().unwrap_or(Fixed::ZERO);
         if max != self.max_ub {
             return Err(IndexError::CorruptIndex { context: "score bounds list maximum" });
         }
@@ -235,7 +366,7 @@ mod tests {
         good.validate_against(&enc).unwrap();
 
         let mut bad = good.clone();
-        bad.ubs.pop();
+        bad.blocks -= 1;
         assert!(matches!(
             bad.validate_against(&enc),
             Err(IndexError::CorruptIndex { context: "score bounds block count" })
@@ -247,6 +378,25 @@ mod tests {
             bad.validate_against(&enc),
             Err(IndexError::CorruptIndex { context: "score bounds list maximum" })
         ));
+    }
+
+    #[test]
+    fn a_builder_lays_lists_end_to_end_in_one_table() {
+        let pairs: Vec<(u32, u32)> = (0..100).map(|i| (i * 2, 1 + i % 9)).collect();
+        let (list, lens, dl_bars) = fixture(&pairs, 8);
+        let enc = EncodedList::encode(&list, &lens).unwrap();
+        let idf = Fixed::from_f64(2.5);
+        let mut builder = BoundsBuilder::default();
+        builder.push_computed(list.as_slice(), &lens, idf, &dl_bars);
+        builder.push_recomputed(&enc, idf, &dl_bars).unwrap();
+        builder.push_stored(std::iter::empty());
+        let all = builder.finish();
+        let alone = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
+        assert_eq!(all[0], alone);
+        assert_eq!(all[1], alone);
+        assert_eq!(all[2].num_blocks(), 0);
+        assert!(Arc::ptr_eq(&all[0].tables, &all[2].tables), "one table per builder");
+        assert_eq!(all[1].first, lens.len());
     }
 
     #[test]

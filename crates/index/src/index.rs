@@ -3,18 +3,20 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::mem::size_of;
 use std::sync::Arc;
 
-use crate::block::EncodedList;
-use crate::bounds::ListBounds;
+use crate::block::{EncodedList, TableBuilder, TableHeapBytes};
+use crate::bounds::{BoundTables, BoundsBuilder, ListBounds};
 use crate::codec::CodecId;
 use crate::error::IndexError;
 use crate::mmap::Mmap;
 use crate::partition::Partitioner;
 use crate::posting::{DocId, PostingList};
 use crate::score::{Bm25Params, Fixed};
-use crate::stats::IndexSizeStats;
+use crate::stats::{HeapBytes, IndexSizeStats};
 
 /// Dense identifier of a term in the index dictionary.
 pub type TermId = u32;
@@ -89,14 +91,76 @@ pub struct TermInfo {
     pub idf_bar: Fixed,
 }
 
+/// The dictionary: an open-addressed table of term ids, probed by the
+/// term's hash and compared against the name in the term table, so every
+/// name is stored once. Keyed hashing ([`RandomState`]), as `HashMap`'s,
+/// so a file's names cannot force long probe runs.
+#[derive(Debug, Clone)]
+struct TermTable {
+    /// Power-of-two sized, at most half full; [`TermTable::EMPTY`] marks a
+    /// free slot.
+    slots: Vec<TermId>,
+    hasher: RandomState,
+}
+
+impl TermTable {
+    const EMPTY: TermId = TermId::MAX;
+
+    /// The table of `terms`, each under its position.
+    ///
+    /// # Errors
+    ///
+    /// Returns `CorruptIndex { context: "duplicate term" }` if a name
+    /// repeats.
+    fn build(terms: &[TermInfo]) -> Result<Self, IndexError> {
+        if terms.len() >= Self::EMPTY as usize {
+            return Err(IndexError::CorruptIndex { context: "term count" });
+        }
+        let mut table = TermTable {
+            slots: vec![Self::EMPTY; (terms.len() * 2).next_power_of_two().max(2)],
+            hasher: RandomState::new(),
+        };
+        for (id, info) in terms.iter().enumerate() {
+            match table.probe(terms, &info.term) {
+                Err(free) => table.slots[free] = id as TermId,
+                Ok(_) => return Err(IndexError::CorruptIndex { context: "duplicate term" }),
+            }
+        }
+        Ok(table)
+    }
+
+    /// `Ok` with the id of `term`, or `Err` with the free slot where it
+    /// would go. Terminates because the table is never full.
+    fn probe(&self, terms: &[TermInfo], term: &str) -> Result<TermId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(term) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                Self::EMPTY => return Err(slot),
+                id if terms.get(id as usize).is_some_and(|t| t.term == term) => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, terms: &[TermInfo], term: &str) -> Option<TermId> {
+        self.probe(terms, term).ok()
+    }
+}
+
 /// A complete inverted index in the IIU storage scheme.
 ///
 /// Construct one with [`crate::IndexBuilder`] (from raw text) or
 /// [`InvertedIndex::from_lists`] (from pre-built posting lists, as the
 /// synthetic workload generator does).
+///
+/// However it was made — built, loaded onto the heap or mapped — its lists
+/// and bounds are handles on a few index-wide tables (see
+/// [`crate::block`]); [`InvertedIndex::heap_bytes`] says where the bytes
+/// are.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
-    dictionary: HashMap<String, TermId>,
+    dictionary: TermTable,
     terms: Vec<TermInfo>,
     lists: Vec<EncodedList>,
     bounds: Vec<ListBounds>,
@@ -111,11 +175,11 @@ pub struct InvertedIndex {
 
 /// Equality is over logical content; [`IndexSource`] is a representation
 /// detail (a mapped index must compare equal to the heap index it was
-/// serialized from — the property the source-equivalence matrix asserts).
+/// serialized from — the property the source-equivalence matrix asserts),
+/// and the dictionary is a function of the term table.
 impl PartialEq for InvertedIndex {
     fn eq(&self, other: &Self) -> bool {
-        self.dictionary == other.dictionary
-            && self.terms == other.terms
+        self.terms == other.terms
             && self.lists == other.lists
             && self.bounds == other.bounds
             && self.doc_lens == other.doc_lens
@@ -237,10 +301,12 @@ impl InvertedIndex {
         let dl_bars: Vec<Fixed> =
             doc_lens.iter().map(|&l| Fixed::from_f64(params.dl_bar(l, avgdl))).collect();
 
-        let mut dictionary = HashMap::with_capacity(lists.len());
+        // Every list encodes into one set of tables, and its bounds into
+        // another: a term's own heap cost is its name.
+        let mut tables = TableBuilder::default();
+        let mut bound_tables = BoundsBuilder::default();
+        let mut spans = Vec::with_capacity(lists.len());
         let mut terms = Vec::with_capacity(lists.len());
-        let mut encoded = Vec::with_capacity(lists.len());
-        let mut bounds = Vec::with_capacity(lists.len());
         for (term, list, idf_bar) in lists {
             if let Some(last) = list.as_slice().last() {
                 if u64::from(last.doc_id) >= n_docs {
@@ -249,22 +315,19 @@ impl InvertedIndex {
                     });
                 }
             }
-            let id = terms.len() as TermId;
-            if dictionary.insert(term.clone(), id).is_some() {
-                return Err(IndexError::CorruptIndex { context: "duplicate term" });
-            }
-            let df = list.len() as u64;
             let partition = partitioner.partition_for(&list, codec);
-            bounds.push(ListBounds::compute(list.as_slice(), &partition, idf_bar, &dl_bars));
-            encoded.push(EncodedList::encode_with(&list, &partition, codec)?);
-            terms.push(TermInfo { idf_bar, df, term });
+            bound_tables.push_computed(list.as_slice(), &partition, idf_bar, &dl_bars);
+            spans.push(tables.encode(&list, &partition, codec)?);
+            terms.push(TermInfo { idf_bar, df: list.len() as u64, term });
         }
+        let dictionary = TermTable::build(&terms)?;
+        let tables = tables.freeze(None, n_docs);
 
         Ok(InvertedIndex {
             dictionary,
             terms,
-            lists: encoded,
-            bounds,
+            lists: spans.into_iter().map(|span| EncodedList::new(&tables, span)).collect(),
+            bounds: bound_tables.finish(),
             doc_lens,
             dl_bars,
             avgdl,
@@ -280,12 +343,13 @@ impl InvertedIndex {
     /// keeps the file's block layout and nothing is re-partitioned.
     ///
     /// The caller is responsible for having validated `lists` (the
-    /// [`EncodedList::from_stored_parts`] constructor does) and `bounds`
-    /// (recomputed from the lists, or stored ones checked structurally via
-    /// [`ListBounds::validate_against`] with content integrity resting on
-    /// their section CRC). This constructor checks the
-    /// cross-field invariants: table lengths agree, term names are unique,
-    /// docIDs stay inside the corpus, and df matches each list.
+    /// loader's table builder checks each record's structure) and `bounds`
+    /// (recomputed from the lists, or stored ones checked for shape with
+    /// content integrity resting on their section CRC). This constructor
+    /// checks the cross-field invariants: table lengths agree, term names
+    /// are unique, each list's last block starts inside the corpus (its
+    /// first touch checks the rest of that block), and df matches each
+    /// list.
     ///
     /// # Errors
     ///
@@ -309,8 +373,7 @@ impl InvertedIndex {
             return Err(IndexError::CorruptIndex { context: "score bounds count" });
         }
         let n_docs = doc_lens.len() as u64;
-        let mut dictionary = HashMap::with_capacity(terms.len());
-        for (id, (info, list)) in terms.iter().zip(&lists).enumerate() {
+        for (info, list) in terms.iter().zip(&lists) {
             if info.df != list.num_postings() {
                 return Err(IndexError::CorruptIndex { context: "document frequency" });
             }
@@ -321,14 +384,11 @@ impl InvertedIndex {
                     });
                 }
             }
-            if dictionary.insert(info.term.clone(), id as TermId).is_some() {
-                return Err(IndexError::CorruptIndex { context: "duplicate term" });
-            }
         }
         let dl_bars: Vec<Fixed> =
             doc_lens.iter().map(|&l| Fixed::from_f64(params.dl_bar(l, avgdl))).collect();
         Ok(InvertedIndex {
-            dictionary,
+            dictionary: TermTable::build(&terms)?,
             terms,
             lists,
             bounds,
@@ -347,15 +407,18 @@ impl InvertedIndex {
         &self.source
     }
 
-    /// Runs the deferred record checksum of `id`'s list, if it carries one
-    /// (lists served from a mapping verify lazily on first touch). The
-    /// no-op for heap indexes; engines call this when resolving query
-    /// terms so late-discovered corruption surfaces as a typed error.
+    /// Runs the deferred first-touch check of `id`'s list, if it carries
+    /// one (lists served from a mapping verify lazily, once — see
+    /// [`EncodedList::ensure_verified`]). The no-op for heap indexes;
+    /// engines call this when resolving query terms so late-discovered
+    /// corruption surfaces as a typed error.
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::ChecksumMismatch`] if the mapped record's
-    /// bytes no longer hash to the stored section CRC.
+    /// bytes no longer hash to the stored section CRC, and
+    /// [`IndexError::CorruptIndex`] if its last block holds a docID beyond
+    /// the corpus.
     pub fn verify_term(&self, id: TermId) -> Result<(), IndexError> {
         match self.lists.get(id as usize) {
             Some(list) => list.ensure_verified(),
@@ -395,7 +458,7 @@ impl InvertedIndex {
 
     /// Looks up a term's identifier.
     pub fn term_id(&self, term: &str) -> Option<TermId> {
-        self.dictionary.get(term).copied()
+        self.dictionary.get(&self.terms, term)
     }
 
     /// Per-term dictionary entry.
@@ -494,9 +557,6 @@ impl InvertedIndex {
         if self.terms.len() != self.lists.len() {
             return Err(IndexError::CorruptIndex { context: "term/list count mismatch" });
         }
-        if self.dictionary.len() != self.terms.len() {
-            return Err(IndexError::CorruptIndex { context: "dictionary size" });
-        }
         if self.dl_bars.len() != self.doc_lens.len() {
             return Err(IndexError::CorruptIndex { context: "dl-bar table size" });
         }
@@ -505,7 +565,7 @@ impl InvertedIndex {
         }
         let n_docs = self.doc_lens.len() as u64;
         for (id, (info, list)) in self.terms.iter().zip(&self.lists).enumerate() {
-            if self.dictionary.get(&info.term) != Some(&(id as TermId)) {
+            if self.term_id(&info.term) != Some(id as TermId) {
                 return Err(IndexError::CorruptIndex { context: "dictionary mapping" });
             }
             if list.codec() != self.codec {
@@ -546,6 +606,28 @@ impl InvertedIndex {
         stats.skip_bytes = stats.num_blocks * 4;
         stats.uncompressed_bytes = stats.postings * 8;
         stats
+    }
+
+    /// Where this index's heap memory is: the bytes each of its tables
+    /// requested, by table (DESIGN.md §19, "index memory layout"). A
+    /// mapped index's payload is in the mapping and counts 0 here.
+    pub fn heap_bytes(&self) -> HeapBytes {
+        // An index without lists has empty tables, which hold nothing.
+        let tables = self.lists.first().map(TableHeapBytes::of).unwrap_or_default();
+        let names: usize = self.terms.iter().map(|t| t.term.capacity()).sum();
+        HeapBytes {
+            terms: (self.terms.capacity() * size_of::<TermInfo>()
+                + names
+                + self.lists.capacity() * size_of::<EncodedList>()
+                + self.bounds.capacity() * size_of::<ListBounds>()) as u64
+                + tables.crcs,
+            dictionary: (self.dictionary.slots.capacity() * size_of::<TermId>()) as u64,
+            block_tables: tables.blocks,
+            bound_tables: self.bounds.first().map_or(0, BoundTables::heap_bytes_of),
+            doc_tables: (self.doc_lens.capacity() * size_of::<u32>()
+                + self.dl_bars.capacity() * size_of::<Fixed>()) as u64,
+            payload: tables.payload,
+        }
     }
 }
 
@@ -611,6 +693,42 @@ mod tests {
     }
 
     #[test]
+    fn dictionary_finds_every_term_and_nothing_else() {
+        let names: Vec<String> = (0..1000).map(|i| format!("term{i}")).collect();
+        let lists = names
+            .iter()
+            .map(|n| (n.clone(), PostingList::from_sorted(vec![Posting::new(0, 1)])))
+            .collect();
+        let idx = InvertedIndex::from_lists(
+            lists,
+            vec![1],
+            Partitioner::default(),
+            Bm25Params::default(),
+        )
+        .unwrap();
+        for (id, name) in names.iter().enumerate() {
+            assert_eq!(idx.term_id(name), Some(id as TermId));
+        }
+        for absent in ["", "term", "term1000", "term01"] {
+            assert_eq!(idx.term_id(absent), None, "{absent:?}");
+        }
+        assert_eq!(idx.dictionary.slots.len(), 2048, "at most half full");
+    }
+
+    #[test]
+    fn every_list_and_bound_of_an_index_shares_one_table() {
+        let idx = tiny_index();
+        let (a, b) = (idx.encoded_list(0), idx.encoded_list(1));
+        assert!(Arc::ptr_eq(a.tables(), b.tables()));
+        let heap = idx.heap_bytes();
+        let blocks = idx.size_stats().num_blocks;
+        assert_eq!(heap.block_tables, blocks * 20, "one 16 B meta and one skip per block");
+        assert_eq!(heap.bound_tables, blocks * 8);
+        assert_eq!(heap.payload, idx.size_stats().payload_bytes);
+        assert_eq!(heap.doc_tables, 63 * 8);
+    }
+
+    #[test]
     fn idf_bar_reflects_rarity() {
         let idx = tiny_index();
         let business = idx.term_info(idx.term_id("business").unwrap()).idf_bar;
@@ -653,7 +771,11 @@ mod tests {
         ));
 
         let mut bad = idx.clone();
-        bad.dictionary.insert("business".into(), 1);
+        for slot in &mut bad.dictionary.slots {
+            if *slot == 0 {
+                *slot = 1; // "business" now leads to "cameo"
+            }
+        }
         assert!(matches!(
             bad.validate(),
             Err(IndexError::CorruptIndex { context: "dictionary mapping" })

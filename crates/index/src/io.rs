@@ -51,7 +51,7 @@
 //! | record frame + [`EncodedList::validate`] | yes | yes | — | yes |
 //! | record CRC (covers the payload) | yes | captured | yes, once per list | — |
 //! | footer CRC | yes | framed, not hashed | — | — |
-//! | docID order + in-corpus | yes | only without stored bounds | — | yes |
+//! | docID order + in-corpus | yes | without stored bounds; else last skip | last block, once | yes |
 //! | stored-bounds oracle | yes | no: section CRC + shape | — | yes |
 //!
 //! The last two rows are the content oracle, one decode pass per list
@@ -60,8 +60,12 @@
 //! equal its result (`score bounds mismatch`) — CRCs cannot catch a file
 //! that was *written* wrong. Formats without stored bounds (v1/v2, every
 //! manifest shard) run it on both backings, since its result *is* their
-//! bounds. So a malformed file yields a typed [`IndexError`] — never a
-//! panic or an out-of-bounds read. The codec id is interpreted only after
+//! bounds. A mapped v3/v4 open takes docID order on the record CRC, so it
+//! holds only each list's last skip to the corpus, and the list's first
+//! touch decodes its last block once to hold the rest. So a malformed file
+//! yields a typed [`IndexError`] — never a panic or an out-of-bounds read
+//! — on the heap at load, when mapped by the first query that touches the
+//! bad list at the latest. The codec id is interpreted only after
 //! the header CRC verifies: random corruption of the byte surfaces as a
 //! checksum mismatch, a CRC-consistent id this build does not implement
 //! as [`IndexError::UnknownCodec`], and a CRC-consistent flip to another
@@ -71,8 +75,8 @@
 
 use std::sync::Arc;
 
-use crate::block::{BlockMeta, EncodedList, LazyCrc, PayloadBuf};
-use crate::bounds::ListBounds;
+use crate::block::{EncodedList, ListSpan, TableBuilder};
+use crate::bounds::{BoundsBuilder, ListBounds};
 use crate::checksum::{crc32, Crc32};
 use crate::codec::CodecId;
 use crate::error::IndexError;
@@ -190,13 +194,7 @@ pub fn serialize(index: &InvertedIndex) -> Result<Vec<u8>, IndexError> {
     write_checksummed_body(&mut buf, index, true)?;
 
     let bounds_start = buf.len();
-    for bounds in index.bounds() {
-        buf.put_u64_le(bounds.num_blocks() as u64);
-        for (ub, &max_tf) in bounds.ubs().iter().zip(bounds.max_tfs()) {
-            buf.put_u32_le(ub.raw());
-            buf.put_u32_le(max_tf);
-        }
-    }
+    put_bounds(&mut buf, index.bounds());
     seal_section(&mut buf, bounds_start);
 
     let footer = crc32(&buf);
@@ -208,6 +206,35 @@ pub fn serialize(index: &InvertedIndex) -> Result<Vec<u8>, IndexError> {
 fn seal_section(buf: &mut Vec<u8>, start: usize) {
     let crc = crc32(&buf[start..]);
     buf.put_u32_le(crc);
+}
+
+/// Appends one term record, CRC excluded: name, counts, metadata words,
+/// skip values, payload.
+fn put_record(buf: &mut Vec<u8>, term: &str, list: &EncodedList) {
+    buf.put_u32_le(term.len() as u32);
+    buf.put_slice(term.as_bytes());
+    buf.put_u64_le(list.num_postings());
+    buf.put_u64_le(list.num_blocks() as u64);
+    for meta in list.metas() {
+        buf.put_u64_le(meta.pack());
+    }
+    for &skip in list.skips() {
+        buf.put_u32_le(skip);
+    }
+    buf.put_u64_le(list.payload().len() as u64);
+    buf.put_slice(list.payload());
+}
+
+/// Appends the score-bounds section's content, CRC excluded: per list,
+/// its block count and `(ub, max_tf)` pairs.
+fn put_bounds(buf: &mut Vec<u8>, bounds: &[ListBounds]) {
+    for list in bounds {
+        buf.put_u64_le(list.num_blocks() as u64);
+        for (ub, &max_tf) in list.ubs().iter().zip(list.max_tfs()) {
+            buf.put_u32_le(ub.raw());
+            buf.put_u32_le(max_tf);
+        }
+    }
 }
 
 /// Writes the checksummed body shared by the plain formats and the shard
@@ -249,20 +276,8 @@ fn write_checksummed_body(
         let id = index
             .term_id(&info.term)
             .ok_or_else(|| IndexError::UnknownTerm { term: info.term.clone() })?;
-        let list = index.encoded_list(id);
         let record_start = buf.len();
-        buf.put_u32_le(info.term.len() as u32);
-        buf.put_slice(info.term.as_bytes());
-        buf.put_u64_le(list.num_postings());
-        buf.put_u64_le(list.num_blocks() as u64);
-        for meta in list.metas() {
-            buf.put_u64_le(meta.pack());
-        }
-        for &skip in list.skips() {
-            buf.put_u32_le(skip);
-        }
-        buf.put_u64_le(list.payload().len() as u64);
-        buf.put_slice(list.payload());
+        put_record(buf, &info.term, index.encoded_list(id));
         seal_section(buf, record_start);
     }
     Ok(())
@@ -340,7 +355,8 @@ pub fn serialize_sharded(sharded: &ShardedIndex) -> Result<Vec<u8>, IndexError> 
 /// posting list, writes its sealed record, and accumulates that list's
 /// score bounds; [`finish`](Self::finish) emits the bounds section and
 /// the footer. Peak memory is one encoded list plus the per-document
-/// (4 + 4 bytes/doc) and per-block (16 bytes/block) tables —
+/// (4 + 4 bytes/doc) and bound (8 bytes/block plus a fixed record per
+/// term) tables —
 /// independent of the total posting count, which is what lets `iiu gen`
 /// stream a million-document corpus to disk with bounded RSS.
 ///
@@ -357,7 +373,7 @@ pub struct StreamingWriter<W: std::io::Write> {
     /// Per-document `dl̄` table, shared by every list's bound computation.
     dl_bars: Vec<Fixed>,
     /// Score bounds accumulated per pushed term, emitted by `finish`.
-    bounds: Vec<ListBounds>,
+    bounds: BoundsBuilder,
     expected_terms: u64,
     written_terms: u64,
 }
@@ -396,7 +412,7 @@ impl<W: std::io::Write> StreamingWriter<W> {
             codec,
             n_docs,
             dl_bars,
-            bounds: Vec::with_capacity(usize::try_from(num_terms).unwrap_or(0)),
+            bounds: BoundsBuilder::default(),
             expected_terms: num_terms,
             written_terms: 0,
         };
@@ -455,26 +471,10 @@ impl<W: std::io::Write> StreamingWriter<W> {
         let idf_bar = Fixed::from_f64(self.params.idf_bar(self.n_docs, list.len() as u64));
         let partition = self.partitioner.partition_for(list, self.codec);
         let encoded = EncodedList::encode_with(list, &partition, self.codec)?;
-        self.bounds.push(ListBounds::compute(
-            list.as_slice(),
-            &partition,
-            idf_bar,
-            &self.dl_bars,
-        ));
+        self.bounds.push_computed(list.as_slice(), &partition, idf_bar, &self.dl_bars);
 
         let mut record = Vec::new();
-        record.put_u32_le(term.len() as u32);
-        record.put_slice(term.as_bytes());
-        record.put_u64_le(encoded.num_postings());
-        record.put_u64_le(encoded.num_blocks() as u64);
-        for meta in encoded.metas() {
-            record.put_u64_le(meta.pack());
-        }
-        for &skip in encoded.skips() {
-            record.put_u32_le(skip);
-        }
-        record.put_u64_le(encoded.payload().len() as u64);
-        record.put_slice(encoded.payload());
+        put_record(&mut record, term, &encoded);
         seal_section(&mut record, 0);
         self.emit(&record)?;
         self.written_terms += 1;
@@ -495,13 +495,7 @@ impl<W: std::io::Write> StreamingWriter<W> {
             });
         }
         let mut section = Vec::new();
-        for bounds in &self.bounds {
-            section.put_u64_le(bounds.num_blocks() as u64);
-            for (ub, &max_tf) in bounds.ubs().iter().zip(bounds.max_tfs()) {
-                section.put_u32_le(ub.raw());
-                section.put_u32_le(max_tf);
-            }
-        }
+        put_bounds(&mut section, &std::mem::take(&mut self.bounds).finish());
         seal_section(&mut section, 0);
         self.emit(&section)?;
 
@@ -738,7 +732,7 @@ pub fn scan_sharded(bytes: &[u8]) -> Result<ShardScanReport, IndexError> {
             },
             Ok(body) => ShardBodyStatus::Ok {
                 docs: body.doc_lens.len() as u64,
-                postings: body.lists.iter().map(EncodedList::num_postings).sum(),
+                postings: body.spans.iter().map(ListSpan::num_postings).sum(),
             },
             Err(error) => {
                 lost |= header.body_lens.is_none();
@@ -963,13 +957,14 @@ fn read_body_header(r: &mut Reader<'_>, layout: Layout) -> Result<BodyHeader, In
 }
 
 /// A framed body: header fields, doc-length table and one structurally
-/// validated (never decoded) list per term record, shared by the plain
-/// formats and every manifest shard.
+/// validated (never decoded) list per term record — its span in `tables`
+/// — shared by the plain formats and every manifest shard.
 struct Body {
     header: BodyHeader,
     doc_lens: Vec<u32>,
     names: Vec<String>,
-    lists: Vec<EncodedList>,
+    spans: Vec<ListSpan>,
+    tables: TableBuilder,
 }
 
 fn read_body(
@@ -992,26 +987,28 @@ fn read_body(
     };
 
     let mut names = Vec::with_capacity(n_terms.min(r.remaining()));
-    let mut lists = Vec::with_capacity(n_terms.min(r.remaining()));
+    let mut spans = Vec::with_capacity(n_terms.min(r.remaining()));
+    let mut tables = TableBuilder::default();
     for _ in 0..n_terms {
-        let (name, list) = read_record(r, header.codec, layout.sealed, backing)?;
+        let (name, span) = read_record(r, header.codec, layout.sealed, backing, &mut tables)?;
         names.push(name);
-        lists.push(list);
+        spans.push(span);
     }
-    Ok(Body { header, doc_lens, names, lists })
+    Ok(Body { header, doc_lens, names, spans, tables })
 }
 
-/// Frames one term record (the same in every format version) and
-/// assembles its list from the stored parts, which checks the structural
-/// invariants ([`EncodedList::validate`]) without decoding. The record CRC
-/// of a sealed layout is verified here on the heap backing and captured
-/// into a [`LazyCrc`] on the mapped one.
+/// Frames one term record (the same in every format version) and appends
+/// its list to `tables`, which checks the structural invariants
+/// ([`EncodedList::validate`]) without decoding. The record CRC of a
+/// sealed layout is verified here on the heap backing and deferred to the
+/// list's first touch on the mapped one.
 fn read_record(
     r: &mut Reader<'_>,
     codec: CodecId,
     sealed: bool,
     backing: Backing<'_>,
-) -> Result<(String, EncodedList), IndexError> {
+    tables: &mut TableBuilder,
+) -> Result<(String, ListSpan), IndexError> {
     let context = "term record";
     let start = r.pos;
     let name_len = r.u32(context)? as usize;
@@ -1025,35 +1022,36 @@ fn read_record(
         .checked_mul(12)
         .ok_or(IndexError::CorruptIndex { context: "block tables" })?;
     let (meta_raw, skip_raw) = r.take(table_bytes, context)?.split_at(num_blocks * 8);
-    let metas = le_u64s(meta_raw).map(BlockMeta::unpack).collect();
-    let skips = le_u32s(skip_raw).collect();
     let payload_len = r.u64(context)? as usize;
     let payload_off = r.pos;
     let payload = r.take(payload_len, context)?;
 
-    let (payload, lazy) = match backing {
+    // Heap: the payload is copied into the owned buffer, under a verified
+    // CRC. Mapped: it stays where it is, under a deferred one.
+    let (mapped_at, record_start) = match backing {
         Backing::Heap(_) => {
             if sealed {
                 r.verify_section(start, "term record", "term record checksum")?;
             }
-            (PayloadBuf::Owned(payload.to_vec()), None)
+            (None, None)
         }
-        Backing::Mapped(map) => {
-            let len = r.pos - start;
-            let lazy = if sealed {
-                let expected = r.u32("term record checksum")?;
-                Some(Arc::new(LazyCrc::new(map.clone(), start, len, expected)))
-            } else {
-                None
-            };
-            let window =
-                PayloadBuf::Mapped { map: map.clone(), offset: payload_off, len: payload_len };
-            (window, lazy)
+        Backing::Mapped(_) => {
+            if sealed {
+                r.u32("term record checksum")?;
+            }
+            (Some(payload_off), sealed.then_some(start))
         }
     };
-    let list =
-        EncodedList::from_stored_parts(metas, skips, payload, num_postings, codec, lazy)?;
-    Ok((name, list))
+    let span = tables.push_stored(
+        le_u64s(meta_raw),
+        le_u32s(skip_raw),
+        payload,
+        mapped_at,
+        num_postings,
+        record_start,
+        codec,
+    )?;
+    Ok((name, span))
 }
 
 /// Reads the stored score-bounds section of a v3/v4 file: one entry list
@@ -1061,22 +1059,18 @@ fn read_record(
 fn read_bounds_section(
     r: &mut Reader<'_>,
     n_terms: usize,
-) -> Result<Vec<ListBounds>, IndexError> {
+) -> Result<BoundsBuilder, IndexError> {
     let start = r.pos;
-    let mut stored = Vec::with_capacity(n_terms);
+    let mut stored = BoundsBuilder::default();
     for _ in 0..n_terms {
         let num_blocks = r.u64("score bounds")? as usize;
         let entry_bytes = num_blocks
             .checked_mul(8)
             .ok_or(IndexError::CorruptIndex { context: "score bounds" })?;
         let mut words = le_u32s(r.take(entry_bytes, "score bounds")?);
-        let mut ubs = Vec::with_capacity(num_blocks);
-        let mut max_tfs = Vec::with_capacity(num_blocks);
-        while let (Some(ub), Some(max_tf)) = (words.next(), words.next()) {
-            ubs.push(Fixed::from_raw(ub));
-            max_tfs.push(max_tf);
-        }
-        stored.push(ListBounds::from_raw_parts(ubs, max_tfs));
+        stored.push_stored(std::iter::from_fn(|| {
+            Some((Fixed::from_raw(words.next()?), words.next()?))
+        }));
     }
     r.verify_section(start, "score bounds", "score bounds checksum")?;
     Ok(stored)
@@ -1111,22 +1105,32 @@ fn read_footer(
 }
 
 /// Turns a framed body into an index that keeps the file's block layout
-/// ([`InvertedIndex::from_stored_parts`]). Stored bounds on the mapped
-/// backing are trusted after their section CRC and a structural
-/// cross-check; everywhere else the content oracle runs — one decode pass
-/// per list ([`ListBounds::recompute`]: docID order, in-corpus, bounds) —
-/// and stored bounds, when the format has them, must equal its result.
+/// ([`InvertedIndex::from_stored_parts`]): its tables are frozen over the
+/// mapping, or over the owned payload buffer. Stored bounds on the mapped
+/// backing are trusted after their section CRC and a shape check;
+/// everywhere else the content oracle runs — one decode pass per list
+/// ([`ListBounds::recompute`]: docID order, in-corpus, bounds) — and
+/// stored bounds, when the format has them, must equal its result.
 fn assemble(
     body: Body,
     idf_bars: &[Fixed],
     avgdl: f64,
-    stored: Option<Vec<ListBounds>>,
+    stored: Option<BoundsBuilder>,
     backing: Backing<'_>,
     source: IndexSource,
 ) -> Result<InvertedIndex, IndexError> {
+    let codec = body.header.codec;
+    let mapping = match backing {
+        Backing::Heap(_) => None,
+        Backing::Mapped(map) => Some(Arc::clone(map)),
+    };
+    let tables = body.tables.freeze(mapping, body.doc_lens.len() as u64);
+    let lists: Vec<EncodedList> =
+        body.spans.iter().map(|&span| EncodedList::new(&tables, span)).collect();
+    let stored = stored.map(BoundsBuilder::finish);
     let bounds = match (stored, backing) {
         (Some(stored), Backing::Mapped(_)) => {
-            for (bounds, list) in stored.iter().zip(&body.lists) {
+            for (bounds, list) in stored.iter().zip(&lists) {
                 bounds.validate_against(list)?;
             }
             stored
@@ -1137,12 +1141,11 @@ fn assemble(
                 .iter()
                 .map(|&l| Fixed::from_f64(body.header.params.dl_bar(l, avgdl)))
                 .collect();
-            let recomputed = body
-                .lists
-                .iter()
-                .zip(idf_bars)
-                .map(|(list, &idf_bar)| ListBounds::recompute(list, idf_bar, &dl_bars))
-                .collect::<Result<Vec<_>, _>>()?;
+            let mut recomputed = BoundsBuilder::default();
+            for (list, &idf_bar) in lists.iter().zip(idf_bars) {
+                recomputed.push_recomputed(list, idf_bar, &dl_bars)?;
+            }
+            let recomputed = recomputed.finish();
             // A CRC-consistent file whose stored bounds disagree with its
             // postings was written wrong (or tampered with checksums
             // recomputed) and must not drive pruning.
@@ -1155,19 +1158,19 @@ fn assemble(
     let terms = body
         .names
         .into_iter()
-        .zip(&body.lists)
+        .zip(&lists)
         .zip(idf_bars)
         .map(|((term, list), &idf_bar)| TermInfo { term, df: list.num_postings(), idf_bar })
         .collect();
     InvertedIndex::from_stored_parts(
         terms,
-        body.lists,
+        lists,
         bounds,
         body.doc_lens,
         avgdl,
         body.header.params,
         body.header.partitioner,
-        body.header.codec,
+        codec,
         source,
     )
 }
@@ -1185,7 +1188,7 @@ pub(crate) fn load_plain(backing: Backing<'_>) -> Result<InvertedIndex, IndexErr
     };
     let body = read_body(&mut r, Layout { sealed, codec_byte }, backing)?;
     let stored =
-        if has_bounds { Some(read_bounds_section(&mut r, body.lists.len())?) } else { None };
+        if has_bounds { Some(read_bounds_section(&mut r, body.spans.len())?) } else { None };
     read_footer(&mut r, sealed, backing)?;
 
     // The collection statistics a plain file does not store.
@@ -1196,9 +1199,9 @@ pub(crate) fn load_plain(backing: Backing<'_>) -> Result<InvertedIndex, IndexErr
         body.doc_lens.iter().map(|&l| f64::from(l)).sum::<f64>() / n_docs as f64
     };
     let idf_bars: Vec<Fixed> = body
-        .lists
+        .spans
         .iter()
-        .map(|list| Fixed::from_f64(body.header.params.idf_bar(n_docs, list.num_postings())))
+        .map(|span| Fixed::from_f64(body.header.params.idf_bar(n_docs, span.num_postings())))
         .collect();
     assemble(body, &idf_bars, avgdl, stored, backing, backing.source(0, bytes.len()))
 }
@@ -1225,7 +1228,7 @@ pub(crate) fn load_sharded(backing: Backing<'_>) -> Result<ShardedIndex, IndexEr
         if header.body_lens.as_ref().is_some_and(|lens| lens[s] != body_len as u64) {
             return Err(IndexError::CorruptIndex { context: "shard body length mismatch" });
         }
-        if body.lists.len() != header.idf_bars.len() {
+        if body.spans.len() != header.idf_bars.len() {
             return Err(IndexError::CorruptIndex { context: "shard dictionaries disagree" });
         }
         let source = backing.source(body_start, body_len);
@@ -1265,74 +1268,22 @@ pub(crate) mod legacy {
         }
         buf.put_u64_le(index.num_terms() as u64);
         for info in index.terms() {
-            let list = index.encoded_list(index.term_id(&info.term).unwrap());
-            buf.put_u32_le(info.term.len() as u32);
-            buf.put_slice(info.term.as_bytes());
-            buf.put_u64_le(list.num_postings());
-            buf.put_u64_le(list.num_blocks() as u64);
-            for meta in list.metas() {
-                buf.put_u64_le(meta.pack());
-            }
-            for &skip in list.skips() {
-                buf.put_u32_le(skip);
-            }
-            buf.put_u64_le(list.payload().len() as u64);
-            buf.put_slice(list.payload());
+            put_record(
+                &mut buf,
+                &info.term,
+                index.encoded_list(index.term_id(&info.term).unwrap()),
+            );
         }
         buf
     }
 
     /// Writes `index` in the v2 layout (checksummed, no score bounds
-    /// section), byte-for-byte what the v2 writer produced.
+    /// section), byte-for-byte what the v2 writer produced: the legacy
+    /// checksummed body and the footer.
     pub(crate) fn serialize_v2(index: &InvertedIndex) -> Vec<u8> {
-        fn seal_section(buf: &mut Vec<u8>, start: usize) {
-            let crc = crc32(&buf[start..]);
-            buf.put_u32_le(crc);
-        }
-
         let mut buf = Vec::new();
         buf.put_u64_le(MAGIC_V2);
-        let header_start = buf.len();
-        buf.put_f64_le(index.params().k1);
-        buf.put_f64_le(index.params().b);
-        match index.partitioner() {
-            Partitioner::Fixed { block_len } => {
-                buf.put_u8(0);
-                buf.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                buf.put_u8(1);
-                buf.put_u32_le(max_size as u32);
-            }
-        }
-        buf.put_u64_le(index.num_docs());
-        buf.put_u64_le(index.num_terms() as u64);
-        seal_section(&mut buf, header_start);
-
-        let doc_start = buf.len();
-        for &l in index.doc_lens() {
-            buf.put_u32_le(l);
-        }
-        seal_section(&mut buf, doc_start);
-
-        for info in index.terms() {
-            let list = index.encoded_list(index.term_id(&info.term).unwrap());
-            let record_start = buf.len();
-            buf.put_u32_le(info.term.len() as u32);
-            buf.put_slice(info.term.as_bytes());
-            buf.put_u64_le(list.num_postings());
-            buf.put_u64_le(list.num_blocks() as u64);
-            for meta in list.metas() {
-                buf.put_u64_le(meta.pack());
-            }
-            for &skip in list.skips() {
-                buf.put_u32_le(skip);
-            }
-            buf.put_u64_le(list.payload().len() as u64);
-            buf.put_slice(list.payload());
-            seal_section(&mut buf, record_start);
-        }
-
+        write_checksummed_body(&mut buf, index, false).unwrap();
         let footer = crc32(&buf);
         buf.put_u32_le(footer);
         buf
@@ -1420,13 +1371,7 @@ pub(crate) mod legacy {
         buf.put_u64_le(MAGIC_V3);
         write_checksummed_body(&mut buf, index, false).unwrap();
         let bounds_start = buf.len();
-        for bounds in index.bounds() {
-            buf.put_u64_le(bounds.num_blocks() as u64);
-            for (ub, &max_tf) in bounds.ubs().iter().zip(bounds.max_tfs()) {
-                buf.put_u32_le(ub.raw());
-                buf.put_u32_le(max_tf);
-            }
-        }
+        put_bounds(&mut buf, index.bounds());
         seal_section(&mut buf, bounds_start);
         let footer = crc32(&buf);
         buf.put_u32_le(footer);

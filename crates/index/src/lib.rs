@@ -90,6 +90,6 @@ pub use recovery::RecoveryReport;
 pub use score::{Bm25Params, Fixed};
 pub use segment::{LoadedSegment, SegmentMeta};
 pub use shard::{DocWindow, ShardBalance, ShardedIndex, DOC_END};
-pub use stats::IndexSizeStats;
+pub use stats::{HeapBytes, IndexSizeStats};
 pub use storage::MappedIndex;
 pub use wal::{IngestDoc, Wal, WalReplay};

@@ -84,7 +84,8 @@ enum Backing {
     /// page-aligned; `len` > 0.
     #[cfg(unix)]
     Mapped { ptr: *mut u8, len: usize },
-    /// Owned bytes: the non-unix fallback, and every empty file.
+    /// Owned bytes: the non-unix fallback, every empty file, and the
+    /// payload buffer of an index built or loaded onto the heap.
     Owned(Vec<u8>),
 }
 
@@ -170,6 +171,21 @@ impl Mmap {
         let mut f = file;
         f.read_to_end(&mut buf).map_err(|e| io_err("reading an index file", e))?;
         Ok(Mmap { backing: Backing::Owned(buf) })
+    }
+
+    /// Owned bytes behind the same API: how an index built or loaded onto
+    /// the heap holds its payload, so every index reads one backing type.
+    pub(crate) fn from_vec(bytes: Vec<u8>) -> Self {
+        Mmap { backing: Backing::Owned(bytes) }
+    }
+
+    /// Heap bytes held: the owned buffer's capacity, 0 for a real mapping.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        match &self.backing {
+            #[cfg(unix)]
+            Backing::Mapped { .. } => 0,
+            Backing::Owned(v) => v.capacity() as u64,
+        }
     }
 
     /// The mapped bytes.

@@ -13,11 +13,12 @@
 //! What is verified at open, on first touch of a list, and only by
 //! [`InvertedIndex::validate`] is the "mapped open" / "first touch" /
 //! `validate()` columns of the policy table in [`crate::io`]. In short:
-//! opening costs reading the header, tables and record frames — not the
-//! payload pages — and each record's CRC is checked by the first decode
-//! of any of its blocks (or an engine's `verify_term` at query resolve),
-//! so corruption discovered late is a typed
-//! [`IndexError::ChecksumMismatch`], never a panic or an out-of-bounds
+//! opening frames the header, tables and every record — records
+//! interleave tables and payloads, so that reads the whole file — but
+//! hashes no record; each record's CRC, and its last block against the
+//! corpus, is checked by the first decode of any of its blocks (or an
+//! engine's `verify_term` at query resolve), so corruption discovered
+//! late is a typed [`IndexError`], never a panic or an out-of-bounds
 //! read. The footer CRC is framed but not hashed (hashing it would fault
 //! in every page; the section CRCs cover all content bytes anyway, so only
 //! v1 files, which have no CRCs at all, lose real protection), and stored

@@ -321,6 +321,22 @@ fn source_line(index: &InvertedIndex) -> String {
     }
 }
 
+/// One `heap:` report line: the bytes the opened index keeps on the heap,
+/// by table.
+fn heap_line(index: &InvertedIndex) -> String {
+    let h = index.heap_bytes();
+    format!(
+        "{} KiB (terms {} + dictionary {} + blocks {} + bounds {} + docs {} + payload {})",
+        h.total() / 1024,
+        h.terms / 1024,
+        h.dictionary / 1024,
+        h.block_tables / 1024,
+        h.bound_tables / 1024,
+        h.doc_tables / 1024,
+        h.payload / 1024
+    )
+}
+
 fn cmd_gen(args: &[String]) -> Result<(), String> {
     let parsed = split_args(args);
     let flag = |n: &str| parsed.flag(n);
@@ -471,6 +487,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         );
         for (i, shard) in sharded.shards().iter().enumerate() {
             println!("shard {i} source:   {}", source_line(shard));
+            println!("shard {i} heap:     {}", heap_line(shard));
         }
         return Ok(());
     }
@@ -496,6 +513,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     );
     println!("avgdl:            {:.1}", index.avgdl());
     println!("source:           {}", source_line(&index));
+    println!("heap:             {}", heap_line(&index));
     Ok(())
 }
 

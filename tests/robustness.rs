@@ -108,6 +108,57 @@ fn footer_flip_loads_mapped_but_fails_heap() {
 }
 
 #[test]
+fn a_mapped_list_reaching_past_the_corpus_is_a_typed_error_not_a_panic() {
+    // Drop the last document of a v4 file — lower `num_docs` in the
+    // header, cut the last doc-table entry — and reseal header, doc table
+    // and footer. The last block of "common" still starts inside the
+    // corpus, so only its last posting lies beyond it.
+    let mut builder = IndexBuilder::new(BuildOptions::default());
+    for i in 0..300 {
+        builder.add_document(&format!("common w{}", i % 7));
+    }
+    let idx = builder.build();
+    let bytes = serialize(&idx).expect("serialize");
+    let crc = |b: &[u8]| iiu_index::crc32(b).to_le_bytes();
+    // magic 8 · header 38 · crc 4 · doc table 4 per doc · crc 4.
+    let (header, docs) = (8..46, 50..50 + 4 * 299);
+    let mut file = bytes[..50].to_vec();
+    file[30..38].copy_from_slice(&299u64.to_le_bytes());
+    let header_crc = crc(&file[header.clone()]);
+    file[46..50].copy_from_slice(&header_crc);
+    file.extend_from_slice(&bytes[docs.clone()]);
+    file.extend_from_slice(&crc(&bytes[docs]));
+    file.extend_from_slice(&bytes[50 + 4 * 300 + 4..bytes.len() - 4]);
+    let footer = crc(&file);
+    file.extend_from_slice(&footer);
+
+    let beyond = "posting list references docID beyond corpus";
+    assert!(matches!(
+        deserialize(&file),
+        Err(iiu_index::IndexError::CorruptIndex { context }) if context == beyond
+    ));
+    let scratch = scratch_path("beyond-corpus");
+    std::fs::write(&scratch, &file).expect("scratch file writable");
+    let mapped = iiu_index::storage::map_index(&scratch).expect("the open checks skips only");
+    std::fs::remove_file(&scratch).ok();
+    let common = mapped.term_id("common").expect("indexed");
+    assert!(mapped.encoded_list(common).skips().last().is_some_and(|&s| s < 299));
+    for err in [
+        mapped.validate().expect_err("validate decodes everything"),
+        iiu_baseline::CpuEngine::new(&mapped)
+            .with_pruning(true)
+            .search_single("common", 10)
+            .expect_err("the engine resolves through the first touch"),
+        mapped.verify_term(common).expect_err("the verdict is kept"),
+    ] {
+        assert!(
+            matches!(err, iiu_index::IndexError::CorruptIndex { context } if context == beyond),
+            "{err:?}"
+        );
+    }
+}
+
+#[test]
 fn stalled_simulation_reports_snapshot_instead_of_spinning() {
     // queue_cap = 0 means no unit can ever hand data downstream: the
     // machine wedges immediately. The watchdog must convert that into a
