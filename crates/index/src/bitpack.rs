@@ -51,26 +51,36 @@ pub fn bits_for(value: u32) -> u8 {
 /// Low-`width` mask as a u64 (valid for widths 0..=32 without branching:
 /// `1 << 32` fits in a u64).
 #[inline(always)]
-fn mask64(width: u8) -> u64 {
+pub(crate) fn mask64(width: u8) -> u64 {
     (1u64 << width) - 1
 }
 
-/// Loads the 8-byte little-endian window starting at `byte_idx`,
-/// zero-padding past the end of the buffer. In-bounds fields extracted from
-/// a padded window are unaffected: padding only contributes bits above the
-/// field's mask.
+/// Bits of a [`window`] guaranteed to come from the stream: 64 loaded,
+/// less up to 7 shifted out by a start mid-byte.
+pub(crate) const WINDOW_BITS: u32 = 57;
+
+/// The stream from absolute bit `bit` on, as a u64 whose low
+/// [`WINDOW_BITS`] bits are exact: one 8-byte little-endian load at
+/// `bit >> 3`, shifted by `bit & 7`. Zero-pads past the end of `bytes`,
+/// which leaves in-bounds fields intact: padding only lands above them.
 #[inline(always)]
-fn window_at(bytes: &[u8], byte_idx: usize) -> u64 {
+pub(crate) fn window(bytes: &[u8], bit: usize) -> u64 {
+    let byte = bit >> 3;
+    let word = match bytes.get(byte..byte.wrapping_add(8)).and_then(|c| c.try_into().ok()) {
+        Some(chunk) => u64::from_le_bytes(chunk),
+        None => padded_window(bytes, byte),
+    };
+    word >> (bit & 7)
+}
+
+/// The load of [`window`] within 8 bytes of the end, kept out of line so
+/// the in-bounds load stays one fixed-size read.
+#[cold]
+#[inline(never)]
+fn padded_window(bytes: &[u8], byte: usize) -> u64 {
     let mut arr = [0u8; 8];
-    match bytes.get(byte_idx..byte_idx + 8) {
-        Some(chunk) => arr.copy_from_slice(chunk),
-        None => {
-            if byte_idx < bytes.len() {
-                let tail = &bytes[byte_idx..];
-                arr[..tail.len()].copy_from_slice(tail);
-            }
-        }
-    }
+    let tail = bytes.get(byte..).unwrap_or(&[]);
+    arr[..tail.len()].copy_from_slice(tail);
     u64::from_le_bytes(arr)
 }
 
@@ -80,8 +90,7 @@ fn window_at(bytes: &[u8], byte_idx: usize) -> u64 {
 /// Width 0 reads nothing and returns 0.
 #[inline(always)]
 pub(crate) fn extract(bytes: &[u8], bit: usize, width: u8) -> u32 {
-    let window = window_at(bytes, bit >> 3);
-    ((window >> (bit & 7)) & mask64(width)) as u32
+    (window(bytes, bit) & mask64(width)) as u32
 }
 
 /// The original byte-at-a-time field extraction, kept as the reference the

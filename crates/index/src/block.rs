@@ -16,9 +16,9 @@
 //! The block *structure* (metadata words, skip list, per-block maximum
 //! widths) is codec-independent; how the payload bytes between two block
 //! offsets encode the `(d-gap, tf)` pairs is delegated to a
-//! [`crate::codec::BlockCodec`]. The default [`CodecId::BitPack`] payload
-//! is decoded inline here by the word-window kernels, byte-identical to
-//! the pre-codec format.
+//! [`crate::codec::BlockCodec`]. The default [`CodecId::BitPack`] payload,
+//! byte-identical to the pre-codec format, goes straight to the codec's
+//! pair kernel: one window load per `(d-gap, tf)` pair.
 //!
 //! # Memory layout
 //!
@@ -35,9 +35,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::bitpack::{self, bits_for};
+use crate::bitpack::bits_for;
 use crate::checksum;
-use crate::codec::CodecId;
+use crate::codec::{self, CodecId};
 use crate::error::IndexError;
 use crate::mmap::Mmap;
 use crate::posting::{DocId, Posting, PostingList};
@@ -432,7 +432,7 @@ impl ListRef<'_> {
         idx: usize,
         out: &mut Vec<Posting>,
     ) -> Result<(), IndexError> {
-        let meta = *self
+        let BlockMeta { dn_bits, tf_bits, count, offset } = *self
             .metas
             .get(idx)
             .ok_or(IndexError::CorruptIndex { context: "block index out of range" })?;
@@ -440,86 +440,26 @@ impl ListRef<'_> {
             .skips
             .get(idx)
             .ok_or(IndexError::CorruptIndex { context: "skip/meta count mismatch" })?;
-        if self.codec != CodecId::BitPack {
-            let block = self.block_slice(idx)?;
-            return self.codec.ops().try_decode_block_into(
-                block,
-                meta.count as usize,
-                meta.dn_bits,
-                meta.tf_bits,
-                skip,
-                out,
-            );
+        let count = usize::from(count);
+        if self.codec == CodecId::BitPack {
+            // From the block's offset to the end of the list payload, not
+            // the block slice: the block's last pairs then load full
+            // windows, and the masks keep the next block's bits out.
+            let bytes = usize::try_from(offset).ok().and_then(|o| self.payload.get(o..));
+            let bytes = bytes.ok_or(IndexError::CorruptIndex { context: "payload bounds" })?;
+            return codec::try_decode_pairs_into(bytes, count, dn_bits, tf_bits, skip, out);
         }
-        if meta.dn_bits > 31 || meta.tf_bits > 31 {
-            return Err(IndexError::CorruptIndex { context: "block bitwidths" });
-        }
-        let count = meta.count as usize;
-        let end_bits = meta
-            .offset
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(u64::from(meta.pair_bits()) * count as u64))
-            .ok_or(IndexError::CorruptIndex { context: "payload bounds" })?;
-        if end_bits > self.payload.len() as u64 * 8 {
-            return Err(IndexError::CorruptIndex { context: "payload bounds" });
-        }
-
-        let payload = self.payload;
-        let dn = meta.dn_bits;
-        let tf_bits = meta.tf_bits;
-        let mut bit = meta.offset as usize * 8;
-        out.reserve(count);
-        let mut prev = skip;
-        for i in 0..count {
-            let gap = bitpack::extract(payload, bit, dn);
-            bit += dn as usize;
-            let tf = bitpack::extract(payload, bit, tf_bits);
-            bit += tf_bits as usize;
-            // wrapping: bounds were checked above, but a corrupt (yet
-            // in-bounds) payload must degrade to garbage values, not a
-            // debug-build overflow panic.
-            let doc = if i == 0 { skip } else { prev.wrapping_add(gap) };
-            out.push(Posting::new(doc, tf));
-            prev = doc;
-        }
-        Ok(())
+        let block = self.block_slice(idx)?;
+        self.codec.ops().try_decode_block_into(block, count, dn_bits, tf_bits, skip, out)
     }
 
-    /// [`EncodedList::find`] minus the deferred checksum.
+    /// [`EncodedList::find`] minus the deferred checksum: the candidate
+    /// block's decode and a binary search of it.
     fn find(&self, doc_id: DocId) -> Option<u32> {
         let block = self.skips.partition_point(|&s| s <= doc_id).checked_sub(1)?;
-        if self.codec != CodecId::BitPack {
-            // Non-default codecs materialize the one candidate block and
-            // binary-search it; still a single-block decompression.
-            let mut buf = Vec::with_capacity(self.metas[block].count as usize);
-            self.try_decode_block_into(block, &mut buf).ok()?;
-            return buf.binary_search_by_key(&doc_id, |p| p.doc_id).ok().map(|i| buf[i].tf);
-        }
-        // Scan the packed pairs directly — no block materialization. DocIDs
-        // within a block are increasing, so the scan stops at the first
-        // docID past the probe.
-        let meta = self.metas[block];
-        let skip = self.skips[block];
-        let end_bits =
-            meta.offset as usize * 8 + meta.pair_bits() as usize * meta.count as usize;
-        assert!(end_bits <= self.payload.len() * 8, "bit read past end of buffer");
-        let mut bit = meta.offset as usize * 8;
-        let mut prev = skip;
-        for i in 0..meta.count as usize {
-            let gap = bitpack::extract(self.payload, bit, meta.dn_bits);
-            bit += meta.dn_bits as usize;
-            let tf = bitpack::extract(self.payload, bit, meta.tf_bits);
-            bit += meta.tf_bits as usize;
-            let doc = if i == 0 { skip } else { prev.wrapping_add(gap) };
-            if doc == doc_id {
-                return Some(tf);
-            }
-            if doc > doc_id {
-                return None;
-            }
-            prev = doc;
-        }
-        None
+        let mut buf = Vec::new();
+        self.try_decode_block_into(block, &mut buf).ok()?;
+        buf.binary_search_by_key(&doc_id, |p| p.doc_id).ok().map(|i| buf[i].tf)
     }
 
     /// See [`EncodedList::validate`].
@@ -799,10 +739,10 @@ impl EncodedList {
     }
 
     /// Appends block `idx`'s postings onto `out` without allocating (beyond
-    /// `out`'s own growth): the zero-alloc decode kernel every hot path
-    /// uses. Delta-decoding of docIDs and the tf interleave are fused into
-    /// one pass of word-window field extractions (see
-    /// [`crate::bitpack::try_unpack_into`] for the kernel family).
+    /// `out`'s own growth): the zero-alloc decode every hot path uses. A
+    /// BitPack block decodes in one pass that loads one 8-byte window per
+    /// posting, masks the d-gap and the tf out of it, and adds the gap to
+    /// a running docID.
     ///
     /// `out` is appended to, not cleared — callers reusing a scratch buffer
     /// clear it first; [`crate::EncodedList::decode_all`] exploits the
@@ -946,8 +886,8 @@ impl EncodedList {
     }
 
     /// Membership test: the term frequency of `doc_id` if present,
-    /// decompressing at most one block (skip-list search + in-block scan,
-    /// the operation MILC optimizes and the BSU accelerates).
+    /// decompressing at most one block (skip-list search + in-block binary
+    /// search, the operation MILC optimizes and the BSU accelerates).
     ///
     /// # Example
     ///

@@ -8,8 +8,8 @@
 //! — runs unchanged over any member of the family:
 //!
 //! * [`CodecId::BitPack`] — the paper's interleaved bit-packed pairs,
-//!   decoded by the PR-3 word-window kernels. The default, and the scalar
-//!   baseline of the codec shootout.
+//!   decoded one window load per pair by `try_decode_pairs_into` on every
+//!   path. The default, and the scalar baseline of the codec shootout.
 //! * [`CodecId::StreamVByte`] — byte-aligned Stream-VByte (Lemire, Kurz &
 //!   Rupp): a 2-bit-per-value control stream followed by 1–4 data bytes
 //!   per value, one stream for gaps and one for tfs.
@@ -223,31 +223,61 @@ impl BlockCodec for BitPackCodec {
         skip: DocId,
         out: &mut Vec<Posting>,
     ) -> Result<(), IndexError> {
-        if gap_bits > 31 || tf_bits > 31 {
-            return Err(IndexError::CorruptIndex { context: "block bitwidths" });
-        }
-        let pair_bits = gap_bits as u64 + tf_bits as u64;
-        if pair_bits * count as u64 > block.len() as u64 * 8 {
-            return Err(IndexError::CorruptIndex { context: "payload bounds" });
-        }
-        let mut bit = 0usize;
-        out.reserve(count);
-        let mut prev = skip;
-        for i in 0..count {
-            let gap = bitpack::extract(block, bit, gap_bits);
-            bit += gap_bits as usize;
-            let tf = bitpack::extract(block, bit, tf_bits);
-            bit += tf_bits as usize;
-            let doc = if i == 0 { skip } else { prev.wrapping_add(gap) };
-            out.push(Posting::new(doc, tf));
-            prev = doc;
-        }
-        Ok(())
+        try_decode_pairs_into(block, count, gap_bits, tf_bits, skip, out)
     }
 
     fn block_cost_bits(&self, len: u64, gap_bits: u8, tf_bits: u8) -> u64 {
         (u64::from(gap_bits) + u64::from(tf_bits)) * len + BLOCK_OVERHEAD_BITS
     }
+}
+
+/// The one decoder of the paper's interleaved pairs, behind every BitPack
+/// decode: `count` `(d-gap, tf)` pairs from `bytes`, which start at the
+/// block's first pair and may run on past its last (the masks keep those
+/// bytes out of every field). Like the paper's DCU (§4.2) it extracts a
+/// pair per step — one window load, a shift and two masks — and adds the
+/// gap to a running docID, writing through one exact-size `extend`. The
+/// first posting is `skip`, whatever its stored gap says.
+///
+/// # Errors
+///
+/// [`IndexError::CorruptIndex`] for widths above 31 or `bytes` too short
+/// for `count` pairs, before anything is written. In-bounds garbage
+/// decodes to garbage through wrapping sums, never a panic.
+pub(crate) fn try_decode_pairs_into(
+    bytes: &[u8],
+    count: usize,
+    gap_bits: u8,
+    tf_bits: u8,
+    skip: DocId,
+    out: &mut Vec<Posting>,
+) -> Result<(), IndexError> {
+    if gap_bits > 31 || tf_bits > 31 {
+        return Err(IndexError::CorruptIndex { context: "block bitwidths" });
+    }
+    let pair_bits = u32::from(gap_bits + tf_bits);
+    if u64::from(pair_bits) * count as u64 > bytes.len() as u64 * 8 {
+        return Err(IndexError::CorruptIndex { context: "payload bounds" });
+    }
+    let (gap_mask, tf_mask) = (bitpack::mask64(gap_bits), bitpack::mask64(tf_bits));
+    let mut bit = 0usize;
+    // One stored gap below the skip, so that the first sum lands on it.
+    let mut doc = skip.wrapping_sub(bitpack::extract(bytes, 0, gap_bits));
+    // A pair wider than one window takes a second load for its tf.
+    let wide = pair_bits > bitpack::WINDOW_BITS;
+    // `move`: owned by the closure, `bit` and `doc` stay in registers.
+    out.extend((0..count).map(move |_| {
+        let w = bitpack::window(bytes, bit);
+        let tf = if wide {
+            bitpack::window(bytes, bit + usize::from(gap_bits))
+        } else {
+            w >> gap_bits
+        };
+        bit += pair_bits as usize;
+        doc = doc.wrapping_add((w & gap_mask) as u32);
+        Posting::new(doc, (tf & tf_mask) as u32)
+    }));
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1059,6 +1089,64 @@ mod tests {
                 ops.try_decode_block_into(&payload, n, gw, tw, skip, &mut out)
                     .unwrap_or_else(|e| panic!("{codec} n={n}: {e}"));
                 assert_eq!(out, postings_from(&gaps, &tfs, skip), "{codec} n={n}");
+            }
+        }
+    }
+
+    /// BitPack's one pair kernel against the independent `postings_from`
+    /// reference at every width pair, every field at its width's maximum
+    /// and a non-zero stored first gap (the first docID is still the skip).
+    /// Pairs of 58–62 bits overflow one window; 48 pairs fill whole bytes,
+    /// so the block ends at its last field and its last windows are
+    /// zero-padded.
+    #[test]
+    fn bitpack_decodes_every_width_pair_like_the_reference() {
+        use crate::block::{BlockMeta, EncodedList, TableBuilder};
+        let skip: DocId = 7;
+        for gw in 0..=31u8 {
+            for tw in 0..=31u8 {
+                for n in [1usize, 2, 31, 48, 300] {
+                    let (gaps, tfs) = (vec![mask32(gw); n], vec![mask32(tw); n]);
+                    let want = postings_from(&gaps, &tfs, skip);
+                    let mut block = Vec::new();
+                    CodecId::BitPack.ops().encode_block(&gaps, &tfs, gw, tw, &mut block);
+                    let mut out = Vec::new();
+                    CodecId::BitPack
+                        .ops()
+                        .try_decode_block_into(&block, n, gw, tw, skip, &mut out)
+                        .unwrap();
+                    assert_eq!(out, want, "block slice gw={gw} tw={tw} n={n}");
+
+                    // The served path: the block twice in one list, so the
+                    // first decode reads on into the second's bytes and the
+                    // second ends the payload.
+                    let span_docs = (n as u64 - 1) * u64::from(mask32(gw));
+                    let next_skip = u64::from(skip) + span_docs + 1;
+                    if next_skip + span_docs > u64::from(u32::MAX) {
+                        continue;
+                    }
+                    let meta = |offset| {
+                        BlockMeta { dn_bits: gw, tf_bits: tw, count: n as u16, offset }.pack()
+                    };
+                    let mut tables = TableBuilder::default();
+                    let span = tables
+                        .push_stored(
+                            [meta(0), meta(block.len() as u64)].into_iter(),
+                            [skip, next_skip as DocId].into_iter(),
+                            &[block.as_slice(), &block].concat(),
+                            None,
+                            2 * n as u64,
+                            None,
+                            CodecId::BitPack,
+                        )
+                        .unwrap();
+                    let list = EncodedList::new(&tables.freeze(None, 0), span);
+                    let mut out = Vec::new();
+                    list.decode_block_into(0, &mut out);
+                    list.decode_block_into(1, &mut out);
+                    let want = [want, postings_from(&gaps, &tfs, next_skip as DocId)].concat();
+                    assert_eq!(out, want, "served list gw={gw} tw={tw} n={n}");
+                }
             }
         }
     }

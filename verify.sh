@@ -107,9 +107,9 @@ cargo clippy -p iiu-serve -p iiu-baseline -p iiu-codecs -p iiu-workloads -p iiu-
 # BENCH_decode_thresholds.json, if pruning stops skipping blocks, if the
 # single-term k=10 pruning gain drops below 1.5x, if pruned AND or pruned
 # OR at k=10 fails to beat the same run's exhaustive wall time, if
-# simdbp128 stops strictly beating the scalar word-window bitpack
-# baseline at equal-or-better compression, or if any codec's shootout
-# bits/posting exceeds its committed max_bits_per_posting. Regenerate
+# simdbp128's shootout payload grows past bitpack's, or if any codec's
+# shootout bits/posting exceeds its committed max_bits_per_posting (the
+# bitpack/simdbp128 decode-time ratio is printed, not gated). Regenerate
 # baselines (only after an intentional perf change, on a quiet machine)
 # with:
 #   cargo run --release -p iiu-bench --bin decode_bench -- \
