@@ -11,9 +11,9 @@
 //! * **windows** of the one index the caller already holds, heap or
 //!   mapped (what the serving layer uses): nothing is copied, and docIDs
 //!   stay global, so the map is the identity;
-//! * the shards of a materialised round-robin [`ShardedIndex`] (a loaded
-//!   manifest), each a whole-window part whose local docID `d` is global
-//!   `d · n + s`.
+//! * the shards of an in-memory round-robin [`ShardedIndex`] split (what
+//!   the repo benchmark's fan-out replay and `shard_bench` measure), each
+//!   a whole-window part whose local docID `d` is global `d · n + s`.
 //!
 //! That map is the only place the two differ: every kernel takes a
 //! window, and an unsharded search is the window [`DocWindow::ALL`].
@@ -135,8 +135,7 @@ pub enum PartSource {
         /// One per part, in part order.
         windows: Vec<DocWindow>,
     },
-    /// The shards of a materialised round-robin split (a loaded manifest),
-    /// each searched whole.
+    /// The shards of an in-memory round-robin split, each searched whole.
     Split(Arc<ShardedIndex>),
 }
 

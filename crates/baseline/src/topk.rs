@@ -213,10 +213,10 @@ impl FusedTopK {
 /// * **Foreign thresholds are strict.** A published value `S` proves that
 ///   some shard holds k hits scoring `>= S` — so scores `< S` are out of
 ///   the global top-k, but a score *equal* to `S` may still belong in it
-///   (a tie at the global k-th boundary, won on docID). [`strict`]
-///   (Self::strict) therefore returns `S − 1`: under the engines' skip
-///   rule `bound <= threshold`, that prices out exactly the provably-dead
-///   scores `< S` and never a boundary tie. (A shard's *own* heap
+///   (a tie at the global k-th boundary, won on docID).
+///   [`strict`](Self::strict) therefore returns `S − 1`: under the
+///   engines' skip rule `bound <= threshold`, that prices out exactly the
+///   provably-dead scores `< S` and never a boundary tie. (A shard's *own* heap
 ///   threshold stays usable non-strictly, exactly as in single-shard
 ///   pruning, because local pushes happen in ascending docID order.)
 ///

@@ -563,7 +563,7 @@ fn decode_shootout(codec: CodecId, cb: &CodecBlocks, gap_bits: u8, out: &mut Vec
     }
 }
 
-/// The codec shootout (DESIGN.md §18): every integrated [`BlockCodec`]
+/// The codec shootout (DESIGN.md §18): every integrated [`iiu_index::BlockCodec`]
 /// decodes the same blocks; per-codec decode time per gated width goes
 /// into the gate map and per-codec aggregates (throughput, bits/posting)
 /// feed the `--check` rules and the printed bitpack/simdbp128 ratio.

@@ -24,7 +24,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Sample {
     bench_with(name, 12, 40, &mut f)
 }
 
-/// [`bench`] with explicit sample count and per-sample budget (ms).
+/// [`bench()`] with explicit sample count and per-sample budget (ms).
 pub fn bench_with<T>(
     name: &str,
     samples: usize,

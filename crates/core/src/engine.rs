@@ -3,8 +3,9 @@
 //! * [`CpuSearchEngine`] — the Lucene-like software baseline, priced by the
 //!   calibrated CPU cost model;
 //! * [`ShardedSearchEngine`] — the same baseline fanned across docID
-//!   windows of one index (or the shards of a [`ShardedIndex`]) with a
-//!   shared pruning threshold (intra-query parallelism on the host);
+//!   windows of one index (or the shards of an in-memory
+//!   [`ShardedIndex`](iiu_index::ShardedIndex)) with a shared pruning
+//!   threshold (intra-query parallelism on the host);
 //! * [`IiuSearchEngine`] — the cycle-level accelerator simulation plus the
 //!   host-side top-k pass.
 //!
@@ -12,15 +13,12 @@
 //! is shared), so every comparison between them is about *time*, exactly
 //! like the paper's evaluation.
 
-use std::sync::Arc;
-
 use iiu_baseline::topk::{top_k, Hit};
 use iiu_baseline::{
     CpuCostModel, CpuEngine, OpCounts, PartSource, PhaseBreakdown, ShardPoolConfig,
     ShardedEngine,
 };
 use iiu_index::score::term_score_fixed;
-use iiu_index::shard::ShardedIndex;
 use iiu_index::{
     DocId, DocWindow, Fixed, IndexError, InvertedIndex, PositionIndex, ShardChaosPlan,
 };
@@ -422,16 +420,6 @@ impl ShardedSearchEngine {
     /// policy (fan-out deadline, quarantine, respawn backoff).
     pub fn with_config(source: impl Into<PartSource>, cfg: ShardPoolConfig) -> Self {
         ShardedSearchEngine { inner: ShardedEngine::with_config(source, cfg) }
-    }
-
-    /// Splits an unsharded index into `shards` document shards and builds
-    /// an engine over them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if `shards` is zero.
-    pub fn split(index: &InvertedIndex, shards: usize) -> Result<Self, IndexError> {
-        Ok(Self::new(Arc::new(ShardedIndex::split(index, shards)?)))
     }
 
     /// Sets the fail-closed policy (builder style): when `true`, a query

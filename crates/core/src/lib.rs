@@ -51,7 +51,7 @@ pub use iiu_baseline::{
     estimate_query_cost, PartSource, PoolWorkerReport, QueryCostEstimate, ShardHealth,
     ShardHealthReport, ShardPoolConfig, HEAVY_DF_THRESHOLD,
 };
-pub use iiu_index::shard::{DocWindow, ShardBalance, ShardedIndex};
+pub use iiu_index::shard::{DocWindow, ShardedIndex};
 pub use iiu_index::{
     Bm25Params, DocId, IncrementalIndex, IncrementalOptions, IndexError, IngestDoc,
     InvertedIndex, Partitioner, RecoveryReport, ShardChaosPlan,

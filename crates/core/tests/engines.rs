@@ -2,8 +2,11 @@
 //! must return identical hits for every query shape, and their modeled
 //! latencies must have the shapes the paper reports.
 
+use std::sync::Arc;
+
 use iiu_core::{
-    CpuSearchEngine, Degradation, IiuSearchEngine, Query, SearchEngine, ShardedSearchEngine,
+    CpuSearchEngine, Degradation, DocWindow, IiuSearchEngine, PartSource, Query, SearchEngine,
+    ShardedSearchEngine,
 };
 use iiu_workloads::{CorpusConfig, QuerySampler};
 
@@ -81,12 +84,13 @@ fn complex_tree_matches_manual_set_algebra() {
 
 #[test]
 fn sharded_engine_agrees_with_unsharded_everywhere() {
-    let index = index();
+    let index = Arc::new(index());
     let mut cpu = CpuSearchEngine::new(&index);
     for shards in [1usize, 2, 4] {
         for pruned in [false, true] {
             let mut eng =
-                ShardedSearchEngine::split(&index, shards).unwrap().with_pruning(pruned);
+                ShardedSearchEngine::new(PartSource::windows(Arc::clone(&index), shards))
+                    .with_pruning(pruned);
             let mut cpu_p = CpuSearchEngine::new(&index).with_pruning(pruned);
             let mut sampler = QuerySampler::new(&index, 11);
             for term in sampler.single_queries(6) {
@@ -128,8 +132,9 @@ fn sharded_engine_agrees_with_unsharded_everywhere() {
 
 #[test]
 fn sharded_engine_degrades_unknown_terms_like_unsharded() {
-    let index = index();
-    let mut eng = ShardedSearchEngine::split(&index, 3).unwrap().with_pruning(true);
+    let index = Arc::new(index());
+    let mut eng = ShardedSearchEngine::new(PartSource::windows(Arc::clone(&index), 3))
+        .with_pruning(true);
     let mut sampler = QuerySampler::new(&index, 14);
     let known = sampler.single_queries(1).remove(0);
     let q = Query::or(Query::term(known.clone()), Query::term("nosuchterm0000001"));
@@ -144,8 +149,8 @@ fn sharded_engine_degrades_unknown_terms_like_unsharded() {
 
 #[test]
 fn sharded_engine_rejects_phrase_queries() {
-    let index = index();
-    let mut eng = ShardedSearchEngine::split(&index, 2).unwrap();
+    let index = Arc::new(index());
+    let mut eng = ShardedSearchEngine::new(PartSource::windows(Arc::clone(&index), 2));
     let mut sampler = QuerySampler::new(&index, 15);
     let t = sampler.single_queries(2);
     let q = Query::phrase(vec![t[0].clone(), t[1].clone()]);
@@ -156,9 +161,10 @@ fn sharded_engine_rejects_phrase_queries() {
 fn sharded_modeled_latency_beats_unsharded_on_heavy_queries() {
     // The whole point of document sharding: the critical-path shard is
     // cheaper than the full index scan.
-    let index = index();
+    let index = Arc::new(index());
     let mut cpu = CpuSearchEngine::new(&index).with_pruning(false);
-    let mut eng = ShardedSearchEngine::split(&index, 4).unwrap().with_pruning(false);
+    let mut eng = ShardedSearchEngine::new(PartSource::windows(Arc::clone(&index), 4))
+        .with_pruning(false);
     let mut sampler = QuerySampler::new(&index, 16);
     let term = sampler.single_queries(1).remove(0);
     let q = Query::term(term);
@@ -269,16 +275,15 @@ fn sharded_engine_labels_partial_coverage_truthfully() {
     // Shard 1's worker panics on every query: responses must carry
     // ShardsUnavailable with exact counts, and the surviving hits must be
     // bit-identical to the unsharded engine restricted to the documents
-    // of the surviving shards (round-robin: doc d lives on shard d % n).
-    let index = index();
+    // of the surviving shards (every docID outside window 1).
+    let index = Arc::new(index());
     let n = 3usize;
     let chaos = iiu_core::ShardChaosPlan {
         panic_burst: Some((0, u64::MAX, 1)),
         ..iiu_core::ShardChaosPlan::NONE
     };
     for pruned in [false, true] {
-        let eng = ShardedSearchEngine::split(&index, n)
-            .unwrap()
+        let eng = ShardedSearchEngine::new(PartSource::windows(Arc::clone(&index), n))
             .with_pruning(pruned)
             .with_chaos(chaos.clone());
         let mut cpu = CpuSearchEngine::new(&index);
@@ -306,8 +311,9 @@ fn sharded_engine_labels_partial_coverage_truthfully() {
                 partial.degraded
             );
             let full = cpu.search(&q, index.num_docs() as usize + 1).unwrap();
+            let lost = DocWindow::split(index.num_docs(), n)[1];
             let mut want: Vec<_> =
-                full.hits.into_iter().filter(|h| h.doc_id as usize % n != 1).collect();
+                full.hits.into_iter().filter(|h| !lost.contains(h.doc_id)).collect();
             want.truncate(10);
             assert_eq!(
                 partial.hits, want,
@@ -319,13 +325,12 @@ fn sharded_engine_labels_partial_coverage_truthfully() {
 
 #[test]
 fn fail_closed_sharded_engine_errors_instead_of_partial() {
-    let index = index();
+    let index = Arc::new(index());
     let chaos = iiu_core::ShardChaosPlan {
         panic_burst: Some((0, u64::MAX, 0)),
         ..iiu_core::ShardChaosPlan::NONE
     };
-    let eng = ShardedSearchEngine::split(&index, 2)
-        .unwrap()
+    let eng = ShardedSearchEngine::new(PartSource::windows(Arc::clone(&index), 2))
         .with_chaos(chaos)
         .with_fail_closed(true);
     let mut sampler = QuerySampler::new(&index, 12);

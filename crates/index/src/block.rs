@@ -23,7 +23,7 @@
 //! # Memory layout
 //!
 //! An index keeps the metadata words, skip values and lazy-CRC records of
-//! *all* its lists in one set of flat [`BlockTables`] over one payload
+//! *all* its lists in one set of flat `BlockTables` over one payload
 //! backing: the index file's mapping, or one owned buffer for an index
 //! built or loaded onto the heap. An [`EncodedList`] is a handle — the
 //! shared tables and the list's span in them — so a term costs a fixed
@@ -510,7 +510,7 @@ impl ListRef<'_> {
 /// A posting list compressed with the IIU scheme: block metadata, skip list
 /// and a byte-aligned bit-packed payload.
 ///
-/// A handle into its index's [`BlockTables`] (or, for a list encoded on
+/// A handle into its index's `BlockTables` (or, for a list encoded on
 /// its own, tables of its own): cloning it copies the handle, not the
 /// tables.
 #[derive(Clone)]

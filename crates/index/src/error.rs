@@ -42,12 +42,13 @@ pub enum IndexError {
         /// The checksum computed over the actual bytes.
         found: u32,
     },
-    /// The serialized index has an unsupported magic number or version.
+    /// The serialized index has an unsupported magic number or version —
+    /// including a retired round-robin shard manifest.
     UnsupportedFormat {
         /// The magic/version actually found.
         found: u64,
     },
-    /// A v4 header (or shard manifest) names a block codec this build
+    /// A v4 header names a block codec this build
     /// does not implement. Distinct from [`IndexError::CorruptIndex`]
     /// because the byte is CRC-valid — the file is from a newer build,
     /// not damaged.

@@ -315,41 +315,6 @@ fn sweep_mapped(idx: &InvertedIndex) -> Result<(), IndexError> {
     Ok(())
 }
 
-/// The campaign both mapped reports run: each of `trials` deterministic
-/// corruptions of `bytes` is written to `scratch` and opened with `open`;
-/// an index that opens is put through `sweep` (the lazily-verified decode
-/// of everything) and, if that passes too, deep-compared to `original`.
-fn mapped_campaign<T: PartialEq>(
-    original: &T,
-    bytes: &[u8],
-    trials: u64,
-    seed_base: u64,
-    scratch: &std::path::Path,
-    open: impl Fn(&std::path::Path) -> Result<T, IndexError>,
-    sweep: impl Fn(&T) -> Result<(), IndexError>,
-) -> std::io::Result<MappedSurvivalReport> {
-    let mut report = MappedSurvivalReport { trials, ..Default::default() };
-    for t in 0..trials {
-        let (mutated, _what) = corrupt(bytes, seed_base + t);
-        std::fs::write(scratch, &mutated)?;
-        match open(scratch) {
-            Err(_) => report.open_rejections += 1,
-            Ok(mapped) => match sweep(&mapped) {
-                Err(e) => {
-                    report.touch_rejections += 1;
-                    if matches!(e, IndexError::ChecksumMismatch { .. }) {
-                        report.touch_checksum_rejections += 1;
-                    }
-                }
-                Ok(()) if mapped == *original => report.accepted_equal += 1,
-                Ok(()) => report.accepted_divergent += 1,
-            },
-        }
-    }
-    std::fs::remove_file(scratch).ok();
-    Ok(report)
-}
-
 /// Runs `trials` deterministic corruptions of `bytes` through the mapped
 /// loader [`crate::storage::map_index`], writing each mutation to
 /// `scratch` and — when the open succeeds — sweeping every term through
@@ -368,31 +333,26 @@ pub fn mapped_survival_report(
     seed_base: u64,
     scratch: &std::path::Path,
 ) -> std::io::Result<MappedSurvivalReport> {
-    let open = crate::storage::map_index;
-    mapped_campaign(original, bytes, trials, seed_base, scratch, open, sweep_mapped)
-}
-
-/// [`mapped_survival_report`] for shard manifests via
-/// [`crate::storage::map_sharded`]. Manifests store no bounds section,
-/// so every shard payload is decoded (and its record CRC verified) at
-/// open — payload corruption lands in `open_rejections`, not
-/// `touch_rejections`; the post-open sweep is retained as a no-panic
-/// check over whatever loaded.
-///
-/// # Errors
-///
-/// Returns the underlying error if `scratch` cannot be (re)written.
-pub fn mapped_sharded_survival_report(
-    original: &crate::shard::ShardedIndex,
-    bytes: &[u8],
-    trials: u64,
-    seed_base: u64,
-    scratch: &std::path::Path,
-) -> std::io::Result<MappedSurvivalReport> {
-    let open = crate::storage::map_sharded;
-    mapped_campaign(original, bytes, trials, seed_base, scratch, open, |mapped| {
-        mapped.shards().iter().try_for_each(sweep_mapped)
-    })
+    let mut report = MappedSurvivalReport { trials, ..Default::default() };
+    for t in 0..trials {
+        let (mutated, _what) = corrupt(bytes, seed_base + t);
+        std::fs::write(scratch, &mutated)?;
+        match crate::storage::map_index(scratch) {
+            Err(_) => report.open_rejections += 1,
+            Ok(mapped) => match sweep_mapped(&mapped) {
+                Err(e) => {
+                    report.touch_rejections += 1;
+                    if matches!(e, IndexError::ChecksumMismatch { .. }) {
+                        report.touch_checksum_rejections += 1;
+                    }
+                }
+                Ok(()) if mapped == *original => report.accepted_equal += 1,
+                Ok(()) => report.accepted_divergent += 1,
+            },
+        }
+    }
+    std::fs::remove_file(scratch).ok();
+    Ok(report)
 }
 
 /// Runs `trials` deterministic corruptions (seeds `seed_base..seed_base +

@@ -13,8 +13,8 @@
 //! a sealed on-disk segment (atomic write + rename, partitioner re-run
 //! over the batch for compression-optimal blocks) and the WAL is reset.
 //! When the segment count reaches `merge_threshold`, segments are merged
-//! into one — the same decode/remap/rebuild shape as
-//! [`crate::ShardedIndex::merge`].
+//! into one: every list decoded, its docIDs shifted, and the result
+//! rebuilt ([`crate::segment::merge_segment_lists`]).
 //!
 //! ## Scoring and bit-identity
 //!

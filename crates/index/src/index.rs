@@ -22,8 +22,8 @@ use crate::stats::{HeapBytes, IndexSizeStats};
 pub type TermId = u32;
 
 /// Where an index's payload bytes live: owned heap memory (built in RAM or
-/// deserialized the classic way) or a window of a memory-mapped index file
-/// (the zero-copy storage layer, [`crate::storage`]).
+/// deserialized the classic way) or a memory-mapped index file (the
+/// zero-copy storage layer, [`crate::storage`]).
 ///
 /// This is reporting/bookkeeping only — every consumer reads postings
 /// through the same `&[u8]` accessors regardless of source.
@@ -32,49 +32,40 @@ pub enum IndexSource {
     /// All bytes owned on the heap.
     #[default]
     Heap,
-    /// Payloads served from a file mapping.
-    Mapped {
-        /// The shared mapping (kept alive by the index).
-        map: Arc<Mmap>,
-        /// Start of this index's bytes within the mapping (0 for a plain
-        /// index file; the shard body offset for manifest shards).
-        span_start: usize,
-        /// Length of this index's bytes within the mapping.
-        span_len: usize,
-    },
+    /// Payloads served from the mapping of the index file, which the index
+    /// keeps alive.
+    Mapped(Arc<Mmap>),
 }
 
 impl IndexSource {
     /// True for a mapped source.
     pub fn is_mapped(&self) -> bool {
-        matches!(self, IndexSource::Mapped { .. })
+        matches!(self, IndexSource::Mapped(_))
     }
 
     /// Short human-readable tag (`"heap"` / `"mmap"`).
     pub fn kind(&self) -> &'static str {
         match self {
             IndexSource::Heap => "heap",
-            IndexSource::Mapped { .. } => "mmap",
+            IndexSource::Mapped(_) => "mmap",
         }
     }
 
-    /// Bytes of the mapping this index spans (0 for heap indexes).
+    /// Bytes of the mapped file (0 for heap indexes).
     pub fn mapped_bytes(&self) -> u64 {
         match self {
             IndexSource::Heap => 0,
-            IndexSource::Mapped { span_len, .. } => *span_len as u64,
+            IndexSource::Mapped(map) => map.len() as u64,
         }
     }
 
-    /// Page-cache residency estimate for this index's span of the mapping
-    /// (`mincore`-based, advisory). `None` for heap indexes or when the
-    /// estimate is unavailable.
+    /// Page-cache residency estimate for the mapped file (`mincore`-based,
+    /// advisory). `None` for heap indexes or when the estimate is
+    /// unavailable.
     pub fn resident_bytes(&self) -> Option<u64> {
         match self {
             IndexSource::Heap => None,
-            IndexSource::Mapped { map, span_start, span_len } => {
-                map.resident_bytes_in(*span_start, *span_len)
-            }
+            IndexSource::Mapped(map) => map.resident_bytes(),
         }
     }
 }

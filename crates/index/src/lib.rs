@@ -76,8 +76,8 @@ pub use checksum::{crc32, Crc32};
 pub use codec::{BlockCodec, CodecId};
 pub use error::IndexError;
 pub use faultinject::{
-    corrupt, mapped_sharded_survival_report, mapped_survival_report, survival_report,
-    Corruption, MappedSurvivalReport, ShardChaosPlan, SplitMix64, SurvivalReport,
+    corrupt, mapped_survival_report, survival_report, Corruption, MappedSurvivalReport,
+    ShardChaosPlan, SplitMix64, SurvivalReport,
 };
 pub use incremental::{IncrementalIndex, IncrementalOptions};
 pub use index::{IndexSource, InvertedIndex, TermId, TermInfo};
@@ -89,7 +89,6 @@ pub use posting::{DocId, Posting, PostingList, TermFreq};
 pub use recovery::RecoveryReport;
 pub use score::{Bm25Params, Fixed};
 pub use segment::{LoadedSegment, SegmentMeta};
-pub use shard::{DocWindow, ShardBalance, ShardedIndex, DOC_END};
+pub use shard::{DocWindow, ShardedIndex, DOC_END};
 pub use stats::{HeapBytes, IndexSizeStats};
-pub use storage::MappedIndex;
 pub use wal::{IngestDoc, Wal, WalReplay};

@@ -17,7 +17,7 @@
 //! * The mapping is `PROT_READ` + `MAP_PRIVATE`: writes by other
 //!   processes to the same file after we map it are not guaranteed to be
 //!   visible (and index files are written via tmp+rename, never in
-//!   place — see [`crate::segment::write_atomic`] and the CLI build
+//!   place — see `segment::write_atomic` and the CLI build
 //!   path), so the bytes we parse are the bytes we validated.
 //! * The pointer/length pair is immutable for the life of the `Mmap`
 //!   and `munmap` happens exactly once, in `Drop`. Every borrowed slice
@@ -229,38 +229,19 @@ impl Mmap {
     /// estimate is unavailable (owned backing, or the syscall failing),
     /// never an error — residency is advisory, used only for reporting.
     pub fn resident_bytes(&self) -> Option<u64> {
-        self.resident_bytes_in(0, self.len())
-    }
-
-    /// [`Mmap::resident_bytes`] restricted to the byte span
-    /// `[start, start + span_len)` — how shard-level reporting estimates
-    /// one shard body's residency within a shared manifest mapping. The
-    /// span is rounded outward to page boundaries (`mincore` granularity)
-    /// and the estimate is capped at `span_len`.
-    pub fn resident_bytes_in(&self, start: usize, span_len: usize) -> Option<u64> {
         match &self.backing {
             #[cfg(unix)]
             Backing::Mapped { ptr, len } => {
-                let end = start.checked_add(span_len)?.min(*len);
-                let start = start.min(*len);
-                if start >= end {
-                    return Some(0);
-                }
-                let page_start = start - start % PAGE_SIZE;
-                let probe_len = end - page_start;
-                let pages = probe_len.div_ceil(PAGE_SIZE);
-                let mut vec = vec![0u8; pages];
-                // SAFETY: page_start is page-aligned within our own live
-                // mapping, probe_len stays inside it, and vec holds one
-                // byte per probed page, as mincore requires.
-                let rc = unsafe {
-                    sys::mincore(ptr.add(page_start).cast(), probe_len, vec.as_mut_ptr())
-                };
+                let mut vec = vec![0u8; len.div_ceil(PAGE_SIZE)];
+                // SAFETY: ptr is the page-aligned start of our own live
+                // mapping of len bytes, and vec holds one byte per page of
+                // it, as mincore requires.
+                let rc = unsafe { sys::mincore(ptr.cast(), *len, vec.as_mut_ptr()) };
                 if rc != 0 {
                     return None;
                 }
                 let resident_pages = vec.iter().filter(|&&b| b & 1 == 1).count();
-                Some(((resident_pages * PAGE_SIZE) as u64).min((end - start) as u64))
+                Some(((resident_pages * PAGE_SIZE) as u64).min(*len as u64))
             }
             Backing::Owned(_) => None,
         }

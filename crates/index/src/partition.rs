@@ -11,7 +11,7 @@
 //! The DP returns the exact optimum, not an approximation, and the same
 //! block lengths (ties included) as a full scan of every block start. It
 //! stops each backward scan as soon as no earlier start can win (the proof
-//! is on [`dynamic_partition`]), which leaves the worst case at
+//! is on `dynamic_partition`), which leaves the worst case at
 //! `O(n · maxSize)` but cuts the candidates per posting on the generated
 //! 100k-doc corpus at `maxSize = 256` from ~88 to ~22. Each candidate costs
 //! a slope-table load instead of a virtual codec call.

@@ -179,9 +179,8 @@ fn check_meta(index: &InvertedIndex, meta: &SegmentMeta) -> Result<(), IndexErro
 }
 
 /// Merges contiguous loaded segments (ascending `start`) into one list
-/// set over ids global-relative to the first segment's `start`, mirroring
-/// [`crate::ShardedIndex::merge`]: decode every list, remap, concatenate,
-/// and re-sort per term. Returns `(lists, doc_lens)` ready for
+/// set over ids global-relative to the first segment's `start`: decode
+/// every list, remap, concatenate, and re-sort per term. Returns `(lists, doc_lens)` ready for
 /// [`seal_segment`] at `segments[0].meta.start`.
 pub fn merge_segment_lists(
     segments: &[&LoadedSegment],
@@ -212,8 +211,7 @@ pub fn merge_segment_lists(
         .into_iter()
         .map(|(term, mut postings)| {
             // Segments arrive in ascending start order so postings are
-            // already sorted; keep the sort as a cheap invariant guard,
-            // mirroring ShardedIndex::merge.
+            // already sorted; keep the sort as a cheap invariant guard.
             postings.sort_unstable_by_key(|p| p.doc_id);
             (term, PostingList::from_sorted(postings))
         })

@@ -1,5 +1,5 @@
 //! Document-space sharding: the docID windows a query fans out over, and
-//! the round-robin split that survives as a storage format.
+//! an in-memory round-robin split.
 //!
 //! A [`DocWindow`] is a contiguous docID range `[lo, hi)` of one index.
 //! The serving layer fans a query out over `n` windows of the index it
@@ -10,9 +10,7 @@
 //! `d` lives in shard `d % n` under the shard-local identifier `d / n`.
 //! The mapping is pure arithmetic in both directions (no stored table),
 //! and because it is monotone within a shard, every per-shard posting
-//! list stays sorted and delta-encodes exactly as before — random
-//! (round-robin) document partitioning is known to preserve compression
-//! and balance load across shards.
+//! list stays sorted and delta-encodes exactly as before.
 //!
 //! Two properties make shard results merge *bit-identically* with the
 //! unsharded engine:
@@ -26,8 +24,9 @@
 //!    [`TermId`] everywhere and per-shard block bounds line up with the
 //!    global term table.
 //!
-//! Split shards are what `MAGIC_SHARD` manifests store; a query over one
-//! fans out over its shards as whole-window parts.
+//! Nothing stores or serves a split: [`ShardedIndex::split`] (with the
+//! sharded engines' `PartSource::Split`) stays only because `shard_bench`
+//! and the repo benchmark's frozen fan-out replay call it.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -133,42 +132,15 @@ fn shard_partitioner(index: &InvertedIndex) -> Partitioner {
     }
 }
 
-/// Per-shard load summary for operators (`iiu inspect`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardBalance {
-    /// Shard index.
-    pub shard: usize,
-    /// Documents assigned to this shard.
-    pub docs: u64,
-    /// Postings across all of this shard's lists.
-    pub postings: u64,
-    /// Encoded blocks across all of this shard's lists.
-    pub blocks: u64,
-    /// Lists with at least one posting (the rest are dictionary-only
-    /// placeholders keeping TermIds uniform across shards).
-    pub nonempty_lists: u64,
-    /// Lists whose block score bounds cover at least one block — always
-    /// equal to `nonempty_lists` on a well-formed shard.
-    pub bounded_lists: u64,
-}
-
-/// A corpus split round-robin across N shard sub-indexes: the storage
-/// format of sharded manifests. (Serving fans out over [`DocWindow`]s of
-/// one index instead, and copies nothing.)
-///
-/// Built with [`ShardedIndex::split`]; reassembled (exactly) with
-/// [`ShardedIndex::merge`]. Each shard is a full [`InvertedIndex`] over
-/// remapped shard-local docIDs, sharing the global dictionary and global
-/// scoring constants.
-#[derive(Debug, Clone, PartialEq)]
+/// A corpus split round-robin across N shard sub-indexes, built with
+/// [`ShardedIndex::split`]. (Serving fans out over [`DocWindow`]s of one
+/// index instead, and copies nothing.) Each shard is a full
+/// [`InvertedIndex`] over remapped shard-local docIDs, sharing the global
+/// dictionary and global scoring constants.
+#[derive(Debug)]
 pub struct ShardedIndex {
     shards: Vec<InvertedIndex>,
     n_docs: u64,
-    /// The partitioner of the index this was split from. Shard lists are
-    /// encoded with a tightened partitioner (see [`shard_partitioner`]);
-    /// [`merge`](Self::merge) re-encodes with this one so the round trip
-    /// reproduces the source index exactly.
-    parent_partitioner: Partitioner,
 }
 
 impl ShardedIndex {
@@ -225,73 +197,7 @@ impl ShardedIndex {
                 index.codec(),
             )?);
         }
-        Ok(ShardedIndex {
-            shards,
-            n_docs: index.num_docs(),
-            parent_partitioner: index.partitioner(),
-        })
-    }
-
-    /// Reassembles the original unsharded index. Exact inverse of
-    /// [`split`](Self::split): the result compares equal to the source
-    /// index, byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if the shards disagree on
-    /// their dictionaries or a merged list fails to encode.
-    pub fn merge(&self) -> Result<InvertedIndex, IndexError> {
-        let n = self.shards.len();
-        let Some(first) = self.shards.first() else {
-            return Err(IndexError::CorruptIndex { context: "sharded index has no shards" });
-        };
-        let mut doc_lens = vec![0u32; self.n_docs as usize];
-        for (s, shard) in self.shards.iter().enumerate() {
-            for (local, &len) in shard.doc_lens().iter().enumerate() {
-                let global = local * n + s;
-                if global >= doc_lens.len() {
-                    return Err(IndexError::CorruptIndex {
-                        context: "shard document beyond merged corpus",
-                    });
-                }
-                doc_lens[global] = len;
-            }
-        }
-
-        let mut lists = Vec::with_capacity(first.num_terms());
-        for id in 0..first.num_terms() as TermId {
-            let term = &first.term_info(id).term;
-            let mut merged: Vec<Posting> = Vec::new();
-            for (s, shard) in self.shards.iter().enumerate() {
-                if shard.term_id(term) != Some(id) {
-                    return Err(IndexError::CorruptIndex {
-                        context: "shard dictionaries disagree",
-                    });
-                }
-                merged.extend(
-                    shard
-                        .encoded_list(id)
-                        .decode_all()
-                        .iter()
-                        .map(|p| Posting::new(p.doc_id * n as u32 + s as u32, p.tf)),
-                );
-            }
-            merged.sort_unstable_by_key(|p| p.doc_id);
-            lists.push((term.clone(), PostingList::from_sorted(merged)));
-        }
-        InvertedIndex::from_lists_codec(
-            lists,
-            doc_lens,
-            self.parent_partitioner,
-            first.params(),
-            first.codec(),
-        )
-    }
-
-    /// The partitioner of the index this was split from (the one
-    /// [`merge`](Self::merge) re-encodes with).
-    pub fn parent_partitioner(&self) -> Partitioner {
-        self.parent_partitioner
+        Ok(ShardedIndex { shards, n_docs: index.num_docs() })
     }
 
     /// Number of shards.
@@ -321,122 +227,6 @@ impl ShardedIndex {
     /// Maps a shard-local docID back to its global docID.
     pub fn global_doc(&self, shard: usize, local: DocId) -> DocId {
         local * self.shards.len() as u32 + shard as u32
-    }
-
-    /// Per-shard document/posting balance and bounds coverage.
-    pub fn balance(&self) -> Vec<ShardBalance> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                let mut postings = 0u64;
-                let mut blocks = 0u64;
-                let mut nonempty = 0u64;
-                let mut bounded = 0u64;
-                for id in 0..shard.num_terms() as TermId {
-                    let list = shard.encoded_list(id);
-                    postings += list.num_postings();
-                    blocks += list.num_blocks() as u64;
-                    if list.num_postings() > 0 {
-                        nonempty += 1;
-                    }
-                    if shard.list_bounds(id).num_blocks() > 0 {
-                        bounded += 1;
-                    }
-                }
-                ShardBalance {
-                    shard: s,
-                    docs: shard.num_docs(),
-                    postings,
-                    blocks,
-                    nonempty_lists: nonempty,
-                    bounded_lists: bounded,
-                }
-            })
-            .collect()
-    }
-
-    /// Validates every shard (see [`InvertedIndex::validate`]) plus the
-    /// cross-shard invariants: document counts sum to the global corpus
-    /// and the round-robin split is balanced (counts differ by at most
-    /// one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] naming the violated invariant.
-    pub fn validate(&self) -> Result<(), IndexError> {
-        for shard in &self.shards {
-            shard.validate()?;
-        }
-        self.validate_cross_shard()
-    }
-
-    /// The cross-shard half of [`validate`](Self::validate): shard count,
-    /// codec agreement, round-robin document counts. Cheap — no per-shard
-    /// decode.
-    fn validate_cross_shard(&self) -> Result<(), IndexError> {
-        if self.shards.is_empty() {
-            return Err(IndexError::CorruptIndex { context: "sharded index has no shards" });
-        }
-        let mut total = 0u64;
-        let n = self.shards.len() as u64;
-        let codec = self.shards[0].codec();
-        for (s, shard) in self.shards.iter().enumerate() {
-            if shard.codec() != codec {
-                return Err(IndexError::CorruptIndex { context: "shard codecs disagree" });
-            }
-            // Round-robin gives shard s exactly ceil((n_docs - s) / n) docs.
-            let expect = (self.n_docs + n - 1 - s as u64) / n;
-            if shard.num_docs() != expect {
-                return Err(IndexError::CorruptIndex {
-                    context: "shard document count off round-robin",
-                });
-            }
-            total += shard.num_docs();
-        }
-        if total != self.n_docs {
-            return Err(IndexError::CorruptIndex {
-                context: "shard document counts do not sum to corpus",
-            });
-        }
-        Ok(())
-    }
-
-    /// Assembles a sharded index from parts, deep-validating every shard
-    /// and the cross-shard invariants before accepting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if the parts are inconsistent.
-    pub fn from_shards(
-        shards: Vec<InvertedIndex>,
-        n_docs: u64,
-        parent_partitioner: Partitioner,
-    ) -> Result<Self, IndexError> {
-        let sharded = ShardedIndex { shards, n_docs, parent_partitioner };
-        sharded.validate()?;
-        Ok(sharded)
-    }
-
-    /// [`from_shards`](Self::from_shards) minus the per-shard deep
-    /// validation — the manifest loader's entry point ([`crate::io`], heap
-    /// or mapped), which has already validated each shard structurally
-    /// while parsing it and run the decode oracle that yields its score
-    /// bounds. Re-running [`InvertedIndex::validate`] here would decode
-    /// every payload a second time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if the cross-shard invariants
-    /// fail (shard count, codec agreement, round-robin doc counts).
-    pub(crate) fn from_shards_prevalidated(
-        shards: Vec<InvertedIndex>,
-        n_docs: u64,
-        parent_partitioner: Partitioner,
-    ) -> Result<Self, IndexError> {
-        let sharded = ShardedIndex { shards, n_docs, parent_partitioner };
-        sharded.validate_cross_shard()?;
-        Ok(sharded)
     }
 }
 
@@ -524,7 +314,6 @@ mod tests {
         let sharded = ShardedIndex::split(&idx, 3).unwrap();
         assert_eq!(sharded.num_shards(), 3);
         assert_eq!(sharded.num_docs(), idx.num_docs());
-        sharded.validate().unwrap();
 
         // Every global posting appears in exactly one shard at d / n.
         let id = idx.term_id("alpha").unwrap();
@@ -586,17 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_exact_inverse_of_split() {
-        let idx = sample_index();
-        for n in [1, 2, 3, 7] {
-            let sharded = ShardedIndex::split(&idx, n).unwrap();
-            let merged = sharded.merge().unwrap();
-            assert_eq!(merged, idx, "split({n}) then merge must reproduce the index");
-        }
-    }
-
-    #[test]
-    fn split_and_merge_preserve_the_codec() {
+    fn split_preserves_the_codec() {
         for codec in crate::codec::CodecId::ALL {
             let mut b = IndexBuilder::new(BuildOptions {
                 partitioner: Partitioner::fixed(4),
@@ -610,11 +389,9 @@ mod tests {
             }
             let idx = b.build();
             let sharded = ShardedIndex::split(&idx, 3).unwrap();
-            sharded.validate().unwrap();
             for shard in sharded.shards() {
                 assert_eq!(shard.codec(), codec);
             }
-            assert_eq!(sharded.merge().unwrap(), idx, "{codec} split/merge round trip");
         }
     }
 
@@ -624,115 +401,16 @@ mod tests {
         b.add_document("solo doc");
         let idx = b.build();
         let sharded = ShardedIndex::split(&idx, 4).unwrap();
-        sharded.validate().unwrap();
         assert_eq!(sharded.shard(0).num_docs(), 1);
         for s in 1..4 {
             assert_eq!(sharded.shard(s).num_docs(), 0);
             assert_eq!(sharded.shard(s).num_terms(), idx.num_terms());
         }
-        assert_eq!(sharded.merge().unwrap(), idx);
-    }
-
-    #[test]
-    fn merge_round_trips_adversarial_shard_counts() {
-        // The recovery merge path reuses this machinery, so the inverse
-        // property must hold at the degenerate extremes too: a single
-        // shard (identity), exactly one shard per document, and far more
-        // shards than documents (trailing shards entirely empty).
-        let idx = sample_index();
-        let n_docs = idx.num_docs() as usize;
-        for n in [1, n_docs, n_docs + 1, 2 * n_docs + 3] {
-            let sharded = ShardedIndex::split(&idx, n).unwrap();
-            sharded.validate().unwrap();
-            assert_eq!(sharded.num_shards(), n);
-            assert_eq!(sharded.merge().unwrap(), idx, "split({n}) broke the round trip");
-        }
-    }
-
-    #[test]
-    fn merge_round_trips_empty_corpus_and_empty_bodies() {
-        // Every shard body empty: an empty corpus split any way must
-        // validate and merge back to the empty index.
-        let empty = IndexBuilder::new(BuildOptions::default()).build();
-        for n in [1, 3, 8] {
-            let sharded = ShardedIndex::split(&empty, n).unwrap();
-            sharded.validate().unwrap();
-            for s in 0..n {
-                assert_eq!(sharded.shard(s).num_docs(), 0);
-            }
-            assert_eq!(sharded.merge().unwrap(), empty, "empty split({n}) round trip");
-        }
-
-        // Mixed: one document fanned across 5 shards leaves shards 1..5
-        // with zero documents and every posting list an empty placeholder;
-        // those empty bodies must survive the round trip untouched.
-        let mut b = IndexBuilder::new(BuildOptions::default());
-        b.add_document("lonely little document with several distinct terms");
-        let one = b.build();
-        let sharded = ShardedIndex::split(&one, 5).unwrap();
-        for s in 1..5 {
-            let shard = sharded.shard(s);
-            assert_eq!(shard.num_docs(), 0);
-            for id in 0..shard.num_terms() as TermId {
-                assert_eq!(shard.encoded_list(id).num_postings(), 0);
-            }
-        }
-        assert_eq!(sharded.merge().unwrap(), one);
-    }
-
-    #[test]
-    fn merge_of_zero_shards_is_a_typed_error() {
-        let bad = ShardedIndex {
-            shards: Vec::new(),
-            n_docs: 0,
-            parent_partitioner: Partitioner::default(),
-        };
-        assert!(matches!(
-            bad.merge(),
-            Err(IndexError::CorruptIndex { context: "sharded index has no shards" })
-        ));
     }
 
     #[test]
     fn zero_shards_is_rejected() {
         let idx = sample_index();
         assert!(matches!(ShardedIndex::split(&idx, 0), Err(IndexError::CorruptIndex { .. })));
-    }
-
-    #[test]
-    fn balance_sums_to_corpus_totals() {
-        let idx = sample_index();
-        let sharded = ShardedIndex::split(&idx, 3).unwrap();
-        let balance = sharded.balance();
-        assert_eq!(balance.len(), 3);
-        let docs: u64 = balance.iter().map(|b| b.docs).sum();
-        assert_eq!(docs, idx.num_docs());
-        let postings: u64 = balance.iter().map(|b| b.postings).sum();
-        assert_eq!(postings, idx.size_stats().postings);
-        // Round-robin balance: doc counts differ by at most one.
-        let max = balance.iter().map(|b| b.docs).max().unwrap();
-        let min = balance.iter().map(|b| b.docs).min().unwrap();
-        assert!(max - min <= 1, "round-robin must balance docs: {balance:?}");
-        for b in &balance {
-            assert_eq!(b.bounded_lists, b.nonempty_lists);
-        }
-    }
-
-    #[test]
-    fn validate_catches_doc_count_tampering() {
-        let idx = sample_index();
-        let sharded = ShardedIndex::split(&idx, 2).unwrap();
-        let bad = ShardedIndex {
-            shards: sharded.shards.clone(),
-            n_docs: sharded.n_docs + 1,
-            parent_partitioner: sharded.parent_partitioner,
-        };
-        assert!(bad.validate().is_err());
-        let bad = ShardedIndex {
-            shards: vec![sharded.shards[0].clone(), sharded.shards[0].clone()],
-            n_docs: sharded.n_docs,
-            parent_partitioner: sharded.parent_partitioner,
-        };
-        assert!(bad.validate().is_err(), "duplicated shard must fail round-robin check");
     }
 }

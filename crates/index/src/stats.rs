@@ -59,17 +59,6 @@ impl IndexSizeStats {
         }
         self.postings as f64 / self.num_blocks as f64
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &IndexSizeStats) {
-        self.postings += other.postings;
-        self.uncompressed_bytes += other.uncompressed_bytes;
-        self.payload_bytes += other.payload_bytes;
-        self.metadata_bytes += other.metadata_bytes;
-        self.skip_bytes += other.skip_bytes;
-        self.model_bits += other.model_bits;
-        self.num_blocks += other.num_blocks;
-    }
 }
 
 /// Where an opened index's heap memory is
@@ -131,22 +120,5 @@ mod tests {
         assert!((s.compression_ratio() - 800.0 / 84.0).abs() < 1e-12);
         assert!((s.model_compression_ratio() - 6400.0 / 640.0).abs() < 1e-12);
         assert_eq!(s.avg_block_len(), 50.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = IndexSizeStats {
-            postings: 1,
-            uncompressed_bytes: 8,
-            payload_bytes: 2,
-            metadata_bytes: 8,
-            skip_bytes: 4,
-            model_bits: 100,
-            num_blocks: 1,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.postings, 2);
-        assert_eq!(a.num_blocks, 2);
-        assert_eq!(a.model_bits, 200);
     }
 }

@@ -4,11 +4,10 @@
 //! holds the whole file to its checksums and the decode oracle before the
 //! first query — the strongest integrity check, at the cost of capping
 //! the corpus at RAM. This module is the other end of that trade: it
-//! memory-maps an index file (any plain format v1–v4, or a `MAGIC_SHARD*`
-//! manifest) and hands the mapping to the same parser, which assembles an
-//! [`InvertedIndex`] whose payload bytes are *borrowed windows of the
-//! mapping*. No posting byte is copied; the page cache is the storage
-//! tier.
+//! memory-maps an index file (format v1–v4) and hands the mapping to the
+//! same parser, which assembles an [`InvertedIndex`] whose payload bytes
+//! are *borrowed windows of the mapping*. No posting byte is copied; the
+//! page cache is the storage tier.
 //!
 //! What is verified at open, on first touch of a list, and only by
 //! [`InvertedIndex::validate`] is the "mapped open" / "first touch" /
@@ -24,10 +23,10 @@
 //! v1 files, which have no CRCs at all, lose real protection), and stored
 //! bounds are trusted after their section CRC: a v3/v4 file *written*
 //! wrong with consistent CRCs would mis-prune until `iiu inspect`'s
-//! `validate()` catches it offline. Formats without stored bounds (v1/v2,
-//! every manifest shard) run the content oracle at open instead, which
-//! decodes each payload once — verifying the lazy CRCs as a side effect —
-//! still without materializing any owned payload copy.
+//! `validate()` catches it offline. Formats without stored bounds (v1/v2)
+//! run the content oracle at open instead, which decodes each payload
+//! once — verifying the lazy CRCs as a side effect — still without
+//! materializing any owned payload copy.
 //!
 //! The `unsafe` mapping itself lives in [`crate::mmap`]; see that
 //! module's safety argument (immutable published files, `SIGBUS` on
@@ -42,34 +41,8 @@ use crate::error::IndexError;
 use crate::index::InvertedIndex;
 use crate::io::{self, Backing};
 use crate::mmap::Mmap;
-use crate::shard::ShardedIndex;
 
-/// A mapped index of either shape, as dispatched by the file's magic.
-#[derive(Debug)]
-pub enum MappedIndex {
-    /// A plain (unsharded) index file.
-    Plain(InvertedIndex),
-    /// A shard manifest.
-    Sharded(ShardedIndex),
-}
-
-/// Maps `path` and loads whatever index shape its magic declares — the
-/// CLI's one-stop mmap entry point.
-///
-/// # Errors
-///
-/// Returns [`IndexError::Io`] if the file cannot be mapped, plus every
-/// parse-time error of [`map_index`] / [`map_sharded`].
-pub fn open(path: &Path) -> Result<MappedIndex, IndexError> {
-    let map = Arc::new(Mmap::open(path)?);
-    if io::is_sharded(map.as_slice()) {
-        Ok(MappedIndex::Sharded(map_sharded_from(map)?))
-    } else {
-        Ok(MappedIndex::Plain(map_index_from(map)?))
-    }
-}
-
-/// Maps a plain index file (format v1–v4) without materializing payload
+/// Maps an index file (format v1–v4) without materializing payload
 /// bytes. See the module docs for what is verified when.
 ///
 /// # Errors
@@ -82,27 +55,10 @@ pub fn map_index(path: &Path) -> Result<InvertedIndex, IndexError> {
     map_index_from(Arc::new(Mmap::open(path)?))
 }
 
-/// Maps a shard manifest (`MAGIC_SHARD`/`_V2`/`_V3`). Shard score bounds
-/// are not stored in manifests, so each shard's payload is decoded once
-/// at open to recompute them (verifying the record CRCs as a side
-/// effect) — the payload bytes still stay in the mapping.
-///
-/// # Errors
-///
-/// Same contract as [`map_index`].
-pub fn map_sharded(path: &Path) -> Result<ShardedIndex, IndexError> {
-    map_sharded_from(Arc::new(Mmap::open(path)?))
-}
-
 /// [`map_index`] over an existing mapping (tests and benches map once
 /// and reuse).
 pub fn map_index_from(map: Arc<Mmap>) -> Result<InvertedIndex, IndexError> {
     io::load_plain(Backing::Mapped(&map))
-}
-
-/// [`map_sharded`] over an existing mapping.
-pub fn map_sharded_from(map: Arc<Mmap>) -> Result<ShardedIndex, IndexError> {
-    io::load_sharded(Backing::Mapped(&map))
 }
 
 #[cfg(test)]
@@ -156,41 +112,23 @@ mod tests {
     }
 
     #[test]
-    fn mapped_sharded_equals_heap_deserialize() {
-        let idx = sample_index(CodecId::BitPack);
-        let sharded = ShardedIndex::split(&idx, 3).unwrap();
-        let bytes = io::serialize_sharded(&sharded).unwrap();
-        let path = write_tmp("sharded", &bytes);
-        let mapped = map_sharded(&path).unwrap();
-        let heap = io::deserialize_sharded(&bytes).unwrap();
-        assert_eq!(mapped, heap);
-        for (s, shard) in mapped.shards().iter().enumerate() {
-            assert!(shard.source().is_mapped(), "shard {s}");
-            assert!(shard.source().mapped_bytes() > 0, "shard {s}");
-        }
-        // Shard spans are disjoint and cover less than the whole file.
-        let total: u64 = mapped.shards().iter().map(|s| s.source().mapped_bytes()).sum();
-        assert!(total < bytes.len() as u64);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn open_dispatches_on_magic() {
-        let idx = sample_index(CodecId::BitPack);
-        let plain = write_tmp("dispatch-plain", &io::serialize(&idx).unwrap());
-        let sharded = ShardedIndex::split(&idx, 2).unwrap();
-        let manifest = write_tmp("dispatch-shard", &io::serialize_sharded(&sharded).unwrap());
-        assert!(matches!(open(&plain).unwrap(), MappedIndex::Plain(_)));
-        assert!(matches!(open(&manifest).unwrap(), MappedIndex::Sharded(_)));
-        std::fs::remove_file(&plain).ok();
-        std::fs::remove_file(&manifest).ok();
-    }
-
-    #[test]
     fn unknown_magic_is_unsupported_format() {
-        let path = write_tmp("badmagic", &[0xFFu8; 64]);
-        assert!(matches!(map_index(&path), Err(IndexError::UnsupportedFormat { .. })));
-        std::fs::remove_file(&path).ok();
+        // Besides garbage, the magics of the retired round-robin shard
+        // manifests (v1, v2, v3): such a file is an unknown format now.
+        let retired = [0x4949_5553_0000_0001, 0x4949_5553_0000_0002, 0x4949_5553_0000_0003];
+        let good = io::serialize(&sample_index(CodecId::BitPack)).unwrap();
+        for magic in std::iter::once(u64::MAX).chain(retired) {
+            let mut bytes = good.clone();
+            bytes[..8].copy_from_slice(&magic.to_le_bytes());
+            let (heap, mapped) = load_both(&format!("magic-{magic:x}"), &bytes);
+            for (backing, loaded) in [("heap", heap), ("mapped", mapped)] {
+                let found = match loaded {
+                    Err(IndexError::UnsupportedFormat { found }) => Some(found),
+                    _ => None,
+                };
+                assert_eq!(found, Some(magic), "{magic:#x}/{backing}");
+            }
+        }
     }
 
     #[test]
@@ -240,98 +178,50 @@ mod tests {
     fn load_both(
         tag: &str,
         bytes: &[u8],
-    ) -> (Result<MappedIndex, IndexError>, Result<MappedIndex, IndexError>) {
-        let heap = if io::is_sharded(bytes) {
-            io::deserialize_sharded(bytes).map(MappedIndex::Sharded)
-        } else {
-            io::deserialize(bytes).map(MappedIndex::Plain)
-        };
+    ) -> (Result<InvertedIndex, IndexError>, Result<InvertedIndex, IndexError>) {
+        let heap = io::deserialize(bytes);
         let path = write_tmp(tag, bytes);
-        let mapped = open(&path);
+        let mapped = map_index(&path);
         std::fs::remove_file(&path).ok();
         (heap, mapped)
-    }
-
-    fn shards_of(index: &MappedIndex) -> &[InvertedIndex] {
-        match index {
-            MappedIndex::Plain(index) => std::slice::from_ref(index),
-            MappedIndex::Sharded(sharded) => sharded.shards(),
-        }
-    }
-
-    fn same(a: &MappedIndex, b: &MappedIndex) -> bool {
-        match (a, b) {
-            (MappedIndex::Plain(a), MappedIndex::Plain(b)) => a == b,
-            (MappedIndex::Sharded(a), MappedIndex::Sharded(b)) => a == b,
-            _ => false,
-        }
     }
 
     #[test]
     fn every_format_loads_identically_on_both_backings() {
         use io::legacy;
         let bitpack = sample_index(CodecId::BitPack);
-        let split = |idx: &InvertedIndex| ShardedIndex::split(idx, 3).unwrap();
-        let mut table: Vec<(String, Vec<u8>, MappedIndex)> = vec![
-            ("v1".into(), legacy::serialize_v1(&bitpack), MappedIndex::Plain(bitpack.clone())),
-            ("v2".into(), legacy::serialize_v2(&bitpack), MappedIndex::Plain(bitpack.clone())),
-            ("v3".into(), legacy::serialize_v3(&bitpack), MappedIndex::Plain(bitpack.clone())),
-            (
-                "manifest-v1".into(),
-                legacy::serialize_sharded_v1(&split(&bitpack)),
-                MappedIndex::Sharded(split(&bitpack)),
-            ),
-            (
-                "manifest-v2".into(),
-                legacy::serialize_sharded_v2(&split(&bitpack)),
-                MappedIndex::Sharded(split(&bitpack)),
-            ),
+        let mut table: Vec<(String, Vec<u8>, InvertedIndex)> = vec![
+            ("v1".into(), legacy::serialize_v1(&bitpack), bitpack.clone()),
+            ("v2".into(), legacy::serialize_v2(&bitpack), bitpack.clone()),
+            ("v3".into(), legacy::serialize_v3(&bitpack), bitpack.clone()),
         ];
         for codec in CodecId::ALL {
             let idx = sample_index(codec);
-            let sharded = split(&idx);
-            table.push((
-                format!("manifest-v3-{codec}"),
-                io::serialize_sharded(&sharded).unwrap(),
-                MappedIndex::Sharded(sharded),
-            ));
-            table.push((
-                format!("v4-{codec}"),
-                io::serialize(&idx).unwrap(),
-                MappedIndex::Plain(idx),
-            ));
+            table.push((format!("v4-{codec}"), io::serialize(&idx).unwrap(), idx));
         }
 
         for (label, bytes, original) in &table {
             let (heap, mapped) = load_both(&format!("matrix-{label}"), bytes);
-            let (heap, mapped) = (heap.unwrap(), mapped.unwrap());
-            assert!(same(&heap, original), "{label}: heap load differs from the original");
-            assert!(same(&mapped, original), "{label}: mapped load differs from the original");
-            assert!(same(&heap, &mapped), "{label}: the two backings disagree");
-            for (h, m) in shards_of(&heap).iter().zip(shards_of(&mapped)) {
-                assert!(!h.source().is_mapped() && m.source().is_mapped(), "{label}");
-                h.validate().unwrap();
-                m.validate().unwrap();
-                assert_eq!(h.bounds(), m.bounds(), "{label}: bounds differ across backings");
-            }
+            let (h, m) = (heap.unwrap(), mapped.unwrap());
+            assert!(h == *original, "{label}: heap load differs from the original");
+            assert!(m == *original, "{label}: mapped load differs from the original");
+            assert!(h == m, "{label}: the two backings disagree");
+            assert!(!h.source().is_mapped() && m.source().is_mapped(), "{label}");
+            h.validate().unwrap();
+            m.validate().unwrap();
+            assert_eq!(h.bounds(), m.bounds(), "{label}: bounds differ across backings");
         }
     }
 
-    /// Byte range (CRC excluded) of term `id`'s record in a sealed file
-    /// whose body — `idx`'s — starts at `body_start` with a
-    /// `header_len`-byte header.
-    fn record_span(
-        idx: &InvertedIndex,
-        id: u32,
-        body_start: usize,
-        header_len: usize,
-    ) -> (usize, usize) {
+    /// Byte range (CRC excluded) of term `id`'s record in `idx`'s sealed
+    /// file, whose header is `header_len` bytes.
+    fn record_span(idx: &InvertedIndex, id: u32, header_len: usize) -> (usize, usize) {
         let record_len = |t: u32| {
             let list = idx.encoded_list(t);
             let frame = 4 + idx.term_info(t).term.len() + 8 + 8 + list.num_blocks() * 12 + 8;
             frame + list.payload().len()
         };
-        let records = body_start + header_len + 4 + idx.doc_lens().len() * 4 + 4;
+        let records = 8 + header_len + 4 + idx.doc_lens().len() * 4 + 4;
         let start = records + (0..id).map(|t| record_len(t) + 4).sum::<usize>();
         (start, start + record_len(id))
     }
@@ -359,43 +249,29 @@ mod tests {
     fn crc_consistent_repeated_docids_are_rejected_by_both_backings() {
         // Zero the first block of one list — every gap becomes 0, so the
         // block decodes to its skip value repeated — and reseal the
-        // record CRC and the footer. Neither a v2 file nor a manifest
-        // stores bounds, so the content oracle is the only check left on
-        // either backing, and it must hold docID order.
+        // record CRC and the footer. A v2 file stores no bounds, so the
+        // content oracle is the only check left on either backing, and it
+        // must hold docID order.
         let idx = sample_index(CodecId::BitPack);
-        let sharded = ShardedIndex::split(&idx, 2).unwrap();
-        // Shard 0's body follows the magic, the manifest header and its CRC.
-        let manifest_header = 4 + 8 + 8 + 5 + 8 + idx.num_terms() * 4 + 2 * 8;
-        let cases = [
-            ("v2", io::legacy::serialize_v2(&idx), &idx, 8, 37),
-            (
-                "manifest",
-                io::serialize_sharded(&sharded).unwrap(),
-                sharded.shard(0),
-                8 + manifest_header + 4,
-                38,
-            ),
-        ];
-        for (label, mut bytes, source, body_start, header_len) in cases {
-            let id = widest_term(source);
-            let list = source.encoded_list(id);
-            let span = record_span(source, id, body_start, header_len);
-            let payload_start = span.1 - list.payload().len();
-            let block_end =
-                list.metas().get(1).map_or(list.payload().len(), |m| m.offset as usize);
-            bytes[payload_start..payload_start + block_end].fill(0);
-            reseal(&mut bytes, span);
+        let mut bytes = io::legacy::serialize_v2(&idx);
+        let id = widest_term(&idx);
+        let list = idx.encoded_list(id);
+        let span = record_span(&idx, id, 37);
+        let payload_start = span.1 - list.payload().len();
+        let block_end =
+            list.metas().get(1).map_or(list.payload().len(), |m| m.offset as usize);
+        bytes[payload_start..payload_start + block_end].fill(0);
+        reseal(&mut bytes, span);
 
-            let (heap, mapped) = load_both(&format!("repeat-{label}"), &bytes);
-            for (backing, loaded) in [("heap", heap), ("mapped", mapped)] {
-                assert!(
-                    matches!(
-                        loaded,
-                        Err(IndexError::CorruptIndex { context: "docIDs not increasing" })
-                    ),
-                    "{label}/{backing}: repeated docIDs must be rejected at open"
-                );
-            }
+        let (heap, mapped) = load_both("repeat-v2", &bytes);
+        for (backing, loaded) in [("heap", heap), ("mapped", mapped)] {
+            assert!(
+                matches!(
+                    loaded,
+                    Err(IndexError::CorruptIndex { context: "docIDs not increasing" })
+                ),
+                "{backing}: repeated docIDs must be rejected at open"
+            );
         }
     }
 
@@ -403,15 +279,6 @@ mod tests {
     /// mutation of a v4 file run through both backings.
     mod policy {
         use super::*;
-
-        fn plain(
-            loaded: Result<MappedIndex, IndexError>,
-        ) -> Result<InvertedIndex, IndexError> {
-            loaded.map(|index| match index {
-                MappedIndex::Plain(index) => index,
-                MappedIndex::Sharded(_) => panic!("plain file loaded as a manifest"),
-            })
-        }
 
         #[test]
         fn footer_crc_is_hashed_on_the_heap_and_only_framed_when_mapped() {
@@ -421,10 +288,10 @@ mod tests {
             bytes[n - 2] ^= 0x20;
             let (heap, mapped) = load_both("policy-footer", &bytes);
             assert!(matches!(
-                plain(heap),
+                heap,
                 Err(IndexError::ChecksumMismatch { section: "footer", .. })
             ));
-            let mapped = plain(mapped).unwrap();
+            let mapped = mapped.unwrap();
             assert_eq!(mapped, idx);
             mapped.validate().unwrap();
         }
@@ -434,14 +301,14 @@ mod tests {
             let idx = sample_index(CodecId::BitPack);
             let mut bytes = io::serialize(&idx).unwrap();
             let id = widest_term(&idx);
-            let (_, end) = record_span(&idx, id, 8, 38);
+            let (_, end) = record_span(&idx, id, 38);
             bytes[end - 1] ^= 0x04;
             let (heap, mapped) = load_both("policy-payload", &bytes);
             assert!(matches!(
-                plain(heap),
+                heap,
                 Err(IndexError::ChecksumMismatch { section: "term record", .. })
             ));
-            let mapped = plain(mapped).unwrap();
+            let mapped = mapped.unwrap();
             assert!(matches!(
                 mapped.verify_term(id),
                 Err(IndexError::ChecksumMismatch { section: "term record", .. })
@@ -467,10 +334,10 @@ mod tests {
             reseal(&mut bytes, (start, n - 8));
             let (heap, mapped) = load_both("policy-bounds", &bytes);
             assert!(matches!(
-                plain(heap),
+                heap,
                 Err(IndexError::CorruptIndex { context: "score bounds mismatch" })
             ));
-            let mapped = plain(mapped).unwrap();
+            let mapped = mapped.unwrap();
             assert_ne!(mapped, idx, "the tampered bound is what the mapped index prunes with");
             assert!(matches!(
                 mapped.validate(),
@@ -510,7 +377,7 @@ mod tests {
                 }
                 let bytes = w.finish().unwrap();
                 let (heap, mapped) = load_both(&format!("policy-streamed-{codec}"), &bytes);
-                let (heap, mapped) = (plain(heap).unwrap(), plain(mapped).unwrap());
+                let (heap, mapped) = (heap.unwrap(), mapped.unwrap());
                 assert_eq!(heap, mapped, "{codec}");
                 assert_eq!(heap, idx, "{codec}");
             }

@@ -11,7 +11,7 @@
 //! A query is executed by whichever thread takes it off the admission
 //! queue: a pool worker, or — when it is still at the head of the queue
 //! by the time its caller blocks in [`PendingQuery::wait`] — the caller
-//! itself (help-first join; DESIGN.md §10). Both run [`serve_one`], so
+//! itself (help-first join; DESIGN.md §10). Both run `serve_one`, so
 //! executing queries are bounded by workers + callers blocked in `wait`.
 
 use std::collections::VecDeque;
@@ -161,7 +161,7 @@ impl PendingQuery {
     /// Help-first join: when this query is still at the *front* of the
     /// admission queue, the calling thread — which would otherwise sleep
     /// until a worker woke, ran the query and woke it back — pops the job
-    /// and runs it itself through [`serve_one`], the same function the
+    /// and runs it itself through `serve_one`, the same function the
     /// workers run. Only the head-of-line job is ever taken, so queries
     /// still leave the queue in admission order; a job a worker already
     /// holds, or one queued behind others, is waited for on the reply

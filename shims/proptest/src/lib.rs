@@ -505,7 +505,7 @@ pub mod collection {
         BTreeMapStrategy { key, value, size: size.into() }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

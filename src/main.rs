@@ -1,7 +1,7 @@
 //! `iiu` — command-line front end of the reproduction.
 //!
 //! ```text
-//! iiu gen     <index-file> [--docs N] [--preset ccnews|clueweb] [--seed S] [--shards N]
+//! iiu gen     <index-file> [--docs N] [--preset ccnews|clueweb] [--seed S]
 //! iiu build   <corpus.txt> <index-file> [--max-size N] [--positions yes]
 //! iiu ingest  <index-dir> [--docs N] [--batch B] [--preset ccnews|clueweb] [--seed S]
 //!             [--seal-every N] [--merge-every N] [--file corpus.txt] [--seal yes]
@@ -35,11 +35,7 @@ use iiu_core::{
     CpuSearchEngine, IiuSearchEngine, PartSource, Query, SearchEngine, SearchResponse,
     ShardedSearchEngine,
 };
-use iiu_index::io::{
-    deserialize, deserialize_sharded, is_sharded, peek_codec, scan_sharded, serialize,
-    serialize_sharded, ShardBodyStatus, MAGIC, MAGIC_V1, MAGIC_V2, MAGIC_V3,
-};
-use iiu_index::shard::ShardedIndex;
+use iiu_index::io::{deserialize, peek_codec, serialize, MAGIC, MAGIC_V1, MAGIC_V2, MAGIC_V3};
 use iiu_index::{
     corrupt, Bm25Params, BuildOptions, CodecId, IncrementalIndex, IncrementalOptions,
     IndexBuilder, IndexError, IngestDoc, InvertedIndex, Partitioner, PositionIndex,
@@ -78,7 +74,7 @@ fn print_usage() {
          \n\
          USAGE:\n\
          \x20 iiu gen     <index-file> [--docs N] [--preset ccnews|clueweb] [--seed S]\n\
-         \x20             [--shards N] [--codec C] [--stream yes] [--terms N] [--max-df F]\n\
+         \x20             [--codec C] [--stream yes] [--terms N] [--max-df F]\n\
          \x20 iiu build   <corpus.txt> <index-file> [--max-size N] [--positions yes]\n\
          \x20             [--codec C]\n\
          \x20 iiu ingest  <index-dir> [--docs N] [--batch B] [--preset ccnews|clueweb]\n\
@@ -113,9 +109,9 @@ fn print_usage() {
          on the heap: posting bytes are served zero-copy out of the OS page\n\
          cache, per-record checksums are verified lazily on first touch, and\n\
          hits are bit-identical to the heap load. stats/inspect report the\n\
-         source (heap vs mmap), mapped bytes and a residency estimate —\n\
-         per shard for manifests; inspect additionally cross-checks that the\n\
-         mapped load equals the heap load. serve-bench accepts it too.\n\
+         source (heap vs mmap), mapped bytes and a residency estimate;\n\
+         inspect additionally cross-checks that the mapped load equals the\n\
+         heap load. serve-bench accepts it too.\n\
          \n\
          --pruned yes runs the CPU engine with block-max pruned top-k:\n\
          whole blocks whose score upper bound cannot reach the current\n\
@@ -125,11 +121,7 @@ fn print_usage() {
          --shards N cuts the loaded index into N docID windows, copying\n\
          nothing, and fans each query out across a shard worker pool\n\
          (intra-query parallelism); pruned windows exchange a shared top-k\n\
-         threshold. Hits stay bit-identical to the unsharded engine. In\n\
-         `gen` the flag instead writes a sharded manifest, the corpus split\n\
-         round-robin into N re-encoded shards (every other command loads\n\
-         either format; `inspect` reports per-shard balance and bounds\n\
-         coverage).\n\
+         threshold. Hits stay bit-identical to the unsharded engine.\n\
          \n\
          serve-bench submits a Poisson open-loop query stream to the\n\
          resilient serving layer (deadlines, load shedding, retry, CPU\n\
@@ -185,24 +177,28 @@ impl<'a> Args<'a> {
     }
 }
 
-fn split_args(args: &[String]) -> Args<'_> {
+/// Splits `args` into positionals and `--flag value` pairs, rejecting a
+/// flag not named in `accepted` (space-separated names: a typo, or a flag
+/// another command takes, is an error rather than silently ignored) or
+/// one missing its value.
+fn split_args<'a>(args: &'a [String], accepted: &str) -> Result<Args<'a>, String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() {
-                flags.push((name, args[i + 1].as_str()));
-                i += 2;
-            } else {
-                i += 1;
-            }
-        } else {
-            positional.push(args[i].as_str());
-            i += 1;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            positional.push(arg.as_str());
+            continue;
+        };
+        if !accepted.split_whitespace().any(|a| a == name) {
+            let known: Vec<String> =
+                accepted.split_whitespace().map(|a| format!("--{a}")).collect();
+            return Err(format!("unknown flag --{name} (accepted: {})", known.join(", ")));
         }
+        let value = rest.next().ok_or_else(|| format!("flag --{name} needs a value"))?;
+        flags.push((name, value.as_str()));
     }
-    Args { positional, flags }
+    Ok(Args { positional, flags })
 }
 
 fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
@@ -237,33 +233,11 @@ fn dir_codec(path: &std::path::Path) -> CodecId {
     CodecId::default()
 }
 
-/// Loads any index shape as a plain [`InvertedIndex`]. With `mmap`,
-/// plain files are memory-mapped (zero-copy posting bytes, lazy record
-/// CRCs) and incremental directories map their sealed segments; shard
-/// manifests are mapped and then merged, which necessarily materializes
-/// the merged copy on the heap — commands that can serve shards directly
-/// use [`load_cli_index`] instead to keep manifests zero-copy.
+/// Loads an index file, or an incremental index directory as its
+/// equivalent one-shot index. With `mmap`, files are memory-mapped
+/// (zero-copy posting bytes, lazy record CRCs) and directories map their
+/// sealed segments.
 fn load_index_mode(path: &str, mmap: bool) -> Result<InvertedIndex, String> {
-    match load_cli_index(path, mmap)? {
-        CliIndex::Plain(index) => Ok(*index),
-        CliIndex::Sharded(sharded) => {
-            // A shard manifest merges back into the exact unsharded index,
-            // so every command accepts either file format.
-            sharded.merge().map_err(|e| format!("cannot merge shards of {path}: {e}"))
-        }
-    }
-}
-
-/// An index loaded by the CLI, preserving manifest shape so commands can
-/// serve mapped shards without materializing a merged copy. Both
-/// variants are boxed/shared: the enum travels by value through every
-/// command's load path.
-enum CliIndex {
-    Plain(Box<InvertedIndex>),
-    Sharded(std::sync::Arc<ShardedIndex>),
-}
-
-fn load_cli_index(path: &str, mmap: bool) -> Result<CliIndex, String> {
     if std::path::Path::new(path).is_dir() {
         // An incremental index directory: run crash recovery (WAL replay,
         // torn-tail truncation) and materialize the equivalent one-shot
@@ -281,32 +255,33 @@ fn load_cli_index(path: &str, mmap: bool) -> Result<CliIndex, String> {
             .map_err(|e| format!("cannot recover incremental index {path}: {e}"))?;
         return inc
             .to_one_shot()
-            .map(|idx| CliIndex::Plain(Box::new(idx)))
             .map_err(|e| format!("cannot materialize incremental index {path}: {e}"));
     }
-    if mmap {
-        return match iiu_index::storage::open(path.as_ref())
-            .map_err(|e| format!("cannot map {path}: {e}"))?
-        {
-            iiu_index::MappedIndex::Plain(index) => Ok(CliIndex::Plain(Box::new(index))),
-            iiu_index::MappedIndex::Sharded(sharded) => {
-                Ok(CliIndex::Sharded(std::sync::Arc::new(sharded)))
-            }
-        };
+    let loaded = if mmap {
+        iiu_index::storage::map_index(path.as_ref())
+    } else {
+        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        deserialize(&bytes)
+    };
+    loaded.map_err(|e| format!("cannot load {path}: {}", load_error(e)))
+}
+
+/// Why an index file failed to load. A retired round-robin shard manifest
+/// (magic "IIUS" + version) gets a pointer to what replaced it.
+fn load_error(e: IndexError) -> String {
+    match e {
+        IndexError::UnsupportedFormat { found } if found >> 32 == 0x4949_5553 => {
+            "the file is a round-robin shard manifest, a retired format: regenerate it \
+             with `iiu gen` (no --shards) and pass --shards N to search or serve-bench \
+             to fan queries out over docID windows of the one index"
+                .into()
+        }
+        e => e.to_string(),
     }
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if is_sharded(&bytes) {
-        let sharded =
-            deserialize_sharded(&bytes).map_err(|e| format!("cannot parse {path}: {e}"))?;
-        return Ok(CliIndex::Sharded(std::sync::Arc::new(sharded)));
-    }
-    deserialize(&bytes)
-        .map(|idx| CliIndex::Plain(Box::new(idx)))
-        .map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 /// One `source:` report line: heap vs mmap, and for mapped indexes the
-/// mapped span plus a `mincore(2)` residency estimate.
+/// file's size plus a `mincore(2)` residency estimate.
 fn source_line(index: &InvertedIndex) -> String {
     let src = index.source();
     if !src.is_mapped() {
@@ -338,18 +313,14 @@ fn heap_line(index: &InvertedIndex) -> String {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let parsed = split_args(args);
+    let parsed = split_args(args, "docs preset seed codec stream terms max-df")?;
     let flag = |n: &str| parsed.flag(n);
     let [out] = parsed.positional[..] else {
         return Err("usage: iiu gen <index-file> [--docs N] [--preset ccnews|clueweb]".into());
     };
     let docs: u32 = parse_num(flag("docs").unwrap_or("50000"), "--docs")?;
     let seed: u64 = parse_num(flag("seed").unwrap_or("42"), "--seed")?;
-    let shards: usize = parse_num(flag("shards").unwrap_or("1"), "--shards")?;
     let codec = parse_codec(flag("codec").unwrap_or("bitpack"))?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     let mut cfg = match flag("preset").unwrap_or("ccnews") {
         "ccnews" => CorpusConfig::ccnews_like(docs),
         "clueweb" => CorpusConfig::clueweb_like(docs),
@@ -366,11 +337,6 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     if flag("stream").is_some() {
         // Streamed generation writes the v4 file term by term with peak
         // memory independent of the posting count — the ≥1M-doc path.
-        // Sharded output needs the whole index in memory to split, so the
-        // two flags are mutually exclusive.
-        if shards > 1 {
-            return Err("--stream writes a plain (unsharded) index; drop --shards".into());
-        }
         let file =
             std::fs::File::create(out).map_err(|e| format!("cannot write {out}: {e}"))?;
         let sink = std::io::BufWriter::new(file);
@@ -393,14 +359,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         corpus.total_postings()
     );
     let index = corpus.into_index_codec(Partitioner::default(), Bm25Params::default(), codec);
-    let bytes = if shards > 1 {
-        let sharded = ShardedIndex::split(&index, shards)
-            .map_err(|e| format!("cannot shard index: {e}"))?;
-        println!("split into {shards} round-robin document shards");
-        serialize_sharded(&sharded).map_err(|e| format!("cannot serialize index: {e}"))?
-    } else {
-        serialize(&index).map_err(|e| format!("cannot serialize index: {e}"))?
-    };
+    let bytes = serialize(&index).map_err(|e| format!("cannot serialize index: {e}"))?;
     std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
     let s = index.size_stats();
     println!(
@@ -414,7 +373,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
-    let parsed = split_args(args);
+    let parsed = split_args(args, "max-size positions codec")?;
     let flag = |n: &str| parsed.flag(n);
     let [input, out] = parsed.positional[..] else {
         return Err("usage: iiu build <corpus.txt> <index-file> [--max-size N]".into());
@@ -458,39 +417,11 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let parsed = split_args(args);
+    let parsed = split_args(args, "mmap")?;
     let [path] = parsed.positional[..] else {
         return Err("usage: iiu stats <index-file> [--mmap yes]".into());
     };
     let mmap = parsed.flag("mmap").is_some();
-    if let CliIndex::Sharded(sharded) = load_cli_index(path, mmap)? {
-        // Manifests report per shard: a mapped manifest serves each shard
-        // straight out of its byte span in the file, so the mapped/resident
-        // split is per-shard state worth seeing.
-        let mut s = iiu_index::IndexSizeStats::default();
-        for shard in sharded.shards() {
-            s.merge(&shard.size_stats());
-        }
-        println!(
-            "documents:        {} across {} shards",
-            sharded.num_docs(),
-            sharded.num_shards()
-        );
-        println!("terms:            {}", sharded.shard(0).num_terms());
-        println!("postings:         {}", s.postings);
-        println!("blocks:           {} (avg {:.1} postings)", s.num_blocks, s.avg_block_len());
-        println!("compression:      {:.2}x", s.compression_ratio());
-        println!(
-            "codec:            {} ({:.2} bits/posting)",
-            sharded.shard(0).codec().name(),
-            s.bits_per_posting()
-        );
-        for (i, shard) in sharded.shards().iter().enumerate() {
-            println!("shard {i} source:   {}", source_line(shard));
-            println!("shard {i} heap:     {}", heap_line(shard));
-        }
-        return Ok(());
-    }
     let index = load_index_mode(path, mmap)?;
     let s = index.size_stats();
     println!("documents:        {}", index.num_docs());
@@ -518,7 +449,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let parsed = split_args(args);
+    let parsed = split_args(args, "fault-rate trials seed mmap")?;
     let flag = |n: &str| parsed.flag(n);
     let [path] = parsed.positional[..] else {
         return Err(
@@ -530,10 +461,6 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     }
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     println!("file:     {path} ({} bytes)", bytes.len());
-
-    if is_sharded(&bytes) {
-        return inspect_sharded(path, &bytes, &parsed);
-    }
 
     let magic = bytes
         .get(..8)
@@ -547,7 +474,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     };
     println!("format:   {version}");
 
-    let index = deserialize(&bytes).map_err(|e| format!("load failed: {e}"))?;
+    let index = deserialize(&bytes).map_err(|e| format!("load failed: {}", load_error(e)))?;
     println!(
         "load:     ok ({})",
         if checked {
@@ -678,7 +605,8 @@ fn inspect_incremental(path: &str, parsed: &Args<'_>) -> Result<(), String> {
 }
 
 fn cmd_ingest(args: &[String]) -> Result<(), String> {
-    let parsed = split_args(args);
+    let parsed =
+        split_args(args, "docs batch preset seed seal-every merge-every file seal codec")?;
     let flag = |n: &str| parsed.flag(n);
     let [dir] = parsed.positional[..] else {
         return Err("usage: iiu ingest <index-dir> [--docs N] [--batch B] \
@@ -751,155 +679,14 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn inspect_sharded(path: &str, bytes: &[u8], parsed: &Args<'_>) -> Result<(), String> {
-    // Scan first: every shard body is CRC-cross-checked *independently*,
-    // so one corrupt shard is flagged in place instead of hiding the
-    // health of every other shard behind a load error.
-    let scan = scan_sharded(bytes).map_err(|e| format!("header scan failed: {e}"))?;
-    println!(
-        "format:   sharded manifest v{} (round-robin document shards{})",
-        scan.version,
-        if scan.version >= 2 { ", per-shard body table" } else { "" }
-    );
-    println!(
-        "scan:     {} shards, {} documents claimed, footer {}",
-        scan.num_shards,
-        scan.num_docs,
-        if scan.footer_ok { "ok" } else { "FAILED" }
-    );
-    println!("          shard    docs   (expected)    postings    body");
-    for (s, status) in scan.shards.iter().enumerate() {
-        let expected = scan.expected_docs(s);
-        match status {
-            ShardBodyStatus::Ok { docs, postings } => {
-                let balance = if *docs == expected { "ok" } else { "IMBALANCED" };
-                println!(
-                    "          {s:>5} {docs:>7}   ({expected:>8})  {postings:>10}    {balance}"
-                );
-            }
-            ShardBodyStatus::Corrupt { error } => {
-                println!(
-                    "          {s:>5} {:>7}   ({expected:>8})  {:>10}    CORRUPT: {error}",
-                    "?", "?"
-                );
-            }
-            _ => {
-                println!(
-                    "          {s:>5} {:>7}   ({expected:>8})  {:>10}    unscanned (v1 manifest, earlier shard corrupt)",
-                    "?", "?"
-                );
-            }
-        }
-    }
-    if !scan.is_clean() {
-        let corrupt = scan.corrupt_shards();
-        return Err(format!(
-            "scan: FAIL ({}/{} shard bodies corrupt: {corrupt:?})",
-            corrupt.len(),
-            scan.num_shards
-        ));
-    }
-
-    let sharded = deserialize_sharded(bytes).map_err(|e| format!("load failed: {e}"))?;
-    println!("load:     ok (shard header, per-shard and footer checksums verified)");
-    sharded.validate().map_err(|e| format!("validation failed: {e}"))?;
-    println!("validate: ok (per-shard invariants and round-robin balance hold)");
-    if parsed.flag("mmap").is_some() {
-        let mapped = iiu_index::storage::map_sharded(path.as_ref())
-            .map_err(|e| format!("mmap load failed: {e}"))?;
-        mapped.validate().map_err(|e| format!("mmap validation failed: {e}"))?;
-        if mapped != sharded {
-            return Err("mmap load differs from heap load".into());
-        }
-        println!("mmap:     ok (bit-identical to heap load)");
-        for (i, shard) in mapped.shards().iter().enumerate() {
-            println!("          shard {i}: {}", source_line(shard));
-        }
-    }
-    // validate() enforces that every shard agrees on the codec, so one
-    // line covers the whole manifest.
-    let mut stats = iiu_index::IndexSizeStats::default();
-    for s in 0..sharded.num_shards() {
-        stats.merge(&sharded.shard(s).size_stats());
-    }
-    println!(
-        "codec:    {} across all shards ({:.2} bits/posting, compression {:.2}x)",
-        sharded.shard(0).codec().name(),
-        stats.bits_per_posting(),
-        stats.compression_ratio()
-    );
-    println!(
-        "contents: {} documents across {} shards, {} terms",
-        sharded.num_docs(),
-        sharded.num_shards(),
-        sharded.shard(0).num_terms()
-    );
-    println!("balance:  shard    docs    postings    blocks    bounds-coverage");
-    for b in sharded.balance() {
-        println!(
-            "          {:>5} {:>7} {:>11} {:>9}    {}/{} nonempty lists bounded",
-            b.shard, b.docs, b.postings, b.blocks, b.bounded_lists, b.nonempty_lists
-        );
-    }
-
-    let Some(rate) = parsed.flag("fault-rate") else {
-        return Ok(());
-    };
-    let rate: f64 = parse_num(rate, "--fault-rate")?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--fault-rate must be in 0..=1, got {rate}"));
-    }
-    let trials: u64 = parse_num(parsed.flag("trials").unwrap_or("1000"), "--trials")?;
-    let seed: u64 = parse_num(parsed.flag("seed").unwrap_or("7"), "--seed")?;
-    let per_trial = ((rate * bytes.len() as f64).ceil() as u64).max(1);
-
-    let (mut typed, mut checksums, mut equal, mut divergent, mut panics) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    for t in 0..trials {
-        let mut mutated = bytes.to_vec();
-        for i in 0..per_trial {
-            let trial_seed = seed
-                .wrapping_add(t.wrapping_mul(per_trial).wrapping_add(i))
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            mutated = corrupt(&mutated, trial_seed).0;
-        }
-        match std::panic::catch_unwind(|| deserialize_sharded(&mutated)) {
-            Err(_) => panics += 1,
-            Ok(Err(e)) => {
-                typed += 1;
-                if matches!(e, IndexError::ChecksumMismatch { .. }) {
-                    checksums += 1;
-                }
-            }
-            Ok(Ok(loaded)) => {
-                if loaded == sharded {
-                    equal += 1;
-                } else {
-                    divergent += 1;
-                }
-            }
-        }
-    }
-
-    println!();
-    println!("fault injection: {trials} trials x {per_trial} corruption(s), seed {seed}");
-    println!("  rejected with typed error:    {typed}  ({checksums} by checksum)");
-    println!("  accepted, semantically equal: {equal}");
-    println!("  accepted, DIVERGENT:          {divergent}");
-    println!("  panics:                       {panics}");
-    if divergent > 0 || panics > 0 {
-        return Err(format!(
-            "survival: FAIL ({divergent} silent corruption(s), {panics} panic(s))"
-        ));
-    }
-    println!("survival: PASS");
-    Ok(())
-}
-
 fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     use std::time::{Duration, Instant};
 
-    let parsed = split_args(args);
+    let parsed = split_args(
+        args,
+        "workers shards rate queries deadline-ms fault-rate seed unknown-rate k pruned mmap \
+         shard-fault-rate shard-stall-rate shard-stall-ms fail-closed no-device hybrid zipf",
+    )?;
     let flag = |n: &str| parsed.flag(n);
     let [path] = parsed.positional[..] else {
         return Err("usage: iiu serve-bench <index-file> [--workers N] [--rate QPS] \
@@ -942,8 +729,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
         return Err("--rate must be positive".into());
     }
 
-    // --mmap serves posting bytes from the page cache (manifests merge to
-    // the heap copy the service's Arc<InvertedIndex> needs either way).
+    // --mmap serves posting bytes from the page cache.
     let index = Arc::new(load_index_mode(path, flag("mmap").is_some())?);
     let stream = iiu_workloads::traffic::open_loop(
         &index,
@@ -1116,7 +902,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
-    let parsed = split_args(args);
+    let parsed = split_args(args, "k engine cores pruned shards mmap")?;
     let flag = |n: &str| parsed.flag(n);
     let [path, query_text] = parsed.positional[..] else {
         return Err(
@@ -1134,35 +920,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let index = match load_cli_index(path, mmap)? {
-        CliIndex::Sharded(sharded) if mmap => {
-            // A mapped manifest serves straight from the mapping: the
-            // sharded baseline engine fans out over the mapped shards with
-            // no merged heap copy.
-            println!("[mapped manifest: {} shards served zero-copy]", sharded.num_shards());
-            let query = Query::parse(query_text).map_err(|e| e.to_string())?;
-            let eng = ShardedSearchEngine::new(sharded).with_pruning(pruned);
-            let r = eng.search_ref(&query, k).map_err(|e| e.to_string())?;
-            println!(
-                "baseline ({} shards, mmap{}): {} candidates, {:.2} us",
-                eng.num_shards(),
-                if pruned { ", pruned" } else { "" },
-                r.candidates,
-                r.latency_ns() / 1e3
-            );
-            for d in &r.degraded {
-                println!("  [degraded: {d}]");
-            }
-            for hit in &r.hits {
-                println!("  doc {:>8}  score {:.4}", hit.doc_id, hit.score);
-            }
-            return Ok(());
-        }
-        CliIndex::Sharded(sharded) => {
-            sharded.merge().map_err(|e| format!("cannot merge shards of {path}: {e}"))?
-        }
-        CliIndex::Plain(index) => *index,
-    };
+    let index = load_index_mode(path, mmap)?;
     let index = Arc::new(index);
     if mmap {
         println!("[source: {}]", source_line(&index));
@@ -1229,4 +987,43 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn split_args_rejects_flags_the_command_does_not_take() {
+        let ok = args(&["idx.iiu", "t1 AND t2", "--k", "5", "--pruned", "yes"]);
+        let parsed = split_args(&ok, "k engine cores pruned shards mmap").unwrap();
+        assert_eq!(parsed.positional, ["idx.iiu", "t1 AND t2"]);
+        assert_eq!((parsed.flag("k"), parsed.flag("pruned")), (Some("5"), Some("yes")));
+        assert_eq!(parsed.flag("shards"), None);
+
+        // A typo, and `gen --shards` now that gen writes only plain files.
+        for (argv, accepted, flag) in [
+            (&["idx.iiu", "q", "--prunned", "yes"][..], "k pruned", "--prunned"),
+            (&["out.iiu", "--shards", "4"][..], "docs preset seed codec stream", "--shards"),
+        ] {
+            let err = split_args(&args(argv), accepted).map(|_| ()).unwrap_err();
+            assert!(err.starts_with(&format!("unknown flag {flag} ")), "{err}");
+        }
+        let err = split_args(&args(&["idx.iiu", "--k"]), "k").map(|_| ()).unwrap_err();
+        assert_eq!(err, "flag --k needs a value");
+    }
+
+    #[test]
+    fn a_retired_manifest_magic_points_to_windows() {
+        for found in [0x4949_5553_0000_0001, 0x4949_5553_0000_0002, 0x4949_5553_0000_0003] {
+            let msg = load_error(IndexError::UnsupportedFormat { found });
+            assert!(msg.contains("retired") && msg.contains("--shards N"), "{msg}");
+        }
+        let other = load_error(IndexError::UnsupportedFormat { found: u64::MAX });
+        assert!(!other.contains("retired"), "{other}");
+    }
 }

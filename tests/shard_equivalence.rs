@@ -318,78 +318,6 @@ fn more_windows_than_documents_leave_empty_windows() {
     }
 }
 
-/// Source matrix, sharded leg (DESIGN.md §19): a shard manifest loaded
-/// heap-side and through the mapped loader drives the sharded engine to
-/// bit-identical hits — and identical degradation labels — against the
-/// unsharded heap reference, across codecs, shapes, ks and both
-/// execution modes.
-#[test]
-fn mapped_manifest_matches_heap_under_every_codec() {
-    use iiu_index::{io, storage, Bm25Params, CodecId};
-
-    let reference = CorpusConfig::tiny(0xC0FFEE).generate().into_default_index();
-    let mut sampler = QuerySampler::new(&reference, 9);
-    let singles = sampler.single_queries(4);
-    let pairs = sampler.pair_queries(4);
-    let mut ref_plain = CpuEngine::new(&reference);
-
-    for codec in CodecId::ALL {
-        let index = CorpusConfig::tiny(0xC0FFEE).generate().into_index_codec(
-            Partitioner::default(),
-            Bm25Params::default(),
-            codec,
-        );
-        let split = ShardedIndex::split(&index, 3).expect("split");
-        let bytes = io::serialize_sharded(&split).expect("serialize manifest");
-        let path =
-            std::env::temp_dir().join(format!("iiu-shard-src-{}-{codec}", std::process::id()));
-        std::fs::write(&path, &bytes).expect("temp file writable");
-        let mapped = Arc::new(storage::map_sharded(&path).expect("mapped manifest"));
-        let heap = Arc::new(io::deserialize_sharded(&bytes).expect("heap manifest"));
-        assert_eq!(*mapped, *heap, "{codec}: manifest sources must assemble one index");
-        for shard in mapped.shards() {
-            assert!(shard.source().is_mapped(), "{codec}");
-        }
-
-        for pruned in [false, true] {
-            let m_eng = ShardedEngine::new(Arc::clone(&mapped)).with_pruning(pruned);
-            let h_eng = ShardedEngine::new(Arc::clone(&heap)).with_pruning(pruned);
-            for k in KS {
-                for t in &singles {
-                    let r = ref_plain.search_single(t, k).expect("sampled term");
-                    let h = h_eng.search_single(t, k).expect("sampled term");
-                    let m = m_eng.search_single(t, k).expect("sampled term");
-                    assert_eq!(
-                        m.hits, r.hits,
-                        "{codec} mmap single {t} pruned={pruned} k={k}"
-                    );
-                    assert_eq!(m.missing, h.missing, "{codec} single {t} k={k}");
-                    assert!(m.complete(), "{codec} healthy shards must all answer");
-                }
-                for (ta, tb) in &pairs {
-                    let r = ref_plain.search_intersection(ta, tb, k).expect("sampled");
-                    let h = h_eng.search_intersection(ta, tb, k).expect("sampled");
-                    let m = m_eng.search_intersection(ta, tb, k).expect("sampled");
-                    assert_eq!(
-                        m.hits, r.hits,
-                        "{codec} mmap {ta} AND {tb} pruned={pruned} k={k}"
-                    );
-                    assert_eq!(m.missing, h.missing, "{codec} {ta} AND {tb} k={k}");
-                    let r = ref_plain.search_union(ta, tb, k).expect("sampled");
-                    let h = h_eng.search_union(ta, tb, k).expect("sampled");
-                    let m = m_eng.search_union(ta, tb, k).expect("sampled");
-                    assert_eq!(
-                        m.hits, r.hits,
-                        "{codec} mmap {ta} OR {tb} pruned={pruned} k={k}"
-                    );
-                    assert_eq!(m.missing, h.missing, "{codec} {ta} OR {tb} k={k}");
-                }
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-}
-
 /// Splitting must preserve per-document scores exactly (global stats flow
 /// into every shard), so the local-merge/global-merge argument holds.
 #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Full verification gate: build, tests, the separately-built benchmark
 # package's tests and smoke run, the fault-injected serving soak, the
-# no-panic lint wall, and the hot-path decode, shard-scaling, mmap
-# storage, and serve tail-latency perf gates.
+# no-panic lint wall, warning-free rustdoc, and the hot-path decode,
+# shard-scaling, mmap storage, and serve tail-latency perf gates.
 #
 # Usage: ./verify.sh [--quick]
 #   --quick  skip the perf gates and the torn-write recovery and
@@ -97,6 +97,11 @@ fi
 
 cargo clippy --workspace -- -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p iiu-serve -p iiu-baseline -p iiu-codecs -p iiu-workloads -p iiu-bench -- -D clippy::unwrap_used -D clippy::expect_used
+
+# Rustdoc with warnings denied, in both modes: every intra-doc link must
+# resolve, so an item deleted from the code cannot survive in the docs as
+# a dangling link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Decode perf gate + codec shootout (DESIGN.md §11, §13, §18):
 # re-measures the unpack kernels, end-to-end query throughput,
