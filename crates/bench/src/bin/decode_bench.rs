@@ -14,22 +14,19 @@
 //! skipped-block tally, and unless pruned AND and pruned OR at k = 10 each
 //! beat this same process's exhaustive wall time.
 //!
-//! Also runs the codec shootout (DESIGN.md §18): every integrated
-//! [`BlockCodec`](iiu_index::BlockCodec) — bitpack, stream-vbyte,
-//! simdbp128 — decodes the same blocks across the gated widths. Per-codec
-//! decode times join the gated metrics, the bitpack/simdbp128 time ratio
-//! is printed, and `--check` additionally requires that simdbp128's
-//! payload is no larger than bitpack's and that every codec's
-//! bits/posting stays within the committed `max_bits_per_posting` bound.
+//! Also runs the codec shootout (DESIGN.md §18): the bit-packed block
+//! kernel decodes uniform blocks at every gated width. Its decode times
+//! join the gated metrics, and `--check` additionally requires its
+//! bits/posting to stay within the committed `max_bits_per_posting` bound.
 //!
 //! Writes `BENCH_decode.json` at the workspace root. With
 //! `--check <thresholds.json>` it additionally compares the gated
 //! `min_ns` metrics against the committed thresholds and exits nonzero on
 //! a >25% regression (`fail_above_ratio` in the thresholds file). With
 //! `--write-thresholds <path>` it emits a fresh thresholds file from this
-//! run's measurements. `--smoke` runs only the one-block-per-codec decode
-//! bit-identity check (no timing). `verify.sh` runs the gate in
-//! `--release`; `--quick` verify runs just the smoke.
+//! run's measurements. `--smoke` runs only a one-block-per-width decode
+//! check against an independent reference (no timing). `verify.sh` runs
+//! the gate in `--release`; `--quick` verify runs just the smoke.
 
 // Experiment-runner code: panicking on a broken setup is the right
 // behavior (same contract as the iiu-bench lib crate).
@@ -41,7 +38,8 @@ use std::process::ExitCode;
 use iiu_baseline::CpuEngine;
 use iiu_bench::micro::bench_with;
 use iiu_index::bitpack::{pack_all, unpack_all_scalar, unpack_into};
-use iiu_index::{CodecId, InvertedIndex, Posting};
+use iiu_index::codec::{encode_block, try_decode_pairs_into};
+use iiu_index::{InvertedIndex, Posting};
 use iiu_workloads::{CorpusConfig, QuerySampler};
 use serde_json::{json, Map, Value};
 
@@ -514,151 +512,119 @@ fn shootout_values(seed: u64, n: usize, width: u8) -> Vec<u32> {
         .collect()
 }
 
-/// One codec's encoding of the shared shootout blocks for one gap width.
-struct CodecBlocks {
-    payloads: Vec<Vec<u8>>,
-    skips: Vec<u32>,
-    total_bytes: usize,
+/// The gap and tf columns of shootout block `b` at `gap_bits`, seeded per
+/// block so every block carries different data. The first gap is 0: the
+/// first docID travels in the block's skip value.
+fn shootout_columns(b: usize, gap_bits: u8) -> (Vec<u32>, Vec<u32>) {
+    let mut gaps =
+        shootout_values((b as u64) << 8 | u64::from(gap_bits), SHOOTOUT_BLOCK, gap_bits);
+    gaps[0] = 0;
+    let tfs = shootout_values((b as u64) << 16 | 0x7F, SHOOTOUT_BLOCK, SHOOTOUT_TF_BITS);
+    (gaps, tfs)
 }
 
-/// Encodes `blocks` shootout blocks under `codec`. Every codec sees the
-/// same gap/tf values (per-block seeded), so decoded postings must agree
-/// bit for bit across codecs.
-fn encode_shootout(codec: CodecId, gap_bits: u8, blocks: usize) -> CodecBlocks {
-    let ops = codec.ops();
-    let mut payloads = Vec::with_capacity(blocks);
-    let mut skips = Vec::with_capacity(blocks);
-    let mut total_bytes = 0usize;
+/// The skip value (first docID) of shootout block `b`.
+fn shootout_skip(b: usize) -> u32 {
+    b as u32 * 8 + 1
+}
+
+/// The bit-packed payloads of shootout blocks `0..blocks` at `gap_bits`.
+fn encode_shootout(gap_bits: u8, blocks: usize) -> Vec<Vec<u8>> {
+    (0..blocks)
+        .map(|b| {
+            let (gaps, tfs) = shootout_columns(b, gap_bits);
+            let mut payload = Vec::new();
+            encode_block(&gaps, &tfs, gap_bits, SHOOTOUT_TF_BITS, &mut payload);
+            payload
+        })
+        .collect()
+}
+
+/// The postings of shootout blocks `0..blocks`, summed from their columns
+/// without the codec: the independent reference the kernel must match.
+fn shootout_reference(gap_bits: u8, blocks: usize) -> Vec<Posting> {
+    let mut out = Vec::with_capacity(blocks * SHOOTOUT_BLOCK);
     for b in 0..blocks {
-        let mut gaps =
-            shootout_values((b as u64) << 8 | u64::from(gap_bits), SHOOTOUT_BLOCK, gap_bits);
-        // The first docID travels in the block's skip value.
-        gaps[0] = 0;
-        let tfs = shootout_values((b as u64) << 16 | 0x7F, SHOOTOUT_BLOCK, SHOOTOUT_TF_BITS);
-        let mut payload = Vec::new();
-        ops.encode_block(&gaps, &tfs, gap_bits, SHOOTOUT_TF_BITS, &mut payload);
-        total_bytes += payload.len();
-        payloads.push(payload);
-        skips.push(b as u32 * 8 + 1);
+        let (gaps, tfs) = shootout_columns(b, gap_bits);
+        let mut doc = shootout_skip(b);
+        for (&g, &t) in gaps.iter().zip(&tfs) {
+            doc += g;
+            out.push(Posting::new(doc, t));
+        }
     }
-    CodecBlocks { payloads, skips, total_bytes }
+    out
 }
 
-/// Decodes every block in `cb` into `out` (cleared first). Panics on a
-/// decode error — these are self-produced blocks.
-fn decode_shootout(codec: CodecId, cb: &CodecBlocks, gap_bits: u8, out: &mut Vec<Posting>) {
+/// Decodes every block of `payloads` into `out` (cleared first). Panics on
+/// a decode error — these are self-produced blocks.
+fn decode_shootout(payloads: &[Vec<u8>], gap_bits: u8, out: &mut Vec<Posting>) {
     out.clear();
-    for (payload, &skip) in cb.payloads.iter().zip(&cb.skips) {
-        codec
-            .ops()
-            .try_decode_block_into(
-                payload,
-                SHOOTOUT_BLOCK,
-                gap_bits,
-                SHOOTOUT_TF_BITS,
-                skip,
-                out,
-            )
+    for (b, payload) in payloads.iter().enumerate() {
+        let skip = shootout_skip(b);
+        try_decode_pairs_into(payload, SHOOTOUT_BLOCK, gap_bits, SHOOTOUT_TF_BITS, skip, out)
             .expect("self-produced shootout block");
     }
 }
 
-/// The codec shootout (DESIGN.md §18): every integrated [`iiu_index::BlockCodec`]
-/// decodes the same blocks; per-codec decode time per gated width goes
-/// into the gate map and per-codec aggregates (throughput, bits/posting)
-/// feed the `--check` rules and the printed bitpack/simdbp128 ratio.
+/// The codec shootout (DESIGN.md §18): the bit-packed kernel decodes the
+/// shootout blocks at every gated width. Each width's decode time goes
+/// into the gate map; the aggregate (throughput, bits/posting) feeds the
+/// `--check` compression bound.
 fn bench_codec_shootout(gate: &mut Map) -> Value {
     let postings_per_iter = (SHOOTOUT_BLOCK * SHOOTOUT_BLOCKS) as f64;
     let mut per_width = Vec::new();
-    let mut totals: Vec<(CodecId, f64, usize)> = // (codec, total_min_ns, total_bytes)
-        CodecId::ALL.iter().map(|&c| (c, 0.0, 0usize)).collect();
-
+    let (mut total_ns, mut total_bytes) = (0.0, 0usize);
     for width in GATED_WIDTHS {
-        let sets: Vec<CodecBlocks> =
-            CodecId::ALL.iter().map(|&c| encode_shootout(c, width, SHOOTOUT_BLOCKS)).collect();
-
-        // Differential check before timing: all codecs must decode the
-        // shared blocks to bit-identical postings.
-        let mut reference = Vec::new();
-        decode_shootout(CodecId::BitPack, &sets[0], width, &mut reference);
-        for (i, codec) in CodecId::ALL.into_iter().enumerate().skip(1) {
-            let mut got = Vec::new();
-            decode_shootout(codec, &sets[i], width, &mut got);
-            assert_eq!(got, reference, "{codec} decode diverged from bitpack at w{width}");
-        }
-
-        let mut row = Map::new();
-        row.insert("width".into(), json!(width));
-        for (i, codec) in CodecId::ALL.into_iter().enumerate() {
-            let cb = &sets[i];
-            let mut out: Vec<Posting> = Vec::with_capacity(SHOOTOUT_BLOCK * SHOOTOUT_BLOCKS);
-            let timing = bench_with(&format!("codec/{codec}/w{width:02}"), 6, 24, &mut || {
-                decode_shootout(codec, cb, width, &mut out);
-                out.len()
-            });
-            gate.insert(format!("codec_{codec}_w{width:02}"), json!(timing.min_ns));
-            totals[i].1 += timing.min_ns;
-            totals[i].2 += cb.total_bytes;
-            row.insert(
-                codec.name().to_string(),
-                json!({
-                    "min_ns": timing.min_ns,
-                    "median_ns": timing.median_ns,
-                    "mpostings_per_s": postings_per_iter / timing.min_ns * 1e3,
-                    "payload_bytes": cb.total_bytes,
-                    "payload_bits_per_posting": cb.total_bytes as f64 * 8.0 / postings_per_iter,
-                }),
-            );
-        }
-        per_width.push(Value::Object(row));
-    }
-
-    let mut aggregate = Map::new();
-    for (codec, total_ns, total_bytes) in totals {
-        let total_postings = postings_per_iter * GATED_WIDTHS.len() as f64;
-        aggregate.insert(
-            codec.name().to_string(),
-            json!({
-                "total_min_ns": total_ns,
-                "mpostings_per_s": total_postings / total_ns * 1e3,
-                "payload_bytes": total_bytes,
-                "payload_bits_per_posting": total_bytes as f64 * 8.0 / total_postings,
+        let payloads = encode_shootout(width, SHOOTOUT_BLOCKS);
+        let bytes: usize = payloads.iter().map(Vec::len).sum();
+        let mut out: Vec<Posting> = Vec::with_capacity(SHOOTOUT_BLOCK * SHOOTOUT_BLOCKS);
+        let timing = bench_with(&format!("codec/bitpack/w{width:02}"), 6, 24, &mut || {
+            decode_shootout(&payloads, width, &mut out);
+            out.len()
+        });
+        assert_eq!(out, shootout_reference(width, SHOOTOUT_BLOCKS), "decode at w{width}");
+        gate.insert(format!("codec_bitpack_w{width:02}"), json!(timing.min_ns));
+        total_ns += timing.min_ns;
+        total_bytes += bytes;
+        per_width.push(json!({
+            "width": width,
+            "bitpack": json!({
+                "min_ns": timing.min_ns,
+                "median_ns": timing.median_ns,
+                "mpostings_per_s": postings_per_iter / timing.min_ns * 1e3,
+                "payload_bytes": bytes,
+                "payload_bits_per_posting": bytes as f64 * 8.0 / postings_per_iter,
             }),
-        );
+        }));
     }
+    let total_postings = postings_per_iter * GATED_WIDTHS.len() as f64;
     json!({
         "block_postings": SHOOTOUT_BLOCK,
         "blocks": SHOOTOUT_BLOCKS,
         "tf_bits": SHOOTOUT_TF_BITS,
         "widths": Value::Array(per_width),
-        "aggregate": Value::Object(aggregate),
+        "aggregate": json!({
+            "bitpack": json!({
+                "total_min_ns": total_ns,
+                "mpostings_per_s": total_postings / total_ns * 1e3,
+                "payload_bytes": total_bytes,
+                "payload_bits_per_posting": total_bytes as f64 * 8.0 / total_postings,
+            }),
+        }),
     })
 }
 
-/// `--smoke`: one block per codec per width, encode + decode + cross-codec
-/// bit-identity, no timing. The cheap decode sanity check `verify.sh
-/// --quick` runs.
+/// `--smoke`: one block per width, encoded and decoded, checked against
+/// [`shootout_reference`], no timing. The cheap decode sanity check
+/// `verify.sh --quick` runs.
 fn run_smoke() -> ExitCode {
     for width in GATED_WIDTHS {
-        let mut reference = Vec::new();
-        for codec in CodecId::ALL {
-            let cb = encode_shootout(codec, width, 1);
-            let mut got = Vec::new();
-            decode_shootout(codec, &cb, width, &mut got);
-            assert_eq!(got.len(), SHOOTOUT_BLOCK);
-            if codec == CodecId::BitPack {
-                reference = got;
-            } else {
-                assert_eq!(
-                    got, reference,
-                    "{codec} smoke decode diverged from bitpack at w{width}"
-                );
-            }
-        }
+        let mut got = Vec::new();
+        decode_shootout(&encode_shootout(width, 1), width, &mut got);
+        assert_eq!(got, shootout_reference(width, 1), "smoke decode diverged at w{width}");
     }
     println!(
-        "codec smoke: OK ({} codecs x {} widths, one {}-posting block each, bit-identical)",
-        CodecId::ALL.len(),
+        "codec smoke: OK ({} widths, one {}-posting block each, equal to the reference)",
         GATED_WIDTHS.len(),
         SHOOTOUT_BLOCK
     );
@@ -694,20 +660,13 @@ fn thresholds_from(gate: &Map, shootout: &Value, ratio: f64) -> Value {
     // Compression is deterministic, so its bound is exact: a codec change
     // that costs even one payload byte per shootout posting set trips the
     // gate until the threshold is regenerated deliberately.
-    let mut max_bits = Map::new();
-    if let Some(agg) = shootout["aggregate"].as_object() {
-        for (codec, stats) in agg {
-            if let Some(b) = stats["payload_bits_per_posting"].as_f64() {
-                max_bits.insert(codec.clone(), json!(b));
-            }
-        }
-    }
+    let bits = shootout["aggregate"]["bitpack"]["payload_bits_per_posting"].clone();
     json!({
         "schema": "decode-gate-thresholds-v2",
-        "comment": "min_ns baselines for the decode perf gate; a run fails when measured > baseline * fail_above_ratio, when a codec's shootout payload exceeds max_bits_per_posting, or when simdbp128's payload exceeds bitpack's. Regenerate with: cargo run --release -p iiu-bench --bin decode_bench -- --write-thresholds BENCH_decode_thresholds.json",
+        "comment": "min_ns baselines for the decode perf gate; a run fails when measured > baseline * fail_above_ratio or when a codec's shootout payload exceeds max_bits_per_posting. Regenerate with: cargo run --release -p iiu-bench --bin decode_bench -- --write-thresholds BENCH_decode_thresholds.json",
         "fail_above_ratio": ratio,
         "min_ns": Value::Object(gate.clone()),
-        "max_bits_per_posting": Value::Object(max_bits),
+        "max_bits_per_posting": json!({ "bitpack": bits }),
     })
 }
 
@@ -752,9 +711,8 @@ fn main() -> ExitCode {
     let pruned = bench_pruned(&index, &mut gate);
 
     println!(
-        "== codec shootout: {} codecs x widths {GATED_WIDTHS:?}, \
-         {SHOOTOUT_BLOCKS} x {SHOOTOUT_BLOCK}-posting blocks ==",
-        CodecId::ALL.len()
+        "== codec shootout: bitpack x widths {GATED_WIDTHS:?}, \
+         {SHOOTOUT_BLOCKS} x {SHOOTOUT_BLOCK}-posting blocks =="
     );
     let shootout = bench_codec_shootout(&mut gate);
 
@@ -835,37 +793,14 @@ fn main() -> ExitCode {
                 ));
             }
         }
-        // Codec shootout rules. Which codec decodes these uniform
-        // 256-posting blocks fastest is reported, not gated: the ranking
-        // says little about the short blocks an index is built from, and
-        // each codec's own time is already regression-checked above.
-        // Compression bounds are per-codec and deterministic.
-        let agg = &shootout["aggregate"];
-        let bp_ns = agg["bitpack"]["total_min_ns"].as_f64().unwrap_or(0.0);
-        let sbp_ns = agg["simdbp128"]["total_min_ns"].as_f64().unwrap_or(f64::INFINITY);
-        println!(
-            "codec shootout: bitpack / simdbp128 decode time = {:.2} \
-             ({bp_ns:.1} ns / {sbp_ns:.1} ns)",
-            bp_ns / sbp_ns
-        );
-        let bp_bytes = agg["bitpack"]["payload_bytes"].as_u64().unwrap_or(0);
-        let sbp_bytes = agg["simdbp128"]["payload_bytes"].as_u64().unwrap_or(u64::MAX);
-        if sbp_bytes > bp_bytes {
-            violations.push(format!(
-                "simdbp128 payload ({sbp_bytes} B) exceeds bitpack's ({bp_bytes} B)"
-            ));
-        }
-        if let Some(max_bits) = thresholds["max_bits_per_posting"].as_object() {
-            for (codec, bound) in max_bits {
-                let bound = bound.as_f64().unwrap_or(f64::INFINITY);
-                match agg[codec.as_str()]["payload_bits_per_posting"].as_f64() {
-                    None => violations
-                        .push(format!("codec {codec} missing from this run's shootout")),
-                    Some(bits) if bits > bound => violations.push(format!(
-                        "codec {codec}: {bits:.3} bits/posting exceeds committed {bound:.3}"
-                    )),
-                    Some(_) => {}
-                }
+        // The exact compression bound of `thresholds_from`.
+        let bits = shootout["aggregate"]["bitpack"]["payload_bits_per_posting"].as_f64();
+        let bound = thresholds["max_bits_per_posting"]["bitpack"].as_f64();
+        if let (Some(bits), Some(bound)) = (bits, bound) {
+            if bits > bound {
+                violations.push(format!(
+                    "bitpack: {bits:.3} bits/posting exceeds committed {bound:.3}"
+                ));
             }
         }
         if violations.is_empty() {

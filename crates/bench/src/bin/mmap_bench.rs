@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use iiu_baseline::CpuEngine;
 use iiu_bench::micro::bench_with;
-use iiu_index::{storage, Bm25Params, CodecId, InvertedIndex, Partitioner, Posting, TermId};
+use iiu_index::{storage, Bm25Params, InvertedIndex, Partitioner, Posting, TermId};
 use iiu_workloads::{CorpusConfig, QuerySampler};
 use serde_json::{json, Map, Value};
 
@@ -175,7 +175,6 @@ fn run_rss_child() -> ExitCode {
             std::io::BufWriter::new(file),
             Partitioner::default(),
             Bm25Params::default(),
-            CodecId::BitPack,
         )
         .expect("streamed generation");
     let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);

@@ -13,12 +13,8 @@
 //! value supplies its docID ("the skip value is added to a d-gap to obtain
 //! the uncompressed docID").
 //!
-//! The block *structure* (metadata words, skip list, per-block maximum
-//! widths) is codec-independent; how the payload bytes between two block
-//! offsets encode the `(d-gap, tf)` pairs is delegated to a
-//! [`crate::codec::BlockCodec`]. The default [`CodecId::BitPack`] payload,
-//! byte-identical to the pre-codec format, goes straight to the codec's
-//! pair kernel: one window load per `(d-gap, tf)` pair.
+//! A block decodes in [`crate::codec`]'s pair kernel: one window load per
+//! `(d-gap, tf)` pair.
 //!
 //! # Memory layout
 //!
@@ -203,8 +199,6 @@ pub(crate) struct ListSpan {
     blocks: u32,
     /// Slot in the CRC table, or [`NO_CRC`].
     crc: u32,
-    /// How the payload bytes encode each block's `(d-gap, tf)` pairs.
-    codec: CodecId,
     payload_start: usize,
     payload_len: usize,
     num_postings: u64,
@@ -215,7 +209,6 @@ impl ListSpan {
         first: 0,
         blocks: 0,
         crc: NO_CRC,
-        codec: CodecId::BitPack,
         payload_start: 0,
         payload_len: 0,
         num_postings: 0,
@@ -258,7 +251,6 @@ impl TableBuilder {
         &mut self,
         list: &PostingList,
         block_lens: &[usize],
-        codec: CodecId,
     ) -> Result<ListSpan, IndexError> {
         let postings = list.as_slice();
         let total: usize = block_lens.iter().sum();
@@ -269,7 +261,6 @@ impl TableBuilder {
             });
         }
 
-        let ops = codec.ops();
         let first = self.metas.len();
         let payload_start = self.payload.len();
         self.metas.reserve(block_lens.len());
@@ -302,7 +293,7 @@ impl TableBuilder {
             if offset >= (1 << 43) {
                 return Err(IndexError::ListTooLarge { bytes: offset });
             }
-            ops.encode_block(&self.gaps, &self.tfs, dn_bits, tf_bits, &mut self.payload);
+            codec::encode_block(&self.gaps, &self.tfs, dn_bits, tf_bits, &mut self.payload);
 
             self.metas.push(BlockMeta { dn_bits, tf_bits, count: len as u16, offset });
             self.skips.push(skip);
@@ -313,7 +304,6 @@ impl TableBuilder {
             first,
             blocks,
             crc: NO_CRC,
-            codec,
             payload_start,
             payload_len: self.payload.len() - payload_start,
             num_postings: postings.len() as u64,
@@ -339,7 +329,6 @@ impl TableBuilder {
         mapped_at: Option<usize>,
         num_postings: u64,
         record_start: Option<usize>,
-        codec: CodecId,
     ) -> Result<ListSpan, IndexError> {
         let first = self.metas.len();
         self.metas.extend(meta_words.map(BlockMeta::unpack));
@@ -360,7 +349,6 @@ impl TableBuilder {
             skips: &self.skips[first..],
             payload,
             num_postings,
-            codec,
         };
         view.validate()?;
         let (first, blocks) = self.blocks_since(first)?;
@@ -368,7 +356,6 @@ impl TableBuilder {
             first,
             blocks,
             crc,
-            codec,
             payload_start,
             payload_len: payload.len(),
             num_postings,
@@ -409,23 +396,9 @@ struct ListRef<'a> {
     skips: &'a [DocId],
     payload: &'a [u8],
     num_postings: u64,
-    codec: CodecId,
 }
 
 impl ListRef<'_> {
-    /// The payload byte range of block `idx`: from its offset to the next
-    /// block's offset (or the end of the payload for the last block).
-    /// Codecs whose block size is not derivable from the metadata widths
-    /// (Stream-VByte) rely on this contiguity invariant.
-    fn block_slice(&self, idx: usize) -> Result<&[u8], IndexError> {
-        let start = self.metas[idx].offset as usize;
-        let end = self.metas.get(idx + 1).map_or(self.payload.len(), |m| m.offset as usize);
-        if start > end || end > self.payload.len() {
-            return Err(IndexError::CorruptIndex { context: "payload bounds" });
-        }
-        Ok(&self.payload[start..end])
-    }
-
     /// [`EncodedList::try_decode_block_into`] minus the deferred checksum.
     fn try_decode_block_into(
         &self,
@@ -440,17 +413,12 @@ impl ListRef<'_> {
             .skips
             .get(idx)
             .ok_or(IndexError::CorruptIndex { context: "skip/meta count mismatch" })?;
-        let count = usize::from(count);
-        if self.codec == CodecId::BitPack {
-            // From the block's offset to the end of the list payload, not
-            // the block slice: the block's last pairs then load full
-            // windows, and the masks keep the next block's bits out.
-            let bytes = usize::try_from(offset).ok().and_then(|o| self.payload.get(o..));
-            let bytes = bytes.ok_or(IndexError::CorruptIndex { context: "payload bounds" })?;
-            return codec::try_decode_pairs_into(bytes, count, dn_bits, tf_bits, skip, out);
-        }
-        let block = self.block_slice(idx)?;
-        self.codec.ops().try_decode_block_into(block, count, dn_bits, tf_bits, skip, out)
+        // From the block's offset to the end of the list payload, not the
+        // block's own bytes: its last pairs then load full windows, and the
+        // masks keep the next block's bits out.
+        let bytes = usize::try_from(offset).ok().and_then(|o| self.payload.get(o..));
+        let bytes = bytes.ok_or(IndexError::CorruptIndex { context: "payload bounds" })?;
+        codec::try_decode_pairs_into(bytes, usize::from(count), dn_bits, tf_bits, skip, out)
     }
 
     /// [`EncodedList::find`] minus the deferred checksum: the candidate
@@ -476,18 +444,7 @@ impl ListRef<'_> {
                 return Err(IndexError::CorruptIndex { context: "block count" });
             }
             total += u64::from(meta.count);
-            // Minimum payload bits the block needs under its codec: exact
-            // for the bit-packed layouts, a 1-byte-per-value floor for
-            // Stream-VByte (the decoder re-checks exact lengths).
-            let min_bits = match self.codec {
-                CodecId::BitPack | CodecId::SimdBp128 => {
-                    u64::from(meta.pair_bits()) * u64::from(meta.count)
-                }
-                CodecId::StreamVByte => {
-                    let n = u64::from(meta.count);
-                    8 * 2 * (n.div_ceil(4) + n)
-                }
-            };
+            let min_bits = u64::from(meta.pair_bits()) * u64::from(meta.count);
             let bits_needed = meta
                 .offset
                 .checked_mul(8)
@@ -523,7 +480,6 @@ pub struct EncodedList {
 impl std::fmt::Debug for EncodedList {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EncodedList")
-            .field("codec", &self.codec())
             .field("num_postings", &self.num_postings())
             .field("metas", &self.metas())
             .field("skips", &self.skips())
@@ -539,7 +495,7 @@ impl Default for EncodedList {
     }
 }
 
-/// Equality is over logical content (structure + payload bytes + codec);
+/// Equality is over logical content (structure + payload bytes);
 /// where the tables live (heap vs mapping, shared or not) and
 /// lazy-verification state are representation details — a mapped index
 /// must compare equal to the heap index it was serialized from.
@@ -549,7 +505,6 @@ impl PartialEq for EncodedList {
             && self.skips() == other.skips()
             && self.payload() == other.payload()
             && self.num_postings() == other.num_postings()
-            && self.codec() == other.codec()
     }
 }
 
@@ -566,13 +521,15 @@ impl EncodedList {
     /// [`IndexError::BadPartition`] if `block_lens` is inconsistent with the
     /// list length or violates [`MAX_BLOCK_LEN`].
     pub fn encode(list: &PostingList, block_lens: &[usize]) -> Result<Self, IndexError> {
-        Self::encode_with(list, block_lens, CodecId::default())
+        let mut tables = TableBuilder::default();
+        let span = tables.encode(list, block_lens)?;
+        Ok(EncodedList::new(&tables.freeze(None, 0), span))
     }
 
-    /// [`EncodedList::encode`] with an explicit block codec. The block
-    /// structure (metadata, skips, widths) is identical across codecs;
-    /// only the payload bytes and the cost model differ. For
-    /// [`CodecId::BitPack`] this is byte-identical to [`EncodedList::encode`].
+    /// [`EncodedList::encode`] under `codec`, which can only name the one
+    /// bit-packed layout: the output is byte-identical. It keeps its codec
+    /// parameter because the repository benchmark's per-codec decode layer
+    /// calls it for every entry of [`CodecId::ALL`].
     ///
     /// # Errors
     ///
@@ -580,11 +537,9 @@ impl EncodedList {
     pub fn encode_with(
         list: &PostingList,
         block_lens: &[usize],
-        codec: CodecId,
+        _codec: CodecId,
     ) -> Result<Self, IndexError> {
-        let mut tables = TableBuilder::default();
-        let span = tables.encode(list, block_lens, codec)?;
-        Ok(EncodedList::new(&tables.freeze(None, 0), span))
+        Self::encode(list, block_lens)
     }
 
     /// The handle of the list at `span` of `tables`.
@@ -604,7 +559,6 @@ impl EncodedList {
             skips: self.tables.skips.get(blocks).unwrap_or(&[]),
             payload: self.payload(),
             num_postings: self.span.num_postings,
-            codec: self.span.codec,
         }
     }
 
@@ -677,11 +631,6 @@ impl EncodedList {
         }
         crc.verdict.store(VERIFIED, Ordering::Release);
         Ok(())
-    }
-
-    /// The block codec the payload is encoded with.
-    pub fn codec(&self) -> CodecId {
-        self.span.codec
     }
 
     /// Number of blocks.
@@ -909,14 +858,13 @@ impl EncodedList {
         self.view().find(doc_id)
     }
 
-    /// Cost in bits under the codec's model (the paper's Eq. 3 for the
-    /// default codec), before byte alignment: modeled payload bits plus
-    /// the per-block overhead, summed from the metadata words.
+    /// Cost in bits under the paper's Eq. 3, before byte alignment:
+    /// payload bits plus the per-block overhead, summed from the metadata
+    /// words.
     pub fn model_bits(&self) -> u64 {
-        let ops = self.codec().ops();
         self.metas()
             .iter()
-            .map(|m| ops.block_cost_bits(u64::from(m.count), m.dn_bits, m.tf_bits))
+            .map(|m| codec::block_cost_bits(u64::from(m.count), m.dn_bits, m.tf_bits))
             .sum()
     }
 
@@ -1019,7 +967,6 @@ mod tests {
             blocks: parts.metas.len() as u32,
             payload_len: parts.payload.len(),
             num_postings: parts.num_postings,
-            codec: enc.codec(),
             ..ListSpan::EMPTY
         };
         let tables = Arc::new(BlockTables {
@@ -1299,7 +1246,6 @@ mod tests {
         let a = EncodedList::encode(&l, &[2, 3, 1]).unwrap();
         let b = EncodedList::encode_with(&l, &[2, 3, 1], CodecId::BitPack).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.codec(), CodecId::BitPack);
     }
 
     #[test]
@@ -1309,7 +1255,6 @@ mod tests {
         let lens = [vec![150usize], vec![97], vec![53]].concat();
         for codec in CodecId::ALL {
             let enc = EncodedList::encode_with(&l, &lens, codec).unwrap();
-            assert_eq!(enc.codec(), codec);
             assert!(enc.validate().is_ok(), "{codec}");
             assert_eq!(enc.decode_all(), l, "{codec}");
             assert_eq!(enc.iter().collect::<Vec<_>>(), l.as_slice(), "{codec}");
@@ -1318,18 +1263,6 @@ mod tests {
             }
             assert_eq!(enc.find(1), None, "{codec}");
             assert_eq!(enc.find(u32::MAX), None, "{codec}");
-        }
-    }
-
-    #[test]
-    fn non_bitpack_truncated_payload_errors_rather_than_panics() {
-        let l = list(&[(0, 1), (2, 2), (11, 1), (20, 9), (38, 1), (46, 2)]);
-        for codec in [CodecId::StreamVByte, CodecId::SimdBp128] {
-            let enc = EncodedList::encode_with(&l, &[3, 3], codec).unwrap();
-            let bad = tampered(&enc, |p| p.payload.truncate(1));
-            let mut out = Vec::new();
-            assert!(bad.try_decode_block_into(0, &mut out).is_err(), "{codec}");
-            assert!(out.is_empty(), "{codec}");
         }
     }
 

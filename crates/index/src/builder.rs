@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::codec::CodecId;
 use crate::index::InvertedIndex;
 use crate::partition::Partitioner;
 use crate::positions::{PositionIndex, PositionList};
@@ -22,9 +21,6 @@ pub struct BuildOptions {
     /// Also record token positions (needed for phrase queries; adds a
     /// sidecar — see [`crate::positions`]).
     pub track_positions: bool,
-    /// Block codec the posting-list payloads are encoded with (the
-    /// paper's bit-packed format by default).
-    pub codec: CodecId,
 }
 
 /// Incremental builder: feed documents, then [`IndexBuilder::build`].
@@ -107,12 +103,11 @@ impl IndexBuilder {
     /// Panics if encoding fails, which cannot happen for lists produced by
     /// this builder (docIDs are dense and bounded).
     pub fn build(self) -> InvertedIndex {
-        InvertedIndex::from_lists_codec(
+        InvertedIndex::from_lists(
             self.lists.into_iter().collect(),
             self.doc_lens,
             self.options.partitioner,
             self.options.bm25,
-            self.options.codec,
         )
         .expect("builder-produced lists always encode")
     }

@@ -48,10 +48,10 @@ pub enum IndexError {
         /// The magic/version actually found.
         found: u64,
     },
-    /// A v4 header names a block codec this build
-    /// does not implement. Distinct from [`IndexError::CorruptIndex`]
-    /// because the byte is CRC-valid — the file is from a newer build,
-    /// not damaged.
+    /// A v4 header names a block codec id other than bit-packing's 0 — one
+    /// of the retired ids (1, 2) or one no build ever wrote. Distinct from
+    /// [`IndexError::CorruptIndex`] because the byte is CRC-valid: the file
+    /// is not damaged, it needs regenerating.
     UnknownCodec {
         /// The codec id byte actually found.
         id: u8,
@@ -109,7 +109,11 @@ impl fmt::Display for IndexError {
                 write!(f, "unsupported index format (magic/version {found:#x})")
             }
             IndexError::UnknownCodec { id } => {
-                write!(f, "unknown block codec id {id} (index from a newer build?)")
+                write!(
+                    f,
+                    "unknown or retired block codec id {id}: regenerate the index with \
+                     `iiu gen`, `iiu build` or `iiu ingest`"
+                )
             }
             IndexError::UnknownTerm { term } => write!(f, "unknown term {term:?}"),
             IndexError::PositionsUnavailable => {

@@ -43,7 +43,6 @@ use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::codec::CodecId;
 use crate::error::IndexError;
 use crate::index::InvertedIndex;
 use crate::memtable::WriteBuffer;
@@ -65,9 +64,6 @@ pub struct IncrementalOptions {
     pub partitioner: Partitioner,
     /// BM25 parameters (must match across all segments in a directory).
     pub bm25: Bm25Params,
-    /// Block codec every sealed segment is encoded with (must match
-    /// across all segments in a directory).
-    pub codec: CodecId,
     /// Buffered-document count that triggers an automatic seal after a
     /// batch; `0` disables auto-sealing (manual [`IncrementalIndex::seal`]
     /// only).
@@ -88,7 +84,6 @@ impl Default for IncrementalOptions {
         IncrementalOptions {
             partitioner: Partitioner::dynamic(crate::partition::DEFAULT_MAX_SIZE),
             bm25: Bm25Params::default(),
-            codec: CodecId::BitPack,
             seal_threshold: 4096,
             merge_threshold: 8,
             mmap_segments: false,
@@ -126,13 +121,8 @@ impl IncrementalIndex {
     /// filesystem failures; never panics on bad bytes.
     pub fn open(dir: &Path, opts: IncrementalOptions) -> Result<Self, IndexError> {
         fs::create_dir_all(dir).map_err(|e| io_err("creating the index directory", e))?;
-        let state = recovery::recover_mode(
-            dir,
-            opts.partitioner,
-            opts.bm25,
-            opts.codec,
-            opts.mmap_segments,
-        )?;
+        let state =
+            recovery::recover_mode(dir, opts.partitioner, opts.bm25, opts.mmap_segments)?;
         let mut doc_lens = Vec::new();
         let mut len_sum = 0.0f64;
         for seg in &state.segments {
@@ -321,14 +311,13 @@ impl IncrementalIndex {
         }
         let start = self.sealed_docs();
         let (lists, lens) = self.buffer.drain();
-        let sealed = segment::seal_segment_with(
+        let sealed = segment::seal_segment(
             &self.dir,
             start,
             lists,
             lens,
             self.opts.partitioner,
             self.opts.bm25,
-            self.opts.codec,
         )?;
         // In mmap mode the freshly sealed file replaces its heap copy:
         // posting bytes move to the page cache as soon as they're durable.
@@ -358,14 +347,13 @@ impl IncrementalIndex {
         let refs: Vec<&LoadedSegment> = self.segments.iter().collect();
         let (lists, lens) = segment::merge_segment_lists(&refs)?;
         let start = self.segments[0].meta.start;
-        let merged = segment::seal_segment_with(
+        let merged = segment::seal_segment(
             &self.dir,
             start,
             lists,
             lens,
             self.opts.partitioner,
             self.opts.bm25,
-            self.opts.codec,
         )?;
         for old in &self.segments {
             if old.meta.file_name != merged.meta.file_name {
@@ -411,12 +399,11 @@ impl IncrementalIndex {
                 (term, PostingList::from_sorted(postings))
             })
             .collect();
-        InvertedIndex::from_lists_codec(
+        InvertedIndex::from_lists(
             lists,
             self.doc_lens.clone(),
             self.opts.partitioner,
             self.opts.bm25,
-            self.opts.codec,
         )
     }
 }
@@ -535,51 +522,6 @@ mod tests {
         assert_eq!(reopened.segments.len(), 1);
         assert_eq!(reopened.num_docs(), 6);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn non_default_codec_survives_seal_compact_and_reopen() {
-        for codec in crate::codec::CodecId::ALL {
-            let dir = tmp_dir(&format!("codec-{codec}"));
-            let opts = IncrementalOptions { codec, ..manual_opts() };
-            let mut idx = IncrementalIndex::open(&dir, opts).unwrap();
-            for batch in 0..3u32 {
-                idx.ingest_batch(&[
-                    doc(5, &[("a", 1 + batch)]),
-                    doc(9, &[("b", 1), ("a", 2)]),
-                ])
-                .unwrap();
-                idx.seal().unwrap();
-            }
-            idx.ingest(&doc(4, &[("c", 1)])).unwrap();
-            for seg in &idx.segments {
-                assert_eq!(seg.index.codec(), codec);
-            }
-            assert!(idx.compact().unwrap());
-            assert_eq!(idx.segments[0].index.codec(), codec);
-            let one_shot = idx.to_one_shot().unwrap();
-            assert_eq!(one_shot.codec(), codec);
-
-            let reopened = IncrementalIndex::open(&dir, opts).unwrap();
-            assert_eq!(reopened.num_docs(), 7);
-            assert_eq!(
-                crate::io::serialize(&reopened.to_one_shot().unwrap()).unwrap(),
-                crate::io::serialize(&one_shot).unwrap(),
-                "{codec} reopen must reproduce the one-shot bytes"
-            );
-            // Reopening under a different codec is refused once segments
-            // exist — the directory's write path would diverge.
-            let other = if codec == crate::codec::CodecId::BitPack {
-                crate::codec::CodecId::SimdBp128
-            } else {
-                crate::codec::CodecId::BitPack
-            };
-            let err =
-                IncrementalIndex::open(&dir, IncrementalOptions { codec: other, ..opts })
-                    .unwrap_err();
-            assert!(matches!(err, IndexError::CorruptIndex { .. }), "{codec}: {err:?}");
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 
     #[test]

@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use crate::block::{EncodedList, TableBuilder, TableHeapBytes};
 use crate::bounds::{BoundTables, BoundsBuilder, ListBounds};
-use crate::codec::CodecId;
 use crate::error::IndexError;
 use crate::mmap::Mmap;
 use crate::partition::Partitioner;
@@ -160,7 +159,6 @@ pub struct InvertedIndex {
     avgdl: f64,
     params: Bm25Params,
     partitioner: Partitioner,
-    codec: CodecId,
     source: IndexSource,
 }
 
@@ -178,7 +176,6 @@ impl PartialEq for InvertedIndex {
             && self.avgdl == other.avgdl
             && self.params == other.params
             && self.partitioner == other.partitioner
-            && self.codec == other.codec
     }
 }
 
@@ -197,23 +194,6 @@ impl InvertedIndex {
         partitioner: Partitioner,
         params: Bm25Params,
     ) -> Result<Self, IndexError> {
-        Self::from_lists_codec(lists, doc_lens, partitioner, params, CodecId::default())
-    }
-
-    /// [`from_lists`](Self::from_lists) with an explicit block codec: the
-    /// partitioner minimizes that codec's cost model and every list's
-    /// payload is encoded with it.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`from_lists`](Self::from_lists).
-    pub fn from_lists_codec(
-        lists: Vec<(String, PostingList)>,
-        doc_lens: Vec<u32>,
-        partitioner: Partitioner,
-        params: Bm25Params,
-        codec: CodecId,
-    ) -> Result<Self, IndexError> {
         let n_docs = doc_lens.len() as u64;
         let avgdl = if doc_lens.is_empty() {
             1.0
@@ -227,14 +207,7 @@ impl InvertedIndex {
                 (term, list, idf_bar)
             })
             .collect();
-        Self::from_lists_with_stats_codec(
-            with_idf,
-            doc_lens,
-            avgdl,
-            partitioner,
-            params,
-            codec,
-        )
+        Self::from_lists_with_stats(with_idf, doc_lens, avgdl, partitioner, params)
     }
 
     /// Builds an index from posting lists with *explicit* collection
@@ -261,30 +234,6 @@ impl InvertedIndex {
         partitioner: Partitioner,
         params: Bm25Params,
     ) -> Result<Self, IndexError> {
-        Self::from_lists_with_stats_codec(
-            lists,
-            doc_lens,
-            avgdl,
-            partitioner,
-            params,
-            CodecId::default(),
-        )
-    }
-
-    /// [`from_lists_with_stats`](Self::from_lists_with_stats) with an
-    /// explicit block codec.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`from_lists_with_stats`](Self::from_lists_with_stats).
-    pub fn from_lists_with_stats_codec(
-        lists: Vec<(String, PostingList, Fixed)>,
-        doc_lens: Vec<u32>,
-        avgdl: f64,
-        partitioner: Partitioner,
-        params: Bm25Params,
-        codec: CodecId,
-    ) -> Result<Self, IndexError> {
         let n_docs = doc_lens.len() as u64;
 
         // Per-document constants first: block score bounds are computed
@@ -306,9 +255,9 @@ impl InvertedIndex {
                     });
                 }
             }
-            let partition = partitioner.partition_for(&list, codec);
+            let partition = partitioner.partition(&list);
             bound_tables.push_computed(list.as_slice(), &partition, idf_bar, &dl_bars);
-            spans.push(tables.encode(&list, &partition, codec)?);
+            spans.push(tables.encode(&list, &partition)?);
             terms.push(TermInfo { idf_bar, df: list.len() as u64, term });
         }
         let dictionary = TermTable::build(&terms)?;
@@ -324,7 +273,6 @@ impl InvertedIndex {
             avgdl,
             params,
             partitioner,
-            codec,
             source: IndexSource::Heap,
         })
     }
@@ -354,7 +302,6 @@ impl InvertedIndex {
         avgdl: f64,
         params: Bm25Params,
         partitioner: Partitioner,
-        codec: CodecId,
         source: IndexSource,
     ) -> Result<Self, IndexError> {
         if terms.len() != lists.len() {
@@ -388,7 +335,6 @@ impl InvertedIndex {
             avgdl,
             params,
             partitioner,
-            codec,
             source,
         })
     }
@@ -440,11 +386,6 @@ impl InvertedIndex {
     /// Partitioner the lists were encoded with.
     pub fn partitioner(&self) -> Partitioner {
         self.partitioner
-    }
-
-    /// Block codec every posting list is encoded with.
-    pub fn codec(&self) -> CodecId {
-        self.codec
     }
 
     /// Looks up a term's identifier.
@@ -558,9 +499,6 @@ impl InvertedIndex {
         for (id, (info, list)) in self.terms.iter().zip(&self.lists).enumerate() {
             if self.term_id(&info.term) != Some(id as TermId) {
                 return Err(IndexError::CorruptIndex { context: "dictionary mapping" });
-            }
-            if list.codec() != self.codec {
-                return Err(IndexError::CorruptIndex { context: "list/index codec mismatch" });
             }
             list.validate()?;
             if info.df != list.num_postings() {

@@ -9,8 +9,8 @@
 //! # Format v4 (current)
 //!
 //! Version 4 extends the v3 layout with a block-codec id byte inside the
-//! CRC-protected header — the codec every posting-list payload is encoded
-//! with (see [`crate::codec::CodecId`]):
+//! CRC-protected header. Every payload is bit-packed, so the byte is
+//! always written as 0 ([`crate::codec::CodecId`]):
 //!
 //! ```text
 //! magic/version            u64   (MAGIC, not covered by a section CRC)
@@ -69,9 +69,8 @@
 //! — on the heap at load, when mapped by the first query that touches the
 //! bad list at the latest. The codec id is interpreted only after
 //! the header CRC verifies: random corruption of the byte surfaces as a
-//! checksum mismatch, a CRC-consistent id this build does not implement
-//! as [`IndexError::UnknownCodec`], and a CRC-consistent flip to another
-//! valid codec decodes the payloads as garbage that the oracle rejects.
+//! checksum mismatch, and a CRC-consistent id other than 0 — including
+//! the retired ids 1 and 2 — as [`IndexError::UnknownCodec`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -135,8 +134,7 @@ pub const MAGIC_V2: u64 = 0x4949_5558_0000_0002;
 /// still accepted by [`deserialize`].
 pub const MAGIC_V1: u64 = 0x4949_5558_0000_0001;
 
-/// Serializes `index` to bytes in format v4 (the index's block codec is
-/// recorded in the CRC-protected header).
+/// Serializes `index` to bytes in format v4.
 ///
 /// # Errors
 ///
@@ -215,7 +213,7 @@ fn write_checksummed_body(
         }
     }
     if with_codec {
-        buf.put_u8(index.codec().as_u8());
+        buf.put_u8(CodecId::BitPack as u8);
     }
     buf.put_u64_le(index.num_docs());
     buf.put_u64_le(index.num_terms() as u64);
@@ -263,7 +261,6 @@ pub struct StreamingWriter<W: std::io::Write> {
     footer: Crc32,
     params: Bm25Params,
     partitioner: Partitioner,
-    codec: CodecId,
     n_docs: u64,
     /// Per-document `dl̄` table, shared by every list's bound computation.
     dl_bars: Vec<Fixed>,
@@ -288,7 +285,6 @@ impl<W: std::io::Write> StreamingWriter<W> {
         num_terms: u64,
         partitioner: Partitioner,
         params: Bm25Params,
-        codec: CodecId,
     ) -> Result<Self, IndexError> {
         let n_docs = doc_lens.len() as u64;
         let avgdl = if doc_lens.is_empty() {
@@ -304,7 +300,6 @@ impl<W: std::io::Write> StreamingWriter<W> {
             footer: Crc32::new(),
             params,
             partitioner,
-            codec,
             n_docs,
             dl_bars,
             bounds: BoundsBuilder::default(),
@@ -326,7 +321,7 @@ impl<W: std::io::Write> StreamingWriter<W> {
                 header.put_u32_le(max_size as u32);
             }
         }
-        header.put_u8(codec.as_u8());
+        header.put_u8(CodecId::BitPack as u8);
         header.put_u64_le(n_docs);
         header.put_u64_le(num_terms);
         seal_section(&mut header, 0);
@@ -348,7 +343,7 @@ impl<W: std::io::Write> StreamingWriter<W> {
     ///
     /// Returns [`IndexError::CorruptIndex`] on a docID beyond the corpus
     /// or when more terms are pushed than the header declares, encoding
-    /// errors from [`EncodedList::encode_with`] verbatim, and
+    /// errors from [`EncodedList::encode`] verbatim, and
     /// [`IndexError::Io`] if the sink rejects the write.
     pub fn push_term(&mut self, term: &str, list: &PostingList) -> Result<(), IndexError> {
         if self.written_terms == self.expected_terms {
@@ -364,8 +359,8 @@ impl<W: std::io::Write> StreamingWriter<W> {
             }
         }
         let idf_bar = Fixed::from_f64(self.params.idf_bar(self.n_docs, list.len() as u64));
-        let partition = self.partitioner.partition_for(list, self.codec);
-        let encoded = EncodedList::encode_with(list, &partition, self.codec)?;
+        let partition = self.partitioner.partition(list);
+        let encoded = EncodedList::encode(list, &partition)?;
         self.bounds.push_computed(list.as_slice(), &partition, idf_bar, &self.dl_bars);
 
         let mut record = Vec::new();
@@ -499,34 +494,13 @@ fn le_u64s(raw: &[u8]) -> impl Iterator<Item = u64> + '_ {
 /// # Errors
 ///
 /// Returns [`IndexError::UnsupportedFormat`] on an unknown magic/version
-/// word, [`IndexError::UnknownCodec`] when a v4 header names a codec this
-/// build doesn't know, [`IndexError::ChecksumMismatch`] when a section
+/// word, [`IndexError::UnknownCodec`] when a v4 header names a codec id
+/// other than 0, [`IndexError::ChecksumMismatch`] when a section
 /// checksum fails, and [`IndexError::CorruptIndex`] on truncated or
 /// inconsistent content — including a score-bounds section that passes
 /// its CRC but disagrees with the bounds recomputed from the postings.
 pub fn deserialize(bytes: &[u8]) -> Result<InvertedIndex, IndexError> {
     load_plain(Backing::Heap(bytes))
-}
-
-/// Cheaply reads the codec id a plain index file's payloads are encoded
-/// with, verifying only the magic and the header section (no payload
-/// decode). Pre-v4 files report [`CodecId::BitPack`].
-///
-/// # Errors
-///
-/// Returns [`IndexError::UnsupportedFormat`] on an unknown magic,
-/// [`IndexError::ChecksumMismatch`] on a corrupt header,
-/// [`IndexError::CorruptIndex`] on an invalid partitioner field, and
-/// [`IndexError::UnknownCodec`] on a codec id this build doesn't know.
-pub fn peek_codec(bytes: &[u8]) -> Result<CodecId, IndexError> {
-    let mut r = Reader::new(bytes);
-    match r.u64("magic")? {
-        MAGIC => {
-            Ok(read_body_header(&mut r, Layout { sealed: true, codec_byte: true })?.codec)
-        }
-        MAGIC_V3 | MAGIC_V2 | MAGIC_V1 => Ok(CodecId::BitPack),
-        found => Err(IndexError::UnsupportedFormat { found }),
-    }
 }
 
 fn read_partitioner(kind: u8, arg: usize) -> Result<Partitioner, IndexError> {
@@ -573,8 +547,7 @@ struct Layout {
     /// ends the file — every format but plain v1, which has no checksums,
     /// counts its terms after the doc table and ends at its last record.
     sealed: bool,
-    /// The header carries a codec id byte (v4); bodies without one are
-    /// bit-packed.
+    /// The header carries a codec id byte (v4), which must be 0.
     codec_byte: bool,
 }
 
@@ -583,7 +556,6 @@ struct Layout {
 struct BodyHeader {
     params: Bm25Params,
     partitioner: Partitioner,
-    codec: CodecId,
     n_docs: usize,
     n_terms: usize,
 }
@@ -604,8 +576,10 @@ fn read_body_header(r: &mut Reader<'_>, layout: Layout) -> Result<BodyHeader, In
     // the codec byte must surface as a checksum mismatch, and only a
     // CRC-consistent unknown id as `UnknownCodec`.
     let partitioner = read_partitioner(part_kind, part_arg)?;
-    let codec = codec_raw.map_or(Ok(CodecId::BitPack), CodecId::from_u8)?;
-    Ok(BodyHeader { params: Bm25Params { k1, b }, partitioner, codec, n_docs, n_terms })
+    if let Some(id) = codec_raw {
+        CodecId::from_u8(id)?;
+    }
+    Ok(BodyHeader { params: Bm25Params { k1, b }, partitioner, n_docs, n_terms })
 }
 
 /// A framed body: header fields, doc-length table and one structurally
@@ -642,7 +616,7 @@ fn read_body(
     let mut spans = Vec::with_capacity(n_terms.min(r.remaining()));
     let mut tables = TableBuilder::default();
     for _ in 0..n_terms {
-        let (name, span) = read_record(r, header.codec, layout.sealed, backing, &mut tables)?;
+        let (name, span) = read_record(r, layout.sealed, backing, &mut tables)?;
         names.push(name);
         spans.push(span);
     }
@@ -656,7 +630,6 @@ fn read_body(
 /// list's first touch on the mapped one.
 fn read_record(
     r: &mut Reader<'_>,
-    codec: CodecId,
     sealed: bool,
     backing: Backing<'_>,
     tables: &mut TableBuilder,
@@ -701,7 +674,6 @@ fn read_record(
         mapped_at,
         num_postings,
         record_start,
-        codec,
     )?;
     Ok((name, span))
 }
@@ -780,7 +752,6 @@ fn assemble(
         .iter()
         .map(|span| Fixed::from_f64(body.header.params.idf_bar(n_docs, span.num_postings())))
         .collect();
-    let codec = body.header.codec;
     let mapping = match backing {
         Backing::Heap(_) => None,
         Backing::Mapped(map) => Some(Arc::clone(map)),
@@ -832,7 +803,6 @@ fn assemble(
         avgdl,
         body.header.params,
         body.header.partitioner,
-        codec,
         source,
     )
 }
@@ -993,26 +963,19 @@ mod tests {
         // the file ends with its own CRC and so every file's CRC32 agrees.
         // Any change to block boundaries, payload bytes or section layout
         // moves these hashes.
-        let pinned: [(CodecId, usize, u64); 9] = [
+        let pinned: [(CodecId, usize, u64); 3] = [
             (CodecId::BitPack, 16, 0xeb01_89f5_4160_3570),
             (CodecId::BitPack, 256, 0xc182_8d43_e883_0229),
             (CodecId::BitPack, 2048, 0xa8d0_bdfe_9113_7c1b),
-            (CodecId::StreamVByte, 16, 0x9040_5444_14a8_e2bf),
-            (CodecId::StreamVByte, 256, 0xe529_d5aa_8d25_1ecf),
-            (CodecId::StreamVByte, 2048, 0xb750_5e18_7c3a_f071),
-            (CodecId::SimdBp128, 16, 0x9d89_f8a9_338c_3fea),
-            (CodecId::SimdBp128, 256, 0x996d_1e31_b2f7_43c9),
-            (CodecId::SimdBp128, 2048, 0xf5ce_828b_62a1_68af),
         ];
         let mut got = Vec::new();
         for (codec, max_size, _) in pinned {
             let (lists, doc_lens) = layout_pin_corpus();
-            let idx = InvertedIndex::from_lists_codec(
+            let idx = InvertedIndex::from_lists(
                 lists,
                 doc_lens,
                 Partitioner::dynamic(max_size),
                 Bm25Params::default(),
-                codec,
             )
             .unwrap();
             got.push((codec, max_size, fnv1a64(&serialize(&idx).unwrap())));
@@ -1242,7 +1205,6 @@ mod tests {
         let bytes = serialize_v3(&idx);
         let back = deserialize(&bytes).unwrap();
         assert_eq!(back, idx);
-        assert_eq!(back.codec(), CodecId::BitPack, "pre-v4 files are bit-packed");
         // The legacy layout keeps its own corruption detection.
         for byte in 0..bytes.len() {
             let mut flipped = bytes.clone();
@@ -1251,19 +1213,10 @@ mod tests {
         }
     }
 
-    fn sample_index_with(codec: CodecId) -> InvertedIndex {
-        let mut b = IndexBuilder::new(BuildOptions { codec, ..Default::default() });
-        b.add_document("the quick brown fox jumps over the lazy dog");
-        b.add_document("pack my box with five dozen liquor jugs");
-        b.add_document("the five boxing wizards jump quickly");
-        b.add_document("quick wizards pack the box");
-        b.build()
-    }
-
     #[test]
     fn streaming_writer_is_byte_identical_to_serialize() {
         for codec in CodecId::ALL {
-            let idx = sample_index_with(codec);
+            let idx = sample_index();
             let expected = serialize(&idx).unwrap();
             let mut w = StreamingWriter::new(
                 Vec::new(),
@@ -1271,7 +1224,6 @@ mod tests {
                 idx.num_terms() as u64,
                 idx.partitioner(),
                 idx.params(),
-                codec,
             )
             .unwrap();
             for info in idx.terms() {
@@ -1294,7 +1246,6 @@ mod tests {
             idx.num_terms() as u64,
             idx.partitioner(),
             idx.params(),
-            idx.codec(),
         )
         .unwrap();
         // Too few: finishing before all declared terms were pushed.
@@ -1312,7 +1263,6 @@ mod tests {
             1,
             idx.partitioner(),
             idx.params(),
-            idx.codec(),
         )
         .unwrap();
         let info = &idx.terms()[0];
@@ -1335,7 +1285,6 @@ mod tests {
             1,
             idx.partitioner(),
             idx.params(),
-            idx.codec(),
         )
         .unwrap();
         let mut list = PostingList::new();
@@ -1351,12 +1300,11 @@ mod tests {
     #[test]
     fn v4_roundtrip_preserves_codec_for_every_codec() {
         for codec in CodecId::ALL {
-            let idx = sample_index_with(codec);
-            assert_eq!(idx.codec(), codec);
+            let idx = sample_index();
             let bytes = serialize(&idx).unwrap();
-            assert_eq!(peek_codec(&bytes).unwrap(), codec);
+            // Codec id byte: 8 magic + 16 params + 5 partitioner = offset 29.
+            assert_eq!(CodecId::from_u8(bytes[29]).unwrap(), codec);
             let back = deserialize(&bytes).unwrap();
-            assert_eq!(back.codec(), codec);
             assert_eq!(back, idx, "{codec} roundtrip");
         }
     }
@@ -1364,7 +1312,7 @@ mod tests {
     #[test]
     fn every_bit_flip_is_detected_for_every_codec() {
         for codec in CodecId::ALL {
-            let bytes = serialize(&sample_index_with(codec)).unwrap();
+            let bytes = serialize(&sample_index()).unwrap();
             for byte in 0..bytes.len() {
                 let mut flipped = bytes.clone();
                 flipped[byte] ^= 1 << (byte % 8);
@@ -1388,26 +1336,26 @@ mod tests {
     }
 
     #[test]
-    fn crc_consistent_unknown_codec_id_is_a_typed_error() {
-        let mut bytes = serialize(&sample_index()).unwrap().to_vec();
-        // Codec id byte: 8 magic + 16 params + 5 partitioner = offset 29.
-        bytes[29] = 99;
-        reseal_v4_header(&mut bytes);
-        assert!(matches!(deserialize(&bytes), Err(IndexError::UnknownCodec { id: 99 })));
-    }
-
-    #[test]
-    fn crc_consistent_codec_flip_is_rejected() {
-        // Flipping a bit-packed file's codec id to a *valid* other codec
-        // (with all checksums recomputed) must not load: the payload
-        // misdecodes, tripping the docID monotonic check or the stored
-        // score-bounds oracle.
-        for &codec in &[CodecId::StreamVByte, CodecId::SimdBp128] {
+    fn crc_consistent_retired_codec_ids_are_unknown_on_both_backings() {
+        // Ids 1 and 2 named the retired Stream-VByte and SIMD-BP128 layouts;
+        // a file naming one (with every checksum recomputed) is refused by
+        // name on the heap and the mapped loader alike, like any other id.
+        for id in [1u8, 2, 99] {
             let mut bytes = serialize(&sample_index()).unwrap().to_vec();
-            assert_eq!(bytes[29], CodecId::BitPack.as_u8());
-            bytes[29] = codec.as_u8();
+            assert_eq!(bytes[29], CodecId::BitPack as u8);
+            bytes[29] = id;
             reseal_v4_header(&mut bytes);
-            assert!(deserialize(&bytes).is_err(), "codec flip to {codec} accepted");
+            let path =
+                std::env::temp_dir().join(format!("iiu-io-codec-{id}-{}", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let mapped = crate::storage::map_index(&path);
+            std::fs::remove_file(&path).ok();
+            for (backing, loaded) in [("heap", deserialize(&bytes)), ("mapped", mapped)] {
+                assert!(
+                    matches!(loaded, Err(IndexError::UnknownCodec { id: got }) if got == id),
+                    "id {id} / {backing}: {loaded:?}"
+                );
+            }
         }
     }
 

@@ -7,12 +7,10 @@
 //!   [`PostingList`]);
 //! * delta (d-gap) encoding of docIDs ([`delta`]);
 //! * per-block bit-packing of `(d-gap, tf)` pairs ([`bitpack`], [`block`]);
-//! * pluggable block codecs — bit-packed (default), Stream-VByte and a
-//!   SIMD-BP128-style vertical layout with runtime-dispatched SSE2/AVX2
-//!   kernels ([`codec`]);
-//! * the dynamic-programming block partitioner minimizing the codec's
-//!   cost model, `C(B_i) = (b_dn + b_tf) · |B_i| + 96` bits for the
-//!   default codec ([`partition`]);
+//! * the block codec: encode, one-window-per-pair decode and the cost
+//!   model of the bit-packed blocks ([`codec`]);
+//! * the dynamic-programming block partitioner minimizing
+//!   `C(B_i) = (b_dn + b_tf) · |B_i| + 96` bits ([`partition`]);
 //! * per-block metadata words (5 + 5 + 11 + 43 bits) and skip lists
 //!   ([`block::BlockMeta`], [`block::EncodedList`]);
 //! * BM25 scoring with the hardware's precomputed sub-expressions and
@@ -73,7 +71,7 @@ pub use block::{BlockMeta, EncodedList};
 pub use bounds::ListBounds;
 pub use builder::{BuildOptions, IndexBuilder};
 pub use checksum::{crc32, Crc32};
-pub use codec::{BlockCodec, CodecId};
+pub use codec::CodecId;
 pub use error::IndexError;
 pub use faultinject::{
     corrupt, mapped_survival_report, survival_report, Corruption, MappedSurvivalReport,

@@ -14,13 +14,11 @@
 //! is on `dynamic_partition`), which leaves the worst case at
 //! `O(n · maxSize)` but cuts the candidates per posting on the generated
 //! 100k-doc corpus at `maxSize = 256` from ~88 to ~22. Each candidate costs
-//! a slope-table load instead of a virtual codec call.
-
-use std::sync::OnceLock;
+//! one add of the two running widths.
 
 use crate::bitpack::bits_for;
-use crate::block::MAX_BLOCK_LEN;
-use crate::codec::CodecId;
+use crate::block::{BLOCK_OVERHEAD_BITS, MAX_BLOCK_LEN};
+use crate::codec::block_cost_bits;
 use crate::posting::PostingList;
 
 /// The paper's default `maxSize` (§3.2, chosen from the Fig. 14 sweep).
@@ -86,34 +84,20 @@ impl Partitioner {
         Partitioner::Dynamic { max_size }
     }
 
-    /// Computes block lengths for `list` under the default codec's cost
-    /// model (the paper's Eq. 3). The lengths sum to `list.len()`; an
+    /// Computes block lengths for `list` under the paper's cost model
+    /// (Eq. 3, [`block_cost_bits`]). The lengths sum to `list.len()`; an
     /// empty list yields an empty partition.
     pub fn partition(&self, list: &PostingList) -> Vec<usize> {
-        self.partition_for(list, CodecId::default())
-    }
-
-    /// Computes block lengths for `list`, minimizing `codec`'s
-    /// bits-per-posting model ([`crate::codec::BlockCodec::block_cost_bits`])
-    /// instead of the hardcoded `(b_dn + b_tf)·|B| + 96`. Fixed
-    /// partitioning ignores the model by construction.
-    pub fn partition_for(&self, list: &PostingList, codec: CodecId) -> Vec<usize> {
         match *self {
             Partitioner::Fixed { block_len } => fixed_partition(list.len(), block_len),
-            Partitioner::Dynamic { max_size } => dynamic_partition(list, max_size, codec),
+            Partitioner::Dynamic { max_size } => dynamic_partition(list, max_size),
         }
     }
 
     /// Total model cost in bits of the partition this strategy chooses for
-    /// `list` under the default codec (Eq. 3 summed over blocks).
+    /// `list` (Eq. 3 summed over blocks).
     pub fn cost_bits(&self, list: &PostingList) -> u64 {
-        self.cost_bits_for(list, CodecId::default())
-    }
-
-    /// Total model cost in bits under `codec`'s cost model of the
-    /// partition this strategy chooses for `list` *under that model*.
-    pub fn cost_bits_for(&self, list: &PostingList, codec: CodecId) -> u64 {
-        partition_cost_bits_for(list, &self.partition_for(list, codec), codec)
+        partition_cost_bits(list, &self.partition(list))
     }
 }
 
@@ -135,43 +119,11 @@ fn fixed_partition(n: usize, block_len: usize) -> Vec<usize> {
     out
 }
 
-/// Number of distinct widths of a `u32` (0..=32 bits).
-const WIDTHS: usize = 33;
-
-/// One codec's block cost model, tabulated over every width pair:
-/// `block_cost_bits(len, g, t) = len · slope[g][t] + overhead`, the affine
-/// form [`crate::codec::BlockCodec::block_cost_bits`] promises. Built once
-/// per process, so the DP's inner loop is a table load rather than a call
-/// through `&dyn BlockCodec`.
-struct CostModel {
-    slope: [[u64; WIDTHS]; WIDTHS],
-    overhead: u64,
-}
-
-impl CostModel {
-    fn of(codec: CodecId) -> &'static CostModel {
-        static MODELS: OnceLock<[CostModel; CodecId::ALL.len()]> = OnceLock::new();
-        let models = MODELS.get_or_init(|| CodecId::ALL.map(CostModel::tabulate));
-        &models[usize::from(codec.as_u8())]
-    }
-
-    fn tabulate(codec: CodecId) -> CostModel {
-        let ops = codec.ops();
-        let overhead = ops.block_cost_bits(0, 0, 0);
-        let mut slope = [[0; WIDTHS]; WIDTHS];
-        for (g, row) in (0u8..).zip(&mut slope) {
-            for (t, s) in (0u8..).zip(row) {
-                *s = ops.block_cost_bits(1, g, t) - overhead;
-            }
-        }
-        CostModel { slope, overhead }
-    }
-}
-
 /// Cost-optimal partition by dynamic programming.
 ///
 /// `cost[i]` is the minimal cost of the first `i` postings;
-/// `cost[i] = min_{1 <= len <= maxSize} cost[i - len] + C(block of len ending at i)`.
+/// `cost[i] = min_{1 <= len <= maxSize} cost[i - len] + C(block of len ending at i)`,
+/// with `C` the affine `len · s + 96` of Eq. 3 and slope `s = b_dn + b_tf`.
 /// For each block end `i` the block start `j` is scanned downward from
 /// `i - 1`, widening the running maxima of the stored d-gap and tf widths
 /// one posting at a time. The scan stops early, exactly:
@@ -189,13 +141,12 @@ impl CostModel {
 /// still `O(n · maxSize)` (equal gaps scan back to the previous block
 /// boundary); on skewed gaps the scan stops after a few dozen candidates.
 /// Space is `O(n)`, all of it freed on return.
-fn dynamic_partition(list: &PostingList, max_size: usize, codec: CodecId) -> Vec<usize> {
+fn dynamic_partition(list: &PostingList, max_size: usize) -> Vec<usize> {
     let postings = list.as_slice();
     let n = postings.len();
     if n == 0 {
         return Vec::new();
     }
-    let model = CostModel::of(codec);
 
     // gap_w[k] = width of posting k's stored d-gap when it is *not* a block
     // start (block starts store 0; their docID comes from the skip value).
@@ -215,7 +166,7 @@ fn dynamic_partition(list: &PostingList, max_size: usize, codec: CodecId) -> Vec
         let (mut g, mut t) = (0u8, tf_w[i - 1]);
         let mut len = 1u64;
         let mut cost_j = cost[i - 1];
-        let mut best = cost_j + model.slope[0][usize::from(t)] + model.overhead;
+        let mut best = cost_j + u64::from(t) + BLOCK_OVERHEAD_BITS;
         let mut best_j = i - 1;
         // Entering start j - 1 turns posting j's stored gap from 0 into its
         // d-gap and adds posting j - 1's tf.
@@ -224,14 +175,14 @@ fn dynamic_partition(list: &PostingList, max_size: usize, codec: CodecId) -> Vec
         for ((&gw, &tw), &cost_prev) in entering {
             g = g.max(gw);
             t = t.max(tw);
-            let s = model.slope[usize::from(g)][usize::from(t)];
+            let s = u64::from(g) + u64::from(t);
             // The bound of the proof above: (i − j)·s past cost[j].
             let span = len * s;
             if cost_j + span >= best {
                 break;
             }
             len += 1;
-            let c = cost_prev + span + s + model.overhead;
+            let c = cost_prev + span + s + BLOCK_OVERHEAD_BITS;
             if c < best {
                 best = c;
                 best_j = i - len as usize;
@@ -254,34 +205,18 @@ fn dynamic_partition(list: &PostingList, max_size: usize, codec: CodecId) -> Vec
     lens
 }
 
-/// Model cost in bits (Eq. 3, default codec) of an arbitrary partition of
-/// `list`.
+/// Model cost in bits (Eq. 3) of an arbitrary partition of `list`.
 ///
 /// # Panics
 ///
 /// Panics if the partition does not cover the list exactly.
 pub fn partition_cost_bits(list: &PostingList, block_lens: &[usize]) -> u64 {
-    partition_cost_bits_for(list, block_lens, CodecId::default())
-}
-
-/// Model cost in bits under `codec`'s cost model of an arbitrary partition
-/// of `list`.
-///
-/// # Panics
-///
-/// Panics if the partition does not cover the list exactly.
-pub fn partition_cost_bits_for(
-    list: &PostingList,
-    block_lens: &[usize],
-    codec: CodecId,
-) -> u64 {
     let postings = list.as_slice();
     assert_eq!(
         block_lens.iter().sum::<usize>(),
         postings.len(),
         "partition must cover the list exactly"
     );
-    let ops = codec.ops();
     let mut total = 0u64;
     let mut start = 0usize;
     for &len in block_lens {
@@ -294,7 +229,7 @@ pub fn partition_cost_bits_for(
             }
             tmax = tmax.max(p.tf);
         }
-        total += ops.block_cost_bits(len as u64, bits_for(gmax), bits_for(tmax));
+        total += block_cost_bits(len as u64, bits_for(gmax), bits_for(tmax));
         start += len;
     }
     total
@@ -303,6 +238,7 @@ pub fn partition_cost_bits_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CodecId;
     use crate::posting::Posting;
     use proptest::prelude::*;
 
@@ -311,15 +247,14 @@ mod tests {
     }
 
     /// The full `O(n · maxSize)` scan [`dynamic_partition`] replaced: every
-    /// start in the window, one codec call per candidate. The oracle the
+    /// start in the window, one cost call per candidate. The oracle the
     /// early-stop DP must match block for block, ties included.
-    fn reference_partition(list: &PostingList, max_size: usize, codec: CodecId) -> Vec<usize> {
+    fn reference_partition(list: &PostingList, max_size: usize) -> Vec<usize> {
         let postings = list.as_slice();
         let n = postings.len();
         if n == 0 {
             return Vec::new();
         }
-        let ops = codec.ops();
         let mut gaps = vec![0u32; n];
         for k in 1..n {
             gaps[k] = postings[k].doc_id - postings[k - 1].doc_id;
@@ -334,7 +269,7 @@ mod tests {
             let mut j = i - 1;
             loop {
                 let block_cost =
-                    ops.block_cost_bits((i - j) as u64, bits_for(gmax), bits_for(tmax));
+                    block_cost_bits((i - j) as u64, bits_for(gmax), bits_for(tmax));
                 let c = cost[j].saturating_add(block_cost);
                 if c < cost[i] {
                     cost[i] = c;
@@ -488,28 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_aware_partition_optimizes_its_own_model() {
-        // A gap pattern where byte-aligned Stream-VByte wants different
-        // boundaries than bit-exact packing: under its own model the
-        // codec-aware DP must never lose to the BitPack-chosen partition.
-        let ids: Vec<u32> = (0..600u32).map(|i| i * 3 + (i % 11) * 700).collect();
-        let mut sorted = ids;
-        sorted.sort_unstable();
-        sorted.dedup();
-        let l = list_from_ids(&sorted);
-        for codec in CodecId::ALL {
-            let own = Partitioner::dynamic(256).partition_for(&l, codec);
-            let bp = Partitioner::dynamic(256).partition_for(&l, CodecId::BitPack);
-            let own_cost = partition_cost_bits_for(&l, &own, codec);
-            let bp_cost = partition_cost_bits_for(&l, &bp, codec);
-            assert!(
-                own_cost <= bp_cost,
-                "{codec}: own partition {own_cost} bits > bitpack partition {bp_cost} bits"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "maxSize")]
     fn dynamic_rejects_zero() {
         let _ = Partitioner::dynamic(0);
@@ -539,8 +452,8 @@ mod tests {
             for codec in CodecId::ALL {
                 for max_size in [1usize, 2, 3, 16, 256, 2048] {
                     prop_assert_eq!(
-                        Partitioner::dynamic(max_size).partition_for(&list, codec),
-                        reference_partition(&list, max_size, codec),
+                        Partitioner::dynamic(max_size).partition(&list),
+                        reference_partition(&list, max_size),
                         "{} maxSize {}", codec, max_size
                     );
                 }

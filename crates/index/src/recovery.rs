@@ -12,9 +12,9 @@
 //! 3. Each surviving segment is loaded and checksum-verified by the
 //!    format reader, and must agree with the options the directory is
 //!    opened with (a segment sealed under different BM25 parameters
-//!    would score inconsistently, and one sealed under a different block
-//!    codec would silently diverge from the directory's write path; both
-//!    are refused).
+//!    would score inconsistently, so it is refused). A segment whose header
+//!    names a retired block codec fails its load with
+//!    [`IndexError::UnknownCodec`].
 //! 4. The WAL is replayed from the sealed-document count: torn tails are
 //!    truncated, duplicates skipped, provable corruption reported as
 //!    [`IndexError::CorruptWal`].
@@ -28,7 +28,6 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use crate::codec::CodecId;
 use crate::error::IndexError;
 use crate::memtable::WriteBuffer;
 use crate::partition::Partitioner;
@@ -100,9 +99,8 @@ pub fn recover(
     dir: &Path,
     partitioner: Partitioner,
     params: Bm25Params,
-    codec: CodecId,
 ) -> Result<RecoveredState, IndexError> {
-    recover_mode(dir, partitioner, params, codec, false)
+    recover_mode(dir, partitioner, params, false)
 }
 
 /// [`recover`] with a choice of segment backing: `mmap_segments` loads
@@ -113,7 +111,6 @@ pub fn recover_mode(
     dir: &Path,
     partitioner: Partitioner,
     params: Bm25Params,
-    codec: CodecId,
     mmap_segments: bool,
 ) -> Result<RecoveredState, IndexError> {
     let mut report = RecoveryReport::default();
@@ -182,10 +179,7 @@ pub fn recover_mode(
         } else {
             segment::load_segment(dir, meta)?
         };
-        if loaded.index.partitioner() != partitioner
-            || loaded.index.params() != params
-            || loaded.index.codec() != codec
-        {
+        if loaded.index.partitioner() != partitioner || loaded.index.params() != params {
             return Err(IndexError::CorruptIndex {
                 context: "segment sealed under different index options",
             });
@@ -254,7 +248,7 @@ mod tests {
     fn fresh_directory_creates_wal() {
         let dir = tmp_dir("fresh");
         let (part, params) = opts();
-        let state = recover(&dir, part, params, CodecId::BitPack).unwrap();
+        let state = recover(&dir, part, params).unwrap();
         assert!(state.report.wal_was_missing);
         assert_eq!(state.segments.len(), 0);
         assert!(state.buffer.is_empty());
@@ -267,7 +261,7 @@ mod tests {
         let dir = tmp_dir("tmp");
         std::fs::write(dir.join("seg-000000000000-000000000005.iiu.tmp"), b"junk").unwrap();
         let (part, params) = opts();
-        let state = recover(&dir, part, params, CodecId::BitPack).unwrap();
+        let state = recover(&dir, part, params).unwrap();
         assert_eq!(state.report.tmp_files_removed, 1);
         assert!(!dir.join("seg-000000000000-000000000005.iiu.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
@@ -281,7 +275,7 @@ mod tests {
         let a = seal_one(&dir, 0, 2);
         let b = seal_one(&dir, 2, 1);
         seal_one(&dir, 0, 3);
-        let state = recover(&dir, part, params, CodecId::BitPack).unwrap();
+        let state = recover(&dir, part, params).unwrap();
         assert_eq!(state.report.segments_loaded, 1);
         assert_eq!(state.report.segments_subsumed, 2);
         assert_eq!(state.segments[0].meta.count, 3);
@@ -296,7 +290,7 @@ mod tests {
         let (part, params) = opts();
         seal_one(&dir, 0, 2);
         seal_one(&dir, 5, 1); // [2,5) missing
-        let err = recover(&dir, part, params, CodecId::BitPack).unwrap_err();
+        let err = recover(&dir, part, params).unwrap_err();
         assert!(matches!(
             err,
             IndexError::CorruptIndex { context: "segment ranges leave a gap" }
@@ -310,7 +304,7 @@ mod tests {
         let (part, params) = opts();
         seal_one(&dir, 0, 3);
         seal_one(&dir, 2, 3); // overlaps [2,3) but extends past
-        let err = recover(&dir, part, params, CodecId::BitPack).unwrap_err();
+        let err = recover(&dir, part, params).unwrap_err();
         assert!(matches!(err, IndexError::CorruptIndex { context: "segment ranges overlap" }));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -320,7 +314,7 @@ mod tests {
         let dir = tmp_dir("badname");
         std::fs::write(dir.join("seg-bogus.iiu"), b"x").unwrap();
         let (part, params) = opts();
-        let err = recover(&dir, part, params, CodecId::BitPack).unwrap_err();
+        let err = recover(&dir, part, params).unwrap_err();
         assert!(matches!(
             err,
             IndexError::CorruptIndex { context: "unparseable segment file name" }
@@ -336,7 +330,7 @@ mod tests {
         let path = dir.join(&s.meta.file_name);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = recover(&dir, part, params, CodecId::BitPack).unwrap_err();
+        let err = recover(&dir, part, params).unwrap_err();
         // Any typed corruption error is acceptable; a panic is not.
         let _ = err.to_string();
         std::fs::remove_dir_all(&dir).ok();
@@ -347,31 +341,37 @@ mod tests {
         let dir = tmp_dir("optmis");
         let (part, params) = opts();
         seal_one(&dir, 0, 2);
-        let err = recover(&dir, Partitioner::fixed(64), params, CodecId::BitPack).unwrap_err();
+        let err = recover(&dir, Partitioner::fixed(64), params).unwrap_err();
         assert!(matches!(
             err,
             IndexError::CorruptIndex {
                 context: "segment sealed under different index options"
             }
         ));
-        let err = recover(&dir, part, Bm25Params { k1: 9.9, ..params }, CodecId::BitPack)
-            .unwrap_err();
+        let err = recover(&dir, part, Bm25Params { k1: 9.9, ..params }).unwrap_err();
         assert!(matches!(err, IndexError::CorruptIndex { .. }));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn mismatched_codec_is_refused() {
-        let dir = tmp_dir("codecmis");
+    fn a_segment_naming_a_retired_codec_is_unknown_codec() {
+        let dir = tmp_dir("codecretired");
         let (part, params) = opts();
-        seal_one(&dir, 0, 2); // sealed bit-packed
-        let err = recover(&dir, part, params, CodecId::StreamVByte).unwrap_err();
-        assert!(matches!(
-            err,
-            IndexError::CorruptIndex {
-                context: "segment sealed under different index options"
-            }
-        ));
+        let s = seal_one(&dir, 0, 2);
+        // Name codec id 1 in the v4 header (8 magic + 16 params + 5
+        // partitioner = offset 29), then reseal the header CRC (bytes
+        // 46..50, over 8..46) and the whole-file footer.
+        let path = dir.join(&s.meta.file_name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[29] = 1;
+        let crc = crate::checksum::crc32(&bytes[8..46]);
+        bytes[46..50].copy_from_slice(&crc.to_le_bytes());
+        let n = bytes.len();
+        let footer = crate::checksum::crc32(&bytes[..n - 4]);
+        bytes[n - 4..].copy_from_slice(&footer.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = recover(&dir, part, params).unwrap_err();
+        assert!(matches!(err, IndexError::UnknownCodec { id: 1 }), "{err:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

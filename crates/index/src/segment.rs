@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::codec::CodecId;
 use crate::error::IndexError;
 use crate::index::InvertedIndex;
 use crate::io;
@@ -112,8 +111,9 @@ pub(crate) fn write_atomic(
 }
 
 /// Seals `lists`/`doc_lens` (local ids, lexicographic term order) into a
-/// new bit-packed segment starting at global doc `start`. See
-/// [`seal_segment_with`] for codec selection.
+/// new segment starting at global doc `start`. The partitioner runs fresh
+/// over the batch, so every sealed segment gets its own
+/// compression-optimal block structure. Returns the loaded segment.
 pub fn seal_segment(
     dir: &Path,
     start: u64,
@@ -122,26 +122,8 @@ pub fn seal_segment(
     partitioner: Partitioner,
     params: Bm25Params,
 ) -> Result<LoadedSegment, IndexError> {
-    seal_segment_with(dir, start, lists, doc_lens, partitioner, params, CodecId::BitPack)
-}
-
-/// Seals `lists`/`doc_lens` (local ids, lexicographic term order) into a
-/// new segment starting at global doc `start`, encoded with `codec`. The
-/// partitioner runs fresh over the batch, so every sealed segment gets
-/// its own compression-optimal block structure. Returns the loaded
-/// segment.
-#[allow(clippy::too_many_arguments)]
-pub fn seal_segment_with(
-    dir: &Path,
-    start: u64,
-    lists: Vec<(String, PostingList)>,
-    doc_lens: Vec<u32>,
-    partitioner: Partitioner,
-    params: Bm25Params,
-    codec: CodecId,
-) -> Result<LoadedSegment, IndexError> {
     let count = doc_lens.len() as u64;
-    let index = InvertedIndex::from_lists_codec(lists, doc_lens, partitioner, params, codec)?;
+    let index = InvertedIndex::from_lists(lists, doc_lens, partitioner, params)?;
     let bytes = io::serialize(&index)?;
     let file_name = segment_file_name(start, count);
     write_atomic(dir, &file_name, &bytes)?;

@@ -188,13 +188,12 @@ impl ShardedIndex {
         let partitioner = if n == 1 { index.partitioner() } else { shard_partitioner(index) };
         let mut shards = Vec::with_capacity(n);
         for (lists, lens) in shard_lists.into_iter().zip(shard_doc_lens) {
-            shards.push(InvertedIndex::from_lists_with_stats_codec(
+            shards.push(InvertedIndex::from_lists_with_stats(
                 lists,
                 lens,
                 avgdl,
                 partitioner,
                 index.params(),
-                index.codec(),
             )?);
         }
         Ok(ShardedIndex { shards, n_docs: index.num_docs() })
@@ -371,27 +370,6 @@ mod tests {
                 p.tf,
             );
             assert_eq!(shard_score, global_score);
-        }
-    }
-
-    #[test]
-    fn split_preserves_the_codec() {
-        for codec in crate::codec::CodecId::ALL {
-            let mut b = IndexBuilder::new(BuildOptions {
-                partitioner: Partitioner::fixed(4),
-                codec,
-                ..Default::default()
-            });
-            b.add_document(&"alpha beta ".repeat(6));
-            b.add_document("beta gamma");
-            for i in 0..40 {
-                b.add_document(&format!("alpha filler{} beta", i % 5));
-            }
-            let idx = b.build();
-            let sharded = ShardedIndex::split(&idx, 3).unwrap();
-            for shard in sharded.shards() {
-                assert_eq!(shard.codec(), codec);
-            }
         }
     }
 

@@ -49,6 +49,7 @@ use crate::mmap::Mmap;
 ///
 /// Returns [`IndexError::Io`] on mapping failure,
 /// [`IndexError::UnsupportedFormat`] on an unknown magic,
+/// [`IndexError::UnknownCodec`] on a v4 codec id other than 0,
 /// [`IndexError::ChecksumMismatch`] when an eagerly-verified section CRC
 /// fails, and [`IndexError::CorruptIndex`] on structural violations.
 pub fn map_index(path: &Path) -> Result<InvertedIndex, IndexError> {
@@ -68,10 +69,9 @@ mod tests {
     use crate::codec::CodecId;
     use crate::partition::Partitioner;
 
-    fn sample_index(codec: CodecId) -> InvertedIndex {
+    fn sample_index() -> InvertedIndex {
         let mut b = IndexBuilder::new(BuildOptions {
             partitioner: Partitioner::fixed(4),
-            codec,
             ..Default::default()
         });
         b.add_document("the quick brown fox jumps over the lazy dog");
@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn mapped_v4_equals_heap_deserialize() {
         for codec in CodecId::ALL {
-            let idx = sample_index(codec);
+            let idx = sample_index();
             let bytes = io::serialize(&idx).unwrap();
             let path = write_tmp(&format!("v4-{codec}"), &bytes);
             let mapped = map_index(&path).unwrap();
@@ -116,7 +116,7 @@ mod tests {
         // Besides garbage, the magics of the retired round-robin shard
         // manifests (v1, v2, v3): such a file is an unknown format now.
         let retired = [0x4949_5553_0000_0001, 0x4949_5553_0000_0002, 0x4949_5553_0000_0003];
-        let good = io::serialize(&sample_index(CodecId::BitPack)).unwrap();
+        let good = io::serialize(&sample_index()).unwrap();
         for magic in std::iter::once(u64::MAX).chain(retired) {
             let mut bytes = good.clone();
             bytes[..8].copy_from_slice(&magic.to_le_bytes());
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_is_lazy_and_typed() {
-        let idx = sample_index(CodecId::BitPack);
+        let idx = sample_index();
         let mut bytes = io::serialize(&idx).unwrap();
         // Find one list's payload bytes in the file by searching for them
         // (the sample corpus is small enough for this to be unambiguous
@@ -189,14 +189,14 @@ mod tests {
     #[test]
     fn every_format_loads_identically_on_both_backings() {
         use io::legacy;
-        let bitpack = sample_index(CodecId::BitPack);
+        let bitpack = sample_index();
         let mut table: Vec<(String, Vec<u8>, InvertedIndex)> = vec![
             ("v1".into(), legacy::serialize_v1(&bitpack), bitpack.clone()),
             ("v2".into(), legacy::serialize_v2(&bitpack), bitpack.clone()),
             ("v3".into(), legacy::serialize_v3(&bitpack), bitpack.clone()),
         ];
         for codec in CodecId::ALL {
-            let idx = sample_index(codec);
+            let idx = sample_index();
             table.push((format!("v4-{codec}"), io::serialize(&idx).unwrap(), idx));
         }
 
@@ -252,7 +252,7 @@ mod tests {
         // record CRC and the footer. A v2 file stores no bounds, so the
         // content oracle is the only check left on either backing, and it
         // must hold docID order.
-        let idx = sample_index(CodecId::BitPack);
+        let idx = sample_index();
         let mut bytes = io::legacy::serialize_v2(&idx);
         let id = widest_term(&idx);
         let list = idx.encoded_list(id);
@@ -282,7 +282,7 @@ mod tests {
 
         #[test]
         fn footer_crc_is_hashed_on_the_heap_and_only_framed_when_mapped() {
-            let idx = sample_index(CodecId::BitPack);
+            let idx = sample_index();
             let mut bytes = io::serialize(&idx).unwrap();
             let n = bytes.len();
             bytes[n - 2] ^= 0x20;
@@ -298,7 +298,7 @@ mod tests {
 
         #[test]
         fn record_crc_is_checked_at_heap_load_and_at_first_touch_when_mapped() {
-            let idx = sample_index(CodecId::BitPack);
+            let idx = sample_index();
             let mut bytes = io::serialize(&idx).unwrap();
             let id = widest_term(&idx);
             let (_, end) = record_span(&idx, id, 38);
@@ -325,7 +325,7 @@ mod tests {
             // Raise one stored block bound, then recompute the section CRC
             // and the footer: the file tail is
             // [bounds content][bounds crc 4][footer 4].
-            let idx = sample_index(CodecId::BitPack);
+            let idx = sample_index();
             let mut bytes = io::serialize(&idx).unwrap();
             let n = bytes.len();
             let bounds_len: usize = idx.bounds().iter().map(|b| 8 + b.num_blocks() * 8).sum();
@@ -348,7 +348,7 @@ mod tests {
         #[test]
         fn a_heap_load_keeps_the_stored_layout_byte_for_byte() {
             for codec in CodecId::ALL {
-                let idx = sample_index(codec);
+                let idx = sample_index();
                 let back = io::deserialize(&io::serialize(&idx).unwrap()).unwrap();
                 for id in 0..idx.num_terms() as u32 {
                     let (a, b) = (idx.encoded_list(id), back.encoded_list(id));
@@ -362,14 +362,13 @@ mod tests {
         #[test]
         fn streamed_files_load_identically_on_both_backings() {
             for codec in CodecId::ALL {
-                let idx = sample_index(codec);
+                let idx = sample_index();
                 let mut w = io::StreamingWriter::new(
                     Vec::new(),
                     idx.doc_lens(),
                     idx.num_terms() as u64,
                     idx.partitioner(),
                     idx.params(),
-                    codec,
                 )
                 .unwrap();
                 for info in idx.terms() {

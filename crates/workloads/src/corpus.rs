@@ -114,7 +114,7 @@ impl CorpusConfig {
     }
 
     /// Streams the corpus straight to a v4 index file, byte-identical to
-    /// `generate().into_index_codec(..)` + [`iiu_index::io::serialize`]
+    /// `generate().into_index(..)` + [`iiu_index::io::serialize`]
     /// but with peak memory independent of the total posting count — the
     /// path that lets `iiu gen` write a ≥1M-doc corpus with bounded RSS.
     ///
@@ -142,7 +142,6 @@ impl CorpusConfig {
         sink: W,
         partitioner: Partitioner,
         params: Bm25Params,
-        codec: iiu_index::CodecId,
     ) -> Result<(W, StreamStats), iiu_index::IndexError> {
         assert!(self.n_docs > 0, "corpus needs at least one document");
         assert!(
@@ -166,7 +165,6 @@ impl CorpusConfig {
             u64::from(self.n_terms),
             partitioner,
             params,
-            codec,
         )?;
 
         // Pass 2: regenerate each list (same seed, identical draws) and
@@ -313,23 +311,7 @@ impl GeneratedCorpus {
     /// Panics if encoding fails (generated lists always stay within the
     /// format's bitwidth limits).
     pub fn into_index(self, partitioner: Partitioner, params: Bm25Params) -> InvertedIndex {
-        self.into_index_codec(partitioner, params, iiu_index::CodecId::BitPack)
-    }
-
-    /// Builds an [`InvertedIndex`] from this corpus with an explicit block
-    /// codec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if encoding fails (generated lists always stay within the
-    /// format's bitwidth limits).
-    pub fn into_index_codec(
-        self,
-        partitioner: Partitioner,
-        params: Bm25Params,
-        codec: iiu_index::CodecId,
-    ) -> InvertedIndex {
-        InvertedIndex::from_lists_codec(self.lists, self.doc_lens, partitioner, params, codec)
+        InvertedIndex::from_lists(self.lists, self.doc_lens, partitioner, params)
             .unwrap_or_else(|e| panic!("generated corpus always encodes: {e}"))
     }
 
@@ -472,10 +454,10 @@ mod tests {
         for codec in iiu_index::CodecId::ALL {
             let corpus = cfg.generate();
             let postings = corpus.total_postings();
-            let one_shot = corpus.into_index_codec(partitioner, params, codec);
+            let one_shot = corpus.into_index(partitioner, params);
             let expected = iiu_index::io::serialize(&one_shot).unwrap();
             let (bytes, stats) =
-                cfg.generate_streamed(Vec::new(), partitioner, params, codec).unwrap();
+                cfg.generate_streamed(Vec::new(), partitioner, params).unwrap();
             assert_eq!(bytes, expected, "{codec}: streamed bytes diverge from one-shot");
             assert_eq!(stats.docs, u64::from(cfg.n_docs));
             assert_eq!(stats.terms, u64::from(cfg.n_terms));

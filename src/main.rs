@@ -35,10 +35,10 @@ use iiu_core::{
     CpuSearchEngine, IiuSearchEngine, PartSource, Query, SearchEngine, SearchResponse,
     ShardedSearchEngine,
 };
-use iiu_index::io::{deserialize, peek_codec, serialize, MAGIC, MAGIC_V1, MAGIC_V2, MAGIC_V3};
+use iiu_index::io::{deserialize, serialize, MAGIC, MAGIC_V1, MAGIC_V2, MAGIC_V3};
 use iiu_index::{
-    corrupt, Bm25Params, BuildOptions, CodecId, IncrementalIndex, IncrementalOptions,
-    IndexBuilder, IndexError, IngestDoc, InvertedIndex, Partitioner, PositionIndex,
+    corrupt, Bm25Params, BuildOptions, IncrementalIndex, IncrementalOptions, IndexBuilder,
+    IndexError, IngestDoc, InvertedIndex, Partitioner, PositionIndex,
 };
 use iiu_serve::{FaultPlan, QueryService, ServeConfig};
 use iiu_workloads::{CorpusConfig, TrafficConfig};
@@ -74,12 +74,11 @@ fn print_usage() {
          \n\
          USAGE:\n\
          \x20 iiu gen     <index-file> [--docs N] [--preset ccnews|clueweb] [--seed S]\n\
-         \x20             [--codec C] [--stream yes] [--terms N] [--max-df F]\n\
+         \x20             [--stream yes] [--terms N] [--max-df F]\n\
          \x20 iiu build   <corpus.txt> <index-file> [--max-size N] [--positions yes]\n\
-         \x20             [--codec C]\n\
          \x20 iiu ingest  <index-dir> [--docs N] [--batch B] [--preset ccnews|clueweb]\n\
          \x20             [--seed S] [--seal-every N] [--merge-every N] [--file corpus.txt]\n\
-         \x20             [--seal yes] [--codec C]\n\
+         \x20             [--seal yes]\n\
          \x20 iiu stats   <index-file|index-dir> [--mmap yes]\n\
          \x20 iiu inspect <index-file|index-dir> [--fault-rate R] [--trials N] [--seed S]\n\
          \x20             [--mmap yes]\n\
@@ -90,14 +89,6 @@ fn print_usage() {
          \x20                 [--pruned yes] [--shards N] [--shard-fault-rate R]\n\
          \x20                 [--shard-stall-rate R] [--shard-stall-ms MS] [--fail-closed yes]\n\
          \x20                 [--no-device yes] [--hybrid yes] [--zipf S]\n\
-         \n\
-         --codec C selects the posting-list block codec: bitpack (default,\n\
-         the paper's word-window format), stream-vbyte, or simdbp128\n\
-         (SIMD vertical bit-packing, AVX2/SSE2 with scalar fallback).\n\
-         Search results are bit-identical across codecs; only decode\n\
-         speed and size change. ingest without --codec keeps sealing with\n\
-         the codec the directory's existing segments use, and inspect\n\
-         reports each index's codec id and achieved bits per posting.\n\
          \n\
          gen --stream yes streams the file to disk term by term (peak\n\
          memory independent of corpus size — the ≥1M-doc path), with\n\
@@ -201,36 +192,13 @@ fn split_args<'a>(args: &'a [String], accepted: &str) -> Result<Args<'a>, String
     Ok(Args { positional, flags })
 }
 
+/// The flags `gen`, `build` and `ingest` accept.
+const GEN_FLAGS: &str = "docs preset seed stream terms max-df";
+const BUILD_FLAGS: &str = "max-size positions";
+const INGEST_FLAGS: &str = "docs batch preset seed seal-every merge-every file seal";
+
 fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid {what}: {v:?}"))
-}
-
-fn parse_codec(v: &str) -> Result<CodecId, String> {
-    CodecId::parse(v)
-        .ok_or_else(|| format!("unknown codec {v:?} (try bitpack, stream-vbyte, simdbp128)"))
-}
-
-/// Detects the codec an incremental directory's sealed segments use by
-/// peeking the first segment header. Directories without segments (fresh
-/// or WAL-only) get the default codec; unreadable segments are left for
-/// the real open path to diagnose.
-fn dir_codec(path: &std::path::Path) -> CodecId {
-    let Ok(entries) = std::fs::read_dir(path) else {
-        return CodecId::default();
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if iiu_index::segment::parse_segment_name(name).is_none() {
-            continue;
-        }
-        if let Ok(bytes) = std::fs::read(entry.path()) {
-            if let Ok(codec) = peek_codec(&bytes) {
-                return codec;
-            }
-        }
-    }
-    CodecId::default()
 }
 
 /// Loads an index file, or an incremental index directory as its
@@ -241,16 +209,10 @@ fn load_index_mode(path: &str, mmap: bool) -> Result<InvertedIndex, String> {
     if std::path::Path::new(path).is_dir() {
         // An incremental index directory: run crash recovery (WAL replay,
         // torn-tail truncation) and materialize the equivalent one-shot
-        // index, so every command transparently accepts either form. The
-        // directory's own segments decide the codec — recovery refuses
-        // segments sealed under different options. --mmap maps the sealed
-        // segments during recovery; the materialized one-shot equivalent
-        // is heap-resident either way.
-        let opts = IncrementalOptions {
-            codec: dir_codec(path.as_ref()),
-            mmap_segments: mmap,
-            ..IncrementalOptions::default()
-        };
+        // index, so every command transparently accepts either form.
+        // --mmap maps the sealed segments during recovery; the
+        // materialized one-shot equivalent is heap-resident either way.
+        let opts = IncrementalOptions { mmap_segments: mmap, ..IncrementalOptions::default() };
         let inc = IncrementalIndex::open(path.as_ref(), opts)
             .map_err(|e| format!("cannot recover incremental index {path}: {e}"))?;
         return inc
@@ -313,14 +275,13 @@ fn heap_line(index: &InvertedIndex) -> String {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let parsed = split_args(args, "docs preset seed codec stream terms max-df")?;
+    let parsed = split_args(args, GEN_FLAGS)?;
     let flag = |n: &str| parsed.flag(n);
     let [out] = parsed.positional[..] else {
         return Err("usage: iiu gen <index-file> [--docs N] [--preset ccnews|clueweb]".into());
     };
     let docs: u32 = parse_num(flag("docs").unwrap_or("50000"), "--docs")?;
     let seed: u64 = parse_num(flag("seed").unwrap_or("42"), "--seed")?;
-    let codec = parse_codec(flag("codec").unwrap_or("bitpack"))?;
     let mut cfg = match flag("preset").unwrap_or("ccnews") {
         "ccnews" => CorpusConfig::ccnews_like(docs),
         "clueweb" => CorpusConfig::clueweb_like(docs),
@@ -341,14 +302,14 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
             std::fs::File::create(out).map_err(|e| format!("cannot write {out}: {e}"))?;
         let sink = std::io::BufWriter::new(file);
         let (_, stats) = cfg
-            .generate_streamed(sink, Partitioner::default(), Bm25Params::default(), codec)
+            .generate_streamed(sink, Partitioner::default(), Bm25Params::default())
             .map_err(|e| format!("cannot stream index: {e}"))?;
         let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
         println!(
             "streamed {} docs, {} terms, {} postings",
             stats.docs, stats.terms, stats.postings
         );
-        println!("wrote {out}: {} KiB, codec {}", bytes / 1024, codec.name());
+        println!("wrote {out}: {} KiB", bytes / 1024);
         return Ok(());
     }
     let corpus = cfg.generate();
@@ -358,14 +319,13 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         corpus.lists.len(),
         corpus.total_postings()
     );
-    let index = corpus.into_index_codec(Partitioner::default(), Bm25Params::default(), codec);
+    let index = corpus.into_index(Partitioner::default(), Bm25Params::default());
     let bytes = serialize(&index).map_err(|e| format!("cannot serialize index: {e}"))?;
     std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
     let s = index.size_stats();
     println!(
-        "wrote {out}: {} KiB, codec {}, {:.2} bits/posting, compression {:.2}x",
+        "wrote {out}: {} KiB, {:.2} bits/posting, compression {:.2}x",
         bytes.len() / 1024,
-        codec.name(),
         s.bits_per_posting(),
         s.compression_ratio()
     );
@@ -373,20 +333,18 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
-    let parsed = split_args(args, "max-size positions codec")?;
+    let parsed = split_args(args, BUILD_FLAGS)?;
     let flag = |n: &str| parsed.flag(n);
     let [input, out] = parsed.positional[..] else {
         return Err("usage: iiu build <corpus.txt> <index-file> [--max-size N]".into());
     };
     let max_size: usize = parse_num(flag("max-size").unwrap_or("256"), "--max-size")?;
     let track_positions = flag("positions").is_some();
-    let codec = parse_codec(flag("codec").unwrap_or("bitpack"))?;
     let text =
         std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
     let mut builder = IndexBuilder::new(BuildOptions {
         partitioner: Partitioner::dynamic(max_size),
         track_positions,
-        codec,
         ..Default::default()
     });
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
@@ -407,9 +365,8 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
     let s = index.size_stats();
     println!(
-        "wrote {out}: {} KiB, codec {}, {:.2} bits/posting, compression {:.2}x",
+        "wrote {out}: {} KiB, {:.2} bits/posting, compression {:.2}x",
         bytes.len() / 1024,
-        codec.name(),
         s.bits_per_posting(),
         s.compression_ratio()
     );
@@ -437,11 +394,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         s.skip_bytes / 1024
     );
     println!("compression:      {:.2}x", s.compression_ratio());
-    println!(
-        "codec:            {} ({:.2} bits/posting)",
-        index.codec().name(),
-        s.bits_per_posting()
-    );
+    println!("bits/posting:     {:.2}", s.bits_per_posting());
     println!("avgdl:            {:.1}", index.avgdl());
     println!("source:           {}", source_line(&index));
     println!("heap:             {}", heap_line(&index));
@@ -466,7 +419,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         .get(..8)
         .map(|m| u64::from_le_bytes([m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7]]));
     let (version, checked) = match magic {
-        Some(MAGIC) => ("v4 (per-index codec id)", true),
+        Some(MAGIC) => ("v4", true),
         Some(MAGIC_V3) => ("v3 (block-max score bounds)", true),
         Some(MAGIC_V2) => ("v2", true),
         Some(MAGIC_V1) => ("v1 (legacy)", false),
@@ -499,8 +452,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     }
     let s = index.size_stats();
     println!(
-        "codec:    {} ({:.2} bits/posting, compression {:.2}x)",
-        index.codec().name(),
+        "size:     {:.2} bits/posting, compression {:.2}x",
         s.bits_per_posting(),
         s.compression_ratio()
     );
@@ -574,10 +526,8 @@ fn inspect_incremental(path: &str, parsed: &Args<'_>) -> Result<(), String> {
             .into());
     }
     println!("file:     {path} (incremental index directory)");
-    let codec = dir_codec(path.as_ref());
-    println!("format:   WAL + sealed segments ({} codec)", codec.name());
-    let opts = IncrementalOptions { codec, ..IncrementalOptions::default() };
-    let inc = IncrementalIndex::open(path.as_ref(), opts)
+    println!("format:   WAL + sealed segments");
+    let inc = IncrementalIndex::open(path.as_ref(), IncrementalOptions::default())
         .map_err(|e| format!("recovery failed: {e}"))?;
     println!("recovery: {}", inc.recovery_report());
     let metas = inc.segment_metas();
@@ -605,8 +555,7 @@ fn inspect_incremental(path: &str, parsed: &Args<'_>) -> Result<(), String> {
 }
 
 fn cmd_ingest(args: &[String]) -> Result<(), String> {
-    let parsed =
-        split_args(args, "docs batch preset seed seal-every merge-every file seal codec")?;
+    let parsed = split_args(args, INGEST_FLAGS)?;
     let flag = |n: &str| parsed.flag(n);
     let [dir] = parsed.positional[..] else {
         return Err("usage: iiu ingest <index-dir> [--docs N] [--batch B] \
@@ -620,12 +569,6 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     let seal_every: usize = parse_num(flag("seal-every").unwrap_or("4096"), "--seal-every")?;
     let merge_every: usize = parse_num(flag("merge-every").unwrap_or("8"), "--merge-every")?;
     let seal_final = flag("seal").is_some();
-    // Without an explicit --codec, resuming into an existing directory
-    // keeps sealing with whatever codec its segments already use.
-    let codec = match flag("codec") {
-        Some(v) => parse_codec(v)?,
-        None => dir_codec(dir.as_ref()),
-    };
     if batch == 0 {
         return Err("--batch must be at least 1".into());
     }
@@ -651,7 +594,6 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     let opts = IncrementalOptions {
         seal_threshold: seal_every,
         merge_threshold: merge_every,
-        codec,
         ..IncrementalOptions::default()
     };
     let mut inc = IncrementalIndex::open(dir.as_ref(), opts)
@@ -668,12 +610,11 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
         inc.seal().map_err(|e| format!("final seal failed: {e}"))?;
     }
     println!(
-        "wrote {dir}: {} documents ({} sealed into {} segment(s), {} WAL-buffered, {} codec)",
+        "wrote {dir}: {} documents ({} sealed into {} segment(s), {} WAL-buffered)",
         inc.num_docs(),
         inc.sealed_docs(),
         inc.segment_metas().len(),
-        inc.buffered_docs(),
-        codec.name()
+        inc.buffered_docs()
     );
     println!("every acknowledged batch is WAL-durable; crash recovery replays the rest");
     Ok(())
@@ -1005,10 +946,14 @@ mod tests {
         assert_eq!((parsed.flag("k"), parsed.flag("pruned")), (Some("5"), Some("yes")));
         assert_eq!(parsed.flag("shards"), None);
 
-        // A typo, and `gen --shards` now that gen writes only plain files.
+        // A typo, `gen --shards` now that gen writes only plain files, and
+        // `--codec` now that bit-packing is the one block codec.
         for (argv, accepted, flag) in [
             (&["idx.iiu", "q", "--prunned", "yes"][..], "k pruned", "--prunned"),
-            (&["out.iiu", "--shards", "4"][..], "docs preset seed codec stream", "--shards"),
+            (&["out.iiu", "--shards", "4"][..], GEN_FLAGS, "--shards"),
+            (&["out.iiu", "--codec", "bitpack"][..], GEN_FLAGS, "--codec"),
+            (&["in.txt", "out.iiu", "--codec", "bitpack"][..], BUILD_FLAGS, "--codec"),
+            (&["dir", "--codec", "stream-vbyte"][..], INGEST_FLAGS, "--codec"),
         ] {
             let err = split_args(&args(argv), accepted).map(|_| ()).unwrap_err();
             assert!(err.starts_with(&format!("unknown flag {flag} ")), "{err}");

@@ -1,9 +1,7 @@
 //! Two-list corpora laid out to trip a forward block cursor, shared by
 //! the pruned-equivalence suites (`topk_equivalence`, `shard_equivalence`).
 
-use iiu_index::{
-    Bm25Params, CodecId, DocId, InvertedIndex, Partitioner, Posting, PostingList,
-};
+use iiu_index::{Bm25Params, DocId, InvertedIndex, Partitioner, Posting, PostingList};
 
 /// The two terms every layout indexes.
 pub const TERMS: (&str, &str) = ("a", "b");
@@ -31,10 +29,10 @@ fn mix(x: u32, salt: u32) -> u32 {
 }
 
 impl Layout {
-    /// Builds the layout's index under `codec`. Unless the layout is
-    /// flat, one posting in sixteen is a high-tf outlier so that block
-    /// bounds differ and the threshold climbs in steps.
-    pub fn index(&self, codec: CodecId) -> InvertedIndex {
+    /// Builds the layout's index. Unless the layout is flat, one posting
+    /// in sixteen is a high-tf outlier so that block bounds differ and the
+    /// threshold climbs in steps.
+    pub fn index(&self) -> InvertedIndex {
         let n_docs = self.a.iter().chain(&self.b).max().map_or(0, |&d| d + 1);
         let list = |docs: &[DocId], salt: u32| {
             let tf = |d: DocId| match (self.flat, mix(d, salt) % 16) {
@@ -46,7 +44,7 @@ impl Layout {
         };
         let doc_lens =
             (0..n_docs).map(|d| if self.flat { 64 } else { 20 + mix(d, 7) % 200 }).collect();
-        InvertedIndex::from_lists_codec(
+        InvertedIndex::from_lists(
             vec![
                 (TERMS.0.to_string(), list(&self.a, 1)),
                 (TERMS.1.to_string(), list(&self.b, 2)),
@@ -54,7 +52,6 @@ impl Layout {
             doc_lens,
             Partitioner::fixed(self.block_len),
             Bm25Params::default(),
-            codec,
         )
         .expect("layout lists are sorted and in range")
     }

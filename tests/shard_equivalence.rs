@@ -123,8 +123,8 @@ fn sharded_matches_unsharded_on_sampled_workload() {
 
 /// Codec matrix: sharded execution stays bit-identical to the unsharded
 /// bit-packed reference when the index is encoded under every block
-/// codec — splitting propagates the codec and neither the shared
-/// threshold nor the per-shard decode path depends on it.
+/// codec — neither the shared threshold nor the per-shard decode path
+/// depends on it.
 #[test]
 fn sharded_matches_unsharded_under_every_codec() {
     use iiu_index::{Bm25Params, CodecId};
@@ -136,16 +136,11 @@ fn sharded_matches_unsharded_under_every_codec() {
     let mut ref_plain = CpuEngine::new(&reference);
 
     for codec in CodecId::ALL {
-        let index = CorpusConfig::tiny(0xC0FFEE).generate().into_index_codec(
-            Partitioner::default(),
-            Bm25Params::default(),
-            codec,
-        );
+        let index = CorpusConfig::tiny(0xC0FFEE)
+            .generate()
+            .into_index(Partitioner::default(), Bm25Params::default());
         for n in [2usize, 4] {
             let split = Arc::new(ShardedIndex::split(&index, n).expect("split"));
-            for shard in split.shards() {
-                assert_eq!(shard.codec(), codec, "split must propagate the codec");
-            }
             for pruned in [false, true] {
                 let eng = ShardedEngine::new(Arc::clone(&split)).with_pruning(pruned);
                 for k in KS {
@@ -191,7 +186,7 @@ fn sharded_pruned_matches_exhaustive_on_adversarial_layouts() {
     let (ta, tb) = common::TERMS;
     for layout in common::adversarial_layouts() {
         for codec in CodecId::ALL {
-            let index = layout.index(codec);
+            let index = layout.index();
             let mut plain = CpuEngine::new(&index);
             for n in [1usize, 2, 4] {
                 let split = Arc::new(ShardedIndex::split(&index, n).expect("split"));
@@ -238,7 +233,7 @@ fn windows_match_unsharded_across_the_matrix() {
     let pool = iiu_baseline::ShardPoolConfig { pool_threads: 2, ..Default::default() };
     for layout in common::adversarial_layouts() {
         for codec in CodecId::ALL {
-            let heap = Arc::new(layout.index(codec));
+            let heap = Arc::new(layout.index());
             let path = std::env::temp_dir()
                 .join(format!("iiu-windows-{}-{codec}", std::process::id()));
             std::fs::write(&path, io::serialize(&heap).expect("serialize"))

@@ -112,12 +112,9 @@ fn pruned_matches_exhaustive_under_every_codec() {
     let mut ref_plain = CpuEngine::new(&reference);
 
     for codec in CodecId::ALL {
-        let index = CorpusConfig::tiny(0xC0FFEE).generate().into_index_codec(
-            Partitioner::default(),
-            Bm25Params::default(),
-            codec,
-        );
-        assert_eq!(index.codec(), codec);
+        let index = CorpusConfig::tiny(0xC0FFEE)
+            .generate()
+            .into_index(Partitioner::default(), Bm25Params::default());
         let mut plain = CpuEngine::new(&index);
         let mut pruned = CpuEngine::new(&index).with_pruning(true);
         for k in KS {
@@ -158,11 +155,9 @@ fn mapped_source_matches_heap_under_every_codec() {
     let pairs = sampler.pair_queries(6);
 
     for codec in CodecId::ALL {
-        let heap = CorpusConfig::tiny(0xC0FFEE).generate().into_index_codec(
-            Partitioner::default(),
-            Bm25Params::default(),
-            codec,
-        );
+        let heap = CorpusConfig::tiny(0xC0FFEE)
+            .generate()
+            .into_index(Partitioner::default(), Bm25Params::default());
         let bytes = io::serialize(&heap).expect("serialize");
         let path =
             std::env::temp_dir().join(format!("iiu-topk-src-{}-{codec}", std::process::id()));
@@ -209,7 +204,7 @@ fn pruned_matches_exhaustive_on_adversarial_layouts() {
     let (ta, tb) = common::TERMS;
     for layout in common::adversarial_layouts() {
         for codec in CodecId::ALL {
-            let heap = layout.index(codec);
+            let heap = layout.index();
             let bytes = io::serialize(&heap).expect("serialize");
             let path = std::env::temp_dir()
                 .join(format!("iiu-topk-layout-{}-{codec}", std::process::id()));

@@ -105,22 +105,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Decode perf gate + codec shootout (DESIGN.md §11, §13, §18):
 # re-measures the unpack kernels, end-to-end query throughput,
-# pruned-vs-exhaustive top-k, and per-codec block decode (bitpack,
-# stream-vbyte, simdbp128 over the same blocks), rewrites
-# BENCH_decode.json, and fails if any gated min_ns exceeds the committed
-# baseline by more than the fail_above_ratio in
+# pruned-vs-exhaustive top-k, and the bit-packed block decode at every
+# gated width, rewrites BENCH_decode.json, and fails if any gated min_ns
+# exceeds the committed baseline by more than the fail_above_ratio in
 # BENCH_decode_thresholds.json, if pruning stops skipping blocks, if the
 # single-term k=10 pruning gain drops below 1.5x, if pruned AND or pruned
-# OR at k=10 fails to beat the same run's exhaustive wall time, if
-# simdbp128's shootout payload grows past bitpack's, or if any codec's
-# shootout bits/posting exceeds its committed max_bits_per_posting (the
-# bitpack/simdbp128 decode-time ratio is printed, not gated). Regenerate
-# baselines (only after an intentional perf change, on a quiet machine)
-# with:
+# OR at k=10 fails to beat the same run's exhaustive wall time, or if the
+# shootout's bits/posting exceeds its committed max_bits_per_posting.
+# Regenerate baselines (only after an intentional perf change, on a quiet
+# machine) with:
 #   cargo run --release -p iiu-bench --bin decode_bench -- \
 #     --write-thresholds BENCH_decode_thresholds.json
-# Under --quick, only the one-block-per-codec decode bit-identity smoke
-# runs (no timing).
+# Under --quick, only the one-block-per-width decode smoke runs (no
+# timing), checked against a reference summed without the codec.
 if [ "$quick" -eq 0 ]; then
     cargo run --release -p iiu-bench --bin decode_bench -- \
         --check BENCH_decode_thresholds.json
