@@ -30,12 +30,11 @@
 //! child's peak RSS exceeds the committed `rss_max_kb` — the bound that
 //! proves gen → mmap-serve never materializes the corpus.
 //!
-//! Writes `BENCH_mmap.json` at the workspace root. `--check
-//! <thresholds.json>` compares against committed thresholds and exits
-//! nonzero on regression; `--write-thresholds <path>` emits a fresh
-//! thresholds file; `--smoke` runs only the source-equivalence checks on
-//! a small corpus (no timing, no RSS child) — the `verify.sh --quick`
-//! variant.
+//! Writes `BENCH_mmap.json` at the workspace root; `--out`, `--check`
+//! and `--write-thresholds` are [`iiu_bench::gate`]'s, with a
+//! `fail_above_ratio` of 1.25 on `min_ns`. `--smoke` runs only the
+//! source-equivalence checks on a small corpus (no timing, no RSS child)
+//! — the `verify.sh --quick` variant.
 
 // Experiment-runner code: panicking on a broken setup is the right
 // behavior (same contract as the iiu-bench lib crate).
@@ -46,9 +45,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use iiu_baseline::CpuEngine;
+use iiu_bench::gate::{self, Args, Queries, Run, Shape};
 use iiu_bench::micro::bench_with;
 use iiu_index::{storage, Bm25Params, InvertedIndex, Partitioner, Posting, TermId};
-use iiu_workloads::{CorpusConfig, QuerySampler};
+use iiu_workloads::CorpusConfig;
 use serde_json::{json, Map, Value};
 
 /// Documents in the timed corpus (matches the decode gate's e2e corpus).
@@ -117,47 +117,18 @@ fn decode_lists(index: &InvertedIndex, ids: &[TermId], out: &mut Vec<Posting>) -
     total
 }
 
-/// Runs the pruned query of `shape` number `i` on `engine`.
-fn run_query(
-    engine: &mut CpuEngine,
-    shape: &str,
-    singles: &[String],
-    pairs: &[(String, String)],
-    i: usize,
-    k: usize,
-) -> Vec<iiu_baseline::Hit> {
-    match shape {
-        "single" => engine.search_single(&singles[i % singles.len()], k),
-        "and" => {
-            let (a, b) = &pairs[i % pairs.len()];
-            engine.search_intersection(a, b, k)
-        }
-        _ => {
-            let (a, b) = &pairs[i % pairs.len()];
-            engine.search_union(a, b, k)
-        }
-    }
-    .expect("sampled terms resolve")
-    .hits
-}
-
 /// Proves the two sources interchangeable: index equality plus
 /// bit-identical pruned hits for every shape. Panics on divergence.
-fn assert_source_equivalence(
-    heap: &InvertedIndex,
-    mapped: &InvertedIndex,
-    singles: &[String],
-    pairs: &[(String, String)],
-) {
+fn assert_source_equivalence(heap: &InvertedIndex, mapped: &InvertedIndex, queries: &Queries) {
     assert!(mapped.source().is_mapped() && !heap.source().is_mapped());
     assert_eq!(mapped, heap, "mapped load must equal heap load");
     let mut eh = CpuEngine::new(heap).with_pruning(true);
     let mut em = CpuEngine::new(mapped).with_pruning(true);
-    for shape in ["single", "and", "or"] {
+    for shape in Shape::ALL {
         for i in 0..N_QUERIES {
-            let h = run_query(&mut eh, shape, singles, pairs, i, 10);
-            let m = run_query(&mut em, shape, singles, pairs, i, 10);
-            assert_eq!(h, m, "mmap {shape} hits diverged from heap at query {i}");
+            let h = queries.run(&mut eh, shape, i, 10).hits;
+            let m = queries.run(&mut em, shape, i, 10).hits;
+            assert_eq!(h, m, "mmap {} hits diverged from heap at query {i}", shape.name());
         }
     }
 }
@@ -180,14 +151,12 @@ fn run_rss_child() -> ExitCode {
     let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
     let index = storage::map_index(&path).expect("map streamed index");
-    let mut sampler = QuerySampler::with_bias(&index, 42, 1.0, 64);
-    let singles = sampler.single_queries(RSS_QUERIES);
-    let pairs = sampler.pair_queries(RSS_QUERIES);
+    let queries = Queries::sample(&index, 64, RSS_QUERIES);
     let mut engine = CpuEngine::new(&index).with_pruning(true);
     let mut hits = 0usize;
-    for shape in ["single", "and", "or"] {
+    for shape in Shape::ALL {
         for i in 0..RSS_QUERIES {
-            hits += run_query(&mut engine, shape, &singles, &pairs, i, 10).len();
+            hits += queries.run(&mut engine, shape, i, 10).hits.len();
         }
     }
     assert!(hits > 0, "RSS-gate queries returned no hits");
@@ -233,10 +202,7 @@ fn run_smoke() -> ExitCode {
     std::fs::write(&path, &bytes).expect("write temp index");
     let heap = iiu_index::io::deserialize(&bytes).expect("heap load");
     let mapped = storage::map_index(&path).expect("mapped load");
-    let mut sampler = QuerySampler::with_bias(&heap, 42, 1.0, 8);
-    let singles = sampler.single_queries(N_QUERIES);
-    let pairs = sampler.pair_queries(N_QUERIES);
-    assert_source_equivalence(&heap, &mapped, &singles, &pairs);
+    assert_source_equivalence(&heap, &mapped, &Queries::sample(&heap, 8, N_QUERIES));
     let _ = std::fs::remove_file(&path);
     println!(
         "mmap smoke: OK (heap and mapped loads equal, {} queries x 3 shapes bit-identical)",
@@ -245,60 +211,51 @@ fn run_smoke() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Checks this run's gated metrics against committed thresholds (same
-/// `min_ns`/`fail_above_ratio` schema as the decode gate).
-fn check_min_ns(gate: &Map, thresholds: &Value) -> Vec<String> {
-    let ratio = thresholds["fail_above_ratio"].as_f64().unwrap_or(1.25);
-    let mut violations = Vec::new();
-    let Some(baseline) = thresholds["min_ns"].as_object() else {
-        return vec!["thresholds file has no \"min_ns\" object".to_string()];
-    };
-    for (name, base) in baseline {
-        let Some(base_ns) = base.as_f64() else {
-            violations.push(format!("threshold {name} is not a number"));
-            continue;
-        };
-        match gate.get(name).and_then(Value::as_f64) {
-            None => violations.push(format!("gated metric {name} missing from this run")),
-            Some(measured) if measured > base_ns * ratio => violations.push(format!(
-                "{name}: {measured:.1} ns exceeds {base_ns:.1} ns x {ratio} = {:.1} ns",
-                base_ns * ratio
-            )),
-            Some(_) => {}
-        }
-    }
-    violations
-}
-
-fn main() -> ExitCode {
-    let mut out_path: Option<PathBuf> = None;
-    let mut check_path: Option<PathBuf> = None;
-    let mut write_thresholds: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let path_arg = |args: &mut dyn Iterator<Item = String>| {
-            args.next().map(PathBuf::from).unwrap_or_else(|| {
-                eprintln!("mmap_bench: {arg} needs a path argument");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => out_path = Some(path_arg(&mut args)),
-            "--check" => check_path = Some(path_arg(&mut args)),
-            "--write-thresholds" => write_thresholds = Some(path_arg(&mut args)),
-            "--smoke" => return run_smoke(),
-            "--rss-child" => return run_rss_child(),
-            other => {
-                eprintln!(
-                    "mmap_bench: unknown argument {other} \
-                     (expected --smoke or --out/--check/--write-thresholds <path>)"
-                );
-                return ExitCode::from(2);
+/// The relational rules `--check` adds to the committed thresholds.
+fn rules(decode: &Value, e2e: &Map, rss: &Value, committed: &Value) -> Vec<String> {
+    let mut broken = Vec::new();
+    // Warm mapped access must stay within a small factor of in-RAM —
+    // compared within this run, so absolute machine speed cancels.
+    match gate::number(committed, &["max_warm_ratio"]) {
+        None => broken.push("thresholds file has no numeric max_warm_ratio".to_string()),
+        Some(max_warm) => {
+            let dec_ratio = decode["warm_ratio"].as_f64().unwrap_or(f64::INFINITY);
+            if dec_ratio > max_warm {
+                broken.push(format!(
+                    "warm mapped block decode is {dec_ratio:.2}x heap (allowed {max_warm}x)"
+                ));
+            }
+            for (shape, row) in e2e {
+                let r = row["warm_ratio"].as_f64().unwrap_or(f64::INFINITY);
+                if r > max_warm {
+                    broken.push(format!(
+                        "warm mapped {shape} query is {r:.2}x heap (allowed {max_warm}x)"
+                    ));
+                }
             }
         }
     }
-    let root = iiu_bench::workspace_root().unwrap_or_else(|| PathBuf::from("."));
-    let out_path = out_path.unwrap_or_else(|| root.join("BENCH_mmap.json"));
+    // The ≥1M-doc bounded-RSS acceptance bound.
+    match (gate::number(committed, &["rss_max_kb"]), rss["vm_hwm_kb"].as_f64()) {
+        (None, _) => broken.push("thresholds file has no numeric rss_max_kb".to_string()),
+        (_, None) => broken.push("RSS child reported no VmHWM".to_string()),
+        (Some(rss_max), Some(kb)) if kb > rss_max => broken
+            .push(format!("RSS child peaked at {kb} KiB, exceeds committed {rss_max} KiB")),
+        _ => {}
+    }
+    if rss["docs"].as_u64().unwrap_or(0) < u64::from(RSS_DOCS) {
+        broken.push("RSS child corpus is under the 1M-doc bound".to_string());
+    }
+    broken
+}
+
+fn main() -> ExitCode {
+    let args = Args::parse("mmap_bench", "BENCH_mmap.json", &["--smoke", "--rss-child"]);
+    match args.switch {
+        Some("--smoke") => return run_smoke(),
+        Some(_) => return run_rss_child(),
+        None => {}
+    }
 
     println!("== mmap vs heap: {E2E_DOCS}-doc corpus, {N_QUERIES} queries/shape ==");
     let path = temp_index_path("e2e");
@@ -311,16 +268,14 @@ fn main() -> ExitCode {
     drop(bytes);
     let mapped = storage::map_index(&path).expect("mapped load");
 
-    let mut sampler = QuerySampler::with_bias(&heap, 42, 1.0, 64);
-    let singles = sampler.single_queries(N_QUERIES);
-    let pairs = sampler.pair_queries(N_QUERIES);
+    let queries = Queries::sample(&heap, 64, N_QUERIES);
 
     // Correctness before timing — this sweep also warms every mapped page
     // and pays each record's lazy CRC exactly once.
-    assert_source_equivalence(&heap, &mapped, &singles, &pairs);
+    assert_source_equivalence(&heap, &mapped, &queries);
     println!("source equivalence: OK (equal indexes, bit-identical pruned hits)");
 
-    let mut gate = Map::new();
+    let mut run = Run::new("mmap", "min_ns");
 
     // Block decode straight out of the warm mapping vs owned heap bytes.
     let ids = top_df_terms(&heap, DECODE_LISTS);
@@ -330,8 +285,8 @@ fn main() -> ExitCode {
         bench_with("decode/heap", 6, 24, &mut || decode_lists(&heap, &ids, &mut scratch));
     let mmap_dec =
         bench_with("decode/mmap", 6, 24, &mut || decode_lists(&mapped, &ids, &mut scratch));
-    gate.insert("block_decode_heap".into(), json!(heap_dec.min_ns));
-    gate.insert("block_decode_mmap".into(), json!(mmap_dec.min_ns));
+    run.metrics.insert("block_decode_heap".into(), json!(heap_dec.min_ns));
+    run.metrics.insert("block_decode_mmap".into(), json!(mmap_dec.min_ns));
     let decode = json!({
         "lists": DECODE_LISTS,
         "postings_per_iter": decoded,
@@ -344,20 +299,13 @@ fn main() -> ExitCode {
     let mut eh = CpuEngine::new(&heap).with_pruning(true);
     let mut em = CpuEngine::new(&mapped).with_pruning(true);
     let mut e2e = Map::new();
-    for shape in ["single", "and", "or"] {
-        let mut i = 0usize;
-        let h = bench_with(&format!("e2e/{shape}/heap"), 8, 30, &mut || {
-            i += 1;
-            run_query(&mut eh, shape, &singles, &pairs, i - 1, 10).len()
-        });
-        let mut j = 0usize;
-        let m = bench_with(&format!("e2e/{shape}/mmap"), 8, 30, &mut || {
-            j += 1;
-            run_query(&mut em, shape, &singles, &pairs, j - 1, 10).len()
-        });
-        gate.insert(format!("e2e_{shape}_mmap"), json!(m.min_ns));
+    for shape in Shape::ALL {
+        let name = shape.name();
+        let h = queries.time(&format!("e2e/{name}/heap"), &mut eh, shape, 10);
+        let m = queries.time(&format!("e2e/{name}/mmap"), &mut em, shape, 10);
+        run.metrics.insert(format!("e2e_{name}_mmap"), json!(m.min_ns));
         e2e.insert(
-            shape.to_string(),
+            name.to_string(),
             json!({
                 "heap_min_ns": h.min_ns,
                 "mmap_min_ns": m.min_ns,
@@ -375,7 +323,7 @@ fn main() -> ExitCode {
     let t0 = Instant::now();
     let mut cold_hits = 0usize;
     for i in 0..N_QUERIES {
-        cold_hits += run_query(&mut ec, "single", &singles, &pairs, i, 10).len();
+        cold_hits += queries.run(&mut ec, Shape::Single, i, 10).hits.len();
     }
     let cold_sweep_ns = t0.elapsed().as_nanos() as u64;
     let cold = json!({
@@ -405,86 +353,13 @@ fn main() -> ExitCode {
         "e2e": Value::Object(e2e.clone()),
         "cold": cold,
         "rss_gate": rss.clone(),
-        "gate_min_ns": Value::Object(gate.clone()),
     });
-    let text = serde_json::to_string_pretty(&report).expect("serializable");
-    if let Err(e) = std::fs::write(&out_path, text + "\n") {
-        eprintln!("mmap_bench: cannot write {}: {e}", out_path.display());
-        return ExitCode::from(2);
-    }
-    println!("[wrote {}]", out_path.display());
-
-    if let Some(path) = write_thresholds {
-        let t = json!({
-            "schema": "mmap-gate-thresholds-v1",
-            "comment": "min_ns baselines for the mmap storage gate; a run fails when measured > baseline * fail_above_ratio, when a warm mapped decode/query exceeds its same-run heap time by more than max_warm_ratio, or when the streamed-gen + mmap-serve child's peak RSS exceeds rss_max_kb. Regenerate with: cargo run --release -p iiu-bench --bin mmap_bench -- --write-thresholds BENCH_mmap_thresholds.json",
-            "fail_above_ratio": 1.25,
-            "max_warm_ratio": 1.5,
-            "rss_max_kb": 262_144,
-            "min_ns": Value::Object(gate.clone()),
-        });
-        let t = serde_json::to_string_pretty(&t).expect("serializable");
-        if let Err(e) = std::fs::write(&path, t + "\n") {
-            eprintln!("mmap_bench: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("[wrote {}]", path.display());
-    }
-
-    if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("mmap_bench: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let thresholds: Value = match serde_json::from_str(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("mmap_bench: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let mut violations = check_min_ns(&gate, &thresholds);
-        // Warm mapped access must stay within a small factor of in-RAM —
-        // compared within this run, so absolute machine speed cancels.
-        let max_warm = thresholds["max_warm_ratio"].as_f64().unwrap_or(1.5);
-        let dec_ratio = decode["warm_ratio"].as_f64().unwrap_or(f64::INFINITY);
-        if dec_ratio > max_warm {
-            violations.push(format!(
-                "warm mapped block decode is {dec_ratio:.2}x heap (allowed {max_warm}x)"
-            ));
-        }
-        for (shape, row) in &e2e {
-            let r = row["warm_ratio"].as_f64().unwrap_or(f64::INFINITY);
-            if r > max_warm {
-                violations.push(format!(
-                    "warm mapped {shape} query is {r:.2}x heap (allowed {max_warm}x)"
-                ));
-            }
-        }
-        // The ≥1M-doc bounded-RSS acceptance bound.
-        let rss_max = thresholds["rss_max_kb"].as_u64().unwrap_or(u64::MAX);
-        let hwm = rss["vm_hwm_kb"].as_u64();
-        match hwm {
-            None => violations.push("RSS child reported no VmHWM".to_string()),
-            Some(kb) if kb > rss_max => violations.push(format!(
-                "RSS child peaked at {kb} KiB, exceeds committed {rss_max} KiB"
-            )),
-            Some(_) => {}
-        }
-        if rss["docs"].as_u64().unwrap_or(0) < u64::from(RSS_DOCS) {
-            violations.push("RSS child corpus is under the 1M-doc bound".to_string());
-        }
-        if violations.is_empty() {
-            println!("mmap gate: OK ({} metrics within threshold)", gate.len() + 5);
-        } else {
-            for v in &violations {
-                eprintln!("mmap gate: REGRESSION: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    let template = json!({
+        "schema": "mmap-gate-thresholds-v1",
+        "comment": "min_ns baselines for the mmap storage gate; a run fails when measured > baseline * fail_above_ratio, when a warm mapped decode/query exceeds its same-run heap time by more than max_warm_ratio, or when the streamed-gen + mmap-serve child's peak RSS exceeds rss_max_kb. Regenerate with: cargo run --release -p iiu-bench --bin mmap_bench -- --write-thresholds BENCH_mmap_thresholds.json",
+        "fail_above_ratio": 1.25,
+        "max_warm_ratio": 1.5,
+        "rss_max_kb": 262_144,
+    });
+    run.finish(&args, report, template, |committed| rules(&decode, &e2e, &rss, committed))
 }

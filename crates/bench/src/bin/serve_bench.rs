@@ -18,18 +18,19 @@
 //! p99 (the tentpole claim: per-query parallelism routing buys tail
 //! latency at equal load), the hybrid run used both routes, and the
 //! committed latency thresholds hold. Writes `BENCH_serve.json` at the
-//! workspace root; `--write-thresholds <path>` emits a fresh thresholds
-//! file. `verify.sh` runs the gate in `--release`; `--quick` skips it.
+//! workspace root; `--out`, `--check` and `--write-thresholds` are
+//! [`iiu_bench::gate`]'s, with a `fail_above_ratio` of 2.0 on `max_us`.
+//! `verify.sh` runs the gate in `--release`; `--quick` skips it.
 
 // Experiment-runner code: panicking on a broken setup is the right
 // behavior (same contract as the other gate binaries).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use iiu_bench::gate::{Args, Run};
 use iiu_core::{estimate_query_cost, CpuSearchEngine, Hit, Query, SearchEngine};
 use iiu_index::InvertedIndex;
 use iiu_serve::{
@@ -37,7 +38,7 @@ use iiu_serve::{
     ServeConfig, ShardPoolConfig,
 };
 use iiu_workloads::{traffic, CorpusConfig, TrafficConfig};
-use serde_json::{json, Map, Value};
+use serde_json::{json, Value};
 
 /// Queries offered per mode (the gate requires ≥100k).
 const N_QUERIES: usize = 100_000;
@@ -201,68 +202,36 @@ fn mode_json(run: &ModeRun) -> Value {
     })
 }
 
-/// Checks this run's gated latencies against committed thresholds.
-/// Returns the list of violations (empty = pass).
-fn check_thresholds(gate: &Map, thresholds: &Value) -> Vec<String> {
-    let ratio = thresholds["fail_above_ratio"].as_f64().unwrap_or(2.0);
-    let mut violations = Vec::new();
-    let Some(baseline) = thresholds["max_us"].as_object() else {
-        return vec!["thresholds file has no \"max_us\" object".to_string()];
-    };
-    for (name, base) in baseline {
-        let Some(base_us) = base.as_f64() else {
-            violations.push(format!("threshold {name} is not a number"));
-            continue;
-        };
-        match gate.get(name).and_then(Value::as_f64) {
-            None => violations.push(format!("gated metric {name} missing from this run")),
-            Some(measured) if measured > base_us * ratio => violations.push(format!(
-                "{name}: {measured:.1} us exceeds {base_us:.1} us x {ratio} = {:.1} us",
-                base_us * ratio
-            )),
-            Some(_) => {}
-        }
+/// The relational rules `--check` adds to the committed thresholds: at
+/// equal offered load the hybrid scheduler must strictly beat the fixed
+/// topology on p99 (the machine-independent tentpole claim), and must have
+/// done so by actually routing, not by degenerating into a single mode.
+fn rules(fixed: &ModeRun, hybrid: &ModeRun) -> Vec<String> {
+    let mut broken = Vec::new();
+    if quantile_us(hybrid.p99) >= quantile_us(fixed.p99) {
+        broken.push(format!(
+            "hybrid p99 {} not strictly below fixed p99 {}",
+            hybrid.p99, fixed.p99
+        ));
     }
-    violations
-}
-
-fn thresholds_from(gate: &Map, ratio: f64) -> Value {
-    json!({
-        "schema": "serve-gate-thresholds-v1",
-        "comment": "max_us baselines for the serve tail-latency gate; a run fails when measured > baseline * fail_above_ratio. The relational gate (hybrid p99 < fixed p99) is machine-independent and always enforced by --check. Regenerate with: cargo run --release -p iiu-bench --bin serve_bench -- --write-thresholds BENCH_serve_thresholds.json",
-        "fail_above_ratio": ratio,
-        "max_us": Value::Object(gate.clone()),
-    })
+    if hybrid.sched_inline == 0 || hybrid.sched_fanout == 0 {
+        broken.push(format!(
+            "hybrid run degenerated to one route (inline={} fanout={})",
+            hybrid.sched_inline, hybrid.sched_fanout
+        ));
+    }
+    if hybrid.p999.is_lower_bound {
+        broken.push(format!(
+            "hybrid p999 {} fell in the histogram's open-ended top bucket \
+             (≈101 days): the service wedged",
+            hybrid.p999
+        ));
+    }
+    broken
 }
 
 fn main() -> ExitCode {
-    let mut out_path: Option<PathBuf> = None;
-    let mut check_path: Option<PathBuf> = None;
-    let mut write_thresholds: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let path_arg = |args: &mut dyn Iterator<Item = String>| {
-            args.next().map(PathBuf::from).unwrap_or_else(|| {
-                eprintln!("serve_bench: {arg} needs a path argument");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => out_path = Some(path_arg(&mut args)),
-            "--check" => check_path = Some(path_arg(&mut args)),
-            "--write-thresholds" => write_thresholds = Some(path_arg(&mut args)),
-            other => {
-                eprintln!(
-                    "serve_bench: unknown argument {other} \
-                     (expected --out/--check/--write-thresholds <path>)"
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let root = iiu_bench::workspace_root().unwrap_or_else(|| PathBuf::from("."));
-    let out_path = out_path.unwrap_or_else(|| root.join("BENCH_serve.json"));
-
+    let args = Args::parse("serve_bench", "BENCH_serve.json", &[]);
     println!(
         "== serve tail latency: {N_QUERIES} Zipf(s={ZIPF_SKEW}) queries, {DOCS} docs, \
          k={K}, {CONCURRENCY} outstanding, {WORKERS} workers, {SHARDS} shards, \
@@ -314,10 +283,10 @@ fn main() -> ExitCode {
         quantile_us(fixed.p99) / quantile_us(hybrid.p99).max(1e-9),
     );
 
-    let mut gate = Map::new();
-    gate.insert("fixed_p99_us".to_string(), json!(quantile_us(fixed.p99)));
-    gate.insert("hybrid_p99_us".to_string(), json!(quantile_us(hybrid.p99)));
-    gate.insert("hybrid_p999_us".to_string(), json!(quantile_us(hybrid.p999)));
+    let mut run = Run::new("serve", "max_us");
+    run.metrics.insert("fixed_p99_us".to_string(), json!(quantile_us(fixed.p99)));
+    run.metrics.insert("hybrid_p99_us".to_string(), json!(quantile_us(hybrid.p99)));
+    run.metrics.insert("hybrid_p999_us".to_string(), json!(quantile_us(hybrid.p999)));
 
     let modes = json!({ "fixed": mode_json(&fixed), "hybrid": mode_json(&hybrid) });
     let report = json!({
@@ -333,76 +302,15 @@ fn main() -> ExitCode {
         "heavy_df_threshold": heavy_df_threshold,
         "modes": modes,
         "p99_gain": quantile_us(fixed.p99) / quantile_us(hybrid.p99).max(1e-9),
-        "gate_max_us": Value::Object(gate.clone()),
     });
-    let text = serde_json::to_string_pretty(&report).expect("serializable");
-    if let Err(e) = std::fs::write(&out_path, text + "\n") {
-        eprintln!("serve_bench: cannot write {}: {e}", out_path.display());
-        return ExitCode::from(2);
-    }
-    println!("[wrote {}]", out_path.display());
-
-    if let Some(path) = write_thresholds {
-        // Service latencies run real thread handoffs under a saturated
-        // closed loop and swing more than single-threaded micro numbers,
-        // so the absolute ceilings are a coarse backstop (the hard gate
-        // is the relational hybrid-beats-fixed check) with a loose ratio.
-        let t =
-            serde_json::to_string_pretty(&thresholds_from(&gate, 2.0)).expect("serializable");
-        if let Err(e) = std::fs::write(&path, t + "\n") {
-            eprintln!("serve_bench: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("[wrote {}]", path.display());
-    }
-
-    if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serve_bench: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let thresholds = match serde_json::from_str(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("serve_bench: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let mut violations = check_thresholds(&gate, &thresholds);
-        // The tentpole claim, machine-independent: at equal offered load
-        // the hybrid scheduler must strictly beat the fixed topology on
-        // p99 — and must have done so by actually routing, not by
-        // degenerating into a single mode.
-        if quantile_us(hybrid.p99) >= quantile_us(fixed.p99) {
-            violations.push(format!(
-                "hybrid p99 {} not strictly below fixed p99 {}",
-                hybrid.p99, fixed.p99
-            ));
-        }
-        if hybrid.sched_inline == 0 || hybrid.sched_fanout == 0 {
-            violations.push(format!(
-                "hybrid run degenerated to one route (inline={} fanout={})",
-                hybrid.sched_inline, hybrid.sched_fanout
-            ));
-        }
-        if hybrid.p999.is_lower_bound {
-            violations.push(format!(
-                "hybrid p999 {} fell in the histogram's open-ended top bucket \
-                 (≈101 days): the service wedged",
-                hybrid.p999
-            ));
-        }
-        if violations.is_empty() {
-            println!("serve gate: OK (hybrid p99 {} < fixed p99 {})", hybrid.p99, fixed.p99);
-        } else {
-            for v in &violations {
-                eprintln!("serve gate: REGRESSION: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    // Service latencies run real thread handoffs under a saturated closed
+    // loop and swing more than single-threaded micro numbers, so the
+    // absolute ceilings are a coarse backstop (the hard gate is the
+    // relational hybrid-beats-fixed check) with a loose ratio.
+    let template = json!({
+        "schema": "serve-gate-thresholds-v1",
+        "comment": "max_us baselines for the serve tail-latency gate; a run fails when measured > baseline * fail_above_ratio. The relational gate (hybrid p99 < fixed p99) is machine-independent and always enforced by --check. Regenerate with: cargo run --release -p iiu-bench --bin serve_bench -- --write-thresholds BENCH_serve_thresholds.json",
+        "fail_above_ratio": 2.0,
+    });
+    run.finish(&args, report, template, |_| rules(&fixed, &hybrid))
 }

@@ -18,24 +18,23 @@
 //!   ≥2.5× the unsharded pruned baseline with a nonzero skipped-block
 //!   tally surviving the shard split.
 //!
-//! Writes `BENCH_shard.json` at the workspace root. `--check
-//! <thresholds.json>` compares the gated metrics against the committed
-//! thresholds; `--write-thresholds <path>` emits a fresh thresholds file.
-//! `verify.sh` runs the gate in `--release`; pass `--quick` to skip it.
+//! Writes `BENCH_shard.json` at the workspace root; `--out`, `--check`
+//! and `--write-thresholds` are [`iiu_bench::gate`]'s, with a
+//! `fail_above_ratio` of 1.75 on `min_ns`. `verify.sh` runs the gate in
+//! `--release`; pass `--quick` to skip it.
 
 // Experiment-runner code: panicking on a broken setup is the right
 // behavior (same contract as the iiu-bench lib crate).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use iiu_baseline::{CpuEngine, ShardedEngine};
-use iiu_bench::micro::bench_with;
+use iiu_bench::gate::{qps, Args, Queries, Run, Shape};
 use iiu_index::shard::ShardedIndex;
 use iiu_index::InvertedIndex;
-use iiu_workloads::{CorpusConfig, QuerySampler};
+use iiu_workloads::CorpusConfig;
 use serde_json::{json, Map, Value};
 
 /// Queries sampled per shape.
@@ -54,14 +53,6 @@ const MIN_DF: u64 = 4096;
 /// unsharded pruned baseline for `--check` to pass.
 const MODELED_4SHARD_MIN_GAIN: f64 = 2.5;
 
-fn qps(min_ns: f64) -> f64 {
-    if min_ns > 0.0 {
-        1e9 / min_ns
-    } else {
-        f64::INFINITY
-    }
-}
-
 /// Per-(shape, shard-count) measurement: bit-identity proof first, then
 /// modeled critical-path totals over the query set, then wall clock.
 struct ShapeRun {
@@ -73,128 +64,59 @@ struct ShapeRun {
 }
 
 fn run_sharded(
-    eng: &ShardedEngine,
+    eng: &mut ShardedEngine,
     plain: &mut CpuEngine,
-    shape: &str,
-    singles: &[String],
-    pairs: &[(String, String)],
+    shape: Shape,
+    queries: &Queries,
 ) -> ShapeRun {
     // Correctness first: the timed loop below only counts hits, so prove
     // bit-identity over the whole query set up front and collect the
     // modeled totals and skip tallies while at it.
     let mut modeled_total_ns = 0.0;
     let (mut blocks_skipped, mut postings_skipped) = (0u64, 0u64);
+    let (name, n) = (shape.name(), eng.num_shards());
     for i in 0..N_QUERIES {
-        let (a, b) = match shape {
-            "single" => {
-                let t = &singles[i];
-                (
-                    plain.search_single(t, K).expect("sampled term"),
-                    eng.search_single(t, K).expect("sampled term"),
-                )
-            }
-            "and" => {
-                let (ta, tb) = &pairs[i];
-                (
-                    plain.search_intersection(ta, tb, K).expect("sampled terms"),
-                    eng.search_intersection(ta, tb, K).expect("sampled terms"),
-                )
-            }
-            _ => {
-                let (ta, tb) = &pairs[i];
-                (
-                    plain.search_union(ta, tb, K).expect("sampled terms"),
-                    eng.search_union(ta, tb, K).expect("sampled terms"),
-                )
-            }
-        };
+        let a = queries.run(plain, shape, i, K);
+        let b = queries.run(eng, shape, i, K);
         assert_eq!(
-            a.hits,
-            b.hits,
-            "sharded {shape} diverged from unsharded at query {i} \
-             (n={})",
-            eng.num_shards()
+            a.hits, b.hits,
+            "sharded {name} diverged from unsharded at query {i} (n={n})"
         );
         modeled_total_ns += b.latency_ns();
         blocks_skipped += b.counts.blocks_skipped;
         postings_skipped += b.counts.postings_skipped;
     }
-
-    let mut i = 0usize;
-    let n = eng.num_shards();
-    let wall = bench_with(&format!("shard/{shape}/s{n}"), 8, 30, &mut || {
-        i += 1;
-        let idx = i - 1;
-        match shape {
-            "single" => {
-                eng.search_single(&singles[idx % N_QUERIES], K).expect("term").hits.len()
-            }
-            "and" => {
-                let (a, b) = &pairs[idx % N_QUERIES];
-                eng.search_intersection(a, b, K).expect("terms").hits.len()
-            }
-            _ => {
-                let (a, b) = &pairs[idx % N_QUERIES];
-                eng.search_union(a, b, K).expect("terms").hits.len()
-            }
-        }
-    });
-
+    let wall = queries.time(&format!("shard/{name}/s{n}"), eng, shape, K);
     ShapeRun { wall_min_ns: wall.min_ns, modeled_total_ns, blocks_skipped, postings_skipped }
 }
 
-/// Modeled critical-path totals for the unsharded pruned baseline over
-/// the same query set (the denominator of the scaling claim).
-fn unsharded_modeled(
-    plain: &mut CpuEngine,
-    shape: &str,
-    singles: &[String],
-    pairs: &[(String, String)],
-) -> f64 {
-    let mut total = 0.0;
-    for i in 0..N_QUERIES {
-        let out = match shape {
-            "single" => plain.search_single(&singles[i], K).expect("term"),
-            "and" => {
-                let (a, b) = &pairs[i];
-                plain.search_intersection(a, b, K).expect("terms")
-            }
-            _ => {
-                let (a, b) = &pairs[i];
-                plain.search_union(a, b, K).expect("terms")
-            }
-        };
-        total += out.latency_ns();
-    }
-    total
-}
-
-fn bench_shards(index: &InvertedIndex, gate: &mut Map) -> Value {
+fn bench_shards(index: &InvertedIndex, metrics: &mut Map) -> Value {
     // Sample only genuinely heavy lists (df ≥ MIN_DF). Intra-query
     // sharding is for decode-bound queries; a short tail list is
     // dominated by the fixed per-query overhead, which no amount of
     // parallelism can split, and a serving layer would not fan it out.
-    let mut sampler = QuerySampler::with_bias(index, 42, 1.0, MIN_DF);
-    let singles = sampler.single_queries(N_QUERIES);
-    let pairs = sampler.pair_queries(N_QUERIES);
+    let queries = Queries::sample(index, MIN_DF, N_QUERIES);
 
     let mut shapes = Map::new();
-    for shape in ["single", "and", "or"] {
+    for shape in Shape::ALL {
         let mut plain = CpuEngine::new(index).with_pruning(true);
-        let base_modeled_ns = unsharded_modeled(&mut plain, shape, &singles, &pairs);
+        // Modeled critical-path total of the unsharded pruned baseline over
+        // the same query set: the denominator of the scaling claim.
+        let base_modeled_ns: f64 =
+            (0..N_QUERIES).map(|i| queries.run(&mut plain, shape, i, K).latency_ns()).sum();
 
         let mut rows = Map::new();
         for n in SHARD_COUNTS {
             let split = Arc::new(ShardedIndex::split(index, n).expect("split"));
-            let eng = ShardedEngine::new(split).with_pruning(true);
-            let run = run_sharded(&eng, &mut plain, shape, &singles, &pairs);
+            let mut eng = ShardedEngine::new(split).with_pruning(true);
+            let run = run_sharded(&mut eng, &mut plain, shape, &queries);
 
             // Per-query modeled numbers: totals over N_QUERIES divided out.
             let modeled_ns = run.modeled_total_ns / N_QUERIES as f64;
             let base_ns = base_modeled_ns / N_QUERIES as f64;
             let modeled_gain = base_ns / modeled_ns.max(1.0);
-            if shape == "single" {
-                gate.insert(format!("sharded_single_k10_s{n}"), json!(run.wall_min_ns));
+            if shape == Shape::Single {
+                metrics.insert(format!("sharded_single_k10_s{n}"), json!(run.wall_min_ns));
             }
             rows.insert(
                 format!("s{n}"),
@@ -211,85 +133,48 @@ fn bench_shards(index: &InvertedIndex, gate: &mut Map) -> Value {
                 }),
             );
             println!(
-                "shard/{shape}/s{n}: modeled {:.0} ns/query ({:.2}x unsharded), \
+                "shard/{}/s{n}: modeled {:.0} ns/query ({:.2}x unsharded), \
                  {} blocks skipped",
-                modeled_ns, modeled_gain, run.blocks_skipped
+                shape.name(),
+                modeled_ns,
+                modeled_gain,
+                run.blocks_skipped
             );
         }
-        shapes.insert(shape.to_string(), Value::Object(rows));
+        shapes.insert(shape.name().to_string(), Value::Object(rows));
     }
     Value::Object(shapes)
 }
 
-/// Checks this run's gated metrics against committed thresholds. Returns
-/// the list of violations (empty = pass).
-fn check_thresholds(gate: &Map, thresholds: &Value) -> Vec<String> {
-    let ratio = thresholds["fail_above_ratio"].as_f64().unwrap_or(1.25);
-    let mut violations = Vec::new();
-    let Some(baseline) = thresholds["min_ns"].as_object() else {
-        return vec!["thresholds file has no \"min_ns\" object".to_string()];
-    };
-    for (name, base) in baseline {
-        let Some(base_ns) = base.as_f64() else {
-            violations.push(format!("threshold {name} is not a number"));
-            continue;
-        };
-        match gate.get(name).and_then(Value::as_f64) {
-            None => violations.push(format!("gated metric {name} missing from this run")),
-            Some(measured) if measured > base_ns * ratio => violations.push(format!(
-                "{name}: {measured:.1} ns exceeds {base_ns:.1} ns x {ratio} = {:.1} ns",
-                base_ns * ratio
-            )),
-            Some(_) => {}
-        }
+/// The relational rules `--check` adds to the committed thresholds:
+/// latency thresholds alone can't prove sharding pays off, so also
+/// require the modeled 4-shard single-term win and that block-max pruning
+/// still skips blocks after the split.
+fn rules(shapes: &Value) -> Vec<String> {
+    let mut broken = Vec::new();
+    let s4 = &shapes["single"]["s4"];
+    let gain = s4["modeled_qps_gain"].as_f64().unwrap_or(0.0);
+    if gain < MODELED_4SHARD_MIN_GAIN {
+        broken.push(format!(
+            "4-shard single k=10 modeled qps gain {gain:.2} below required \
+             {MODELED_4SHARD_MIN_GAIN}"
+        ));
     }
-    violations
-}
-
-fn thresholds_from(gate: &Map, ratio: f64) -> Value {
-    json!({
-        "schema": "shard-gate-thresholds-v1",
-        "comment": "min_ns baselines for the shard scaling gate; a run fails when measured > baseline * fail_above_ratio. Regenerate with: cargo run --release -p iiu-bench --bin shard_bench -- --write-thresholds BENCH_shard_thresholds.json",
-        "fail_above_ratio": ratio,
-        "min_ns": Value::Object(gate.clone()),
-    })
+    if s4["blocks_skipped"].as_u64().unwrap_or(0) == 0 {
+        broken.push("4-shard single k=10 skipped no blocks".to_string());
+    }
+    broken
 }
 
 fn main() -> ExitCode {
-    let mut out_path: Option<PathBuf> = None;
-    let mut check_path: Option<PathBuf> = None;
-    let mut write_thresholds: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let path_arg = |args: &mut dyn Iterator<Item = String>| {
-            args.next().map(PathBuf::from).unwrap_or_else(|| {
-                eprintln!("shard_bench: {arg} needs a path argument");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => out_path = Some(path_arg(&mut args)),
-            "--check" => check_path = Some(path_arg(&mut args)),
-            "--write-thresholds" => write_thresholds = Some(path_arg(&mut args)),
-            other => {
-                eprintln!(
-                    "shard_bench: unknown argument {other} \
-                     (expected --out/--check/--write-thresholds <path>)"
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let root = iiu_bench::workspace_root().unwrap_or_else(|| PathBuf::from("."));
-    let out_path = out_path.unwrap_or_else(|| root.join("BENCH_shard.json"));
-
+    let args = Args::parse("shard_bench", "BENCH_shard.json", &[]);
     println!(
         "== sharded vs unsharded pruned top-k, {E2E_DOCS} docs, k={K}, \
          shards in {SHARD_COUNTS:?} =="
     );
     let index = CorpusConfig::ccnews_like(E2E_DOCS).generate().into_default_index();
-    let mut gate = Map::new();
-    let shapes = bench_shards(&index, &mut gate);
+    let mut run = Run::new("shard", "min_ns");
+    let shapes = bench_shards(&index, &mut run.metrics);
 
     let report = json!({
         "schema": "shard-bench-v1",
@@ -297,67 +182,15 @@ fn main() -> ExitCode {
         "k": K,
         "queries_per_shape": N_QUERIES,
         "shapes": shapes.clone(),
-        "gate_min_ns": Value::Object(gate.clone()),
     });
-    let text = serde_json::to_string_pretty(&report).expect("serializable");
-    if let Err(e) = std::fs::write(&out_path, text + "\n") {
-        eprintln!("shard_bench: cannot write {}: {e}", out_path.display());
-        return ExitCode::from(2);
-    }
-    println!("[wrote {}]", out_path.display());
-
-    if let Some(path) = write_thresholds {
-        // Wall timings here run real OS threads and swing far more between
-        // runs than decode_bench's single-threaded loops, so the wall gate
-        // is a coarse backstop (the hard perf gate is the modeled scaling
-        // check above) and gets a correspondingly looser ratio.
-        let t =
-            serde_json::to_string_pretty(&thresholds_from(&gate, 1.75)).expect("serializable");
-        if let Err(e) = std::fs::write(&path, t + "\n") {
-            eprintln!("shard_bench: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("[wrote {}]", path.display());
-    }
-
-    if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("shard_bench: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let thresholds = match serde_json::from_str(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("shard_bench: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let mut violations = check_thresholds(&gate, &thresholds);
-        // Latency thresholds alone can't prove sharding pays off; also
-        // require the modeled 4-shard single-term win and that block-max
-        // pruning still skips blocks after the split.
-        let s4 = &shapes["single"]["s4"];
-        let gain = s4["modeled_qps_gain"].as_f64().unwrap_or(0.0);
-        if gain < MODELED_4SHARD_MIN_GAIN {
-            violations.push(format!(
-                "4-shard single k=10 modeled qps gain {gain:.2} below required \
-                 {MODELED_4SHARD_MIN_GAIN}"
-            ));
-        }
-        if s4["blocks_skipped"].as_u64().unwrap_or(0) == 0 {
-            violations.push("4-shard single k=10 skipped no blocks".to_string());
-        }
-        if violations.is_empty() {
-            println!("shard gate: OK ({} metrics within threshold)", gate.len());
-        } else {
-            for v in &violations {
-                eprintln!("shard gate: REGRESSION: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    // Wall timings here run real OS threads and swing far more between
+    // runs than decode_bench's single-threaded loops, so the wall gate is
+    // a coarse backstop (the hard perf gate is the modeled scaling check)
+    // and gets a correspondingly looser ratio.
+    let template = json!({
+        "schema": "shard-gate-thresholds-v1",
+        "comment": "min_ns baselines for the shard scaling gate; a run fails when measured > baseline * fail_above_ratio. Regenerate with: cargo run --release -p iiu-bench --bin shard_bench -- --write-thresholds BENCH_shard_thresholds.json",
+        "fail_above_ratio": 1.75,
+    });
+    run.finish(&args, report, template, |_| rules(&shapes))
 }

@@ -22,6 +22,7 @@
 
 pub mod context;
 pub mod experiments;
+pub mod gate;
 pub mod micro;
 pub mod report;
 

@@ -1,96 +1,16 @@
-//! Equivalence suite for the hot-path decode kernels: the batch unpack
-//! kernel against the retained scalar reference, fused block decode
-//! against the allocating wrapper, and engine-level invariance of both
-//! results and logical cost tallies under scratch reuse and block
-//! caching.
+//! Equivalence suite for the hot-path block decode: the fused zero-alloc
+//! block decode against the allocating wrapper and the encoded postings,
+//! and engine-level invariance of both results and logical cost tallies
+//! under scratch reuse and block caching.
 
 use iiu_baseline::CpuEngine;
-use iiu_index::bitpack::{
-    pack_all, try_unpack_into, unpack_all, unpack_all_scalar, unpack_into, BitWriter,
-};
 use iiu_index::block::EncodedList;
 use iiu_index::{Posting, PostingList};
 use iiu_workloads::{CorpusConfig, QuerySampler};
 use proptest::prelude::*;
 
-/// Masks `v` down to `width` bits so it is representable.
-fn clamp(v: u32, width: u8) -> u32 {
-    if width == 0 {
-        0
-    } else if width >= 32 {
-        v
-    } else {
-        v & ((1u32 << width) - 1)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The batch kernel decodes exactly what was packed, at every width
-    /// 0..=32, for lengths crossing the 32-value group boundary, and it
-    /// appends rather than overwriting.
-    #[test]
-    fn prop_unpack_into_matches_packed_values(
-        width in 0u8..=32,
-        raw in proptest::collection::vec(0u32..u32::MAX, 0..200),
-    ) {
-        let values: Vec<u32> = raw.iter().map(|&v| clamp(v, width)).collect();
-        let bytes = pack_all(&values, width);
-
-        let mut out = vec![0xDEAD_BEEF];
-        unpack_into(&bytes, 0, values.len(), width, &mut out);
-        prop_assert_eq!(out[0], 0xDEAD_BEEF, "must append, not overwrite");
-        prop_assert_eq!(&out[1..], &values[..]);
-
-        prop_assert_eq!(unpack_all(&bytes, values.len(), width), values.clone());
-        prop_assert_eq!(unpack_all_scalar(&bytes, values.len(), width), values);
-    }
-
-    /// Unaligned starts: after `lead` junk bits, the kernel still decodes
-    /// the packed values — every (lead mod 8, width) combination reaches
-    /// the word-window path with a nonzero in-byte offset.
-    #[test]
-    fn prop_unpack_into_handles_unaligned_offsets(
-        width in 0u8..=32,
-        lead in 0usize..64,
-        raw in proptest::collection::vec(0u32..u32::MAX, 0..140),
-    ) {
-        let values: Vec<u32> = raw.iter().map(|&v| clamp(v, width)).collect();
-        let mut w = BitWriter::new();
-        for i in 0..lead {
-            w.write((i as u32) & 1, 1);
-        }
-        for &v in &values {
-            w.write(v, width);
-        }
-        let bytes = w.finish();
-
-        let mut out = Vec::new();
-        unpack_into(&bytes, lead, values.len(), width, &mut out);
-        prop_assert_eq!(out, values);
-    }
-
-    /// Truncated payloads surface a typed error and leave the output
-    /// untouched; oversized widths are rejected the same way.
-    #[test]
-    fn prop_try_unpack_into_rejects_truncation(
-        width in 1u8..=32,
-        raw in proptest::collection::vec(0u32..u32::MAX, 1..100),
-        cut in 1usize..8,
-    ) {
-        let values: Vec<u32> = raw.iter().map(|&v| clamp(v, width)).collect();
-        let bytes = pack_all(&values, width);
-        // Claim more values than were packed (8 extra always outruns the
-        // up-to-7 bits of byte-alignment slack), or cut real bytes off.
-        let mut out = vec![7u32];
-        prop_assert!(try_unpack_into(&bytes, 0, values.len() + 8, width, &mut out).is_err());
-        let keep = bytes.len().saturating_sub(cut);
-        prop_assert!(try_unpack_into(&bytes[..keep], 0, values.len(), width, &mut out).is_err());
-        prop_assert_eq!(out, vec![7u32], "failed unpack must not touch out");
-        let mut out = Vec::new();
-        prop_assert!(try_unpack_into(&bytes, 0, values.len(), 33, &mut out).is_err());
-    }
 
     /// The fused zero-alloc block decode and the allocating wrapper agree
     /// with each other and with the postings that were encoded, across

@@ -103,12 +103,13 @@ cargo clippy -p iiu-serve -p iiu-baseline -p iiu-codecs -p iiu-workloads -p iiu-
 # a dangling link.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# Decode perf gate + codec shootout (DESIGN.md §11, §13, §18):
-# re-measures the unpack kernels, end-to-end query throughput,
-# pruned-vs-exhaustive top-k, and the bit-packed block decode at every
-# gated width, rewrites BENCH_decode.json, and fails if any gated min_ns
-# exceeds the committed baseline by more than the fail_above_ratio in
-# BENCH_decode_thresholds.json, if pruning stops skipping blocks, if the
+# Decode perf gate + codec shootout (DESIGN.md §12, §13, §18):
+# re-measures exhaustive and pruned top-k on the baseline engine and the
+# served pair kernel on bit-packed blocks at every gated width, rewrites
+# BENCH_decode.json, and fails if any gated min_ns exceeds the committed
+# baseline by more than the fail_above_ratio in
+# BENCH_decode_thresholds.json, if a gated metric has no baseline (or a
+# baseline no metric), if pruning stops skipping blocks, if the
 # single-term k=10 pruning gain drops below 1.5x, if pruned AND or pruned
 # OR at k=10 fails to beat the same run's exhaustive wall time, or if the
 # shootout's bits/posting exceeds its committed max_bits_per_posting.
