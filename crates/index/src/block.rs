@@ -113,7 +113,7 @@ impl BlockMeta {
 
 /// The flat tables behind every [`EncodedList`] of one index: one entry
 /// per block in `metas` and `skips`, one [`RecordCrc`] per term record of
-/// a sealed mapped file, and the payload backing each list's span points
+/// a mapped file, and the payload backing each list's span points
 /// into. Immutable once frozen by [`TableBuilder::freeze`].
 #[derive(Debug)]
 pub(crate) struct BlockTables {
@@ -311,38 +311,38 @@ impl TableBuilder {
     }
 
     /// Appends a list parsed from a term record — nothing is decoded — and
-    /// checks its structure ([`EncodedList::validate`]). `payload` is the
-    /// record's payload: at offset `mapped_at` of the mapping the tables
-    /// will be frozen over, or copied into the owned buffer when `None`.
-    /// `record_start` is the record's offset in the mapping when its CRC
-    /// is deferred to first touch.
+    /// checks its structure ([`EncodedList::validate`]). `mapped` is
+    /// `(record start, payload offset)` in the mapping the tables will be
+    /// frozen over: the payload stays there and the record CRC is deferred
+    /// to first touch. With `None` the payload is copied into the owned
+    /// buffer.
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::CorruptIndex`] if the list fails validation.
-    #[allow(clippy::too_many_arguments)] // the fields of one term record
     pub(crate) fn push_stored(
         &mut self,
         meta_words: impl Iterator<Item = u64>,
         skips: impl Iterator<Item = DocId>,
         payload: &[u8],
-        mapped_at: Option<usize>,
         num_postings: u64,
-        record_start: Option<usize>,
+        mapped: Option<(usize, usize)>,
     ) -> Result<ListSpan, IndexError> {
         let first = self.metas.len();
         self.metas.extend(meta_words.map(BlockMeta::unpack));
         self.skips.extend(skips);
-        let payload_start = mapped_at.unwrap_or_else(|| {
-            self.payload.extend_from_slice(payload);
-            self.payload.len() - payload.len()
-        });
-        let crc = match record_start {
-            Some(start) => {
+        let (payload_start, crc) = match mapped {
+            Some((start, payload_start)) => {
                 self.crcs.push(RecordCrc { start, verdict: AtomicU64::new(UNVERIFIED) });
-                u32::try_from(self.crcs.len() - 1).map_err(|_| TABLE_OVERFLOW)?
+                (
+                    payload_start,
+                    u32::try_from(self.crcs.len() - 1).map_err(|_| TABLE_OVERFLOW)?,
+                )
             }
-            None => NO_CRC,
+            None => {
+                self.payload.extend_from_slice(payload);
+                (self.payload.len() - payload.len(), NO_CRC)
+            }
         };
         let view = ListRef {
             metas: &self.metas[first..],
@@ -563,7 +563,7 @@ impl EncodedList {
     }
 
     /// Runs the deferred record checksum, if this list carries one (lists
-    /// served from a sealed mapped file), once: the record CRC, then its
+    /// served from a mapped file), once: the record CRC, then its
     /// last block against the corpus size. Owned lists return `Ok`
     /// unconditionally. Engines call this at term-resolve time so
     /// corruption surfaces as a typed error before any panicking decode
@@ -617,9 +617,9 @@ impl EncodedList {
                 found,
             });
         }
-        // A mapped open with stored bounds takes docID order on the record
-        // CRC, which puts the largest docID in the last block; the open
-        // held only that block's first docID to the corpus.
+        // A mapped open takes docID order on the record CRC, which puts
+        // the largest docID in the last block; the open held only that
+        // block's first docID to the corpus.
         let view = self.view();
         if let Some(last) = view.metas.len().checked_sub(1) {
             let mut block = Vec::with_capacity(usize::from(view.metas[last].count));

@@ -28,9 +28,8 @@
 //!
 //! Bounds are derived data: every construction path
 //! ([`crate::InvertedIndex::from_lists`]) recomputes them from the
-//! postings, so v1/v2 index files load with bounds available and the heap
-//! load of a v3/v4 file cross-checks the persisted section against the
-//! recomputation.
+//! postings, and the heap load of an index file cross-checks the
+//! persisted section against the recomputation.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -2,8 +2,8 @@
 //! index format carries per-section integrity checks without pulling in a
 //! dependency.
 //!
-//! The format v2 writer checksums every section of the serialized index
-//! (header, doc-length table, each term record) and finishes with a
+//! The index writer checksums every section of the serialized index
+//! (header, doc-length table, each term record, score bounds) and finishes with a
 //! whole-file footer; the reader verifies each section before trusting its
 //! contents. See [`crate::io`] for the layout.
 

@@ -16,7 +16,7 @@
 //! * **Never panic on corrupt bytes**: lengths are checked up front and
 //!   failures return typed [`IndexError`]s; in-bounds garbage degrades to
 //!   garbage postings (wrapping d-gap sums), which the deserializer's
-//!   docID-order check and the v3+ bounds oracle then reject.
+//!   docID-order check and the stored-bounds oracle then reject.
 //!
 //! The classic codecs the paper compares against (Table 2) live in the
 //! `iiu-codecs` crate and never serve a query.
@@ -281,7 +281,6 @@ mod tests {
                             [meta(0), meta(block.len() as u64)].into_iter(),
                             [skip, next_skip as DocId].into_iter(),
                             &[block.as_slice(), &block].concat(),
-                            None,
                             2 * n as u64,
                             None,
                         )

@@ -32,7 +32,7 @@ pub enum IndexError {
         /// What was being parsed when the failure occurred.
         context: &'static str,
     },
-    /// A section checksum did not match its contents (format v2).
+    /// A section checksum did not match its contents.
     ChecksumMismatch {
         /// Which section failed (e.g. `"header"`, `"doc length table"`,
         /// `"term record"`, `"footer"`).
@@ -43,7 +43,8 @@ pub enum IndexError {
         found: u32,
     },
     /// The serialized index has an unsupported magic number or version —
-    /// including a retired round-robin shard manifest.
+    /// including the retired index formats v1–v3 and the retired
+    /// round-robin shard manifests.
     UnsupportedFormat {
         /// The magic/version actually found.
         found: u64,

@@ -242,9 +242,9 @@ pub struct SurvivalReport {
     /// Rejections specifically via [`IndexError::ChecksumMismatch`].
     pub checksum_rejections: u64,
     /// Loads that succeeded and decoded to an index deep-equal to the
-    /// original (the corruption was a semantic no-op — possible only in
-    /// regions a v1 file leaves unchecksummed, never byte-identity, which
-    /// [`corrupt`] rules out).
+    /// original. Every byte of a v4 file is under the magic check, a
+    /// section CRC or the footer, and [`corrupt`] rules out byte-identity,
+    /// so only a CRC collision lands here.
     pub accepted_equal: u64,
     /// Loads that succeeded but decoded to a *different* index — silent
     /// corruption. Must stay 0 for the format to be considered hardened.
@@ -360,8 +360,9 @@ pub fn mapped_survival_report(
 /// load against `original`.
 ///
 /// Panics inside `deserialize` are *not* caught here: under `cargo test` a
-/// panic is the failure signal we want, and the CLI harness wraps this in
-/// `catch_unwind` per trial.
+/// panic is the failure signal we want. (`iiu inspect --fault-rate` runs
+/// its own campaign, stacking corruptions per trial, with a
+/// `catch_unwind` around each load.)
 pub fn survival_report(
     original: &InvertedIndex,
     bytes: &[u8],
@@ -505,7 +506,7 @@ mod tests {
 
     #[test]
     fn bounds_section_faults_surface_typed_errors() {
-        // Every corruption landing in the v3 score-bounds section must be
+        // Every corruption landing in the score-bounds section must be
         // rejected with a typed error — a silently-wrong bound would make
         // pruned top-k drop valid results. The file tail is
         // [bounds content][bounds crc 4][footer 4].

@@ -6,16 +6,16 @@
 //! magic/version word, the BM25 parameters, the document-length table, and
 //! one record per term (name, metadata words, skip values, payload bytes).
 //!
-//! # Format v4 (current)
+//! # Format v4
 //!
-//! Version 4 extends the v3 layout with a block-codec id byte inside the
-//! CRC-protected header. Every payload is bit-packed, so the byte is
-//! always written as 0 ([`crate::codec::CodecId`]):
+//! The one layout this module reads and writes. Every payload is
+//! bit-packed, so the header's codec id byte is always written as 0
+//! ([`crate::codec::CodecId`]):
 //!
 //! ```text
 //! magic/version            u64   (MAGIC, not covered by a section CRC)
 //! header                   k1 f64 · b f64 · partitioner (u8 kind + u32 arg)
-//!                          · codec u8 (v4 only)
+//!                          · codec u8
 //!                          · num_docs u64 · num_terms u64      + crc32 u32
 //! doc-length table         num_docs × u32                      + crc32 u32
 //! term record (× num_terms)
@@ -24,19 +24,17 @@
 //!                          · num_blocks × meta u64
 //!                          · num_blocks × skip u32
 //!                          · payload_len u64 · payload bytes   + crc32 u32
-//! score bounds (v3+)       per term: num_blocks u64
+//! score bounds             per term: num_blocks u64
 //!                          · num_blocks × (ub_raw u32 · max_tf u32)
 //!                          whole section                       + crc32 u32
 //! footer                   crc32 u32 over every preceding byte
 //! ```
 //!
-//! Version 3 (no codec byte — always the bit-packed codec), version 2 (no
-//! bounds section) and version 1 files (no checksums, term count after
-//! the doc table, no footer) remain readable as layout flags of the same
-//! parser; unknown versions are rejected with
-//! [`IndexError::UnsupportedFormat`]. That includes the retired
-//! round-robin shard manifests (magic "IIUS"): a query fans out over
-//! docID windows of one plain file instead ([`crate::shard::DocWindow`]).
+//! Any other magic is rejected with [`IndexError::UnsupportedFormat`]:
+//! the retired "IIUX" versions 1–3 (rebuilding the index is the
+//! migration) and the retired round-robin shard manifests ("IIUS"; a
+//! query fans out over docID windows of one file instead,
+//! [`crate::shard::DocWindow`]).
 //!
 //! # Load policy
 //!
@@ -53,18 +51,16 @@
 //! | record frame + [`EncodedList::validate`] | yes | yes | — | yes |
 //! | record CRC (covers the payload) | yes | captured | yes, once per list | — |
 //! | footer CRC | yes | framed, not hashed | — | — |
-//! | docID order + in-corpus | yes | without stored bounds; else last skip | last block, once | yes |
+//! | docID order + in-corpus | yes | last skip | last block, once | yes |
 //! | stored-bounds oracle | yes | no: section CRC + shape | — | yes |
 //!
 //! The last two rows are the content oracle, one decode pass per list
 //! ([`ListBounds::recompute`]): no block decoder checks docID order, so
-//! the pass does, and where the format stores bounds (v3/v4) they must
-//! equal its result (`score bounds mismatch`) — CRCs cannot catch a file
-//! that was *written* wrong. Formats without stored bounds (v1/v2) run it
-//! on both backings, since its result *is* their bounds. A mapped v3/v4
-//! open takes docID order on the record CRC, so it holds only each list's
-//! last skip to the corpus, and the list's first touch decodes its last
-//! block once to hold the rest. So a malformed file
+//! the pass does, and the stored bounds must equal its result (`score
+//! bounds mismatch`) — CRCs cannot catch a file that was *written*
+//! wrong. A mapped open takes docID order on the record CRC, so it holds
+//! only each list's last skip to the corpus, and the list's first touch
+//! decodes its last block once to hold the rest. So a malformed file
 //! yields a typed [`IndexError`] — never a panic or an out-of-bounds read
 //! — on the heap at load, when mapped by the first query that touches the
 //! bad list at the latest. The codec id is interpreted only after
@@ -119,20 +115,8 @@ impl PutLe for Vec<u8> {
     }
 }
 
-/// Magic + version identifying the current format ("IIUX" + 0x0004).
+/// Magic + version identifying the format ("IIUX" + 0x0004).
 pub const MAGIC: u64 = 0x4949_5558_0000_0004;
-
-/// Magic + version of the v3 format (score bounds, no codec id byte —
-/// the bit-packed codec implicitly), still accepted by [`deserialize`].
-pub const MAGIC_V3: u64 = 0x4949_5558_0000_0003;
-
-/// Magic + version of the v2 format (checksums, no score bounds
-/// section), still accepted by [`deserialize`].
-pub const MAGIC_V2: u64 = 0x4949_5558_0000_0002;
-
-/// Magic + version of the legacy checksum-free format ("IIUX" + 0x0001),
-/// still accepted by [`deserialize`].
-pub const MAGIC_V1: u64 = 0x4949_5558_0000_0001;
 
 /// Serializes `index` to bytes in format v4.
 ///
@@ -142,98 +126,127 @@ pub const MAGIC_V1: u64 = 0x4949_5558_0000_0001;
 /// inconsistent with its term table (an internal-corruption guard that
 /// replaces the old panic on this path).
 pub fn serialize(index: &InvertedIndex) -> Result<Vec<u8>, IndexError> {
-    let mut buf = Vec::new();
-    buf.put_u64_le(MAGIC);
-    write_checksummed_body(&mut buf, index, true)?;
-
-    let bounds_start = buf.len();
-    put_bounds(&mut buf, index.bounds());
-    seal_section(&mut buf, bounds_start);
-
-    let footer = crc32(&buf);
-    buf.put_u32_le(footer);
-    Ok(buf)
-}
-
-/// Appends a section CRC over `buf[start..]`.
-fn seal_section(buf: &mut Vec<u8>, start: usize) {
-    let crc = crc32(&buf[start..]);
-    buf.put_u32_le(crc);
-}
-
-/// Appends one term record, CRC excluded: name, counts, metadata words,
-/// skip values, payload.
-fn put_record(buf: &mut Vec<u8>, term: &str, list: &EncodedList) {
-    buf.put_u32_le(term.len() as u32);
-    buf.put_slice(term.as_bytes());
-    buf.put_u64_le(list.num_postings());
-    buf.put_u64_le(list.num_blocks() as u64);
-    for meta in list.metas() {
-        buf.put_u64_le(meta.pack());
-    }
-    for &skip in list.skips() {
-        buf.put_u32_le(skip);
-    }
-    buf.put_u64_le(list.payload().len() as u64);
-    buf.put_slice(list.payload());
-}
-
-/// Appends the score-bounds section's content, CRC excluded: per list,
-/// its block count and `(ub, max_tf)` pairs.
-fn put_bounds(buf: &mut Vec<u8>, bounds: &[ListBounds]) {
-    for list in bounds {
-        buf.put_u64_le(list.num_blocks() as u64);
-        for (ub, &max_tf) in list.ubs().iter().zip(list.max_tfs()) {
-            buf.put_u32_le(ub.raw());
-            buf.put_u32_le(max_tf);
-        }
-    }
-}
-
-/// Writes the checksummed body of the sealed formats: header, doc-length
-/// table, and one sealed record per term. `with_codec` selects the v4
-/// header carrying the codec id byte versus the legacy 37-byte header
-/// (v2/v3 files).
-fn write_checksummed_body(
-    buf: &mut Vec<u8>,
-    index: &InvertedIndex,
-    with_codec: bool,
-) -> Result<(), IndexError> {
-    let header_start = buf.len();
-    buf.put_f64_le(index.params().k1);
-    buf.put_f64_le(index.params().b);
-    match index.partitioner() {
-        Partitioner::Fixed { block_len } => {
-            buf.put_u8(0);
-            buf.put_u32_le(block_len as u32);
-        }
-        Partitioner::Dynamic { max_size } => {
-            buf.put_u8(1);
-            buf.put_u32_le(max_size as u32);
-        }
-    }
-    if with_codec {
-        buf.put_u8(CodecId::BitPack as u8);
-    }
-    buf.put_u64_le(index.num_docs());
-    buf.put_u64_le(index.num_terms() as u64);
-    seal_section(buf, header_start);
-
-    let doc_start = buf.len();
-    for &l in index.doc_lens() {
-        buf.put_u32_le(l);
-    }
-    seal_section(buf, doc_start);
-
+    let mut out = FileWriter::new(
+        Vec::new(),
+        index.doc_lens(),
+        index.num_terms() as u64,
+        index.partitioner(),
+        index.params(),
+    )?;
     for info in index.terms() {
         let id = index
             .term_id(&info.term)
             .ok_or_else(|| IndexError::UnknownTerm { term: info.term.clone() })?;
-        let record_start = buf.len();
-        put_record(buf, &info.term, index.encoded_list(id));
-        seal_section(buf, record_start);
+        out.record(&info.term, index.encoded_list(id))?;
     }
-    Ok(())
+    out.finish(index.bounds())
+}
+
+/// The one encoder of the v4 layout behind [`serialize`] and
+/// [`StreamingWriter`]: it emits magic, sealed header and sealed doc
+/// table on construction, then one sealed record per
+/// [`record`](Self::record) call, and the sealed bounds section and the
+/// footer on [`finish`](Self::finish) — folding every byte into the
+/// running footer CRC on its way to the sink.
+struct FileWriter<W: std::io::Write> {
+    sink: W,
+    /// Running checksum over every byte emitted so far (the footer).
+    footer: Crc32,
+    /// The section being encoded, reused from one section to the next.
+    section: Vec<u8>,
+}
+
+impl<W: std::io::Write> FileWriter<W> {
+    fn new(
+        sink: W,
+        doc_lens: &[u32],
+        num_terms: u64,
+        partitioner: Partitioner,
+        params: Bm25Params,
+    ) -> Result<Self, IndexError> {
+        let mut out = FileWriter { sink, footer: Crc32::new(), section: Vec::new() };
+        out.section.put_u64_le(MAGIC);
+        out.emit()?;
+
+        out.section.put_f64_le(params.k1);
+        out.section.put_f64_le(params.b);
+        let (kind, arg) = match partitioner {
+            Partitioner::Fixed { block_len } => (0, block_len),
+            Partitioner::Dynamic { max_size } => (1, max_size),
+        };
+        out.section.put_u8(kind);
+        out.section.put_u32_le(arg as u32);
+        out.section.put_u8(CodecId::BitPack as u8);
+        out.section.put_u64_le(doc_lens.len() as u64);
+        out.section.put_u64_le(num_terms);
+        out.seal()?;
+
+        for &l in doc_lens {
+            out.section.put_u32_le(l);
+        }
+        out.seal()?;
+        Ok(out)
+    }
+
+    /// Writes one sealed term record: name, counts, metadata words, skip
+    /// values, payload.
+    fn record(&mut self, term: &str, list: &EncodedList) -> Result<(), IndexError> {
+        let buf = &mut self.section;
+        buf.put_u32_le(term.len() as u32);
+        buf.put_slice(term.as_bytes());
+        buf.put_u64_le(list.num_postings());
+        buf.put_u64_le(list.num_blocks() as u64);
+        for meta in list.metas() {
+            buf.put_u64_le(meta.pack());
+        }
+        for &skip in list.skips() {
+            buf.put_u32_le(skip);
+        }
+        buf.put_u64_le(list.payload().len() as u64);
+        buf.put_slice(list.payload());
+        self.seal()
+    }
+
+    /// Writes the sealed score-bounds section — per list, its block count
+    /// and `(ub, max_tf)` pairs — and the footer CRC, flushes, and returns
+    /// the sink.
+    fn finish(mut self, bounds: &[ListBounds]) -> Result<W, IndexError> {
+        for list in bounds {
+            self.section.put_u64_le(list.num_blocks() as u64);
+            for (ub, &max_tf) in list.ubs().iter().zip(list.max_tfs()) {
+                self.section.put_u32_le(ub.raw());
+                self.section.put_u32_le(max_tf);
+            }
+        }
+        self.seal()?;
+        // The footer covers everything already emitted and is itself
+        // outside the running checksum.
+        let footer = self.footer.finish();
+        self.sink.write_all(&footer.to_le_bytes()).map_err(write_err)?;
+        self.sink.flush().map_err(write_err)?;
+        Ok(self.sink)
+    }
+
+    /// Appends the section CRC to the section being encoded and emits it.
+    fn seal(&mut self) -> Result<(), IndexError> {
+        let crc = crc32(&self.section);
+        self.section.put_u32_le(crc);
+        self.emit()
+    }
+
+    /// Writes the section being encoded to the sink, folds it into the
+    /// footer CRC, and starts the next one.
+    fn emit(&mut self) -> Result<(), IndexError> {
+        self.footer.update(&self.section);
+        self.sink.write_all(&self.section).map_err(write_err)?;
+        self.section.clear();
+        Ok(())
+    }
+}
+
+/// Maps a sink write failure to the typed I/O error.
+fn write_err(e: std::io::Error) -> IndexError {
+    IndexError::Io { context: "writing index file", message: e.to_string() }
 }
 
 /// Streams a format-v4 index file one term at a time, producing output
@@ -256,9 +269,7 @@ fn write_checksummed_body(
 /// Terms must be pushed in the order the index's dictionary should
 /// assign term ids (the synthetic corpus generator's rank order).
 pub struct StreamingWriter<W: std::io::Write> {
-    sink: W,
-    /// Running checksum over every byte emitted so far (the footer).
-    footer: Crc32,
+    out: FileWriter<W>,
     params: Bm25Params,
     partitioner: Partitioner,
     n_docs: u64,
@@ -294,10 +305,8 @@ impl<W: std::io::Write> StreamingWriter<W> {
         };
         let dl_bars: Vec<Fixed> =
             doc_lens.iter().map(|&l| Fixed::from_f64(params.dl_bar(l, avgdl))).collect();
-
-        let mut writer = StreamingWriter {
-            sink,
-            footer: Crc32::new(),
+        Ok(StreamingWriter {
+            out: FileWriter::new(sink, doc_lens, num_terms, partitioner, params)?,
             params,
             partitioner,
             n_docs,
@@ -305,35 +314,7 @@ impl<W: std::io::Write> StreamingWriter<W> {
             bounds: BoundsBuilder::default(),
             expected_terms: num_terms,
             written_terms: 0,
-        };
-        writer.emit(&MAGIC.to_le_bytes())?;
-
-        let mut header = Vec::new();
-        header.put_f64_le(params.k1);
-        header.put_f64_le(params.b);
-        match partitioner {
-            Partitioner::Fixed { block_len } => {
-                header.put_u8(0);
-                header.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                header.put_u8(1);
-                header.put_u32_le(max_size as u32);
-            }
-        }
-        header.put_u8(CodecId::BitPack as u8);
-        header.put_u64_le(n_docs);
-        header.put_u64_le(num_terms);
-        seal_section(&mut header, 0);
-        writer.emit(&header)?;
-
-        let mut table = Vec::with_capacity(doc_lens.len() * 4 + 4);
-        for &l in doc_lens {
-            table.put_u32_le(l);
-        }
-        seal_section(&mut table, 0);
-        writer.emit(&table)?;
-        Ok(writer)
+        })
     }
 
     /// Encodes `list`, writes its sealed term record, and accumulates its
@@ -362,11 +343,7 @@ impl<W: std::io::Write> StreamingWriter<W> {
         let partition = self.partitioner.partition(list);
         let encoded = EncodedList::encode(list, &partition)?;
         self.bounds.push_computed(list.as_slice(), &partition, idf_bar, &self.dl_bars);
-
-        let mut record = Vec::new();
-        put_record(&mut record, term, &encoded);
-        seal_section(&mut record, 0);
-        self.emit(&record)?;
+        self.out.record(term, &encoded)?;
         self.written_terms += 1;
         Ok(())
     }
@@ -378,35 +355,14 @@ impl<W: std::io::Write> StreamingWriter<W> {
     ///
     /// Returns [`IndexError::CorruptIndex`] if fewer terms were pushed
     /// than the header declares, and [`IndexError::Io`] on sink errors.
-    pub fn finish(mut self) -> Result<W, IndexError> {
+    pub fn finish(self) -> Result<W, IndexError> {
         if self.written_terms != self.expected_terms {
             return Err(IndexError::CorruptIndex {
                 context: "fewer streamed terms than the header declares",
             });
         }
-        let mut section = Vec::new();
-        put_bounds(&mut section, &std::mem::take(&mut self.bounds).finish());
-        seal_section(&mut section, 0);
-        self.emit(&section)?;
-
-        // The footer covers everything already emitted and is itself
-        // outside the running checksum.
-        let footer = self.footer.finish();
-        self.sink.write_all(&footer.to_le_bytes()).map_err(stream_io_err)?;
-        self.sink.flush().map_err(stream_io_err)?;
-        Ok(self.sink)
+        self.out.finish(&self.bounds.finish())
     }
-
-    /// Writes `bytes` to the sink and folds them into the footer CRC.
-    fn emit(&mut self, bytes: &[u8]) -> Result<(), IndexError> {
-        self.footer.update(bytes);
-        self.sink.write_all(bytes).map_err(stream_io_err)
-    }
-}
-
-/// Maps a sink write failure to the typed I/O error.
-fn stream_io_err(e: std::io::Error) -> IndexError {
-    IndexError::Io { context: "writing streamed index file", message: e.to_string() }
 }
 
 /// A bounds-checked little-endian cursor over the serialized bytes that
@@ -486,21 +442,20 @@ fn le_u64s(raw: &[u8]) -> impl Iterator<Item = u64> + '_ {
 }
 
 /// Deserializes an index previously written by [`serialize`] (format v4)
-/// or by the legacy v3 (no codec id), v2 (no bounds section) or v1 (no
-/// checksums) writers onto the heap. The loaded index keeps the file's
-/// block layout byte for byte; the heap column of the module's policy
-/// table says what is verified first.
+/// onto the heap. The loaded index keeps the file's block layout byte for
+/// byte; the heap column of the module's policy table says what is
+/// verified first.
 ///
 /// # Errors
 ///
-/// Returns [`IndexError::UnsupportedFormat`] on an unknown magic/version
-/// word, [`IndexError::UnknownCodec`] when a v4 header names a codec id
-/// other than 0, [`IndexError::ChecksumMismatch`] when a section
+/// Returns [`IndexError::UnsupportedFormat`] on any magic/version word
+/// but v4's, [`IndexError::UnknownCodec`] when the header names a codec
+/// id other than 0, [`IndexError::ChecksumMismatch`] when a section
 /// checksum fails, and [`IndexError::CorruptIndex`] on truncated or
 /// inconsistent content — including a score-bounds section that passes
 /// its CRC but disagrees with the bounds recomputed from the postings.
 pub fn deserialize(bytes: &[u8]) -> Result<InvertedIndex, IndexError> {
-    load_plain(Backing::Heap(bytes))
+    load(Backing::Heap(bytes))
 }
 
 fn read_partitioner(kind: u8, arg: usize) -> Result<Partitioner, IndexError> {
@@ -540,97 +495,70 @@ impl<'a> Backing<'a> {
     }
 }
 
-/// The two ways a body's layout differs across format versions.
-#[derive(Clone, Copy)]
-struct Layout {
-    /// Sections carry CRCs, the header carries the term count and a footer
-    /// ends the file — every format but plain v1, which has no checksums,
-    /// counts its terms after the doc table and ends at its last record.
-    sealed: bool,
-    /// The header carries a codec id byte (v4), which must be 0.
-    codec_byte: bool,
-}
-
-/// A body's header fields. `n_terms` is 0 for an unsealed (v1) layout,
-/// which stores the count after the doc table.
-struct BodyHeader {
+/// The header's fields.
+struct Header {
     params: Bm25Params,
     partitioner: Partitioner,
     n_docs: usize,
     n_terms: usize,
 }
 
-fn read_body_header(r: &mut Reader<'_>, layout: Layout) -> Result<BodyHeader, IndexError> {
+fn read_header(r: &mut Reader<'_>) -> Result<Header, IndexError> {
     let start = r.pos;
     let k1 = r.f64("header")?;
     let b = r.f64("header")?;
     let part_kind = r.u8("header")?;
     let part_arg = r.u32("header")? as usize;
-    let codec_raw = if layout.codec_byte { Some(r.u8("header")?) } else { None };
+    let codec = r.u8("header")?;
     let n_docs = r.u64("header")? as usize;
-    let n_terms = if layout.sealed { r.u64("header")? as usize } else { 0 };
-    if layout.sealed {
-        r.verify_section(start, "header", "header checksum")?;
-    }
+    let n_terms = r.u64("header")? as usize;
+    r.verify_section(start, "header", "header checksum")?;
     // Interpreted only after the section CRC passes: random corruption of
     // the codec byte must surface as a checksum mismatch, and only a
     // CRC-consistent unknown id as `UnknownCodec`.
     let partitioner = read_partitioner(part_kind, part_arg)?;
-    if let Some(id) = codec_raw {
-        CodecId::from_u8(id)?;
-    }
-    Ok(BodyHeader { params: Bm25Params { k1, b }, partitioner, n_docs, n_terms })
+    CodecId::from_u8(codec)?;
+    Ok(Header { params: Bm25Params { k1, b }, partitioner, n_docs, n_terms })
 }
 
 /// A framed body: header fields, doc-length table and one structurally
 /// validated (never decoded) list per term record — its span in
 /// `tables`.
 struct Body {
-    header: BodyHeader,
+    header: Header,
     doc_lens: Vec<u32>,
     names: Vec<String>,
     spans: Vec<ListSpan>,
     tables: TableBuilder,
 }
 
-fn read_body(
-    r: &mut Reader<'_>,
-    layout: Layout,
-    backing: Backing<'_>,
-) -> Result<Body, IndexError> {
-    let header = read_body_header(r, layout)?;
+fn read_body(r: &mut Reader<'_>, backing: Backing<'_>) -> Result<Body, IndexError> {
+    let header = read_header(r)?;
     let doc_start = r.pos;
     let doc_bytes = header
         .n_docs
         .checked_mul(4)
         .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
     let doc_lens = le_u32s(r.take(doc_bytes, "doc length table")?).collect();
-    let n_terms = if layout.sealed {
-        r.verify_section(doc_start, "doc length table", "doc length checksum")?;
-        header.n_terms
-    } else {
-        r.u64("term count")? as usize
-    };
+    r.verify_section(doc_start, "doc length table", "doc length checksum")?;
 
-    let mut names = Vec::with_capacity(n_terms.min(r.remaining()));
-    let mut spans = Vec::with_capacity(n_terms.min(r.remaining()));
+    let mut names = Vec::with_capacity(header.n_terms.min(r.remaining()));
+    let mut spans = Vec::with_capacity(header.n_terms.min(r.remaining()));
     let mut tables = TableBuilder::default();
-    for _ in 0..n_terms {
-        let (name, span) = read_record(r, layout.sealed, backing, &mut tables)?;
+    for _ in 0..header.n_terms {
+        let (name, span) = read_record(r, backing, &mut tables)?;
         names.push(name);
         spans.push(span);
     }
     Ok(Body { header, doc_lens, names, spans, tables })
 }
 
-/// Frames one term record (the same in every format version) and appends
-/// its list to `tables`, which checks the structural invariants
-/// ([`EncodedList::validate`]) without decoding. The record CRC of a
-/// sealed layout is verified here on the heap backing and deferred to the
-/// list's first touch on the mapped one.
+/// Frames one term record and appends its list to `tables`, which checks
+/// the structural invariants ([`EncodedList::validate`]) without
+/// decoding. The record CRC is verified here on the heap backing and
+/// deferred to the list's first touch on the mapped one.
 fn read_record(
     r: &mut Reader<'_>,
-    sealed: bool,
     backing: Backing<'_>,
     tables: &mut TableBuilder,
 ) -> Result<(String, ListSpan), IndexError> {
@@ -653,33 +581,28 @@ fn read_record(
 
     // Heap: the payload is copied into the owned buffer, under a verified
     // CRC. Mapped: it stays where it is, under a deferred one.
-    let (mapped_at, record_start) = match backing {
+    let mapped = match backing {
         Backing::Heap(_) => {
-            if sealed {
-                r.verify_section(start, "term record", "term record checksum")?;
-            }
-            (None, None)
+            r.verify_section(start, "term record", "term record checksum")?;
+            None
         }
         Backing::Mapped(_) => {
-            if sealed {
-                r.u32("term record checksum")?;
-            }
-            (Some(payload_off), sealed.then_some(start))
+            r.u32("term record checksum")?;
+            Some((start, payload_off))
         }
     };
     let span = tables.push_stored(
         le_u64s(meta_raw),
         le_u32s(skip_raw),
         payload,
-        mapped_at,
         num_postings,
-        record_start,
+        mapped,
     )?;
     Ok((name, span))
 }
 
-/// Reads the stored score-bounds section of a v3/v4 file: one entry list
-/// per term, under one section CRC.
+/// Reads the stored score-bounds section: one entry list per term, under
+/// one section CRC.
 fn read_bounds_section(
     r: &mut Reader<'_>,
     n_terms: usize,
@@ -700,26 +623,15 @@ fn read_bounds_section(
     Ok(stored)
 }
 
-/// Ends the file: a sealed layout's whole-file footer CRC — hashed on the
-/// heap backing, only framed on the mapped one — and, for every layout,
-/// nothing after it.
-fn read_footer(
-    r: &mut Reader<'_>,
-    sealed: bool,
-    backing: Backing<'_>,
-) -> Result<(), IndexError> {
-    if sealed {
-        let body_end = r.pos;
-        let expected = r.u32("footer")?;
-        if let Backing::Heap(_) = backing {
-            let found = crc32(&r.buf[..body_end]);
-            if expected != found {
-                return Err(IndexError::ChecksumMismatch {
-                    section: "footer",
-                    expected,
-                    found,
-                });
-            }
+/// Ends the file: the whole-file footer CRC — hashed on the heap backing,
+/// only framed on the mapped one — and nothing after it.
+fn read_footer(r: &mut Reader<'_>, backing: Backing<'_>) -> Result<(), IndexError> {
+    let body_end = r.pos;
+    let expected = r.u32("footer")?;
+    if let Backing::Heap(_) = backing {
+        let found = crc32(&r.buf[..body_end]);
+        if expected != found {
+            return Err(IndexError::ChecksumMismatch { section: "footer", expected, found });
         }
     }
     if r.remaining() != 0 {
@@ -731,13 +643,13 @@ fn read_footer(
 /// Turns a framed body into an index that keeps the file's block layout
 /// ([`InvertedIndex::from_stored_parts`]): its tables are frozen over the
 /// mapping, or over the owned payload buffer. Stored bounds on the mapped
-/// backing are trusted after their section CRC and a shape check;
-/// everywhere else the content oracle runs — one decode pass per list
-/// ([`ListBounds::recompute`]: docID order, in-corpus, bounds) — and
-/// stored bounds, when the format has them, must equal its result.
+/// backing are trusted after their section CRC and a shape check; on the
+/// heap the content oracle runs — one decode pass per list
+/// ([`ListBounds::recompute`]: docID order, in-corpus, bounds) — and the
+/// stored bounds must equal its result.
 fn assemble(
     body: Body,
-    stored: Option<BoundsBuilder>,
+    stored: BoundsBuilder,
     backing: Backing<'_>,
 ) -> Result<InvertedIndex, IndexError> {
     // The collection statistics a file does not store.
@@ -760,15 +672,15 @@ fn assemble(
     let tables = body.tables.freeze(mapping, n_docs);
     let lists: Vec<EncodedList> =
         body.spans.iter().map(|&span| EncodedList::new(&tables, span)).collect();
-    let stored = stored.map(BoundsBuilder::finish);
-    let bounds = match (stored, backing) {
-        (Some(stored), Backing::Mapped(_)) => {
+    let stored = stored.finish();
+    let bounds = match backing {
+        Backing::Mapped(_) => {
             for (bounds, list) in stored.iter().zip(&lists) {
                 bounds.validate_against(list)?;
             }
             stored
         }
-        (stored, _) => {
+        Backing::Heap(_) => {
             let dl_bars: Vec<Fixed> = body
                 .doc_lens
                 .iter()
@@ -782,7 +694,7 @@ fn assemble(
             // A CRC-consistent file whose stored bounds disagree with its
             // postings was written wrong (or tampered with checksums
             // recomputed) and must not drive pruning.
-            if stored.is_some_and(|stored| stored != recomputed) {
+            if stored != recomputed {
                 return Err(IndexError::CorruptIndex { context: "score bounds mismatch" });
             }
             recomputed
@@ -807,92 +719,21 @@ fn assemble(
     )
 }
 
-/// Loads a plain index file of any version from `backing`.
-pub(crate) fn load_plain(backing: Backing<'_>) -> Result<InvertedIndex, IndexError> {
+/// Loads an index file from `backing`.
+pub(crate) fn load(backing: Backing<'_>) -> Result<InvertedIndex, IndexError> {
     let mut r = Reader::new(backing.bytes());
-    let (sealed, codec_byte, has_bounds) = match r.u64("magic")? {
-        MAGIC => (true, true, true),
-        MAGIC_V3 => (true, false, true),
-        MAGIC_V2 => (true, false, false),
-        MAGIC_V1 => (false, false, false),
+    match r.u64("magic")? {
+        MAGIC => {}
         found => return Err(IndexError::UnsupportedFormat { found }),
-    };
-    let body = read_body(&mut r, Layout { sealed, codec_byte }, backing)?;
-    let stored =
-        if has_bounds { Some(read_bounds_section(&mut r, body.spans.len())?) } else { None };
-    read_footer(&mut r, sealed, backing)?;
+    }
+    let body = read_body(&mut r, backing)?;
+    let stored = read_bounds_section(&mut r, body.spans.len())?;
+    read_footer(&mut r, backing)?;
     assemble(body, stored, backing)
-}
-
-/// Writers of the retired layouts (v1–v3),
-/// byte-for-byte what the old writers produced: the fixtures the loader
-/// tests here and in [`crate::storage`] read back.
-#[cfg(test)]
-pub(crate) mod legacy {
-    use super::*;
-
-    /// Writes `index` in the legacy v1 layout (no checksums), byte-for-byte
-    /// what the old writer produced.
-    pub(crate) fn serialize_v1(index: &InvertedIndex) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_V1);
-        buf.put_f64_le(index.params().k1);
-        buf.put_f64_le(index.params().b);
-        match index.partitioner() {
-            Partitioner::Fixed { block_len } => {
-                buf.put_u8(0);
-                buf.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                buf.put_u8(1);
-                buf.put_u32_le(max_size as u32);
-            }
-        }
-        buf.put_u64_le(index.num_docs());
-        for &l in index.doc_lens() {
-            buf.put_u32_le(l);
-        }
-        buf.put_u64_le(index.num_terms() as u64);
-        for info in index.terms() {
-            put_record(
-                &mut buf,
-                &info.term,
-                index.encoded_list(index.term_id(&info.term).unwrap()),
-            );
-        }
-        buf
-    }
-
-    /// Writes `index` in the v2 layout (checksummed, no score bounds
-    /// section), byte-for-byte what the v2 writer produced: the legacy
-    /// checksummed body and the footer.
-    pub(crate) fn serialize_v2(index: &InvertedIndex) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_V2);
-        write_checksummed_body(&mut buf, index, false).unwrap();
-        let footer = crc32(&buf);
-        buf.put_u32_le(footer);
-        buf
-    }
-
-    /// Writes `index` in the legacy v3 layout: the v4 layout minus the
-    /// codec id byte, byte-for-byte what the pre-codec writer produced.
-    pub(crate) fn serialize_v3(index: &InvertedIndex) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_V3);
-        write_checksummed_body(&mut buf, index, false).unwrap();
-        let bounds_start = buf.len();
-        put_bounds(&mut buf, index.bounds());
-        seal_section(&mut buf, bounds_start);
-        let footer = crc32(&buf);
-        buf.put_u32_le(footer);
-        buf
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::legacy::{serialize_v1, serialize_v2, serialize_v3};
     use super::*;
     use crate::builder::{BuildOptions, IndexBuilder};
 
@@ -984,34 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v1_files() {
-        let idx = sample_index();
-        let bytes = serialize_v1(&idx);
-        let back = deserialize(&bytes).unwrap();
-        assert_eq!(idx, back);
-    }
-
-    #[test]
-    fn reads_legacy_v2_files() {
-        // Bounds are derived data: a v2 file (no bounds section) loads
-        // into an index equal to the v3 roundtrip, bounds included.
-        let idx = sample_index();
-        let bytes = serialize_v2(&idx);
-        let back = deserialize(&bytes).unwrap();
-        assert_eq!(idx, back);
-        assert_eq!(back.bounds().len(), back.num_terms());
-    }
-
-    #[test]
-    fn rejects_v2_truncation_everywhere() {
-        let bytes = serialize_v2(&sample_index());
-        for cut in 0..bytes.len() {
-            let r = deserialize(&bytes[..cut]);
-            assert!(r.is_err(), "v2 prefix of {cut} bytes must be rejected");
-        }
-    }
-
-    #[test]
     fn stored_bounds_cross_check_catches_consistent_tampering() {
         // Tamper with a stored block bound, then recompute the section CRC
         // and footer so every checksum passes. The recomputation oracle
@@ -1058,15 +871,6 @@ mod tests {
         for cut in 0..bytes.len() {
             let r = deserialize(&bytes[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes must be rejected");
-        }
-    }
-
-    #[test]
-    fn rejects_v1_truncation_everywhere() {
-        let bytes = serialize_v1(&sample_index());
-        for cut in 0..bytes.len() {
-            let r = deserialize(&bytes[..cut]);
-            assert!(r.is_err(), "v1 prefix of {cut} bytes must be rejected");
         }
     }
 
@@ -1196,20 +1000,6 @@ mod tests {
                 }
                 other => panic!("cut at {at}: expected CorruptIndex, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn reads_legacy_v3_files() {
-        let idx = sample_index();
-        let bytes = serialize_v3(&idx);
-        let back = deserialize(&bytes).unwrap();
-        assert_eq!(back, idx);
-        // The legacy layout keeps its own corruption detection.
-        for byte in 0..bytes.len() {
-            let mut flipped = bytes.clone();
-            flipped[byte] ^= 1 << (byte % 8);
-            assert!(deserialize(&flipped).is_err(), "v3 bit flip at byte {byte} accepted");
         }
     }
 

@@ -374,4 +374,29 @@ mod tests {
         assert!(matches!(err, IndexError::UnknownCodec { id: 1 }), "{err:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn a_segment_under_a_retired_format_magic_is_unsupported_format() {
+        let dir = tmp_dir("formatretired");
+        let (part, params) = opts();
+        let s = seal_one(&dir, 0, 2);
+        // The v3 magic over an otherwise intact v4 segment: the magic is
+        // covered by no section CRC, so only the footer needs resealing.
+        let path = dir.join(&s.meta.file_name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let v3 = 0x4949_5558_0000_0003u64;
+        bytes[..8].copy_from_slice(&v3.to_le_bytes());
+        let n = bytes.len();
+        let footer = crate::checksum::crc32(&bytes[..n - 4]);
+        bytes[n - 4..].copy_from_slice(&footer.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        for mmap in [false, true] {
+            let err = recover_mode(&dir, part, params, mmap).unwrap_err();
+            assert!(
+                matches!(err, IndexError::UnsupportedFormat { found } if found == v3),
+                "mmap={mmap}: {err:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

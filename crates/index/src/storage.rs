@@ -4,7 +4,7 @@
 //! holds the whole file to its checksums and the decode oracle before the
 //! first query — the strongest integrity check, at the cost of capping
 //! the corpus at RAM. This module is the other end of that trade: it
-//! memory-maps an index file (format v1–v4) and hands the mapping to the
+//! memory-maps an index file (format v4) and hands the mapping to the
 //! same parser, which assembles an [`InvertedIndex`] whose payload bytes
 //! are *borrowed windows of the mapping*. No posting byte is copied; the
 //! page cache is the storage tier.
@@ -19,14 +19,10 @@
 //! engine's `verify_term` at query resolve), so corruption discovered
 //! late is a typed [`IndexError`], never a panic or an out-of-bounds
 //! read. The footer CRC is framed but not hashed (hashing it would fault
-//! in every page; the section CRCs cover all content bytes anyway, so only
-//! v1 files, which have no CRCs at all, lose real protection), and stored
-//! bounds are trusted after their section CRC: a v3/v4 file *written*
+//! in every page; the section CRCs cover all content bytes anyway), and
+//! stored bounds are trusted after their section CRC: a file *written*
 //! wrong with consistent CRCs would mis-prune until `iiu inspect`'s
-//! `validate()` catches it offline. Formats without stored bounds (v1/v2)
-//! run the content oracle at open instead, which decodes each payload
-//! once — verifying the lazy CRCs as a side effect — still without
-//! materializing any owned payload copy.
+//! `validate()` catches it offline.
 //!
 //! The `unsafe` mapping itself lives in [`crate::mmap`]; see that
 //! module's safety argument (immutable published files, `SIGBUS` on
@@ -42,13 +38,13 @@ use crate::index::InvertedIndex;
 use crate::io::{self, Backing};
 use crate::mmap::Mmap;
 
-/// Maps an index file (format v1–v4) without materializing payload
+/// Maps an index file (format v4) without materializing payload
 /// bytes. See the module docs for what is verified when.
 ///
 /// # Errors
 ///
 /// Returns [`IndexError::Io`] on mapping failure,
-/// [`IndexError::UnsupportedFormat`] on an unknown magic,
+/// [`IndexError::UnsupportedFormat`] on any magic but v4's,
 /// [`IndexError::UnknownCodec`] on a v4 codec id other than 0,
 /// [`IndexError::ChecksumMismatch`] when an eagerly-verified section CRC
 /// fails, and [`IndexError::CorruptIndex`] on structural violations.
@@ -59,7 +55,7 @@ pub fn map_index(path: &Path) -> Result<InvertedIndex, IndexError> {
 /// [`map_index`] over an existing mapping (tests and benches map once
 /// and reuse).
 pub fn map_index_from(map: Arc<Mmap>) -> Result<InvertedIndex, IndexError> {
-    io::load_plain(Backing::Mapped(&map))
+    io::load(Backing::Mapped(&map))
 }
 
 #[cfg(test)]
@@ -96,26 +92,38 @@ mod tests {
         for codec in CodecId::ALL {
             let idx = sample_index();
             let bytes = io::serialize(&idx).unwrap();
-            let path = write_tmp(&format!("v4-{codec}"), &bytes);
-            let mapped = map_index(&path).unwrap();
+            let (heap, mapped) = load_both(&format!("v4-{codec}"), &bytes);
+            let (heap, mapped) = (heap.unwrap(), mapped.unwrap());
+            assert_eq!(heap, idx, "{codec}");
             assert_eq!(mapped, idx, "{codec}");
+            assert!(!heap.source().is_mapped());
             assert!(mapped.source().is_mapped());
             assert_eq!(mapped.source().mapped_bytes(), bytes.len() as u64);
+            assert_eq!(heap.bounds(), mapped.bounds(), "{codec}");
             for id in 0..mapped.num_terms() as u32 {
                 assert!(mapped.encoded_list(id).is_mapped(), "{codec} list {id}");
                 mapped.verify_term(id).unwrap();
             }
-            // The deep oracle accepts the mapped assembly.
+            // The deep oracle accepts both assemblies.
+            heap.validate().unwrap();
             mapped.validate().unwrap();
-            std::fs::remove_file(&path).ok();
         }
     }
 
     #[test]
     fn unknown_magic_is_unsupported_format() {
-        // Besides garbage, the magics of the retired round-robin shard
-        // manifests (v1, v2, v3): such a file is an unknown format now.
-        let retired = [0x4949_5553_0000_0001, 0x4949_5553_0000_0002, 0x4949_5553_0000_0003];
+        // Besides garbage, the magics of the retired index formats v1–v3
+        // ("IIUX") and of the retired round-robin shard manifests
+        // ("IIUS"): such a file is an unknown format now, even with a v4
+        // body behind it.
+        let retired = [
+            0x4949_5558_0000_0001,
+            0x4949_5558_0000_0002,
+            0x4949_5558_0000_0003,
+            0x4949_5553_0000_0001,
+            0x4949_5553_0000_0002,
+            0x4949_5553_0000_0003,
+        ];
         let good = io::serialize(&sample_index()).unwrap();
         for magic in std::iter::once(u64::MAX).chain(retired) {
             let mut bytes = good.clone();
@@ -186,42 +194,14 @@ mod tests {
         (heap, mapped)
     }
 
-    #[test]
-    fn every_format_loads_identically_on_both_backings() {
-        use io::legacy;
-        let bitpack = sample_index();
-        let mut table: Vec<(String, Vec<u8>, InvertedIndex)> = vec![
-            ("v1".into(), legacy::serialize_v1(&bitpack), bitpack.clone()),
-            ("v2".into(), legacy::serialize_v2(&bitpack), bitpack.clone()),
-            ("v3".into(), legacy::serialize_v3(&bitpack), bitpack.clone()),
-        ];
-        for codec in CodecId::ALL {
-            let idx = sample_index();
-            table.push((format!("v4-{codec}"), io::serialize(&idx).unwrap(), idx));
-        }
-
-        for (label, bytes, original) in &table {
-            let (heap, mapped) = load_both(&format!("matrix-{label}"), bytes);
-            let (h, m) = (heap.unwrap(), mapped.unwrap());
-            assert!(h == *original, "{label}: heap load differs from the original");
-            assert!(m == *original, "{label}: mapped load differs from the original");
-            assert!(h == m, "{label}: the two backings disagree");
-            assert!(!h.source().is_mapped() && m.source().is_mapped(), "{label}");
-            h.validate().unwrap();
-            m.validate().unwrap();
-            assert_eq!(h.bounds(), m.bounds(), "{label}: bounds differ across backings");
-        }
-    }
-
-    /// Byte range (CRC excluded) of term `id`'s record in `idx`'s sealed
-    /// file, whose header is `header_len` bytes.
-    fn record_span(idx: &InvertedIndex, id: u32, header_len: usize) -> (usize, usize) {
+    /// Byte range (CRC excluded) of term `id`'s record in `idx`'s file.
+    fn record_span(idx: &InvertedIndex, id: u32) -> (usize, usize) {
         let record_len = |t: u32| {
             let list = idx.encoded_list(t);
             let frame = 4 + idx.term_info(t).term.len() + 8 + 8 + list.num_blocks() * 12 + 8;
             frame + list.payload().len()
         };
-        let records = 8 + header_len + 4 + idx.doc_lens().len() * 4 + 4;
+        let records = 8 + 38 + 4 + idx.doc_lens().len() * 4 + 4;
         let start = records + (0..id).map(|t| record_len(t) + 4).sum::<usize>();
         (start, start + record_len(id))
     }
@@ -243,36 +223,6 @@ mod tests {
             .filter(|&id| idx.encoded_list(id).metas().first().is_some_and(|m| m.count >= 2))
             .max_by_key(|&id| idx.encoded_list(id).payload().len())
             .unwrap()
-    }
-
-    #[test]
-    fn crc_consistent_repeated_docids_are_rejected_by_both_backings() {
-        // Zero the first block of one list — every gap becomes 0, so the
-        // block decodes to its skip value repeated — and reseal the
-        // record CRC and the footer. A v2 file stores no bounds, so the
-        // content oracle is the only check left on either backing, and it
-        // must hold docID order.
-        let idx = sample_index();
-        let mut bytes = io::legacy::serialize_v2(&idx);
-        let id = widest_term(&idx);
-        let list = idx.encoded_list(id);
-        let span = record_span(&idx, id, 37);
-        let payload_start = span.1 - list.payload().len();
-        let block_end =
-            list.metas().get(1).map_or(list.payload().len(), |m| m.offset as usize);
-        bytes[payload_start..payload_start + block_end].fill(0);
-        reseal(&mut bytes, span);
-
-        let (heap, mapped) = load_both("repeat-v2", &bytes);
-        for (backing, loaded) in [("heap", heap), ("mapped", mapped)] {
-            assert!(
-                matches!(
-                    loaded,
-                    Err(IndexError::CorruptIndex { context: "docIDs not increasing" })
-                ),
-                "{backing}: repeated docIDs must be rejected at open"
-            );
-        }
     }
 
     /// The policy table of [`crate::io`], one row per test: a single
@@ -301,7 +251,7 @@ mod tests {
             let idx = sample_index();
             let mut bytes = io::serialize(&idx).unwrap();
             let id = widest_term(&idx);
-            let (_, end) = record_span(&idx, id, 38);
+            let (_, end) = record_span(&idx, id);
             bytes[end - 1] ^= 0x04;
             let (heap, mapped) = load_both("policy-payload", &bytes);
             assert!(matches!(

@@ -35,7 +35,7 @@ use iiu_core::{
     CpuSearchEngine, IiuSearchEngine, PartSource, Query, SearchEngine, SearchResponse,
     ShardedSearchEngine,
 };
-use iiu_index::io::{deserialize, serialize, MAGIC, MAGIC_V1, MAGIC_V2, MAGIC_V3};
+use iiu_index::io::{deserialize, serialize};
 use iiu_index::{
     corrupt, Bm25Params, BuildOptions, IncrementalIndex, IncrementalOptions, IndexBuilder,
     IndexError, IngestDoc, InvertedIndex, Partitioner, PositionIndex,
@@ -229,7 +229,8 @@ fn load_index_mode(path: &str, mmap: bool) -> Result<InvertedIndex, String> {
 }
 
 /// Why an index file failed to load. A retired round-robin shard manifest
-/// (magic "IIUS" + version) gets a pointer to what replaced it.
+/// (magic "IIUS" + version) or index format (magic "IIUX" + 1..=3) gets a
+/// pointer to what replaced it.
 fn load_error(e: IndexError) -> String {
     match e {
         IndexError::UnsupportedFormat { found } if found >> 32 == 0x4949_5553 => {
@@ -237,6 +238,15 @@ fn load_error(e: IndexError) -> String {
              with `iiu gen` (no --shards) and pass --shards N to search or serve-bench \
              to fan queries out over docID windows of the one index"
                 .into()
+        }
+        IndexError::UnsupportedFormat { found }
+            if found >> 32 == 0x4949_5558 && (1..=3).contains(&(found & 0xffff_ffff)) =>
+        {
+            format!(
+                "the file is in index format v{}, a retired format: rebuild it in format \
+                 v4 with `iiu build` or `iiu gen`",
+                found & 0xffff_ffff
+            )
         }
         e => e.to_string(),
     }
@@ -406,7 +416,9 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let flag = |n: &str| parsed.flag(n);
     let [path] = parsed.positional[..] else {
         return Err(
-            "usage: iiu inspect <index-file> [--fault-rate R] [--trials N] [--seed S]".into(),
+            "usage: iiu inspect <index-file|index-dir> [--fault-rate R] [--trials N] \
+                    [--seed S] [--mmap yes]"
+                .into(),
         );
     };
     if std::path::Path::new(path).is_dir() {
@@ -415,27 +427,9 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     println!("file:     {path} ({} bytes)", bytes.len());
 
-    let magic = bytes
-        .get(..8)
-        .map(|m| u64::from_le_bytes([m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7]]));
-    let (version, checked) = match magic {
-        Some(MAGIC) => ("v4", true),
-        Some(MAGIC_V3) => ("v3 (block-max score bounds)", true),
-        Some(MAGIC_V2) => ("v2", true),
-        Some(MAGIC_V1) => ("v1 (legacy)", false),
-        _ => ("unrecognized", false),
-    };
-    println!("format:   {version}");
-
     let index = deserialize(&bytes).map_err(|e| format!("load failed: {}", load_error(e)))?;
-    println!(
-        "load:     ok ({})",
-        if checked {
-            "header, doc-length, per-term and footer checksums verified"
-        } else {
-            "no checksums in this format version"
-        }
-    );
+    println!("format:   v4");
+    println!("load:     ok (header, doc-length, per-term, score-bounds and footer checksums verified)");
     index.validate().map_err(|e| format!("validation failed: {e}"))?;
     println!("validate: ok (structural invariants hold)");
     if parsed.flag("mmap").is_some() {
@@ -443,7 +437,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         // the mapped assembly (which exercises every lazy record CRC), and
         // require bit-identity with the heap load.
         let mapped = iiu_index::storage::map_index(path.as_ref())
-            .map_err(|e| format!("mmap load failed: {e}"))?;
+            .map_err(|e| format!("mmap load failed: {}", load_error(e)))?;
         mapped.validate().map_err(|e| format!("mmap validation failed: {e}"))?;
         if mapped != index {
             return Err("mmap load differs from heap load".into());
@@ -970,5 +964,21 @@ mod tests {
         }
         let other = load_error(IndexError::UnsupportedFormat { found: u64::MAX });
         assert!(!other.contains("retired"), "{other}");
+    }
+
+    #[test]
+    fn a_retired_index_format_magic_points_to_a_rebuild() {
+        for v in 1..=3u64 {
+            let msg =
+                load_error(IndexError::UnsupportedFormat { found: 0x4949_5558_0000_0000 | v });
+            assert!(msg.contains(&format!("format v{v}, a retired format")), "{msg}");
+            assert!(msg.contains("`iiu build`") && msg.contains("`iiu gen`"), "{msg}");
+        }
+        // The current version never reaches here; an unknown later one is
+        // not a retired format.
+        for found in [0x4949_5558_0000_0005, 0x4949_5558_0001_0002] {
+            let msg = load_error(IndexError::UnsupportedFormat { found });
+            assert!(!msg.contains("retired"), "{msg}");
+        }
     }
 }

@@ -11,7 +11,7 @@ pub const LAYOUT_KS: [usize; 4] = [0, 1, 10, 100_000];
 
 /// One adversarial corpus: the docIDs of lists `a` and `b`, the block
 /// length both are cut into, and whether every posting scores the same.
-pub struct Layout {
+pub struct AdversarialLayout {
     pub name: &'static str,
     a: Vec<DocId>,
     b: Vec<DocId>,
@@ -28,7 +28,7 @@ fn mix(x: u32, salt: u32) -> u32 {
     h ^ (h >> 13)
 }
 
-impl Layout {
+impl AdversarialLayout {
     /// Builds the layout's index. Unless the layout is flat, one posting
     /// in sixteen is a high-tf outlier so that block bounds differ and the
     /// threshold climbs in steps.
@@ -58,7 +58,7 @@ impl Layout {
 }
 
 /// The layouts: each names the cursor mistake it would expose.
-pub fn adversarial_layouts() -> Vec<Layout> {
+pub fn adversarial_layouts() -> Vec<AdversarialLayout> {
     let step =
         |from: DocId, n: u32, by: u32| (0..n).map(|i| from + i * by).collect::<Vec<_>>();
     // Irregular gaps of 1..=`widest`, so the two lists collide only now
@@ -72,7 +72,8 @@ pub fn adversarial_layouts() -> Vec<Layout> {
             })
             .collect::<Vec<DocId>>()
     };
-    let layout = |name, a, b, block_len| Layout { name, a, b, block_len, flat: false };
+    let layout =
+        |name, a, b, block_len| AdversarialLayout { name, a, b, block_len, flat: false };
     vec![
         // Every interval ends in the middle of the other list's block.
         layout("misaligned blocks", ragged(300, 8, 5), ragged(420, 9, 5), 4),
@@ -103,7 +104,7 @@ pub fn adversarial_layouts() -> Vec<Layout> {
         // none of it.
         layout("1000:1 lengths", step(40, 20, 1000), step(0, 20_000, 1), 16),
         // Every candidate ties the threshold: `<=` against `<` decides.
-        Layout {
+        AdversarialLayout {
             name: "all-equal scores",
             a: step(0, 90, 2),
             b: step(0, 60, 3),

@@ -132,6 +132,72 @@ fn a_mapped_list_reaching_past_the_corpus_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
+fn a_crc_consistent_block_of_repeated_docids_fails_heap_load_and_mapped_validate_only() {
+    // Zero the first block of a multi-block list — every gap and tf
+    // becomes 0, so the block decodes to its skip value repeated — and
+    // reseal the record CRC and the footer. The heap load runs the content
+    // oracle and refuses the file; the mapped open takes docID order on
+    // the record CRC and holds only the last block to the corpus, so it
+    // opens and serves, and only `validate()` finds the repeat.
+    let mut builder = IndexBuilder::new(BuildOptions {
+        partitioner: iiu_index::Partitioner::fixed(4),
+        ..BuildOptions::default()
+    });
+    builder.add_document("the quick brown fox jumps over the lazy dog");
+    builder.add_document("pack my box with five dozen liquor jugs");
+    builder.add_document("the five boxing wizards jump quickly");
+    builder.add_document("quick wizards pack the box");
+    for i in 0..60 {
+        builder.add_document(&format!("fox pack filler{} quick dog", i % 7));
+    }
+    let idx = builder.build();
+    let list = idx.encoded_list(idx.term_id("quick").expect("indexed"));
+    let first_block = list.metas()[1].offset as usize;
+    let mut bytes = serialize(&idx).expect("serialize");
+
+    // The record: name_len u32 · name · num_postings u64 · num_blocks u64
+    // · metas 8 · skips 4 per block · payload_len u64 · payload · crc u32.
+    let name: Vec<u8> = [&5u32.to_le_bytes()[..], b"quick"].concat();
+    let starts: Vec<usize> =
+        (0..bytes.len() - name.len()).filter(|&i| bytes[i..].starts_with(&name)).collect();
+    let [start] = starts[..] else { panic!("record of \"quick\" not unique: {starts:?}") };
+    let payload = start + name.len() + 16 + list.num_blocks() * 12 + 8;
+    let end = payload + list.payload().len();
+    bytes[payload..payload + first_block].fill(0);
+    let crc = |b: &[u8]| iiu_index::crc32(b).to_le_bytes();
+    let record_crc = crc(&bytes[start..end]);
+    bytes[end..end + 4].copy_from_slice(&record_crc);
+    let n = bytes.len();
+    let footer = crc(&bytes[..n - 4]);
+    bytes[n - 4..].copy_from_slice(&footer);
+
+    use iiu_index::IndexError::CorruptIndex;
+    let is_repeat = |r: Result<(), iiu_index::IndexError>| {
+        matches!(r, Err(CorruptIndex { context: "docIDs not increasing" }))
+    };
+    assert!(is_repeat(deserialize(&bytes).map(|_| ())), "the heap load runs the oracle");
+    let scratch = scratch_path("repeated-docids");
+    std::fs::write(&scratch, &bytes).expect("scratch file writable");
+    let mapped = iiu_index::storage::map_index(&scratch).expect("the open holds skips only");
+    std::fs::remove_file(&scratch).ok();
+    let quick = mapped.term_id("quick").expect("indexed");
+    mapped.verify_term(quick).expect("record CRC and last block are intact");
+    assert!(is_repeat(mapped.validate()), "validate() runs the oracle");
+    // The served list is not re-checked per query: pruned and exhaustive
+    // single/AND/OR searches answer from the repeated docIDs.
+    for pruned in [false, true] {
+        let mut engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(pruned);
+        for (shape, answered) in [
+            ("single", engine.search_single("quick", 10).is_ok()),
+            ("and", engine.search_intersection("quick", "dog", 10).is_ok()),
+            ("or", engine.search_union("quick", "dog", 10).is_ok()),
+        ] {
+            assert!(answered, "pruned={pruned} {shape}");
+        }
+    }
+}
+
+#[test]
 fn stalled_simulation_reports_snapshot_instead_of_spinning() {
     // queue_cap = 0 means no unit can ever hand data downstream: the
     // machine wedges immediately. The watchdog must convert that into a
@@ -190,7 +256,7 @@ fn or_with_unknown_term_degrades_on_both_engines() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// v2 round-trip is lossless — deep equality of the index, and the
+    /// v4 round-trip is lossless — deep equality of the index, and the
     /// positional sidecar (its own little format) round-trips alongside.
     #[test]
     fn prop_v2_roundtrip_with_positions(

@@ -35,6 +35,26 @@ done
 cargo build --release --workspace
 cargo test -q --workspace
 
+# CLI smoke: `iiu gen` writes a small index, `iiu inspect` loads it on
+# the heap and mapped and survives a fault-injection campaign over it;
+# the same file under the retired v2 magic ("IIUX" + 2 in byte 0) exits 1
+# with the rebuild hint. Runs in both modes.
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+cargo run --release -q --bin iiu -- gen "$smoke_dir/smoke.iiu" --docs 3000 >/dev/null
+cargo run --release -q --bin iiu -- inspect "$smoke_dir/smoke.iiu" \
+    --mmap yes --fault-rate 0.001 --trials 50
+cp "$smoke_dir/smoke.iiu" "$smoke_dir/v2.iiu"
+printf '\002' | dd of="$smoke_dir/v2.iiu" bs=1 count=1 conv=notrunc 2>/dev/null
+status=0
+cargo run --release -q --bin iiu -- inspect "$smoke_dir/v2.iiu" \
+    >/dev/null 2>"$smoke_dir/v2.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "retired format: rebuild it" "$smoke_dir/v2.err"; then
+    echo "verify: inspect of a v2-magic file exited $status without the rebuild hint:" >&2
+    cat "$smoke_dir/v2.err" >&2
+    exit 1
+fi
+
 # The repo benchmark (benchmark/, BENCHMARK.json) is a package of its own
 # that the workspace commands above never build: compile it against this
 # tree, run its unit tests, and run every workload once on the small
