@@ -18,6 +18,7 @@
 pub mod cost;
 pub mod engine;
 pub mod ops;
+pub mod park;
 pub mod pruned;
 pub mod sharded;
 pub mod supervise;

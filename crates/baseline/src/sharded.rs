@@ -31,6 +31,11 @@
 //! buffers without cross-thread sharing. Jobs are boxed closures; each
 //! runs under `catch_unwind`, so a panicking query marks its shard's
 //! slot failed instead of killing the worker or hanging the caller.
+//! Every wait goes through a [`Monitor`] (DESIGN.md §15, "One way to park
+//! and wake"): idle workers park on the deque's, a fan-out's coordinator
+//! on its own until the last of its tasks reports or the fan-out deadline
+//! passes, and `Drop` on the deque's until every worker is out of its
+//! loop.
 //!
 //! Supervision is two-plane, one [`Supervisor`] per shard and per worker
 //! slot: *shard* state (quarantine after repeated failures, half-open
@@ -66,7 +71,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -79,6 +84,7 @@ use crate::engine::{
     exhaustive_intersection, exhaustive_single, exhaustive_union, short_first,
 };
 use crate::ops::{DecodeScratch, OpCounts};
+use crate::park::{Monitor, Wake};
 use crate::pruned;
 use crate::supervise::{Policy, State, Supervisor};
 use crate::topk::{rank_cmp, Hit, SharedThreshold};
@@ -272,7 +278,7 @@ const DROP_JOIN_TIMEOUT: Duration = Duration::from_millis(500);
 impl ShardPoolConfig {
     /// The effective worker count for an index with `num_shards` shards
     /// (resolving the `pool_threads == 0` auto-sizing rule).
-    pub fn effective_pool_threads(&self, num_shards: usize) -> usize {
+    fn effective_pool_threads(&self, num_shards: usize) -> usize {
         if self.pool_threads == 0 {
             let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
             cores.max(num_shards).max(1)
@@ -282,18 +288,11 @@ impl ShardPoolConfig {
     }
 
     /// The single place the per-fan-out deadline policy becomes an
-    /// absolute instant, shared by [`ShardPool::run_on`] (supervision)
-    /// and scheduler layers that pre-compute a query's slack: `None`
-    /// waits unboundedly, otherwise the run resolves by `now +
-    /// deadline`. A deadline too far out for an [`Instant`] (such as
-    /// `Duration::MAX`) is no deadline.
-    pub fn fanout_deadline_from(&self, now: Instant) -> Option<Instant> {
+    /// absolute instant: `None` waits unboundedly, otherwise a run
+    /// started at `now` resolves by `now + deadline`. A deadline too far
+    /// out for an [`Instant`] (such as `Duration::MAX`) is no deadline.
+    fn fanout_deadline_from(&self, now: Instant) -> Option<Instant> {
         self.deadline.and_then(|d| now.checked_add(d))
-    }
-
-    /// [`Self::fanout_deadline_from`] anchored at the current instant.
-    pub fn fanout_deadline(&self) -> Option<Instant> {
-        self.fanout_deadline_from(Instant::now())
     }
 
     /// Each shard's quarantine policy: a fixed cooldown, one probe.
@@ -419,15 +418,21 @@ pub struct PoolWorkerReport {
     pub respawns: u64,
 }
 
+/// The task deque every worker drains, and who is still draining it.
+#[derive(Debug, Default)]
+struct Deque {
+    tasks: VecDeque<Task>,
+    /// Set by `Drop`: every worker exits.
+    closed: bool,
+    /// Worker threads not yet past their loop; `Drop` waits for zero.
+    live: usize,
+}
+
 /// State shared between the pool handle and its worker threads.
 #[derive(Debug)]
 struct PoolShared {
     source: PartSource,
-    /// The single task deque every worker drains.
-    queue: Mutex<VecDeque<Task>>,
-    not_empty: Condvar,
-    /// Pool-wide stop flag (set on `Drop`).
-    shutdown: AtomicBool,
+    deque: Monitor<Deque>,
     /// Per-shard completed-task counters — the other half of the
     /// wedge-drain accounting (`ShardState::submitted` is the half
     /// behind the supervision mutex). Incremented by whichever worker
@@ -454,11 +459,36 @@ struct ShardState {
 }
 
 /// One worker thread's kill switch and finished-task count, shared with
-/// the thread.
+/// the thread. `die` is written only inside a [`Deque`] update, so the
+/// thread's wait sees it.
 #[derive(Debug, Default)]
 struct Life {
     die: AtomicBool,
     tasks: AtomicU64,
+}
+
+/// A worker thread's place in [`Deque::live`], held for the thread's
+/// whole life: made before the spawn and dropped on the thread's way
+/// out (or with the closure, if the spawn fails).
+struct Live(Arc<PoolShared>);
+
+impl Live {
+    fn enter(shared: &Arc<PoolShared>) -> Self {
+        shared.deque.update(|d| {
+            d.live += 1;
+            ((), Wake::None)
+        });
+        Live(Arc::clone(shared))
+    }
+}
+
+impl Drop for Live {
+    fn drop(&mut self) {
+        self.0.deque.update(|d| {
+            d.live -= 1;
+            ((), if d.live == 0 { Wake::All } else { Wake::None })
+        });
+    }
 }
 
 /// Worker-plane bookkeeping for one pool worker slot (behind the
@@ -530,28 +560,19 @@ fn spawn_pool_worker(
     if w < 64 && fail_spawn_mask & (1u64 << w) != 0 {
         return None;
     }
-    let shared = Arc::clone(shared);
+    let live = Live::enter(shared);
     let builder = std::thread::Builder::new().name(format!("iiu-pool-{w}"));
     let spawned = builder.spawn(move || {
+        let shared = &live.0;
         let mut scratch = DecodeScratch::new();
         loop {
-            let Task { shard, job } = {
-                let mut q = lock(&shared.queue);
-                loop {
-                    // Both flags flip under this lock (see `Drop` and
-                    // `kill_worker`), so none can land between this check
-                    // and the wait below.
-                    if life.die.load(Ordering::Relaxed)
-                        || shared.shutdown.load(Ordering::Relaxed)
-                    {
-                        return;
-                    }
-                    if let Some(t) = q.pop_front() {
-                        break t;
-                    }
-                    q = shared.not_empty.wait(q).unwrap_or_else(PoisonError::into_inner);
+            let task = shared.deque.wait_until(None, |d| {
+                if life.die.load(Ordering::Relaxed) || d.closed {
+                    return Some(None);
                 }
-            };
+                d.tasks.pop_front().map(Some)
+            });
+            let Some(Task { shard, job }) = task.flatten() else { return };
             // The dispatch path wraps the caller's closure in its own
             // catch_unwind so the result slot is always signalled; this
             // outer guard keeps the worker alive even if that wrapper
@@ -590,7 +611,6 @@ fn spawn_pool_worker(
 pub struct ShardPool {
     shared: Arc<PoolShared>,
     cfg: ShardPoolConfig,
-    n_workers: usize,
     state: Mutex<PoolState>,
     /// Test-only spawn sabotage: bit `w` set means pool worker slot `w`
     /// can never spawn (exercises the spawn-failure path end to end).
@@ -625,9 +645,7 @@ impl ShardPool {
         let n_workers = cfg.effective_pool_threads(n);
         let shared = Arc::new(PoolShared {
             source,
-            queue: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            deque: Monitor::new(Deque::default()),
             completed: (0..n).map(|_| AtomicU64::new(0)).collect(),
         });
         let workers = (0..n_workers)
@@ -660,7 +678,6 @@ impl ShardPool {
         ShardPool {
             shared,
             cfg,
-            n_workers,
             state: Mutex::new(PoolState { shards, workers }),
             fail_spawn_mask,
             #[cfg(test)]
@@ -686,11 +703,6 @@ impl ShardPool {
     /// Number of parts queries fan out across.
     pub fn num_shards(&self) -> usize {
         self.shared.source.num_parts()
-    }
-
-    /// Number of pool worker slots draining the shared deque.
-    pub fn num_workers(&self) -> usize {
-        self.n_workers
     }
 
     /// The pool's supervision policy.
@@ -729,22 +741,20 @@ impl ShardPool {
         alive
     }
 
-    /// Kills pool worker `w`'s thread: the chaos-campaign instrument for
-    /// worker death mid-stream. The worker exits after its current task
-    /// (queued tasks stay in the shared deque for the other workers);
-    /// dead-slot detection and respawn take over at a later dispatch.
-    pub fn kill_worker(&self, w: usize) {
+    /// Kills pool worker `w`'s thread (no-op for a slot the pool does
+    /// not have): the chaos-campaign instrument for worker death
+    /// mid-stream. The worker exits after its current task (queued tasks
+    /// stay in the shared deque for the other workers); dead-slot
+    /// detection and respawn take over at a later dispatch.
+    fn kill_worker(&self, w: usize) {
         let st = lock(&self.state);
         let Some(w) = st.workers.get(w) else { return };
-        // Under the queue lock, or an idle victim between its flag check
-        // and its wait would miss the only notify (DESIGN.md §15).
-        {
-            let _q = lock(&self.shared.queue);
+        // Wakes every parked worker: only the victim can tell the switch
+        // is its own; the others re-check and park again.
+        self.shared.deque.update(|_| {
             w.life.die.store(true, Ordering::Relaxed);
-        }
-        // Wake everything blocked on the deque so the victim sees the
-        // kill switch even while idle (the others re-check and re-wait).
-        self.shared.not_empty.notify_all();
+            ((), Wake::All)
+        });
     }
 
     /// Whether shard `s` is still draining the backlog of a timed-out
@@ -803,7 +813,7 @@ impl ShardPool {
     /// worker slot is live or respawn-due. Engines use this to pick
     /// fan-out targets (and the threshold primer shard) up front instead
     /// of discovering unavailability mid-run.
-    pub fn ready_shards(&self) -> Vec<usize> {
+    fn ready_shards(&self) -> Vec<usize> {
         let now = self.now();
         let mut st = lock(&self.state);
         st.workers.iter_mut().for_each(|w| w.settle(now));
@@ -833,36 +843,11 @@ impl ShardPool {
         self.run_on(None, f).slots
     }
 
-    /// Like [`Self::run`] but also reports what happened to every shard.
-    pub fn run_with_report<T, F>(&self, f: F) -> ShardRun<T>
-    where
-        F: Fn(usize, Part<'_>, &mut DecodeScratch) -> T + Send + Sync + 'static,
-        T: Send + 'static,
-    {
-        self.run_on(None, f)
-    }
-
     /// Runs `f` on the shards in `targets` (all shards when `None`),
     /// waiting at most the configured fan-out deadline
-    /// ([`ShardPoolConfig::fanout_deadline`]), and updates supervision
-    /// state from the outcomes.
+    /// ([`ShardPoolConfig::deadline`]), and updates supervision state
+    /// from the outcomes.
     pub fn run_on<T, F>(&self, targets: Option<&[usize]>, f: F) -> ShardRun<T>
-    where
-        F: Fn(usize, Part<'_>, &mut DecodeScratch) -> T + Send + Sync + 'static,
-        T: Send + 'static,
-    {
-        self.run_on_until(targets, self.cfg.fanout_deadline(), f)
-    }
-
-    /// Like [`Self::run_on`] but waits until an explicit absolute
-    /// `deadline` (`None` waits unboundedly) — the entry point for
-    /// schedulers that already computed a query's remaining slack.
-    pub fn run_on_until<T, F>(
-        &self,
-        targets: Option<&[usize]>,
-        deadline: Option<Instant>,
-        f: F,
-    ) -> ShardRun<T>
     where
         F: Fn(usize, Part<'_>, &mut DecodeScratch) -> T + Send + Sync + 'static,
         T: Send + 'static,
@@ -875,27 +860,21 @@ impl ShardPool {
             /// so the task that completes the count — and only that one —
             /// wakes the coordinator.
             expected: usize,
-        }
-        struct Slot<T> {
-            state: Mutex<SlotState<T>>,
-            done: Condvar,
             /// Set when the run gives up (deadline): tasks still queued
             /// drain without doing the query work, so a timeout storm
             /// does not snowball stale backlog through the shared pool.
-            abandoned: AtomicBool,
+            abandoned: bool,
         }
+        let deadline = self.cfg.fanout_deadline_from(Instant::now());
         let n = self.num_shards();
         let f = Arc::new(f);
-        let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState {
-                values: (0..n).map(|_| None).collect::<Vec<Option<T>>>(),
-                done: vec![false; n],
-                n_done: 0,
-                expected: 0,
-            }),
-            done: Condvar::new(),
-            abandoned: AtomicBool::new(false),
-        });
+        let slot = Arc::new(Monitor::new(SlotState {
+            values: (0..n).map(|_| None).collect::<Vec<Option<T>>>(),
+            done: vec![false; n],
+            n_done: 0,
+            expected: 0,
+            abandoned: false,
+        }));
         let mut outcomes = vec![ShardOutcome::NotDispatched; n];
         let mut dispatched = vec![false; n];
         let mut probing = vec![false; n];
@@ -941,19 +920,18 @@ impl ShardPool {
                 let f = Arc::clone(&f);
                 let slot = Arc::clone(&slot);
                 let job: Job = Box::new(move |part, scratch| {
-                    if slot.abandoned.load(Ordering::Relaxed) {
-                        // Stale task from a run that already gave up:
-                        // drain the accounting without the query work.
+                    // A stale task from a run that already gave up drains
+                    // the accounting without the query work.
+                    if slot.update(|g| (g.abandoned, Wake::None)) {
                         return;
                     }
                     let out = catch_unwind(AssertUnwindSafe(|| f(s, part, scratch))).ok();
-                    let mut g = lock(&slot.state);
-                    g.values[s] = out;
-                    g.done[s] = true;
-                    g.n_done += 1;
-                    if g.n_done == g.expected {
-                        slot.done.notify_all();
-                    }
+                    slot.update(|g| {
+                        g.values[s] = out;
+                        g.done[s] = true;
+                        g.n_done += 1;
+                        ((), if g.n_done == g.expected { Wake::One } else { Wake::None })
+                    });
                 });
                 batch.push(Task { shard: s, job });
                 sh.submitted += 1;
@@ -961,46 +939,32 @@ impl ShardPool {
                 expected += 1;
             }
             if !batch.is_empty() {
-                lock(&slot.state).expected = expected;
-                let mut q = lock(&self.shared.queue);
-                q.extend(batch);
-                drop(q);
-                self.shared.not_empty.notify_all();
+                slot.update(|g| {
+                    g.expected = expected;
+                    ((), Wake::None)
+                });
+                self.shared.deque.update(|d| {
+                    d.tasks.extend(batch);
+                    ((), Wake::All)
+                });
             }
         }
 
-        let (values, done_flags) = {
-            let mut g = lock(&slot.state);
-            loop {
-                if g.n_done >= g.expected {
-                    break;
-                }
-                match deadline {
-                    None => g = slot.done.wait(g).unwrap_or_else(PoisonError::into_inner),
-                    Some(dl) => {
-                        let now = Instant::now();
-                        if now >= dl {
-                            break;
-                        }
-                        let (ng, _) = slot
-                            .done
-                            .wait_timeout(g, dl - now)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        g = ng;
-                    }
-                }
-            }
-            if g.n_done < g.expected {
+        // Swap in a fresh vec (not mem::take): a shard finishing after the
+        // deadline still writes into a full-length slot vec harmlessly
+        // instead of indexing out of bounds.
+        let take = |g: &mut SlotState<T>| {
+            (std::mem::replace(&mut g.values, (0..n).map(|_| None).collect()), g.done.clone())
+        };
+        let joined = slot.wait_until(deadline, |g| (g.n_done >= g.expected).then(|| take(g)));
+        let (values, done_flags) = joined.unwrap_or_else(|| {
+            slot.update(|g| {
                 // The run is giving up on the stragglers; let their
                 // still-queued tasks fast-drain on the pool.
-                slot.abandoned.store(true, Ordering::Relaxed);
-            }
-            // Swap in a fresh vec (not mem::take): a shard finishing after
-            // the deadline still writes into a full-length slot vec
-            // harmlessly instead of indexing out of bounds.
-            let values = std::mem::replace(&mut g.values, (0..n).map(|_| None).collect());
-            (values, g.done.clone())
-        };
+                g.abandoned = g.n_done < g.expected;
+                (take(g), Wake::None)
+            })
+        });
 
         {
             let now = self.now();
@@ -1036,30 +1000,25 @@ impl ShardPool {
 
 impl Drop for ShardPool {
     fn drop(&mut self) {
-        // The shutdown flag (plus a broadcast) ends every worker loop;
-        // join with a timeout so a wedged worker cannot deadlock
-        // shutdown — past the timeout the thread is detached and keeps
-        // its Arc of the pool state until it finishes on its own. The
-        // flag flips under the queue lock, or an idle worker between its
-        // flag check and its wait would miss the only notify and park
-        // forever, pinning the index (DESIGN.md §15).
-        {
-            let _q = lock(&self.shared.queue);
-            self.shared.shutdown.store(true, Ordering::Relaxed);
-        }
-        self.shared.not_empty.notify_all();
-        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        // Closing ends every worker loop; the wait is bounded so a wedged
+        // worker cannot deadlock shutdown. Past the timeout the threads
+        // still running are detached and keep their Arc of the pool state
+        // until they finish on their own — leaking a stuck thread beats
+        // hanging shutdown.
+        self.shared.deque.update(|d| {
+            d.closed = true;
+            ((), Wake::All)
+        });
         let deadline = Instant::now() + DROP_JOIN_TIMEOUT;
-        for w in st.workers.iter_mut() {
-            let Some(h) = w.handle.take() else { continue };
-            while !h.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if h.is_finished() {
+        let all_out =
+            self.shared.deque.wait_until(Some(deadline), |d| (d.live == 0).then_some(()));
+        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for h in st.workers.iter_mut().filter_map(|w| w.handle.take()) {
+            // A thread out of its loop is moments from finishing: join it,
+            // so it no longer holds the pool state once `drop` returns.
+            if all_out.is_some() || h.is_finished() {
                 let _ = h.join();
             }
-            // else: detach (dropping the handle) — leaking a stuck thread
-            // beats hanging shutdown.
         }
     }
 }
@@ -1311,27 +1270,28 @@ impl ShardedEngine {
         F: Fn(usize, Part<'_>, &mut DecodeScratch) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
-        let n = self.num_shards();
+        let (seq, alive) = self.begin();
+        let chaos = self.chaos.clone();
+        self.pool.run_on(Some(&alive), move |s, part, scratch| {
+            sabotage(&chaos, seq, s);
+            f(s, part, scratch)
+        })
+    }
+
+    /// What every fan-out does first: draws the query's chaos sequence
+    /// number, fires a worker kill the chaos plan schedules for it, and
+    /// picks the parts supervision says are ready — every part when none
+    /// is, so the run reports why each one is unavailable.
+    fn begin(&self) -> (u64, Vec<usize>) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         if let Some(victim) = self.chaos.kill(seq) {
-            if victim < self.pool.num_workers() {
-                self.pool.kill_worker(victim);
-            }
+            self.pool.kill_worker(victim);
         }
         let mut alive = self.pool.ready_shards();
         if alive.is_empty() {
-            alive = (0..n).collect();
+            alive = (0..self.num_shards()).collect();
         }
-        let chaos = self.chaos.clone();
-        self.pool.run_on(Some(&alive), move |s, part, scratch| {
-            if let Some(d) = chaos.sabotage_stall(seq, s) {
-                std::thread::sleep(d);
-            }
-            if chaos.sabotage_panic(seq, s) {
-                panic!("injected shard panic fault (seq {seq}, shard {s})");
-            }
-            f(s, part, scratch)
-        })
+        (seq, alive)
     }
 
     /// The fail-soft fan-out driver behind every query shape.
@@ -1365,19 +1325,10 @@ impl ShardedEngine {
             + 'static,
     {
         let n = self.num_shards();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if let Some(victim) = self.chaos.kill(seq) {
-            if victim < self.pool.num_workers() {
-                self.pool.kill_worker(victim);
-            }
-        }
         // Skip parts supervision already knows are unavailable, so the
         // primer (and pruned threshold exchange) only involves parts that
         // can actually reach the merge.
-        let mut alive = self.pool.ready_shards();
-        if alive.is_empty() {
-            alive = (0..n).collect();
-        }
+        let (seq, mut alive) = self.begin();
         for _pass in 0..=n {
             let shared = Arc::new(SharedThreshold::new());
             // Prime the shared threshold before dispatch, so no part pays
@@ -1402,12 +1353,7 @@ impl ShardedEngine {
             let sh = Arc::clone(&shared);
             let pruned_mode = self.pruned;
             let run = self.pool.run_on(Some(&alive), move |s, part, scratch| {
-                if let Some(d) = chaos.sabotage_stall(seq, s) {
-                    std::thread::sleep(d);
-                }
-                if chaos.sabotage_panic(seq, s) {
-                    panic!("injected shard panic fault (seq {seq}, shard {s})");
-                }
+                sabotage(&chaos, seq, s);
                 let mut counts = OpCounts::default();
                 let mut hits = f(part, pruned_mode.then_some(&*sh), &mut counts, scratch);
                 for h in &mut hits {
@@ -1527,6 +1473,17 @@ impl ShardedEngine {
                 None => exhaustive_union(index, ia, ib, window, k, counts, scratch),
             }
         })
+    }
+}
+
+/// Runs the chaos plan's stall and panic draws for part `s` of query
+/// `seq`, on the pool worker about to run it.
+fn sabotage(chaos: &ShardChaosPlan, seq: u64, s: usize) {
+    if let Some(d) = chaos.sabotage_stall(seq, s) {
+        std::thread::sleep(d);
+    }
+    if chaos.sabotage_panic(seq, s) {
+        panic!("injected shard panic fault (seq {seq}, shard {s})");
     }
 }
 

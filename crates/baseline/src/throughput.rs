@@ -5,13 +5,7 @@
 //! of cores drains the backlog. The makespan of a batch is therefore a
 //! multiprocessor-scheduling problem; this module models it with the
 //! longest-processing-time (LPT) greedy rule, which is what a work-stealing
-//! query pool approximates. A real multithreaded executor (std scoped
-//! threads over a shared work queue) is also provided so examples can
-//! demonstrate genuine parallel execution.
-
-use std::collections::VecDeque;
-use std::sync::mpsc;
-use std::sync::Mutex;
+//! query pool approximates.
 
 /// Makespan in nanoseconds of running queries with the given latencies on
 /// `cores` single-query cores, using LPT assignment.
@@ -35,64 +29,6 @@ pub fn parallel_makespan_ns(latencies_ns: &[f64], cores: usize) -> f64 {
         loads[min_idx] += lat;
     }
     loads.iter().fold(0.0f64, |m, &l| m.max(l))
-}
-
-/// Throughput in queries per second for a batch under the makespan model.
-pub fn batch_throughput_qps(latencies_ns: &[f64], cores: usize) -> f64 {
-    if latencies_ns.is_empty() {
-        return 0.0;
-    }
-    let makespan = parallel_makespan_ns(latencies_ns, cores);
-    latencies_ns.len() as f64 / (makespan * 1e-9)
-}
-
-/// Runs `jobs` on up to `workers` OS threads and collects the results in
-/// input order. This executes the queries for real (used by examples and
-/// correctness tests); the *modeled* time still comes from the cost model.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn run_parallel<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(n);
-    let queue: Mutex<VecDeque<(usize, F)>> =
-        Mutex::new(jobs.into_iter().enumerate().collect());
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let queue = &queue;
-            let tx = tx.clone();
-            s.spawn(move || loop {
-                // Jobs are popped atomically under the lock; a poisoned
-                // guard cannot expose a half-updated queue.
-                let next = queue
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .pop_front();
-                match next {
-                    Some((idx, job)) => {
-                        // The receiver outlives the scope; a failed send
-                        // means it was dropped mid-collect and the result
-                        // has nowhere to go anyway.
-                        let _ = tx.send((idx, job()));
-                    }
-                    None => break,
-                }
-            });
-        }
-        drop(tx);
-    });
-    let mut results: Vec<(usize, T)> = rx.into_iter().collect();
-    results.sort_by_key(|&(idx, _)| idx);
-    results.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -120,43 +56,8 @@ mod tests {
     }
 
     #[test]
-    fn throughput_saturates_with_cores() {
-        let lat = vec![100.0; 16];
-        let t1 = batch_throughput_qps(&lat, 1);
-        let t8 = batch_throughput_qps(&lat, 8);
-        let t16 = batch_throughput_qps(&lat, 16);
-        let t32 = batch_throughput_qps(&lat, 32);
-        assert!(t8 > t1 * 7.9);
-        assert!(t16 > t8 * 1.9);
-        // Beyond one core per query there is nothing left to parallelize.
-        assert_eq!(t16, t32);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one core")]
     fn zero_cores_panics() {
         let _ = parallel_makespan_ns(&[1.0], 0);
-    }
-
-    #[test]
-    fn run_parallel_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..64usize).map(|i| Box::new(move || i * i) as _).collect();
-        let results = run_parallel(jobs, 8);
-        assert_eq!(results, (0..64usize).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_parallel_with_one_worker() {
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
-            (0..5u32).map(|i| Box::new(move || i + 1) as _).collect();
-        assert_eq!(run_parallel(jobs, 1), vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn empty_batch() {
-        assert_eq!(batch_throughput_qps(&[], 4), 0.0);
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        assert!(run_parallel(jobs, 4).is_empty());
     }
 }

@@ -13,14 +13,18 @@
 //! by the time its caller blocks in [`PendingQuery::wait`] — the caller
 //! itself (help-first join; DESIGN.md §10). Both run `serve_one`, so
 //! executing queries are bounded by workers + callers blocked in `wait`.
+//! The queue is a [`Monitor`]: idle workers park on it and every change
+//! to it goes through one `update` (DESIGN.md §15, "One way to park and
+//! wake").
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use iiu_baseline::park::{Monitor, Wake};
 use iiu_baseline::supervise::{Policy, Supervisor};
 use iiu_core::{
     CpuSearchEngine, Degradation, IiuSearchEngine, IngestDoc, LiveIndex, PartSource, Query,
@@ -112,6 +116,15 @@ impl Job {
     }
 }
 
+/// The admission queue.
+#[derive(Default)]
+struct Admission {
+    jobs: VecDeque<Job>,
+    /// Set by [`QueryService::shutdown`]: nothing more is admitted, and
+    /// workers exit once `jobs` is empty.
+    closed: bool,
+}
+
 struct Shared {
     /// The static index image; `None` in live (incremental) mode.
     index: Option<Arc<InvertedIndex>>,
@@ -120,9 +133,7 @@ struct Shared {
     /// worker pool is running.
     live: Option<Arc<LiveIndex>>,
     cfg: ServeConfig,
-    queue: Mutex<VecDeque<Job>>,
-    not_empty: Condvar,
-    shutdown: AtomicBool,
+    queue: Monitor<Admission>,
     stats: ServeStats,
     /// The device-path circuit breaker (DESIGN.md §15).
     breaker: Mutex<Supervisor>,
@@ -133,10 +144,8 @@ struct Shared {
     sharded: Option<ShardedSearchEngine>,
 }
 
-/// Locks a mutex, recovering from poisoning. Queue contents are plain
-/// data pushed/popped atomically under the lock, and no breaker
-/// transition can panic, so a poisoned guard cannot expose a
-/// half-updated queue or breaker.
+/// Locks the breaker, recovering from poisoning: no breaker transition
+/// can panic, so a poisoned guard cannot expose a half-updated breaker.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -167,14 +176,11 @@ impl PendingQuery {
     /// holds, or one queued behind others, is waited for on the reply
     /// channel.
     pub fn wait(self) -> Result<SearchResponse, Rejected> {
-        let own = {
-            let mut q = lock(&self.shared.queue);
-            if q.front().is_some_and(|job| job.seq == self.seq) {
-                q.pop_front()
-            } else {
-                None
-            }
-        };
+        // Taking a job can unblock nobody, so it wakes nobody.
+        let own = self.shared.queue.update(|q| {
+            let mine = q.jobs.front().is_some_and(|job| job.seq == self.seq);
+            (if mine { q.jobs.pop_front() } else { None }, Wake::None)
+        });
         if let Some(job) = own {
             self.shared.stats.caller_runs.fetch_add(1, Ordering::Relaxed);
             // Only shapes device-retry back-off sleeps.
@@ -255,9 +261,7 @@ impl QueryService {
             index,
             live,
             cfg,
-            queue: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            queue: Monitor::new(Admission::default()),
             stats: ServeStats::default(),
             breaker: Mutex::new(breaker),
             seq: AtomicU64::new(0),
@@ -302,35 +306,32 @@ impl QueryService {
     /// immediately: `Err` is an admission-time shed, `Ok` a handle to
     /// wait on.
     pub fn submit(&self, query: Query, k: usize) -> Result<PendingQuery, Rejected> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(Rejected::ShuttingDown);
-        }
         let stats = &self.shared.stats;
         let now = Instant::now();
         let deadline = now.checked_add(self.shared.cfg.default_deadline);
         let (tx, rx) = mpsc::channel();
-        let seq = {
-            let mut q = lock(&self.shared.queue);
-            // Re-checked under the queue lock: workers only exit after
-            // observing (queue empty && shutdown) under this same lock, so
+        let seq = self.shared.queue.update(|q| {
+            // Checked under the queue lock: workers only exit after
+            // observing (queue empty && closed) under this same lock, so
             // a submit racing with shutdown() cannot enqueue a job no
             // worker will ever pick up (which would block wait() forever).
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                return Err(Rejected::ShuttingDown);
+            if q.closed {
+                return (Err(Rejected::ShuttingDown), Wake::None);
             }
             stats.submitted.fetch_add(1, Ordering::Relaxed);
-            if q.len() >= self.shared.cfg.queue_capacity {
+            if q.jobs.len() >= self.shared.cfg.queue_capacity {
                 stats.shed_overload.fetch_add(1, Ordering::Relaxed);
-                return Err(Rejected::Overloaded { queue_depth: q.len() });
+                return (Err(Rejected::Overloaded { queue_depth: q.jobs.len() }), Wake::None);
             }
             // Sequence numbers count *admitted* queries only, so
             // FaultPlan windows keyed on seq target queries that actually
             // reach a worker regardless of how many submissions shed.
             let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-            q.push_back(Job { query, k, submitted_at: now, deadline, seq, reply: tx });
-            seq
-        };
-        self.shared.not_empty.notify_one();
+            q.jobs.push_back(Job { query, k, submitted_at: now, deadline, seq, reply: tx });
+            // One job needs one worker: waking every idle one would cost
+            // the others a futile context switch per query.
+            (Ok(seq), Wake::One)
+        })?;
         Ok(PendingQuery { rx, seq, shared: Arc::clone(&self.shared) })
     }
 
@@ -388,38 +389,29 @@ impl QueryService {
             p50: s.latency_quantile_estimate(0.5),
             p99: s.latency_quantile_estimate(0.99),
             p999: s.latency_quantile_estimate(0.999),
-            queue_depth: lock(&self.shared.queue).len(),
+            queue_depth: self.shared.queue.update(|q| (q.jobs.len(), Wake::None)),
         }
     }
 
     /// Stops admitting queries, drains everything already admitted, and
     /// joins the workers. Called automatically on drop.
     pub fn shutdown(&mut self) {
-        // The flag must flip while holding the queue lock: an idle worker
-        // re-checks `shutdown` under this lock right before parking on
-        // `not_empty`, so an unlocked store + notify could land in that
-        // window — the notification is lost, the worker parks forever,
-        // and the join below deadlocks. Holding the lock pins each worker
-        // on one side of the race: either it has not re-checked yet (and
-        // will observe the flag), or it is already parked (and will
-        // receive the notify issued after the lock drops).
-        {
-            let _q = lock(&self.shared.queue);
-            self.shared.shutdown.store(true, Ordering::Release);
-        }
-        self.shared.not_empty.notify_all();
+        self.shared.queue.update(|q| {
+            q.closed = true;
+            ((), Wake::All)
+        });
         for h in self.workers.drain(..) {
             // A worker that somehow panicked outside a query's
             // catch_unwind has nothing left to deliver; joining it is
             // best-effort.
             let _ = h.join();
         }
-        // Belt and braces: the in-lock shutdown re-check in submit()
-        // prevents jobs landing after the last worker exits, but if one
-        // ever did (or a worker died outside catch_unwind), resolve it
-        // rather than leaving its caller blocked in wait().
-        let mut q = lock(&self.shared.queue);
-        while let Some(job) = q.pop_front() {
+        // Belt and braces: the in-lock closed check in submit() prevents
+        // jobs landing after the last worker exits, but if one ever did
+        // (or a worker died outside catch_unwind), resolve it rather than
+        // leaving its caller blocked in wait().
+        let left = self.shared.queue.update(|q| (std::mem::take(&mut q.jobs), Wake::None));
+        for job in left {
             let _ = job.reply.send(Err(Rejected::ShuttingDown));
         }
     }
@@ -455,23 +447,15 @@ fn worker_loop(shared: &Shared, worker_id: u64) {
         // lock acquisition, but never more than this worker's fair share
         // of the backlog — batching amortizes lock traffic under
         // overload without serializing a shallow queue behind one worker.
-        let batch: Vec<Job> = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if !q.is_empty() {
-                    let fair = q.len().div_ceil(workers);
-                    let n = fair.clamp(1, ADMISSION_BATCH);
-                    break q.drain(..n).collect();
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                q = shared
-                    .not_empty
-                    .wait(q)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let batch = shared.queue.wait_until(None, |q| {
+            if q.jobs.is_empty() {
+                return q.closed.then_some(None);
             }
-        };
+            let fair = q.jobs.len().div_ceil(workers);
+            let n = fair.clamp(1, ADMISSION_BATCH);
+            Some(Some(q.jobs.drain(..n).collect::<Vec<Job>>()))
+        });
+        let Some(batch) = batch.flatten() else { return };
         for job in batch {
             let _ = job.reply.send(serve_one(shared, &job, &mut rng));
         }

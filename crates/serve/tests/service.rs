@@ -374,13 +374,14 @@ fn shutdown_drains_admitted_queries_and_rejects_new_ones() {
 #[test]
 fn shutdown_never_loses_the_wakeup_race() {
     // Regression test for a lost-wakeup deadlock: a worker that had just
-    // observed `shutdown == false` under the queue lock but had not yet
-    // parked on the condvar would miss an unlocked store + notify_all and
-    // park forever, hanging shutdown() on the join (seen in the wild as a
-    // soak run wedged with one worker futex-parked). The window is a few
-    // instructions wide, so this churn is a best-effort canary, not a
-    // reliable reproducer; the real guarantee is the lock discipline in
-    // shutdown() (flag flipped under the queue lock).
+    // observed the queue open under its lock but had not yet parked
+    // would miss an unlocked close-and-wake and park forever, hanging
+    // shutdown() on the join (seen in the wild as a soak run wedged with
+    // one worker futex-parked). The window is a few instructions wide, so
+    // this churn is a best-effort canary, not a reliable reproducer; the
+    // real guarantee is the queue's monitor (every change and its wake
+    // go through one update), tested deterministically in
+    // `iiu_baseline::park`.
     let index = Arc::new(tiny_index(0xAA));
     let q = Query::term(term_of(&index, 0));
     for i in 0..400 {

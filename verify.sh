@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Full verification gate: build, tests, the separately-built benchmark
-# package's tests and smoke run, the fault-injected serving soak, the
-# no-panic lint wall, warning-free rustdoc, and the hot-path decode,
-# shard-scaling, mmap storage, and serve tail-latency perf gates.
+# Full verification gate: the one-park/wake-primitive guard, build,
+# tests, the separately-built benchmark package's tests and smoke run,
+# the fault-injected serving soak, the no-panic lint wall, warning-free
+# rustdoc, and the hot-path decode, shard-scaling, mmap storage, and
+# serve tail-latency perf gates.
 #
 # Usage: ./verify.sh [--quick]
 #   --quick  skip the perf gates and the torn-write recovery and
@@ -31,6 +32,18 @@ for arg in "$@"; do
         *) echo "usage: $0 [--quick]" >&2; exit 2 ;;
     esac
 done
+
+# One way to park and wake (DESIGN.md §15): every wait and wake-up goes
+# through iiu_baseline::park::Monitor, so no condition variable or
+# notify may appear outside its module. Runs in both modes; grep, so CI
+# needs nothing extra.
+park_hits=$(grep -rnE 'Condvar|notify_(one|all)|wait_timeout' crates src \
+    | grep -v '^crates/baseline/src/park\.rs:' || true)
+if [ -n "$park_hits" ]; then
+    echo "verify: park/wake outside crates/baseline/src/park.rs (use park::Monitor):" >&2
+    echo "$park_hits" >&2
+    exit 1
+fi
 
 cargo build --release --workspace
 cargo test -q --workspace
