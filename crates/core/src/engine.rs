@@ -25,7 +25,7 @@ use iiu_index::{
 use iiu_sim::{HostModel, IiuMachine, SimConfig, SimQuery};
 
 use crate::error::{Degradation, SearchError};
-use crate::query::Query;
+use crate::query::{Primitive, Query};
 
 /// Where a query's time went.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -339,19 +339,11 @@ impl SearchEngine for CpuSearchEngine<'_> {
         };
         let query = &query;
         // Primitive shapes take the specialized paths (SvS etc.).
-        let outcome = match query {
-            Query::Term(t) => Some(self.inner.search_single(t, k)?),
-            Query::Phrase(_) => None,
-            Query::And(a, b) => match (&**a, &**b) {
-                (Query::Term(x), Query::Term(y)) => {
-                    Some(self.inner.search_intersection(x, y, k)?)
-                }
-                _ => None,
-            },
-            Query::Or(a, b) => match (&**a, &**b) {
-                (Query::Term(x), Query::Term(y)) => Some(self.inner.search_union(x, y, k)?),
-                _ => None,
-            },
+        let outcome = match query.primitive() {
+            Some(Primitive::Single(t)) => Some(self.inner.search_single(t, k)?),
+            Some(Primitive::And(x, y)) => Some(self.inner.search_intersection(x, y, k)?),
+            Some(Primitive::Or(x, y)) => Some(self.inner.search_union(x, y, k)?),
+            None => None,
         };
         if let Some(o) = outcome {
             let device_ns = o.phases.total_ns() - o.phases.topk_ns;
@@ -485,21 +477,14 @@ impl ShardedSearchEngine {
             return Ok(SearchResponse::empty(degraded));
         };
         let query = &query;
-        let outcome = match query {
-            Query::Term(t) => Some(self.inner.search_single(t, k)?),
-            Query::Phrase(_) => {
-                return Err(SearchError::Index(IndexError::PositionsUnavailable));
-            }
-            Query::And(a, b) => match (&**a, &**b) {
-                (Query::Term(x), Query::Term(y)) => {
-                    Some(self.inner.search_intersection(x, y, k)?)
-                }
-                _ => None,
-            },
-            Query::Or(a, b) => match (&**a, &**b) {
-                (Query::Term(x), Query::Term(y)) => Some(self.inner.search_union(x, y, k)?),
-                _ => None,
-            },
+        if let Query::Phrase(_) = query {
+            return Err(SearchError::Index(IndexError::PositionsUnavailable));
+        }
+        let outcome = match query.primitive() {
+            Some(Primitive::Single(t)) => Some(self.inner.search_single(t, k)?),
+            Some(Primitive::And(x, y)) => Some(self.inner.search_intersection(x, y, k)?),
+            Some(Primitive::Or(x, y)) => Some(self.inner.search_union(x, y, k)?),
+            None => None,
         };
         if let Some(o) = outcome {
             if !o.missing.is_empty() {
@@ -674,30 +659,17 @@ impl<'a> IiuSearchEngine<'a> {
         self.machine.index()
     }
 
-    /// Recursively evaluates an expression tree: leaves are full
-    /// single-term accelerator runs; internal nodes merge at one element
-    /// per cycle (set operations on uncompressed lists, DCU bypassed).
+    /// Recursively evaluates an expression tree: a term or a two-term set
+    /// operation is one accelerator run; other internal nodes merge at one
+    /// element per cycle (set operations on uncompressed lists, DCU
+    /// bypassed).
     /// Sibling subtrees run concurrently (inter-query parallelism), so a
     /// node's start time is the max of its children.
     /// Returns `(results, accelerator cycles, host phrase verifications)`.
     fn eval_iiu(&self, q: &Query) -> Result<EvalOutcome, SearchError> {
-        match q {
-            Query::Term(t) => {
-                let id = t_id(self.index(), t)?;
-                let run = self.machine.run_query(SimQuery::Single(id), self.cores)?;
-                Ok((run.results, run.cycles, 0))
-            }
-            // Two-term set operations map straight onto the accelerator.
-            Query::And(a, b) if leaf_pair(a, b) => {
-                let (x, y) = leaf_ids(self.index(), a, b)?;
-                let run = self.machine.run_query(SimQuery::Intersect(x, y), self.cores)?;
-                Ok((run.results, run.cycles, 0))
-            }
-            Query::Or(a, b) if leaf_pair(a, b) => {
-                let (x, y) = leaf_ids(self.index(), a, b)?;
-                let run = self.machine.run_query(SimQuery::Union(x, y), self.cores)?;
-                Ok((run.results, run.cycles, 0))
-            }
+        let index = self.index();
+        let sq = match q {
+            Query::Term(t) => SimQuery::Single(t_id(index, t)?),
             Query::Phrase(terms) => {
                 let pos_index = self.positions.ok_or(IndexError::PositionsUnavailable)?;
                 // Chain the terms into intersections (accelerated), then
@@ -713,34 +685,33 @@ impl<'a> IiuSearchEngine<'a> {
                     .into_iter()
                     .filter(|&(d, _)| pos_index.phrase_in_doc(terms, d))
                     .collect();
-                Ok((verified, cycles, checks))
+                return Ok((verified, cycles, checks));
             }
-            Query::And(a, b) | Query::Or(a, b) => {
-                let (la, ca, va) = self.eval_iiu(a)?;
-                let (lb, cb, vb) = self.eval_iiu(b)?;
-                let mut counts = OpCounts::default();
-                let merged = merge_lists(&la, &lb, matches!(q, Query::And(_, _)), &mut counts);
-                // One comparison per cycle through the merge unit.
-                let cycles = ca.max(cb) + counts.comparisons;
-                Ok((merged, cycles, va + vb))
-            }
-        }
+            // Two-term set operations map straight onto the accelerator.
+            Query::And(a, b) | Query::Or(a, b) => match q.primitive() {
+                Some(Primitive::And(x, y)) => {
+                    SimQuery::Intersect(t_id(index, x)?, t_id(index, y)?)
+                }
+                Some(Primitive::Or(x, y)) => SimQuery::Union(t_id(index, x)?, t_id(index, y)?),
+                _ => {
+                    let (la, ca, va) = self.eval_iiu(a)?;
+                    let (lb, cb, vb) = self.eval_iiu(b)?;
+                    let mut counts = OpCounts::default();
+                    let intersect = matches!(q, Query::And(_, _));
+                    let merged = merge_lists(&la, &lb, intersect, &mut counts);
+                    // One comparison per cycle through the merge unit.
+                    let cycles = ca.max(cb) + counts.comparisons;
+                    return Ok((merged, cycles, va + vb));
+                }
+            },
+        };
+        let run = self.machine.run_query(sq, self.cores)?;
+        Ok((run.results, run.cycles, 0))
     }
 }
 
 /// `(scored results, accelerator cycles, host phrase verifications)`.
 type EvalOutcome = (Vec<(DocId, Fixed)>, u64, u64);
-
-fn leaf_pair(a: &Query, b: &Query) -> bool {
-    matches!(a, Query::Term(_)) && matches!(b, Query::Term(_))
-}
-
-fn leaf_ids(index: &InvertedIndex, a: &Query, b: &Query) -> Result<(u32, u32), IndexError> {
-    match (a, b) {
-        (Query::Term(x), Query::Term(y)) => Ok((t_id(index, x)?, t_id(index, y)?)),
-        _ => unreachable!("guarded by leaf_pair"),
-    }
-}
 
 /// Linear merge of two scored lists; `intersect` keeps only matches.
 pub(crate) fn merge_lists(
@@ -789,30 +760,7 @@ impl SearchEngine for IiuSearchEngine<'_> {
             return Ok(SearchResponse::empty(degraded));
         };
         let query = &query;
-        // Primitive shapes run directly on the simulator.
-        let direct = match query {
-            Query::Term(t) => Some(SimQuery::Single(t_id(index, t)?)),
-            Query::Phrase(_) => None,
-            Query::And(a, b) => match (&**a, &**b) {
-                (Query::Term(x), Query::Term(y)) => {
-                    Some(SimQuery::Intersect(t_id(index, x)?, t_id(index, y)?))
-                }
-                _ => None,
-            },
-            Query::Or(a, b) => match (&**a, &**b) {
-                (Query::Term(x), Query::Term(y)) => {
-                    Some(SimQuery::Union(t_id(index, x)?, t_id(index, y)?))
-                }
-                _ => None,
-            },
-        };
-
-        let (results, cycles, phrase_checks) = if let Some(sq) = direct {
-            let run = self.machine.run_query(sq, self.cores)?;
-            (run.results, run.cycles, 0)
-        } else {
-            self.eval_iiu(query)?
-        };
+        let (results, cycles, phrase_checks) = self.eval_iiu(query)?;
 
         let candidates = results.len() as u64;
         let clock = self.machine.config().clock_ghz;

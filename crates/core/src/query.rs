@@ -108,12 +108,23 @@ impl Query {
     /// single term, or one set operator over two terms (the three query
     /// types of §4.2). Anything else takes the recursive §4.5 path.
     pub fn is_primitive(&self) -> bool {
-        match self {
-            Query::Term(_) => true,
-            Query::Phrase(_) => false,
-            Query::And(a, b) | Query::Or(a, b) => {
-                matches!(**a, Query::Term(_)) && matches!(**b, Query::Term(_))
+        self.primitive().is_some()
+    }
+
+    /// The accelerator operation the query maps onto, if it is primitive
+    /// (see [`Query::is_primitive`]).
+    pub(crate) fn primitive(&self) -> Option<Primitive<'_>> {
+        fn term(q: &Query) -> Option<&str> {
+            match q {
+                Query::Term(t) => Some(t),
+                _ => None,
             }
+        }
+        match self {
+            Query::Term(t) => Some(Primitive::Single(t)),
+            Query::Phrase(_) => None,
+            Query::And(a, b) => Some(Primitive::And(term(a)?, term(b)?)),
+            Query::Or(a, b) => Some(Primitive::Or(term(a)?, term(b)?)),
         }
     }
 
@@ -124,6 +135,17 @@ impl Query {
             Query::And(a, b) | Query::Or(a, b) => 1 + a.size() + b.size(),
         }
     }
+}
+
+/// A primitive query's shape (§4.2), borrowing its term strings.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Primitive<'q> {
+    /// One term's full list.
+    Single(&'q str),
+    /// Intersection of two terms.
+    And(&'q str, &'q str),
+    /// Union of two terms.
+    Or(&'q str, &'q str),
 }
 
 impl fmt::Display for Query {

@@ -21,7 +21,8 @@
 //!   the Block Scheduler;
 //! * [`core`] — DCU, SU (18-stage BM25), BSU (32-entry traversal cache),
 //!   write-back;
-//! * [`machine`] — the full accelerator with intra-/inter-query
+//! * [`machine`] — the full accelerator: one query scheduler whose
+//!   allocations are the intra-query, inter-query and hybrid
 //!   configurations;
 //! * [`error`] — typed [`SimError`] and the watchdog's stall snapshots;
 //! * [`host`] — the host-CPU top-k model (Fig. 13/17);

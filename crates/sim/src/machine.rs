@@ -2,12 +2,21 @@
 //! pairs, IIU Cores, the reconfigurable interconnect between them, and the
 //! shared MAI/DRAM path (paper §4, Figs. 6, 7, 12).
 //!
-//! Two interconnect configurations are modeled directly (Fig. 12):
-//! [`IiuMachine::run_query`] allocates one BR/B-SCH pair and *n* cores to a
-//! single query (intra-query parallelism, minimum latency);
-//! [`IiuMachine::run_batch`] allocates *n* independent pair+core units that
-//! drain a query backlog (inter-query parallelism, maximum throughput).
-//! Hybrid configurations compose the two by splitting the unit count.
+//! One query scheduler (§4.4) drives every run. It hands *units* — one
+//! BR/B-SCH pair with some cores — to queries, and the interconnect
+//! configurations of Fig. 12 are allocations of that one machine, each a
+//! list of *lanes*: a lane is N units of C cores draining one FCFS queue.
+//!
+//! * [`IiuMachine::run_query`] is one lane of one unit with *n* cores:
+//!   intra-query parallelism, minimum latency (Fig. 12a).
+//! * [`IiuMachine::run_batch`] is one lane of *n* single-core units
+//!   draining a backlog: inter-query parallelism, maximum throughput
+//!   (Fig. 12b).
+//! * [`IiuMachine::run_arrivals`] is the same lane fed by an open-loop
+//!   arrival process.
+//! * [`IiuMachine::run_hybrid`] is a one-unit lane with several cores for
+//!   a latency-critical query beside a lane of single-core units for a
+//!   backlog (Fig. 12c).
 
 use std::collections::VecDeque;
 
@@ -931,12 +940,11 @@ impl<'a> IiuMachine<'a> {
     /// Absolute cycle budget for a run: [`SimConfig::max_cycles`] when
     /// set, otherwise derived generously from the posting-list sizes the
     /// queries touch.
-    fn cycle_budget(&self, queries: &[SimQuery]) -> u64 {
+    fn cycle_budget<'q>(&self, queries: impl Iterator<Item = &'q SimQuery>) -> u64 {
         if let Some(m) = self.cfg.max_cycles {
             return m;
         }
         let postings: u64 = queries
-            .iter()
             .map(|q| match *q {
                 SimQuery::Single(t) => self.index.encoded_list(t).num_postings(),
                 SimQuery::Intersect(a, b) | SimQuery::Union(a, b) => {
@@ -952,7 +960,9 @@ impl<'a> IiuMachine<'a> {
     }
 
     /// Runs one query with intra-query parallelism over `n_cores` cores
-    /// (Fig. 12a): one BR/B-SCH pair feeding all allocated cores.
+    /// (Fig. 12a): one BR/B-SCH pair feeding all allocated cores. The run's
+    /// `cycles` and `mem` cover the whole run, through the MAI/DRAM drain
+    /// after the query's last write-back.
     ///
     /// # Errors
     ///
@@ -964,51 +974,9 @@ impl<'a> IiuMachine<'a> {
         if n_cores < 1 || n_cores > self.cfg.n_cores {
             return Err(SimError::BadRequest { what: "core allocation out of range" });
         }
-        self.admit(&query)?;
-        let budget = self.cycle_budget(&[query]);
-        let mut mem = MemorySystem::new(self.cfg.dram);
-        let mut mai = Mai::new(self.cfg.mai_entries);
-        let mut exec = QueryExec::new(
-            0,
-            query,
-            self.index,
-            &self.layout,
-            &self.cfg,
-            n_cores,
-            self.layout.result_base(),
-            0,
-        );
-        let dl_bars = self.index.dl_bars();
-        let mut cycle = 0u64;
-        let mut last_progress = 0u64;
-        let mut progress_mark = (u64::MAX, u64::MAX);
-        while !exec.is_done() || !mai.is_idle() || !mem.is_idle() {
-            cycle += 1;
-            exec.tick(cycle, &mut mai, &self.layout, dl_bars);
-            mai.tick(cycle, &mut mem);
-            while let Some((addr, waiters)) = mai.pop_response() {
-                for tok in waiters {
-                    debug_assert_eq!(token_exec(tok), 0);
-                    exec.deliver(tok, addr);
-                }
-            }
-            let mark = (mem.bytes_total(), total_postings(&exec));
-            if mark != progress_mark {
-                progress_mark = mark;
-                last_progress = cycle;
-            }
-            if cycle - last_progress >= NO_PROGRESS_WINDOW || cycle >= budget {
-                return Err(SimError::Stalled {
-                    snapshot: StallSnapshot {
-                        cycle,
-                        last_progress_cycle: last_progress,
-                        execs: vec![exec.stall_snapshot()],
-                    },
-                });
-            }
-        }
-        let mem_stats = mem_stats_of(&mem, &mai, cycle);
-        Ok(exec.collect(cycle, mem_stats))
+        let (mut run, _) =
+            self.schedule(&[Lane::backlog(std::slice::from_ref(&query), 1, n_cores)])?;
+        Ok(QueryRun { cycles: run.cycles, mem: run.mem, ..run.queries.remove(0) })
     }
 
     /// Runs a backlog of queries with inter-query parallelism over
@@ -1026,95 +994,7 @@ impl<'a> IiuMachine<'a> {
         if n_units < 1 || n_units > self.cfg.n_pairs.min(self.cfg.n_cores) {
             return Err(SimError::BadRequest { what: "unit allocation out of range" });
         }
-        for q in queries {
-            self.admit(q)?;
-        }
-        let budget = self.cycle_budget(queries);
-        let mut mem = MemorySystem::new(self.cfg.dram);
-        let mut mai = Mai::new(self.cfg.mai_entries);
-        let dl_bars = self.index.dl_bars();
-
-        let mut pending: VecDeque<usize> = (0..queries.len()).collect();
-        let mut slots: Vec<Option<(usize, QueryExec<'a>)>> =
-            (0..n_units).map(|_| None).collect();
-        let mut finished: Vec<Option<QueryRun>> = vec![None; queries.len()];
-        let mut cycle = 0u64;
-        let mut done = 0usize;
-        let mut last_progress = 0u64;
-        let mut progress_mark = u64::MAX;
-
-        while done < queries.len() || !mai.is_idle() || !mem.is_idle() {
-            // Dispatch pending queries to free units (scheduling phase).
-            for (unit, slot) in slots.iter_mut().enumerate() {
-                if slot.is_none() {
-                    if let Some(qi) = pending.pop_front() {
-                        let base = self.layout.result_base() + ((unit as u64) << 24);
-                        *slot = Some((
-                            qi,
-                            QueryExec::new(
-                                unit,
-                                queries[qi],
-                                self.index,
-                                &self.layout,
-                                &self.cfg,
-                                1,
-                                base,
-                                cycle,
-                            ),
-                        ));
-                    }
-                }
-            }
-
-            cycle += 1;
-            for (_, exec) in slots.iter_mut().flatten() {
-                exec.tick(cycle, &mut mai, &self.layout, dl_bars);
-            }
-            mai.tick(cycle, &mut mem);
-            while let Some((addr, waiters)) = mai.pop_response() {
-                for tok in waiters {
-                    let unit = token_exec(tok);
-                    if let Some((_, exec)) = &mut slots[unit] {
-                        exec.deliver(tok, addr);
-                    }
-                }
-            }
-            // Retire finished executions.
-            for slot in slots.iter_mut() {
-                let finished_now = matches!(slot, Some((_, e)) if e.is_done());
-                if finished_now {
-                    let (qi, mut exec) = slot.take().expect("checked");
-                    finished[qi] = Some(exec.collect(cycle, MemStats::default()));
-                    done += 1;
-                }
-            }
-
-            let mark = mem.bytes_total() + mai.reads_issued + done as u64 * 1000;
-            if mark != progress_mark {
-                progress_mark = mark;
-                last_progress = cycle;
-            }
-            if cycle - last_progress >= NO_PROGRESS_WINDOW || cycle >= budget {
-                return Err(SimError::Stalled {
-                    snapshot: StallSnapshot {
-                        cycle,
-                        last_progress_cycle: last_progress,
-                        execs: slots
-                            .iter()
-                            .flatten()
-                            .map(|(_, e)| e.stall_snapshot())
-                            .collect(),
-                    },
-                });
-            }
-        }
-
-        let mem_stats = mem_stats_of(&mem, &mai, cycle);
-        Ok(BatchRun {
-            cycles: cycle,
-            queries: finished.into_iter().map(|q| q.expect("all queries finished")).collect(),
-            mem: mem_stats,
-        })
+        Ok(self.schedule(&[Lane::backlog(queries, n_units, 1)])?.0)
     }
 
     /// Runs an open-loop arrival process: query `i` may not start before
@@ -1142,111 +1022,8 @@ impl<'a> IiuMachine<'a> {
         if n_units < 1 || n_units > self.cfg.n_pairs.min(self.cfg.n_cores) {
             return Err(SimError::BadRequest { what: "unit allocation out of range" });
         }
-        for q in queries {
-            self.admit(q)?;
-        }
-        // The run cannot legitimately end before the last arrival, so the
-        // absolute budget gets that much headroom on top.
-        let budget =
-            self.cycle_budget(queries).saturating_add(arrivals.last().copied().unwrap_or(0));
-        let mut mem = MemorySystem::new(self.cfg.dram);
-        let mut mai = Mai::new(self.cfg.mai_entries);
-        let dl_bars = self.index.dl_bars();
-
-        let mut next_arrival = 0usize;
-        let mut waiting: VecDeque<usize> = VecDeque::new();
-        let mut slots: Vec<Option<(usize, QueryExec<'a>)>> =
-            (0..n_units).map(|_| None).collect();
-        let mut finished: Vec<Option<QueryRun>> = vec![None; queries.len()];
-        let mut cycle = 0u64;
-        let mut done = 0usize;
-        let mut last_progress = 0u64;
-        let mut progress_mark = u64::MAX;
-
-        while done < queries.len() || !mai.is_idle() || !mem.is_idle() {
-            while next_arrival < queries.len() && arrivals[next_arrival] <= cycle {
-                waiting.push_back(next_arrival);
-                next_arrival += 1;
-            }
-            for (unit, slot) in slots.iter_mut().enumerate() {
-                if slot.is_none() {
-                    if let Some(qi) = waiting.pop_front() {
-                        let base = self.layout.result_base() + ((unit as u64) << 24);
-                        *slot = Some((
-                            qi,
-                            QueryExec::new(
-                                unit,
-                                queries[qi],
-                                self.index,
-                                &self.layout,
-                                &self.cfg,
-                                1,
-                                base,
-                                arrivals[qi], // sojourn starts at arrival
-                            ),
-                        ));
-                    }
-                }
-            }
-
-            cycle += 1;
-            for slot in slots.iter_mut() {
-                if let Some((_, exec)) = slot {
-                    exec.tick(cycle, &mut mai, &self.layout, dl_bars);
-                }
-            }
-            mai.tick(cycle, &mut mem);
-            while let Some((addr, waiters)) = mai.pop_response() {
-                for tok in waiters {
-                    let unit = token_exec(tok);
-                    if let Some((_, exec)) = &mut slots[unit] {
-                        exec.deliver(tok, addr);
-                    }
-                }
-            }
-            for slot in slots.iter_mut() {
-                let finished_now = matches!(slot, Some((_, e)) if e.is_done());
-                if finished_now {
-                    let (qi, mut exec) = slot.take().expect("checked");
-                    finished[qi] = Some(exec.collect(cycle, MemStats::default()));
-                    done += 1;
-                }
-            }
-
-            let mark = mem.bytes_total()
-                + mai.reads_issued
-                + done as u64 * 1000
-                + next_arrival as u64;
-            if mark != progress_mark {
-                progress_mark = mark;
-                last_progress = cycle;
-            }
-            // The idle gap between sparse arrivals is legitimate noprogress.
-            let idle_ok = done == next_arrival && next_arrival < queries.len();
-            if idle_ok {
-                last_progress = cycle;
-            }
-            if cycle - last_progress >= NO_PROGRESS_WINDOW || cycle >= budget {
-                return Err(SimError::Stalled {
-                    snapshot: StallSnapshot {
-                        cycle,
-                        last_progress_cycle: last_progress,
-                        execs: slots
-                            .iter()
-                            .flatten()
-                            .map(|(_, e)| e.stall_snapshot())
-                            .collect(),
-                    },
-                });
-            }
-        }
-
-        let mem_stats = mem_stats_of(&mem, &mai, cycle);
-        Ok(BatchRun {
-            cycles: cycle,
-            queries: finished.into_iter().map(|q| q.expect("all queries finished")).collect(),
-            mem: mem_stats,
-        })
+        let lane = Lane { arrivals: Some(arrivals), ..Lane::backlog(queries, n_units, 1) };
+        Ok(self.schedule(&[lane])?.0)
     }
 
     /// Runs a hybrid configuration (Fig. 12c): `latency_query` gets one
@@ -1276,137 +1053,173 @@ impl<'a> IiuMachine<'a> {
                 what: "hybrid allocation exceeds the machine",
             });
         }
-        self.admit(&latency_query)?;
-        for q in batch {
+        let (mut run, drained_at) = self.schedule(&[
+            Lane::backlog(std::slice::from_ref(&latency_query), 1, latency_cores),
+            Lane::backlog(batch, batch_units, 1),
+        ])?;
+        Ok(HybridRun {
+            latency_query: run.queries.remove(0),
+            batch: run.queries,
+            batch_cycles: drained_at[1],
+            mem: run.mem,
+        })
+    }
+
+    /// The query scheduler (§4.4) behind every run method: one cycle loop
+    /// over `lanes`. Units take execution slots in lane order; slot `s` is
+    /// execution id `s` and writes its results at
+    /// `result_base + (s << 24)`. Each cycle takes in arrivals, gives each
+    /// free unit the next waiting query of its own lane, ticks every
+    /// execution and the MAI, routes MAI responses by token, retires
+    /// finished executions (with default `mem`: memory is a whole-run
+    /// figure), then applies the watchdog.
+    ///
+    /// The watchdog's one progress rule: a cycle progresses when DRAM
+    /// moved a byte, the MAI issued a read, a query arrived or a query
+    /// finished; while every arrived query has finished and more are still
+    /// to arrive, the machine is idle, not stalled. No progress for
+    /// [`NO_PROGRESS_WINDOW`] cycles, or reaching the budget
+    /// ([`Self::cycle_budget`] of every query plus the last arrival), is
+    /// [`SimError::Stalled`].
+    ///
+    /// Returns every query's run in lane then input order, with whole-run
+    /// `cycles` and `mem`, and the cycle each lane's last query retired
+    /// (0 for an empty lane).
+    fn schedule(&self, lanes: &[Lane<'_>]) -> Result<(BatchRun, Vec<u64>), SimError> {
+        for q in lanes.iter().flat_map(|l| l.queries) {
             self.admit(q)?;
         }
-        let mut all_queries = vec![latency_query];
-        all_queries.extend_from_slice(batch);
-        let budget = self.cycle_budget(&all_queries);
+        let last_arrival =
+            lanes.iter().filter_map(|l| l.arrivals?.last().copied()).max().unwrap_or(0);
+        let budget = self
+            .cycle_budget(lanes.iter().flat_map(|l| l.queries))
+            .saturating_add(last_arrival);
         let mut mem = MemorySystem::new(self.cfg.dram);
         let mut mai = Mai::new(self.cfg.mai_entries);
         let dl_bars = self.index.dl_bars();
 
-        // Slot 0 is the latency query; slots 1..=batch_units the backlog.
-        let mut latency_exec = Some(QueryExec::new(
-            0,
-            latency_query,
-            self.index,
-            &self.layout,
-            &self.cfg,
-            latency_cores,
-            self.layout.result_base(),
-            0,
-        ));
-        let mut latency_run: Option<QueryRun> = None;
-        let mut pending: VecDeque<usize> = (0..batch.len()).collect();
-        let mut slots: Vec<Option<(usize, QueryExec<'_>)>> =
-            (0..batch_units).map(|_| None).collect();
-        let mut finished: Vec<Option<QueryRun>> = vec![None; batch.len()];
-        let mut cycle = 0u64;
-        let mut done = 0usize;
-        let mut batch_cycles = 0u64;
+        let mut queues: Vec<LaneQueue> = Vec::with_capacity(lanes.len());
+        let mut total = 0;
+        for lane in lanes {
+            queues.push(LaneQueue { first: total, ..LaneQueue::default() });
+            total += lane.queries.len();
+        }
+        // Per slot: its lane, and the running (query index, execution).
+        let mut units: Vec<(usize, Option<(usize, QueryExec<'a>)>)> = (0..lanes.len())
+            .flat_map(|li| std::iter::repeat_with(move || (li, None)).take(lanes[li].units))
+            .collect();
+        let mut finished: Vec<Option<QueryRun>> = vec![None; total];
+        let (mut cycle, mut arrived, mut done) = (0u64, 0usize, 0usize);
         let mut last_progress = 0u64;
-        let mut progress_mark = u64::MAX;
+        let mut progress_mark = None;
 
-        while latency_run.is_none() || done < batch.len() || !mai.is_idle() || !mem.is_idle() {
-            for (unit, slot) in slots.iter_mut().enumerate() {
-                if slot.is_none() {
-                    if let Some(qi) = pending.pop_front() {
-                        let base = self.layout.result_base() + (((unit + 1) as u64) << 24);
-                        *slot = Some((
-                            qi,
-                            QueryExec::new(
-                                unit + 1,
-                                batch[qi],
-                                self.index,
-                                &self.layout,
-                                &self.cfg,
-                                1,
-                                base,
-                                cycle,
-                            ),
-                        ));
-                    }
+        while done < total || !mai.is_idle() || !mem.is_idle() {
+            for (lane, q) in lanes.iter().zip(&mut queues) {
+                while q.arrived < lane.queries.len()
+                    && lane.arrivals.map_or(0, |a| a[q.arrived]) <= cycle
+                {
+                    q.arrived += 1;
+                    arrived += 1;
+                }
+            }
+            for (slot, (li, running)) in units.iter_mut().enumerate() {
+                let (lane, q) = (&lanes[*li], &mut queues[*li]);
+                if running.is_none() && q.dispatched < q.arrived {
+                    let i = q.dispatched;
+                    q.dispatched += 1;
+                    // A query's clock starts at its arrival, if it has one.
+                    let start = lane.arrivals.map_or(cycle, |a| a[i]);
+                    let exec = QueryExec::new(
+                        slot,
+                        lane.queries[i],
+                        self.index,
+                        &self.layout,
+                        &self.cfg,
+                        lane.cores,
+                        self.layout.result_base() + ((slot as u64) << 24),
+                        start,
+                    );
+                    *running = Some((q.first + i, exec));
                 }
             }
 
             cycle += 1;
-            if let Some(exec) = &mut latency_exec {
-                exec.tick(cycle, &mut mai, &self.layout, dl_bars);
-            }
-            for (_, exec) in slots.iter_mut().flatten() {
+            for (_, exec) in units.iter_mut().filter_map(|(_, r)| r.as_mut()) {
                 exec.tick(cycle, &mut mai, &self.layout, dl_bars);
             }
             mai.tick(cycle, &mut mem);
             while let Some((addr, waiters)) = mai.pop_response() {
                 for tok in waiters {
-                    match token_exec(tok) {
-                        0 => {
-                            if let Some(exec) = &mut latency_exec {
-                                exec.deliver(tok, addr);
-                            }
-                        }
-                        unit => {
-                            if let Some((_, exec)) = &mut slots[unit - 1] {
-                                exec.deliver(tok, addr);
-                            }
-                        }
+                    if let (_, Some((_, exec))) = &mut units[token_exec(tok)] {
+                        exec.deliver(tok, addr);
                     }
                 }
             }
-
-            if matches!(&latency_exec, Some(e) if e.is_done()) {
-                let mut exec = latency_exec.take().expect("checked");
-                latency_run = Some(exec.collect(cycle, MemStats::default()));
-            }
-            for slot in slots.iter_mut() {
-                let finished_now = matches!(slot, Some((_, e)) if e.is_done());
-                if finished_now {
-                    let (qi, mut exec) = slot.take().expect("checked");
+            for (li, running) in units.iter_mut() {
+                if let Some((qi, mut exec)) = running.take_if(|(_, e)| e.is_done()) {
                     finished[qi] = Some(exec.collect(cycle, MemStats::default()));
+                    queues[*li].drained_at = cycle;
                     done += 1;
-                    if done == batch.len() {
-                        batch_cycles = cycle;
-                    }
                 }
             }
 
-            let mark = mem.bytes_total() + mai.reads_issued + done as u64 * 1000;
-            if mark != progress_mark {
-                progress_mark = mark;
+            let mark = (mem.bytes_total(), mai.reads_issued, arrived, done);
+            if progress_mark != Some(mark) || (done == arrived && arrived < total) {
+                progress_mark = Some(mark);
                 last_progress = cycle;
             }
             if cycle - last_progress >= NO_PROGRESS_WINDOW || cycle >= budget {
-                let execs = latency_exec
-                    .iter()
-                    .map(QueryExec::stall_snapshot)
-                    .chain(slots.iter().flatten().map(|(_, e)| e.stall_snapshot()))
-                    .collect();
                 return Err(SimError::Stalled {
                     snapshot: StallSnapshot {
                         cycle,
                         last_progress_cycle: last_progress,
-                        execs,
+                        execs: units
+                            .iter()
+                            .filter_map(|(_, r)| r.as_ref())
+                            .map(|(_, e)| e.stall_snapshot())
+                            .collect(),
                     },
                 });
             }
         }
 
-        Ok(HybridRun {
-            latency_query: latency_run.expect("latency query finished"),
-            batch: finished
-                .into_iter()
-                .map(|q| q.expect("all batch queries finished"))
-                .collect(),
-            batch_cycles,
+        let run = BatchRun {
+            cycles: cycle,
+            queries: finished.into_iter().flatten().collect(),
             mem: mem_stats_of(&mem, &mai, cycle),
-        })
+        };
+        Ok((run, queues.iter().map(|q| q.drained_at).collect()))
     }
 }
 
-fn total_postings(exec: &QueryExec<'_>) -> u64 {
-    exec.cores.iter().map(|c| c.dcu.iter().map(|d| d.postings_decoded).sum::<u64>()).sum()
+/// One allocation of the machine: `units` units, each one BR/B-SCH pair
+/// with `cores` cores, draining `queries` first come, first served. With
+/// `arrivals`, query `i` is queued at cycle `arrivals[i]`; without, every
+/// query is queued at cycle 0.
+struct Lane<'q> {
+    queries: &'q [SimQuery],
+    arrivals: Option<&'q [u64]>,
+    units: usize,
+    cores: usize,
+}
+
+impl<'q> Lane<'q> {
+    /// `units` units of `cores` cores draining `queries`, all queued at
+    /// cycle 0.
+    fn backlog(queries: &'q [SimQuery], units: usize, cores: usize) -> Self {
+        Lane { queries, arrivals: None, units, cores }
+    }
+}
+
+/// A lane's queue during a run: its queries `dispatched..arrived` wait.
+#[derive(Default)]
+struct LaneQueue {
+    /// Run-wide index of the lane's first query.
+    first: usize,
+    arrived: usize,
+    dispatched: usize,
+    /// Cycle the lane's last finished query retired.
+    drained_at: u64,
 }
 
 fn mem_stats_of(mem: &MemorySystem, mai: &Mai, cycles: u64) -> MemStats {

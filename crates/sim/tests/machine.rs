@@ -207,6 +207,50 @@ fn batch_matches_individual_runs_functionally() {
     assert!(batch.cycles > 0);
 }
 
+/// One query on one unit is the same run whichever entry point serves it:
+/// the batch run's totals equal the solo run's (which cover the MAI/DRAM
+/// drain), its per-query run retires no later, and a single arrival at
+/// cycle 0 is the batch run.
+#[test]
+fn one_query_is_one_run_across_entry_points() {
+    let index = test_index();
+    let machine = IiuMachine::new(&index, SimConfig::default());
+    let a = frequent_term(&index, 0, 100);
+    let b = frequent_term(&index, 1, 100);
+    for q in [SimQuery::Single(a), SimQuery::Intersect(a, b), SimQuery::Union(a, b)] {
+        let solo = machine.run_query(q, 1).expect("sim completes");
+        let batch = machine.run_batch(&[q], 1).expect("sim completes");
+        let arrivals = machine.run_arrivals(&[q], &[0], 1).expect("sim completes");
+        assert_eq!(batch.cycles, solo.cycles, "{q:?}");
+        assert_eq!(batch.mem, solo.mem, "{q:?}");
+        assert_eq!(batch.queries[0].results, solo.results, "{q:?}");
+        assert_eq!(batch.queries[0].stats, solo.stats, "{q:?}");
+        assert!(batch.queries[0].cycles <= solo.cycles, "{q:?}");
+        assert_eq!(arrivals, batch, "{q:?}");
+    }
+}
+
+/// A zero-capacity pipeline wedges every unit; each multi-unit entry
+/// point must turn that into `Stalled` at its cycle budget, naming every
+/// execution still in flight.
+#[test]
+fn watchdog_stops_every_multi_unit_entry_point() {
+    let index = test_index();
+    let cfg = SimConfig { queue_cap: 0, max_cycles: Some(10_000), ..SimConfig::default() };
+    let machine = IiuMachine::new(&index, cfg);
+    let q: Vec<SimQuery> =
+        (0..3).map(|i| SimQuery::Single(frequent_term(&index, i, 50))).collect();
+    let stalled = |r: Result<_, SimError>| match r {
+        Err(SimError::Stalled { snapshot }) => (snapshot.cycle, snapshot.execs.len()),
+        Err(other) => panic!("expected Stalled, got {other:?}"),
+        Ok(_) => panic!("a zero-capacity pipeline cannot finish"),
+    };
+    assert_eq!(stalled(machine.run_batch(&q, 2).map(drop)), (10_000, 2));
+    assert_eq!(stalled(machine.run_hybrid(q[0], &q, 2, 2).map(drop)), (10_000, 3));
+    // The budget gets the last arrival on top: 10,000 + 50,000.
+    assert_eq!(stalled(machine.run_arrivals(&q, &[0, 5, 50_000], 2).map(drop)), (60_000, 2));
+}
+
 #[test]
 fn more_units_raise_batch_throughput() {
     let index = larger_index();
