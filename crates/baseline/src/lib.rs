@@ -17,6 +17,7 @@
 
 pub mod cost;
 pub mod engine;
+pub mod executor;
 pub mod ops;
 pub mod park;
 pub mod pruned;
@@ -29,10 +30,11 @@ pub use cost::{
     estimate_query_cost, CpuCostModel, PhaseBreakdown, QueryCostEstimate, HEAVY_DF_THRESHOLD,
 };
 pub use engine::{CpuEngine, QueryOutcome};
+pub use executor::{Executor, PoolWorkerReport};
 pub use ops::{BlockCache, DecodeScratch, OpCounts, BLOCK_CACHE_ENTRIES};
 pub use sharded::{
-    Part, PartSource, PoolWorkerReport, ShardHealth, ShardHealthReport, ShardOutcome,
-    ShardPool, ShardPoolConfig, ShardRun, ShardedEngine, ShardedOutcome,
+    Part, PartSource, ShardHealth, ShardHealthReport, ShardOutcome, ShardPool,
+    ShardPoolConfig, ShardRun, ShardedEngine, ShardedOutcome,
 };
 pub use throughput::parallel_makespan_ns;
 pub use topk::{rank_cmp, top_k, FusedTopK, Hit, SharedThreshold};

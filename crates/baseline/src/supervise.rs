@@ -1,6 +1,6 @@
 //! One supervision state machine for every plane that guards a failing
 //! resource: the serve layer's device breaker, each shard's quarantine
-//! and each pool worker slot's respawn ladder (DESIGN.md §15).
+//! and each executor thread slot's respawn ladder (DESIGN.md §15).
 //!
 //! ```text
 //!            failures < threshold
@@ -216,7 +216,8 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::{ShardPoolConfig, RESPAWN as WORKER};
+    use crate::executor::RESPAWN as WORKER;
+    use crate::sharded::ShardPoolConfig;
 
     /// The device breaker at `BreakerConfig`'s defaults (5 failures,
     /// 100 ms, 2 probes; `iiu-serve` maps it with a fixed cooldown).

@@ -208,47 +208,29 @@ fn prune_tree(
 // Shared functional evaluation of arbitrary expression trees
 // ---------------------------------------------------------------------------
 
-/// Evaluates an expression tree over the documents of `window` on
-/// decoded, scored lists (the §4.5 "operations on an uncompressed list"
-/// path), accumulating operation counts for the cost model.
-fn eval_tree(
-    index: &InvertedIndex,
+/// Evaluates an expression tree on decoded, scored lists (the §4.5
+/// "operations on an uncompressed list" path), accumulating operation
+/// counts for the cost model. `leaf` turns a term into its scored list in
+/// docID order and tallies its own work; phrases verify their candidates
+/// against `positions`.
+pub(crate) fn eval_tree<L>(
     q: &Query,
-    window: DocWindow,
-    counts: &mut OpCounts,
     positions: Option<&PositionIndex>,
-) -> Result<Vec<(DocId, Fixed)>, IndexError> {
+    counts: &mut OpCounts,
+    leaf: &mut L,
+) -> Result<Vec<(DocId, Fixed)>, IndexError>
+where
+    L: FnMut(&str, &mut OpCounts) -> Result<Vec<(DocId, Fixed)>, IndexError>,
+{
     match q {
-        Query::Term(t) => {
-            let id = t_id(index, t)?;
-            let list = index.encoded_list(id);
-            let idf = index.term_info(id).idf_bar;
-            let whole = window == DocWindow::ALL;
-            let mut scored =
-                Vec::with_capacity(if whole { list.num_postings() as usize } else { 0 });
-            // One reused buffer per term, not one allocation per block; a
-            // corrupt payload surfaces as Err instead of a decode panic.
-            let mut block = Vec::new();
-            for b in list.window_blocks(window) {
-                counts.blocks_decoded += 1;
-                block.clear();
-                counts.postings_decoded +=
-                    list.try_decode_window_into(b, window, &mut block)? as u64;
-                counts.docs_scored += block.len() as u64;
-                for p in &block {
-                    scored
-                        .push((p.doc_id, term_score_fixed(idf, index.dl_bar(p.doc_id), p.tf)));
-                }
-            }
-            Ok(scored)
-        }
+        Query::Term(t) => leaf(t, counts),
         Query::Phrase(terms) => {
             let pos_index = positions.ok_or(IndexError::PositionsUnavailable)?;
             // Candidates: intersection of every term's list (the part IIU
             // accelerates); verification: consecutive-position check.
             let mut acc: Option<Vec<(DocId, Fixed)>> = None;
             for t in terms {
-                let lt = eval_tree(index, &Query::term(t.clone()), window, counts, positions)?;
+                let lt = leaf(t, counts)?;
                 acc = Some(match acc {
                     None => lt,
                     Some(prev) => merge_lists(&prev, &lt, true, counts),
@@ -261,16 +243,41 @@ fn eval_tree(
                 .filter(|&(d, _)| pos_index.phrase_in_doc(terms, d))
                 .collect())
         }
-        Query::And(a, b) => {
-            let la = eval_tree(index, a, window, counts, positions)?;
-            let lb = eval_tree(index, b, window, counts, positions)?;
-            Ok(merge_lists(&la, &lb, true, counts))
+        Query::And(a, b) | Query::Or(a, b) => {
+            let la = eval_tree(a, positions, counts, leaf)?;
+            let lb = eval_tree(b, positions, counts, leaf)?;
+            Ok(merge_lists(&la, &lb, matches!(q, Query::And(..)), counts))
         }
-        Query::Or(a, b) => {
-            let la = eval_tree(index, a, window, counts, positions)?;
-            let lb = eval_tree(index, b, window, counts, positions)?;
-            Ok(merge_lists(&la, &lb, false, counts))
+    }
+}
+
+/// The [`eval_tree`] leaf over the documents of `window` of `index`:
+/// decode the term's blocks in the window and score every posting.
+fn window_leaf(
+    index: &InvertedIndex,
+    window: DocWindow,
+) -> impl FnMut(&str, &mut OpCounts) -> Result<Vec<(DocId, Fixed)>, IndexError> + '_ {
+    // One reused buffer per evaluation, not one allocation per block; a
+    // corrupt payload surfaces as Err instead of a decode panic.
+    let mut block = Vec::new();
+    move |t, counts| {
+        let id = t_id(index, t)?;
+        let list = index.encoded_list(id);
+        let idf = index.term_info(id).idf_bar;
+        let whole = window == DocWindow::ALL;
+        let mut scored =
+            Vec::with_capacity(if whole { list.num_postings() as usize } else { 0 });
+        for b in list.window_blocks(window) {
+            counts.blocks_decoded += 1;
+            block.clear();
+            counts.postings_decoded +=
+                list.try_decode_window_into(b, window, &mut block)? as u64;
+            counts.docs_scored += block.len() as u64;
+            for p in &block {
+                scored.push((p.doc_id, term_score_fixed(idf, index.dl_bar(p.doc_id), p.tf)));
+            }
         }
+        Ok(scored)
     }
 }
 
@@ -361,8 +368,8 @@ impl SearchEngine for CpuSearchEngine<'_> {
 
         // General expression tree.
         let mut counts = OpCounts::default();
-        let scored =
-            eval_tree(self.inner.index(), query, DocWindow::ALL, &mut counts, self.positions)?;
+        let mut leaf = window_leaf(self.inner.index(), DocWindow::ALL);
+        let scored = eval_tree(query, self.positions, &mut counts, &mut leaf)?;
         counts.topk_candidates = scored.len() as u64;
         let phases = self.inner.cost_model().price(&counts);
         Ok(SearchResponse {
@@ -403,13 +410,14 @@ pub struct ShardedSearchEngine {
 }
 
 impl ShardedSearchEngine {
-    /// Creates an engine (and its worker pool) over the parts of `source`.
+    /// Creates an engine (and its pool and executor) over the parts of
+    /// `source`.
     pub fn new(source: impl Into<PartSource>) -> Self {
         ShardedSearchEngine { inner: ShardedEngine::new(source) }
     }
 
-    /// Creates an engine whose worker pool follows the given supervision
-    /// policy (fan-out deadline, quarantine, respawn backoff).
+    /// Creates an engine whose pool (and executor) follows the given
+    /// supervision policy (fan-out deadline, quarantine, respawn backoff).
     pub fn with_config(source: impl Into<PartSource>, cfg: ShardPoolConfig) -> Self {
         ShardedSearchEngine { inner: ShardedEngine::with_config(source, cfg) }
     }
@@ -465,7 +473,7 @@ impl ShardedSearchEngine {
     /// Runs a query through a shared reference. Unlike the
     /// [`SearchEngine`] trait (whose `&mut self` receiver suits the
     /// single-threaded engines), sharded execution keeps all per-query
-    /// state on the pool workers, so concurrent callers can share one
+    /// state on the executor threads, so concurrent callers can share one
     /// engine — and one shard pool — behind an `Arc`.
     ///
     /// # Errors
@@ -542,7 +550,8 @@ impl ShardedSearchEngine {
             .inner
             .run_shards(move |_, part, _| {
                 let mut counts = OpCounts::default();
-                let scored = eval_tree(part.index, &q, part.window, &mut counts, None);
+                let mut leaf = window_leaf(part.index, part.window);
+                let scored = eval_tree(&q, None, &mut counts, &mut leaf);
                 scored.map(|s| {
                     let s: Vec<_> =
                         s.into_iter().map(|(d, sc)| (part.global_doc(d), sc)).collect();
@@ -583,6 +592,14 @@ impl ShardedSearchEngine {
         // the same candidate order as the unsharded evaluation.
         all.sort_by_key(|&(d, _)| d);
         Ok((to_hits(&all, k), candidates, crit, missing))
+    }
+}
+
+impl From<ShardedEngine> for ShardedSearchEngine {
+    /// Wraps an engine built on a pool of the caller's choosing, such as
+    /// one whose parts run on a query service's executor.
+    fn from(inner: ShardedEngine) -> Self {
+        ShardedSearchEngine { inner }
     }
 }
 

@@ -28,11 +28,9 @@ use iiu_baseline::{CpuCostModel, OpCounts};
 use iiu_index::incremental::{IncrementalIndex, IncrementalOptions};
 use iiu_index::recovery::RecoveryReport;
 use iiu_index::wal::IngestDoc;
-use iiu_index::{DocId, Fixed, IndexError, InvertedIndex};
+use iiu_index::{IndexError, InvertedIndex};
 
-use crate::engine::{
-    merge_lists, prune_query_with, to_hits, LatencyBreakdown, SearchResponse,
-};
+use crate::engine::{eval_tree, prune_query_with, to_hits, LatencyBreakdown, SearchResponse};
 use crate::error::SearchError;
 use crate::query::Query;
 
@@ -122,7 +120,16 @@ impl LiveIndex {
             return Ok(SearchResponse::empty(degraded));
         };
         let mut counts = OpCounts::default();
-        let scored = eval_live(&idx, &query, &mut counts)?;
+        // The pruner has already removed unknown terms, so a missing term
+        // here is an internal inconsistency reported as a typed error.
+        let scored = eval_tree(&query, None, &mut counts, &mut |t, counts| {
+            let scored = idx
+                .scored_postings(t)?
+                .ok_or_else(|| IndexError::UnknownTerm { term: t.to_owned() })?;
+            counts.postings_decoded += scored.len() as u64;
+            counts.docs_scored += scored.len() as u64;
+            Ok(scored)
+        })?;
         counts.topk_candidates = scored.len() as u64;
         let phases = self.cost.price(&counts);
         Ok(SearchResponse {
@@ -135,37 +142,6 @@ impl LiveIndex {
             },
             degraded,
         })
-    }
-}
-
-/// Mirrors the engine's `eval_tree` over the live index's globally scored
-/// postings. The pruner has already removed unknown terms, so a missing
-/// term here is an internal inconsistency reported as a typed error.
-fn eval_live(
-    idx: &IncrementalIndex,
-    q: &Query,
-    counts: &mut OpCounts,
-) -> Result<Vec<(DocId, Fixed)>, IndexError> {
-    match q {
-        Query::Term(t) => {
-            let scored = idx
-                .scored_postings(t)?
-                .ok_or_else(|| IndexError::UnknownTerm { term: t.clone() })?;
-            counts.postings_decoded += scored.len() as u64;
-            counts.docs_scored += scored.len() as u64;
-            Ok(scored)
-        }
-        Query::Phrase(_) => Err(IndexError::PositionsUnavailable),
-        Query::And(a, b) => {
-            let la = eval_live(idx, a, counts)?;
-            let lb = eval_live(idx, b, counts)?;
-            Ok(merge_lists(&la, &lb, true, counts))
-        }
-        Query::Or(a, b) => {
-            let la = eval_live(idx, a, counts)?;
-            let lb = eval_live(idx, b, counts)?;
-            Ok(merge_lists(&la, &lb, false, counts))
-        }
     }
 }
 

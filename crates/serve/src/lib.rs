@@ -7,8 +7,10 @@
 //! **bit-identical hits**, so falling back never changes answers — only
 //! latency.
 //!
-//! A [`QueryService`] owns a worker pool sharing one `Arc<InvertedIndex>`
-//! and resolves every submitted query to exactly one of:
+//! A [`QueryService`] serves one `Arc<InvertedIndex>` on one executor —
+//! a single set of threads running both whole queries and the shard parts
+//! of the queries it fans out (DESIGN.md §14) — and resolves every
+//! submitted query to exactly one of:
 //!
 //! * clean hits from the device path,
 //! * degraded hits (tagged [`iiu_core::Degradation`] — CPU fallback,
@@ -31,7 +33,7 @@
 //! * **Circuit breaker** — consecutive device failures trip the service
 //!   onto the CPU baseline; half-open probes restore the device path once
 //!   it heals (an [`iiu_baseline::supervise::Supervisor`], the same
-//!   machine that quarantines shards and respawns pool workers).
+//!   machine that quarantines shards and respawns executor threads).
 //!
 //! Deterministic fault injection ([`FaultPlan`]) sabotages chosen device
 //! attempts with a 1-cycle budget so soak tests and `iiu serve-bench` can

@@ -29,7 +29,7 @@ pub struct ServeStats {
     /// Queries that failed permanently with a typed error.
     pub failed: AtomicU64,
     /// Queries executed by their own caller inside `PendingQuery::wait`
-    /// (help-first join) instead of by a pool worker. A subset of the
+    /// (help-first join) instead of by an executor thread. A subset of the
     /// dequeued outcomes: `caller_runs <= answered + shed_deadline +
     /// failed`.
     pub caller_runs: AtomicU64,
@@ -262,8 +262,8 @@ pub struct HealthSnapshot {
     /// Per-shard supervision state and counters (failures, quarantine
     /// trips); empty when unsharded.
     pub shard_health: Vec<iiu_core::ShardHealthReport>,
-    /// Worker-plane liveness for the shared shard-task pool (tasks
-    /// completed, respawns per worker slot); empty when unsharded.
+    /// Worker-plane liveness of the service's executor threads (tasks
+    /// completed, respawns per thread slot), in every mode.
     pub pool_workers: Vec<iiu_core::PoolWorkerReport>,
     /// Breaker state at snapshot time.
     pub breaker: BreakerState,
@@ -359,16 +359,16 @@ impl std::fmt::Display for HealthSnapshot {
                     h.quarantine_recoveries,
                 )?;
             }
-            for w in &self.pool_workers {
-                writeln!(
-                    f,
-                    "  worker {}: {} tasks={} respawns={}",
-                    w.worker,
-                    if w.alive { "alive" } else { "dead" },
-                    w.tasks_completed,
-                    w.respawns,
-                )?;
-            }
+        }
+        for w in &self.pool_workers {
+            writeln!(
+                f,
+                "  worker {}: {} tasks={} respawns={}",
+                w.worker,
+                if w.alive { "alive" } else { "dead" },
+                w.tasks_completed,
+                w.respawns,
+            )?;
         }
         match (self.p50, self.p99, self.p999) {
             (Some(p50), Some(p99), Some(p999)) => {

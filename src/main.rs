@@ -772,7 +772,10 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
         "resilience:    {} retries, {} cpu fallbacks, {} isolated panics",
         h.retries, h.cpu_fallbacks, h.panicked
     );
-    println!("executed by:   {} by their waiting caller, the rest by workers", h.caller_runs);
+    println!(
+        "executed by:   {} by their waiting caller, the rest by the threads",
+        h.caller_runs
+    );
     if h.cpu_fallbacks > 0 {
         println!(
             "fallback work: {} candidates scanned, {:.2} ms modeled CPU time",
@@ -804,15 +807,15 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
                 sh.quarantine_recoveries,
             );
         }
-        for w in &h.pool_workers {
-            println!(
-                "  pool worker {}: {} — {} tasks, {} respawns",
-                w.worker,
-                if w.alive { "alive" } else { "dead" },
-                w.tasks_completed,
-                w.respawns,
-            );
-        }
+    }
+    for w in &h.pool_workers {
+        println!(
+            "thread {}:      {} — {} tasks, {} respawns",
+            w.worker,
+            if w.alive { "alive" } else { "dead" },
+            w.tasks_completed,
+            w.respawns,
+        );
     }
     println!(
         "breaker:       {} ({} trips, {} recoveries)",
