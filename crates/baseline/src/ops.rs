@@ -19,6 +19,7 @@
 //! most once and never consults the cache.
 
 use iiu_index::block::EncodedList;
+use iiu_index::codec::BlockColumns;
 use iiu_index::{DocId, DocWindow, Posting, TermId};
 
 /// Counters of the primitive operations a query performed.
@@ -49,8 +50,9 @@ pub struct OpCounts {
     /// Skip-list search probes: the binary search of the exhaustive SvS,
     /// the forward gallop of pruned mode.
     pub binary_probes: u64,
-    /// Element comparisons in merge/intersect loops and in searches
-    /// within a decoded block.
+    /// Element comparisons: one per merge step in the merge and
+    /// intersect loops (a step advances one side, or both on a match),
+    /// and one per key examined by a search within a decoded block.
     pub comparisons: u64,
     /// Documents scored with BM25 (one per term contribution computed).
     pub docs_scored: u64,
@@ -244,9 +246,9 @@ impl BlockCache {
 
 /// Reusable decode buffers for one query engine. Owning one per engine
 /// (rather than allocating inside every op) is what makes the hot path
-/// allocation-free: `decode_full`-style work and the pruned cursors'
-/// current blocks land in `full_a`/`full_b`, the exhaustive SvS's
-/// membership probes go through the [`BlockCache`].
+/// allocation-free: `decode_full`-style work lands in `full_a`/`full_b`,
+/// the pruned two-term cursors' current blocks in `cols_a`/`cols_b`, and
+/// the exhaustive SvS's membership probes go through the [`BlockCache`].
 ///
 /// Ownership rule: a `DecodeScratch` belongs to exactly one engine and is
 /// borrowed mutably for the duration of one op — the slices the ops return
@@ -255,6 +257,8 @@ impl BlockCache {
 pub struct DecodeScratch {
     pub(crate) full_a: Vec<Posting>,
     pub(crate) full_b: Vec<Posting>,
+    pub(crate) cols_a: BlockColumns,
+    pub(crate) cols_b: BlockColumns,
     pub(crate) cache: BlockCache,
 }
 
@@ -268,11 +272,7 @@ impl DecodeScratch {
     /// Creates a scratch whose block cache holds `cap` entries (0 disables
     /// reuse across probes but still recycles the decode buffer).
     pub fn with_cache_capacity(cap: usize) -> Self {
-        DecodeScratch {
-            full_a: Vec::new(),
-            full_b: Vec::new(),
-            cache: BlockCache::with_capacity(cap),
-        }
+        DecodeScratch { cache: BlockCache::with_capacity(cap), ..DecodeScratch::default() }
     }
 
     /// The decoded-block cache.

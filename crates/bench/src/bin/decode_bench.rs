@@ -32,9 +32,11 @@ use std::process::ExitCode;
 use iiu_baseline::CpuEngine;
 use iiu_bench::gate::{self, qps, Args, Queries, Run, Shape};
 use iiu_bench::micro::bench_with;
-use iiu_index::codec::{encode_block, try_decode_pairs_into};
+use iiu_index::codec::{
+    encode_block, tf_at, try_decode_docs_into, try_decode_pairs_into, BlockColumns,
+};
 use iiu_index::{InvertedIndex, Posting};
-use iiu_workloads::CorpusConfig;
+use iiu_workloads::{CorpusConfig, QuerySampler};
 use serde_json::{json, Map, Value};
 
 /// Queries sampled per shape.
@@ -45,6 +47,11 @@ const N_QUERIES: usize = 32;
 const E2E_DOCS: u32 = 60_000;
 /// Gap widths of the codec shootout (the §5-relevant 4–20 range).
 const GATED_WIDTHS: [u8; 5] = [4, 8, 12, 16, 20];
+/// Document frequencies of the light-list sample: lists that span a few
+/// short blocks, where a walk's fixed cost per block and per interval
+/// shows (the repository benchmark's light query pool draws from the
+/// same range).
+const LIGHT_DF: std::ops::Range<u64> = 16..1024;
 /// Result-set sizes for the pruned-vs-exhaustive top-k comparison.
 const PRUNED_KS: [usize; 3] = [10, 100, 1000];
 /// Minimum single-term QPS gain pruning must deliver at k = 10 for
@@ -109,6 +116,48 @@ fn bench_pruned(index: &InvertedIndex, metrics: &mut Map) -> Value {
         shapes.insert(name.to_string(), Value::Object(rows));
     }
     Value::Object(shapes)
+}
+
+/// Pruned AND and OR at k = 10 over two-term queries on light lists
+/// ([`LIGHT_DF`]), beside their exhaustive runs and after the same
+/// bit-identity check: the engine-level number for light-path changes,
+/// which the serving layer's own overhead hides end to end. Reported, not
+/// gated.
+fn bench_pruned_light(index: &InvertedIndex) -> Value {
+    let mut sampler =
+        QuerySampler::with_df_range(index, 42, QuerySampler::DEFAULT_ALPHA, LIGHT_DF);
+    let queries = Queries { singles: Vec::new(), pairs: sampler.pair_queries(N_QUERIES) };
+    let mut rows = Map::new();
+    for shape in [Shape::And, Shape::Or] {
+        let name = shape.name();
+        let mut exh = CpuEngine::new(index);
+        let mut pru = CpuEngine::new(index).with_pruning(true);
+        for i in 0..N_QUERIES {
+            let a = queries.run(&mut exh, shape, i, 10);
+            let b = queries.run(&mut pru, shape, i, 10);
+            assert_eq!(a.hits, b.hits, "pruned light {name} diverged at query {i}");
+        }
+        let e =
+            queries.time(&format!("pruned_light/{name}/k10/exhaustive"), &mut exh, shape, 10);
+        let p = queries.time(&format!("pruned_light/{name}/k10/pruned"), &mut pru, shape, 10);
+        rows.insert(
+            name.to_string(),
+            json!({ "k10": json!({
+                "exhaustive_min_ns": e.min_ns,
+                "pruned_min_ns": p.min_ns,
+                "exhaustive_median_ns": e.median_ns,
+                "pruned_median_ns": p.median_ns,
+                "pruned_qps": qps(p.min_ns),
+                "qps_gain": e.min_ns / p.min_ns,
+            })}),
+        );
+    }
+    json!({
+        "df_min": LIGHT_DF.start,
+        "df_below": LIGHT_DF.end,
+        "queries": N_QUERIES,
+        "shapes": Value::Object(rows),
+    })
 }
 
 /// Deterministic shootout values (LCG) masked to `width` bits, seeded per
@@ -231,12 +280,32 @@ fn bench_codec_shootout(gate: &mut Map) -> Value {
 /// `verify.sh --quick` runs.
 fn run_smoke() -> ExitCode {
     for width in GATED_WIDTHS {
+        let payloads = encode_shootout(width, 1);
+        let want = shootout_reference(width, 1);
         let mut got = Vec::new();
-        decode_shootout(&encode_shootout(width, 1), width, &mut got);
-        assert_eq!(got, shootout_reference(width, 1), "smoke decode diverged at w{width}");
+        decode_shootout(&payloads, width, &mut got);
+        assert_eq!(got, want, "smoke decode diverged at w{width}");
+        let mut cols = BlockColumns::default();
+        let skip = shootout_skip(0);
+        try_decode_docs_into(
+            &payloads[0],
+            SHOOTOUT_BLOCK,
+            width,
+            SHOOTOUT_TF_BITS,
+            skip,
+            &mut cols,
+        )
+        .expect("self-produced shootout block");
+        assert!(
+            want.iter().map(|p| p.doc_id).eq(cols.docs().iter().copied()),
+            "smoke docIDs-only decode diverged at w{width}"
+        );
+        let tfs = (0..SHOOTOUT_BLOCK).map(|i| tf_at(&payloads[0], i, width, SHOOTOUT_TF_BITS));
+        assert!(want.iter().map(|p| p.tf).eq(tfs), "smoke tf reads diverged at w{width}");
     }
     println!(
-        "codec smoke: OK ({} widths, one {}-posting block each, equal to the reference)",
+        "codec smoke: OK ({} widths, one {}-posting block each, pair and docIDs-only \
+         decodes and tf reads equal to the reference)",
         GATED_WIDTHS.len(),
         SHOOTOUT_BLOCK
     );
@@ -298,6 +367,11 @@ fn main() -> ExitCode {
     );
     let index = CorpusConfig::ccnews_like(E2E_DOCS).generate().into_default_index();
     let pruned = bench_pruned(&index, &mut run.metrics);
+    println!(
+        "== pruned AND/OR k=10 on light lists ({} <= df < {}), reported only ==",
+        LIGHT_DF.start, LIGHT_DF.end
+    );
+    let pruned_light = bench_pruned_light(&index);
 
     println!(
         "== codec shootout: bitpack x widths {GATED_WIDTHS:?}, \
@@ -312,6 +386,7 @@ fn main() -> ExitCode {
         "schema": "decode-bench-v2",
         "e2e_docs": E2E_DOCS,
         "pruned": pruned.clone(),
+        "pruned_light": pruned_light,
         "codec_shootout": shootout,
     });
     // Compression is deterministic, so its bound is exact: a codec change

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use crate::bitpack::bits_for;
 use crate::checksum;
-use crate::codec::{self, CodecId};
+use crate::codec::{self, BlockColumns, CodecId};
 use crate::error::IndexError;
 use crate::mmap::Mmap;
 use crate::posting::{DocId, Posting, PostingList};
@@ -344,7 +344,7 @@ impl TableBuilder {
                 (self.payload.len() - payload.len(), NO_CRC)
             }
         };
-        let view = ListRef {
+        let view = ListView {
             metas: &self.metas[first..],
             skips: &self.skips[first..],
             payload,
@@ -388,24 +388,77 @@ impl TableBuilder {
 const TABLE_OVERFLOW: IndexError =
     IndexError::CorruptIndex { context: "block table exceeds 2^32 entries" };
 
-/// One list's slices of its tables, taken once per call: the view the
-/// decode and validation kernels run on, before and after a freeze.
+/// One list's slices of its tables: what the decode and validation
+/// kernels run on, before and after a freeze, and the handle a query walk
+/// holds for a whole query. The public way to one is
+/// [`EncodedList::verified`], which runs the list's deferred checks
+/// first, so that a walk checks a list once rather than at every block
+/// and slices its tables once rather than at every decode.
 #[derive(Debug, Clone, Copy)]
-struct ListRef<'a> {
+pub struct ListView<'a> {
     metas: &'a [BlockMeta],
     skips: &'a [DocId],
     payload: &'a [u8],
     num_postings: u64,
 }
 
-impl ListRef<'_> {
-    /// [`EncodedList::try_decode_block_into`] minus the deferred checksum.
-    fn try_decode_block_into(
-        &self,
-        idx: usize,
-        out: &mut Vec<Posting>,
-    ) -> Result<(), IndexError> {
-        let BlockMeta { dn_bits, tf_bits, count, offset } = *self
+/// The packed tf column of one block decoded docIDs-only
+/// ([`ListView::try_decode_docs_into`]), read one tf at a time.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockTfs<'a> {
+    bytes: &'a [u8],
+    gap_bits: u8,
+    tf_bits: u8,
+}
+
+impl BlockTfs<'_> {
+    /// The tf of the block's posting `i` ([`codec::tf_at`]): one window
+    /// load. An `i` past the block's count reads garbage, never a panic.
+    #[inline]
+    pub fn get(&self, i: usize) -> u32 {
+        codec::tf_at(self.bytes, i, self.gap_bits, self.tf_bits)
+    }
+}
+
+impl<'a> ListView<'a> {
+    /// Block metadata words.
+    pub fn metas(&self) -> &'a [BlockMeta] {
+        self.metas
+    }
+
+    /// Skip list: the raw first docID of each block.
+    pub fn skips(&self) -> &'a [DocId] {
+        self.skips
+    }
+
+    /// Number of postings across all blocks.
+    pub fn num_postings(&self) -> u64 {
+        self.num_postings
+    }
+
+    /// See [`EncodedList::window_blocks`].
+    pub fn window_blocks(&self, window: DocWindow) -> Range<usize> {
+        if window.is_empty() {
+            return 0..0;
+        }
+        let start = match window.lo() {
+            0 => 0,
+            lo => self.skips.partition_point(|&s| s <= lo).saturating_sub(1),
+        };
+        let end = if window.hi() >= DOC_END {
+            self.skips.len()
+        } else {
+            self.skips.partition_point(|&s| u64::from(s) < window.hi())
+        };
+        start..end
+    }
+
+    /// Block `idx`'s metadata, skip value and payload bytes: from the
+    /// block's offset to the end of the list payload, not the block's own
+    /// bytes, so that its last pairs load full windows (the masks keep
+    /// the next block's bits out).
+    fn block(&self, idx: usize) -> Result<(BlockMeta, DocId, &'a [u8]), IndexError> {
+        let meta = *self
             .metas
             .get(idx)
             .ok_or(IndexError::CorruptIndex { context: "block index out of range" })?;
@@ -413,12 +466,80 @@ impl ListRef<'_> {
             .skips
             .get(idx)
             .ok_or(IndexError::CorruptIndex { context: "skip/meta count mismatch" })?;
-        // From the block's offset to the end of the list payload, not the
-        // block's own bytes: its last pairs then load full windows, and the
-        // masks keep the next block's bits out.
-        let bytes = usize::try_from(offset).ok().and_then(|o| self.payload.get(o..));
+        let bytes = usize::try_from(meta.offset).ok().and_then(|o| self.payload.get(o..));
         let bytes = bytes.ok_or(IndexError::CorruptIndex { context: "payload bounds" })?;
+        Ok((meta, skip, bytes))
+    }
+
+    /// Block `idx`'s `(docID, tf)` pairs appended to `out`
+    /// ([`codec::try_decode_pairs_into`]).
+    pub(crate) fn try_decode_pairs_into(
+        &self,
+        idx: usize,
+        out: &mut Vec<Posting>,
+    ) -> Result<(), IndexError> {
+        let (BlockMeta { dn_bits, tf_bits, count, .. }, skip, bytes) = self.block(idx)?;
         codec::try_decode_pairs_into(bytes, usize::from(count), dn_bits, tf_bits, skip, out)
+    }
+
+    /// Block `idx`'s docIDs and tfs in `out`
+    /// ([`codec::try_decode_columns_into`]).
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::CorruptIndex`] when `idx` is out of range or the
+    /// payload is too short for the block; `out` is untouched on error.
+    pub fn try_decode_columns_into(
+        &self,
+        idx: usize,
+        out: &mut BlockColumns,
+    ) -> Result<(), IndexError> {
+        let (BlockMeta { dn_bits, tf_bits, count, .. }, skip, bytes) = self.block(idx)?;
+        codec::try_decode_columns_into(bytes, usize::from(count), dn_bits, tf_bits, skip, out)
+    }
+
+    /// Block `idx`'s docIDs alone in `out` ([`codec::try_decode_docs_into`]),
+    /// and the block's packed tf column to read the tf of its posting `i`
+    /// from if it is needed.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::CorruptIndex`] when `idx` is out of range or the
+    /// payload is too short for the block; `out` is untouched on error.
+    pub fn try_decode_docs_into(
+        &self,
+        idx: usize,
+        out: &mut BlockColumns,
+    ) -> Result<BlockTfs<'a>, IndexError> {
+        let (BlockMeta { dn_bits, tf_bits, count, .. }, skip, bytes) = self.block(idx)?;
+        codec::try_decode_docs_into(bytes, usize::from(count), dn_bits, tf_bits, skip, out)?;
+        Ok(BlockTfs { bytes, gap_bits: dn_bits, tf_bits })
+    }
+
+    /// See [`EncodedList::try_decode_window_into`].
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::CorruptIndex`] when `idx` is out of range or the
+    /// payload is too short for the block; `out` is untouched on error.
+    pub fn try_decode_window_into(
+        &self,
+        idx: usize,
+        window: DocWindow,
+        out: &mut Vec<Posting>,
+    ) -> Result<usize, IndexError> {
+        let from = out.len();
+        self.try_decode_pairs_into(idx, out)?;
+        let decoded = out.len() - from;
+        if self.skips.get(idx).is_some_and(|&s| s < window.lo()) {
+            let below = out[from..].partition_point(|p| p.doc_id < window.lo());
+            out.drain(from..from + below);
+        }
+        if self.skips.get(idx + 1).map_or(DOC_END, |&s| u64::from(s)) > window.hi() {
+            let keep = out[from..].partition_point(|p| u64::from(p.doc_id) < window.hi());
+            out.truncate(from + keep);
+        }
+        Ok(decoded)
     }
 
     /// [`EncodedList::find`] minus the deferred checksum: the candidate
@@ -426,7 +547,7 @@ impl ListRef<'_> {
     fn find(&self, doc_id: DocId) -> Option<u32> {
         let block = self.skips.partition_point(|&s| s <= doc_id).checked_sub(1)?;
         let mut buf = Vec::new();
-        self.try_decode_block_into(block, &mut buf).ok()?;
+        self.try_decode_pairs_into(block, &mut buf).ok()?;
         buf.binary_search_by_key(&doc_id, |p| p.doc_id).ok().map(|i| buf[i].tf)
     }
 
@@ -552,9 +673,9 @@ impl EncodedList {
         &self.tables
     }
 
-    fn view(&self) -> ListRef<'_> {
+    fn view(&self) -> ListView<'_> {
         let blocks = self.span.blocks();
-        ListRef {
+        ListView {
             metas: self.tables.metas.get(blocks.clone()).unwrap_or(&[]),
             skips: self.tables.skips.get(blocks).unwrap_or(&[]),
             payload: self.payload(),
@@ -568,7 +689,9 @@ impl EncodedList {
     /// unconditionally. Engines call this at term-resolve time so
     /// corruption surfaces as a typed error before any panicking decode
     /// wrapper runs; the decode entry points below also call it as defense
-    /// in depth.
+    /// in depth, once per block. A query walk instead takes
+    /// [`EncodedList::verified`] once per list and decodes through that
+    /// view, so the check runs once per list per query.
     ///
     /// # Errors
     ///
@@ -589,6 +712,18 @@ impl EncodedList {
                 found: (bad >> 32) as u32,
             }),
         }
+    }
+
+    /// This list's [`ListView`], after [`EncodedList::ensure_verified`]:
+    /// the handle a query walk holds instead of going through the list at
+    /// every block, which checks the list once per query.
+    ///
+    /// # Errors
+    ///
+    /// As [`EncodedList::ensure_verified`].
+    pub fn verified(&self) -> Result<ListView<'_>, IndexError> {
+        self.ensure_verified()?;
+        Ok(self.view())
     }
 
     /// The bytes of this list's term record and the CRC stored after them.
@@ -623,7 +758,7 @@ impl EncodedList {
         let view = self.view();
         if let Some(last) = view.metas.len().checked_sub(1) {
             let mut block = Vec::with_capacity(usize::from(view.metas[last].count));
-            view.try_decode_block_into(last, &mut block)?;
+            view.try_decode_pairs_into(last, &mut block)?;
             if block.iter().any(|p| u64::from(p.doc_id) >= self.tables.num_docs) {
                 crc.verdict.store(BEYOND_CORPUS, Ordering::Release);
                 return Err(BEYOND_CORPUS_ERROR);
@@ -720,8 +855,7 @@ impl EncodedList {
         idx: usize,
         out: &mut Vec<Posting>,
     ) -> Result<(), IndexError> {
-        self.ensure_verified()?;
-        self.view().try_decode_block_into(idx, out)
+        self.verified()?.try_decode_pairs_into(idx, out)
     }
 
     /// Decodes the entire list.
@@ -747,19 +881,7 @@ impl EncodedList {
     /// `window.hi()`, by binary search of the skip list.
     /// [`DocWindow::ALL`] takes every block without a search.
     pub fn window_blocks(&self, window: DocWindow) -> Range<usize> {
-        if window.is_empty() {
-            return 0..0;
-        }
-        let start = match window.lo() {
-            0 => 0,
-            lo => self.candidate_block(lo).unwrap_or(0),
-        };
-        let end = if window.hi() >= DOC_END {
-            self.skips().len()
-        } else {
-            self.skips().partition_point(|&s| u64::from(s) < window.hi())
-        };
-        start..end
+        self.view().window_blocks(window)
     }
 
     /// Appends the postings of block `idx` that lie in `window` onto `out`
@@ -776,20 +898,7 @@ impl EncodedList {
         window: DocWindow,
         out: &mut Vec<Posting>,
     ) -> Result<usize, IndexError> {
-        self.ensure_verified()?;
-        let view = self.view();
-        let from = out.len();
-        view.try_decode_block_into(idx, out)?;
-        let decoded = out.len() - from;
-        if view.skips.get(idx).is_some_and(|&s| s < window.lo()) {
-            let below = out[from..].partition_point(|p| p.doc_id < window.lo());
-            out.drain(from..from + below);
-        }
-        if view.skips.get(idx + 1).map_or(DOC_END, |&s| u64::from(s)) > window.hi() {
-            let keep = out[from..].partition_point(|p| u64::from(p.doc_id) < window.hi());
-            out.truncate(from + keep);
-        }
-        Ok(decoded)
+        self.verified()?.try_decode_window_into(idx, window, out)
     }
 
     /// [`EncodedList::try_decode_window_into`] for trusted payloads.

@@ -67,7 +67,7 @@ pub mod storage;
 pub mod tokenize;
 pub mod wal;
 
-pub use block::{BlockMeta, EncodedList};
+pub use block::{BlockMeta, BlockTfs, EncodedList, ListView};
 pub use bounds::ListBounds;
 pub use builder::{BuildOptions, IndexBuilder};
 pub use checksum::{crc32, Crc32};

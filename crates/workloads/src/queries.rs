@@ -45,11 +45,26 @@ impl<'a> QuerySampler<'a> {
     ///
     /// Panics if no term qualifies.
     pub fn with_bias(index: &'a InvertedIndex, seed: u64, alpha: f64, min_df: u64) -> Self {
+        Self::with_df_range(index, seed, alpha, min_df..u64::MAX)
+    }
+
+    /// Creates a sampler drawing terms with probability `∝ df^alpha` among
+    /// terms whose `df` lies in `df`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no term qualifies.
+    pub fn with_df_range(
+        index: &'a InvertedIndex,
+        seed: u64,
+        alpha: f64,
+        df: std::ops::Range<u64>,
+    ) -> Self {
         let mut candidates = Vec::new();
         let mut cumulative = Vec::new();
         let mut acc = 0.0f64;
         for (id, info) in index.terms().iter().enumerate() {
-            if info.df >= min_df {
+            if df.contains(&info.df) {
                 acc += (info.df as f64).powf(alpha);
                 candidates.push(id as u32);
                 cumulative.push(acc);
@@ -57,7 +72,9 @@ impl<'a> QuerySampler<'a> {
         }
         assert!(
             !candidates.is_empty(),
-            "no term meets the minimum document frequency {min_df}"
+            "no term meets the minimum document frequency {} (below {})",
+            df.start,
+            df.end
         );
         QuerySampler { index, candidates, cumulative, rng: StdRng::seed_from_u64(seed) }
     }

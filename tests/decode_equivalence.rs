@@ -1,10 +1,12 @@
 //! Equivalence suite for the hot-path block decode: the fused zero-alloc
 //! block decode against the allocating wrapper and the encoded postings,
-//! and engine-level invariance of both results and logical cost tallies
+//! the pruned walk's docIDs-only and column decodes against it, and
+//! engine-level invariance of both results and logical cost tallies
 //! under scratch reuse and block caching.
 
 use iiu_baseline::CpuEngine;
 use iiu_index::block::EncodedList;
+use iiu_index::codec::BlockColumns;
 use iiu_index::{Posting, PostingList};
 use iiu_workloads::{CorpusConfig, QuerySampler};
 use proptest::prelude::*;
@@ -48,6 +50,43 @@ proptest! {
             fused_all.extend_from_slice(&reused);
         }
         prop_assert_eq!(fused_all, list.as_slice().to_vec());
+    }
+
+    /// The pruned walk's block access — one verified view, blocks decoded
+    /// docIDs-only with their tfs read one at a time, or into columns —
+    /// agrees with the pair decode block for block, through a scratch
+    /// reused across blocks of different lengths.
+    #[test]
+    fn prop_column_decodes_and_tf_reads_match_the_pair_decode(
+        pairs in proptest::collection::vec((1u32..5000, 0u32..300), 1..400),
+        chunk in 1usize..80,
+    ) {
+        let mut list = PostingList::new();
+        let mut doc = 0u32;
+        for &(gap, tf) in &pairs {
+            doc += gap;
+            list.push(doc, tf);
+        }
+        let n = list.len();
+        let mut block_lens = vec![chunk; n / chunk];
+        if n % chunk != 0 {
+            block_lens.push(n % chunk);
+        }
+        let enc = EncodedList::encode(&list, &block_lens).expect("encodable");
+        let view = enc.verified().expect("an owned list verifies");
+        let mut cols = BlockColumns::default();
+        for b in 0..enc.num_blocks() {
+            let want = enc.decode_block(b);
+            let packed = view.try_decode_docs_into(b, &mut cols).expect("valid block");
+            prop_assert!(want.iter().map(|p| p.doc_id).eq(cols.docs().iter().copied()));
+            prop_assert!(cols.tfs().is_empty());
+            for (i, p) in want.iter().enumerate() {
+                prop_assert_eq!(packed.get(i), p.tf, "block {} posting {}", b, i);
+            }
+            view.try_decode_columns_into(b, &mut cols).expect("valid block");
+            prop_assert!(want.iter().map(|p| p.doc_id).eq(cols.docs().iter().copied()));
+            prop_assert!(want.iter().map(|p| p.tf).eq(cols.tfs().iter().copied()));
+        }
     }
 }
 

@@ -154,15 +154,7 @@ fn a_crc_consistent_block_of_repeated_docids_fails_heap_load_and_mapped_validate
     let list = idx.encoded_list(idx.term_id("quick").expect("indexed"));
     let first_block = list.metas()[1].offset as usize;
     let mut bytes = serialize(&idx).expect("serialize");
-
-    // The record: name_len u32 · name · num_postings u64 · num_blocks u64
-    // · metas 8 · skips 4 per block · payload_len u64 · payload · crc u32.
-    let name: Vec<u8> = [&5u32.to_le_bytes()[..], b"quick"].concat();
-    let starts: Vec<usize> =
-        (0..bytes.len() - name.len()).filter(|&i| bytes[i..].starts_with(&name)).collect();
-    let [start] = starts[..] else { panic!("record of \"quick\" not unique: {starts:?}") };
-    let payload = start + name.len() + 16 + list.num_blocks() * 12 + 8;
-    let end = payload + list.payload().len();
+    let (start, payload, end) = record_of(&idx, &bytes, "quick");
     bytes[payload..payload + first_block].fill(0);
     let crc = |b: &[u8]| iiu_index::crc32(b).to_le_bytes();
     let record_crc = crc(&bytes[start..end]);
@@ -195,6 +187,80 @@ fn a_crc_consistent_block_of_repeated_docids_fails_heap_load_and_mapped_validate
             assert!(answered, "pruned={pruned} {shape}");
         }
     }
+}
+
+/// Where the term record of `term` lies in `bytes`, the v4 file of
+/// `idx`: `(record start, payload start, payload end)`, the record CRC
+/// following the payload. The record: name_len u32 · name · num_postings
+/// u64 · num_blocks u64 · metas 8 · skips 4 per block · payload_len u64 ·
+/// payload · crc u32.
+fn record_of(
+    idx: &iiu_index::InvertedIndex,
+    bytes: &[u8],
+    term: &str,
+) -> (usize, usize, usize) {
+    let list = idx.encoded_list(idx.term_id(term).expect("indexed"));
+    let name: Vec<u8> = [&(term.len() as u32).to_le_bytes()[..], term.as_bytes()].concat();
+    let starts: Vec<usize> =
+        (0..bytes.len() - name.len()).filter(|&i| bytes[i..].starts_with(&name)).collect();
+    let [start] = starts[..] else { panic!("record of {term:?} not unique: {starts:?}") };
+    let payload = start + name.len() + 16 + list.num_blocks() * 12 + 8;
+    (start, payload, payload + list.payload().len())
+}
+
+#[test]
+fn a_flipped_record_byte_fails_pruned_and_and_or_on_both_engines() {
+    // The pruned two-term walk checks each list once, when its cursor is
+    // built, not at every block decode: this pins that the check still
+    // happens on every path that reaches the walk. A byte flipped inside
+    // a mapped list's payload breaks its record CRC; pruned AND and OR,
+    // unsharded and over two windows, must answer ChecksumMismatch — on a
+    // fresh mapping, where the query makes the first touch, and again on
+    // the kept verdict.
+    let mut builder = IndexBuilder::new(BuildOptions {
+        partitioner: iiu_index::Partitioner::fixed(4),
+        ..BuildOptions::default()
+    });
+    for i in 0..200 {
+        let fox = if i % 3 == 0 { "fox" } else { "" };
+        builder.add_document(&format!("quick dog w{} {fox}", i % 5));
+    }
+    let idx = builder.build();
+    let mut bytes = serialize(&idx).expect("serialize");
+    let (_, payload, end) = record_of(&idx, &bytes, "quick");
+    bytes[(payload + end) / 2] ^= 0x10;
+    let scratch = scratch_path("flipped-record");
+    std::fs::write(&scratch, &bytes).expect("scratch file writable");
+    let is_mismatch = |e: iiu_index::IndexError| {
+        matches!(e, iiu_index::IndexError::ChecksumMismatch { section: "term record", .. })
+    };
+    for windows in [1, 2] {
+        for (x, y) in [("quick", "dog"), ("dog", "quick")] {
+            let mapped =
+                iiu_index::storage::map_index(&scratch).expect("the open defers CRCs");
+            let mapped = std::sync::Arc::new(mapped);
+            let mut answers = Vec::new();
+            for _ in 0..2 {
+                if windows == 1 {
+                    let mut engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(true);
+                    answers.push(engine.search_intersection(x, y, 10).map(|_| ()));
+                    answers.push(engine.search_union(x, y, 10).map(|_| ()));
+                } else {
+                    let parts = iiu_baseline::PartSource::windows(mapped.clone(), windows);
+                    let engine = iiu_baseline::ShardedEngine::new(parts).with_pruning(true);
+                    answers.push(engine.search_intersection(x, y, 10).map(|_| ()));
+                    answers.push(engine.search_union(x, y, 10).map(|_| ()));
+                }
+            }
+            for answer in answers {
+                let err = answer.expect_err("a corrupt list must not answer");
+                assert!(is_mismatch(err.clone()), "windows={windows} {x}/{y}: {err:?}");
+            }
+            // The uncorrupted list alone still serves.
+            mapped.verify_term(mapped.term_id("fox").expect("indexed")).expect("intact");
+        }
+    }
+    std::fs::remove_file(&scratch).ok();
 }
 
 #[test]
