@@ -39,16 +39,16 @@ impl QueryOutcome {
 /// baseline comparison is about *time*, which the cost model prices from
 /// operation counts.
 ///
-/// The engine owns a [`DecodeScratch`] — reusable decode buffers plus the
-/// decoded-block cache the exhaustive SvS probes through — so query
-/// methods take `&mut self` and the steady-state hot path allocates only
-/// for results.
+/// The engine owns a [`DecodeScratch`] — reusable decode buffers, one of
+/// which holds the block the exhaustive SvS is probing — so query methods
+/// take `&mut self` and the steady-state hot path allocates only for
+/// results.
 ///
 /// With [`CpuEngine::with_pruning`] the engine runs in block-max pruned
 /// mode ([`crate::pruned`]): top-k is fused into the scoring loop and
 /// blocks whose score upper bound cannot beat the heap threshold are
 /// skipped (two-term queries walk both lists with one forward block
-/// cursor each and never touch the block cache). Results are
+/// cursor each and make no SvS probes). Results are
 /// bit-identical to the exhaustive mode; only the operation counts (and
 /// therefore modeled latency) change.
 #[derive(Debug, Clone)]
@@ -97,11 +97,6 @@ impl<'a> CpuEngine<'a> {
         let candidates = counts.topk_candidates;
         let phases = self.cost.price(&counts);
         QueryOutcome { hits, candidates, counts, phases }
-    }
-
-    /// The engine's decode scratch (buffers + decoded-block cache).
-    pub fn scratch(&self) -> &DecodeScratch {
-        &self.scratch
     }
 
     /// The engine's cost model.
@@ -251,7 +246,7 @@ pub(crate) fn exhaustive_intersection(
     let long = index.encoded_list(long_id);
     let idf_short = index.term_info(short_id).idf_bar;
     let idf_long = index.term_info(long_id).idf_bar;
-    let matches = ops::intersect_svs_window(short, long, long_id, window, counts, scratch);
+    let matches = ops::intersect_svs_window(short, long, window, counts, scratch);
     let hits: Vec<Hit> = matches
         .iter()
         .map(|&(doc_id, tf_s, tf_l)| {

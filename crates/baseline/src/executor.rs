@@ -519,7 +519,11 @@ mod tests {
     /// A whole query that reports on `tx` when it runs.
     fn reporting(tx: &mpsc::Sender<u32>, tag: u32) -> impl FnOnce(u64) -> Task {
         let tx = tx.clone();
-        move |_| -> Task { Box::new(move || drop(tx.send(tag))) }
+        move |_| -> Task {
+            Box::new(move || {
+                let _ = tx.send(tag);
+            })
+        }
     }
 
     #[test]
@@ -528,8 +532,8 @@ mod tests {
         let (started_tx, started) = mpsc::channel();
         let (release, release_rx) = mpsc::channel::<()>();
         let part: Task = Box::new(move || {
-            drop(started_tx.send(()));
-            drop(release_rx.recv());
+            let _ = started_tx.send(());
+            let _ = release_rx.recv();
         });
         let deadline = Instant::now() + Duration::from_millis(10);
         assert_eq!(exec.fan_out(vec![part], Some(deadline)), None, "a test thread parks");
@@ -569,8 +573,8 @@ mod tests {
         let (release, release_rx) = mpsc::channel::<()>();
         exec.submit(8, move |_| -> Task {
             Box::new(move || {
-                drop(started_tx.send(()));
-                drop(release_rx.recv());
+                let _ = started_tx.send(());
+                let _ = release_rx.recv();
             })
         })
         .expect("admitted");

@@ -31,7 +31,7 @@ pub use cost::{
 };
 pub use engine::{CpuEngine, QueryOutcome};
 pub use executor::{Executor, PoolWorkerReport};
-pub use ops::{BlockCache, DecodeScratch, OpCounts, BLOCK_CACHE_ENTRIES};
+pub use ops::{DecodeScratch, OpCounts};
 pub use sharded::{
     Part, PartSource, ShardHealth, ShardHealthReport, ShardOutcome, ShardPool,
     ShardPoolConfig, ShardRun, ShardedEngine, ShardedOutcome,

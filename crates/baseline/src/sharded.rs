@@ -673,10 +673,6 @@ impl ShardPool {
                     // the accounting without the query work.
                     if !slot.update(|g| (g.abandoned, Wake::None)) {
                         let out = with_scratch(|scratch| {
-                            // Re-key the block cache to this part: `(term,
-                            // block)` is only unique within one index, and
-                            // a thread serves every split shard.
-                            scratch.set_realm(s as u64);
                             catch_unwind(AssertUnwindSafe(|| {
                                 f(s, shared.source.part(s), scratch)
                             }))

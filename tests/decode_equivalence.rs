@@ -1,8 +1,8 @@
 //! Equivalence suite for the hot-path block decode: the fused zero-alloc
 //! block decode against the allocating wrapper and the encoded postings,
 //! the pruned walk's docIDs-only and column decodes against it, and
-//! engine-level invariance of both results and logical cost tallies
-//! under scratch reuse and block caching.
+//! engine-level invariance of both results and cost tallies under
+//! scratch reuse.
 
 use iiu_baseline::CpuEngine;
 use iiu_index::block::EncodedList;
@@ -90,11 +90,11 @@ proptest! {
     }
 }
 
-/// Running the same queries twice on one engine (warm scratch + warm
-/// block cache) and on a fresh engine must return bit-identical hits and
-/// identical logical decode tallies — the cache changes wall-clock work,
-/// never results or the cost-model accounting. Cache hit counters are the
-/// only thing allowed to move.
+/// Running the same queries twice on one engine (warm scratch) and on a
+/// fresh engine must return bit-identical hits and identical decode
+/// tallies: reusing buffers never changes results or the cost-model
+/// accounting. `cache_hits` counts SvS probes into the block the previous
+/// probe opened.
 #[test]
 fn scratch_reuse_and_caching_never_change_results_or_tallies() {
     let index = CorpusConfig::tiny(0xC0FFEE).generate().into_default_index();
@@ -122,7 +122,7 @@ fn scratch_reuse_and_caching_never_change_results_or_tallies() {
         assert_eq!(cold_and.hits, warm_and.hits);
         assert_eq!(cold_and.counts.blocks_decoded, warm_and.counts.blocks_decoded);
         assert_eq!(cold_and.counts.postings_decoded, warm_and.counts.postings_decoded);
-        // Every probe consults the cache: probes = hits + misses.
+        // hits + misses = the probes that landed in a long-list block.
         assert_eq!(
             warm_and.counts.cache_hits + warm_and.counts.cache_misses,
             cold_and.counts.cache_hits + cold_and.counts.cache_misses,

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Full verification gate: the one-park/wake-primitive and one-spawn-site
-# (thread::Builder/spawn/scope outside tests) guards, build, tests, the separately-built benchmark package's tests
+# Full verification gate: the one-park/wake-primitive, one-spawn-site
+# (thread::Builder/spawn/scope outside tests) and one-unsafe-module
+# guards, build, tests, the separately-built benchmark package's tests
 # and smoke run, the fault-injected serving soak, the no-panic lint wall,
 # warning-free rustdoc, and the hot-path decode, shard-scaling, mmap
 # storage, and serve tail-latency perf gates.
@@ -61,6 +62,22 @@ spawn_hits=$(grep -rlE 'thread::(Builder|spawn|scope)' crates src \
 if [ -n "$spawn_hits" ]; then
     echo "verify: thread spawn outside crates/baseline/src/executor.rs (use the executor):" >&2
     echo "$spawn_hits" >&2
+    exit 1
+fi
+
+# One unsafe module (DESIGN.md §19): the product's only `unsafe` is the
+# file mapping in crates/index/src/mmap.rs, so that is the one file Miri
+# has to cover; the two counting-allocator tests are the only other
+# users. A block, fn, impl, trait or extern marked `unsafe` anywhere else
+# in `crates/`, `src/`, `tests/` or `examples/` fails the run; the word in
+# prose does not. Runs in both modes; grep, so CI needs nothing extra.
+unsafe_hits=$(grep -rnE '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' \
+    crates src tests examples \
+    | grep -vE '^(crates/index/src/mmap\.rs|tests/index_memory\.rs|tests/query_allocations\.rs):' \
+    || true)
+if [ -n "$unsafe_hits" ]; then
+    echo "verify: unsafe outside crates/index/src/mmap.rs and the allocator tests:" >&2
+    echo "$unsafe_hits" >&2
     exit 1
 fi
 
