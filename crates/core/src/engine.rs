@@ -289,6 +289,30 @@ pub(crate) fn to_hits(scored: &[(DocId, Fixed)], k: usize) -> Vec<Hit> {
     top_k(scored.iter().map(|&(doc_id, s)| Hit { doc_id, score: s.to_f64() }), k)
 }
 
+/// The answer to an exhaustive evaluation: the top `k` of `scored` (every
+/// candidate, in docID order) and `counts` priced by `cost`, with
+/// `scored`'s length as the top-k work.
+pub(crate) fn respond(
+    cost: &CpuCostModel,
+    mut counts: OpCounts,
+    scored: &[(DocId, Fixed)],
+    k: usize,
+    degraded: Vec<Degradation>,
+) -> SearchResponse {
+    counts.topk_candidates = scored.len() as u64;
+    let phases = cost.price(&counts);
+    SearchResponse {
+        hits: to_hits(scored, k),
+        candidates: scored.len() as u64,
+        breakdown: LatencyBreakdown {
+            dispatch_ns: 0.0,
+            device_ns: phases.total_ns() - phases.topk_ns,
+            topk_ns: phases.topk_ns,
+        },
+        degraded,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // CPU (baseline) engine
 // ---------------------------------------------------------------------------
@@ -370,18 +394,7 @@ impl SearchEngine for CpuSearchEngine<'_> {
         let mut counts = OpCounts::default();
         let mut leaf = window_leaf(self.inner.index(), DocWindow::ALL);
         let scored = eval_tree(query, self.positions, &mut counts, &mut leaf)?;
-        counts.topk_candidates = scored.len() as u64;
-        let phases = self.inner.cost_model().price(&counts);
-        Ok(SearchResponse {
-            hits: to_hits(&scored, k),
-            candidates: scored.len() as u64,
-            breakdown: LatencyBreakdown {
-                dispatch_ns: 0.0,
-                device_ns: phases.total_ns() - phases.topk_ns,
-                topk_ns: phases.topk_ns,
-            },
-            degraded,
-        })
+        Ok(respond(&self.inner.cost_model(), counts, &scored, k, degraded))
     }
 }
 

@@ -8,6 +8,7 @@
 //! response, so a serving layer can return partial results instead of a
 //! 5xx.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -87,8 +88,9 @@ pub enum Degradation {
     /// serving layer must surface it.
     CpuFallback {
         /// Why the device path was bypassed (breaker open, retries
-        /// exhausted, device panic, ...).
-        reason: String,
+        /// exhausted, device panic, ...). A fixed reason is borrowed, so
+        /// the breaker-open path formats and allocates nothing.
+        reason: Cow<'static, str>,
     },
     /// The device path succeeded only after transient failures.
     Retried {

@@ -16,17 +16,28 @@
 //! into one: every list decoded, its docIDs shifted, and the result
 //! rebuilt ([`crate::segment::merge_segment_lists`]).
 //!
-//! ## Scoring and bit-identity
+//! ## Read path and bit-identity
 //!
 //! Sealed segments bake *segment-local* BM25 statistics, which search
-//! ignores. Instead, [`IncrementalIndex::scored_postings`] recomputes the
-//! per-term `idf̄` and per-document `dl̄` from **global** statistics
-//! (total doc count, union document frequency, running `avgdl`
-//! maintained in the same left-fold order [`InvertedIndex::from_lists`]
-//! uses) and scores through the same Q16.16
-//! [`crate::score::term_score_fixed`] datapath. Scores are therefore
-//! bit-identical to a one-shot index built over the same documents — the
-//! equivalence the recovery chaos campaign gates on.
+//! ignores. A read takes three things from this index instead:
+//!
+//! * [`IncrementalIndex::postings_into`] appends a term's postings with
+//!   global doc ids to a caller's buffer, part by part: each sealed
+//!   segment's blocks decoded in place and shifted by the segment's start,
+//!   then the write buffer's list. Nothing is allocated per part.
+//! * [`IncrementalIndex::idf_bar`] gives the global `idf̄` of a term from
+//!   its union document frequency (the number of postings read) and the
+//!   total doc count.
+//! * [`IncrementalIndex::dl_bars`] is the global `dl̄` table, one Q16.16
+//!   entry per document. It uses the same formula as
+//!   [`InvertedIndex::from_lists`], with `avgdl` summed over the document
+//!   lengths in global order as that build sums them. Every ingest drops
+//!   it, since `avgdl` moves; the next read rebuilds it once.
+//!
+//! A caller that scores through [`crate::score::term_score_fixed`] with
+//! these therefore gets scores bit-identical to a one-shot index over
+//! the same documents, the equivalence the recovery chaos campaign gates
+//! on. `iiu-core`'s `LiveIndex` is that caller.
 //!
 //! ## Error contract
 //!
@@ -38,18 +49,19 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use crate::error::IndexError;
 use crate::index::InvertedIndex;
 use crate::memtable::WriteBuffer;
 use crate::partition::Partitioner;
-use crate::posting::{DocId, Posting, PostingList};
+use crate::posting::{Posting, PostingList};
 use crate::recovery::{self, RecoveryReport};
-use crate::score::{term_score_fixed, Bm25Params, Fixed};
+use crate::score::{Bm25Params, Fixed};
 use crate::segment::{self, LoadedSegment, SegmentMeta};
 use crate::wal::{IngestDoc, Wal, WAL_FILE_NAME};
 
@@ -101,10 +113,9 @@ pub struct IncrementalIndex {
     wal: Wal,
     /// Token length of every document (sealed then buffered), by global id.
     doc_lens: Vec<u32>,
-    /// Running Σ doc_len as an f64 left fold in global doc order — the
-    /// exact summation [`InvertedIndex::from_lists`] performs, so the
-    /// derived `avgdl` is bit-identical to a one-shot build.
-    len_sum: f64,
+    /// [`IncrementalIndex::dl_bars`], dropped by every ingest (which moves
+    /// `avgdl`) and rebuilt by the next read.
+    dl_bars: OnceLock<Vec<Fixed>>,
     report: RecoveryReport,
 }
 
@@ -123,18 +134,13 @@ impl IncrementalIndex {
         fs::create_dir_all(dir).map_err(|e| io_err("creating the index directory", e))?;
         let state =
             recovery::recover_mode(dir, opts.partitioner, opts.bm25, opts.mmap_segments)?;
-        let mut doc_lens = Vec::new();
-        let mut len_sum = 0.0f64;
-        for seg in &state.segments {
-            for &l in seg.index.doc_lens() {
-                doc_lens.push(l);
-                len_sum += f64::from(l);
-            }
-        }
-        for &l in state.buffer.doc_lens() {
-            doc_lens.push(l);
-            len_sum += f64::from(l);
-        }
+        let doc_lens: Vec<u32> = state
+            .segments
+            .iter()
+            .flat_map(|s| s.index.doc_lens())
+            .chain(state.buffer.doc_lens())
+            .copied()
+            .collect();
         if state.wal.next_seq() != doc_lens.len() as u64 {
             return Err(IndexError::CorruptIndex {
                 context: "WAL sequence disagrees with recovered document count",
@@ -147,7 +153,7 @@ impl IncrementalIndex {
             buffer: state.buffer,
             wal: state.wal,
             doc_lens,
-            len_sum,
+            dl_bars: OnceLock::new(),
             report: state.report,
         })
     }
@@ -155,11 +161,6 @@ impl IncrementalIndex {
     /// What recovery found when this handle was opened.
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.report
-    }
-
-    /// The directory this index lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The options this index was opened with.
@@ -187,76 +188,55 @@ impl IncrementalIndex {
         self.segments.iter().map(|s| &s.meta).collect()
     }
 
-    /// Token length of document `d`.
-    pub fn doc_len(&self, d: DocId) -> u32 {
-        self.doc_lens[d as usize]
-    }
-
-    /// Global average document length, bit-identical to the one-shot
-    /// build's left-fold computation (1.0 for an empty corpus).
-    pub fn avgdl(&self) -> f64 {
-        if self.doc_lens.is_empty() {
-            1.0
-        } else {
-            self.len_sum / self.doc_lens.len() as f64
-        }
-    }
-
-    /// Union document frequency of `term` across segments and buffer.
-    pub fn df(&self, term: &str) -> u64 {
-        let sealed: u64 = self
-            .segments
-            .iter()
-            .map(|s| s.index.term_id(term).map_or(0, |id| s.index.term_info(id).df))
-            .sum();
-        sealed + self.buffer.df(term)
-    }
-
     /// True when any acknowledged document contains `term`.
     pub fn has_term(&self, term: &str) -> bool {
         self.buffer.df(term) > 0
             || self.segments.iter().any(|s| s.index.term_id(term).is_some())
     }
 
-    /// Decoded, globally remapped, **globally scored** postings for
-    /// `term`, ascending by doc id — or `None` for an unknown term.
+    /// Appends `term`'s postings onto `out` with global doc ids, ascending:
+    /// each sealed segment's blocks decoded in place, then the write
+    /// buffer's list. Appends nothing for a term no document holds, and
+    /// allocates nothing beyond `out`'s growth.
     ///
-    /// Each entry is `(global_doc_id, score)` where the score is the same
-    /// Q16.16 `term_score_fixed(idf̄, dl̄(doc), tf)` a one-shot index
-    /// produces, because `idf̄` and `dl̄` come from global statistics.
-    pub fn scored_postings(
-        &self,
-        term: &str,
-    ) -> Result<Option<Vec<(DocId, Fixed)>>, IndexError> {
-        let df = self.df(term);
-        if df == 0 {
-            return Ok(None);
-        }
-        let idf_bar = Fixed::from_f64(self.opts.bm25.idf_bar(self.num_docs(), df));
-        let avgdl = self.avgdl();
-        let mut out = Vec::with_capacity(df as usize);
-        let score = |global: DocId, tf: u32, out: &mut Vec<(DocId, Fixed)>| {
-            let dl_bar =
-                Fixed::from_f64(self.opts.bm25.dl_bar(self.doc_lens[global as usize], avgdl));
-            out.push((global, term_score_fixed(idf_bar, dl_bar, tf)));
-        };
+    /// # Errors
+    ///
+    /// A segment block that fails to decode (or a mapped segment's record
+    /// that fails its deferred CRC) is a typed [`IndexError`].
+    pub fn postings_into(&self, term: &str, out: &mut Vec<Posting>) -> Result<(), IndexError> {
         for seg in &self.segments {
-            if seg.index.term_id(term).is_none() {
-                continue;
+            let Some(id) = seg.index.term_id(term) else { continue };
+            let list = seg.index.encoded_list(id).verified()?;
+            let from = out.len();
+            for b in 0..list.metas().len() {
+                list.try_decode_pairs_into(b, out)?;
             }
-            let list = seg.index.decode_term(term)?;
             let offset = seg.meta.start as u32;
-            for p in list.iter() {
-                score(p.doc_id + offset, p.tf, &mut out);
-            }
+            out[from..].iter_mut().for_each(|p| p.doc_id += offset);
         }
         if let Some(list) = self.buffer.postings(term) {
             let offset = self.sealed_docs() as u32;
-            for p in list.iter() {
-                score(p.doc_id + offset, p.tf, &mut out);
-            }
+            out.extend(list.iter().map(|p| Posting::new(p.doc_id + offset, p.tf)));
         }
-        Ok(Some(out))
+        Ok(())
+    }
+
+    /// The global Q16.16 `idf̄` of a term held by `df` documents.
+    pub fn idf_bar(&self, df: u64) -> Fixed {
+        Fixed::from_f64(self.opts.bm25.idf_bar(self.num_docs(), df))
+    }
+
+    /// The global Q16.16 `dl̄` of every document, by global doc id: the
+    /// table a one-shot index stores, from the same formula and `avgdl`.
+    /// The first call after an ingest builds it; later calls share it.
+    pub fn dl_bars(&self) -> &[Fixed] {
+        self.dl_bars.get_or_init(|| {
+            // `InvertedIndex::from_lists`'s `avgdl`, summed in the same
+            // order; an empty corpus has no entry to divide by it.
+            let lens = &self.doc_lens;
+            let avgdl = lens.iter().map(|&l| f64::from(l)).sum::<f64>() / lens.len() as f64;
+            lens.iter().map(|&l| Fixed::from_f64(self.opts.bm25.dl_bar(l, avgdl))).collect()
+        })
     }
 
     /// Ingests one document; returns its global doc id. See
@@ -289,8 +269,8 @@ impl IncrementalIndex {
         for doc in docs {
             self.buffer.add(doc);
             self.doc_lens.push(doc.len());
-            self.len_sum += f64::from(doc.len());
         }
+        self.dl_bars.take();
         let end = self.num_docs();
         if self.opts.seal_threshold > 0 && self.buffer.num_docs() >= self.opts.seal_threshold {
             self.seal()?;
@@ -309,23 +289,8 @@ impl IncrementalIndex {
         if self.buffer.is_empty() {
             return Ok(false);
         }
-        let start = self.sealed_docs();
-        let (lists, lens) = self.buffer.drain();
-        let sealed = segment::seal_segment(
-            &self.dir,
-            start,
-            lists,
-            lens,
-            self.opts.partitioner,
-            self.opts.bm25,
-        )?;
-        // In mmap mode the freshly sealed file replaces its heap copy:
-        // posting bytes move to the page cache as soon as they're durable.
-        let sealed = if self.opts.mmap_segments {
-            segment::load_segment_mmap(&self.dir, &sealed.meta)?
-        } else {
-            sealed
-        };
+        let drained = self.buffer.drain();
+        let sealed = self.write_segment(self.sealed_docs(), drained)?;
         self.segments.push(sealed);
         self.wal = Wal::create(&self.dir.join(WAL_FILE_NAME), self.num_docs())?;
         if self.opts.merge_threshold > 0 && self.segments.len() >= self.opts.merge_threshold {
@@ -345,60 +310,53 @@ impl IncrementalIndex {
             return Ok(false);
         }
         let refs: Vec<&LoadedSegment> = self.segments.iter().collect();
-        let (lists, lens) = segment::merge_segment_lists(&refs)?;
-        let start = self.segments[0].meta.start;
-        let merged = segment::seal_segment(
-            &self.dir,
-            start,
-            lists,
-            lens,
-            self.opts.partitioner,
-            self.opts.bm25,
-        )?;
+        let merged =
+            self.write_segment(refs[0].meta.start, segment::merge_segment_lists(&refs)?)?;
         for old in &self.segments {
             if old.meta.file_name != merged.meta.file_name {
                 fs::remove_file(self.dir.join(&old.meta.file_name))
                     .map_err(|e| io_err("removing a merged-away segment", e))?;
             }
         }
-        let merged = if self.opts.mmap_segments {
-            segment::load_segment_mmap(&self.dir, &merged.meta)?
-        } else {
-            merged
-        };
         self.segments = vec![merged];
         Ok(true)
+    }
+
+    /// Writes `lists` as the durable segment of documents from `start` and
+    /// loads it as this index keeps segments: in mmap mode the fresh file
+    /// replaces its heap copy, so posting bytes move to the page cache as
+    /// soon as they are durable.
+    fn write_segment(
+        &self,
+        start: u64,
+        (lists, lens): (Vec<(String, PostingList)>, Vec<u32>),
+    ) -> Result<LoadedSegment, IndexError> {
+        let p = &self.opts;
+        let sealed =
+            segment::seal_segment(&self.dir, start, lists, lens, p.partitioner, p.bm25)?;
+        if p.mmap_segments {
+            segment::load_segment_mmap(&self.dir, &sealed.meta)
+        } else {
+            Ok(sealed)
+        }
     }
 
     /// Materializes a one-shot [`InvertedIndex`] over every acknowledged
     /// document — the reference the equivalence gates compare against,
     /// and the bridge to consumers of the static format.
     pub fn to_one_shot(&self) -> Result<InvertedIndex, IndexError> {
-        let mut merged: BTreeMap<String, Vec<Posting>> = BTreeMap::new();
+        let mut terms: BTreeSet<&str> = self.buffer.iter_lists().map(|(t, _)| t).collect();
         for seg in &self.segments {
-            let offset = seg.meta.start as u32;
-            for info in seg.index.terms() {
-                let list = seg.index.decode_term(&info.term)?;
-                merged
-                    .entry(info.term.clone())
-                    .or_default()
-                    .extend(list.iter().map(|p| Posting::new(p.doc_id + offset, p.tf)));
-            }
+            terms.extend(seg.index.terms().iter().map(|info| info.term.as_str()));
         }
-        let offset = self.sealed_docs() as u32;
-        for (term, list) in self.buffer.iter_lists() {
-            merged
-                .entry(term.to_owned())
-                .or_default()
-                .extend(list.iter().map(|p| Posting::new(p.doc_id + offset, p.tf)));
-        }
-        let lists = merged
+        let lists = terms
             .into_iter()
-            .map(|(term, mut postings)| {
-                postings.sort_unstable_by_key(|p| p.doc_id);
-                (term, PostingList::from_sorted(postings))
+            .map(|term| {
+                let mut postings = Vec::new();
+                self.postings_into(term, &mut postings)?;
+                Ok((term.to_owned(), PostingList::from_sorted(postings)))
             })
-            .collect();
+            .collect::<Result<_, IndexError>>()?;
         InvertedIndex::from_lists(
             lists,
             self.doc_lens.clone(),
@@ -411,6 +369,7 @@ impl IncrementalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::posting::DocId;
 
     fn doc(len: u32, terms: &[(&str, u32)]) -> IngestDoc {
         IngestDoc::new(len, terms.iter().map(|(t, f)| ((*t).to_owned(), *f)).collect())
@@ -420,6 +379,13 @@ mod tests {
         let d = std::env::temp_dir().join(format!("iiu-inc-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&d).ok();
         d
+    }
+
+    /// Union document frequency of `term`: how many postings a read finds.
+    fn df(idx: &IncrementalIndex, term: &str) -> u64 {
+        let mut postings = Vec::new();
+        idx.postings_into(term, &mut postings).unwrap();
+        postings.len() as u64
     }
 
     fn manual_opts() -> IncrementalOptions {
@@ -436,20 +402,34 @@ mod tests {
         idx.ingest(&doc(7, &[("alpha", 1)])).unwrap();
         assert_eq!(idx.num_docs(), 3);
         assert_eq!(idx.sealed_docs(), 2);
-        assert_eq!(idx.df("alpha"), 2);
-        assert_eq!(idx.df("beta"), 2);
+        assert_eq!(df(&idx, "alpha"), 2);
+        assert_eq!(df(&idx, "beta"), 2);
 
         let reopened = IncrementalIndex::open(&dir, manual_opts()).unwrap();
         assert_eq!(reopened.num_docs(), 3);
         assert_eq!(reopened.sealed_docs(), 2);
         assert_eq!(reopened.buffered_docs(), 1);
         assert_eq!(reopened.recovery_report().wal_docs_replayed, 1);
-        assert_eq!(reopened.df("alpha"), 2);
+        assert_eq!(df(&reopened, "alpha"), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every term's global postings, `idf̄` and the `dl̄` table equal the
+    /// one-shot index's; `to_one_shot` is built from this tree's own
+    /// reads, so the one-shot side is checked against a hand count too.
+    fn assert_reads_match_one_shot(idx: &IncrementalIndex) {
+        let one_shot = idx.to_one_shot().unwrap();
+        assert_eq!(idx.dl_bars(), one_shot.dl_bars());
+        for info in one_shot.terms() {
+            let mut live = Vec::new();
+            idx.postings_into(&info.term, &mut live).unwrap();
+            assert_eq!(live, one_shot.decode_term(&info.term).unwrap().into_inner());
+            assert_eq!(idx.idf_bar(live.len() as u64), info.idf_bar, "{}", info.term);
+        }
+    }
+
     #[test]
-    fn scored_postings_match_one_shot_index() {
+    fn global_reads_match_one_shot_index() {
         let dir = tmp_dir("score");
         let mut idx = IncrementalIndex::open(&dir, manual_opts()).unwrap();
         idx.ingest_batch(&[
@@ -464,19 +444,19 @@ mod tests {
 
         let one_shot = idx.to_one_shot().unwrap();
         assert_eq!(one_shot.num_docs(), 5);
-        for term in ["alpha", "beta", "gamma"] {
-            let live = idx.scored_postings(term).unwrap().unwrap();
-            let list = one_shot.decode_term(term).unwrap();
-            let id = one_shot.term_id(term).unwrap();
-            let info = one_shot.term_info(id);
-            assert_eq!(live.len(), list.len(), "{term}");
-            for (l, p) in live.iter().zip(list.iter()) {
-                assert_eq!(l.0, p.doc_id, "{term}");
-                let expect = term_score_fixed(info.idf_bar, one_shot.dl_bar(p.doc_id), p.tf);
-                assert_eq!(l.1.raw(), expect.raw(), "{term} doc {}", p.doc_id);
-            }
-        }
-        assert!(idx.scored_postings("zzz").unwrap().is_none());
+        let alpha: Vec<(DocId, u32)> =
+            one_shot.decode_term("alpha").unwrap().iter().map(|p| (p.doc_id, p.tf)).collect();
+        assert_eq!(alpha, [(0, 2), (2, 1), (3, 3)]);
+        assert_reads_match_one_shot(&idx);
+        let mut none = Vec::new();
+        idx.postings_into("zzz", &mut none).unwrap();
+        assert!(none.is_empty());
+
+        // An ingest moves `avgdl`: the next read sees a rebuilt table.
+        let before = idx.dl_bars().to_vec();
+        idx.ingest(&doc(400, &[("gamma", 1)])).unwrap();
+        assert_ne!(idx.dl_bars()[..5], before[..]);
+        assert_reads_match_one_shot(&idx);
         std::fs::remove_dir_all(&dir).ok();
     }
 

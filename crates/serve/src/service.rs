@@ -23,6 +23,7 @@
 //! queue goes through one `park::Monitor` (DESIGN.md §15, "One way to
 //! park and wake").
 
+use std::borrow::Cow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -394,7 +395,7 @@ enum DeviceOutcome {
     /// Device answered; `attempts` includes the successful one.
     Ok { response: SearchResponse, attempts: u32 },
     /// All attempts failed; fall back to the CPU for `reason`.
-    GiveUp { reason: String },
+    GiveUp { reason: Cow<'static, str> },
     /// The deadline expired between attempts.
     Deadline,
 }
@@ -446,7 +447,7 @@ fn serve_one(shared: &Shared, job: &Job) -> Result<SearchResponse, Rejected> {
                 run_fallback(shared, index, sharded, job, reason)
             }
         },
-        None => run_fallback(shared, index, sharded, job, "circuit breaker open".to_string()),
+        None => run_fallback(shared, index, sharded, job, "circuit breaker open".into()),
     };
     finish_one(shared, job, outcome)
 }
@@ -529,20 +530,20 @@ fn run_device(shared: &Shared, index: &InvertedIndex, job: &Job) -> DeviceOutcom
                 };
                 // Trim the reason: a stall snapshot Display is multi-line.
                 let reason = reason.lines().next().unwrap_or("device error").to_string();
-                return DeviceOutcome::GiveUp { reason };
+                return DeviceOutcome::GiveUp { reason: reason.into() };
             }
             Err(payload) => {
                 shared.stats.panicked.fetch_add(1, Ordering::Relaxed);
                 let message = panic_message(payload.as_ref());
                 return DeviceOutcome::GiveUp {
-                    reason: format!("device panicked: {message}"),
+                    reason: format!("device panicked: {message}").into(),
                 };
             }
         }
     }
     // max_attempts == 0 is normalized to 1 above; unreachable in practice
     // but a typed answer is still better than a panic.
-    DeviceOutcome::GiveUp { reason: "retry budget exhausted".to_string() }
+    DeviceOutcome::GiveUp { reason: "retry budget exhausted".into() }
 }
 
 fn run_fallback(
@@ -550,7 +551,7 @@ fn run_fallback(
     index: &InvertedIndex,
     sharded: Option<&ShardedSearchEngine>,
     job: &Job,
-    reason: String,
+    reason: Cow<'static, str>,
 ) -> Result<SearchResponse, Rejected> {
     if job.expired(Instant::now()) {
         return Err(Rejected::DeadlineExceeded { stage: "fallback" });
@@ -595,7 +596,7 @@ fn run_fallback(
                 stats.shard_rescues.fetch_add(1, Ordering::Relaxed);
                 unsharded().map(|mut resp| {
                     resp.degraded.push(Degradation::CpuFallback {
-                        reason: format!("shard fan-out unavailable: {e}"),
+                        reason: format!("shard fan-out unavailable: {e}").into(),
                     });
                     resp
                 })

@@ -24,7 +24,10 @@
 #
 # Beside each rss_mib row it prints the median of the benchmark harness's
 # own sample buffer, `attempted` ops × 8 bytes, in MiB per side: the part
-# of rss_mib that grows with ops_per_s rather than with the product.
+# of rss_mib that grows with ops_per_s rather than with the product. After
+# the table it prints every run's `attempted` count and flags each run at
+# or above 1,048,576 (2^20) attempted ops: there the buffer's capacity
+# doubles from 8 to 16 MiB, a step in rss_mib that is not the product's.
 #
 # Edits nothing under benchmark/; everything it writes is under target/.
 set -eu
@@ -109,8 +112,12 @@ FNR == NR { better[$1] = $2; bound[$1] = $3; next }
     if (!(workload in seen)) { seen[workload] = 1; order[++nw] = workload }
     if (json !~ /"correct":true/ || json !~ /"failed":0[,}]/) bad = bad "\n  " side " " workload " seed " $3
     total++
-    if (match(json, /"attempted":[0-9]+/))
-        samples[side, workload] = samples[side, workload] sprintf(" %.5g", substr(json, RSTART + 12, RLENGTH - 12) * 8 / 1048576)
+    if (match(json, /"attempted":[0-9]+/)) {
+        ops = substr(json, RSTART + 12, RLENGTH - 12)
+        samples[side, workload] = samples[side, workload] sprintf(" %.5g", ops * 8 / 1048576)
+        attempted[side, workload] = attempted[side, workload] " " ops
+        if (ops + 0 >= 1048576) stepped = stepped "\n  " side " " workload " seed " $3 ": " ops
+    }
     while (match(json, /"[a-z0-9_]+":\{"unit":"[^"]*","value":[^}]*\}/)) {
         field = substr(json, RSTART, RLENGTH); json = substr(json, RSTART + RLENGTH)
         name = field; sub(/^"/, "", name); sub(/".*/, "", name)
@@ -140,6 +147,10 @@ END {
             printf "%-20s %-17s %-34s %-34s %10.5g %10.5g %7.3f %s\n", order[w], names[i], substr(p, 2), substr(c, 2), mp, mc, ratio, flag
         }
     }
+    print "attempted ops per run (per seed):"
+    for (w = 1; w <= nw; w++)
+        printf "  %-20s parent%s   change%s\n", order[w], attempted["parent", order[w]], attempted["change", order[w]]
+    if (stepped != "") printf "runs at or above 2^20 attempted ops (sample buffer 16 MiB, not 8):%s\n", stepped
     status = 0
     if (bad == "") printf "all %d runs: correct=true failed=0\n", total
     else { printf "runs with a wrong answer or a failed op:%s\n", bad; status = 1 }
