@@ -7,7 +7,7 @@ use iiu_index::{DocWindow, IndexError, InvertedIndex, TermId};
 use crate::cost::{CpuCostModel, PhaseBreakdown};
 use crate::ops::{self, DecodeScratch, OpCounts};
 use crate::pruned;
-use crate::topk::{top_k, Hit};
+use crate::topk::{top_k, Hit, SharedThreshold};
 
 /// The result of one query: ranked hits, raw operation counts, and the
 /// cost model's per-phase timing.
@@ -36,13 +36,13 @@ impl QueryOutcome {
 ///
 /// Scoring uses the same Q16.16 fixed-point datapath as the simulated
 /// hardware so that both engines return bit-identical scores; the paper's
-/// baseline comparison is about *time*, which the cost model prices from
-/// operation counts.
+/// baseline comparison is about *time*, which the calibrated
+/// [`CpuCostModel`] prices from operation counts.
 ///
-/// The engine owns a [`DecodeScratch`] — reusable decode buffers, one of
-/// which holds the block the exhaustive SvS is probing — so query methods
-/// take `&mut self` and the steady-state hot path allocates only for
-/// results.
+/// The engine is a view: an index and a mode, `Copy`, free to build per
+/// query. Each query borrows the calling thread's [`DecodeScratch`]
+/// ([`ops::with_scratch`]), so the steady-state hot path allocates only
+/// for results.
 ///
 /// With [`CpuEngine::with_pruning`] the engine runs in block-max pruned
 /// mode ([`crate::pruned`]): top-k is fused into the scoring loop and
@@ -51,28 +51,16 @@ impl QueryOutcome {
 /// cursor each and make no SvS probes). Results are
 /// bit-identical to the exhaustive mode; only the operation counts (and
 /// therefore modeled latency) change.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct CpuEngine<'a> {
     index: &'a InvertedIndex,
-    cost: CpuCostModel,
-    scratch: DecodeScratch,
     pruned: bool,
 }
 
 impl<'a> CpuEngine<'a> {
-    /// Creates an engine with the default cost model (exhaustive mode).
+    /// Creates an engine in exhaustive mode.
     pub fn new(index: &'a InvertedIndex) -> Self {
-        CpuEngine {
-            index,
-            cost: CpuCostModel::default(),
-            scratch: DecodeScratch::new(),
-            pruned: false,
-        }
-    }
-
-    /// Creates an engine with a custom cost model.
-    pub fn with_cost_model(index: &'a InvertedIndex, cost: CpuCostModel) -> Self {
-        CpuEngine { index, cost, scratch: DecodeScratch::new(), pruned: false }
+        CpuEngine { index, pruned: false }
     }
 
     /// Enables or disables block-max pruned execution (builder style).
@@ -82,26 +70,9 @@ impl<'a> CpuEngine<'a> {
         self
     }
 
-    /// Enables or disables block-max pruned execution.
-    pub fn set_pruning(&mut self, pruned: bool) {
-        self.pruned = pruned;
-    }
-
     /// True when the engine skips blocks via score bounds.
     pub fn pruning(&self) -> bool {
         self.pruned
-    }
-
-    /// Wraps a kernel's results into a [`QueryOutcome`].
-    fn outcome(&self, hits: Vec<Hit>, counts: OpCounts) -> QueryOutcome {
-        let candidates = counts.topk_candidates;
-        let phases = self.cost.price(&counts);
-        QueryOutcome { hits, candidates, counts, phases }
-    }
-
-    /// The engine's cost model.
-    pub fn cost_model(&self) -> CpuCostModel {
-        self.cost
     }
 
     /// The underlying index.
@@ -121,21 +92,26 @@ impl<'a> CpuEngine<'a> {
         Ok(id)
     }
 
+    /// Answers `shape` over the whole index on this thread's scratch and
+    /// prices it.
+    fn run(&self, shape: Shape, k: usize) -> QueryOutcome {
+        let mut counts = OpCounts::default();
+        let hits = ops::with_scratch(|scratch| {
+            let (index, all) = (self.index, DocWindow::ALL);
+            answer(index, shape, all, k, self.pruned, None, &mut counts, scratch)
+        });
+        let candidates = counts.topk_candidates;
+        let phases = CpuCostModel::default().price(&counts);
+        QueryOutcome { hits, candidates, counts, phases }
+    }
+
     /// Single-term query: decompress, score, top-k (§2.2 workflow).
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::UnknownTerm`] if `term` is not indexed.
-    pub fn search_single(&mut self, term: &str, k: usize) -> Result<QueryOutcome, IndexError> {
-        let id = self.resolve(term)?;
-        let (index, all, scratch) = (self.index, DocWindow::ALL, &mut self.scratch);
-        let mut counts = OpCounts::default();
-        let hits = if self.pruned {
-            pruned::search_single_pruned(index, id, all, k, &mut counts, scratch, None)
-        } else {
-            exhaustive_single(index, id, all, k, &mut counts, scratch)
-        };
-        Ok(self.outcome(hits, counts))
+    pub fn search_single(&self, term: &str, k: usize) -> Result<QueryOutcome, IndexError> {
+        Ok(self.run(Shape::Single(self.resolve(term)?), k))
     }
 
     /// Intersection query via Small-versus-Small (§2.2).
@@ -144,31 +120,12 @@ impl<'a> CpuEngine<'a> {
     ///
     /// Returns [`IndexError::UnknownTerm`] if either term is not indexed.
     pub fn search_intersection(
-        &mut self,
+        &self,
         term_a: &str,
         term_b: &str,
         k: usize,
     ) -> Result<QueryOutcome, IndexError> {
-        let ia = self.resolve(term_a)?;
-        let ib = self.resolve(term_b)?;
-        let (short_id, long_id) = short_first(self.index, ia, ib);
-        let (index, all, scratch) = (self.index, DocWindow::ALL, &mut self.scratch);
-        let mut counts = OpCounts::default();
-        let hits = if self.pruned {
-            pruned::search_intersection_pruned(
-                index,
-                short_id,
-                long_id,
-                all,
-                k,
-                &mut counts,
-                scratch,
-                None,
-            )
-        } else {
-            exhaustive_intersection(index, short_id, long_id, all, k, &mut counts, scratch)
-        };
-        Ok(self.outcome(hits, counts))
+        Ok(self.run(Shape::And(self.resolve(term_a)?, self.resolve(term_b)?), k))
     }
 
     /// Union query via linear merge (§2.2).
@@ -177,27 +134,69 @@ impl<'a> CpuEngine<'a> {
     ///
     /// Returns [`IndexError::UnknownTerm`] if either term is not indexed.
     pub fn search_union(
-        &mut self,
+        &self,
         term_a: &str,
         term_b: &str,
         k: usize,
     ) -> Result<QueryOutcome, IndexError> {
-        let ia = self.resolve(term_a)?;
-        let ib = self.resolve(term_b)?;
-        let (index, all, scratch) = (self.index, DocWindow::ALL, &mut self.scratch);
-        let mut counts = OpCounts::default();
-        let hits = if self.pruned {
-            pruned::search_union_pruned(index, ia, ib, all, k, &mut counts, scratch, None)
-        } else {
-            exhaustive_union(index, ia, ib, all, k, &mut counts, scratch)
-        };
-        Ok(self.outcome(hits, counts))
+        Ok(self.run(Shape::Or(self.resolve(term_a)?, self.resolve(term_b)?), k))
+    }
+}
+
+/// A primitive query over resolved terms: what every engine dispatches.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Shape {
+    /// One term.
+    Single(TermId),
+    /// Two terms, intersected (SvS order is chosen per index).
+    And(TermId, TermId),
+    /// Two terms, unioned.
+    Or(TermId, TermId),
+}
+
+/// The one pruned-or-exhaustive dispatch: answers `shape` over the
+/// documents of `window` of `index`, block-max pruned when `pruned` (with
+/// the cross-part threshold `shared`, if any) and exhaustively otherwise.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn answer(
+    index: &InvertedIndex,
+    shape: Shape,
+    window: DocWindow,
+    k: usize,
+    pruned: bool,
+    shared: Option<&SharedThreshold>,
+    counts: &mut OpCounts,
+    scratch: &mut DecodeScratch,
+) -> Vec<Hit> {
+    match (shape, pruned) {
+        (Shape::Single(id), true) => {
+            pruned::search_single_pruned(index, id, window, k, counts, scratch, shared)
+        }
+        (Shape::Single(id), false) => exhaustive_single(index, id, window, k, counts, scratch),
+        (Shape::And(ia, ib), _) => {
+            // SvS order by this index's own lists: a split shard may invert
+            // the global order (hits are symmetric, only work differs).
+            let (short, long) = short_first(index, ia, ib);
+            if pruned {
+                pruned::search_intersection_pruned(
+                    index, short, long, window, k, counts, scratch, shared,
+                )
+            } else {
+                exhaustive_intersection(index, short, long, window, k, counts, scratch)
+            }
+        }
+        (Shape::Or(ia, ib), true) => {
+            pruned::search_union_pruned(index, ia, ib, window, k, counts, scratch, shared)
+        }
+        (Shape::Or(ia, ib), false) => {
+            exhaustive_union(index, ia, ib, window, k, counts, scratch)
+        }
     }
 }
 
 /// SvS orders by list length: the term with the shorter list (by `df`)
 /// comes first and drives the probing.
-pub(crate) fn short_first(index: &InvertedIndex, a: TermId, b: TermId) -> (TermId, TermId) {
+fn short_first(index: &InvertedIndex, a: TermId, b: TermId) -> (TermId, TermId) {
     if index.term_info(a).df <= index.term_info(b).df {
         (a, b)
     } else {
@@ -207,7 +206,7 @@ pub(crate) fn short_first(index: &InvertedIndex, a: TermId, b: TermId) -> (TermI
 
 /// Exhaustive single-term query over the documents of `window`:
 /// decompress, score, top-k (§2.2 workflow).
-pub(crate) fn exhaustive_single(
+fn exhaustive_single(
     index: &InvertedIndex,
     id: TermId,
     window: DocWindow,
@@ -233,7 +232,7 @@ pub(crate) fn exhaustive_single(
 
 /// Exhaustive Small-versus-Small intersection over the documents of
 /// `window` (§2.2).
-pub(crate) fn exhaustive_intersection(
+fn exhaustive_intersection(
     index: &InvertedIndex,
     short_id: TermId,
     long_id: TermId,
@@ -262,7 +261,7 @@ pub(crate) fn exhaustive_intersection(
 }
 
 /// Exhaustive linear-merge union over the documents of `window` (§2.2).
-pub(crate) fn exhaustive_union(
+fn exhaustive_union(
     index: &InvertedIndex,
     ia: TermId,
     ib: TermId,
@@ -316,7 +315,7 @@ mod tests {
     #[test]
     fn single_term_ranks_by_tf() {
         let idx = engine_index();
-        let mut engine = CpuEngine::new(&idx);
+        let engine = CpuEngine::new(&idx);
         let out = engine.search_single("business", 10).unwrap();
         assert_eq!(out.hits.len(), 3);
         // doc 2 has tf 2 and the shortest competitive length.
@@ -328,7 +327,7 @@ mod tests {
     #[test]
     fn intersection_returns_common_docs() {
         let idx = engine_index();
-        let mut engine = CpuEngine::new(&idx);
+        let engine = CpuEngine::new(&idx);
         let out = engine.search_intersection("business", "cameo", 10).unwrap();
         let docs: Vec<u32> = out.hits.iter().map(|h| h.doc_id).collect();
         let mut sorted = docs.clone();
@@ -340,7 +339,7 @@ mod tests {
     #[test]
     fn intersection_is_symmetric() {
         let idx = engine_index();
-        let mut engine = CpuEngine::new(&idx);
+        let engine = CpuEngine::new(&idx);
         let ab = engine.search_intersection("business", "cameo", 10).unwrap();
         let ba = engine.search_intersection("cameo", "business", 10).unwrap();
         assert_eq!(ab.hits, ba.hits);
@@ -349,7 +348,7 @@ mod tests {
     #[test]
     fn union_covers_both_lists() {
         let idx = engine_index();
-        let mut engine = CpuEngine::new(&idx);
+        let engine = CpuEngine::new(&idx);
         let out = engine.search_union("business", "cameo", 10).unwrap();
         let mut docs: Vec<u32> = out.hits.iter().map(|h| h.doc_id).collect();
         docs.sort_unstable();
@@ -361,7 +360,7 @@ mod tests {
     #[test]
     fn unknown_term_is_an_error() {
         let idx = engine_index();
-        let mut engine = CpuEngine::new(&idx);
+        let engine = CpuEngine::new(&idx);
         assert!(engine.search_single("zebra", 5).is_err());
         assert!(engine.search_intersection("zebra", "business", 5).is_err());
         assert!(engine.search_union("business", "zebra", 5).is_err());
@@ -370,7 +369,7 @@ mod tests {
     #[test]
     fn k_truncates_results() {
         let idx = engine_index();
-        let mut engine = CpuEngine::new(&idx);
+        let engine = CpuEngine::new(&idx);
         let out = engine.search_single("business", 1).unwrap();
         assert_eq!(out.hits.len(), 1);
         assert_eq!(out.candidates, 3);
@@ -379,8 +378,8 @@ mod tests {
     #[test]
     fn pruned_mode_matches_exhaustive_on_every_query_shape() {
         let idx = engine_index();
-        let mut plain = CpuEngine::new(&idx);
-        let mut pruned = CpuEngine::new(&idx).with_pruning(true);
+        let plain = CpuEngine::new(&idx);
+        let pruned = CpuEngine::new(&idx).with_pruning(true);
         assert!(pruned.pruning() && !plain.pruning());
         for k in [0usize, 1, 2, 10] {
             let a = plain.search_single("business", k).unwrap();
@@ -408,11 +407,11 @@ mod tests {
             b.add_document("hot cold");
         }
         let idx = b.build();
-        let mut pruned = CpuEngine::new(&idx).with_pruning(true);
+        let pruned = CpuEngine::new(&idx).with_pruning(true);
         let out = pruned.search_single("hot", 1).unwrap();
         assert!(out.counts.blocks_skipped > 0, "no blocks skipped: {:?}", out.counts);
         assert!(out.counts.postings_skipped > 0);
-        let mut plain = CpuEngine::new(&idx);
+        let plain = CpuEngine::new(&idx);
         assert_eq!(plain.search_single("hot", 1).unwrap().hits, out.hits);
         assert!(
             out.counts.postings_decoded

@@ -22,9 +22,7 @@
 //! threads for that query: the thread it lends is awake already, and a
 //! part it runs is one less wake-up on the critical path. Any other
 //! coordinator parks while the threads run its parts, unless the executor
-//! is shut down and may have no thread left. The parts a thread runs
-//! share its one [`DecodeScratch`], kept in a thread-local, so helping
-//! allocates nothing per part.
+//! is shut down and may have no thread left.
 //!
 //! A part a coordinator runs itself runs to its end: the fan-out deadline
 //! bounds only the wait for parts other threads run (DESIGN.md §14, "What
@@ -52,7 +50,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::ops::DecodeScratch;
 use crate::park::{Monitor, Wake};
 use crate::sharded::lock;
 use crate::supervise::{Policy, Supervisor};
@@ -81,8 +78,6 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// The executor this thread works for; 0 on every other thread.
     static EXECUTOR: Cell<u64> = const { Cell::new(0) };
-    /// The decode scratch every part run on this thread reuses.
-    static SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::new());
     /// The slot life of the executor thread this is; `None` on every other
     /// thread.
     static LIFE: RefCell<Option<Arc<Life>>> = const { RefCell::new(None) };
@@ -100,15 +95,6 @@ fn run(task: Task, due: Option<Instant>) {
     show(due);
     task();
     show(None);
-}
-
-/// Runs `f` on the calling thread's decode scratch. A part run inside
-/// another part (a fan-out nested in a part) gets a fresh one.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
-    SCRATCH.with(|s| match s.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut DecodeScratch::new()),
-    })
 }
 
 /// Why [`Executor::submit`] refused a whole query.

@@ -7,20 +7,23 @@
 //! [`OpCounts`] so the cost model can price the work.
 //!
 //! All hot-path decoding goes through [`iiu_index::EncodedList::decode_block_into`]
-//! with buffers owned by a [`DecodeScratch`], so steady-state query
-//! processing performs no per-block allocation. The exhaustive SvS
-//! ([`intersect_svs`]) keeps only the long list's current block: its probes
-//! ascend, so a block it has left is never probed again, and each block is
-//! decoded at most once per call. Its `cache_hits`/`cache_misses` tallies
+//! with buffers of the calling thread's [`DecodeScratch`]
+//! ([`with_scratch`]), so steady-state query processing performs no
+//! per-block allocation. The exhaustive SvS ([`intersect_svs`]) keeps only
+//! the long list's current block: its probes ascend, so a block it has
+//! left is never probed again, and each block is decoded at most once per
+//! call. Its `cache_hits`/`cache_misses` tallies
 //! count probes into that one block and probes that opened a new one.
 //! There is no software block cache: the paper's 32-entry traversal cache
 //! in front of the BSU (§4.4) is modelled by the simulator
 //! (`iiu_sim::core`). Pruned mode ([`crate::pruned`]) moves forward only,
 //! decodes a block at most once and leaves both tallies at zero.
 
+use std::cell::RefCell;
+
 use iiu_index::block::EncodedList;
 use iiu_index::codec::BlockColumns;
-use iiu_index::{DocId, DocWindow, Posting, TermId};
+use iiu_index::{DocId, DocWindow, Fixed, Posting, TermId};
 
 /// Counters of the primitive operations a query performed.
 ///
@@ -106,23 +109,25 @@ impl OpCounts {
     }
 }
 
-/// Reusable decode buffers for one query engine. Owning one per engine
-/// (rather than allocating inside every op) is what makes the hot path
-/// allocation-free: `decode_full`-style work lands in `full_a`/`full_b`,
-/// the pruned two-term cursors' current blocks in `cols_a`/`cols_b`, and
-/// the exhaustive SvS keeps the long list's current block in `full_b`.
+/// Reusable decode buffers: `decode_full`-style work lands in
+/// `full_a`/`full_b`, the pruned two-term cursors' current blocks in
+/// `cols_a`/`cols_b`, the exhaustive SvS keeps the long list's current
+/// block in `full_b`, and the live read path scores into `scored`.
 ///
-/// Ownership rule: a `DecodeScratch` belongs to exactly one engine and is
-/// borrowed mutably for the duration of one op — the slices the ops return
-/// to their callers are copied out (results), never aliases of the scratch.
-/// No op reads what an earlier op left in a buffer, so a scratch may serve
-/// any index or window next.
+/// Ownership rule: each thread owns one, and every query it runs borrows
+/// it through [`with_scratch`] for the duration of one op — whole queries,
+/// fan-out parts, the pruned primer and live reads alike. The slices the
+/// ops return to their callers are copied out (results), never aliases of
+/// the scratch. No op reads what an earlier op left in a buffer, so a
+/// scratch may serve any index or window next. Buffers are cleared, never
+/// shrunk: a thread's scratch is as large as the largest query it ran.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
     pub(crate) full_a: Vec<Posting>,
     pub(crate) full_b: Vec<Posting>,
     pub(crate) cols_a: BlockColumns,
     pub(crate) cols_b: BlockColumns,
+    scored: Vec<(DocId, Fixed)>,
 }
 
 impl DecodeScratch {
@@ -130,6 +135,29 @@ impl DecodeScratch {
     pub fn new() -> Self {
         DecodeScratch::default()
     }
+
+    /// Two posting buffers and a scored-candidates buffer, for a read path
+    /// outside this crate (the live index) that decodes on its own.
+    pub fn buffers(
+        &mut self,
+    ) -> (&mut Vec<Posting>, &mut Vec<Posting>, &mut Vec<(DocId, Fixed)>) {
+        (&mut self.full_a, &mut self.full_b, &mut self.scored)
+    }
+}
+
+thread_local! {
+    /// The calling thread's decode scratch.
+    static SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::new());
+}
+
+/// Runs `f` on the calling thread's decode scratch. A call made while the
+/// thread's scratch is already borrowed (a fan-out nested in a part) gets
+/// a fresh one.
+pub fn with_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
+    SCRATCH.with(|s| match s.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut DecodeScratch::new()),
+    })
 }
 
 /// Decompresses an entire list into `out` (cleared first), counting blocks

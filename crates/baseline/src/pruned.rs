@@ -1151,7 +1151,7 @@ mod tests {
     #[test]
     fn union_reaches_every_interval_rule_and_scores_less_than_exhaustive() {
         let index = every_rule_index();
-        let mut pruned = CpuEngine::new(&index).with_pruning(true);
+        let pruned = CpuEngine::new(&index).with_pruning(true);
         let (out, taken) = rules_taken(|| pruned.search_union("a", "b", 2).unwrap());
         for (slot, name) in [
             (Rule::Skip as usize, "skip"),
@@ -1180,7 +1180,7 @@ mod tests {
     #[test]
     fn intersection_drops_block_pairs_on_their_bounds_without_scoring() {
         let index = every_rule_index();
-        let mut pruned = CpuEngine::new(&index).with_pruning(true);
+        let pruned = CpuEngine::new(&index).with_pruning(true);
         let (out, taken) = rules_taken(|| pruned.search_intersection("a", "b", 2).unwrap());
         assert!(taken[Rule::Skip as usize] > 0, "bound-drop never taken: {taken:?}");
         assert_eq!(
@@ -1227,8 +1227,8 @@ mod tests {
     #[test]
     fn matches_merges_comparable_runs_linearly_and_gallops_skewed_ones() {
         let index = skewed_index();
-        let mut exhaustive = CpuEngine::new(&index);
-        let mut pruned = CpuEngine::new(&index).with_pruning(true);
+        let exhaustive = CpuEngine::new(&index);
+        let pruned = CpuEngine::new(&index).with_pruning(true);
         // k = 1000 keeps the heap filling to the end, so every interval is
         // matched; k = 10 lets the bounds skip the sparse stretch.
         for k in [10, 1000] {
@@ -1246,8 +1246,8 @@ mod tests {
     #[test]
     fn a_union_with_a_filling_heap_scores_from_blocks_decoded_with_their_tfs() {
         let index = skewed_index();
-        let mut exhaustive = CpuEngine::new(&index);
-        let mut pruned = CpuEngine::new(&index).with_pruning(true);
+        let exhaustive = CpuEngine::new(&index);
+        let pruned = CpuEngine::new(&index).with_pruning(true);
         // More hits asked for than documents: the heap fills to the end,
         // so every interval is a merge or a single-list run, and every
         // posting is scored.

@@ -27,8 +27,9 @@
 //! on. Any thread can execute any shard's part — N concurrent queries each
 //! fan across M shards without oversubscribing the machine, and idle
 //! threads absorb inter-query load (the paper's §4.4 *hybrid* mode). A
-//! thread runs every part on its one [`DecodeScratch`], so parts reuse
-//! warm decode buffers without cross-thread sharing. Each part runs under
+//! part borrows its thread's one [`DecodeScratch`]
+//! ([`ops::with_scratch`]), so parts reuse warm decode buffers without
+//! cross-thread sharing. Each part runs under
 //! `catch_unwind`, so a panicking query marks its shard's result failed
 //! instead of killing the thread or hanging the caller. The coordinator
 //! waits on a [`Monitor`] of its own until the last of its parts reports
@@ -82,11 +83,9 @@ use iiu_index::shard::ShardedIndex;
 use iiu_index::{DocId, DocWindow, Fixed, IndexError, InvertedIndex, TermId};
 
 use crate::cost::{CpuCostModel, PhaseBreakdown};
-use crate::engine::{
-    exhaustive_intersection, exhaustive_single, exhaustive_union, short_first,
-};
-use crate::executor::{with_scratch, Executor, PoolWorkerReport, Task};
-use crate::ops::{DecodeScratch, OpCounts};
+use crate::engine::{answer, Shape};
+use crate::executor::{Executor, PoolWorkerReport, Task};
+use crate::ops::{self, with_scratch, DecodeScratch, OpCounts};
 use crate::park::{Monitor, Wake};
 use crate::pruned;
 use crate::supervise::{Policy, State, Supervisor};
@@ -787,12 +786,12 @@ impl ShardedOutcome {
 /// [`crate::engine::CpuEngine`]: same query shapes, same error contract,
 /// bit-identical hits.
 ///
-/// Methods take `&self` — per-query mutable state lives in the pool
-/// workers (scratch) or per-query structures (heaps, shared threshold).
+/// Methods take `&self` — per-query mutable state lives on the threads
+/// that run the parts (scratch) or in per-query structures (heaps, shared
+/// threshold).
 #[derive(Debug)]
 pub struct ShardedEngine {
     pool: ShardPool,
-    cost: CpuCostModel,
     pruned: bool,
     /// Error out instead of answering partially when a shard is missing.
     fail_closed: bool,
@@ -807,8 +806,7 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Creates an engine (and its pool and executor) over the parts of `source`
-    /// — windows of one index, or a split's shards — with the default
-    /// cost model, in exhaustive mode.
+    /// — windows of one index, or a split's shards — in exhaustive mode.
     pub fn new(source: impl Into<PartSource>) -> Self {
         Self::with_config(source, ShardPoolConfig::default())
     }
@@ -825,7 +823,6 @@ impl ShardedEngine {
             (0..pool.num_shards()).map(|_| std::sync::atomic::AtomicU64::new(0)).collect();
         ShardedEngine {
             pool,
-            cost: CpuCostModel::default(),
             pruned: false,
             fail_closed: false,
             chaos: ShardChaosPlan::NONE,
@@ -838,13 +835,6 @@ impl ShardedEngine {
     #[must_use]
     pub fn with_pruning(mut self, pruned: bool) -> Self {
         self.pruned = pruned;
-        self
-    }
-
-    /// Replaces the cost model (builder style).
-    #[must_use]
-    pub fn with_cost_model(mut self, cost: CpuCostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -872,11 +862,6 @@ impl ShardedEngine {
     /// True when partial coverage is treated as an error.
     pub fn fail_closed(&self) -> bool {
         self.fail_closed
-    }
-
-    /// The cost model pricing per-shard work.
-    pub fn cost_model(&self) -> &CpuCostModel {
-        &self.cost
     }
 
     /// Cumulative documents scored per shard since the engine started —
@@ -919,6 +904,7 @@ impl ShardedEngine {
         k: usize,
         primer: OpCounts,
     ) -> Result<ShardedOutcome, IndexError> {
+        let cost = CpuCostModel::default();
         let total = results.len();
         let mut all_hits = Vec::new();
         let mut counts = OpCounts::default();
@@ -936,7 +922,7 @@ impl ShardedEngine {
             if let Some(load) = self.loads.get(s) {
                 load.fetch_add(shard.docs_scored, std::sync::atomic::Ordering::Relaxed);
             }
-            let phases = self.cost.price(&shard);
+            let phases = cost.price(&shard);
             if phases.total_ns() > crit.total_ns() {
                 crit = phases;
             }
@@ -947,18 +933,18 @@ impl ShardedEngine {
         }
         // The host-side cross-shard merge is a top-k pass over at most
         // n·k candidates; price it into the top-k phase.
-        crit.topk_ns += self.cost.price_topk(all_hits.len() as u64);
+        crit.topk_ns += cost.price_topk(all_hits.len() as u64);
         // The primer runs serially before dispatch, so its phases land on
         // the critical path in full. `price` bakes the fixed per-query
         // overhead into `other_ns`; the primer belongs to the same query,
         // so strip that term rather than charging it twice.
         if primer != OpCounts::default() {
-            let p = self.cost.price(&primer);
+            let p = cost.price(&primer);
             crit.decompress_ns += p.decompress_ns;
             crit.setop_ns += p.setop_ns;
             crit.score_ns += p.score_ns;
             crit.topk_ns += p.topk_ns;
-            crit.other_ns += p.other_ns - self.cost.query_overhead_ns;
+            crit.other_ns += p.other_ns - cost.query_overhead_ns;
             counts.merge(&primer);
         }
         all_hits.sort_by(rank_cmp);
@@ -1012,10 +998,10 @@ impl ShardedEngine {
         (seq, alive)
     }
 
-    /// The fail-soft fan-out driver behind every query shape.
+    /// The fail-soft fan-out driver behind every query shape: each part
+    /// answers `shape` over its window, with the shared cross-part
+    /// threshold in pruned mode.
     ///
-    /// `part_fn` runs one part's query over the part's window; it
-    /// receives the shared cross-part threshold only in pruned mode.
     /// Exhaustive parts are independent, so survivors merge directly
     /// whatever failed. Pruned parts exchange thresholds through
     /// [`SharedThreshold`], so a part that published thresholds and then
@@ -1024,25 +1010,9 @@ impl ShardedEngine {
     /// (and a primer re-chosen among them, tolerating the best part being
     /// the missing one). Each rerun loses at least one part, so the loop
     /// is bounded.
-    fn fan_out<F>(
-        &self,
-        k: usize,
-        primer_term: Option<TermId>,
-        part_fn: F,
-    ) -> Result<ShardedOutcome, IndexError>
-    where
-        F: Fn(
-                Part<'_>,
-                Option<&SharedThreshold>,
-                &mut OpCounts,
-                &mut DecodeScratch,
-            ) -> Vec<Hit>
-            + Clone
-            + Send
-            + Sync
-            + 'static,
-    {
+    fn fan_out(&self, k: usize, shape: Shape) -> Result<ShardedOutcome, IndexError> {
         let n = self.num_shards();
+        let prune = self.pruned;
         // Skip parts supervision already knows are unavailable, so the
         // primer (and pruned threshold exchange) only involves parts that
         // can actually reach the merge.
@@ -1053,27 +1023,31 @@ impl ShardedEngine {
             // the cold-heap ramp-up (the serial fraction that would
             // otherwise cap scaling).
             let mut primer = OpCounts::default();
-            if let Some(id) = primer_term.filter(|_| self.pruned && alive.len() > 1) {
+            if let (Shape::Single(id), true) = (shape, prune && alive.len() > 1) {
                 if let Some(best) = self.pool.source().primer(&alive, id) {
-                    pruned::prime_single_threshold(
-                        best.index,
-                        id,
-                        best.window,
-                        k,
-                        &mut primer,
-                        &mut DecodeScratch::default(),
-                        &shared,
-                    );
+                    let (index, window) = (best.index, best.window);
+                    ops::with_scratch(|scratch| {
+                        pruned::prime_single_threshold(
+                            index,
+                            id,
+                            window,
+                            k,
+                            &mut primer,
+                            scratch,
+                            &shared,
+                        );
+                    });
                 }
             }
             let chaos = self.chaos.clone();
-            let f = part_fn.clone();
             let sh = Arc::clone(&shared);
-            let pruned_mode = self.pruned;
             let run = self.pool.run_on(Some(&alive), move |s, part, scratch| {
                 sabotage(&chaos, seq, s);
                 let mut counts = OpCounts::default();
-                let mut hits = f(part, pruned_mode.then_some(&*sh), &mut counts, scratch);
+                let shared = prune.then_some(&*sh);
+                let (index, window) = (part.index, part.window);
+                let mut hits =
+                    answer(index, shape, window, k, prune, shared, &mut counts, scratch);
                 for h in &mut hits {
                     h.doc_id = part.global_doc(h.doc_id);
                 }
@@ -1086,7 +1060,7 @@ impl ShardedEngine {
             if self.fail_closed && survivors.len() < n {
                 return Err(IndexError::CorruptIndex { context: "shard execution failed" });
             }
-            if !pruned_mode || survivors.len() == alive.len() {
+            if !prune || survivors.len() == alive.len() {
                 return self.merge_outcome(run.slots, k, primer);
             }
             // Pruned mode lost a threshold-exchange participant mid-run:
@@ -1104,22 +1078,7 @@ impl ShardedEngine {
     /// [`IndexError::CorruptIndex`] if no shard could answer (or, under
     /// [`Self::with_fail_closed`], if any shard could not).
     pub fn search_single(&self, term: &str, k: usize) -> Result<ShardedOutcome, IndexError> {
-        let id = self.resolve(term)?;
-        self.fan_out(k, Some(id), move |part, shared, counts, scratch| {
-            let (index, window) = (part.index, part.window);
-            match shared {
-                Some(sh) => pruned::search_single_pruned(
-                    index,
-                    id,
-                    window,
-                    k,
-                    counts,
-                    scratch,
-                    Some(sh),
-                ),
-                None => exhaustive_single(index, id, window, k, counts, scratch),
-            }
-        })
+        self.fan_out(k, Shape::Single(self.resolve(term)?))
     }
 
     /// Intersection query fanned across shards.
@@ -1135,29 +1094,7 @@ impl ShardedEngine {
         term_b: &str,
         k: usize,
     ) -> Result<ShardedOutcome, IndexError> {
-        let ia = self.resolve(term_a)?;
-        let ib = self.resolve(term_b)?;
-        self.fan_out(k, None, move |part, shared, counts, scratch| {
-            let (index, window) = (part.index, part.window);
-            // SvS order by the part's own lists: a split shard may invert
-            // the global order (hits are symmetric, only work differs).
-            let (short_id, long_id) = short_first(index, ia, ib);
-            match shared {
-                Some(sh) => pruned::search_intersection_pruned(
-                    index,
-                    short_id,
-                    long_id,
-                    window,
-                    k,
-                    counts,
-                    scratch,
-                    Some(sh),
-                ),
-                None => exhaustive_intersection(
-                    index, short_id, long_id, window, k, counts, scratch,
-                ),
-            }
-        })
+        self.fan_out(k, Shape::And(self.resolve(term_a)?, self.resolve(term_b)?))
     }
 
     /// Union query fanned across shards.
@@ -1173,24 +1110,7 @@ impl ShardedEngine {
         term_b: &str,
         k: usize,
     ) -> Result<ShardedOutcome, IndexError> {
-        let ia = self.resolve(term_a)?;
-        let ib = self.resolve(term_b)?;
-        self.fan_out(k, None, move |part, shared, counts, scratch| {
-            let (index, window) = (part.index, part.window);
-            match shared {
-                Some(sh) => pruned::search_union_pruned(
-                    index,
-                    ia,
-                    ib,
-                    window,
-                    k,
-                    counts,
-                    scratch,
-                    Some(sh),
-                ),
-                None => exhaustive_union(index, ia, ib, window, k, counts, scratch),
-            }
-        })
+        self.fan_out(k, Shape::Or(self.resolve(term_a)?, self.resolve(term_b)?))
     }
 }
 
@@ -1276,7 +1196,7 @@ mod tests {
                 sources(n).into_iter().flat_map(|s| [(s.clone(), false), (s, true)])
             {
                 let eng = ShardedEngine::new(source).with_pruning(pruned);
-                let mut cpu = CpuEngine::new(&idx).with_pruning(pruned);
+                let cpu = CpuEngine::new(&idx).with_pruning(pruned);
                 for k in [0usize, 1, 5, 10, 1000] {
                     let a = cpu.search_single("hot", k).unwrap();
                     let b = eng.search_single("hot", k).unwrap();
@@ -1354,7 +1274,7 @@ mod tests {
         k: usize,
     ) -> Vec<Hit> {
         let (a, b, and) = shape;
-        let mut cpu = CpuEngine::new(idx);
+        let cpu = CpuEngine::new(idx);
         // k larger than the corpus: the full ranking, nothing truncated.
         let all = idx.num_docs() as usize + 1;
         let full = match b {

@@ -19,7 +19,7 @@ fn main() {
     };
     let term_id = index.term_id(&term).unwrap();
 
-    let mut engine = CpuEngine::new(&index);
+    let engine = CpuEngine::new(&index);
     bench("baseline/single_term", || black_box(engine.search_single(&term, 10).unwrap()));
 
     let machine = IiuMachine::new(&index, SimConfig::default());

@@ -162,7 +162,6 @@ fn run_rss_child() -> ExitCode {
     assert!(hits > 0, "RSS-gate queries returned no hits");
 
     let resident_kb = index.source().resident_bytes().map(|b| b / 1024);
-    drop(engine);
     drop(index);
     let _ = std::fs::remove_file(&path);
     let report = json!({
@@ -315,7 +314,6 @@ fn main() -> ExitCode {
     }
 
     // Cold page cache: advisory — fadvise may be a no-op in containers.
-    drop(em);
     drop(mapped);
     let evicted = iiu_index::mmap::evict_from_page_cache(&path);
     let cold_map = storage::map_index(&path).expect("cold mapped load");
@@ -332,7 +330,6 @@ fn main() -> ExitCode {
         "sweep_ns": cold_sweep_ns,
         "hits": cold_hits,
     });
-    drop(ec);
     drop(cold_map);
     let _ = std::fs::remove_file(&path);
 

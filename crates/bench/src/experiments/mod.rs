@@ -67,7 +67,7 @@ pub fn sim_queries(d: &Dataset, qt: QueryType) -> Vec<SimQuery> {
 /// Runs the baseline over the dataset's workload of one type, returning
 /// per-query phase breakdowns (includes top-k).
 pub fn baseline_breakdowns(d: &Dataset, qt: QueryType) -> Vec<PhaseBreakdown> {
-    let mut engine = CpuEngine::new(&d.index);
+    let engine = CpuEngine::new(&d.index);
     let term = |t: u32| d.index.term_info(t).term.clone();
     match qt {
         QueryType::Single => d

@@ -13,10 +13,12 @@
 //! is shared), so every comparison between them is about *time*, exactly
 //! like the paper's evaluation.
 
+use std::borrow::Cow;
+
 use iiu_baseline::topk::{top_k, Hit};
 use iiu_baseline::{
     CpuCostModel, CpuEngine, OpCounts, PartSource, PhaseBreakdown, ShardPoolConfig,
-    ShardedEngine,
+    ShardedEngine, ShardedOutcome,
 };
 use iiu_index::score::term_score_fixed;
 use iiu_index::{
@@ -107,8 +109,8 @@ pub trait SearchEngine {
 /// A pruned subtree: what survives, plus unknown terms whose degradation
 /// kind is still undecided (a bare unknown term is only classified once we
 /// see whether an `AND` or an `OR` absorbs the hole it left).
-struct Pruned {
-    query: Option<Query>,
+struct Pruned<'q> {
+    query: Option<Cow<'q, Query>>,
     pending: Vec<String>,
 }
 
@@ -123,23 +125,24 @@ fn classify_pending(pending: Vec<String>, and_like: bool, degraded: &mut Vec<Deg
 }
 
 /// Rewrites `q` without its unknown terms, recording every pruning in
-/// `degraded`. `None` means the whole query pruned away (serve empty).
-fn prune_query(
+/// `degraded`. `None` means the whole query pruned away (serve empty);
+/// a query whose every term is known comes back borrowed.
+fn prune_query<'q>(
     index: &InvertedIndex,
-    q: &Query,
+    q: &'q Query,
     degraded: &mut Vec<Degradation>,
-) -> Option<Query> {
+) -> Option<Cow<'q, Query>> {
     prune_query_with(&|t| index.term_id(t).is_some(), q, degraded)
 }
 
 /// [`prune_query`] generalized over a term-existence predicate, so engines
 /// without an [`InvertedIndex`] vocabulary (the live incremental index)
 /// share the exact degradation semantics.
-pub(crate) fn prune_query_with(
+pub(crate) fn prune_query_with<'q>(
     has_term: &dyn Fn(&str) -> bool,
-    q: &Query,
+    q: &'q Query,
     degraded: &mut Vec<Degradation>,
-) -> Option<Query> {
+) -> Option<Cow<'q, Query>> {
     let pruned = prune_tree(has_term, q, degraded);
     // Whatever is still unclassified at the root vanished without an AND
     // forcing emptiness, so it "dropped out".
@@ -147,15 +150,15 @@ pub(crate) fn prune_query_with(
     pruned.query
 }
 
-fn prune_tree(
+fn prune_tree<'q>(
     has_term: &dyn Fn(&str) -> bool,
-    q: &Query,
+    q: &'q Query,
     degraded: &mut Vec<Degradation>,
-) -> Pruned {
+) -> Pruned<'q> {
     match q {
         Query::Term(t) => {
             if has_term(t) {
-                Pruned { query: Some(q.clone()), pending: Vec::new() }
+                Pruned { query: Some(Cow::Borrowed(q)), pending: Vec::new() }
             } else {
                 Pruned { query: None, pending: vec![t.clone()] }
             }
@@ -164,7 +167,7 @@ fn prune_tree(
             let unknown: Vec<String> =
                 terms.iter().filter(|t| !has_term(t)).cloned().collect();
             if unknown.is_empty() {
-                Pruned { query: Some(q.clone()), pending: Vec::new() }
+                Pruned { query: Some(Cow::Borrowed(q)), pending: Vec::new() }
             } else {
                 // A phrase is a conjunction: one unknown word empties it.
                 classify_pending(unknown, true, degraded);
@@ -177,7 +180,9 @@ fn prune_tree(
             let mut pending = pa.pending;
             pending.extend(pb.pending);
             match (pa.query, pb.query) {
-                (Some(x), Some(y)) => Pruned { query: Some(Query::and(x, y)), pending },
+                (Some(x), Some(y)) => {
+                    Pruned { query: Some(rebuild(q, x, y, Query::and)), pending }
+                }
                 _ => {
                     classify_pending(pending, true, degraded);
                     Pruned { query: None, pending: Vec::new() }
@@ -190,7 +195,9 @@ fn prune_tree(
             let mut pending = pa.pending;
             pending.extend(pb.pending);
             match (pa.query, pb.query) {
-                (Some(x), Some(y)) => Pruned { query: Some(Query::or(x, y)), pending },
+                (Some(x), Some(y)) => {
+                    Pruned { query: Some(rebuild(q, x, y, Query::or)), pending }
+                }
                 (Some(x), None) | (None, Some(x)) => {
                     classify_pending(pending, false, degraded);
                     Pruned { query: Some(x), pending: Vec::new() }
@@ -201,6 +208,20 @@ fn prune_tree(
                 }
             }
         }
+    }
+}
+
+/// The pruned form of the binary node `q` whose children pruned to `a` and
+/// `b`: `q` itself when neither child changed, else a new node.
+fn rebuild<'q>(
+    q: &'q Query,
+    a: Cow<'q, Query>,
+    b: Cow<'q, Query>,
+    node: fn(Query, Query) -> Query,
+) -> Cow<'q, Query> {
+    match (a, b) {
+        (Cow::Borrowed(_), Cow::Borrowed(_)) => Cow::Borrowed(q),
+        (a, b) => Cow::Owned(node(a.into_owned(), b.into_owned())),
     }
 }
 
@@ -290,20 +311,29 @@ pub(crate) fn to_hits(scored: &[(DocId, Fixed)], k: usize) -> Vec<Hit> {
 }
 
 /// The answer to an exhaustive evaluation: the top `k` of `scored` (every
-/// candidate, in docID order) and `counts` priced by `cost`, with
-/// `scored`'s length as the top-k work.
+/// candidate, in docID order) and `counts` priced by the calibrated cost
+/// model, with `scored`'s length as the top-k work.
 pub(crate) fn respond(
-    cost: &CpuCostModel,
     mut counts: OpCounts,
     scored: &[(DocId, Fixed)],
     k: usize,
     degraded: Vec<Degradation>,
 ) -> SearchResponse {
     counts.topk_candidates = scored.len() as u64;
-    let phases = cost.price(&counts);
+    let phases = CpuCostModel::default().price(&counts);
+    priced(to_hits(scored, k), scored.len() as u64, phases, degraded)
+}
+
+/// A CPU engine's response: `phases` is its modeled time, top-k apart.
+fn priced(
+    hits: Vec<Hit>,
+    candidates: u64,
+    phases: PhaseBreakdown,
+    degraded: Vec<Degradation>,
+) -> SearchResponse {
     SearchResponse {
-        hits: to_hits(scored, k),
-        candidates: scored.len() as u64,
+        hits,
+        candidates,
         breakdown: LatencyBreakdown {
             dispatch_ns: 0.0,
             device_ns: phases.total_ns() - phases.topk_ns,
@@ -317,22 +347,18 @@ pub(crate) fn respond(
 // CPU (baseline) engine
 // ---------------------------------------------------------------------------
 
-/// The Lucene-like baseline behind the [`SearchEngine`] interface.
-#[derive(Debug, Clone)]
+/// The Lucene-like baseline behind the [`SearchEngine`] interface: like
+/// [`CpuEngine`], a view that is free to build per query.
+#[derive(Debug, Clone, Copy)]
 pub struct CpuSearchEngine<'a> {
     inner: CpuEngine<'a>,
     positions: Option<&'a PositionIndex>,
 }
 
 impl<'a> CpuSearchEngine<'a> {
-    /// Creates a baseline engine with the default cost model.
+    /// Creates a baseline engine in exhaustive mode.
     pub fn new(index: &'a InvertedIndex) -> Self {
         CpuSearchEngine { inner: CpuEngine::new(index), positions: None }
-    }
-
-    /// Creates a baseline engine with a custom cost model.
-    pub fn with_cost_model(index: &'a InvertedIndex, cost: CpuCostModel) -> Self {
-        CpuSearchEngine { inner: CpuEngine::with_cost_model(index, cost), positions: None }
     }
 
     /// Attaches a positional sidecar, enabling [`Query::Phrase`] queries.
@@ -347,7 +373,7 @@ impl<'a> CpuSearchEngine<'a> {
     /// exhaustively.
     #[must_use]
     pub fn with_pruning(mut self, pruned: bool) -> Self {
-        self.inner.set_pruning(pruned);
+        self.inner = self.inner.with_pruning(pruned);
         self
     }
 
@@ -368,33 +394,20 @@ impl SearchEngine for CpuSearchEngine<'_> {
         let Some(query) = prune_query(self.inner.index(), query, &mut degraded) else {
             return Ok(SearchResponse::empty(degraded));
         };
-        let query = &query;
         // Primitive shapes take the specialized paths (SvS etc.).
-        let outcome = match query.primitive() {
-            Some(Primitive::Single(t)) => Some(self.inner.search_single(t, k)?),
-            Some(Primitive::And(x, y)) => Some(self.inner.search_intersection(x, y, k)?),
-            Some(Primitive::Or(x, y)) => Some(self.inner.search_union(x, y, k)?),
-            None => None,
+        let o = match query.primitive() {
+            Some(Primitive::Single(t)) => self.inner.search_single(t, k)?,
+            Some(Primitive::And(x, y)) => self.inner.search_intersection(x, y, k)?,
+            Some(Primitive::Or(x, y)) => self.inner.search_union(x, y, k)?,
+            None => {
+                // General expression tree.
+                let mut counts = OpCounts::default();
+                let mut leaf = window_leaf(self.inner.index(), DocWindow::ALL);
+                let scored = eval_tree(&query, self.positions, &mut counts, &mut leaf)?;
+                return Ok(respond(counts, &scored, k, degraded));
+            }
         };
-        if let Some(o) = outcome {
-            let device_ns = o.phases.total_ns() - o.phases.topk_ns;
-            return Ok(SearchResponse {
-                hits: o.hits,
-                candidates: o.candidates,
-                breakdown: LatencyBreakdown {
-                    dispatch_ns: 0.0,
-                    device_ns,
-                    topk_ns: o.phases.topk_ns,
-                },
-                degraded,
-            });
-        }
-
-        // General expression tree.
-        let mut counts = OpCounts::default();
-        let mut leaf = window_leaf(self.inner.index(), DocWindow::ALL);
-        let scored = eval_tree(query, self.positions, &mut counts, &mut leaf)?;
-        Ok(respond(&self.inner.cost_model(), counts, &scored, k, degraded))
+        Ok(priced(o.hits, o.candidates, o.phases, degraded))
     }
 }
 
@@ -461,13 +474,6 @@ impl ShardedSearchEngine {
         self
     }
 
-    /// Replaces the cost model (builder style).
-    #[must_use]
-    pub fn with_cost_model(mut self, cost: CpuCostModel) -> Self {
-        self.inner = self.inner.with_cost_model(cost);
-        self
-    }
-
     /// True when primitive shapes use block-max pruning.
     pub fn pruning(&self) -> bool {
         self.inner.pruning()
@@ -497,51 +503,27 @@ impl ShardedSearchEngine {
         let Some(query) = prune_query(self.inner.dictionary(), query, &mut degraded) else {
             return Ok(SearchResponse::empty(degraded));
         };
-        let query = &query;
-        if let Query::Phrase(_) = query {
+        if let Query::Phrase(_) = *query {
             return Err(SearchError::Index(IndexError::PositionsUnavailable));
         }
-        let outcome = match query.primitive() {
-            Some(Primitive::Single(t)) => Some(self.inner.search_single(t, k)?),
-            Some(Primitive::And(x, y)) => Some(self.inner.search_intersection(x, y, k)?),
-            Some(Primitive::Or(x, y)) => Some(self.inner.search_union(x, y, k)?),
-            None => None,
-        };
-        if let Some(o) = outcome {
-            if !o.missing.is_empty() {
-                degraded.push(Degradation::ShardsUnavailable {
-                    missing: o.missing.clone(),
-                    total: o.total,
-                });
+        let (hits, candidates, phases, missing) = match query.primitive() {
+            Some(Primitive::Single(t)) => Self::parts(self.inner.search_single(t, k)?),
+            Some(Primitive::And(x, y)) => {
+                Self::parts(self.inner.search_intersection(x, y, k)?)
             }
-            let device_ns = o.phases.total_ns() - o.phases.topk_ns;
-            return Ok(SearchResponse {
-                hits: o.hits,
-                candidates: o.candidates,
-                breakdown: LatencyBreakdown {
-                    dispatch_ns: 0.0,
-                    device_ns,
-                    topk_ns: o.phases.topk_ns,
-                },
-                degraded,
-            });
-        }
-
-        let (hits, candidates, phases, missing) = self.eval_sharded(query, k)?;
+            Some(Primitive::Or(x, y)) => Self::parts(self.inner.search_union(x, y, k)?),
+            None => self.eval_sharded(&query, k)?,
+        };
         if !missing.is_empty() {
             degraded
                 .push(Degradation::ShardsUnavailable { missing, total: self.num_shards() });
         }
-        Ok(SearchResponse {
-            hits,
-            candidates,
-            breakdown: LatencyBreakdown {
-                dispatch_ns: 0.0,
-                device_ns: phases.total_ns() - phases.topk_ns,
-                topk_ns: phases.topk_ns,
-            },
-            degraded,
-        })
+        Ok(priced(hits, candidates, phases, degraded))
+    }
+
+    /// What a response takes from a primitive shape's fanned-out outcome.
+    fn parts(o: ShardedOutcome) -> (Vec<Hit>, u64, PhaseBreakdown, Vec<usize>) {
+        (o.hits, o.candidates, o.phases, o.missing)
     }
 
     /// Fans a general expression tree out: every part evaluates the whole
@@ -572,7 +554,7 @@ impl ShardedSearchEngine {
                 })
             })
             .slots;
-        let cost = self.inner.cost_model();
+        let cost = CpuCostModel::default();
         let mut all = Vec::new();
         let mut missing = Vec::new();
         let mut crit = PhaseBreakdown::default();

@@ -21,13 +21,13 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use iiu_baseline::{CpuCostModel, OpCounts};
+use iiu_baseline::ops::with_scratch;
+use iiu_baseline::OpCounts;
 use iiu_index::incremental::{IncrementalIndex, IncrementalOptions};
 use iiu_index::recovery::RecoveryReport;
 use iiu_index::score::term_score_fixed;
@@ -127,7 +127,8 @@ impl LiveIndex {
         };
         let dl = idx.dl_bars();
         let mut counts = OpCounts::default();
-        SCRATCH.with_borrow_mut(|(a, b, scored)| {
+        with_scratch(|scratch| {
+            let (a, b, scored) = scratch.buffers();
             scored.clear();
             if let Some(p @ (Primitive::And(x, y) | Primitive::Or(x, y))) = query.primitive() {
                 let idf_a = read_term(&idx, x, a, &mut counts)?;
@@ -145,17 +146,9 @@ impl LiveIndex {
                 })?;
                 *scored = tree;
             }
-            Ok(respond(&CpuCostModel::default(), counts, scored, k, degraded))
+            Ok(respond(counts, scored, k, degraded))
         })
     }
-}
-
-/// Two terms' postings and the scored candidates of one live query.
-type Scratch = (Vec<Posting>, Vec<Posting>, Vec<(DocId, Fixed)>);
-
-thread_local! {
-    /// This thread's [`LiveIndex::search`] buffers, reused query to query.
-    static SCRATCH: RefCell<Scratch> = const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// Reads `term`'s global postings into `out` and returns its global

@@ -192,9 +192,6 @@ pub struct ServeConfig {
     pub breaker: BreakerConfig,
     /// Accelerator configuration used by the device path.
     pub sim: SimConfig,
-    /// Cores allocated per query (the paper's `numCores`); clamped to
-    /// `sim.n_cores` at service start.
-    pub cores_per_query: usize,
     /// Injected faults (tests and `serve-bench`; [`FaultPlan::NONE`] in
     /// normal operation).
     pub fault: FaultPlan,
@@ -231,15 +228,13 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let sim = SimConfig::default();
         ServeConfig {
             workers: 4,
             queue_capacity: 64,
             default_deadline: Duration::from_millis(250),
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
-            cores_per_query: sim.n_cores,
-            sim,
+            sim: SimConfig::default(),
             fault: FaultPlan::NONE,
             pruned_cpu_fallback: false,
             shards: 1,

@@ -197,9 +197,6 @@ impl QueryService {
     /// `max(cfg.workers, effective cfg.shard_pool.pool_threads)` when
     /// `cfg.shards > 1`, the one set of threads running both whole queries
     /// and their shard parts.
-    ///
-    /// `cfg.cores_per_query` is clamped to `1..=cfg.sim.n_cores` so a
-    /// misconfigured pool cannot panic the simulator's allocator.
     pub fn start(index: Arc<InvertedIndex>, mut cfg: ServeConfig) -> Self {
         Self::normalize(&mut cfg);
         if cfg.shards == 1 {
@@ -237,7 +234,6 @@ impl QueryService {
     fn normalize(cfg: &mut ServeConfig) {
         cfg.workers = cfg.workers.max(1);
         cfg.queue_capacity = cfg.queue_capacity.max(1);
-        cfg.cores_per_query = cfg.cores_per_query.clamp(1, cfg.sim.n_cores.max(1));
         cfg.shards = cfg.shards.max(1);
         // A shard pool without a fan-out deadline could hang the
         // coordinator on a wedged worker; default it to the query
@@ -506,7 +502,7 @@ fn run_device(shared: &Shared, index: &InvertedIndex, job: &Job) -> DeviceOutcom
             if cfg.fault.sabotage_panic(job.seq, attempt) {
                 panic!("injected panic fault (seq {})", job.seq);
             }
-            let mut engine = IiuSearchEngine::with_config(index, sim, cfg.cores_per_query);
+            let mut engine = IiuSearchEngine::with_config(index, sim, sim.n_cores);
             engine.search(&job.query, job.k)
         }));
         match attempt_result {

@@ -2,12 +2,15 @@
 //! block decode against the allocating wrapper and the encoded postings,
 //! the pruned walk's docIDs-only and column decodes against it, and
 //! engine-level invariance of both results and cost tallies under
-//! scratch reuse.
+//! scratch reuse, within one engine and across every engine that borrows
+//! a thread's scratch.
 
-use iiu_baseline::CpuEngine;
+use iiu_baseline::{CpuEngine, OpCounts};
+use iiu_core::{CpuSearchEngine, IncrementalOptions, LatencyBreakdown, LiveIndex, Query};
+use iiu_core::{SearchEngine, SearchResponse};
 use iiu_index::block::EncodedList;
 use iiu_index::codec::BlockColumns;
-use iiu_index::{Posting, PostingList};
+use iiu_index::{io, storage, InvertedIndex, Posting, PostingList};
 use iiu_workloads::{CorpusConfig, QuerySampler};
 use proptest::prelude::*;
 
@@ -102,7 +105,7 @@ fn scratch_reuse_and_caching_never_change_results_or_tallies() {
     let singles = sampler.single_queries(8);
     let pairs = sampler.pair_queries(8);
 
-    let mut warm = CpuEngine::new(&index);
+    let warm = CpuEngine::new(&index);
     for term in &singles {
         let cold = CpuEngine::new(&index).search_single(term, 10).expect("known term");
         let first = warm.search_single(term, 10).expect("known term");
@@ -139,4 +142,141 @@ fn scratch_reuse_and_caching_never_change_results_or_tallies() {
     // Consecutive same-block probes exist in any clustered intersection;
     // the tiny corpus produces some, so the counter must have moved.
     assert!(hits_total > 0, "expected at least one block-cache hit across 8 AND queries");
+}
+
+/// What one query answered: hits, candidates, and the work it did, as
+/// operation counts where the engine reports them and as their modeled
+/// price where it does not.
+#[derive(Debug, PartialEq)]
+struct Answer {
+    hits: Vec<iiu_baseline::Hit>,
+    candidates: u64,
+    counts: Option<OpCounts>,
+    breakdown: Option<LatencyBreakdown>,
+}
+
+impl From<SearchResponse> for Answer {
+    fn from(r: SearchResponse) -> Self {
+        Answer {
+            hits: r.hits,
+            candidates: r.candidates,
+            counts: None,
+            breakdown: Some(r.breakdown),
+        }
+    }
+}
+
+/// One query of the interleaved stream, answerable on any thread.
+type Op<'a> = Box<dyn Fn() -> Answer + Sync + 'a>;
+
+/// The primitive shapes through a `CpuEngine`, pruned or exhaustive.
+fn engine_ops<'a>(index: &'a InvertedIndex, seed: u64, pruned: bool) -> Vec<Op<'a>> {
+    let engine = CpuEngine::new(index).with_pruning(pruned);
+    let mut sampler = QuerySampler::new(index, seed);
+    let answer = |o: iiu_baseline::QueryOutcome| Answer {
+        hits: o.hits,
+        candidates: o.candidates,
+        counts: Some(o.counts),
+        breakdown: None,
+    };
+    let mut ops: Vec<Op<'a>> = Vec::new();
+    for t in sampler.single_queries(4) {
+        ops.push(Box::new(move || answer(engine.search_single(&t, 10).expect("known"))));
+    }
+    for (a, b) in sampler.pair_queries(4) {
+        let (x, y) = (a.clone(), b.clone());
+        ops.push(Box::new(move || {
+            answer(engine.search_intersection(&a, &b, 10).expect("known"))
+        }));
+        ops.push(Box::new(move || answer(engine.search_union(&x, &y, 10).expect("known"))));
+    }
+    ops
+}
+
+/// General trees of three terms through a `CpuSearchEngine`.
+fn tree_ops<'a>(index: &'a InvertedIndex, seed: u64) -> Vec<Op<'a>> {
+    let engine = CpuSearchEngine::new(index).with_pruning(true);
+    let mut sampler = QuerySampler::new(index, seed);
+    let terms: Vec<Query> = sampler.single_queries(6).into_iter().map(Query::term).collect();
+    terms
+        .chunks(3)
+        .map(|c| -> Op<'a> {
+            let q = Query::or(Query::and(c[0].clone(), c[1].clone()), c[2].clone());
+            Box::new(move || {
+                let mut engine = engine;
+                engine.search(&q, 10).expect("tree").into()
+            })
+        })
+        .collect()
+}
+
+/// Every engine that borrows the thread's decode scratch, interleaved on
+/// one thread: pruned and exhaustive `CpuEngine` queries over a heap
+/// index and over a mapped index of another corpus, general trees, and
+/// live reads of a third. Each answer, hits and work alike, equals the
+/// same query's answer on a fresh thread.
+#[test]
+fn one_threads_scratch_leaks_nothing_between_engines() {
+    let heap = CorpusConfig::tiny(0xC0FFEE).generate().into_default_index();
+    let other = CorpusConfig::tiny(0x0DD).generate().into_default_index();
+    let path = std::env::temp_dir().join(format!("iiu-scratch-leak-{}", std::process::id()));
+    std::fs::write(&path, io::serialize(&other).expect("serialize")).expect("writable");
+    let mapped = storage::map_index(&path).expect("mapped load");
+    assert!(mapped.source().is_mapped());
+
+    let dir =
+        std::env::temp_dir().join(format!("iiu-scratch-leak-live-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let opts =
+        IncrementalOptions { seal_threshold: 0, merge_threshold: 0, ..Default::default() };
+    let live = LiveIndex::open(&dir, opts).expect("open");
+    let docs = CorpusConfig::tiny(0x11FE).generate().to_docs();
+    let n = docs.len();
+    live.ingest_batch(&docs[..n / 2]).expect("ingest");
+    live.seal().expect("seal");
+    live.ingest_batch(&docs[n / 2..]).expect("ingest");
+    let snapshot = live.snapshot().expect("snapshot");
+    let mut sampler = QuerySampler::new(&snapshot, 5);
+    let mut live_queries: Vec<Query> =
+        sampler.single_queries(4).into_iter().map(Query::term).collect();
+    for (a, b) in sampler.pair_queries(4) {
+        live_queries.push(Query::and(Query::term(a.clone()), Query::term(b.clone())));
+        live_queries.push(Query::or(Query::term(a), Query::term(b)));
+    }
+    let live_ref = &live;
+    let live_ops: Vec<Op<'_>> = live_queries
+        .into_iter()
+        .map(|q| -> Op<'_> { Box::new(move || live_ref.search(&q, 10).expect("live").into()) })
+        .collect();
+
+    let streams = [
+        engine_ops(&heap, 1, true),
+        engine_ops(&mapped, 2, false),
+        tree_ops(&heap, 3),
+        live_ops,
+        engine_ops(&heap, 4, false),
+        engine_ops(&mapped, 5, true),
+        tree_ops(&mapped, 6),
+    ];
+    // Round-robin over the streams, so consecutive queries never share an
+    // engine, an index or a mode.
+    let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
+    let ops: Vec<&Op<'_>> =
+        (0..longest).flat_map(|i| streams.iter().filter_map(move |s| s.get(i))).collect();
+
+    let fresh: Vec<Answer> = ops
+        .iter()
+        .map(|op| std::thread::scope(|s| s.spawn(|| op()).join().expect("no panic")))
+        .collect();
+    for pass in 0..2 {
+        for (i, (op, want)) in ops.iter().zip(&fresh).enumerate() {
+            assert_eq!(&op(), want, "pass {pass}, query {i}");
+        }
+    }
+    assert!(fresh.iter().filter(|a| !a.hits.is_empty()).count() > ops.len() / 2);
+    drop(ops);
+    drop(streams);
+    drop(live);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
 }

@@ -40,7 +40,7 @@ fn head_term(index: &iiu_index::InvertedIndex) -> u32 {
 #[test]
 fn claim_decompression_dominates_baseline() {
     let index = index();
-    let mut engine = CpuEngine::new(&index);
+    let engine = CpuEngine::new(&index);
     let singles = sample_singles(&index, 10);
     let pairs = sample_pairs(&index, 10);
 
@@ -93,7 +93,7 @@ fn claim_dynamic_partitioning_compresses_better() {
 #[test]
 fn claim_iiu_latency_wins_and_intersection_wins_most() {
     let index = index();
-    let mut engine = CpuEngine::new(&index);
+    let engine = CpuEngine::new(&index);
     let machine = IiuMachine::new(&index, SimConfig::default());
     let host = HostModel::default();
     let singles = sample_singles(&index, 5);

@@ -1,21 +1,31 @@
 //! How many heap allocations a light query costs on the inline serving
-//! route and on the live read path.
+//! route, on the live read path and through the whole query service.
 //!
-//! The service answers a query it does not fan out on a fresh pruned
-//! `CpuSearchEngine`, built for that query alone, so everything the engine
-//! allocates at construction is paid once per query. A live service
-//! answers every query with `LiveIndex::search`. A counting global
-//! allocator ratchets each route's total over a fixed light pool: a change
-//! that adds an allocation to either fails here.
+//! The service answers a query it does not fan out on a pruned
+//! `CpuSearchEngine` built for that query alone, which borrows the
+//! thread's decode scratch. A live service answers every query with
+//! `LiveIndex::search`. A counting global allocator ratchets each route's
+//! total over a fixed light pool: a change that adds an allocation to any
+//! of them fails here.
 //!
-//! Each thread counts its own allocations, and only while its flag is set,
-//! so the test harness's other threads (and the other test) add nothing.
+//! The engine and live tests count on their own thread only, while its
+//! flag is set. The service test counts on every thread, because the
+//! service's threads run the queries; it holds [`SERIAL`] for its whole
+//! run, as the other tests do, so nothing else in this binary allocates
+//! meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 use iiu_core::{CpuSearchEngine, IncrementalOptions, LiveIndex, Query, SearchEngine};
 use iiu_index::InvertedIndex;
+use iiu_serve::{
+    BreakerConfig, FaultPlan, QueryService, RetryPolicy, SchedulerConfig, ServeConfig,
+    ShardPoolConfig,
+};
 use iiu_workloads::{CorpusConfig, QuerySampler};
 
 /// The system allocator, counting allocations made while the calling
@@ -29,15 +39,31 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Set while every thread's allocations count, into [`ALL_THREADS`].
+static COUNTING_ALL: AtomicBool = AtomicBool::new(false);
+/// Allocations any thread made while [`COUNTING_ALL`] was set.
+static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
+
+/// Held for each test's whole run, so a test counting every thread's
+/// allocations counts only its own.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn tally() {
+    if COUNTING_ALL.load(Ordering::Relaxed) {
+        ALL_THREADS.fetch_add(1, Ordering::Relaxed);
+    }
     // `try_with`: a thread being torn down may still free memory.
     if MEASURING.try_with(Cell::get).unwrap_or(false) {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
-// SAFETY: every call is forwarded unchanged to `System`; the tally reads
-// and bumps const-initialised thread-locals, which never allocate.
+// SAFETY: every call is forwarded unchanged to `System`; the tally bumps
+// atomics and const-initialised thread-locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         tally();
@@ -72,7 +98,16 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// The light pool both routes answer: 20 single terms and 40 pairs,
+/// Allocations made on every thread while `f` runs.
+fn allocations_on_all_threads<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALL_THREADS.load(Ordering::SeqCst);
+    COUNTING_ALL.store(true, Ordering::SeqCst);
+    let out = f();
+    COUNTING_ALL.store(false, Ordering::SeqCst);
+    (out, ALL_THREADS.load(Ordering::SeqCst) - before)
+}
+
+/// The light pool every route answers: 20 single terms and 40 pairs,
 /// alternately AND and OR, drawn from `index`.
 fn light_pool(index: &InvertedIndex) -> Vec<Query> {
     let mut sampler = QuerySampler::new(index, 17);
@@ -87,10 +122,11 @@ fn light_pool(index: &InvertedIndex) -> Vec<Query> {
 
 /// The ceiling: the count this route makes today. Lower it when a change
 /// removes allocations; a rise is a regression.
-const MAX_ALLOCATIONS: u64 = 405;
+const MAX_ALLOCATIONS: u64 = 121;
 
 #[test]
 fn a_light_query_on_the_inline_route_stays_within_its_allocations() {
+    let _serial = serial();
     let index = CorpusConfig::tiny(0xA110C).generate().into_default_index();
     let pool = light_pool(&index);
 
@@ -108,10 +144,11 @@ fn a_light_query_on_the_inline_route_stays_within_its_allocations() {
 /// The live route's ceiling over the same pool, answered twice: the first
 /// pass warms the read path (the per-thread buffers, the `dl̄` table), the
 /// second is counted. Lower it when a change removes allocations.
-const MAX_LIVE_ALLOCATIONS: u64 = 240;
+const MAX_LIVE_ALLOCATIONS: u64 = 60;
 
 #[test]
 fn a_light_query_on_the_live_index_stays_within_its_allocations() {
+    let _serial = serial();
     let docs = CorpusConfig::tiny(0xA110C).generate().to_docs();
     let dir = std::env::temp_dir().join(format!("iiu-live-alloc-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -137,4 +174,76 @@ fn a_light_query_on_the_live_index_stays_within_its_allocations() {
     assert!(total <= MAX_LIVE_ALLOCATIONS, "{total} allocations > {MAX_LIVE_ALLOCATIONS}");
     drop(live);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The repo benchmark's serve configuration: two workers, two docID
+/// windows on two pool threads, hybrid routing and pruning on. The first
+/// device attempt is sabotaged and nothing retries, so the breaker opens
+/// and stays open: every answer comes from the software engine.
+fn benchmark_serve_config() -> ServeConfig {
+    ServeConfig {
+        workers: 2,
+        queue_capacity: 4096,
+        default_deadline: Duration::from_secs(60),
+        retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+        breaker: BreakerConfig {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(3_600),
+            probe_successes: 2,
+        },
+        fault: FaultPlan { burst: Some((0, u64::MAX)), seed: 0x5E12, ..FaultPlan::NONE },
+        pruned_cpu_fallback: true,
+        shards: 2,
+        shard_pool: ShardPoolConfig { pool_threads: 2, ..ShardPoolConfig::default() },
+        scheduler: SchedulerConfig { hybrid: true, ..SchedulerConfig::default() },
+        ..ServeConfig::default()
+    }
+}
+
+/// The service route's count over the same pool, on every thread, in a
+/// pass where every caller runs its own query (the help-first join).
+/// Lower it when a change removes allocations.
+const MAX_SERVICE_ALLOCATIONS: u64 = 412;
+/// Whether a caller or a woken worker runs a query is a race. A caller
+/// that waits for a worker's reply costs about one allocation more (its
+/// reply channel registers the waiter), so a pass where some callers
+/// wait reads up to one more per waiting caller. The test reads the
+/// fewest of [`SERVICE_PASSES`] passes, after one pass that opens the
+/// breaker and warms the threads, and allows this many waits in it.
+const WAITING_CALLERS: u64 = 30;
+const SERVICE_PASSES: usize = 20;
+
+#[test]
+fn a_light_query_through_the_service_stays_within_its_allocations() {
+    let _serial = serial();
+    let index = Arc::new(CorpusConfig::tiny(0xA110C).generate().into_default_index());
+    let pool = light_pool(&index);
+    let mut service = QueryService::start(Arc::clone(&index), benchmark_serve_config());
+    let pass = || {
+        let batch = pool.clone();
+        allocations_on_all_threads(|| {
+            batch
+                .into_iter()
+                .map(|q| service.search_blocking(q, 10))
+                .filter(|r| r.as_ref().is_ok_and(|r| !r.hits.is_empty()))
+                .count()
+        })
+    };
+    let (warm, _) = pass();
+    let passes: Vec<(usize, u64)> = (0..SERVICE_PASSES).map(|_| pass()).collect();
+    let health = service.health();
+    service.shutdown();
+
+    let fewest = passes.iter().map(|&(_, n)| n).min().unwrap_or(u64::MAX);
+    let counts: Vec<u64> = passes.iter().map(|&(_, n)| n).collect();
+    println!(
+        "{} service queries per pass, {warm} with hits: {counts:?} allocations",
+        pool.len()
+    );
+    assert!(passes.iter().all(|&(answered, _)| answered == warm));
+    assert!(warm > pool.len() / 2, "the pool must exercise the service");
+    assert_eq!(health.breaker, iiu_serve::BreakerState::Open, "every answer is the CPU's");
+    assert_eq!(health.sched_fanout, 0, "a light query runs inline");
+    let ceiling = MAX_SERVICE_ALLOCATIONS + WAITING_CALLERS;
+    assert!(fewest <= ceiling, "{fewest} allocations > {ceiling}");
 }

@@ -178,7 +178,7 @@ fn a_crc_consistent_block_of_repeated_docids_fails_heap_load_and_mapped_validate
     // The served list is not re-checked per query: pruned and exhaustive
     // single/AND/OR searches answer from the repeated docIDs.
     for pruned in [false, true] {
-        let mut engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(pruned);
+        let engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(pruned);
         for (shape, answered) in [
             ("single", engine.search_single("quick", 10).is_ok()),
             ("and", engine.search_intersection("quick", "dog", 10).is_ok()),
@@ -242,7 +242,7 @@ fn a_flipped_record_byte_fails_pruned_and_and_or_on_both_engines() {
             let mut answers = Vec::new();
             for _ in 0..2 {
                 if windows == 1 {
-                    let mut engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(true);
+                    let engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(true);
                     answers.push(engine.search_intersection(x, y, 10).map(|_| ()));
                     answers.push(engine.search_union(x, y, 10).map(|_| ()));
                 } else {

@@ -56,7 +56,7 @@ proptest! {
         for n in SHARDS {
             let split = Arc::new(ShardedIndex::split(&idx, n).expect("split"));
             for pruned in [false, true] {
-                let mut plain = CpuEngine::new(&idx).with_pruning(pruned);
+                let plain = CpuEngine::new(&idx).with_pruning(pruned);
                 let eng = ShardedEngine::new(Arc::clone(&split)).with_pruning(pruned);
                 for k in KS {
                     for t in &terms {
@@ -100,7 +100,7 @@ fn sharded_matches_unsharded_on_sampled_workload() {
     for n in SHARDS {
         let split = Arc::new(ShardedIndex::split(&index, n).expect("split"));
         for pruned in [false, true] {
-            let mut plain = CpuEngine::new(&index).with_pruning(pruned);
+            let plain = CpuEngine::new(&index).with_pruning(pruned);
             let eng = ShardedEngine::new(Arc::clone(&split)).with_pruning(pruned);
             for k in KS {
                 for t in &singles {
@@ -133,7 +133,7 @@ fn sharded_matches_unsharded_under_every_codec() {
     let mut sampler = QuerySampler::new(&reference, 9);
     let singles = sampler.single_queries(4);
     let pairs = sampler.pair_queries(4);
-    let mut ref_plain = CpuEngine::new(&reference);
+    let ref_plain = CpuEngine::new(&reference);
 
     for codec in CodecId::ALL {
         let index = CorpusConfig::tiny(0xC0FFEE)
@@ -187,7 +187,7 @@ fn sharded_pruned_matches_exhaustive_on_adversarial_layouts() {
     for layout in common::adversarial_layouts() {
         for codec in CodecId::ALL {
             let index = layout.index();
-            let mut plain = CpuEngine::new(&index);
+            let plain = CpuEngine::new(&index);
             for n in [1usize, 2, 4] {
                 let split = Arc::new(ShardedIndex::split(&index, n).expect("split"));
                 let eng = ShardedEngine::new(split).with_pruning(true);
@@ -323,7 +323,7 @@ fn shard_local_topk_always_contains_its_global_topk_members() {
     let n = 3usize;
     let split = ShardedIndex::split(&index, n).expect("split");
 
-    let mut plain = CpuEngine::new(&index);
+    let plain = CpuEngine::new(&index);
     let k = 10;
     let global = plain.search_single(&term, k).expect("known").hits;
 
@@ -331,7 +331,7 @@ fn shard_local_topk_always_contains_its_global_topk_members() {
     // top-k is a subset of the union after docID remapping.
     let mut union: Vec<Hit> = Vec::new();
     for (s, shard) in split.shards().iter().enumerate() {
-        let mut eng = CpuEngine::new(shard);
+        let eng = CpuEngine::new(shard);
         let local = eng.search_single(&term, k).expect("uniform dictionary").hits;
         union.extend(
             local

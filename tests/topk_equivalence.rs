@@ -47,8 +47,8 @@ proptest! {
         vocab.dedup();
         let terms: Vec<String> = vocab.iter().map(|t| format!("t{t}")).collect();
 
-        let mut plain = CpuEngine::new(&idx);
-        let mut pruned = CpuEngine::new(&idx).with_pruning(true);
+        let plain = CpuEngine::new(&idx);
+        let pruned = CpuEngine::new(&idx).with_pruning(true);
         for k in KS {
             for t in &terms {
                 let a = plain.search_single(t, k).expect("known term");
@@ -78,8 +78,8 @@ fn pruned_matches_exhaustive_on_sampled_workload() {
     let singles = sampler.single_queries(8);
     let pairs = sampler.pair_queries(8);
 
-    let mut plain = CpuEngine::new(&index);
-    let mut pruned = CpuEngine::new(&index).with_pruning(true);
+    let plain = CpuEngine::new(&index);
+    let pruned = CpuEngine::new(&index).with_pruning(true);
     for k in KS {
         for t in &singles {
             let a = plain.search_single(t, k).expect("known term");
@@ -109,14 +109,14 @@ fn pruned_matches_exhaustive_under_every_codec() {
     let mut sampler = QuerySampler::new(&reference, 9);
     let singles = sampler.single_queries(6);
     let pairs = sampler.pair_queries(6);
-    let mut ref_plain = CpuEngine::new(&reference);
+    let ref_plain = CpuEngine::new(&reference);
 
     for codec in CodecId::ALL {
         let index = CorpusConfig::tiny(0xC0FFEE)
             .generate()
             .into_index(Partitioner::default(), Bm25Params::default());
-        let mut plain = CpuEngine::new(&index);
-        let mut pruned = CpuEngine::new(&index).with_pruning(true);
+        let plain = CpuEngine::new(&index);
+        let pruned = CpuEngine::new(&index).with_pruning(true);
         for k in KS {
             for t in &singles {
                 let r = ref_plain.search_single(t, k).expect("known term");
@@ -166,10 +166,10 @@ fn mapped_source_matches_heap_under_every_codec() {
         assert!(mapped.source().is_mapped() && !heap.source().is_mapped());
         assert_eq!(mapped, heap, "{codec}: sources must assemble one index");
 
-        let mut h_plain = CpuEngine::new(&heap);
-        let mut h_pruned = CpuEngine::new(&heap).with_pruning(true);
-        let mut m_plain = CpuEngine::new(&mapped);
-        let mut m_pruned = CpuEngine::new(&mapped).with_pruning(true);
+        let h_plain = CpuEngine::new(&heap);
+        let h_pruned = CpuEngine::new(&heap).with_pruning(true);
+        let m_plain = CpuEngine::new(&mapped);
+        let m_pruned = CpuEngine::new(&mapped).with_pruning(true);
         for k in KS {
             for t in &singles {
                 let r = h_plain.search_single(t, k).expect("known term");
@@ -217,9 +217,9 @@ fn pruned_matches_exhaustive_on_adversarial_layouts() {
                 })
                 .sum();
 
-            let mut plain = CpuEngine::new(&heap);
+            let plain = CpuEngine::new(&heap);
             for (source, index) in [("heap", &heap), ("mmap", &mapped)] {
-                let mut pruned = CpuEngine::new(index).with_pruning(true);
+                let pruned = CpuEngine::new(index).with_pruning(true);
                 for k in common::LAYOUT_KS {
                     let at = format!("{} / {codec} / {source} / k={k}", layout.name);
                     for t in [ta, tb] {
@@ -289,8 +289,8 @@ fn pruning_skips_work_on_skewed_lists() {
     }
     let idx = b.build();
 
-    let mut plain = CpuEngine::new(&idx);
-    let mut pruned = CpuEngine::new(&idx).with_pruning(true);
+    let plain = CpuEngine::new(&idx);
+    let pruned = CpuEngine::new(&idx).with_pruning(true);
 
     let a = plain.search_single("hot", 1).expect("known");
     let b1 = pruned.search_single("hot", 1).expect("known");

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full verification gate: the one-park/wake-primitive, one-spawn-site
-# (thread::Builder/spawn/scope outside tests) and one-unsafe-module
-# guards, build, tests, the separately-built benchmark package's tests
+# (thread::Builder/spawn/scope outside tests), one-unsafe-module and
+# one-scratch-per-thread (no DecodeScratch built, no thread_local!,
+# outside ops.rs and executor.rs) guards, build, tests, the separately-built benchmark package's tests
 # and smoke run, the fault-injected serving soak, the no-panic lint wall,
 # warning-free rustdoc, and the hot-path decode, shard-scaling, mmap
 # storage, and serve tail-latency perf gates.
@@ -78,6 +79,30 @@ unsafe_hits=$(grep -rnE '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' \
 if [ -n "$unsafe_hits" ]; then
     echo "verify: unsafe outside crates/index/src/mmap.rs and the allocator tests:" >&2
     echo "$unsafe_hits" >&2
+    exit 1
+fi
+
+# One decode scratch per thread (DESIGN.md §12, "Scratch ownership"):
+# every engine, fan-out part, pruned primer and live read borrows the
+# calling thread's DecodeScratch through iiu_baseline::ops::with_scratch,
+# so product code neither builds one (`DecodeScratch::new()` /
+# `DecodeScratch::default()`) nor keeps per-thread state of its own
+# (`thread_local!`) outside crates/baseline/src/{ops,executor}.rs. Test
+# code is exempt: the integration tests under `crates/*/tests/`, an item
+# right after a `#[cfg(test)]` line, and everything from a top-level
+# `#[cfg(test)]` followed by a `mod` line to the end of its file. Runs in
+# both modes; grep and awk, so CI needs nothing extra.
+scratch_pat='DecodeScratch::(new|default)[(][)]|thread_local!'
+scratch_hits=$(grep -rlE "$scratch_pat" crates src \
+    | grep -vE '^crates/baseline/src/(ops|executor)\.rs$|^crates/[^/]+/tests/' \
+    | xargs -r awk -v pat="$scratch_pat" 'FNR == 1 { tests = 0; cfg = 0 }
+        cfg && /^mod / { tests = 1 }
+        !tests && !cfg && $0 ~ pat { print FILENAME ":" FNR ":" $0 }
+        { cfg = /^[[:space:]]*#\[cfg\(test\)\]/ }' || true)
+if [ -n "$scratch_hits" ]; then
+    echo "verify: a DecodeScratch or thread-local outside crates/baseline/src/{ops,executor}.rs" \
+        "(borrow the thread's through ops::with_scratch):" >&2
+    echo "$scratch_hits" >&2
     exit 1
 fi
 
