@@ -23,6 +23,12 @@
 //!   so the report records whether eviction worked but `--check` does not
 //!   gate on cold numbers.
 //!
+//! - **Checksum and open**: the CRC32 kernel's throughput over an 8 MiB
+//!   buffer, and the heap open (read the file and `deserialize`, every
+//!   checksum verified) and mapped open (`map_index`, header, doc table
+//!   and bounds checksummed) of the timed corpus. Report-only: none of the
+//!   three is a gated `min_ns` metric.
+//!
 //! The **RSS gate** re-execs this binary (`--rss-child`): the child
 //! streams a ≥1M-doc corpus to disk with `generate_streamed` (peak memory
 //! independent of the posting count), serves pruned top-k through a fresh
@@ -57,6 +63,10 @@ const E2E_DOCS: u32 = 60_000;
 const N_QUERIES: usize = 32;
 /// High-df lists in the block-decode micro.
 const DECODE_LISTS: usize = 4;
+/// Bytes the CRC32 throughput row hashes per iteration.
+const CRC_BYTES: usize = 8 << 20;
+/// Timed opens per loader in the checksum-and-open row.
+const OPEN_SAMPLES: usize = 5;
 /// Documents in the RSS-gate corpus (the ≥1M-doc acceptance bound).
 const RSS_DOCS: u32 = 1_000_000;
 /// Vocabulary of the RSS-gate corpus — lighter than the presets'
@@ -131,6 +141,30 @@ fn assert_source_equivalence(heap: &InvertedIndex, mapped: &InvertedIndex, queri
             assert_eq!(h, m, "mmap {} hits diverged from heap at query {i}", shape.name());
         }
     }
+}
+
+/// The checksum-and-open row, printed and returned: CRC32 MB/s over
+/// [`CRC_BYTES`], and the median heap and mapped open of the index at
+/// `path` in ms.
+fn checksum_and_open(path: &std::path::Path) -> Value {
+    let buf: Vec<u8> =
+        (0..CRC_BYTES).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 7) as u8).collect();
+    let crc = bench_with("crc32/8MiB", 8, 40, &mut || {
+        iiu_index::checksum::crc32(std::hint::black_box(&buf))
+    });
+    let heap = bench_with("open/heap", OPEN_SAMPLES, 1, &mut || {
+        let bytes = std::fs::read(path).expect("read temp index");
+        iiu_index::io::deserialize(&bytes).expect("heap load")
+    });
+    let mapped = bench_with("open/mmap", OPEN_SAMPLES, 1, &mut || {
+        storage::map_index(path).expect("mapped load")
+    });
+    let (mb_per_s, heap_ms, mapped_ms) =
+        (CRC_BYTES as f64 * 1e3 / crc.median_ns, heap.median_ns / 1e6, mapped.median_ns / 1e6);
+    println!(
+        "checksum: crc32 {mb_per_s:.0} MB/s, heap open {heap_ms:.1} ms, mapped open {mapped_ms:.1} ms"
+    );
+    json!({ "crc32_mb_per_s": mb_per_s, "heap_open_ms": heap_ms, "mapped_open_ms": mapped_ms })
 }
 
 /// `--rss-child`: stream the ≥1M-doc corpus to disk, serve pruned top-k
@@ -274,6 +308,8 @@ fn main() -> ExitCode {
     assert_source_equivalence(&heap, &mapped, &queries);
     println!("source equivalence: OK (equal indexes, bit-identical pruned hits)");
 
+    let checksum = checksum_and_open(&path);
+
     let mut run = Run::new("mmap", "min_ns");
 
     // Block decode straight out of the warm mapping vs owned heap bytes.
@@ -349,6 +385,7 @@ fn main() -> ExitCode {
         "block_decode": decode.clone(),
         "e2e": Value::Object(e2e.clone()),
         "cold": cold,
+        "checksum": checksum,
         "rss_gate": rss.clone(),
     });
     let template = json!({

@@ -61,6 +61,15 @@ fn io_err(context: &'static str, e: std::io::Error) -> IndexError {
     IndexError::Io { context, message: e.to_string() }
 }
 
+/// A record's frame checksum: CRC32 over its little-endian `seq`, then its
+/// payload.
+fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&seq.to_le_bytes());
+    crc.update(payload);
+    crc.finish()
+}
+
 /// Fsync a directory so a just-created or just-renamed entry survives a
 /// power loss (on Linux, directory metadata needs its own fsync).
 pub(crate) fn sync_dir(dir: &Path) -> Result<(), IndexError> {
@@ -292,10 +301,7 @@ pub fn replay(bytes: &[u8], start_seq: u64) -> Result<WalReplay, IndexError> {
             break; // torn payload
         }
         let payload = &rem[FRAME_BYTES..FRAME_BYTES + payload_len];
-        let mut crc = Crc32::new();
-        crc.update(&seq.to_le_bytes());
-        crc.update(payload);
-        let computed = crc.finish();
+        let computed = frame_crc(seq, payload);
         let is_final = rem.len() == FRAME_BYTES + payload_len;
         if computed != stored_crc {
             if is_final {
@@ -413,12 +419,9 @@ impl Wal {
             return Err(IndexError::CorruptIndex { context: "WAL record payload too large" });
         }
         let seq = self.next_seq;
-        let mut crc = Crc32::new();
-        crc.update(&seq.to_le_bytes());
-        crc.update(&payload);
         let mut frame = Vec::with_capacity(FRAME_BYTES + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc.finish().to_le_bytes());
+        frame.extend_from_slice(&frame_crc(seq, &payload).to_le_bytes());
         frame.extend_from_slice(&seq.to_le_bytes());
         frame.extend_from_slice(&payload);
         self.file.write_all(&frame).map_err(|e| io_err("appending to the WAL", e))?;
@@ -449,12 +452,9 @@ mod tests {
     fn encode_record(seq: u64, doc: &IngestDoc) -> Vec<u8> {
         let mut payload = Vec::new();
         doc.encode_into(&mut payload);
-        let mut crc = Crc32::new();
-        crc.update(&seq.to_le_bytes());
-        crc.update(&payload);
         let mut out = Vec::new();
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc.finish().to_le_bytes());
+        out.extend_from_slice(&frame_crc(seq, &payload).to_le_bytes());
         out.extend_from_slice(&seq.to_le_bytes());
         out.extend_from_slice(&payload);
         out
@@ -597,12 +597,9 @@ mod tests {
         // Valid CRC over garbage payload: decode must reject, not panic.
         let seq = 0u64;
         let payload = [0xFFu8; 3];
-        let mut crc = Crc32::new();
-        crc.update(&seq.to_le_bytes());
-        crc.update(&payload);
         let mut img = MAGIC_WAL.to_le_bytes().to_vec();
         img.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        img.extend_from_slice(&crc.finish().to_le_bytes());
+        img.extend_from_slice(&frame_crc(seq, &payload).to_le_bytes());
         img.extend_from_slice(&seq.to_le_bytes());
         img.extend_from_slice(&payload);
         assert!(matches!(replay(&img, 0), Err(IndexError::CorruptWal { .. })));

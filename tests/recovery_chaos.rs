@@ -19,7 +19,7 @@
 //! truncated sealed segments — must surface as typed [`IndexError`]s,
 //! never as panics or silently wrong indexes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -338,12 +338,14 @@ fn live_service_answers_while_ingesting() {
     let live = Arc::new(LiveIndex::open(&dir, opts).expect("open live index"));
     live.ingest_batch(&all[..50]).expect("warm-up ingest");
 
-    let mut svc = QueryService::start_live(
-        Arc::clone(&live),
-        ServeConfig { workers: 2, ..ServeConfig::default() },
-    );
+    let cfg = ServeConfig { workers: 2, ..ServeConfig::default() };
+    // Unanswered submissions bound the admission queue's depth, so waiting
+    // for the oldest reply at half the capacity keeps every submission
+    // admissible however the workers are scheduled.
+    let max_pending = cfg.queue_capacity / 2;
+    let mut svc = QueryService::start_live(Arc::clone(&live), cfg);
     let mut rng = StdRng::seed_from_u64(0x11FE_50A4);
-    let mut pending = Vec::new();
+    let mut pending = VecDeque::new();
     let mut i = 50usize;
     while i < all.len() {
         let b = rng.gen_range(1..=16usize).min(all.len() - i);
@@ -359,7 +361,11 @@ fn live_service_answers_while_ingesting() {
                 _ => format!("{a} OR {b}"),
             };
             let q = Query::parse(&text).expect("query parses");
-            pending.push(svc.submit(q, 10).expect("admission"));
+            pending.push_back(svc.submit(q, 10).expect("admission"));
+            if pending.len() >= max_pending {
+                let oldest = pending.pop_front().expect("pending is non-empty");
+                oldest.wait().expect("live query answered");
+            }
         }
     }
     for p in pending {
