@@ -24,10 +24,12 @@
 //!   gate on cold numbers.
 //!
 //! - **Checksum and open**: the CRC32 kernel's throughput over an 8 MiB
-//!   buffer, and the heap open (read the file and `deserialize`, every
+//!   buffer, the heap open (read the file and `deserialize`, every
 //!   checksum verified) and mapped open (`map_index`, header, doc table
-//!   and bounds checksummed) of the timed corpus. Report-only: none of the
-//!   three is a gated `min_ns` metric.
+//!   and bounds checksummed) of the timed corpus, and the heap open's
+//!   stored-bounds oracle alone (`ListBounds::matches` over every list)
+//!   in ns per posting. Report-only: none of the four is a gated `min_ns`
+//!   metric.
 //!
 //! The **RSS gate** re-execs this binary (`--rss-child`): the child
 //! streams a ≥1M-doc corpus to disk with `generate_streamed` (peak memory
@@ -53,6 +55,7 @@ use std::time::Instant;
 use iiu_baseline::CpuEngine;
 use iiu_bench::gate::{self, Args, Queries, Run, Shape};
 use iiu_bench::micro::bench_with;
+use iiu_index::codec::BlockColumns;
 use iiu_index::{storage, Bm25Params, InvertedIndex, Partitioner, Posting, TermId};
 use iiu_workloads::CorpusConfig;
 use serde_json::{json, Map, Value};
@@ -144,27 +147,48 @@ fn assert_source_equivalence(heap: &InvertedIndex, mapped: &InvertedIndex, queri
 }
 
 /// The checksum-and-open row, printed and returned: CRC32 MB/s over
-/// [`CRC_BYTES`], and the median heap and mapped open of the index at
-/// `path` in ms.
-fn checksum_and_open(path: &std::path::Path) -> Value {
+/// [`CRC_BYTES`], the median heap and mapped open of the index at `path`
+/// in ms, and the heap open's stored-bounds oracle alone over `heap` (the
+/// same index) in ns per posting.
+fn checksum_and_open(path: &std::path::Path, heap: &InvertedIndex) -> Value {
     let buf: Vec<u8> =
         (0..CRC_BYTES).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 7) as u8).collect();
     let crc = bench_with("crc32/8MiB", 8, 40, &mut || {
         iiu_index::checksum::crc32(std::hint::black_box(&buf))
     });
-    let heap = bench_with("open/heap", OPEN_SAMPLES, 1, &mut || {
+    let heap_open = bench_with("open/heap", OPEN_SAMPLES, 1, &mut || {
         let bytes = std::fs::read(path).expect("read temp index");
         iiu_index::io::deserialize(&bytes).expect("heap load")
     });
     let mapped = bench_with("open/mmap", OPEN_SAMPLES, 1, &mut || {
         storage::map_index(path).expect("mapped load")
     });
-    let (mb_per_s, heap_ms, mapped_ms) =
-        (CRC_BYTES as f64 * 1e3 / crc.median_ns, heap.median_ns / 1e6, mapped.median_ns / 1e6);
-    println!(
-        "checksum: crc32 {mb_per_s:.0} MB/s, heap open {heap_ms:.1} ms, mapped open {mapped_ms:.1} ms"
+    let cols = &mut BlockColumns::default();
+    let oracle = bench_with("oracle/heap", OPEN_SAMPLES, 1, &mut || {
+        let mut lists = heap.terms().iter().zip(heap.bounds()).enumerate();
+        let same = lists.all(|(id, (info, bounds))| {
+            let list = heap.encoded_list(id as TermId);
+            bounds.matches(list, info.idf_bar, heap.dl_bars(), cols).expect("oracle pass")
+        });
+        assert!(same, "stored bounds of a self-produced index must match");
+    });
+    let postings = heap.size_stats().postings as f64;
+    let (mb_per_s, heap_ms, mapped_ms, oracle_ns) = (
+        CRC_BYTES as f64 * 1e3 / crc.median_ns,
+        heap_open.median_ns / 1e6,
+        mapped.median_ns / 1e6,
+        oracle.median_ns / postings,
     );
-    json!({ "crc32_mb_per_s": mb_per_s, "heap_open_ms": heap_ms, "mapped_open_ms": mapped_ms })
+    println!(
+        "checksum: crc32 {mb_per_s:.0} MB/s, heap open {heap_ms:.1} ms, mapped open \
+         {mapped_ms:.1} ms, oracle {oracle_ns:.1} ns/posting"
+    );
+    json!({
+        "crc32_mb_per_s": mb_per_s,
+        "heap_open_ms": heap_ms,
+        "mapped_open_ms": mapped_ms,
+        "oracle_ns_per_posting": oracle_ns,
+    })
 }
 
 /// `--rss-child`: stream the ≥1M-doc corpus to disk, serve pruned top-k
@@ -308,7 +332,7 @@ fn main() -> ExitCode {
     assert_source_equivalence(&heap, &mapped, &queries);
     println!("source equivalence: OK (equal indexes, bit-identical pruned hits)");
 
-    let checksum = checksum_and_open(&path);
+    let checksum = checksum_and_open(&path, &heap);
 
     let mut run = Run::new("mmap", "min_ns");
 

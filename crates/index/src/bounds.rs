@@ -23,21 +23,25 @@
 //! equivalence guarantee between pruned and exhaustive top-k. Instead we
 //! evaluate the actual datapath for every posting at build time and keep
 //! the per-block maximum — trivially a correct upper bound, and tighter
-//! than any closed form. Build cost is one fixed-point division per
-//! posting, paid once per index build.
+//! than any closed form. It costs one fixed-point division per posting,
+//! paid by a build and again by a heap load's oracle.
 //!
-//! Bounds are derived data: every construction path
-//! ([`crate::InvertedIndex::from_lists`]) recomputes them from the
-//! postings, and the heap load of an index file cross-checks the
-//! persisted section against the recomputation.
+//! Bounds are derived data. A build computes them from the postings, and
+//! a heap load and [`crate::InvertedIndex::validate`] hold stored ones to
+//! the oracle ([`ListBounds::matches`]): one pass per list that decodes
+//! each block's docID and tf columns into one reused buffer, checks docID
+//! order as a branch-free fold (one branch per block), holds the block's
+//! last docID to the corpus, and compares the stored pair with the one
+//! per-block bound function the build uses too.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::Arc;
 
 use crate::block::EncodedList;
+use crate::codec::BlockColumns;
 use crate::error::IndexError;
-use crate::posting::Posting;
+use crate::posting::{DocId, Posting};
 use crate::score::{term_score_fixed, Fixed};
 
 /// The flat tables behind every [`ListBounds`] of one index: one entry per
@@ -110,79 +114,32 @@ impl BoundsBuilder {
         dl_bars: &[Fixed],
     ) {
         let first = self.ubs.len();
-        let mut max_ub = Fixed::ZERO;
         let mut at = 0usize;
         for &len in block_lens {
             let block = &postings[at.min(postings.len())..(at + len).min(postings.len())];
-            max_ub = max_ub.max(self.push_block(block, idf_bar, dl_bars));
+            let pairs = block.iter().map(|p| (p.doc_id, p.tf));
+            self.push_block(block_bound(pairs, idf_bar, dl_bars));
             at += len;
         }
-        self.lists.push((first, block_lens.len(), max_ub));
-    }
-
-    /// Appends the bounds of `list` by decoding every block (see
-    /// [`ListBounds::recompute`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ListBounds::recompute`]; the builder then holds a partial list
-    /// and is for discarding.
-    pub(crate) fn push_recomputed(
-        &mut self,
-        list: &EncodedList,
-        idf_bar: Fixed,
-        dl_bars: &[Fixed],
-    ) -> Result<(), IndexError> {
-        let first = self.ubs.len();
-        let mut max_ub = Fixed::ZERO;
-        let mut block = Vec::new();
-        let mut prev = None;
-        for b in 0..list.num_blocks() {
-            block.clear();
-            list.try_decode_block_into(b, &mut block)?;
-            for p in &block {
-                if prev.is_some_and(|d| p.doc_id <= d) {
-                    return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
-                }
-                prev = Some(p.doc_id);
-            }
-            // Increasing, so the last decoded docID is the largest so far.
-            if prev.is_some_and(|d| d as usize >= dl_bars.len()) {
-                return Err(IndexError::CorruptIndex {
-                    context: "posting list references docID beyond corpus",
-                });
-            }
-            max_ub = max_ub.max(self.push_block(&block, idf_bar, dl_bars));
-        }
-        self.lists.push((first, list.num_blocks(), max_ub));
-        Ok(())
+        self.push_list(first);
     }
 
     /// Appends one list's stored `(ub, max_tf)` pairs, block by block.
     pub(crate) fn push_stored(&mut self, pairs: impl Iterator<Item = (Fixed, u32)>) {
         let first = self.ubs.len();
-        let mut max_ub = Fixed::ZERO;
-        for (ub, max_tf) in pairs {
-            max_ub = max_ub.max(ub);
-            self.ubs.push(ub);
-            self.max_tfs.push(max_tf);
-        }
-        self.lists.push((first, self.ubs.len() - first, max_ub));
+        pairs.for_each(|bound| self.push_block(bound));
+        self.push_list(first);
     }
 
-    /// Appends the bound of one block — the datapath's score of every
-    /// posting in it, maximized — and returns it.
-    fn push_block(&mut self, block: &[Posting], idf_bar: Fixed, dl_bars: &[Fixed]) -> Fixed {
-        let mut ub = Fixed::ZERO;
-        let mut max_tf = 0u32;
-        for p in block {
-            let dl = dl_bars.get(p.doc_id as usize).copied().unwrap_or(Fixed::ZERO);
-            ub = ub.max(term_score_fixed(idf_bar, dl, p.tf));
-            max_tf = max_tf.max(p.tf);
-        }
+    fn push_block(&mut self, (ub, max_tf): (Fixed, u32)) {
         self.ubs.push(ub);
         self.max_tfs.push(max_tf);
-        ub
+    }
+
+    /// Closes the list whose blocks were pushed from `first` on.
+    fn push_list(&mut self, first: usize) {
+        let max_ub = self.ubs[first..].iter().copied().max().unwrap_or(Fixed::ZERO);
+        self.lists.push((first, self.ubs.len() - first, max_ub));
     }
 
     /// One [`ListBounds`] per pushed list, over the tables trimmed to size.
@@ -230,10 +187,11 @@ impl ListBounds {
 
     /// Recomputes bounds from an encoded list by decoding every block —
     /// the content oracle of the load paths ([`crate::io`]) and of
-    /// [`crate::InvertedIndex::validate`]. No block decoder checks docID
-    /// order (a wrapped gap sum decodes to a smaller docID), so this pass
-    /// does, across block boundaries, and holds every docID inside
-    /// `dl_bars` rather than scoring a stray one as if it were there.
+    /// [`crate::InvertedIndex::validate`], which run it as
+    /// [`matches`](Self::matches). No block decoder checks docID order (a
+    /// wrapped gap sum decodes to a smaller docID), so this pass does,
+    /// across block boundaries, and holds every docID inside `dl_bars`
+    /// rather than scoring a stray one as if it were there.
     ///
     /// # Errors
     ///
@@ -246,8 +204,33 @@ impl ListBounds {
         dl_bars: &[Fixed],
     ) -> Result<Self, IndexError> {
         let mut bounds = BoundsBuilder::default();
-        bounds.push_recomputed(list, idf_bar, dl_bars)?;
+        let cols = &mut BlockColumns::default();
+        oracle_pass(list, idf_bar, dl_bars, cols, |_, bound| bounds.push_block(bound))?;
+        bounds.push_list(0);
         Ok(bounds.finish_one())
+    }
+
+    /// Whether these are the bounds [`recompute`](Self::recompute) gives
+    /// for `list`, compared block by block as its pass goes, with `cols`
+    /// as its decode buffer: the oracle of a heap load and of
+    /// [`crate::InvertedIndex::validate`].
+    ///
+    /// # Errors
+    ///
+    /// As [`recompute`](Self::recompute); differing bounds are `false`.
+    pub fn matches(
+        &self,
+        list: &EncodedList,
+        idf_bar: Fixed,
+        dl_bars: &[Fixed],
+        cols: &mut BlockColumns,
+    ) -> Result<bool, IndexError> {
+        let (ubs, max_tfs) = (self.ubs(), self.max_tfs());
+        let mut same = ubs.len() == list.num_blocks();
+        oracle_pass(list, idf_bar, dl_bars, cols, |b, (ub, max_tf)| {
+            same &= ubs.get(b) == Some(&ub) && max_tfs.get(b) == Some(&max_tf);
+        })?;
+        Ok(same)
     }
 
     /// Constructs bounds from raw per-block values, paired block by block
@@ -304,6 +287,56 @@ impl ListBounds {
         }
         Ok(())
     }
+}
+
+/// The bound of one block, at build and at load alike: the datapath's
+/// exact maximum over its `(docID, tf)` postings, and its largest tf. A
+/// docID beyond `dl_bars` scores at `dl̄ = 0`.
+fn block_bound(
+    postings: impl Iterator<Item = (DocId, u32)>,
+    idf_bar: Fixed,
+    dl_bars: &[Fixed],
+) -> (Fixed, u32) {
+    postings.fold((Fixed::ZERO, 0), |(ub, max_tf), (d, tf)| {
+        let dl = dl_bars.get(d as usize).copied().unwrap_or(Fixed::ZERO);
+        (ub.max(term_score_fixed(idf_bar, dl, tf)), max_tf.max(tf))
+    })
+}
+
+/// The oracle's one pass over `list` (module docs): hands `each` the
+/// index and [`block_bound`] of every block, in order, after the block's
+/// docIDs pass the order and corpus checks.
+fn oracle_pass(
+    list: &EncodedList,
+    idf_bar: Fixed,
+    dl_bars: &[Fixed],
+    cols: &mut BlockColumns,
+    mut each: impl FnMut(usize, (Fixed, u32)),
+) -> Result<(), IndexError> {
+    let view = list.verified()?;
+    // The least docID the next block may start with.
+    let mut floor = 0u64;
+    for b in 0..list.num_blocks() {
+        view.try_decode_columns_into(b, cols)?;
+        let (docs, tfs) = (cols.docs(), cols.tfs());
+        if let (Some(&first), Some(&last)) = (docs.first(), docs.last()) {
+            let increasing = docs
+                .iter()
+                .zip(&docs[1..])
+                .fold(u64::from(first) >= floor, |ok, (d, next)| ok & (d < next));
+            if !increasing {
+                return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
+            }
+            if last as usize >= dl_bars.len() {
+                return Err(IndexError::CorruptIndex {
+                    context: "posting list references docID beyond corpus",
+                });
+            }
+            floor = u64::from(last) + 1;
+        }
+        each(b, block_bound(docs.iter().copied().zip(tfs.iter().copied()), idf_bar, dl_bars));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -387,7 +420,9 @@ mod tests {
         let idf = Fixed::from_f64(2.5);
         let mut builder = BoundsBuilder::default();
         builder.push_computed(list.as_slice(), &lens, idf, &dl_bars);
-        builder.push_recomputed(&enc, idf, &dl_bars).unwrap();
+        let recomputed = ListBounds::recompute(&enc, idf, &dl_bars).unwrap();
+        builder
+            .push_stored(recomputed.ubs().iter().copied().zip(recomputed.max_tfs().to_vec()));
         builder.push_stored(std::iter::empty());
         let all = builder.finish();
         let alone = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
@@ -408,6 +443,47 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Build ([`ListBounds::compute`], over the postings) and load
+        /// ([`ListBounds::recompute`], over the encoded blocks) give the
+        /// same bounds block for block: one-posting to 256-posting blocks
+        /// (dense lists of all-equal gaps fill whole 256-posting blocks),
+        /// documents at `dl̄ = 0`, and tf spikes of 4 and 5, where the
+        /// datapath is not monotone in tf at `dl̄ = 0`.
+        #[test]
+        fn prop_build_and_load_bounds_agree_block_for_block(
+            gaps in proptest::collection::vec(1u32..40, 1..700),
+            dense in 0u32..3,
+            max_size in prop_oneof![Just(1usize), Just(256usize), 1usize..=256],
+            zero_dl_every in 1u32..5,
+            spike_every in 1usize..40,
+            idf_raw in 1u32..(200u32 << 16),
+        ) {
+            let mut doc = 0u32;
+            let postings: Vec<Posting> = gaps.iter().enumerate().map(|(i, &g)| {
+                doc += if dense == 0 { 1 } else { g };
+                let tf = match i % spike_every {
+                    0 => 4 + (i / spike_every % 2) as u32,
+                    _ => 1 + g % 3,
+                };
+                Posting::new(doc, tf)
+            }).collect();
+            let list = PostingList::from_sorted(postings);
+            let lens = Partitioner::dynamic(max_size).partition(&list);
+            let dl_bars: Vec<Fixed> = (0..=doc).map(|d| match d % zero_dl_every {
+                0 => Fixed::ZERO,
+                r => Fixed::from_f64(0.2 + f64::from(r) * 0.4),
+            }).collect();
+            let idf = Fixed::from_raw(idf_raw);
+            let built = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
+            let enc = EncodedList::encode(&list, &lens).unwrap();
+            let loaded = ListBounds::recompute(&enc, idf, &dl_bars).unwrap();
+            prop_assert_eq!(built.num_blocks(), lens.len());
+            prop_assert_eq!(built.ubs(), loaded.ubs());
+            prop_assert_eq!(built.max_tfs(), loaded.max_tfs());
+            prop_assert_eq!(built.max_ub(), loaded.max_ub());
+            prop_assert!(built.matches(&enc, idf, &dl_bars, &mut BlockColumns::default()).unwrap());
+        }
 
         /// The exact-maximum bound dominates every per-posting score, and
         /// the two computation paths (raw postings vs decoded blocks)

@@ -61,7 +61,7 @@ use crate::memtable::WriteBuffer;
 use crate::partition::Partitioner;
 use crate::posting::{Posting, PostingList};
 use crate::recovery::{self, RecoveryReport};
-use crate::score::{Bm25Params, Fixed};
+use crate::score::{avgdl, Bm25Params, Fixed};
 use crate::segment::{self, LoadedSegment, SegmentMeta};
 use crate::wal::{IngestDoc, Wal, WAL_FILE_NAME};
 
@@ -231,11 +231,8 @@ impl IncrementalIndex {
     /// The first call after an ingest builds it; later calls share it.
     pub fn dl_bars(&self) -> &[Fixed] {
         self.dl_bars.get_or_init(|| {
-            // `InvertedIndex::from_lists`'s `avgdl`, summed in the same
-            // order; an empty corpus has no entry to divide by it.
-            let lens = &self.doc_lens;
-            let avgdl = lens.iter().map(|&l| f64::from(l)).sum::<f64>() / lens.len() as f64;
-            lens.iter().map(|&l| Fixed::from_f64(self.opts.bm25.dl_bar(l, avgdl))).collect()
+            // `InvertedIndex::from_lists`'s `avgdl` and table.
+            self.opts.bm25.dl_bars(&self.doc_lens, avgdl(&self.doc_lens))
         })
     }
 

@@ -10,11 +10,12 @@ use std::sync::Arc;
 
 use crate::block::{EncodedList, TableBuilder, TableHeapBytes};
 use crate::bounds::{BoundTables, BoundsBuilder, ListBounds};
+use crate::codec::BlockColumns;
 use crate::error::IndexError;
 use crate::mmap::Mmap;
 use crate::partition::Partitioner;
 use crate::posting::{DocId, PostingList};
-use crate::score::{Bm25Params, Fixed};
+use crate::score::{avgdl, Bm25Params, Fixed};
 use crate::stats::{HeapBytes, IndexSizeStats};
 
 /// Dense identifier of a term in the index dictionary.
@@ -195,11 +196,7 @@ impl InvertedIndex {
         params: Bm25Params,
     ) -> Result<Self, IndexError> {
         let n_docs = doc_lens.len() as u64;
-        let avgdl = if doc_lens.is_empty() {
-            1.0
-        } else {
-            doc_lens.iter().map(|&l| f64::from(l)).sum::<f64>() / n_docs as f64
-        };
+        let avgdl = avgdl(&doc_lens);
         let with_idf = lists
             .into_iter()
             .map(|(term, list)| {
@@ -238,8 +235,7 @@ impl InvertedIndex {
 
         // Per-document constants first: block score bounds are computed
         // from the same dl̄ table the scoring datapath will read.
-        let dl_bars: Vec<Fixed> =
-            doc_lens.iter().map(|&l| Fixed::from_f64(params.dl_bar(l, avgdl))).collect();
+        let dl_bars = params.dl_bars(&doc_lens, avgdl);
 
         // Every list encodes into one set of tables, and its bounds into
         // another: a term's own heap cost is its name.
@@ -283,8 +279,9 @@ impl InvertedIndex {
     ///
     /// The caller is responsible for having validated `lists` (the
     /// loader's table builder checks each record's structure) and `bounds`
-    /// (recomputed from the lists, or stored ones checked for shape with
-    /// content integrity resting on their section CRC). This constructor
+    /// (held to the lists by the oracle, or stored ones checked for shape
+    /// with content integrity resting on their section CRC), and hands
+    /// over `doc_lens`' `dl̄` table at `avgdl`, built once. This constructor
     /// checks the cross-field invariants: table lengths agree, term names
     /// are unique, each list's last block starts inside the corpus (its
     /// first touch checks the rest of that block), and df matches each
@@ -299,6 +296,7 @@ impl InvertedIndex {
         lists: Vec<EncodedList>,
         bounds: Vec<ListBounds>,
         doc_lens: Vec<u32>,
+        dl_bars: Vec<Fixed>,
         avgdl: f64,
         params: Bm25Params,
         partitioner: Partitioner,
@@ -323,8 +321,6 @@ impl InvertedIndex {
                 }
             }
         }
-        let dl_bars: Vec<Fixed> =
-            doc_lens.iter().map(|&l| Fixed::from_f64(params.dl_bar(l, avgdl))).collect();
         Ok(InvertedIndex {
             dictionary: TermTable::build(&terms)?,
             terms,
@@ -496,6 +492,7 @@ impl InvertedIndex {
             return Err(IndexError::CorruptIndex { context: "score bounds count" });
         }
         let n_docs = self.doc_lens.len() as u64;
+        let cols = &mut BlockColumns::default();
         for (id, (info, list)) in self.terms.iter().zip(&self.lists).enumerate() {
             if self.term_id(&info.term) != Some(id as TermId) {
                 return Err(IndexError::CorruptIndex { context: "dictionary mapping" });
@@ -515,7 +512,7 @@ impl InvertedIndex {
             // decode-and-recompute oracle, not just structural checks.
             let bounds = &self.bounds[id];
             bounds.validate_against(list)?;
-            if *bounds != ListBounds::recompute(list, info.idf_bar, &self.dl_bars)? {
+            if !bounds.matches(list, info.idf_bar, &self.dl_bars, cols)? {
                 return Err(IndexError::CorruptIndex { context: "score bounds mismatch" });
             }
         }

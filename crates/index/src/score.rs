@@ -29,6 +29,15 @@ pub struct Bm25Params {
     pub b: f64,
 }
 
+/// The mean of `doc_lens`, summed in document order; 1 for an empty
+/// corpus.
+pub fn avgdl(doc_lens: &[u32]) -> f64 {
+    if doc_lens.is_empty() {
+        return 1.0;
+    }
+    doc_lens.iter().map(|&l| f64::from(l)).sum::<f64>() / doc_lens.len() as f64
+}
+
 impl Default for Bm25Params {
     fn default() -> Self {
         Bm25Params { k1: 1.2, b: 0.75 }
@@ -53,6 +62,12 @@ impl Bm25Params {
     /// `dl̄(d) = k₁ · (1 − b + b · |d| / avgdl)`.
     pub fn dl_bar(&self, doc_len: u32, avgdl: f64) -> f64 {
         self.k1 * (1.0 - self.b + self.b * f64::from(doc_len) / avgdl)
+    }
+
+    /// The Q16.16 `dl̄` of every document of `doc_lens` at `avgdl`: the
+    /// table the scoring datapath and the block bounds read.
+    pub fn dl_bars(&self, doc_lens: &[u32], avgdl: f64) -> Vec<Fixed> {
+        doc_lens.iter().map(|&l| Fixed::from_f64(self.dl_bar(l, avgdl))).collect()
     }
 
     /// Reference (double-precision) per-term score contribution:

@@ -197,11 +197,20 @@ cargo clippy -p iiu-serve -p iiu-baseline -p iiu-codecs -p iiu-workloads -p iiu-
 # a dangling link.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# The four perf gates below write their reports under target/bench/, not
+# over the committed BENCH_*.json at the root: a gate run would otherwise
+# rewrite the committed report on every full run, and the rewrite would
+# be discarded, leaving the committed file from an older tree. A change
+# that means to refresh a committed report runs its gate without --out
+# (the default is the root BENCH_*.json), commits the file, and says so
+# in CHANGES.md. --check reads only the thresholds file either way.
+mkdir -p target/bench
+
 # Decode perf gate + codec shootout (DESIGN.md §12, §13, §18):
 # re-measures exhaustive and pruned top-k on the baseline engine and the
-# served pair kernel on bit-packed blocks at every gated width, rewrites
-# BENCH_decode.json, and fails if any gated min_ns exceeds the committed
-# baseline by more than the fail_above_ratio in
+# served pair kernel on bit-packed blocks at every gated width, writes
+# target/bench/BENCH_decode.json, and fails if any gated min_ns exceeds
+# the committed baseline by more than the fail_above_ratio in
 # BENCH_decode_thresholds.json, if a gated metric has no baseline (or a
 # baseline no metric), if pruning stops skipping blocks, if the
 # single-term k=10 pruning gain drops below 1.5x, if pruned AND or pruned
@@ -215,22 +224,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # timing), checked against a reference summed without the codec.
 if [ "$quick" -eq 0 ]; then
     cargo run --release -p iiu-bench --bin decode_bench -- \
-        --check BENCH_decode_thresholds.json
+        --out target/bench/BENCH_decode.json --check BENCH_decode_thresholds.json
 else
     echo "verify: --quick set, running codec decode smoke instead of perf gate"
     cargo run --release -p iiu-bench --bin decode_bench -- --smoke
 fi
 
 # Shard scaling gate (DESIGN.md §14): re-measures document-sharded vs
-# unsharded pruned top-k on the 60k-doc corpus, rewrites BENCH_shard.json,
-# and fails if a gated wall min_ns regresses past the committed baseline,
-# if the 4-shard single-term k=10 modeled QPS gain drops below 2.5x, or
-# if per-shard pruning stops skipping blocks. Regenerate baselines with:
+# unsharded pruned top-k on the 60k-doc corpus, writes
+# target/bench/BENCH_shard.json, and fails if a gated wall min_ns
+# regresses past the committed baseline, if the 4-shard single-term k=10
+# modeled QPS gain drops below 2.5x, or if per-shard pruning stops
+# skipping blocks. Regenerate baselines with:
 #   cargo run --release -p iiu-bench --bin shard_bench -- \
 #     --write-thresholds BENCH_shard_thresholds.json
 if [ "$quick" -eq 0 ]; then
     cargo run --release -p iiu-bench --bin shard_bench -- \
-        --check BENCH_shard_thresholds.json
+        --out target/bench/BENCH_shard.json --check BENCH_shard_thresholds.json
 else
     echo "verify: --quick set, skipping shard scaling gate"
 fi
@@ -242,15 +252,15 @@ fi
 # max_warm_ratio plus committed min_ns baselines), reports an advisory
 # cold-cache sweep, and re-execs itself to stream a 1M-doc corpus to disk
 # and serve it through a fresh mapping — failing if that child's peak RSS
-# exceeds the committed rss_max_kb. Rewrites BENCH_mmap.json. Regenerate
-# baselines with:
+# exceeds the committed rss_max_kb. Writes target/bench/BENCH_mmap.json.
+# Regenerate baselines with:
 #   cargo run --release -p iiu-bench --bin mmap_bench -- \
 #     --write-thresholds BENCH_mmap_thresholds.json
 # Under --quick, only the source-equivalence smoke runs (no timing, no
 # RSS child).
 if [ "$quick" -eq 0 ]; then
     cargo run --release -p iiu-bench --bin mmap_bench -- \
-        --check BENCH_mmap_thresholds.json
+        --out target/bench/BENCH_mmap.json --check BENCH_mmap_thresholds.json
 else
     echo "verify: --quick set, running mmap source-equivalence smoke instead of perf gate"
     cargo run --release -p iiu-bench --bin mmap_bench -- --smoke
@@ -261,14 +271,14 @@ fi
 # fixed topology (every query fans out) vs the hybrid inter/intra-query
 # scheduler — with the device path sabotaged so everything runs the
 # sharded CPU path. Proves the two modes' hit streams bit-identical,
-# rewrites BENCH_serve.json, and fails unless the hybrid p99 is strictly
-# below the fixed p99, both routes were exercised, and the committed
-# end-to-end latency ceilings hold. Regenerate baselines with:
+# writes target/bench/BENCH_serve.json, and fails unless the hybrid p99
+# is strictly below the fixed p99, both routes were exercised, and the
+# committed end-to-end latency ceilings hold. Regenerate baselines with:
 #   cargo run --release -p iiu-bench --bin serve_bench -- \
 #     --write-thresholds BENCH_serve_thresholds.json
 if [ "$quick" -eq 0 ]; then
     cargo run --release -p iiu-bench --bin serve_bench -- \
-        --check BENCH_serve_thresholds.json
+        --out target/bench/BENCH_serve.json --check BENCH_serve_thresholds.json
 else
     echo "verify: --quick set, skipping serve tail-latency gate"
 fi
