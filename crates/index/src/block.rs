@@ -24,6 +24,13 @@
 //! built or loaded onto the heap. An [`EncodedList`] is a handle — the
 //! shared tables and the list's span in them — so a term costs a fixed
 //! record instead of a heap allocation per table (DESIGN.md §19).
+//!
+//! The tables also hold what a list's *first touch* checks it against:
+//! the index's `dl̄` table and its stored block bounds, with the list's
+//! `idf̄` in its span. The first touch is one check on two schedules — the
+//! record CRC where the record is kept, then the content oracle over the
+//! list's blocks — run for every list before a heap load returns, and on
+//! a mapped list's first use (the policy table in [`crate::io`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -32,11 +39,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::bitpack::bits_for;
+use crate::bounds::{BoundTables, ListBounds};
 use crate::checksum;
 use crate::codec::{self, BlockColumns, CodecId};
 use crate::error::IndexError;
 use crate::mmap::Mmap;
 use crate::posting::{DocId, Posting, PostingList};
+use crate::score::Fixed;
 use crate::shard::{DocWindow, DOC_END};
 
 /// Maximum number of postings a block can hold: the metadata word has an
@@ -113,8 +122,10 @@ impl BlockMeta {
 
 /// The flat tables behind every [`EncodedList`] of one index: one entry
 /// per block in `metas` and `skips`, one [`RecordCrc`] per term record of
-/// a mapped file, and the payload backing each list's span points
-/// into. Immutable once frozen by [`TableBuilder::freeze`].
+/// a mapped file, the payload backing each list's span points into, and
+/// what a first touch holds a list to — the `dl̄` table and the stored
+/// bounds, whose entries line up with `metas`. Immutable once frozen by
+/// [`TableBuilder::freeze`].
 #[derive(Debug)]
 pub(crate) struct BlockTables {
     metas: Vec<BlockMeta>,
@@ -122,9 +133,10 @@ pub(crate) struct BlockTables {
     crcs: Vec<RecordCrc>,
     /// The index file's mapping, or an owned buffer ([`Mmap::from_vec`]).
     payload: Arc<Mmap>,
-    /// Documents in the index: the first touch of a list holds its
-    /// docIDs below this.
-    num_docs: u64,
+    /// One `dl̄` per document of the index, shared with the index.
+    dl_bars: Arc<[Fixed]>,
+    /// The bound tables the index's [`ListBounds`] handles share.
+    bounds: Arc<BoundTables>,
 }
 
 impl Default for BlockTables {
@@ -134,7 +146,8 @@ impl Default for BlockTables {
             skips: Vec::new(),
             crcs: Vec::new(),
             payload: Arc::new(Mmap::from_vec(Vec::new())),
-            num_docs: 0,
+            dl_bars: Arc::default(),
+            bounds: Arc::default(),
         }
     }
 }
@@ -151,46 +164,66 @@ pub(crate) struct TableHeapBytes {
     pub(crate) payload: u64,
 }
 
-impl TableHeapBytes {
-    /// The tables behind `list` — and so behind every list of its index,
-    /// which all share them.
-    pub(crate) fn of(list: &EncodedList) -> Self {
-        let tables = &list.tables;
+impl BlockTables {
+    /// Heap bytes of these tables.
+    pub(crate) fn heap_bytes(&self) -> TableHeapBytes {
         TableHeapBytes {
-            blocks: (tables.metas.capacity() * std::mem::size_of::<BlockMeta>()
-                + tables.skips.capacity() * std::mem::size_of::<DocId>())
+            blocks: (self.metas.capacity() * std::mem::size_of::<BlockMeta>()
+                + self.skips.capacity() * std::mem::size_of::<DocId>())
                 as u64,
-            crcs: (tables.crcs.capacity() * std::mem::size_of::<RecordCrc>()) as u64,
-            payload: tables.payload.heap_bytes(),
+            crcs: (self.crcs.capacity() * std::mem::size_of::<RecordCrc>()) as u64,
+            payload: self.payload.heap_bytes(),
         }
     }
 }
 
-/// The deferred checksum of one term record of a mapped file, checked on
-/// the list's first touch instead of at open (hashing every record at
-/// open would fault in every payload page for nothing). The verdict is
-/// cached, so the steady state is one atomic load per decode, and clones
-/// of a list agree on it because they share the tables.
+/// The deferred first touch of one term record of a mapped file, run on
+/// the list's first use instead of at open (hashing every record at open
+/// would fault in every payload page for nothing). The verdict is kept,
+/// so the steady state is one atomic load per decode, and clones of a
+/// list agree on it because they share the tables.
 #[derive(Debug)]
 struct RecordCrc {
     /// Offset of the record's first byte in the mapping. The record ends
     /// where its list's payload does, and its stored CRC follows it.
     start: usize,
-    /// [`UNVERIFIED`], [`VERIFIED`], [`BEYOND_CORPUS`], or [`CHECKSUM_BAD`]
-    /// with the computed CRC in the high 32 bits.
+    /// [`UNVERIFIED`], [`VERIFIED`], [`FAULT`] with the fault's slot in
+    /// [`KEPT_FAULTS`] in the high 32 bits, or [`CHECKSUM_BAD`] with the
+    /// computed CRC there.
     verdict: AtomicU64,
 }
 
 const UNVERIFIED: u64 = 0;
 const VERIFIED: u64 = 1;
-const BEYOND_CORPUS: u64 = 2;
+const FAULT: u64 = 2;
 const CHECKSUM_BAD: u64 = 3;
+
+/// The `CorruptIndex` contexts a first touch names past its record CRC,
+/// so that a kept verdict names the same one again. A fault not listed
+/// here is not kept, and the next touch runs the check again.
+const KEPT_FAULTS: [&str; 3] = [
+    "docIDs not increasing",
+    "posting list references docID beyond corpus",
+    "score bounds mismatch",
+];
+
+/// The verdict to keep for the outcome of a first touch.
+fn kept(outcome: &Result<(), IndexError>) -> u64 {
+    match outcome {
+        Ok(()) => VERIFIED,
+        Err(IndexError::ChecksumMismatch { found, .. }) => {
+            CHECKSUM_BAD | u64::from(*found) << 32
+        }
+        Err(IndexError::CorruptIndex { context }) => KEPT_FAULTS
+            .iter()
+            .position(|kept| kept == context)
+            .map_or(UNVERIFIED, |slot| FAULT | (slot as u64) << 32),
+        Err(_) => UNVERIFIED,
+    }
+}
 
 /// The `crc` slot of a list with no deferred checksum.
 const NO_CRC: u32 = u32::MAX;
-
-const BEYOND_CORPUS_ERROR: IndexError =
-    IndexError::CorruptIndex { context: "posting list references docID beyond corpus" };
 
 /// Where one list lives in its index's [`BlockTables`].
 #[derive(Debug, Clone, Copy)]
@@ -199,6 +232,9 @@ pub(crate) struct ListSpan {
     blocks: u32,
     /// Slot in the CRC table, or [`NO_CRC`].
     crc: u32,
+    /// The list's term constant, which its first touch scores with; it
+    /// fills what would be padding.
+    idf_bar: Fixed,
     payload_start: usize,
     payload_len: usize,
     num_postings: u64,
@@ -209,15 +245,11 @@ impl ListSpan {
         first: 0,
         blocks: 0,
         crc: NO_CRC,
+        idf_bar: Fixed::ZERO,
         payload_start: 0,
         payload_len: 0,
         num_postings: 0,
     };
-
-    /// Postings the list's record declares.
-    pub(crate) fn num_postings(&self) -> u64 {
-        self.num_postings
-    }
 
     fn blocks(&self) -> Range<usize> {
         let first = self.first as usize;
@@ -241,8 +273,8 @@ pub(crate) struct TableBuilder {
 
 impl TableBuilder {
     /// Compresses `list` using the block boundaries produced by a
-    /// partitioner and appends it: the encoder behind
-    /// [`EncodedList::encode_with`] and every index build.
+    /// partitioner and appends it, under its term constant `idf_bar`: the
+    /// encoder behind [`EncodedList::encode_with`] and every index build.
     ///
     /// # Errors
     ///
@@ -251,6 +283,7 @@ impl TableBuilder {
         &mut self,
         list: &PostingList,
         block_lens: &[usize],
+        idf_bar: Fixed,
     ) -> Result<ListSpan, IndexError> {
         let postings = list.as_slice();
         let total: usize = block_lens.iter().sum();
@@ -304,6 +337,7 @@ impl TableBuilder {
             first,
             blocks,
             crc: NO_CRC,
+            idf_bar,
             payload_start,
             payload_len: self.payload.len() - payload_start,
             num_postings: postings.len() as u64,
@@ -311,7 +345,8 @@ impl TableBuilder {
     }
 
     /// Appends a list parsed from a term record — nothing is decoded — and
-    /// checks its structure ([`EncodedList::validate`]). `mapped` is
+    /// checks its structure ([`EncodedList::validate`]), under its term
+    /// constant `idf_bar`. `mapped` is
     /// `(record start, payload offset)` in the mapping the tables will be
     /// frozen over: the payload stays there and the record CRC is deferred
     /// to first touch. With `None` the payload is copied into the owned
@@ -326,6 +361,7 @@ impl TableBuilder {
         skips: impl Iterator<Item = DocId>,
         payload: &[u8],
         num_postings: u64,
+        idf_bar: Fixed,
         mapped: Option<(usize, usize)>,
     ) -> Result<ListSpan, IndexError> {
         let first = self.metas.len();
@@ -356,6 +392,7 @@ impl TableBuilder {
             first,
             blocks,
             crc,
+            idf_bar,
             payload_start,
             payload_len: payload.len(),
             num_postings,
@@ -370,9 +407,16 @@ impl TableBuilder {
     }
 
     /// Ends the build or load: the tables, trimmed to size, over `mapping`
-    /// when the lists' payloads lie in it, else over the owned buffer.
-    /// `num_docs` is the corpus the first touch holds docIDs to.
-    pub(crate) fn freeze(self, mapping: Option<Arc<Mmap>>, num_docs: u64) -> Arc<BlockTables> {
+    /// when the lists' payloads lie in it, else over the owned buffer,
+    /// beside what a first touch holds the lists to — the index's `dl̄`
+    /// table and the tables behind its lists' `bounds`, laid out block
+    /// for block as these are.
+    pub(crate) fn freeze(
+        self,
+        mapping: Option<Arc<Mmap>>,
+        dl_bars: Arc<[Fixed]>,
+        bounds: &[ListBounds],
+    ) -> Arc<BlockTables> {
         let TableBuilder { mut metas, mut skips, mut crcs, mut payload, .. } = self;
         metas.shrink_to_fit();
         skips.shrink_to_fit();
@@ -381,7 +425,8 @@ impl TableBuilder {
             payload.shrink_to_fit();
             Arc::new(Mmap::from_vec(payload))
         });
-        Arc::new(BlockTables { metas, skips, crcs, payload, num_docs })
+        let bounds = BoundTables::of(bounds);
+        Arc::new(BlockTables { metas, skips, crcs, payload, dl_bars, bounds })
     }
 }
 
@@ -643,8 +688,8 @@ impl EncodedList {
     /// list length or violates [`MAX_BLOCK_LEN`].
     pub fn encode(list: &PostingList, block_lens: &[usize]) -> Result<Self, IndexError> {
         let mut tables = TableBuilder::default();
-        let span = tables.encode(list, block_lens)?;
-        Ok(EncodedList::new(&tables.freeze(None, 0), span))
+        let span = tables.encode(list, block_lens, Fixed::ZERO)?;
+        Ok(EncodedList::new(&tables.freeze(None, Arc::default(), &[]), span))
     }
 
     /// [`EncodedList::encode`] under `codec`, which can only name the one
@@ -683,33 +728,44 @@ impl EncodedList {
         }
     }
 
-    /// Runs the deferred record checksum, if this list carries one (lists
-    /// served from a mapped file), once: the record CRC, then its
-    /// last block against the corpus size. Owned lists return `Ok`
-    /// unconditionally. Engines call this at term-resolve time so
-    /// corruption surfaces as a typed error before any panicking decode
-    /// wrapper runs; the decode entry points below also call it as defense
-    /// in depth, once per block. A query walk instead takes
-    /// [`EncodedList::verified`] once per list and decodes through that
-    /// view, so the check runs once per list per query.
+    /// Runs the list's deferred first touch, if it carries one (lists
+    /// served from a mapped file), once, and keeps the verdict: the record
+    /// CRC, then the content oracle — every block decoded once, docIDs
+    /// strictly increasing and inside the corpus, and the stored block
+    /// bounds equal to the ones they give. A heap-loaded list ran the same
+    /// check before its load returned, and a built one computed its
+    /// bounds, so both return `Ok` unconditionally. Engines call this at
+    /// term-resolve time so corruption surfaces as a typed error before
+    /// any panicking decode wrapper runs; the decode entry points below
+    /// also call it as defense in depth, once per block. A query walk
+    /// instead takes [`EncodedList::verified`] once per list and decodes
+    /// through that view, so the check runs once per list per query.
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::ChecksumMismatch`] on a corrupt record, and
-    /// [`IndexError::CorruptIndex`] when its last block holds a docID
-    /// beyond the corpus.
+    /// [`IndexError::CorruptIndex`] when a block fails to decode, its
+    /// docIDs are out of order or beyond the corpus (`docIDs not
+    /// increasing`, `posting list references docID beyond corpus`), or the
+    /// stored bounds differ (`score bounds mismatch`).
     pub fn ensure_verified(&self) -> Result<(), IndexError> {
         let Some(crc) = self.tables.crcs.get(self.span.crc as usize) else {
             return Ok(());
         };
-        match crc.verdict.load(Ordering::Acquire) {
+        let verdict = crc.verdict.load(Ordering::Acquire);
+        let high = (verdict >> 32) as u32;
+        match verdict & u64::from(u32::MAX) {
+            UNVERIFIED => {
+                let outcome = self.first_touch(&mut BlockColumns::default());
+                crc.verdict.store(kept(&outcome), Ordering::Release);
+                outcome
+            }
             VERIFIED => Ok(()),
-            UNVERIFIED => self.first_touch(crc),
-            BEYOND_CORPUS => Err(BEYOND_CORPUS_ERROR),
-            bad => Err(IndexError::ChecksumMismatch {
+            FAULT => Err(IndexError::CorruptIndex { context: KEPT_FAULTS[high as usize] }),
+            _ => Err(IndexError::ChecksumMismatch {
                 section: "term record",
                 expected: self.record(crc)?.1,
-                found: (bad >> 32) as u32,
+                found: high,
             }),
         }
     }
@@ -738,34 +794,28 @@ impl EncodedList {
         }
     }
 
-    /// The one check behind [`EncodedList::ensure_verified`]. Concurrent
-    /// racers recompute harmlessly: the verdict is a pure function of
-    /// immutable bytes.
-    fn first_touch(&self, crc: &RecordCrc) -> Result<(), IndexError> {
-        let (record, expected) = self.record(crc)?;
-        let found = checksum::crc32(record);
-        if found != expected {
-            crc.verdict.store(CHECKSUM_BAD | u64::from(found) << 32, Ordering::Release);
-            return Err(IndexError::ChecksumMismatch {
-                section: "term record",
-                expected,
-                found,
-            });
-        }
-        // A mapped open takes docID order on the record CRC, which puts
-        // the largest docID in the last block; the open held only that
-        // block's first docID to the corpus.
-        let view = self.view();
-        if let Some(last) = view.metas.len().checked_sub(1) {
-            let mut block = Vec::with_capacity(usize::from(view.metas[last].count));
-            view.try_decode_pairs_into(last, &mut block)?;
-            if block.iter().any(|p| u64::from(p.doc_id) >= self.tables.num_docs) {
-                crc.verdict.store(BEYOND_CORPUS, Ordering::Release);
-                return Err(BEYOND_CORPUS_ERROR);
+    /// The list's first touch, the one check both backings hold a list to
+    /// and the one caller of the content oracle ([`BoundTables::matches`]):
+    /// the record CRC where the record is kept (a mapped file; a heap load
+    /// checked it while framing), then one pass over the blocks with `cols`
+    /// as its decode buffer. Not kept; [`EncodedList::ensure_verified`]
+    /// keeps it. Concurrent racers recompute harmlessly: the outcome is a
+    /// pure function of immutable bytes.
+    pub(crate) fn first_touch(&self, cols: &mut BlockColumns) -> Result<(), IndexError> {
+        if let Some(crc) = self.tables.crcs.get(self.span.crc as usize) {
+            let (record, expected) = self.record(crc)?;
+            let found = checksum::crc32(record);
+            if found != expected {
+                return Err(IndexError::ChecksumMismatch {
+                    section: "term record",
+                    expected,
+                    found,
+                });
             }
         }
-        crc.verdict.store(VERIFIED, Ordering::Release);
-        Ok(())
+        let tables = &self.tables;
+        let blocks = self.span.blocks();
+        tables.bounds.matches(blocks, self.view(), self.span.idf_bar, &tables.dl_bars, cols)
     }
 
     /// Number of blocks.
@@ -1085,6 +1135,14 @@ mod tests {
             ..BlockTables::default()
         });
         EncodedList::new(&tables, span)
+    }
+
+    #[test]
+    fn a_list_handle_carries_its_idf_bar_in_padding() {
+        // The term constant a first touch scores with fills the span's
+        // padding, so a list handle costs what it did without it.
+        assert_eq!(std::mem::size_of::<ListSpan>(), 40);
+        assert_eq!(std::mem::size_of::<EncodedList>(), 48);
     }
 
     #[test]

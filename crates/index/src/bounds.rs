@@ -27,18 +27,20 @@
 //! paid by a build and again by a heap load's oracle.
 //!
 //! Bounds are derived data. A build computes them from the postings, and
-//! a heap load and [`crate::InvertedIndex::validate`] hold stored ones to
-//! the oracle ([`ListBounds::matches`]): one pass per list that decodes
-//! each block's docID and tf columns into one reused buffer, checks docID
-//! order as a branch-free fold (one branch per block), holds the block's
-//! last docID to the corpus, and compares the stored pair with the one
-//! per-block bound function the build uses too.
+//! a loaded list's first touch ([`crate::EncodedList::ensure_verified`];
+//! at load on the heap, on first use when mapped) holds stored ones to the
+//! oracle: one pass per list that decodes each block's docID and tf
+//! columns into one reused buffer, checks docID order as a branch-free
+//! fold (one branch per block), holds the block's last docID to the
+//! corpus, and compares the stored pair with the one per-block bound
+//! function the build uses too.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::block::EncodedList;
+use crate::block::{EncodedList, ListView};
 use crate::codec::BlockColumns;
 use crate::error::IndexError;
 use crate::posting::{DocId, Posting};
@@ -52,13 +54,52 @@ pub(crate) struct BoundTables {
     max_tfs: Vec<u32>,
 }
 
+/// What the oracle answers for a list whose postings pass but whose
+/// stored bounds differ from the ones they give.
+pub(crate) const BOUNDS_MISMATCH: IndexError =
+    IndexError::CorruptIndex { context: "score bounds mismatch" };
+
 impl BoundTables {
+    /// The tables behind `bounds`, which all share one (empty tables for
+    /// none).
+    pub(crate) fn of(bounds: &[ListBounds]) -> Arc<BoundTables> {
+        bounds.first().map(|b| Arc::clone(&b.tables)).unwrap_or_default()
+    }
+
     /// Heap bytes of the tables behind `bounds` — and so behind every
     /// list's bounds of its index, which all share them.
     pub(crate) fn heap_bytes_of(bounds: &ListBounds) -> u64 {
         let tables = &bounds.tables;
         (tables.ubs.capacity() * std::mem::size_of::<Fixed>()
             + tables.max_tfs.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+
+    /// The oracle (module docs): whether entries `blocks` of these tables
+    /// are the bounds one pass over `list` gives, compared block by block
+    /// as the pass goes, with `cols` as its decode buffer. Its one caller
+    /// is a list's first touch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IndexError::CorruptIndex`] if a block fails to decode, the
+    /// decoded docIDs are not strictly increasing, or one lies beyond the
+    /// corpus `dl_bars` describes, and [`BOUNDS_MISMATCH`] if they all
+    /// pass but the bounds differ.
+    pub(crate) fn matches(
+        &self,
+        blocks: Range<usize>,
+        list: ListView<'_>,
+        idf_bar: Fixed,
+        dl_bars: &[Fixed],
+        cols: &mut BlockColumns,
+    ) -> Result<(), IndexError> {
+        let ubs = self.ubs.get(blocks.clone()).unwrap_or(&[]);
+        let max_tfs = self.max_tfs.get(blocks).unwrap_or(&[]);
+        let mut same = ubs.len() == list.metas().len();
+        oracle_pass(list, idf_bar, dl_bars, cols, |b, (ub, max_tf)| {
+            same &= ubs.get(b) == Some(&ub) && max_tfs.get(b) == Some(&max_tf);
+        })?;
+        same.then_some(()).ok_or(BOUNDS_MISMATCH)
     }
 }
 
@@ -185,54 +226,6 @@ impl ListBounds {
         bounds.finish_one()
     }
 
-    /// Recomputes bounds from an encoded list by decoding every block —
-    /// the content oracle of the load paths ([`crate::io`]) and of
-    /// [`crate::InvertedIndex::validate`], which run it as
-    /// [`matches`](Self::matches). No block decoder checks docID order (a
-    /// wrapped gap sum decodes to a smaller docID), so this pass does,
-    /// across block boundaries, and holds every docID inside `dl_bars`
-    /// rather than scoring a stray one as if it were there.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if a block fails to decode, the
-    /// decoded docIDs are not strictly increasing, or one lies beyond the
-    /// corpus `dl_bars` describes.
-    pub fn recompute(
-        list: &EncodedList,
-        idf_bar: Fixed,
-        dl_bars: &[Fixed],
-    ) -> Result<Self, IndexError> {
-        let mut bounds = BoundsBuilder::default();
-        let cols = &mut BlockColumns::default();
-        oracle_pass(list, idf_bar, dl_bars, cols, |_, bound| bounds.push_block(bound))?;
-        bounds.push_list(0);
-        Ok(bounds.finish_one())
-    }
-
-    /// Whether these are the bounds [`recompute`](Self::recompute) gives
-    /// for `list`, compared block by block as its pass goes, with `cols`
-    /// as its decode buffer: the oracle of a heap load and of
-    /// [`crate::InvertedIndex::validate`].
-    ///
-    /// # Errors
-    ///
-    /// As [`recompute`](Self::recompute); differing bounds are `false`.
-    pub fn matches(
-        &self,
-        list: &EncodedList,
-        idf_bar: Fixed,
-        dl_bars: &[Fixed],
-        cols: &mut BlockColumns,
-    ) -> Result<bool, IndexError> {
-        let (ubs, max_tfs) = (self.ubs(), self.max_tfs());
-        let mut same = ubs.len() == list.num_blocks();
-        oracle_pass(list, idf_bar, dl_bars, cols, |b, (ub, max_tf)| {
-            same &= ubs.get(b) == Some(&ub) && max_tfs.get(b) == Some(&max_tf);
-        })?;
-        Ok(same)
-    }
-
     /// Constructs bounds from raw per-block values, paired block by block
     /// (a longer one is cut to the shorter).
     pub fn from_raw_parts(ubs: Vec<Fixed>, max_tfs: Vec<u32>) -> Self {
@@ -305,19 +298,21 @@ fn block_bound(
 
 /// The oracle's one pass over `list` (module docs): hands `each` the
 /// index and [`block_bound`] of every block, in order, after the block's
-/// docIDs pass the order and corpus checks.
+/// docIDs pass the order and corpus checks. No block decoder checks docID
+/// order (a wrapped gap sum decodes to a smaller docID), so this pass
+/// does, across block boundaries, and holds every docID inside `dl_bars`
+/// rather than scoring a stray one as if it were there.
 fn oracle_pass(
-    list: &EncodedList,
+    list: ListView<'_>,
     idf_bar: Fixed,
     dl_bars: &[Fixed],
     cols: &mut BlockColumns,
     mut each: impl FnMut(usize, (Fixed, u32)),
 ) -> Result<(), IndexError> {
-    let view = list.verified()?;
     // The least docID the next block may start with.
     let mut floor = 0u64;
-    for b in 0..list.num_blocks() {
-        view.try_decode_columns_into(b, cols)?;
+    for b in 0..list.metas().len() {
+        list.try_decode_columns_into(b, cols)?;
         let (docs, tfs) = (cols.docs(), cols.tfs());
         if let (Some(&first), Some(&last)) = (docs.first(), docs.last()) {
             let increasing = docs
@@ -346,6 +341,22 @@ mod tests {
     use crate::posting::PostingList;
     use proptest::prelude::*;
 
+    /// Bounds from an encoded list by decoding every block: the oracle's
+    /// pass, handing back the bounds instead of comparing them.
+    fn recompute(
+        list: &EncodedList,
+        idf_bar: Fixed,
+        dl_bars: &[Fixed],
+    ) -> Result<ListBounds, IndexError> {
+        let mut bounds = BoundsBuilder::default();
+        let cols = &mut BlockColumns::default();
+        oracle_pass(list.verified()?, idf_bar, dl_bars, cols, |_, bound| {
+            bounds.push_block(bound)
+        })?;
+        bounds.push_list(0);
+        Ok(bounds.finish_one())
+    }
+
     fn fixture(
         pairs: &[(u32, u32)],
         max_size: usize,
@@ -366,7 +377,7 @@ mod tests {
         let idf = Fixed::from_f64(4.2);
         let direct = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
         let enc = EncodedList::encode(&list, &lens).unwrap();
-        let via_decode = ListBounds::recompute(&enc, idf, &dl_bars).unwrap();
+        let via_decode = recompute(&enc, idf, &dl_bars).unwrap();
         assert_eq!(direct, via_decode);
         assert_eq!(direct.num_blocks(), enc.num_blocks());
         direct.validate_against(&enc).unwrap();
@@ -420,7 +431,7 @@ mod tests {
         let idf = Fixed::from_f64(2.5);
         let mut builder = BoundsBuilder::default();
         builder.push_computed(list.as_slice(), &lens, idf, &dl_bars);
-        let recomputed = ListBounds::recompute(&enc, idf, &dl_bars).unwrap();
+        let recomputed = recompute(&enc, idf, &dl_bars).unwrap();
         builder
             .push_stored(recomputed.ubs().iter().copied().zip(recomputed.max_tfs().to_vec()));
         builder.push_stored(std::iter::empty());
@@ -477,12 +488,13 @@ mod tests {
             let idf = Fixed::from_raw(idf_raw);
             let built = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
             let enc = EncodedList::encode(&list, &lens).unwrap();
-            let loaded = ListBounds::recompute(&enc, idf, &dl_bars).unwrap();
+            let loaded = recompute(&enc, idf, &dl_bars).unwrap();
             prop_assert_eq!(built.num_blocks(), lens.len());
             prop_assert_eq!(built.ubs(), loaded.ubs());
             prop_assert_eq!(built.max_tfs(), loaded.max_tfs());
             prop_assert_eq!(built.max_ub(), loaded.max_ub());
-            prop_assert!(built.matches(&enc, idf, &dl_bars, &mut BlockColumns::default()).unwrap());
+            let (view, cols) = (enc.verified().unwrap(), &mut BlockColumns::default());
+            prop_assert!(built.tables.matches(0..lens.len(), view, idf, &dl_bars, cols).is_ok());
         }
 
         /// The exact-maximum bound dominates every per-posting score, and
@@ -503,7 +515,7 @@ mod tests {
             let idf = Fixed::from_raw(idf_raw);
             let bounds = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
             let enc = EncodedList::encode(&list, &lens).unwrap();
-            prop_assert_eq!(&bounds, &ListBounds::recompute(&enc, idf, &dl_bars).unwrap());
+            prop_assert_eq!(&bounds, &recompute(&enc, idf, &dl_bars).unwrap());
             let mut at = 0usize;
             for (b, &len) in lens.iter().enumerate() {
                 for p in &list.as_slice()[at..at + len] {

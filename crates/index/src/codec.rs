@@ -492,6 +492,7 @@ mod tests {
     /// zero-padded.
     fn every_width_case(mut check: impl FnMut(&WidthCase)) {
         use crate::block::{BlockMeta, EncodedList, TableBuilder};
+        use crate::score::Fixed;
         let skip: DocId = 7;
         for gw in 0..=31u8 {
             for tw in 0..=31u8 {
@@ -514,10 +515,14 @@ mod tests {
                                 [skip, next_skip as DocId].into_iter(),
                                 &[block.as_slice(), &block].concat(),
                                 2 * n as u64,
+                                Fixed::ZERO,
                                 None,
                             )
                             .unwrap();
-                        let list = EncodedList::new(&tables.freeze(None, 0), span);
+                        let list = EncodedList::new(
+                            &tables.freeze(None, std::sync::Arc::default(), &[]),
+                            span,
+                        );
                         let second = postings_from(&gaps, &tfs, next_skip as DocId);
                         (list, [want.clone(), second].concat())
                     });

@@ -8,8 +8,8 @@ use std::hash::BuildHasher;
 use std::mem::size_of;
 use std::sync::Arc;
 
-use crate::block::{EncodedList, TableBuilder, TableHeapBytes};
-use crate::bounds::{BoundTables, BoundsBuilder, ListBounds};
+use crate::block::{BlockTables, EncodedList, ListSpan, TableBuilder};
+use crate::bounds::{BoundTables, BoundsBuilder, ListBounds, BOUNDS_MISMATCH};
 use crate::codec::BlockColumns;
 use crate::error::IndexError;
 use crate::mmap::Mmap;
@@ -139,6 +139,21 @@ impl TermTable {
     }
 }
 
+/// What a build or a load hands [`InvertedIndex::from_stored_parts`]: the
+/// dictionary entries, the lists' tables and spans and their bounds, the
+/// documents' lengths, `dl̄` table and mean length, and the file mapping
+/// the payloads lie in, if any.
+pub(crate) struct StoredParts {
+    pub(crate) terms: Vec<TermInfo>,
+    pub(crate) tables: TableBuilder,
+    pub(crate) spans: Vec<ListSpan>,
+    pub(crate) bounds: BoundsBuilder,
+    pub(crate) doc_lens: Vec<u32>,
+    pub(crate) dl_bars: Vec<Fixed>,
+    pub(crate) avgdl: f64,
+    pub(crate) mapping: Option<Arc<Mmap>>,
+}
+
 /// A complete inverted index in the IIU storage scheme.
 ///
 /// Construct one with [`crate::IndexBuilder`] (from raw text) or
@@ -153,10 +168,13 @@ impl TermTable {
 pub struct InvertedIndex {
     dictionary: TermTable,
     terms: Vec<TermInfo>,
+    /// The tables every list and bound handle shares.
+    tables: Arc<BlockTables>,
     lists: Vec<EncodedList>,
     bounds: Vec<ListBounds>,
     doc_lens: Vec<u32>,
-    dl_bars: Vec<Fixed>,
+    /// Shared with `tables`, where a list's first touch reads it.
+    dl_bars: Arc<[Fixed]>,
     avgdl: f64,
     params: Bm25Params,
     partitioner: Partitioner,
@@ -240,7 +258,7 @@ impl InvertedIndex {
         // Every list encodes into one set of tables, and its bounds into
         // another: a term's own heap cost is its name.
         let mut tables = TableBuilder::default();
-        let mut bound_tables = BoundsBuilder::default();
+        let mut bounds = BoundsBuilder::default();
         let mut spans = Vec::with_capacity(lists.len());
         let mut terms = Vec::with_capacity(lists.len());
         for (term, list, idf_bar) in lists {
@@ -252,78 +270,57 @@ impl InvertedIndex {
                 }
             }
             let partition = partitioner.partition(&list);
-            bound_tables.push_computed(list.as_slice(), &partition, idf_bar, &dl_bars);
-            spans.push(tables.encode(&list, &partition)?);
+            bounds.push_computed(list.as_slice(), &partition, idf_bar, &dl_bars);
+            spans.push(tables.encode(&list, &partition, idf_bar)?);
             terms.push(TermInfo { idf_bar, df: list.len() as u64, term });
         }
-        let dictionary = TermTable::build(&terms)?;
-        let tables = tables.freeze(None, n_docs);
-
-        Ok(InvertedIndex {
-            dictionary,
-            terms,
-            lists: spans.into_iter().map(|span| EncodedList::new(&tables, span)).collect(),
-            bounds: bound_tables.finish(),
-            doc_lens,
-            dl_bars,
-            avgdl,
-            params,
-            partitioner,
-            source: IndexSource::Heap,
-        })
+        let mapping = None;
+        let parts =
+            StoredParts { terms, tables, spans, bounds, doc_lens, dl_bars, avgdl, mapping };
+        Self::from_stored_parts(parts, params, partitioner)
     }
 
-    /// Assembles an index directly from already-encoded parts — where
-    /// every load ([`crate::io`], heap or mapped) ends, so a loaded index
-    /// keeps the file's block layout and nothing is re-partitioned.
+    /// Assembles an index from already-encoded parts — where every build
+    /// and every load ([`crate::io`], heap or mapped) ends, so a loaded
+    /// index keeps the file's block layout and nothing is re-partitioned.
     ///
-    /// The caller is responsible for having validated `lists` (the
-    /// loader's table builder checks each record's structure) and `bounds`
-    /// (held to the lists by the oracle, or stored ones checked for shape
-    /// with content integrity resting on their section CRC), and hands
-    /// over `doc_lens`' `dl̄` table at `avgdl`, built once. This constructor
-    /// checks the cross-field invariants: table lengths agree, term names
-    /// are unique, each list's last block starts inside the corpus (its
-    /// first touch checks the rest of that block), and df matches each
-    /// list.
+    /// The caller is responsible for having validated each list's
+    /// structure (the loader's table builder checks each record). This
+    /// constructor checks the cross-field invariants: table lengths agree,
+    /// term names are unique, and each list's bounds cover its blocks.
+    /// What a list's content must prove — docID order, in-corpus, the
+    /// stored bounds — is its first touch's
+    /// ([`InvertedIndex::first_touch_every_list`]).
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::CorruptIndex`] naming the violated invariant.
-    #[allow(clippy::too_many_arguments)] // mirrors the on-disk section order
     pub(crate) fn from_stored_parts(
-        terms: Vec<TermInfo>,
-        lists: Vec<EncodedList>,
-        bounds: Vec<ListBounds>,
-        doc_lens: Vec<u32>,
-        dl_bars: Vec<Fixed>,
-        avgdl: f64,
+        parts: StoredParts,
         params: Bm25Params,
         partitioner: Partitioner,
-        source: IndexSource,
     ) -> Result<Self, IndexError> {
-        if terms.len() != lists.len() {
+        let StoredParts { terms, tables, spans, bounds, doc_lens, dl_bars, avgdl, mapping } =
+            parts;
+        if terms.len() != spans.len() {
             return Err(IndexError::CorruptIndex { context: "term/list count mismatch" });
         }
-        if bounds.len() != lists.len() {
+        let bounds = bounds.finish();
+        if bounds.len() != spans.len() {
             return Err(IndexError::CorruptIndex { context: "score bounds count" });
         }
-        let n_docs = doc_lens.len() as u64;
-        for (info, list) in terms.iter().zip(&lists) {
-            if info.df != list.num_postings() {
-                return Err(IndexError::CorruptIndex { context: "document frequency" });
-            }
-            if let Some(&last) = list.skips().last() {
-                if u64::from(last) >= n_docs {
-                    return Err(IndexError::CorruptIndex {
-                        context: "posting list references docID beyond corpus",
-                    });
-                }
-            }
+        let source = mapping.clone().map_or(IndexSource::Heap, IndexSource::Mapped);
+        let dl_bars: Arc<[Fixed]> = dl_bars.into();
+        let tables = tables.freeze(mapping, Arc::clone(&dl_bars), &bounds);
+        let lists: Vec<EncodedList> =
+            spans.into_iter().map(|span| EncodedList::new(&tables, span)).collect();
+        for (bounds, list) in bounds.iter().zip(&lists) {
+            bounds.validate_against(list)?;
         }
         Ok(InvertedIndex {
             dictionary: TermTable::build(&terms)?,
             terms,
+            tables,
             lists,
             bounds,
             doc_lens,
@@ -335,23 +332,41 @@ impl InvertedIndex {
         })
     }
 
+    /// Every list's first touch ([`EncodedList::first_touch`]), in term
+    /// order: what a heap load runs before it returns, and
+    /// [`validate`](Self::validate) on any index. A decode, order or
+    /// corpus fault in any list wins over a bounds mismatch, which is
+    /// reported once every list has passed.
+    ///
+    /// # Errors
+    ///
+    /// As [`EncodedList::ensure_verified`].
+    pub(crate) fn first_touch_every_list(&self) -> Result<(), IndexError> {
+        let (mut outcome, cols) = (Ok(()), &mut BlockColumns::default());
+        for list in &self.lists {
+            match list.first_touch(cols) {
+                Err(e) if e == BOUNDS_MISMATCH => outcome = Err(e),
+                other => other?,
+            }
+        }
+        outcome
+    }
+
     /// Where this index's payload bytes live (heap vs mapping).
     pub fn source(&self) -> &IndexSource {
         &self.source
     }
 
-    /// Runs the deferred first-touch check of `id`'s list, if it carries
-    /// one (lists served from a mapping verify lazily, once — see
-    /// [`EncodedList::ensure_verified`]). The no-op for heap indexes;
-    /// engines call this when resolving query terms so late-discovered
-    /// corruption surfaces as a typed error.
+    /// Runs the deferred first touch of `id`'s list, if it carries one
+    /// (lists served from a mapping verify lazily, once — see
+    /// [`EncodedList::ensure_verified`]). The no-op for heap indexes — a
+    /// heap load ran every list's, a build computed its bounds; engines
+    /// call this when resolving query terms so late-discovered corruption
+    /// surfaces as a typed error.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::ChecksumMismatch`] if the mapped record's
-    /// bytes no longer hash to the stored section CRC, and
-    /// [`IndexError::CorruptIndex`] if its last block holds a docID beyond
-    /// the corpus.
+    /// As [`EncodedList::ensure_verified`].
     pub fn verify_term(&self, id: TermId) -> Result<(), IndexError> {
         match self.lists.get(id as usize) {
             Some(list) => list.ensure_verified(),
@@ -468,19 +483,17 @@ impl InvertedIndex {
         &self.dl_bars
     }
 
-    /// Checks every structural invariant the query hot path relies on:
-    /// each encoded list passes [`EncodedList::validate`], the dictionary
-    /// and term table agree, and the per-document tables are sized to the
-    /// corpus.
-    ///
-    /// A [`deserialize`](crate::io::deserialize)d index always passes (the
-    /// heap load runs the same decode oracle); this is the deep check for
-    /// mapped indexes, whose stored bounds and docID order are otherwise
-    /// taken on their checksums, and for indexes assembled by other means.
+    /// Checks every invariant the query hot path relies on: the dictionary
+    /// and term table agree, the per-document tables are sized to the
+    /// corpus, each encoded list passes [`EncodedList::validate`] and its
+    /// bounds cover its blocks; then it runs every list's first touch —
+    /// what a heap load runs before it returns and a mapped list on its
+    /// first use — whatever the index's source.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::CorruptIndex`] naming the violated invariant.
+    /// Returns [`IndexError::CorruptIndex`] naming the violated invariant,
+    /// or a first touch's error ([`EncodedList::ensure_verified`]).
     pub fn validate(&self) -> Result<(), IndexError> {
         if self.terms.len() != self.lists.len() {
             return Err(IndexError::CorruptIndex { context: "term/list count mismatch" });
@@ -491,9 +504,8 @@ impl InvertedIndex {
         if self.bounds.len() != self.lists.len() {
             return Err(IndexError::CorruptIndex { context: "score bounds count" });
         }
-        let n_docs = self.doc_lens.len() as u64;
-        let cols = &mut BlockColumns::default();
-        for (id, (info, list)) in self.terms.iter().zip(&self.lists).enumerate() {
+        let entries = self.terms.iter().zip(&self.lists).zip(&self.bounds);
+        for (id, ((info, list), bounds)) in entries.enumerate() {
             if self.term_id(&info.term) != Some(id as TermId) {
                 return Err(IndexError::CorruptIndex { context: "dictionary mapping" });
             }
@@ -501,22 +513,9 @@ impl InvertedIndex {
             if info.df != list.num_postings() {
                 return Err(IndexError::CorruptIndex { context: "document frequency" });
             }
-            if let Some(&last) = list.skips().last() {
-                if u64::from(last) >= n_docs {
-                    return Err(IndexError::CorruptIndex {
-                        context: "posting list references docID beyond corpus",
-                    });
-                }
-            }
-            // Pruning correctness rests on the bounds, so hold them to the
-            // decode-and-recompute oracle, not just structural checks.
-            let bounds = &self.bounds[id];
             bounds.validate_against(list)?;
-            if !bounds.matches(list, info.idf_bar, &self.dl_bars, cols)? {
-                return Err(IndexError::CorruptIndex { context: "score bounds mismatch" });
-            }
         }
-        Ok(())
+        self.first_touch_every_list()
     }
 
     /// Aggregate size accounting across all posting lists.
@@ -538,8 +537,7 @@ impl InvertedIndex {
     /// requested, by table (DESIGN.md §19, "index memory layout"). A
     /// mapped index's payload is in the mapping and counts 0 here.
     pub fn heap_bytes(&self) -> HeapBytes {
-        // An index without lists has empty tables, which hold nothing.
-        let tables = self.lists.first().map(TableHeapBytes::of).unwrap_or_default();
+        let tables = self.tables.heap_bytes();
         let names: usize = self.terms.iter().map(|t| t.term.capacity()).sum();
         HeapBytes {
             terms: (self.terms.capacity() * size_of::<TermInfo>()
@@ -551,7 +549,7 @@ impl InvertedIndex {
             block_tables: tables.blocks,
             bound_tables: self.bounds.first().map_or(0, BoundTables::heap_bytes_of),
             doc_tables: (self.doc_lens.capacity() * size_of::<u32>()
-                + self.dl_bars.capacity() * size_of::<Fixed>()) as u64,
+                + std::mem::size_of_val(&*self.dl_bars)) as u64,
             payload: tables.payload,
         }
     }
@@ -736,19 +734,12 @@ mod tests {
             assert!(attained, "max_ub must be an attained score, not a loose bound");
         }
 
-        let mut bad = idx.clone();
+        let mut bad = idx;
         bad.bounds.pop();
         assert!(matches!(
             bad.validate(),
             Err(IndexError::CorruptIndex { context: "score bounds count" })
         ));
-
-        let mut bad = idx;
-        let mut ubs = bad.bounds[0].ubs().to_vec();
-        ubs[0] = ubs[0].saturating_add(crate::score::Fixed::ONE);
-        let max_tfs = bad.bounds[0].max_tfs().to_vec();
-        bad.bounds[0] = ListBounds::from_raw_parts(ubs, max_tfs);
-        assert!(bad.validate().is_err(), "inflated bound must fail the recompute oracle");
     }
 
     #[test]

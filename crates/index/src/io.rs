@@ -43,31 +43,34 @@
 //! a mapping made by [`crate::storage`] — decides only where payload
 //! bytes end up (copied to the heap, or left in the mapping) and *when*
 //! each check runs; a loaded index keeps the file's block layout byte for
-//! byte either way:
+//! byte either way. This is the one copy of the policy table:
 //!
-//! | check | heap load | mapped open | first touch | `validate()` |
-//! |---|---|---|---|---|
-//! | header / doc table / bounds-section CRC | yes | yes | — | — |
-//! | record frame + [`EncodedList::validate`] | yes | yes | — | yes |
-//! | record CRC (covers the payload) | yes | captured | yes, once per list | — |
-//! | footer CRC | yes | framed, not hashed | — | — |
-//! | docID order + in-corpus | yes | last skip | last block, once | yes |
-//! | stored-bounds oracle | yes | no: section CRC + shape | — | yes |
+//! | check | heap load | mapped open |
+//! |---|---|---|
+//! | header / doc table / bounds-section CRC | at load | at load |
+//! | record frame + [`EncodedList::validate`] + bounds shape | at load | at load |
+//! | first touch: record CRC, then the content oracle (docID order, in-corpus, stored bounds) | at load, every list | on the list's first use, once |
+//! | footer CRC | hashed at load | framed, not hashed |
 //!
-//! The last two rows are the content oracle, one decode pass per list
-//! ([`ListBounds::matches`]): no block decoder checks docID order, so
-//! the pass does, and the stored bounds must equal its result (`score
-//! bounds mismatch`, reported once every list has passed) — CRCs cannot
-//! catch a file that was *written* wrong. A heap open of the 9.19 MB
-//! 100k-doc file in process (2-vCPU Xeon, medians of 45), before → after
-//! the oracle became one lean pass per block: framing + CRCs 18 → 17 ms,
-//! bounds section 3, footer 5, oracle 36 → 21.5, the rest of `assemble`
-//! 8.5 → 7; in all 71.5 → 54.5 ms. A mapped open takes docID order on the
-//! record CRC, so it holds only each list's last skip to the corpus, and
-//! the list's first touch decodes its last block once to hold the rest.
-//! So a malformed file yields a typed [`IndexError`] — never a panic or
-//! an out-of-bounds read — on the heap at load, when mapped by the first
-//! query that touches the bad list at the latest. The codec id is
+//! [`InvertedIndex::validate`] runs the frame checks and every list's
+//! first touch again, on either backing.
+//!
+//! A list's first touch is one function, whose verdict a mapped list
+//! keeps ([`EncodedList::ensure_verified`]): the record CRC where the
+//! record is kept (a heap load checks it as it frames the record), then
+//! the content oracle, one decode pass per list. No block decoder checks
+//! docID order, so the pass does, holds every docID inside the corpus,
+//! and requires the stored bounds to equal the ones it gives (`score
+//! bounds mismatch`) — CRCs cannot catch a file that was *written* wrong.
+//! A heap load reports a mismatch once every list has passed, so a
+//! decode, order or corpus fault in any list wins over it. So both
+//! backings refuse the same files with the same typed [`IndexError`] —
+//! never a panic or an out-of-bounds read — the heap at load, a mapped
+//! index at the first query that touches the bad list. A heap open of the
+//! 9.19 MB 100k-doc file in process (2-vCPU Xeon, medians of 45), before
+//! → after the oracle became one lean pass per block: framing + CRCs 18 →
+//! 17 ms, bounds section 3, footer 5, oracle 36 → 21.5, the rest of the
+//! assembly 8.5 → 7; in all 71.5 → 54.5 ms. The codec id is
 //! interpreted only after the header CRC verifies: random corruption of
 //! the byte surfaces as a checksum mismatch, and a CRC-consistent id
 //! other than 0 — including the retired ids 1 and 2 — as
@@ -80,9 +83,9 @@ use std::sync::Arc;
 use crate::block::{EncodedList, ListSpan, TableBuilder};
 use crate::bounds::{BoundsBuilder, ListBounds};
 use crate::checksum::{crc32, Crc32};
-use crate::codec::{BlockColumns, CodecId};
+use crate::codec::CodecId;
 use crate::error::IndexError;
-use crate::index::{IndexSource, InvertedIndex, TermInfo};
+use crate::index::{InvertedIndex, StoredParts, TermInfo};
 use crate::mmap::Mmap;
 use crate::partition::Partitioner;
 use crate::posting::PostingList;
@@ -441,7 +444,7 @@ fn le_u64s(raw: &[u8]) -> impl Iterator<Item = u64> + '_ {
 /// Deserializes an index previously written by [`serialize`] (format v4)
 /// onto the heap. The loaded index keeps the file's block layout byte for
 /// byte; the heap column of the module's policy table says what is
-/// verified first.
+/// verified first — every check, every list's first touch included.
 ///
 /// # Errors
 ///
@@ -475,10 +478,11 @@ fn read_partitioner(kind: u8, arg: usize) -> Result<Partitioner, IndexError> {
 #[derive(Clone, Copy)]
 pub(crate) enum Backing<'a> {
     /// Caller-owned bytes: payloads are copied out, every checksum is
-    /// verified as it is framed, and content is held to the decode oracle.
+    /// verified as it is framed, and every list's first touch runs before
+    /// the load returns.
     Heap(&'a [u8]),
-    /// A file mapping: payloads stay in it, record checksums are deferred
-    /// to first touch, and the footer is framed but never hashed (that
+    /// A file mapping: payloads stay in it, each list's first touch waits
+    /// for its first use, and the footer is framed but never hashed (that
     /// would fault in every page).
     Mapped(&'a Arc<Mmap>),
 }
@@ -518,55 +522,63 @@ fn read_header(r: &mut Reader<'_>) -> Result<Header, IndexError> {
     Ok(Header { params: Bm25Params { k1, b }, partitioner, n_docs, n_terms })
 }
 
-/// A framed body: header fields, doc-length table and one structurally
-/// validated (never decoded) list per term record — its span in
-/// `tables`.
-struct Body {
-    header: Header,
-    doc_lens: Vec<u32>,
-    names: Vec<String>,
-    spans: Vec<ListSpan>,
-    tables: TableBuilder,
-}
-
-fn read_body(r: &mut Reader<'_>, backing: Backing<'_>) -> Result<Body, IndexError> {
+/// Frames the body: the header, the doc-length table with the `dl̄`
+/// table the file does not store, and one structurally validated (never
+/// decoded) list per term record, in the parts an index is assembled from
+/// — all but the bounds, which follow the records.
+fn read_body(
+    r: &mut Reader<'_>,
+    backing: Backing<'_>,
+) -> Result<(Header, StoredParts), IndexError> {
     let header = read_header(r)?;
     let doc_start = r.pos;
     let doc_bytes = header
         .n_docs
         .checked_mul(4)
         .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
-    let doc_lens = le_u32s(r.take(doc_bytes, "doc length table")?).collect();
+    let doc_lens: Vec<u32> = le_u32s(r.take(doc_bytes, "doc length table")?).collect();
     r.verify_section(doc_start, "doc length table", "doc length checksum")?;
+    let avgdl = avgdl(&doc_lens);
+    let dl_bars = header.params.dl_bars(&doc_lens, avgdl);
 
-    let mut names = Vec::with_capacity(header.n_terms.min(r.remaining()));
+    let mut terms = Vec::with_capacity(header.n_terms.min(r.remaining()));
     let mut spans = Vec::with_capacity(header.n_terms.min(r.remaining()));
     let mut tables = TableBuilder::default();
     for _ in 0..header.n_terms {
-        let (name, span) = read_record(r, backing, &mut tables)?;
-        names.push(name);
+        let (info, span) = read_record(r, backing, &header, &mut tables)?;
+        terms.push(info);
         spans.push(span);
     }
-    Ok(Body { header, doc_lens, names, spans, tables })
+    let mapping = match backing {
+        Backing::Heap(_) => None,
+        Backing::Mapped(map) => Some(Arc::clone(map)),
+    };
+    let bounds = BoundsBuilder::default();
+    Ok((
+        header,
+        StoredParts { terms, tables, spans, bounds, doc_lens, dl_bars, avgdl, mapping },
+    ))
 }
 
 /// Frames one term record and appends its list to `tables`, which checks
 /// the structural invariants ([`EncodedList::validate`]) without
-/// decoding. The record CRC is verified here on the heap backing and
-/// deferred to the list's first touch on the mapped one.
+/// decoding, under the term constant `header`'s statistics give it. The
+/// record CRC is verified here on the heap backing and deferred to the
+/// list's first touch on the mapped one.
 fn read_record(
     r: &mut Reader<'_>,
     backing: Backing<'_>,
+    header: &Header,
     tables: &mut TableBuilder,
-) -> Result<(String, ListSpan), IndexError> {
+) -> Result<(TermInfo, ListSpan), IndexError> {
     let context = "term record";
     let start = r.pos;
     let name_len = r.u32(context)? as usize;
-    let name = std::str::from_utf8(r.take(name_len, context)?)
+    let term = std::str::from_utf8(r.take(name_len, context)?)
         .map_err(|_| IndexError::CorruptIndex { context: "term name utf-8" })?
         .to_owned();
 
-    let num_postings = r.u64(context)?;
+    let df = r.u64(context)?;
     let num_blocks = r.u64(context)? as usize;
     let table_bytes = num_blocks
         .checked_mul(12)
@@ -588,14 +600,16 @@ fn read_record(
             Some((start, payload_off))
         }
     };
+    let idf_bar = Fixed::from_f64(header.params.idf_bar(header.n_docs as u64, df));
     let span = tables.push_stored(
         le_u64s(meta_raw),
         le_u32s(skip_raw),
         payload,
-        num_postings,
+        df,
+        idf_bar,
         mapped,
     )?;
-    Ok((name, span))
+    Ok((TermInfo { term, df, idf_bar }, span))
 }
 
 /// Reads the stored score-bounds section: one entry list per term, under
@@ -637,85 +651,25 @@ fn read_footer(r: &mut Reader<'_>, backing: Backing<'_>) -> Result<(), IndexErro
     Ok(())
 }
 
-/// Turns a framed body into an index that keeps the file's block layout
-/// ([`InvertedIndex::from_stored_parts`]): its tables are frozen over the
-/// mapping, or over the owned payload buffer. Stored bounds on the mapped
-/// backing are trusted after their section CRC and a shape check; on the
-/// heap the content oracle runs — one decode pass per list
-/// ([`ListBounds::matches`]: docID order, in-corpus, bounds) — and the
-/// stored bounds must equal its result.
-fn assemble(
-    body: Body,
-    stored: BoundsBuilder,
-    backing: Backing<'_>,
-) -> Result<InvertedIndex, IndexError> {
-    // The collection statistics a file does not store.
-    let params = body.header.params;
-    let n_docs = body.doc_lens.len() as u64;
-    let avgdl = avgdl(&body.doc_lens);
-    let dl_bars = params.dl_bars(&body.doc_lens, avgdl);
-    let idf_bars: Vec<Fixed> = body
-        .spans
-        .iter()
-        .map(|span| Fixed::from_f64(params.idf_bar(n_docs, span.num_postings())))
-        .collect();
-    let mapping = match backing {
-        Backing::Heap(_) => None,
-        Backing::Mapped(map) => Some(Arc::clone(map)),
-    };
-    let source = mapping.clone().map_or(IndexSource::Heap, IndexSource::Mapped);
-    let tables = body.tables.freeze(mapping, n_docs);
-    let lists: Vec<EncodedList> =
-        body.spans.iter().map(|&span| EncodedList::new(&tables, span)).collect();
-    let bounds = stored.finish();
-    if let Backing::Mapped(_) = backing {
-        for (bounds, list) in bounds.iter().zip(&lists) {
-            bounds.validate_against(list)?;
-        }
-    } else {
-        // A CRC-consistent file whose stored bounds disagree with its
-        // postings was written wrong (or tampered with checksums
-        // recomputed) and must not drive pruning. Every list is decoded
-        // first, so a decode, order or corpus fault anywhere wins.
-        let (mut same, cols) = (true, &mut BlockColumns::default());
-        for ((bounds, list), &idf_bar) in bounds.iter().zip(&lists).zip(&idf_bars) {
-            same &= bounds.matches(list, idf_bar, &dl_bars, cols)?;
-        }
-        if !same {
-            return Err(IndexError::CorruptIndex { context: "score bounds mismatch" });
-        }
-    }
-    let terms = body
-        .names
-        .into_iter()
-        .zip(&lists)
-        .zip(&idf_bars)
-        .map(|((term, list), &idf_bar)| TermInfo { term, df: list.num_postings(), idf_bar })
-        .collect();
-    InvertedIndex::from_stored_parts(
-        terms,
-        lists,
-        bounds,
-        body.doc_lens,
-        dl_bars,
-        avgdl,
-        params,
-        body.header.partitioner,
-        source,
-    )
-}
-
-/// Loads an index file from `backing`.
+/// Loads an index file from `backing` into an index that keeps the
+/// file's block layout ([`InvertedIndex::from_stored_parts`]), its tables
+/// frozen over the mapping or over the owned payload buffer. A heap load
+/// then runs every list's first touch; a mapped list runs its own on
+/// first use.
 pub(crate) fn load(backing: Backing<'_>) -> Result<InvertedIndex, IndexError> {
     let mut r = Reader::new(backing.bytes());
     match r.u64("magic")? {
         MAGIC => {}
         found => return Err(IndexError::UnsupportedFormat { found }),
     }
-    let body = read_body(&mut r, backing)?;
-    let stored = read_bounds_section(&mut r, body.spans.len())?;
+    let (header, mut parts) = read_body(&mut r, backing)?;
+    parts.bounds = read_bounds_section(&mut r, parts.spans.len())?;
     read_footer(&mut r, backing)?;
-    assemble(body, stored, backing)
+    let index = InvertedIndex::from_stored_parts(parts, header.params, header.partitioner)?;
+    if let Backing::Heap(_) = backing {
+        index.first_touch_every_list()?;
+    }
+    Ok(index)
 }
 
 #[cfg(test)]
@@ -848,11 +802,11 @@ mod tests {
         let params = Bm25Params::default();
         let doc_lens = vec![10u32; n_docs as usize];
         let dl_bars = params.dl_bars(&doc_lens, 10.0);
-        let mut tables = TableBuilder::default();
-        let mut spans = Vec::new();
-        for blocks in lists {
-            let (mut metas, mut payload) = (Vec::new(), Vec::new());
-            for &(_, pairs) in *blocks {
+        let (mut tables, mut bounds) = (TableBuilder::default(), BoundsBuilder::default());
+        let (mut spans, mut terms) = (Vec::new(), Vec::new());
+        for (t, blocks) in lists.iter().enumerate() {
+            let (mut metas, mut payload, mut postings) = (Vec::new(), Vec::new(), Vec::new());
+            for &(skip, pairs) in *blocks {
                 let (gaps, tfs): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
                 let dn_bits = bits_for(gaps.iter().copied().max().unwrap());
                 let tf_bits = bits_for(tfs.iter().copied().max().unwrap());
@@ -860,37 +814,30 @@ mod tests {
                 let offset = payload.len() as u64;
                 metas.push(BlockMeta { dn_bits, tf_bits, count, offset }.pack());
                 crate::codec::encode_block(&gaps, &tfs, dn_bits, tf_bits, &mut payload);
+                // What the block decodes to: the skip plus the running
+                // gap sum, wrapping as the decoder does.
+                postings.extend(pairs.iter().scan(skip, |doc, &(gap, tf)| {
+                    *doc = doc.wrapping_add(gap);
+                    Some(crate::Posting::new(*doc, tf))
+                }));
             }
             let skips = blocks.iter().map(|&(skip, _)| skip);
-            let n = blocks.iter().map(|(_, pairs)| pairs.len() as u64).sum();
+            let n = postings.len() as u64;
+            let idf_bar = Fixed::from_f64(params.idf_bar(n_docs.into(), n));
+            let lens: Vec<usize> = blocks.iter().map(|(_, pairs)| pairs.len()).collect();
+            bounds.push_computed(&postings, &lens, idf_bar, &dl_bars);
             spans.push(
-                tables.push_stored(metas.into_iter(), skips, &payload, n, None).unwrap(),
+                tables
+                    .push_stored(metas.into_iter(), skips, &payload, n, idf_bar, None)
+                    .unwrap(),
             );
+            terms.push(TermInfo { term: format!("t{t}"), df: n, idf_bar });
         }
-        let tables = tables.freeze(None, u64::from(n_docs));
-        let lists: Vec<EncodedList> =
-            spans.iter().map(|&s| EncodedList::new(&tables, s)).collect();
-        let (mut terms, mut bounds) = (Vec::new(), Vec::new());
-        for (t, list) in lists.iter().enumerate() {
-            let idf_bar = Fixed::from_f64(params.idf_bar(n_docs.into(), list.num_postings()));
-            let blocks: Vec<Vec<crate::Posting>> =
-                (0..list.num_blocks()).map(|b| list.decode_block(b)).collect();
-            let lens: Vec<usize> = blocks.iter().map(Vec::len).collect();
-            bounds.push(ListBounds::compute(&blocks.concat(), &lens, idf_bar, &dl_bars));
-            terms.push(TermInfo { term: format!("t{t}"), df: list.num_postings(), idf_bar });
-        }
-        let index = InvertedIndex::from_stored_parts(
-            terms,
-            lists,
-            bounds,
-            doc_lens,
-            dl_bars,
-            10.0,
-            params,
-            Partitioner::default(),
-            IndexSource::Heap,
-        )
-        .unwrap();
+        let (avgdl, mapping) = (10.0, None);
+        let parts =
+            StoredParts { terms, tables, spans, bounds, doc_lens, dl_bars, avgdl, mapping };
+        let index =
+            InvertedIndex::from_stored_parts(parts, params, Partitioner::default()).unwrap();
         serialize(&index).unwrap()
     }
 

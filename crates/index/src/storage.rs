@@ -1,28 +1,26 @@
 //! Zero-copy, mmap-backed index loading (DESIGN.md §19).
 //!
 //! [`crate::io::deserialize`] copies every payload onto the heap and
-//! holds the whole file to its checksums and the decode oracle before the
-//! first query — the strongest integrity check, at the cost of capping
-//! the corpus at RAM. This module is the other end of that trade: it
-//! memory-maps an index file (format v4) and hands the mapping to the
-//! same parser, which assembles an [`InvertedIndex`] whose payload bytes
-//! are *borrowed windows of the mapping*. No posting byte is copied; the
-//! page cache is the storage tier.
+//! runs every list's first touch — record CRC, then the content oracle —
+//! before the first query, at the cost of capping the corpus at RAM. This
+//! module is the other end of that trade: it memory-maps an index file
+//! (format v4) and hands the mapping to the same parser, which assembles
+//! an [`InvertedIndex`] whose payload bytes are *borrowed windows of the
+//! mapping*. No posting byte is copied; the page cache is the storage
+//! tier.
 //!
-//! What is verified at open, on first touch of a list, and only by
-//! [`InvertedIndex::validate`] is the "mapped open" / "first touch" /
-//! `validate()` columns of the policy table in [`crate::io`]. In short:
-//! opening frames the header, tables and every record — records
-//! interleave tables and payloads, so that reads the whole file — but
-//! hashes no record; each record's CRC, and its last block against the
-//! corpus, is checked by the first decode of any of its blocks (or an
-//! engine's `verify_term` at query resolve), so corruption discovered
-//! late is a typed [`IndexError`], never a panic or an out-of-bounds
-//! read. The footer CRC is framed but not hashed (hashing it would fault
-//! in every page; the section CRCs cover all content bytes anyway), and
-//! stored bounds are trusted after their section CRC: a file *written*
-//! wrong with consistent CRCs would mis-prune until `iiu inspect`'s
-//! `validate()` catches it offline.
+//! What runs when is the "mapped open" column of the policy table in
+//! [`crate::io`]. In short: opening frames the header, tables and every
+//! record — records interleave tables and payloads, so that reads the
+//! whole file — but hashes no record and decodes no block. A list's first
+//! touch, the check a heap load runs for every list, runs on the first
+//! decode of any of its blocks (or an engine's `verify_term` at query
+//! resolve), once, and its verdict is kept: so both backings refuse the
+//! same files, and corruption discovered late is a typed [`IndexError`],
+//! never a panic, an out-of-bounds read or a pruning decision taken on a
+//! bound the postings do not give. The footer CRC is framed but not
+//! hashed (hashing it would fault in every page; the section CRCs cover
+//! all content bytes anyway).
 //!
 //! The `unsafe` mapping itself lives in [`crate::mmap`]; see that
 //! module's safety argument (immutable published files, `SIGBUS` on
@@ -271,7 +269,7 @@ mod tests {
         }
 
         #[test]
-        fn stored_bounds_meet_the_oracle_at_heap_load_and_at_validate_when_mapped() {
+        fn stored_bounds_meet_the_oracle_at_heap_load_and_at_first_touch_when_mapped() {
             // Raise one stored block bound, then recompute the section CRC
             // and the footer: the file tail is
             // [bounds content][bounds crc 4][footer 4].
@@ -283,16 +281,22 @@ mod tests {
             bytes[start + 8] ^= 0x01;
             reseal(&mut bytes, (start, n - 8));
             let (heap, mapped) = load_both("policy-bounds", &bytes);
-            assert!(matches!(
-                heap,
-                Err(IndexError::CorruptIndex { context: "score bounds mismatch" })
-            ));
+            let is_mismatch = |r: Result<(), IndexError>| {
+                matches!(r, Err(IndexError::CorruptIndex { context: "score bounds mismatch" }))
+            };
+            assert!(is_mismatch(heap.map(|_| ())));
             let mapped = mapped.unwrap();
-            assert_ne!(mapped, idx, "the tampered bound is what the mapped index prunes with");
-            assert!(matches!(
-                mapped.validate(),
-                Err(IndexError::CorruptIndex { context: "score bounds mismatch" })
-            ));
+            // The first bound belongs to term 0: its first touch, and the
+            // kept verdict after it, refuse the list; the others serve.
+            assert!(is_mismatch(mapped.verify_term(0)), "first touch");
+            assert!(is_mismatch(mapped.verify_term(0)), "kept verdict");
+            let mut out = Vec::new();
+            let decoded = mapped.encoded_list(0).try_decode_block_into(0, &mut out);
+            assert!(is_mismatch(decoded), "decode goes through the first touch");
+            for id in 1..mapped.num_terms() as u32 {
+                mapped.verify_term(id).unwrap();
+            }
+            assert!(is_mismatch(mapped.validate()));
         }
 
         #[test]

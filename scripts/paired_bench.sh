@@ -13,9 +13,10 @@
 # side goes first alternates from one seed to the next and from one
 # workload to the next — each from its own tree root and for the run
 # length BENCHMARK.json fixes. Then prints, per workload and end-to-end
-# metric, each side's per-seed values, the medians and change/parent, and
-# whether every run was correct with no failed op. Raw last lines are kept
-# in target/paired_bench/runs.tsv.
+# metric, each side's per-seed values, the medians and change/parent, how
+# many seed pairs the change won in the metric's `better` direction ("N/M";
+# a tie counts for neither side), and whether every run was correct with
+# no failed op. Raw last lines are kept in target/paired_bench/runs.tsv.
 #
 # Each change/parent ratio is checked against the metric's `better` and
 # `bound` in BENCHMARK.json: a lower-is-better metric above 1 + bound, or a
@@ -128,13 +129,21 @@ FNR == NR { better[$1] = $2; bound[$1] = $3; next }
     }
 }
 END {
-    printf "%-20s %-17s %-34s %-34s %10s %10s %7s\n", "workload", "metric", "parent (per seed)", "change (per seed)", "parent med", "change med", "ratio"
+    printf "%-20s %-17s %-34s %-34s %10s %10s %7s %6s\n", "workload", "metric", "parent (per seed)", "change (per seed)", "parent med", "change med", "ratio", "won"
     for (w = 1; w <= nw; w++) {
         n = split(metrics[order[w]], names, " ")
         for (i = 1; i <= n; i++) {
             p = vals["parent", order[w], names[i]]; c = vals["change", order[w], names[i]]
             mp = median(p); mc = median(c)
             ratio = mp + 0 == 0 ? 0 : mc / mp
+            # Pairs the change won: the i-th values of both sides are one seed.
+            won = "-"
+            if (names[i] in better) {
+                np = split(p, pv, " "); split(c, cv, " "); wins = 0
+                for (j = 1; j <= np; j++)
+                    if ((better[names[i]] == "lower" && cv[j] + 0 < pv[j] + 0) || (better[names[i]] == "higher" && cv[j] + 0 > pv[j] + 0)) wins++
+                won = wins "/" np
+            }
             flag = ""
             if (mp + 0 != 0 && names[i] in bound) {
                 b = bound[names[i]]
@@ -144,7 +153,7 @@ END {
             }
             if (names[i] == "rss_mib" && (("parent", order[w]) in samples))
                 flag = flag sprintf(" (harness samples: parent %.3g, change %.3g MiB)", median(samples["parent", order[w]]), median(samples["change", order[w]]))
-            printf "%-20s %-17s %-34s %-34s %10.5g %10.5g %7.3f %s\n", order[w], names[i], substr(p, 2), substr(c, 2), mp, mc, ratio, flag
+            printf "%-20s %-17s %-34s %-34s %10.5g %10.5g %7.3f %6s %s\n", order[w], names[i], substr(p, 2), substr(c, 2), mp, mc, ratio, won, flag
         }
     }
     print "attempted ops per run (per seed):"

@@ -98,8 +98,10 @@ fn print_usage() {
          \n\
          --mmap yes memory-maps the index file instead of materializing it\n\
          on the heap: posting bytes are served zero-copy out of the OS page\n\
-         cache, per-record checksums are verified lazily on first touch, and\n\
-         hits are bit-identical to the heap load. stats/inspect report the\n\
+         cache, and each list's first touch checks the record CRC, docID\n\
+         order and stored bounds once - the checks a heap load runs for\n\
+         every list before it returns - so both loads refuse the same files\n\
+         and hits are bit-identical to the heap load. stats/inspect report the\n\
          source (heap vs mmap), mapped bytes and a residency estimate;\n\
          inspect additionally cross-checks that the mapped load equals the\n\
          heap load. serve-bench accepts it too.\n\

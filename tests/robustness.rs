@@ -132,13 +132,16 @@ fn a_mapped_list_reaching_past_the_corpus_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
-fn a_crc_consistent_block_of_repeated_docids_fails_heap_load_and_mapped_validate_only() {
-    // Zero the first block of a multi-block list — every gap and tf
-    // becomes 0, so the block decodes to its skip value repeated — and
-    // reseal the record CRC and the footer. The heap load runs the content
-    // oracle and refuses the file; the mapped open takes docID order on
-    // the record CRC and holds only the last block to the corpus, so it
-    // opens and serves, and only `validate()` finds the repeat.
+fn crc_consistent_files_written_wrong_fail_on_both_backings() {
+    // Three files written wrong with every checksum resealed: the first
+    // block of "quick" zeroed (every gap and tf 0, so it decodes to its
+    // skip value repeated), the last document cut from the header and
+    // doc table (the lists holding it reach past the corpus), and a
+    // stored bound of "quick" one raw unit high. The heap load runs every
+    // list's first touch and refuses each file; the mapped open defers it
+    // to the list's first use, where every query shape refuses the list
+    // with the same error — pruned and exhaustive, over 1 and 2 windows,
+    // on a fresh mapping and on the kept verdict.
     let mut builder = IndexBuilder::new(BuildOptions {
         partitioner: iiu_index::Partitioner::fixed(4),
         ..BuildOptions::default()
@@ -151,42 +154,80 @@ fn a_crc_consistent_block_of_repeated_docids_fails_heap_load_and_mapped_validate
         builder.add_document(&format!("fox pack filler{} quick dog", i % 7));
     }
     let idx = builder.build();
+    let good = serialize(&idx).expect("serialize");
+    let crc = |b: &[u8]| iiu_index::crc32(b).to_le_bytes();
+
     let list = idx.encoded_list(idx.term_id("quick").expect("indexed"));
     let first_block = list.metas()[1].offset as usize;
-    let mut bytes = serialize(&idx).expect("serialize");
-    let (start, payload, end) = record_of(&idx, &bytes, "quick");
-    bytes[payload..payload + first_block].fill(0);
-    let crc = |b: &[u8]| iiu_index::crc32(b).to_le_bytes();
-    let record_crc = crc(&bytes[start..end]);
-    bytes[end..end + 4].copy_from_slice(&record_crc);
-    let n = bytes.len();
-    let footer = crc(&bytes[..n - 4]);
-    bytes[n - 4..].copy_from_slice(&footer);
+    let mut repeated = good.clone();
+    let (start, payload, end) = record_of(&idx, &repeated, "quick");
+    repeated[payload..payload + first_block].fill(0);
+    let record_crc = crc(&repeated[start..end]);
+    repeated[end..end + 4].copy_from_slice(&record_crc);
 
-    use iiu_index::IndexError::CorruptIndex;
-    let is_repeat = |r: Result<(), iiu_index::IndexError>| {
-        matches!(r, Err(CorruptIndex { context: "docIDs not increasing" }))
-    };
-    assert!(is_repeat(deserialize(&bytes).map(|_| ())), "the heap load runs the oracle");
-    let scratch = scratch_path("repeated-docids");
-    std::fs::write(&scratch, &bytes).expect("scratch file writable");
-    let mapped = iiu_index::storage::map_index(&scratch).expect("the open holds skips only");
-    std::fs::remove_file(&scratch).ok();
-    let quick = mapped.term_id("quick").expect("indexed");
-    mapped.verify_term(quick).expect("record CRC and last block are intact");
-    assert!(is_repeat(mapped.validate()), "validate() runs the oracle");
-    // The served list is not re-checked per query: pruned and exhaustive
-    // single/AND/OR searches answer from the repeated docIDs.
-    for pruned in [false, true] {
-        let engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(pruned);
-        for (shape, answered) in [
-            ("single", engine.search_single("quick", 10).is_ok()),
-            ("and", engine.search_intersection("quick", "dog", 10).is_ok()),
-            ("or", engine.search_union("quick", "dog", 10).is_ok()),
-        ] {
-            assert!(answered, "pruned={pruned} {shape}");
+    // magic 8 · header 38 · crc 4 · doc table 4 per doc · crc 4.
+    let n_docs = idx.num_docs() as usize;
+    let docs = 50..50 + 4 * (n_docs - 1);
+    let mut beyond = good[..50].to_vec();
+    beyond[30..38].copy_from_slice(&(n_docs as u64 - 1).to_le_bytes());
+    let header_crc = crc(&beyond[8..46]);
+    beyond[46..50].copy_from_slice(&header_crc);
+    beyond.extend_from_slice(&good[docs.clone()]);
+    beyond.extend_from_slice(&crc(&good[docs]));
+    beyond.extend_from_slice(&good[50 + 4 * n_docs + 4..]);
+
+    let mut nudged = good;
+    nudge_first_bound(&idx, &mut nudged, "quick");
+
+    let scratch = scratch_path("written-wrong");
+    for (mut bytes, context, intact) in [
+        (repeated, "docIDs not increasing", Some("dog")),
+        // The cut document moves every list's idf̄ and dl̄, so no list's
+        // stored bounds hold any more.
+        (beyond, "posting list references docID beyond corpus", None),
+        (nudged, "score bounds mismatch", Some("dog")),
+    ] {
+        let n = bytes.len();
+        let footer = crc(&bytes[..n - 4]);
+        bytes[n - 4..].copy_from_slice(&footer);
+        let is_fault = |r: Result<(), iiu_index::IndexError>| matches!(r, Err(iiu_index::IndexError::CorruptIndex { context: c }) if c == context);
+        assert!(is_fault(deserialize(&bytes).map(|_| ())), "{context}: the heap load");
+        std::fs::write(&scratch, &bytes).expect("scratch file writable");
+        for (windows, pruned) in [(1, false), (1, true), (2, false), (2, true)] {
+            let mapped =
+                iiu_index::storage::map_index(&scratch).expect("the open decodes nothing");
+            let mapped = std::sync::Arc::new(mapped);
+            for pass in ["first touch", "kept verdict"] {
+                let answers = if windows == 1 {
+                    let engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(pruned);
+                    [
+                        ("single", engine.search_single("quick", 10).map(|_| ())),
+                        ("and", engine.search_intersection("quick", "dog", 10).map(|_| ())),
+                        ("or", engine.search_union("quick", "dog", 10).map(|_| ())),
+                    ]
+                } else {
+                    let parts = iiu_baseline::PartSource::windows(mapped.clone(), windows);
+                    let engine = iiu_baseline::ShardedEngine::new(parts).with_pruning(pruned);
+                    [
+                        ("single", engine.search_single("quick", 10).map(|_| ())),
+                        ("and", engine.search_intersection("quick", "dog", 10).map(|_| ())),
+                        ("or", engine.search_union("quick", "dog", 10).map(|_| ())),
+                    ]
+                };
+                for (shape, answer) in answers {
+                    let at = format!("{context}: windows={windows} pruned={pruned} {shape}");
+                    assert!(is_fault(answer), "{at}, {pass}");
+                }
+            }
+            let quick = mapped.term_id("quick").expect("indexed");
+            assert!(is_fault(mapped.verify_term(quick)), "{context}: verify_term");
+            assert!(is_fault(mapped.validate()), "{context}: validate()");
+            if let Some(intact) = intact {
+                mapped.verify_term(mapped.term_id(intact).expect("indexed")).expect("intact");
+            }
         }
     }
+    std::fs::remove_file(&scratch).ok();
 }
 
 /// Where the term record of `term` lies in `bytes`, the v4 file of
@@ -208,15 +249,35 @@ fn record_of(
     (start, payload, payload + list.payload().len())
 }
 
+/// Adds one raw unit to the stored `ub` of the first block of `term` in
+/// `bytes`, the v4 file of `idx`, and reseals the bounds section CRC and
+/// the footer. The file ends [bounds][bounds crc 4][footer 4]; the bounds
+/// hold, per term in id order, num_blocks u64 · (ub u32 · max_tf u32) per
+/// block.
+fn nudge_first_bound(idx: &iiu_index::InvertedIndex, bytes: &mut [u8], term: &str) {
+    let entry = |b: &iiu_index::ListBounds| 8 + 8 * b.num_blocks();
+    let n = bytes.len();
+    let start = n - 8 - idx.bounds().iter().map(entry).sum::<usize>();
+    let id = idx.term_id(term).expect("indexed") as usize;
+    let at = start + idx.bounds()[..id].iter().map(entry).sum::<usize>() + 8;
+    let ub = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    bytes[at..at + 4].copy_from_slice(&(ub + 1).to_le_bytes());
+    let crc = iiu_index::crc32(&bytes[start..n - 8]);
+    bytes[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
+    let footer = iiu_index::crc32(&bytes[..n - 4]);
+    bytes[n - 4..].copy_from_slice(&footer.to_le_bytes());
+}
+
 #[test]
 fn a_flipped_record_byte_fails_pruned_and_and_or_on_both_engines() {
     // The pruned two-term walk checks each list once, when its cursor is
     // built, not at every block decode: this pins that the check still
     // happens on every path that reaches the walk. A byte flipped inside
-    // a mapped list's payload breaks its record CRC; pruned AND and OR,
-    // unsharded and over two windows, must answer ChecksumMismatch — on a
-    // fresh mapping, where the query makes the first touch, and again on
-    // the kept verdict.
+    // a mapped list's payload breaks its record CRC, and a stored bound
+    // one raw unit off (all checksums resealed) breaks the content
+    // oracle; pruned AND and OR, unsharded and over two windows, must
+    // answer the list's fault — on a fresh mapping, where the query makes
+    // the first touch, and again on the kept verdict.
     let mut builder = IndexBuilder::new(BuildOptions {
         partitioner: iiu_index::Partitioner::fixed(4),
         ..BuildOptions::default()
@@ -226,38 +287,51 @@ fn a_flipped_record_byte_fails_pruned_and_and_or_on_both_engines() {
         builder.add_document(&format!("quick dog w{} {fox}", i % 5));
     }
     let idx = builder.build();
-    let mut bytes = serialize(&idx).expect("serialize");
-    let (_, payload, end) = record_of(&idx, &bytes, "quick");
-    bytes[(payload + end) / 2] ^= 0x10;
-    let scratch = scratch_path("flipped-record");
-    std::fs::write(&scratch, &bytes).expect("scratch file writable");
-    let is_mismatch = |e: iiu_index::IndexError| {
-        matches!(e, iiu_index::IndexError::ChecksumMismatch { section: "term record", .. })
+    let good = serialize(&idx).expect("serialize");
+    let mut flipped = good.clone();
+    let (_, payload, end) = record_of(&idx, &flipped, "quick");
+    flipped[(payload + end) / 2] ^= 0x10;
+    let mut nudged = good;
+    nudge_first_bound(&idx, &mut nudged, "quick");
+    use iiu_index::IndexError::{ChecksumMismatch, CorruptIndex};
+    let is_flip = |e: &iiu_index::IndexError| {
+        matches!(e, ChecksumMismatch { section: "term record", .. })
     };
-    for windows in [1, 2] {
-        for (x, y) in [("quick", "dog"), ("dog", "quick")] {
-            let mapped =
-                iiu_index::storage::map_index(&scratch).expect("the open defers CRCs");
-            let mapped = std::sync::Arc::new(mapped);
-            let mut answers = Vec::new();
-            for _ in 0..2 {
-                if windows == 1 {
-                    let engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(true);
-                    answers.push(engine.search_intersection(x, y, 10).map(|_| ()));
-                    answers.push(engine.search_union(x, y, 10).map(|_| ()));
-                } else {
-                    let parts = iiu_baseline::PartSource::windows(mapped.clone(), windows);
-                    let engine = iiu_baseline::ShardedEngine::new(parts).with_pruning(true);
-                    answers.push(engine.search_intersection(x, y, 10).map(|_| ()));
-                    answers.push(engine.search_union(x, y, 10).map(|_| ()));
+    let is_nudge = |e: &iiu_index::IndexError| {
+        matches!(e, CorruptIndex { context: "score bounds mismatch" })
+    };
+    let scratch = scratch_path("flipped-record");
+    for (name, bytes, is_fault) in [
+        ("flipped record byte", flipped, &is_flip as &dyn Fn(&_) -> bool),
+        ("nudged bound", nudged, &is_nudge),
+    ] {
+        std::fs::write(&scratch, &bytes).expect("scratch file writable");
+        for windows in [1, 2] {
+            for (x, y) in [("quick", "dog"), ("dog", "quick")] {
+                let mapped =
+                    iiu_index::storage::map_index(&scratch).expect("the open defers CRCs");
+                let mapped = std::sync::Arc::new(mapped);
+                let mut answers = Vec::new();
+                for _ in 0..2 {
+                    if windows == 1 {
+                        let engine = iiu_baseline::CpuEngine::new(&mapped).with_pruning(true);
+                        answers.push(engine.search_intersection(x, y, 10).map(|_| ()));
+                        answers.push(engine.search_union(x, y, 10).map(|_| ()));
+                    } else {
+                        let parts = iiu_baseline::PartSource::windows(mapped.clone(), windows);
+                        let engine =
+                            iiu_baseline::ShardedEngine::new(parts).with_pruning(true);
+                        answers.push(engine.search_intersection(x, y, 10).map(|_| ()));
+                        answers.push(engine.search_union(x, y, 10).map(|_| ()));
+                    }
                 }
+                for answer in answers {
+                    let err = answer.expect_err("a corrupt list must not answer");
+                    assert!(is_fault(&err), "{name}, windows={windows} {x}/{y}: {err:?}");
+                }
+                // The uncorrupted list alone still serves.
+                mapped.verify_term(mapped.term_id("fox").expect("indexed")).expect("intact");
             }
-            for answer in answers {
-                let err = answer.expect_err("a corrupt list must not answer");
-                assert!(is_mismatch(err.clone()), "windows={windows} {x}/{y}: {err:?}");
-            }
-            // The uncorrupted list alone still serves.
-            mapped.verify_term(mapped.term_id("fox").expect("indexed")).expect("intact");
         }
     }
     std::fs::remove_file(&scratch).ok();
