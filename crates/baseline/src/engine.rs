@@ -85,7 +85,7 @@ impl<'a> CpuEngine<'a> {
             .index
             .term_id(term)
             .ok_or_else(|| IndexError::UnknownTerm { term: term.to_owned() })?;
-        // Mmap-backed lists defer their record CRC to first touch; checking
+        // Mmap-backed lists defer their checks to first touch; checking
         // here turns late corruption into a typed error instead of letting
         // a panicking decode wrapper see it mid-query.
         self.index.verify_term(id)?;

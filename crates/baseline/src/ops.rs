@@ -21,9 +21,9 @@
 
 use std::cell::RefCell;
 
-use iiu_index::block::EncodedList;
+use iiu_index::block::{EncodedList, ListView};
 use iiu_index::codec::BlockColumns;
-use iiu_index::{DocId, DocWindow, Fixed, Posting, TermId};
+use iiu_index::{DocId, DocWindow, Fixed, IndexError, Posting, TermId};
 
 /// Counters of the primitive operations a query performed.
 ///
@@ -178,10 +178,35 @@ pub fn decode_window_into(
     if window == DocWindow::ALL {
         out.reserve(list.num_postings() as usize);
     }
+    let list = verified(list);
     for b in list.window_blocks(window) {
-        counts.postings_decoded += list.decode_window_into(b, window, out) as u64;
+        let decoded = list.try_decode_window_into(b, window, out);
+        counts.postings_decoded += decoded.unwrap_or_else(|e| decode_failed(b, e)) as u64;
         counts.blocks_decoded += 1;
     }
+}
+
+/// `list`'s [`ListView`] for one query walk. Engines run the list's
+/// deferred first-touch check when they resolve a query term, and the
+/// verdict is kept, so a list that fails it here was never resolved.
+///
+/// # Panics
+///
+/// Panics if the list fails that check: a caller that skipped term
+/// resolution, not bad input.
+pub(crate) fn verified(list: &EncodedList) -> ListView<'_> {
+    match list.verified() {
+        Ok(view) => view,
+        Err(e) => panic!("list not verified at term resolve: {e}"),
+    }
+}
+
+/// Panics with the error of a failed block decode: the lists a walk reads
+/// were checked when they were built or opened and when the query's terms
+/// were resolved, so a decode of them fails only on a broken invariant.
+#[cold]
+pub(crate) fn decode_failed(blk: usize, e: IndexError) -> ! {
+    panic!("decode of block {blk} failed: {e}")
 }
 
 /// Decompresses an entire list (single-term query path), allocating the
@@ -228,6 +253,7 @@ pub fn intersect_svs_window(
     debug_assert!(short.num_postings() <= long.num_postings());
     let DecodeScratch { full_a, full_b, .. } = scratch;
     decode_window_into(short, window, counts, full_a);
+    let long = verified(long);
     let (skips, metas) = (long.skips(), long.metas());
     let mut out = Vec::new();
     let mut last_block: Option<usize> = None;
@@ -240,7 +266,7 @@ pub fn intersect_svs_window(
         while lo < hi {
             let mid = (lo + hi) / 2;
             counts.binary_probes += 1;
-            if skips[mid] <= p.doc_id {
+            if skips.at(mid) <= p.doc_id {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -254,10 +280,11 @@ pub fn intersect_svs_window(
             counts.cache_hits += 1;
         } else {
             full_b.clear();
-            long.decode_block_into(block_idx, full_b);
+            let decoded = long.try_decode_window_into(block_idx, DocWindow::ALL, full_b);
+            decoded.unwrap_or_else(|e| decode_failed(block_idx, e));
             counts.cache_misses += 1;
             counts.blocks_decoded += 1;
-            counts.postings_decoded += u64::from(metas[block_idx].count);
+            counts.postings_decoded += u64::from(metas.at(block_idx).count);
             opened += 1;
             last_block = Some(block_idx);
         }

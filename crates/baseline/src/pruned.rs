@@ -46,7 +46,7 @@
 //! merely conservative because `t` only grows.
 //!
 //! Each list is verified once, when its cursor is built
-//! ([`EncodedList::verified`]), and a block is decoded for the first
+//! ([`iiu_index::EncodedList::verified`]), and a block is decoded for the first
 //! interval that needs it: with its tfs when that interval scores every
 //! posting the block puts in it, docIDs only when it scores matched
 //! documents alone — then a matched posting's tf is read from the block's
@@ -54,12 +54,12 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use iiu_index::block::{BlockTfs, EncodedList, ListView};
+use iiu_index::block::{BlockTfs, ListView};
 use iiu_index::codec::BlockColumns;
 use iiu_index::score::term_score_fixed;
-use iiu_index::{DocId, DocWindow, Fixed, IndexError, InvertedIndex, ListBounds, TermId};
+use iiu_index::{Column, DocId, DocWindow, Fixed, InvertedIndex, Skips, TermId};
 
-use crate::ops::{DecodeScratch, OpCounts};
+use crate::ops::{decode_failed, verified, DecodeScratch, OpCounts};
 use crate::topk::{FusedTopK, Hit, SharedThreshold};
 
 /// A [`FusedTopK`] wired into an optional cross-shard
@@ -122,7 +122,7 @@ impl<'a> GatedHeap<'a> {
 /// # Panics
 ///
 /// Panics if a list fails its deferred first-touch check
-/// ([`EncodedList::verified`]); the engines run that check when they
+/// ([`iiu_index::EncodedList::verified`]); the engines run that check when they
 /// resolve a query's terms, so a list they hand over has passed it.
 pub fn search_single_pruned(
     index: &InvertedIndex,
@@ -140,9 +140,9 @@ pub fn search_single_pruned(
     let buf = &mut scratch.full_a;
     for b in list.window_blocks(window) {
         if let Some(t) = heap.threshold() {
-            if ubs[b] <= t {
+            if ubs.at(b) <= t {
                 counts.blocks_skipped += 1;
-                counts.postings_skipped += u64::from(metas[b].count);
+                counts.postings_skipped += u64::from(metas.at(b).count);
                 continue;
             }
         }
@@ -197,7 +197,7 @@ const PRIME_MAX_POSTINGS: usize = 256;
 /// # Panics
 ///
 /// Panics if a list fails its deferred first-touch check
-/// ([`EncodedList::verified`]); the engines run that check when they
+/// ([`iiu_index::EncodedList::verified`]); the engines run that check when they
 /// resolve a query's terms, so a list they hand over has passed it.
 pub fn prime_single_threshold(
     index: &InvertedIndex,
@@ -219,7 +219,7 @@ pub fn prime_single_threshold(
     let mut order: Vec<usize> = list.window_blocks(window).collect();
     order.sort_unstable_by(|&a, &b| {
         counts.comparisons += 1;
-        ubs[b].cmp(&ubs[a])
+        ubs.at(b).cmp(&ubs.at(a))
     });
     let idf = index.term_info(id).idf_bar;
     let buf = &mut scratch.full_a;
@@ -233,7 +233,7 @@ pub fn prime_single_threshold(
             // — the tightest threshold the shard can contribute. The cap
             // bounds the serial spend when upper bounds are flat.
             counts.comparisons += 1;
-            if ubs[b] <= scores[k - 1] || scored >= PRIME_MAX_POSTINGS {
+            if ubs.at(b) <= scores[k - 1] || scored >= PRIME_MAX_POSTINGS {
                 break;
             }
         }
@@ -255,22 +255,16 @@ pub fn prime_single_threshold(
     }
 }
 
-/// First index `i >= from` with `key(&xs[i]) >= target` (`xs.len()` if
-/// there is none) in a slice ascending by `key`: doubling steps from
-/// `from`, then a binary search inside the bracket, so a short hop costs
-/// a probe or two and a long one stays logarithmic. The one forward
-/// search of pruned mode — over skip arrays and inside decoded blocks
-/// alike. `probes` is charged one unit per key examined.
+/// First index `i >= from` with `xs[i] >= target` (`xs.len()` if there
+/// is none) in an ascending sequence: doubling steps from `from`, then a
+/// binary search inside the bracket, so a short hop costs a probe or two
+/// and a long one stays logarithmic. The one forward search of pruned
+/// mode — over skip columns and inside decoded blocks alike. `probes` is
+/// charged one unit per key examined.
 #[inline]
-fn gallop<T>(
-    xs: &[T],
-    from: usize,
-    target: u64,
-    key: impl Fn(&T) -> u64,
-    probes: &mut u64,
-) -> usize {
+fn gallop(xs: impl Ascending, from: usize, target: u64, probes: &mut u64) -> usize {
     let (mut lo, mut hi, mut step) = (from, from, 1usize);
-    while hi < xs.len() && key(&xs[hi]) < target {
+    while hi < xs.len() && xs.key(hi) < target {
         lo = hi + 1;
         hi += step;
         step <<= 1;
@@ -278,34 +272,50 @@ fn gallop<T>(
     let hi = hi.min(xs.len());
     *probes +=
         u64::from(step.trailing_zeros() + 1 + (usize::BITS - (hi - lo).leading_zeros()));
-    lo + xs[lo..hi].partition_point(|x| key(x) < target)
+    xs.first_at_least(lo..hi, target)
 }
 
-fn doc_key(&d: &DocId) -> u64 {
-    u64::from(d)
+/// An ascending run of docIDs [`gallop`] searches: a decoded block, or a
+/// list's skip column read in place.
+trait Ascending: Copy {
+    fn len(self) -> usize;
+    fn key(self, i: usize) -> u64;
+    /// The first index in `range` whose key is at least `target`.
+    fn first_at_least(self, range: std::ops::Range<usize>, target: u64) -> usize;
 }
 
-/// `list`'s [`ListView`] for one query walk. Engines run the list's
-/// deferred first-touch check when they resolve a query term, and the
-/// verdict is kept, so a list that fails it here was never resolved.
-///
-/// # Panics
-///
-/// Panics if the list fails that check: a caller that skipped term
-/// resolution, not bad input.
-fn verified(list: &EncodedList) -> ListView<'_> {
-    match list.verified() {
-        Ok(view) => view,
-        Err(e) => panic!("list not verified at term resolve: {e}"),
+impl Ascending for &[DocId] {
+    #[inline]
+    fn len(self) -> usize {
+        <[DocId]>::len(self)
+    }
+
+    #[inline]
+    fn key(self, i: usize) -> u64 {
+        u64::from(self[i])
+    }
+
+    #[inline]
+    fn first_at_least(self, range: std::ops::Range<usize>, target: u64) -> usize {
+        range.start + self[range].partition_point(|&d| u64::from(d) < target)
     }
 }
 
-/// Panics with the error of a failed block decode: the lists a walk reads
-/// were checked when they were built or opened and when the query's terms
-/// were resolved, so a decode of them fails only on a broken invariant.
-#[cold]
-fn decode_failed(blk: usize, e: IndexError) -> ! {
-    panic!("decode of block {blk} failed: {e}")
+impl Ascending for Skips<'_> {
+    #[inline]
+    fn len(self) -> usize {
+        Skips::len(&self)
+    }
+
+    #[inline]
+    fn key(self, i: usize) -> u64 {
+        u64::from(self.at(i))
+    }
+
+    #[inline]
+    fn first_at_least(self, range: std::ops::Range<usize>, target: u64) -> usize {
+        range.start + self.slice(range).partition_point(|s| u64::from(s) < target)
+    }
 }
 
 /// A forward-only cursor over the blocks of one encoded list that meet a
@@ -333,8 +343,8 @@ fn decode_failed(blk: usize, e: IndexError) -> ! {
 struct BlockCursor<'b, 'i> {
     list: ListView<'i>,
     /// Skip values up to the window's last block.
-    skips: &'i [DocId],
-    ubs: &'i [Fixed],
+    skips: Skips<'i>,
+    ubs: Column<'i, Fixed>,
     idf: Fixed,
     window: DocWindow,
     /// The window's first block, where the cursor starts.
@@ -357,7 +367,7 @@ struct BlockCursor<'b, 'i> {
 impl<'b, 'i> BlockCursor<'b, 'i> {
     fn new(
         list: ListView<'i>,
-        bounds: &'i ListBounds,
+        ubs: Column<'i, Fixed>,
         idf: Fixed,
         window: DocWindow,
         cols: &'b mut BlockColumns,
@@ -366,12 +376,12 @@ impl<'b, 'i> BlockCursor<'b, 'i> {
         let postings = if blocks.len() == list.metas().len() {
             list.num_postings()
         } else {
-            list.metas()[blocks.clone()].iter().map(|m| u64::from(m.count)).sum()
+            list.metas().slice(blocks.clone()).iter().map(|m| u64::from(m.count)).sum()
         };
         BlockCursor {
             list,
-            skips: &list.skips()[..blocks.end],
-            ubs: &bounds.ubs()[..blocks.end],
+            skips: list.skips().slice(0..blocks.end),
+            ubs: ubs.slice(0..blocks.end),
             idf,
             window,
             first: blocks.start,
@@ -393,19 +403,19 @@ impl<'b, 'i> BlockCursor<'b, 'i> {
         match self.skips.get(self.blk) {
             None => self.window.hi(),
             Some(_) if self.decoded => u64::from(self.cols.docs()[self.pos]),
-            Some(&first) => u64::from(first.max(self.floor)),
+            Some(first) => u64::from(first.max(self.floor)),
         }
     }
 
     /// Exclusive end of the current block's docID range: the next skip
     /// value, or the window's end for its last block.
     fn end(&self) -> u64 {
-        self.skips.get(self.blk + 1).map_or(self.window.hi(), |&s| u64::from(s))
+        self.skips.get(self.blk + 1).map_or(self.window.hi(), u64::from)
     }
 
     /// The current block's stored score bound.
     fn ub(&self) -> Fixed {
-        self.ubs[self.blk]
+        self.ubs.at(self.blk)
     }
 
     /// Moves forward so that every remaining posting is `>= target`,
@@ -419,18 +429,12 @@ impl<'b, 'i> BlockCursor<'b, 'i> {
                 self.skips.len()
             } else {
                 // The last block that starts at or before `target`.
-                gallop(
-                    self.skips,
-                    self.blk + 1,
-                    target + 1,
-                    doc_key,
-                    &mut counts.binary_probes,
-                ) - 1
+                gallop(self.skips, self.blk + 1, target + 1, &mut counts.binary_probes) - 1
             };
             self.decoded = false;
         } else if self.decoded {
             let docs = self.cols.docs();
-            self.consume(gallop(docs, self.pos, target, doc_key, &mut counts.comparisons));
+            self.consume(gallop(docs, self.pos, target, &mut counts.comparisons));
             return;
         }
         if target < stop {
@@ -460,8 +464,8 @@ impl<'b, 'i> BlockCursor<'b, 'i> {
         if cols.docs().last().is_some_and(|&d| u64::from(d) >= hi) {
             cols.truncate(cols.docs().partition_point(|&d| u64::from(d) < hi));
         }
-        let from = if self.floor > self.skips[blk] {
-            gallop(cols.docs(), 0, u64::from(self.floor), doc_key, &mut counts.comparisons)
+        let from = if self.floor > self.skips.at(blk) {
+            gallop(cols.docs(), 0, u64::from(self.floor), &mut counts.comparisons)
         } else {
             0
         };
@@ -474,7 +478,7 @@ impl<'b, 'i> BlockCursor<'b, 'i> {
         if stop >= self.end() {
             self.cols.docs().len()
         } else {
-            gallop(self.cols.docs(), self.pos, stop, doc_key, &mut counts.comparisons)
+            gallop(self.cols.docs(), self.pos, stop, &mut counts.comparisons)
         }
     }
 
@@ -737,22 +741,10 @@ impl PairScorer<'_, '_> {
             self.counts.comparisons += 1;
             match da[i].cmp(&db[j]) {
                 std::cmp::Ordering::Less => {
-                    i = gallop(
-                        da,
-                        i + 1,
-                        doc_key(&db[j]),
-                        doc_key,
-                        &mut self.counts.comparisons,
-                    );
+                    i = gallop(da, i + 1, u64::from(db[j]), &mut self.counts.comparisons);
                 }
                 std::cmp::Ordering::Greater => {
-                    j = gallop(
-                        db,
-                        j + 1,
-                        doc_key(&da[i]),
-                        doc_key,
-                        &mut self.counts.comparisons,
-                    );
+                    j = gallop(db, j + 1, u64::from(da[i]), &mut self.counts.comparisons);
                 }
                 std::cmp::Ordering::Equal => {
                     self.push_both(da[i], idf_a, ra.tf(i), idf_b, rb.tf(j));
@@ -774,7 +766,7 @@ impl PairScorer<'_, '_> {
     ) {
         let mut j = 0;
         for (k, &d) in driver.docs.iter().enumerate() {
-            j = gallop(probed.docs, j, u64::from(d), doc_key, &mut self.counts.comparisons);
+            j = gallop(probed.docs, j, u64::from(d), &mut self.counts.comparisons);
             if probed.docs.get(j) == Some(&d) {
                 self.push_both(d, idf_d, driver.tf(k), idf_p, probed.tf(j));
             } else {
@@ -851,7 +843,7 @@ fn search_pair(
     let DecodeScratch { cols_a, cols_b, .. } = scratch;
     let cursor = |id: TermId, cols| {
         let (list, idf) = (verified(index.encoded_list(id)), index.term_info(id).idf_bar);
-        BlockCursor::new(list, index.list_bounds(id), idf, window, cols)
+        BlockCursor::new(list, index.list_bounds(id).ubs(), idf, window, cols)
     };
     let (mut a, mut b) = (cursor(ia, cols_a), cursor(ib, cols_b));
     let mut q = PairScorer { index, heap: GatedHeap::new(k, shared), counts };
@@ -921,7 +913,7 @@ fn search_pair(
 /// # Panics
 ///
 /// Panics if a list fails its deferred first-touch check
-/// ([`EncodedList::verified`]); the engines run that check when they
+/// ([`iiu_index::EncodedList::verified`]); the engines run that check when they
 /// resolve a query's terms, so a list they hand over has passed it.
 #[allow(clippy::too_many_arguments)]
 pub fn search_intersection_pruned(
@@ -945,7 +937,7 @@ pub fn search_intersection_pruned(
 /// # Panics
 ///
 /// Panics if a list fails its deferred first-touch check
-/// ([`EncodedList::verified`]); the engines run that check when they
+/// ([`iiu_index::EncodedList::verified`]); the engines run that check when they
 /// resolve a query's terms, so a list they hand over has passed it.
 #[allow(clippy::too_many_arguments)]
 pub fn search_union_pruned(
@@ -965,20 +957,20 @@ pub fn search_union_pruned(
 mod tests {
     use super::*;
     use crate::engine::CpuEngine;
-    use iiu_index::{Bm25Params, Partitioner, Posting, PostingList, DOC_END};
+    use iiu_index::{Bm25Params, EncodedList, Partitioner, Posting, PostingList, DOC_END};
 
     fn list(postings: &[(DocId, u32)]) -> PostingList {
         PostingList::from_sorted(postings.iter().map(|&(d, tf)| Posting::new(d, tf)).collect())
     }
 
-    fn encode(postings: &[(DocId, u32)], block_len: usize) -> (EncodedList, ListBounds) {
+    /// The list encoded in `block_len`-posting blocks, and the bytes of
+    /// a bound column for it: bounds are not what these cursor tests look
+    /// at.
+    fn encode(postings: &[(DocId, u32)], block_len: usize) -> (EncodedList, Vec<u8>) {
         let list = list(postings);
         let lens = Partitioner::fixed(block_len).partition(&list);
         let encoded = EncodedList::encode(&list, &lens).unwrap();
-        // Bounds are not what these cursor tests look at.
-        let bounds =
-            ListBounds::from_raw_parts(vec![Fixed::ONE; lens.len()], vec![1; lens.len()]);
-        (encoded, bounds)
+        (encoded, Fixed::ONE.raw().to_le_bytes().repeat(lens.len()))
     }
 
     fn view(enc: &EncodedList) -> ListView<'_> {
@@ -991,7 +983,7 @@ mod tests {
         for from in 0..=xs.len() {
             for target in 0..=u64::from(xs[xs.len() - 1]) + 2 {
                 let mut probes = 0;
-                let got = gallop(&xs, from, target, |&x| u64::from(x), &mut probes);
+                let got = gallop(&xs[..], from, target, &mut probes);
                 let want = from + xs[from..].partition_point(|&x| u64::from(x) < target);
                 assert_eq!(got, want, "from {from} target {target}");
                 assert!(probes > 0);
@@ -1005,8 +997,13 @@ mod tests {
         let (enc, bounds) = encode(&[(1, 1), (5, 1), (tail, 1), (tail + 1, 1)], 2);
         let mut counts = OpCounts::default();
         let mut cols = BlockColumns::default();
-        let mut c =
-            BlockCursor::new(view(&enc), &bounds, Fixed::ONE, DocWindow::ALL, &mut cols);
+        let mut c = BlockCursor::new(
+            view(&enc),
+            Column::new(&bounds),
+            Fixed::ONE,
+            DocWindow::ALL,
+            &mut cols,
+        );
         assert_eq!((c.low(), c.end()), (1, u64::from(tail)));
         c.skip_to(u64::from(tail), &mut counts);
         assert_eq!(c.blk, 1);
@@ -1021,8 +1018,13 @@ mod tests {
         assert_eq!(c.low(), DOC_END);
 
         let mut cols = BlockColumns::default();
-        let mut c =
-            BlockCursor::new(view(&enc), &bounds, Fixed::ONE, DocWindow::ALL, &mut cols);
+        let mut c = BlockCursor::new(
+            view(&enc),
+            Column::new(&bounds),
+            Fixed::ONE,
+            DocWindow::ALL,
+            &mut cols,
+        );
         c.skip_to(u64::from(tail), &mut counts);
         let end = c.end();
         c.skip_to(end, &mut counts);
@@ -1039,8 +1041,13 @@ mod tests {
         let (enc, bounds) = encode(&[(10, 1), (20, 1), (30, 1), (100, 2), (110, 2)], 3);
         let mut counts = OpCounts::default();
         let mut cols = BlockColumns::default();
-        let mut c =
-            BlockCursor::new(view(&enc), &bounds, Fixed::ONE, DocWindow::ALL, &mut cols);
+        let mut c = BlockCursor::new(
+            view(&enc),
+            Column::new(&bounds),
+            Fixed::ONE,
+            DocWindow::ALL,
+            &mut cols,
+        );
         c.skip_to(50, &mut counts);
         assert_eq!((c.blk, c.decoded, c.low()), (0, false, 50));
         assert!(!c.decode(true, &mut counts), "nothing at or above the floor");

@@ -126,7 +126,7 @@ impl Part<'_> {
             return bounds.max_ub();
         }
         let blocks = self.index.encoded_list(id).window_blocks(self.window);
-        bounds.ubs()[blocks].iter().copied().max().unwrap_or(Fixed::ZERO)
+        bounds.ubs().slice(blocks).iter().max().unwrap_or(Fixed::ZERO)
     }
 }
 

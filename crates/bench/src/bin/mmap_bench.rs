@@ -11,7 +11,7 @@
 //!
 //! - **Block decode**: every block of the highest-df lists decoded
 //!   straight out of the warm mapping vs out of owned heap bytes. This is
-//!   the zero-copy hot path — after the lazy record CRC is paid once, a
+//!   the zero-copy hot path — after the lazy first touch is paid once, a
 //!   warm mapped decode must stay within a small factor of in-RAM
 //!   (`max_warm_ratio` in the thresholds file, checked within-run so
 //!   machine speed cancels out).
@@ -26,18 +26,22 @@
 //! - **Checksum and open**: the CRC32 kernel's throughput over an 8 MiB
 //!   buffer, the heap open (read the file and `deserialize`, every
 //!   checksum and every list's first touch verified; median and minimum)
-//!   and mapped open (`map_index`, header, doc table and bounds
-//!   checksummed) of the timed corpus, and the first touch a mapped
-//!   index defers (`verify_term` on every list of a fresh mapping: record
-//!   CRC and content oracle) in ns per posting. Report-only: none of them
-//!   is a gated `min_ns` metric.
+//!   and mapped open (`map_index`: header, section table, doc table,
+//!   block columns and term directory checked, no payload byte read) of
+//!   the timed corpus, and the first touch a mapped index defers
+//!   (`verify_term` on every list of a fresh mapping: list CRC, structure
+//!   and content oracle) in ns per posting. Report-only: none of them is
+//!   a gated `min_ns` metric.
 //!
 //! The **RSS gate** re-execs this binary (`--rss-child`): the child
 //! streams a ≥1M-doc corpus to disk with `generate_streamed` (peak memory
 //! independent of the posting count), serves pruned top-k through a fresh
 //! mapping of it, and reports its own `VmHWM`. `--check` fails if the
 //! child's peak RSS exceeds the committed `rss_max_kb` — the bound that
-//! proves gen → mmap-serve never materializes the corpus.
+//! proves gen → mmap-serve never materializes the corpus. The row also
+//! reports what the mapped open keeps on the heap
+//! (`mapped_heap_bytes`, [`InvertedIndex::heap_bytes`]) and its ratio to
+//! the file (`mapped_heap_to_file`); neither is gated.
 //!
 //! Writes `BENCH_mmap.json` at the workspace root; `--out`, `--check`
 //! and `--write-thresholds` are [`iiu_bench::gate`]'s, with a
@@ -214,6 +218,8 @@ fn run_rss_child() -> ExitCode {
     let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
     let index = storage::map_index(&path).expect("map streamed index");
+    // What the open keeps on the heap beside the mapping (report only).
+    let mapped_heap_bytes = index.heap_bytes().total();
     let queries = Queries::sample(&index, 64, RSS_QUERIES);
     let mut engine = CpuEngine::new(&index).with_pruning(true);
     let mut hits = 0usize;
@@ -232,6 +238,8 @@ fn run_rss_child() -> ExitCode {
             "terms": stats.terms,
             "postings": stats.postings,
             "file_bytes": file_bytes,
+            "mapped_heap_bytes": mapped_heap_bytes,
+            "mapped_heap_to_file": mapped_heap_bytes as f64 / file_bytes.max(1) as f64,
             "mapped_resident_kb": resident_kb,
             "vm_hwm_kb": vm_hwm_kb(),
             "hits": hits,
@@ -401,10 +409,11 @@ fn main() -> ExitCode {
     println!("== RSS gate: streamed {RSS_DOCS}-doc corpus served through mmap (child) ==");
     let rss = run_rss_gate();
     println!(
-        "rss child: {} docs, {} postings, {} KiB file, VmHWM {} KiB",
+        "rss child: {} docs, {} postings, {} KiB file, {} KiB mapped-open heap, VmHWM {} KiB",
         rss["docs"].as_u64().unwrap_or(0),
         rss["postings"].as_u64().unwrap_or(0),
         rss["file_bytes"].as_u64().unwrap_or(0) / 1024,
+        rss["mapped_heap_bytes"].as_u64().unwrap_or(0) / 1024,
         rss["vm_hwm_kb"].as_u64().unwrap_or(0)
     );
 

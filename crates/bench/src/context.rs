@@ -129,11 +129,13 @@ fn build_dataset(name: DatasetName) -> Dataset {
 /// ablations). Queries keep their term *names*, so ids are re-resolved.
 pub fn rebuild_with_partitioner(d: &Dataset, partitioner: Partitioner) -> Dataset {
     let names: Vec<String> =
-        d.singles.iter().map(|&t| d.index.term_info(t).term.clone()).collect();
+        d.singles.iter().map(|&t| d.index.term_info(t).term.to_string()).collect();
     let pair_names: Vec<(String, String)> = d
         .pairs
         .iter()
-        .map(|&(a, b)| (d.index.term_info(a).term.clone(), d.index.term_info(b).term.clone()))
+        .map(|&(a, b)| {
+            (d.index.term_info(a).term.to_string(), d.index.term_info(b).term.to_string())
+        })
         .collect();
 
     let n_docs = d.index.num_docs() as u32;

@@ -68,14 +68,14 @@ pub fn sim_queries(d: &Dataset, qt: QueryType) -> Vec<SimQuery> {
 /// per-query phase breakdowns (includes top-k).
 pub fn baseline_breakdowns(d: &Dataset, qt: QueryType) -> Vec<PhaseBreakdown> {
     let engine = CpuEngine::new(&d.index);
-    let term = |t: u32| d.index.term_info(t).term.clone();
+    let term = |t: u32| d.index.term_info(t).term.as_str();
     match qt {
         QueryType::Single => d
             .singles
             .iter()
             .map(|&t| {
                 engine
-                    .search_single(&term(t), 10)
+                    .search_single(term(t), 10)
                     .unwrap_or_else(|e| panic!("sampled term: {e:?}"))
                     .phases
             })
@@ -85,7 +85,7 @@ pub fn baseline_breakdowns(d: &Dataset, qt: QueryType) -> Vec<PhaseBreakdown> {
             .iter()
             .map(|&(a, b)| {
                 engine
-                    .search_intersection(&term(a), &term(b), 10)
+                    .search_intersection(term(a), term(b), 10)
                     .unwrap_or_else(|e| panic!("sampled terms: {e:?}"))
                     .phases
             })
@@ -95,7 +95,7 @@ pub fn baseline_breakdowns(d: &Dataset, qt: QueryType) -> Vec<PhaseBreakdown> {
             .iter()
             .map(|&(a, b)| {
                 engine
-                    .search_union(&term(a), &term(b), 10)
+                    .search_union(term(a), term(b), 10)
                     .unwrap_or_else(|e| panic!("sampled terms: {e:?}"))
                     .phases
             })

@@ -342,6 +342,7 @@ impl Run {
     ) -> ExitCode {
         let gate = self.gate;
         report[format!("gate_{}", self.key)] = Value::Object(self.metrics.clone());
+        report["machine"] = machine();
         let mut files = vec![(args.out.as_path(), report)];
         if let Some(path) = &args.write_thresholds {
             files.push((path, self.thresholds(template)));
@@ -388,6 +389,23 @@ pub fn qps(ns: f64) -> f64 {
     } else {
         f64::INFINITY
     }
+}
+
+/// The machine a report was measured on: cores, CPU model and kernel,
+/// so that timings are compared only across reports that agree.
+fn machine() -> Value {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split_once(':'))
+        .map(|(_, v)| v.trim().to_string());
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease").ok();
+    serde_json::json!({
+        "nproc": std::thread::available_parallelism().map_or(1, |p| p.get()),
+        "cpu_model": model,
+        "kernel": kernel.map(|k| k.trim().to_string()),
+    })
 }
 
 fn write_json(path: &Path, value: &Value) -> Result<(), String> {

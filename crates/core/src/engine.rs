@@ -283,7 +283,7 @@ fn window_leaf(
     let mut block = Vec::new();
     move |t, counts| {
         let id = t_id(index, t)?;
-        let list = index.encoded_list(id);
+        let list = index.encoded_list(id).verified()?;
         let idf = index.term_info(id).idf_bar;
         let whole = window == DocWindow::ALL;
         let mut scored =

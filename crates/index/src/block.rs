@@ -18,34 +18,39 @@
 //!
 //! # Memory layout
 //!
-//! An index keeps the metadata words, skip values and lazy-CRC records of
-//! *all* its lists in one set of flat `BlockTables` over one payload
-//! backing: the index file's mapping, or one owned buffer for an index
-//! built or loaded onto the heap. An [`EncodedList`] is a handle — the
-//! shared tables and the list's span in them — so a term costs a fixed
-//! record instead of a heap allocation per table (DESIGN.md §19).
+//! Every index — built in RAM, loaded onto the heap or mapped — is a set of
+//! typed views of one v5 file's bytes ([`crate::io`]): the file's mapping,
+//! or one owned copy of it behind the same [`Mmap`] type. The metadata words, skip
+//! values and score bounds of all its lists are three columns of that file,
+//! read a word at a time ([`Column`]) where they lie; nothing is copied into
+//! per-block tables. An [`EncodedList`] is a handle — the shared file and
+//! the list's term id, whose directory entry locates its slices of each
+//! column and of the payload — so a term costs a fixed record (DESIGN.md
+//! §19).
 //!
-//! The tables also hold what a list's *first touch* checks it against:
-//! the index's `dl̄` table and its stored block bounds, with the list's
-//! `idf̄` in its span. The first touch is one check on two schedules — the
-//! record CRC where the record is kept, then the content oracle over the
-//! list's blocks — run for every list before a heap load returns, and on
-//! a mapped list's first use (the policy table in [`crate::io`]).
+//! Beside the bytes sit what a list's *first touch* checks it against: the
+//! index's `dl̄` table and each list's kept verdict. The first touch is one
+//! check on two schedules — the list CRC, the structural checks, then the
+//! content oracle over the list's blocks — run for every list before a heap
+//! load returns, and on a mapped list's first use (the policy table in
+//! [`crate::io`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::marker::PhantomData;
+use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::bitpack::bits_for;
-use crate::bounds::{BoundTables, ListBounds};
-use crate::checksum;
+use crate::bounds::{self, ListBounds};
 use crate::codec::{self, BlockColumns, CodecId};
 use crate::error::IndexError;
+use crate::io::{self, Entry, FileWriter, Layout};
 use crate::mmap::Mmap;
+use crate::partition::Partitioner;
 use crate::posting::{DocId, Posting, PostingList};
-use crate::score::Fixed;
+use crate::score::{Bm25Params, Fixed};
 use crate::shard::{DocWindow, DOC_END};
 
 /// Maximum number of postings a block can hold: the metadata word has an
@@ -120,77 +125,216 @@ impl BlockMeta {
     }
 }
 
-/// The flat tables behind every [`EncodedList`] of one index: one entry
-/// per block in `metas` and `skips`, one [`RecordCrc`] per term record of
-/// a mapped file, the payload backing each list's span points into, and
-/// what a first touch holds a list to — the `dl̄` table and the stored
-/// bounds, whose entries line up with `metas`. Immutable once frozen by
-/// [`TableBuilder::freeze`].
+/// A word type a column of an index file stores little-endian.
+pub trait LeWord: Copy {
+    /// Bytes per word.
+    const BYTES: usize;
+    /// The word whose little-endian bytes are `bytes` (exactly
+    /// [`BYTES`](Self::BYTES) of them).
+    fn from_le(bytes: &[u8]) -> Self;
+}
+
+/// The `N` bytes at the front of `bytes` (which holds at least `N`).
+pub(crate) fn le<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut word = [0; N];
+    word.copy_from_slice(&bytes[..N]);
+    word
+}
+
+impl LeWord for u32 {
+    const BYTES: usize = 4;
+    #[inline]
+    fn from_le(bytes: &[u8]) -> Self {
+        u32::from_le_bytes(le(bytes))
+    }
+}
+
+impl LeWord for u64 {
+    const BYTES: usize = 8;
+    #[inline]
+    fn from_le(bytes: &[u8]) -> Self {
+        u64::from_le_bytes(le(bytes))
+    }
+}
+
+impl LeWord for Fixed {
+    const BYTES: usize = 4;
+    #[inline]
+    fn from_le(bytes: &[u8]) -> Self {
+        Fixed::from_raw(u32::from_le_bytes(le(bytes)))
+    }
+}
+
+impl LeWord for BlockMeta {
+    const BYTES: usize = 8;
+    #[inline]
+    fn from_le(bytes: &[u8]) -> Self {
+        BlockMeta::unpack(u64::from_le_bytes(le(bytes)))
+    }
+}
+
+/// A typed view of a run of little-endian words of an index file — one
+/// list's slice of a metadata, skip or bound column — that reads each word
+/// where it lies, on access. Copying it copies the view, not the words.
+#[derive(Clone, Copy)]
+pub struct Column<'a, T> {
+    bytes: &'a [u8],
+    word: PhantomData<T>,
+}
+
+/// One list's metadata words.
+pub type Metas<'a> = Column<'a, BlockMeta>;
+/// One list's skip values: the raw first docID of each block.
+pub type Skips<'a> = Column<'a, DocId>;
+
+/// The iterator of a [`Column`]'s words, in order.
+pub type ColumnIter<'a, T> = std::iter::Map<std::slice::ChunksExact<'a, u8>, fn(&[u8]) -> T>;
+
+impl<T> Default for Column<'_, T> {
+    fn default() -> Self {
+        Column { bytes: &[], word: PhantomData }
+    }
+}
+
+impl<'a, T: LeWord> Column<'a, T> {
+    /// The whole words of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        let whole = bytes.len() / T::BYTES * T::BYTES;
+        Column { bytes: bytes.get(..whole).unwrap_or(&[]), word: PhantomData }
+    }
+
+    /// Number of words.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.bytes.len() / T::BYTES
+    }
+
+    /// True when the column holds no word.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Word `i`, or `None` past the end.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<T> {
+        (i < self.len()).then(|| self.word(i))
+    }
+
+    /// Word `i`, which is in range.
+    #[inline]
+    fn word(&self, i: usize) -> T {
+        T::from_le(&self.bytes[i * T::BYTES..(i + 1) * T::BYTES])
+    }
+
+    /// Word `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range, as slice indexing does.
+    #[inline]
+    pub fn at(&self, i: usize) -> T {
+        match self.get(i) {
+            Some(word) => word,
+            None => panic!("column index {i} out of range for length {}", self.len()),
+        }
+    }
+
+    /// The first word.
+    pub fn first(&self) -> Option<T> {
+        self.get(0)
+    }
+
+    /// The last word.
+    pub fn last(&self) -> Option<T> {
+        self.len().checked_sub(1).and_then(|i| self.get(i))
+    }
+
+    /// The words in order.
+    pub fn iter(&self) -> ColumnIter<'a, T> {
+        self.bytes.chunks_exact(T::BYTES).map(T::from_le as fn(&[u8]) -> T)
+    }
+
+    /// Words `range`, cut to the words there are.
+    pub fn slice(&self, range: Range<usize>) -> Self {
+        let end = range.end.min(self.len());
+        let start = range.start.min(end);
+        Column {
+            bytes: self.bytes.get(start * T::BYTES..end * T::BYTES).unwrap_or(&[]),
+            word: PhantomData,
+        }
+    }
+
+    /// The index of the first word for which `pred` is false, in a column
+    /// where `pred` holds for a prefix: [`slice::partition_point`].
+    #[inline]
+    pub fn partition_point(&self, mut pred: impl FnMut(T) -> bool) -> usize {
+        // Halving with a conditional move, as the standard library's does.
+        let (mut base, mut size) = (0, self.len());
+        if size == 0 {
+            return 0;
+        }
+        while size > 1 {
+            let half = size / 2;
+            let mid = base + half;
+            base = if pred(self.word(mid)) { mid } else { base };
+            size -= half;
+        }
+        base + usize::from(pred(self.word(base)))
+    }
+
+    /// The words, copied out.
+    pub fn to_vec(&self) -> Vec<T> {
+        self.iter().collect()
+    }
+
+    /// The bytes the words are read from.
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+}
+
+impl<'a, T: LeWord> IntoIterator for Column<'a, T> {
+    type Item = T;
+    type IntoIter = ColumnIter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Equality is over the words, wherever they lie.
+impl<T> PartialEq for Column<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl<T> Eq for Column<'_, T> {}
+
+impl<T: LeWord + std::fmt::Debug> std::fmt::Debug for Column<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The one v5 file behind every [`EncodedList`] and [`ListBounds`] of an
+/// index, its sections located ([`Layout`]), and beside it what a list's
+/// first touch holds the list to: the `dl̄` table, the list's term
+/// constant, and the verdict it keeps.
 #[derive(Debug)]
-pub(crate) struct BlockTables {
-    metas: Vec<BlockMeta>,
-    skips: Vec<DocId>,
-    crcs: Vec<RecordCrc>,
-    /// The index file's mapping, or an owned buffer ([`Mmap::from_vec`]).
-    payload: Arc<Mmap>,
+pub(crate) struct Store {
+    /// The index file's mapping, or an owned copy ([`Mmap::from_vec`]).
+    bytes: Arc<Mmap>,
+    layout: Layout,
+    /// One first-touch verdict per list: [`UNVERIFIED`], [`VERIFIED`],
+    /// [`FAULT`] with the fault's slot in [`KEPT_FAULTS`] in the high 32
+    /// bits, or [`CHECKSUM_BAD`] with the computed CRC there.
+    verdicts: Box<[AtomicU64]>,
     /// One `dl̄` per document of the index, shared with the index.
     dl_bars: Arc<[Fixed]>,
-    /// The bound tables the index's [`ListBounds`] handles share.
-    bounds: Arc<BoundTables>,
-}
-
-impl Default for BlockTables {
-    fn default() -> Self {
-        BlockTables {
-            metas: Vec::new(),
-            skips: Vec::new(),
-            crcs: Vec::new(),
-            payload: Arc::new(Mmap::from_vec(Vec::new())),
-            dl_bars: Arc::default(),
-            bounds: Arc::default(),
-        }
-    }
-}
-
-/// Heap bytes of one set of block tables
-/// ([`crate::InvertedIndex::heap_bytes`]).
-#[derive(Debug, Default)]
-pub(crate) struct TableHeapBytes {
-    /// Metadata and skip tables.
-    pub(crate) blocks: u64,
-    /// Lazy-CRC records.
-    pub(crate) crcs: u64,
-    /// Payload owned on the heap (0 for a mapping).
-    pub(crate) payload: u64,
-}
-
-impl BlockTables {
-    /// Heap bytes of these tables.
-    pub(crate) fn heap_bytes(&self) -> TableHeapBytes {
-        TableHeapBytes {
-            blocks: (self.metas.capacity() * std::mem::size_of::<BlockMeta>()
-                + self.skips.capacity() * std::mem::size_of::<DocId>())
-                as u64,
-            crcs: (self.crcs.capacity() * std::mem::size_of::<RecordCrc>()) as u64,
-            payload: self.payload.heap_bytes(),
-        }
-    }
-}
-
-/// The deferred first touch of one term record of a mapped file, run on
-/// the list's first use instead of at open (hashing every record at open
-/// would fault in every payload page for nothing). The verdict is kept,
-/// so the steady state is one atomic load per decode, and clones of a
-/// list agree on it because they share the tables.
-#[derive(Debug)]
-struct RecordCrc {
-    /// Offset of the record's first byte in the mapping. The record ends
-    /// where its list's payload does, and its stored CRC follows it.
-    start: usize,
-    /// [`UNVERIFIED`], [`VERIFIED`], [`FAULT`] with the fault's slot in
-    /// [`KEPT_FAULTS`] in the high 32 bits, or [`CHECKSUM_BAD`] with the
-    /// computed CRC there.
-    verdict: AtomicU64,
+    /// One term constant per list: a function of its df and the header,
+    /// or the explicit statistics a build was given
+    /// ([`crate::InvertedIndex::from_lists_with_stats`]).
+    idf_bars: Box<[Fixed]>,
 }
 
 const UNVERIFIED: u64 = 0;
@@ -198,13 +342,18 @@ const VERIFIED: u64 = 1;
 const FAULT: u64 = 2;
 const CHECKSUM_BAD: u64 = 3;
 
-/// The `CorruptIndex` contexts a first touch names past its record CRC,
-/// so that a kept verdict names the same one again. A fault not listed
-/// here is not kept, and the next touch runs the check again.
-const KEPT_FAULTS: [&str; 3] = [
+/// The `CorruptIndex` contexts a first touch names past its list CRC, so
+/// that a kept verdict names the same one again. A fault not listed here
+/// is not kept, and the next touch runs the check again.
+const KEPT_FAULTS: [&str; 8] = [
     "docIDs not increasing",
     "posting list references docID beyond corpus",
     "score bounds mismatch",
+    "block bitwidths",
+    "block count",
+    "payload bounds",
+    "posting count mismatch",
+    "skip values not increasing",
 ];
 
 /// The verdict to keep for the outcome of a first touch.
@@ -222,227 +371,71 @@ fn kept(outcome: &Result<(), IndexError>) -> u64 {
     }
 }
 
-/// The `crc` slot of a list with no deferred checksum.
-const NO_CRC: u32 = u32::MAX;
-
-/// Where one list lives in its index's [`BlockTables`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ListSpan {
-    first: u32,
-    blocks: u32,
-    /// Slot in the CRC table, or [`NO_CRC`].
-    crc: u32,
-    /// The list's term constant, which its first touch scores with; it
-    /// fills what would be padding.
-    idf_bar: Fixed,
-    payload_start: usize,
-    payload_len: usize,
-    num_postings: u64,
-}
-
-impl ListSpan {
-    const EMPTY: ListSpan = ListSpan {
-        first: 0,
-        blocks: 0,
-        crc: NO_CRC,
-        idf_bar: Fixed::ZERO,
-        payload_start: 0,
-        payload_len: 0,
-        num_postings: 0,
-    };
-
-    fn blocks(&self) -> Range<usize> {
-        let first = self.first as usize;
-        first..first + self.blocks as usize
-    }
-}
-
-/// Accumulates the tables of an index's lists, in term order: what a build
-/// encodes into and a load parses into, until [`freeze`](Self::freeze).
-#[derive(Debug, Default)]
-pub(crate) struct TableBuilder {
-    metas: Vec<BlockMeta>,
-    skips: Vec<DocId>,
-    crcs: Vec<RecordCrc>,
-    payload: Vec<u8>,
-    /// Encoder scratch reused across blocks and lists: the stored d-gap
-    /// and tf columns of one block.
-    gaps: Vec<u32>,
-    tfs: Vec<u32>,
-}
-
-impl TableBuilder {
-    /// Compresses `list` using the block boundaries produced by a
-    /// partitioner and appends it, under its term constant `idf_bar`: the
-    /// encoder behind [`EncodedList::encode_with`] and every index build.
-    ///
-    /// # Errors
-    ///
-    /// As [`EncodedList::encode`].
-    pub(crate) fn encode(
-        &mut self,
-        list: &PostingList,
-        block_lens: &[usize],
-        idf_bar: Fixed,
-    ) -> Result<ListSpan, IndexError> {
-        let postings = list.as_slice();
-        let total: usize = block_lens.iter().sum();
-        if total != postings.len() || block_lens.iter().any(|&l| l == 0 || l > MAX_BLOCK_LEN) {
-            return Err(IndexError::BadPartition {
-                list_len: postings.len(),
-                partition_sum: total,
-            });
-        }
-
-        let first = self.metas.len();
-        let payload_start = self.payload.len();
-        self.metas.reserve(block_lens.len());
-        self.skips.reserve(block_lens.len());
-        let mut start = 0usize;
-        for &len in block_lens {
-            let block = &postings[start..start + len];
-            let skip = block[0].doc_id;
-
-            // Stored d-gaps: 0 for the first posting (recovered from the skip
-            // value), successor differences for the rest.
-            self.gaps.clear();
-            self.tfs.clear();
-            let mut max_gap = 0u32;
-            let mut max_tf = 0u32;
-            for (i, p) in block.iter().enumerate() {
-                let gap = if i == 0 { 0 } else { p.doc_id - block[i - 1].doc_id };
-                max_gap = max_gap.max(gap);
-                max_tf = max_tf.max(p.tf);
-                self.gaps.push(gap);
-                self.tfs.push(p.tf);
-            }
-            let dn_bits = bits_for(max_gap);
-            let tf_bits = bits_for(max_tf);
-            if dn_bits >= 32 || tf_bits >= 32 {
-                return Err(IndexError::ValueTooWide { dn_bits, tf_bits });
-            }
-
-            let offset = (self.payload.len() - payload_start) as u64;
-            if offset >= (1 << 43) {
-                return Err(IndexError::ListTooLarge { bytes: offset });
-            }
-            codec::encode_block(&self.gaps, &self.tfs, dn_bits, tf_bits, &mut self.payload);
-
-            self.metas.push(BlockMeta { dn_bits, tf_bits, count: len as u16, offset });
-            self.skips.push(skip);
-            start += len;
-        }
-        let (first, blocks) = self.blocks_since(first)?;
-        Ok(ListSpan {
-            first,
-            blocks,
-            crc: NO_CRC,
-            idf_bar,
-            payload_start,
-            payload_len: self.payload.len() - payload_start,
-            num_postings: postings.len() as u64,
-        })
-    }
-
-    /// Appends a list parsed from a term record — nothing is decoded — and
-    /// checks its structure ([`EncodedList::validate`]), under its term
-    /// constant `idf_bar`. `mapped` is
-    /// `(record start, payload offset)` in the mapping the tables will be
-    /// frozen over: the payload stays there and the record CRC is deferred
-    /// to first touch. With `None` the payload is copied into the owned
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if the list fails validation.
-    pub(crate) fn push_stored(
-        &mut self,
-        meta_words: impl Iterator<Item = u64>,
-        skips: impl Iterator<Item = DocId>,
-        payload: &[u8],
-        num_postings: u64,
-        idf_bar: Fixed,
-        mapped: Option<(usize, usize)>,
-    ) -> Result<ListSpan, IndexError> {
-        let first = self.metas.len();
-        self.metas.extend(meta_words.map(BlockMeta::unpack));
-        self.skips.extend(skips);
-        let (payload_start, crc) = match mapped {
-            Some((start, payload_start)) => {
-                self.crcs.push(RecordCrc { start, verdict: AtomicU64::new(UNVERIFIED) });
-                (
-                    payload_start,
-                    u32::try_from(self.crcs.len() - 1).map_err(|_| TABLE_OVERFLOW)?,
-                )
-            }
-            None => {
-                self.payload.extend_from_slice(payload);
-                (self.payload.len() - payload.len(), NO_CRC)
-            }
-        };
-        let view = ListView {
-            metas: &self.metas[first..],
-            skips: &self.skips[first..],
-            payload,
-            num_postings,
-        };
-        view.validate()?;
-        let (first, blocks) = self.blocks_since(first)?;
-        Ok(ListSpan {
-            first,
-            blocks,
-            crc,
-            idf_bar,
-            payload_start,
-            payload_len: payload.len(),
-            num_postings,
-        })
-    }
-
-    /// The span `first..` of the block tables as `(first, count)`: `u32`s,
-    /// which hold as long as the whole table does.
-    fn blocks_since(&self, first: usize) -> Result<(u32, u32), IndexError> {
-        u32::try_from(self.metas.len()).map_err(|_| TABLE_OVERFLOW)?;
-        Ok((first as u32, (self.metas.len() - first) as u32))
-    }
-
-    /// Ends the build or load: the tables, trimmed to size, over `mapping`
-    /// when the lists' payloads lie in it, else over the owned buffer,
-    /// beside what a first touch holds the lists to — the index's `dl̄`
-    /// table and the tables behind its lists' `bounds`, laid out block
-    /// for block as these are.
-    pub(crate) fn freeze(
-        self,
-        mapping: Option<Arc<Mmap>>,
+impl Store {
+    /// The store over `bytes`, whose sections `layout` locates, with
+    /// `verified` lists (an index as built) or lists that still owe their
+    /// first touch.
+    pub(crate) fn new(
+        bytes: Arc<Mmap>,
+        layout: Layout,
         dl_bars: Arc<[Fixed]>,
-        bounds: &[ListBounds],
-    ) -> Arc<BlockTables> {
-        let TableBuilder { mut metas, mut skips, mut crcs, mut payload, .. } = self;
-        metas.shrink_to_fit();
-        skips.shrink_to_fit();
-        crcs.shrink_to_fit();
-        let payload = mapping.unwrap_or_else(|| {
-            payload.shrink_to_fit();
-            Arc::new(Mmap::from_vec(payload))
-        });
-        let bounds = BoundTables::of(bounds);
-        Arc::new(BlockTables { metas, skips, crcs, payload, dl_bars, bounds })
+        idf_bars: Vec<Fixed>,
+        verified: bool,
+    ) -> Self {
+        let initial = if verified { VERIFIED } else { UNVERIFIED };
+        let verdicts = (0..layout.n_terms).map(|_| AtomicU64::new(initial)).collect();
+        Store { bytes, layout, verdicts, dl_bars, idf_bars: idf_bars.into() }
+    }
+
+    /// The file bytes.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        self.bytes.as_slice()
+    }
+
+    /// The mapping or owned copy the bytes live in.
+    pub(crate) fn backing(&self) -> &Arc<Mmap> {
+        &self.bytes
+    }
+
+    /// The file's sections.
+    pub(crate) fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// The term name of list `id`, as bytes.
+    #[inline]
+    pub(crate) fn name_bytes(&self, id: u32) -> &[u8] {
+        self.layout.name(self.bytes(), id as usize)
+    }
+
+    /// The term name of list `id`: UTF-8, as the open checked.
+    pub(crate) fn name(&self, id: u32) -> &str {
+        std::str::from_utf8(self.name_bytes(id)).unwrap_or("")
+    }
+
+    /// The term constant of list `id`.
+    pub(crate) fn idf_bar(&self, id: u32) -> Fixed {
+        self.idf_bars.get(id as usize).copied().unwrap_or(Fixed::ZERO)
+    }
+
+    /// Heap bytes of this store beside the `dl̄` table it shares: its
+    /// per-term records, and the file bytes it owns (0 for a mapping).
+    pub(crate) fn heap_bytes(&self) -> (u64, u64) {
+        let per_term = self.verdicts.len() * size_of::<AtomicU64>()
+            + self.idf_bars.len() * size_of::<Fixed>();
+        (per_term as u64, self.bytes.heap_bytes())
     }
 }
 
-const TABLE_OVERFLOW: IndexError =
-    IndexError::CorruptIndex { context: "block table exceeds 2^32 entries" };
-
-/// One list's slices of its tables: what the decode and validation
-/// kernels run on, before and after a freeze, and the handle a query walk
-/// holds for a whole query. The public way to one is
-/// [`EncodedList::verified`], which runs the list's deferred checks
-/// first, so that a walk checks a list once rather than at every block
-/// and slices its tables once rather than at every decode.
+/// One list's columns and payload: what the decode and validation kernels
+/// run on, and the handle a query walk holds for a whole query. The public
+/// way to one is [`EncodedList::verified`], which runs the list's deferred
+/// checks first, so that a walk checks a list once rather than at every
+/// block and reads its directory entry once rather than at every decode.
 #[derive(Debug, Clone, Copy)]
 pub struct ListView<'a> {
-    metas: &'a [BlockMeta],
-    skips: &'a [DocId],
+    metas: Metas<'a>,
+    skips: Skips<'a>,
     payload: &'a [u8],
     num_postings: u64,
 }
@@ -467,12 +460,12 @@ impl BlockTfs<'_> {
 
 impl<'a> ListView<'a> {
     /// Block metadata words.
-    pub fn metas(&self) -> &'a [BlockMeta] {
+    pub fn metas(&self) -> Metas<'a> {
         self.metas
     }
 
     /// Skip list: the raw first docID of each block.
-    pub fn skips(&self) -> &'a [DocId] {
+    pub fn skips(&self) -> Skips<'a> {
         self.skips
     }
 
@@ -488,12 +481,12 @@ impl<'a> ListView<'a> {
         }
         let start = match window.lo() {
             0 => 0,
-            lo => self.skips.partition_point(|&s| s <= lo).saturating_sub(1),
+            lo => self.skips.partition_point(|s| s <= lo).saturating_sub(1),
         };
         let end = if window.hi() >= DOC_END {
             self.skips.len()
         } else {
-            self.skips.partition_point(|&s| u64::from(s) < window.hi())
+            self.skips.partition_point(|s| u64::from(s) < window.hi())
         };
         start..end
     }
@@ -502,12 +495,13 @@ impl<'a> ListView<'a> {
     /// block's offset to the end of the list payload, not the block's own
     /// bytes, so that its last pairs load full windows (the masks keep
     /// the next block's bits out).
+    #[inline]
     fn block(&self, idx: usize) -> Result<(BlockMeta, DocId, &'a [u8]), IndexError> {
-        let meta = *self
+        let meta = self
             .metas
             .get(idx)
             .ok_or(IndexError::CorruptIndex { context: "block index out of range" })?;
-        let skip = *self
+        let skip = self
             .skips
             .get(idx)
             .ok_or(IndexError::CorruptIndex { context: "skip/meta count mismatch" })?;
@@ -576,21 +570,21 @@ impl<'a> ListView<'a> {
         let from = out.len();
         self.try_decode_pairs_into(idx, out)?;
         let decoded = out.len() - from;
-        if self.skips.get(idx).is_some_and(|&s| s < window.lo()) {
+        if self.skips.get(idx).is_some_and(|s| s < window.lo()) {
             let below = out[from..].partition_point(|p| p.doc_id < window.lo());
             out.drain(from..from + below);
         }
-        if self.skips.get(idx + 1).map_or(DOC_END, |&s| u64::from(s)) > window.hi() {
+        if self.skips.get(idx + 1).map_or(DOC_END, u64::from) > window.hi() {
             let keep = out[from..].partition_point(|p| u64::from(p.doc_id) < window.hi());
             out.truncate(from + keep);
         }
         Ok(decoded)
     }
 
-    /// [`EncodedList::find`] minus the deferred checksum: the candidate
+    /// [`EncodedList::find`] minus the deferred checks: the candidate
     /// block's decode and a binary search of it.
     fn find(&self, doc_id: DocId) -> Option<u32> {
-        let block = self.skips.partition_point(|&s| s <= doc_id).checked_sub(1)?;
+        let block = self.skips.partition_point(|s| s <= doc_id).checked_sub(1)?;
         let mut buf = Vec::new();
         self.try_decode_pairs_into(block, &mut buf).ok()?;
         buf.binary_search_by_key(&doc_id, |p| p.doc_id).ok().map(|i| buf[i].tf)
@@ -623,8 +617,16 @@ impl<'a> ListView<'a> {
         if total != self.num_postings {
             return Err(IndexError::CorruptIndex { context: "posting count mismatch" });
         }
-        if self.skips.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(IndexError::CorruptIndex { context: "skip values not increasing" });
+        let mut skips = self.skips.iter();
+        if let Some(mut prev) = skips.next() {
+            for skip in skips {
+                if prev >= skip {
+                    return Err(IndexError::CorruptIndex {
+                        context: "skip values not increasing",
+                    });
+                }
+                prev = skip;
+            }
         }
         Ok(())
     }
@@ -633,16 +635,21 @@ impl<'a> ListView<'a> {
 /// A posting list compressed with the IIU scheme: block metadata, skip list
 /// and a byte-aligned bit-packed payload.
 ///
-/// A handle into its index's `BlockTables` (or, for a list encoded on
-/// its own, tables of its own): cloning it copies the handle, not the
-/// tables.
+/// A handle on its index's file (or, for a list encoded on its own, a
+/// one-list file of its own) and its directory entry's windows, read once
+/// at open: cloning it copies the handle, not the bytes.
 #[derive(Clone)]
 pub struct EncodedList {
-    tables: Arc<BlockTables>,
-    span: ListSpan,
+    store: Arc<Store>,
+    id: u32,
+    /// The list's blocks in every column.
+    first: u32,
+    blocks: u32,
+    /// The list's payload, as absolute offsets into the file.
+    payload: (usize, usize),
 }
 
-/// This list's slice of the tables, not the whole index's.
+/// This list's slices of the file, not the whole index's.
 impl std::fmt::Debug for EncodedList {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EncodedList")
@@ -657,12 +664,13 @@ impl std::fmt::Debug for EncodedList {
 
 impl Default for EncodedList {
     fn default() -> Self {
-        EncodedList::new(&Arc::default(), ListSpan::EMPTY)
+        // An empty list encodes whatever the partition; it cannot fail.
+        EncodedList::encode(&PostingList::new(), &[]).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 /// Equality is over logical content (structure + payload bytes);
-/// where the tables live (heap vs mapping, shared or not) and
+/// where the file lives (heap vs mapping, shared or not) and
 /// lazy-verification state are representation details — a mapped index
 /// must compare equal to the heap index it was serialized from.
 impl PartialEq for EncodedList {
@@ -680,6 +688,9 @@ impl EncodedList {
     /// Compresses `list` using the block boundaries produced by a
     /// partitioner. `block_lens` must sum to `list.len()`.
     ///
+    /// The list is written as the one list of a v5 file of its own, over an
+    /// empty corpus, and viewed there as an index's lists are.
+    ///
     /// # Errors
     ///
     /// Returns [`IndexError::ValueTooWide`] if a docID or tf needs 32 or
@@ -687,9 +698,14 @@ impl EncodedList {
     /// [`IndexError::BadPartition`] if `block_lens` is inconsistent with the
     /// list length or violates [`MAX_BLOCK_LEN`].
     pub fn encode(list: &PostingList, block_lens: &[usize]) -> Result<Self, IndexError> {
-        let mut tables = TableBuilder::default();
-        let span = tables.encode(list, block_lens, Fixed::ZERO)?;
-        Ok(EncodedList::new(&tables.freeze(None, Arc::default(), &[]), span))
+        let (partitioner, params) = (Partitioner::default(), Bm25Params::default());
+        let mut file = FileWriter::new(Vec::new(), &[], 1, partitioner, params)?;
+        file.push("", list.as_slice(), block_lens, Fixed::ZERO, &[])?;
+        let bytes = Arc::new(Mmap::from_vec(file.finish()?));
+        let layout = io::parse(bytes.as_slice())?;
+        let store = Store::new(bytes, layout, Arc::default(), vec![Fixed::ZERO], true);
+        let entry = store.layout().entries(store.bytes()).next().unwrap_or_default();
+        Ok(EncodedList::new(&Arc::new(store), 0, &entry))
     }
 
     /// [`EncodedList::encode`] under `codec`, which can only name the one
@@ -708,66 +724,102 @@ impl EncodedList {
         Self::encode(list, block_lens)
     }
 
-    /// The handle of the list at `span` of `tables`.
-    pub(crate) fn new(tables: &Arc<BlockTables>, span: ListSpan) -> Self {
-        EncodedList { tables: Arc::clone(tables), span }
+    /// The handle of list `id` of `store`, whose directory entry is
+    /// `entry`.
+    pub(crate) fn new(store: &Arc<Store>, id: u32, entry: &Entry) -> Self {
+        EncodedList {
+            store: Arc::clone(store),
+            id,
+            first: entry.blocks.start as u32,
+            blocks: entry.blocks.len() as u32,
+            payload: (entry.payload.start, entry.payload.end),
+        }
+    }
+
+    /// The list's blocks in every column.
+    fn block_range(&self) -> Range<usize> {
+        self.first as usize..self.first as usize + self.blocks as usize
     }
 
     #[cfg(test)]
-    pub(crate) fn tables(&self) -> &Arc<BlockTables> {
-        &self.tables
+    pub(crate) fn store(&self) -> &Arc<Store> {
+        &self.store
     }
 
+    /// The list's view.
+    #[inline]
     fn view(&self) -> ListView<'_> {
-        let blocks = self.span.blocks();
         ListView {
-            metas: self.tables.metas.get(blocks.clone()).unwrap_or(&[]),
-            skips: self.tables.skips.get(blocks).unwrap_or(&[]),
+            metas: self.metas(),
+            skips: self.skips(),
             payload: self.payload(),
-            num_postings: self.span.num_postings,
+            num_postings: self.num_postings(),
         }
     }
 
-    /// Runs the list's deferred first touch, if it carries one (lists
-    /// served from a mapped file), once, and keeps the verdict: the record
-    /// CRC, then the content oracle — every block decoded once, docIDs
-    /// strictly increasing and inside the corpus, and the stored block
-    /// bounds equal to the ones they give. A heap-loaded list ran the same
-    /// check before its load returned, and a built one computed its
-    /// bounds, so both return `Ok` unconditionally. Engines call this at
-    /// term-resolve time so corruption surfaces as a typed error before
-    /// any panicking decode wrapper runs; the decode entry points below
-    /// also call it as defense in depth, once per block. A query walk
-    /// instead takes [`EncodedList::verified`] once per list and decodes
-    /// through that view, so the check runs once per list per query.
+    /// The list's stored block bounds.
+    pub(crate) fn bounds(&self) -> ListBounds<'_> {
+        let (layout, bytes, blocks) =
+            (self.store.layout(), self.store.bytes(), self.block_range());
+        ListBounds::new(layout.ubs(bytes, blocks.clone()), layout.max_tfs(bytes, blocks))
+    }
+
+    /// Runs the list's deferred first touch, if it still owes one (lists
+    /// served from a mapped file), once, and keeps the verdict: the list
+    /// CRC, the structural checks ([`EncodedList::validate`]), then the
+    /// content oracle — every block decoded once, docIDs strictly
+    /// increasing and inside the corpus, and the stored block bounds equal
+    /// to the ones they give. A heap-loaded list ran the same check before
+    /// its load returned, and a built one computed its bounds, so both
+    /// return `Ok` unconditionally. Engines call this at term-resolve time
+    /// so corruption surfaces as a typed error before any panicking decode
+    /// wrapper runs; the decode entry points below also call it as defense
+    /// in depth, once per block. A query walk instead takes
+    /// [`EncodedList::verified`] once per list and decodes through that
+    /// view, so the check runs once per list per query.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::ChecksumMismatch`] on a corrupt record, and
-    /// [`IndexError::CorruptIndex`] when a block fails to decode, its
-    /// docIDs are out of order or beyond the corpus (`docIDs not
-    /// increasing`, `posting list references docID beyond corpus`), or the
-    /// stored bounds differ (`score bounds mismatch`).
+    /// Returns [`IndexError::ChecksumMismatch`] on a corrupt list, and
+    /// [`IndexError::CorruptIndex`] when a structural check fails, a block
+    /// fails to decode, its docIDs are out of order or beyond the corpus
+    /// (`docIDs not increasing`, `posting list references docID beyond
+    /// corpus`), or the stored bounds differ (`score bounds mismatch`).
+    #[inline]
     pub fn ensure_verified(&self) -> Result<(), IndexError> {
-        let Some(crc) = self.tables.crcs.get(self.span.crc as usize) else {
+        let Some(verdict) = self.store.verdicts.get(self.id as usize) else {
             return Ok(());
         };
-        let verdict = crc.verdict.load(Ordering::Acquire);
+        let verdict = verdict.load(Ordering::Acquire);
+        if verdict == VERIFIED {
+            return Ok(());
+        }
+        self.kept_or_touch(verdict)
+    }
+
+    /// The kept verdict other than [`VERIFIED`], or the first touch when
+    /// there is none yet.
+    #[cold]
+    fn kept_or_touch(&self, verdict: u64) -> Result<(), IndexError> {
         let high = (verdict >> 32) as u32;
         match verdict & u64::from(u32::MAX) {
-            UNVERIFIED => {
-                let outcome = self.first_touch(&mut BlockColumns::default());
-                crc.verdict.store(kept(&outcome), Ordering::Release);
-                outcome
-            }
-            VERIFIED => Ok(()),
+            UNVERIFIED => self.touch(&mut BlockColumns::default()),
             FAULT => Err(IndexError::CorruptIndex { context: KEPT_FAULTS[high as usize] }),
             _ => Err(IndexError::ChecksumMismatch {
                 section: "term record",
-                expected: self.record(crc)?.1,
+                expected: self.store.layout().crc(self.store.bytes(), self.id as usize),
                 found: high,
             }),
         }
+    }
+
+    /// The first touch, its verdict kept.
+    pub(crate) fn touch(&self, cols: &mut BlockColumns) -> Result<(), IndexError> {
+        let outcome = self.first_touch(cols);
+        if let Some(verdict) = self.store.verdicts.get(self.id as usize) {
+            verdict.store(kept(&outcome), Ordering::Release);
+        }
+        outcome
     }
 
     /// This list's [`ListView`], after [`EncodedList::ensure_verified`]:
@@ -782,79 +834,61 @@ impl EncodedList {
         Ok(self.view())
     }
 
-    /// The bytes of this list's term record and the CRC stored after them.
-    fn record(&self, crc: &RecordCrc) -> Result<(&[u8], u32), IndexError> {
-        let map = self.tables.payload.as_slice();
-        let end = self.span.payload_start.saturating_add(self.span.payload_len);
-        match (map.get(crc.start..end), map.get(end..end.saturating_add(4))) {
-            (Some(record), Some(&[a, b, c, d])) => {
-                Ok((record, u32::from_le_bytes([a, b, c, d])))
-            }
-            _ => Err(IndexError::CorruptIndex { context: "term record range" }),
-        }
-    }
-
     /// The list's first touch, the one check both backings hold a list to
-    /// and the one caller of the content oracle ([`BoundTables::matches`]):
-    /// the record CRC where the record is kept (a mapped file; a heap load
-    /// checked it while framing), then one pass over the blocks with `cols`
-    /// as its decode buffer. Not kept; [`EncodedList::ensure_verified`]
-    /// keeps it. Concurrent racers recompute harmlessly: the outcome is a
-    /// pure function of immutable bytes.
+    /// and the one caller of the content oracle ([`bounds::matches`]): the
+    /// list CRC over its column slices and payload, the structural checks,
+    /// then one pass over the blocks with `cols` as its decode buffer. Not
+    /// kept; [`EncodedList::touch`] keeps it. Concurrent racers recompute
+    /// harmlessly: the outcome is a pure function of immutable bytes.
     pub(crate) fn first_touch(&self, cols: &mut BlockColumns) -> Result<(), IndexError> {
-        if let Some(crc) = self.tables.crcs.get(self.span.crc as usize) {
-            let (record, expected) = self.record(crc)?;
-            let found = checksum::crc32(record);
-            if found != expected {
-                return Err(IndexError::ChecksumMismatch {
-                    section: "term record",
-                    expected,
-                    found,
-                });
-            }
+        let store = &self.store;
+        let (layout, bytes) = (store.layout(), store.bytes());
+        let found = layout.list_crc(bytes, self.block_range(), self.payload());
+        let expected = layout.crc(bytes, self.id as usize);
+        if found != expected {
+            return Err(IndexError::ChecksumMismatch {
+                section: "term record",
+                expected,
+                found,
+            });
         }
-        let tables = &self.tables;
-        let blocks = self.span.blocks();
-        tables.bounds.matches(blocks, self.view(), self.span.idf_bar, &tables.dl_bars, cols)
+        let view = self.view();
+        view.validate()?;
+        let idf_bar = store.idf_bar(self.id);
+        bounds::matches(self.bounds(), view, idf_bar, &store.dl_bars, cols)
     }
 
     /// Number of blocks.
     pub fn num_blocks(&self) -> usize {
-        self.span.blocks as usize
+        self.blocks as usize
     }
 
     /// Number of postings across all blocks.
     pub fn num_postings(&self) -> u64 {
-        self.span.num_postings
+        self.store.layout().df(self.store.bytes(), self.id as usize)
     }
 
     /// Block metadata words.
-    pub fn metas(&self) -> &[BlockMeta] {
-        self.view().metas
+    pub fn metas(&self) -> Metas<'_> {
+        self.store.layout().metas(self.store.bytes(), self.block_range())
     }
 
     /// Skip list: the raw first docID of each block.
-    pub fn skips(&self) -> &[DocId] {
-        self.view().skips
+    #[inline]
+    pub fn skips(&self) -> Skips<'_> {
+        self.store.layout().skips(self.store.bytes(), self.block_range())
     }
 
     /// The bit-packed payload bytes (borrowed from the heap or straight
     /// from a file mapping, depending on how the list was loaded).
     pub fn payload(&self) -> &[u8] {
-        // The span is validated at construction; a malformed one degrades
-        // to an empty payload (decoders then report "payload bounds")
-        // rather than panicking.
-        let start = self.span.payload_start;
-        start
-            .checked_add(self.span.payload_len)
-            .and_then(|end| self.tables.payload.as_slice().get(start..end))
-            .unwrap_or(&[])
+        self.store.bytes().get(self.payload.0..self.payload.1).unwrap_or(&[])
     }
 
     /// True when the payload is served from a file mapping rather than
     /// owned heap bytes.
     pub fn is_mapped(&self) -> bool {
-        self.tables.payload.is_mapped()
+        self.store.backing().is_mapped()
     }
 
     /// Decodes block `idx` into postings.
@@ -922,8 +956,7 @@ impl EncodedList {
     /// skip value is `<= doc_id`. Returns `None` if `doc_id` precedes the
     /// first skip value or the list is empty.
     pub fn candidate_block(&self, doc_id: DocId) -> Option<usize> {
-        let n = self.skips().partition_point(|&s| s <= doc_id);
-        n.checked_sub(1)
+        self.skips().partition_point(|s| s <= doc_id).checked_sub(1)
     }
 
     /// The blocks that can hold postings of `window`: from the block
@@ -1010,11 +1043,10 @@ impl EncodedList {
     /// assert_eq!(enc.find(4), None);
     /// ```
     pub fn find(&self, doc_id: DocId) -> Option<u32> {
-        // A mapped list whose deferred checksum fails reports "absent"
+        // A mapped list whose deferred check fails reports "absent"
         // rather than panicking; engines surface the typed error via
         // `ensure_verified` at resolve time.
-        self.ensure_verified().ok()?;
-        self.view().find(doc_id)
+        self.verified().ok()?.find(doc_id)
     }
 
     /// Cost in bits under the paper's Eq. 3, before byte alignment:
@@ -1030,7 +1062,6 @@ impl EncodedList {
     /// Checks the structural invariants every decoder on the hot path
     /// relies on, without decoding any payload:
     ///
-    /// * one skip value per metadata word;
     /// * bitwidths at most 31 and counts in `1..=`[`MAX_BLOCK_LEN`]
     ///   (guaranteed by the packed layout, but re-checked for lists built
     ///   by hand);
@@ -1096,9 +1127,30 @@ impl<'a> IntoIterator for &'a EncodedList {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A list of the parts given, written as the one list of a file of its
+    /// own with nothing checked — the way a hostile file would present
+    /// them — and held as verified, so only the decoders stand guard.
+    pub(crate) fn from_parts(
+        metas: &[BlockMeta],
+        skips: &[DocId],
+        payload: &[u8],
+        num_postings: u64,
+    ) -> EncodedList {
+        let blocks: Vec<_> =
+            metas.iter().zip(skips).map(|(m, &s)| (m.pack(), s, Fixed::ZERO, 0)).collect();
+        let (partitioner, params) = (Partitioner::default(), Bm25Params::default());
+        let mut file = FileWriter::new(Vec::new(), &[], 1, partitioner, params).unwrap();
+        io::tests::push_raw(&mut file, "", num_postings, &blocks, payload);
+        let bytes = Arc::new(Mmap::from_vec(file.finish().unwrap()));
+        let layout = io::parse(bytes.as_slice()).unwrap();
+        let store = Store::new(bytes, layout, Arc::default(), vec![Fixed::ZERO], true);
+        let entry = store.layout().entries(store.bytes()).next().unwrap();
+        EncodedList::new(&Arc::new(store), 0, &entry)
+    }
 
     fn list(pairs: &[(u32, u32)]) -> PostingList {
         PostingList::from_sorted(pairs.iter().map(|&(d, t)| Posting::new(d, t)).collect())
@@ -1112,8 +1164,7 @@ mod tests {
         num_postings: u64,
     }
 
-    /// `enc` with its parts edited, in tables of its own assembled without
-    /// validation — the way a hostile file would present them.
+    /// `enc` with its parts edited ([`from_parts`]).
     fn tampered(enc: &EncodedList, edit: impl FnOnce(&mut Parts)) -> EncodedList {
         let mut parts = Parts {
             metas: enc.metas().to_vec(),
@@ -1122,27 +1173,35 @@ mod tests {
             num_postings: enc.num_postings(),
         };
         edit(&mut parts);
-        let span = ListSpan {
-            blocks: parts.metas.len() as u32,
-            payload_len: parts.payload.len(),
-            num_postings: parts.num_postings,
-            ..ListSpan::EMPTY
-        };
-        let tables = Arc::new(BlockTables {
-            metas: parts.metas,
-            skips: parts.skips,
-            payload: Arc::new(Mmap::from_vec(parts.payload)),
-            ..BlockTables::default()
-        });
-        EncodedList::new(&tables, span)
+        from_parts(&parts.metas, &parts.skips, &parts.payload, parts.num_postings)
     }
 
     #[test]
-    fn a_list_handle_carries_its_idf_bar_in_padding() {
-        // The term constant a first touch scores with fills the span's
-        // padding, so a list handle costs what it did without it.
-        assert_eq!(std::mem::size_of::<ListSpan>(), 40);
-        assert_eq!(std::mem::size_of::<EncodedList>(), 48);
+    fn a_list_handle_is_a_file_a_term_id_and_its_windows() {
+        // A term's whole heap cost past the dictionary: this handle and
+        // its verdict.
+        assert_eq!(std::mem::size_of::<EncodedList>(), 40);
+    }
+
+    #[test]
+    fn a_column_reads_words_where_they_lie() {
+        let bytes: Vec<u8> = [3u32, 9, 27, 81].iter().flat_map(|w| w.to_le_bytes()).collect();
+        // An unaligned start and a trailing partial word.
+        let padded = [&[0u8][..], &bytes, &[7, 7]].concat();
+        let col = Column::<u32>::new(&padded[1..]);
+        assert_eq!(col.len(), 4);
+        assert_eq!(col.to_vec(), vec![3, 9, 27, 81]);
+        assert_eq!((col.get(3), col.get(4)), (Some(81), None));
+        assert_eq!((col.first(), col.last()), (Some(3), Some(81)));
+        assert_eq!(col.slice(1..3).to_vec(), vec![9, 27]);
+        assert_eq!(col.slice(3..9).to_vec(), vec![81]);
+        assert!(col.slice(5..9).is_empty());
+        for target in 0..90 {
+            let want = [3u32, 9, 27, 81].partition_point(|&w| w <= target);
+            assert_eq!(col.partition_point(|w| w <= target), want, "{target}");
+        }
+        assert_eq!(col, Column::new(&bytes));
+        assert_eq!(format!("{col:?}"), "[3, 9, 27, 81]");
     }
 
     #[test]
@@ -1187,10 +1246,10 @@ mod tests {
         ]);
         let enc = EncodedList::encode(&l, &[12]).unwrap();
         assert_eq!(enc.num_blocks(), 1);
-        assert_eq!(enc.skips(), &[7]);
+        assert_eq!(enc.skips().to_vec(), vec![7]);
         // Max d-gap is 123 (7 bits), max tf is 11 (4 bits).
-        assert_eq!(enc.metas()[0].dn_bits, 7);
-        assert_eq!(enc.metas()[0].tf_bits, 4);
+        assert_eq!(enc.metas().at(0).dn_bits, 7);
+        assert_eq!(enc.metas().at(0).tf_bits, 4);
         assert_eq!(enc.decode_all(), l);
     }
 
@@ -1199,7 +1258,7 @@ mod tests {
         let l = list(&[(0, 1), (2, 2), (11, 1), (20, 9), (38, 1), (46, 2)]);
         let enc = EncodedList::encode(&l, &[2, 3, 1]).unwrap();
         assert_eq!(enc.num_blocks(), 3);
-        assert_eq!(enc.skips(), &[0, 11, 46]);
+        assert_eq!(enc.skips().to_vec(), vec![0, 11, 46]);
         assert_eq!(
             enc.decode_block(1),
             vec![Posting::new(11, 1), Posting::new(20, 9), Posting::new(38, 1)]
@@ -1250,8 +1309,8 @@ mod tests {
         // Consecutive docIDs with gap 1 and all tf = 1: dn_bits = 1, tf_bits = 1.
         let l = list(&[(10, 1), (11, 1), (12, 1)]);
         let enc = EncodedList::encode(&l, &[3]).unwrap();
-        assert_eq!(enc.metas()[0].dn_bits, 1);
-        assert_eq!(enc.metas()[0].tf_bits, 1);
+        assert_eq!(enc.metas().at(0).dn_bits, 1);
+        assert_eq!(enc.metas().at(0).tf_bits, 1);
         assert_eq!(enc.decode_all(), l);
     }
 
@@ -1259,7 +1318,7 @@ mod tests {
     fn singleton_block_uses_zero_dn_bits() {
         let l = list(&[(1000, 1)]);
         let enc = EncodedList::encode(&l, &[1]).unwrap();
-        assert_eq!(enc.metas()[0].dn_bits, 0);
+        assert_eq!(enc.metas().at(0).dn_bits, 0);
         assert_eq!(enc.decode_all(), l);
     }
 
@@ -1269,8 +1328,8 @@ mod tests {
         // payload is empty and the decoder must not touch any bytes.
         let l = list(&[(1000, 0)]);
         let enc = EncodedList::encode(&l, &[1]).unwrap();
-        assert_eq!(enc.metas()[0].dn_bits, 0);
-        assert_eq!(enc.metas()[0].tf_bits, 0);
+        assert_eq!(enc.metas().at(0).dn_bits, 0);
+        assert_eq!(enc.metas().at(0).tf_bits, 0);
         assert!(enc.payload().is_empty());
         assert_eq!(enc.decode_block(0), vec![Posting::new(1000, 0)]);
         assert_eq!(enc.find(1000), Some(0));
@@ -1282,7 +1341,7 @@ mod tests {
         // delta-decode correctly.
         let l = list(&[(3, 0), (4, 0), (5, 0), (6, 0)]);
         let enc = EncodedList::encode(&l, &[4]).unwrap();
-        assert_eq!(enc.metas()[0].tf_bits, 0);
+        assert_eq!(enc.metas().at(0).tf_bits, 0);
         assert_eq!(enc.decode_all(), l);
         assert_eq!(enc.find(5), Some(0));
         assert_eq!(enc.find(7), None);
@@ -1323,13 +1382,6 @@ mod tests {
             Err(IndexError::CorruptIndex { context: "payload bounds" })
         ));
 
-        // Widths out of the packed range.
-        let bad = tampered(&enc, |p| p.metas[0].dn_bits = 40);
-        assert!(matches!(
-            bad.try_decode_block_into(0, &mut out),
-            Err(IndexError::CorruptIndex { context: "block bitwidths" })
-        ));
-
         // A count overrunning the payload.
         let bad = tampered(&enc, |p| p.metas[1].count = MAX_BLOCK_LEN as u16);
         assert!(matches!(
@@ -1363,20 +1415,6 @@ mod tests {
         assert!(matches!(
             bad.validate(),
             Err(IndexError::CorruptIndex { context: "payload bounds" })
-        ));
-
-        let bad = tampered(&enc, |p| {
-            p.skips.pop();
-        });
-        assert!(matches!(
-            bad.validate(),
-            Err(IndexError::CorruptIndex { context: "skip/meta count mismatch" })
-        ));
-
-        let bad = tampered(&enc, |p| p.metas[0].dn_bits = 63);
-        assert!(matches!(
-            bad.validate(),
-            Err(IndexError::CorruptIndex { context: "block bitwidths" })
         ));
     }
 

@@ -9,9 +9,10 @@
 //! * `max_tf` — the largest term frequency in the block (kept for
 //!   inspection and as a cheap cross-check; `ub` is what pruning uses).
 //!
-//! An index keeps both for all its lists in one pair of flat tables; a
-//! [`ListBounds`] is a handle on one list's span of them, as an
-//! [`EncodedList`] is on its block tables.
+//! They are the index file's bound column ([`crate::io`]), laid out block
+//! for block as the metadata and skip columns are; a [`ListBounds`] is a
+//! view of one list's slice of it, as a [`crate::ListView`] is of the
+//! others.
 //!
 //! # Why the bound is the exact per-block maximum
 //!
@@ -37,206 +38,35 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::ops::Range;
-use std::sync::Arc;
-
-use crate::block::{EncodedList, ListView};
+use crate::block::{Column, ListView};
 use crate::codec::BlockColumns;
 use crate::error::IndexError;
-use crate::posting::{DocId, Posting};
+use crate::posting::DocId;
 use crate::score::{term_score_fixed, Fixed};
-
-/// The flat tables behind every [`ListBounds`] of one index: one entry per
-/// block, in term order.
-#[derive(Debug, Default)]
-pub(crate) struct BoundTables {
-    ubs: Vec<Fixed>,
-    max_tfs: Vec<u32>,
-}
 
 /// What the oracle answers for a list whose postings pass but whose
 /// stored bounds differ from the ones they give.
 pub(crate) const BOUNDS_MISMATCH: IndexError =
     IndexError::CorruptIndex { context: "score bounds mismatch" };
 
-impl BoundTables {
-    /// The tables behind `bounds`, which all share one (empty tables for
-    /// none).
-    pub(crate) fn of(bounds: &[ListBounds]) -> Arc<BoundTables> {
-        bounds.first().map(|b| Arc::clone(&b.tables)).unwrap_or_default()
-    }
-
-    /// Heap bytes of the tables behind `bounds` — and so behind every
-    /// list's bounds of its index, which all share them.
-    pub(crate) fn heap_bytes_of(bounds: &ListBounds) -> u64 {
-        let tables = &bounds.tables;
-        (tables.ubs.capacity() * std::mem::size_of::<Fixed>()
-            + tables.max_tfs.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// The oracle (module docs): whether entries `blocks` of these tables
-    /// are the bounds one pass over `list` gives, compared block by block
-    /// as the pass goes, with `cols` as its decode buffer. Its one caller
-    /// is a list's first touch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if a block fails to decode, the
-    /// decoded docIDs are not strictly increasing, or one lies beyond the
-    /// corpus `dl_bars` describes, and [`BOUNDS_MISMATCH`] if they all
-    /// pass but the bounds differ.
-    pub(crate) fn matches(
-        &self,
-        blocks: Range<usize>,
-        list: ListView<'_>,
-        idf_bar: Fixed,
-        dl_bars: &[Fixed],
-        cols: &mut BlockColumns,
-    ) -> Result<(), IndexError> {
-        let ubs = self.ubs.get(blocks.clone()).unwrap_or(&[]);
-        let max_tfs = self.max_tfs.get(blocks).unwrap_or(&[]);
-        let mut same = ubs.len() == list.metas().len();
-        oracle_pass(list, idf_bar, dl_bars, cols, |b, (ub, max_tf)| {
-            same &= ubs.get(b) == Some(&ub) && max_tfs.get(b) == Some(&max_tf);
-        })?;
-        same.then_some(()).ok_or(BOUNDS_MISMATCH)
-    }
+/// Per-block score upper bounds for one posting list: a view of its slice
+/// of the index file's bound column.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ListBounds<'a> {
+    ubs: Column<'a, Fixed>,
+    max_tfs: Column<'a, u32>,
 }
 
-/// Per-block score upper bounds for one posting list.
-#[derive(Clone, Default)]
-pub struct ListBounds {
-    tables: Arc<BoundTables>,
-    first: usize,
-    blocks: usize,
-    max_ub: Fixed,
-}
-
-/// This list's slice of the tables, not the whole index's.
-impl std::fmt::Debug for ListBounds {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ListBounds")
-            .field("ubs", &self.ubs())
-            .field("max_tfs", &self.max_tfs())
-            .field("max_ub", &self.max_ub)
-            .finish()
-    }
-}
-
-/// Equality is over the bounds, wherever their tables live.
-impl PartialEq for ListBounds {
-    fn eq(&self, other: &Self) -> bool {
-        self.ubs() == other.ubs()
-            && self.max_tfs() == other.max_tfs()
-            && self.max_ub == other.max_ub
-    }
-}
-
-impl Eq for ListBounds {}
-
-/// Accumulates the bound tables of an index's lists in term order, until
-/// [`finish`](Self::finish) hands out one [`ListBounds`] per list.
-#[derive(Debug, Default)]
-pub(crate) struct BoundsBuilder {
-    ubs: Vec<Fixed>,
-    max_tfs: Vec<u32>,
-    /// Per list: first block, block count, list maximum.
-    lists: Vec<(usize, usize, Fixed)>,
-}
-
-impl BoundsBuilder {
-    /// Appends the bounds of a list laid out as `block_lens`-sized runs of
-    /// `postings` (see [`ListBounds::compute`]).
-    pub(crate) fn push_computed(
-        &mut self,
-        postings: &[Posting],
-        block_lens: &[usize],
-        idf_bar: Fixed,
-        dl_bars: &[Fixed],
-    ) {
-        let first = self.ubs.len();
-        let mut at = 0usize;
-        for &len in block_lens {
-            let block = &postings[at.min(postings.len())..(at + len).min(postings.len())];
-            let pairs = block.iter().map(|p| (p.doc_id, p.tf));
-            self.push_block(block_bound(pairs, idf_bar, dl_bars));
-            at += len;
-        }
-        self.push_list(first);
-    }
-
-    /// Appends one list's stored `(ub, max_tf)` pairs, block by block.
-    pub(crate) fn push_stored(&mut self, pairs: impl Iterator<Item = (Fixed, u32)>) {
-        let first = self.ubs.len();
-        pairs.for_each(|bound| self.push_block(bound));
-        self.push_list(first);
-    }
-
-    fn push_block(&mut self, (ub, max_tf): (Fixed, u32)) {
-        self.ubs.push(ub);
-        self.max_tfs.push(max_tf);
-    }
-
-    /// Closes the list whose blocks were pushed from `first` on.
-    fn push_list(&mut self, first: usize) {
-        let max_ub = self.ubs[first..].iter().copied().max().unwrap_or(Fixed::ZERO);
-        self.lists.push((first, self.ubs.len() - first, max_ub));
-    }
-
-    /// One [`ListBounds`] per pushed list, over the tables trimmed to size.
-    pub(crate) fn finish(self) -> Vec<ListBounds> {
-        let BoundsBuilder { mut ubs, mut max_tfs, lists } = self;
-        ubs.shrink_to_fit();
-        max_tfs.shrink_to_fit();
-        let tables = Arc::new(BoundTables { ubs, max_tfs });
-        lists
-            .into_iter()
-            .map(|(first, blocks, max_ub)| ListBounds {
-                tables: Arc::clone(&tables),
-                first,
-                blocks,
-                max_ub,
-            })
-            .collect()
-    }
-
-    /// The bounds of the one list pushed.
-    fn finish_one(self) -> ListBounds {
-        self.finish().pop().unwrap_or_default()
-    }
-}
-
-impl ListBounds {
-    /// Computes bounds for a list laid out as `block_lens`-sized runs of
-    /// `postings` (the same partition handed to [`EncodedList::encode`]).
-    ///
-    /// `idf_bar` is the list's term constant; `dl_bars` the per-document
-    /// normalization table. Postings referencing documents beyond
-    /// `dl_bars` contribute a zero-`dl̄` (i.e. maximal) score rather than
-    /// panicking — [`crate::InvertedIndex::from_lists`] rejects such lists
-    /// before bounds are ever computed.
-    pub fn compute(
-        postings: &[Posting],
-        block_lens: &[usize],
-        idf_bar: Fixed,
-        dl_bars: &[Fixed],
-    ) -> Self {
-        let mut bounds = BoundsBuilder::default();
-        bounds.push_computed(postings, block_lens, idf_bar, dl_bars);
-        bounds.finish_one()
-    }
-
-    /// Constructs bounds from raw per-block values, paired block by block
-    /// (a longer one is cut to the shorter).
-    pub fn from_raw_parts(ubs: Vec<Fixed>, max_tfs: Vec<u32>) -> Self {
-        let mut bounds = BoundsBuilder::default();
-        bounds.push_stored(ubs.into_iter().zip(max_tfs));
-        bounds.finish_one()
+impl<'a> ListBounds<'a> {
+    /// The bounds whose blocks' `ub`s and largest tfs are `ubs` and
+    /// `max_tfs`, paired block by block.
+    pub(crate) fn new(ubs: Column<'a, Fixed>, max_tfs: Column<'a, u32>) -> Self {
+        ListBounds { ubs, max_tfs }
     }
 
     /// Number of blocks covered.
     pub fn num_blocks(&self) -> usize {
-        self.blocks
+        self.ubs.len()
     }
 
     /// Upper bound on the fixed-point score of any posting in block `b`.
@@ -245,47 +75,54 @@ impl ListBounds {
     ///
     /// Panics if `b` is out of range.
     pub fn block_ub(&self, b: usize) -> Fixed {
-        self.ubs()[b]
+        self.ubs.at(b)
     }
 
     /// All per-block upper bounds, in block order.
-    pub fn ubs(&self) -> &[Fixed] {
-        self.tables.ubs.get(self.first..self.first + self.blocks).unwrap_or(&[])
+    pub fn ubs(&self) -> Column<'a, Fixed> {
+        self.ubs
     }
 
     /// All per-block maximum term frequencies, in block order.
-    pub fn max_tfs(&self) -> &[u32] {
-        self.tables.max_tfs.get(self.first..self.first + self.blocks).unwrap_or(&[])
+    pub fn max_tfs(&self) -> Column<'a, u32> {
+        self.max_tfs
     }
 
     /// Upper bound over the whole list (max of the block bounds) — the
-    /// term's MaxScore.
+    /// term's MaxScore. One pass over the list's bounds.
     pub fn max_ub(&self) -> Fixed {
-        self.max_ub
+        self.ubs.iter().max().unwrap_or(Fixed::ZERO)
     }
+}
 
-    /// Structural consistency with the list the bounds describe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if the block counts disagree
-    /// or the cached list-level maximum does not match the blocks.
-    pub fn validate_against(&self, list: &EncodedList) -> Result<(), IndexError> {
-        if self.ubs().len() != list.num_blocks() || self.max_tfs().len() != list.num_blocks() {
-            return Err(IndexError::CorruptIndex { context: "score bounds block count" });
-        }
-        let max = self.ubs().iter().copied().max().unwrap_or(Fixed::ZERO);
-        if max != self.max_ub {
-            return Err(IndexError::CorruptIndex { context: "score bounds list maximum" });
-        }
-        Ok(())
-    }
+/// The oracle (module docs): whether `stored` are the bounds one pass over
+/// `list` gives, compared block by block as the pass goes, with `cols` as
+/// its decode buffer. Its one caller is a list's first touch.
+///
+/// # Errors
+///
+/// Returns [`IndexError::CorruptIndex`] if a block fails to decode, the
+/// decoded docIDs are not strictly increasing, or one lies beyond the
+/// corpus `dl_bars` describes, and [`BOUNDS_MISMATCH`] if they all pass
+/// but the bounds differ.
+pub(crate) fn matches(
+    stored: ListBounds<'_>,
+    list: ListView<'_>,
+    idf_bar: Fixed,
+    dl_bars: &[Fixed],
+    cols: &mut BlockColumns,
+) -> Result<(), IndexError> {
+    let mut same = stored.num_blocks() == list.metas().len();
+    oracle_pass(list, idf_bar, dl_bars, cols, |b, (ub, max_tf)| {
+        same &= stored.ubs.get(b) == Some(ub) && stored.max_tfs.get(b) == Some(max_tf);
+    })?;
+    same.then_some(()).ok_or(BOUNDS_MISMATCH)
 }
 
 /// The bound of one block, at build and at load alike: the datapath's
 /// exact maximum over its `(docID, tf)` postings, and its largest tf. A
 /// docID beyond `dl_bars` scores at `dl̄ = 0`.
-fn block_bound(
+pub(crate) fn block_bound(
     postings: impl Iterator<Item = (DocId, u32)>,
     idf_bar: Fixed,
     dl_bars: &[Fixed],
@@ -337,130 +174,120 @@ fn oracle_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::InvertedIndex;
     use crate::partition::Partitioner;
-    use crate::posting::PostingList;
+    use crate::posting::{Posting, PostingList};
+    use crate::score::Bm25Params;
     use proptest::prelude::*;
 
-    /// Bounds from an encoded list by decoding every block: the oracle's
-    /// pass, handing back the bounds instead of comparing them.
-    fn recompute(
-        list: &EncodedList,
-        idf_bar: Fixed,
-        dl_bars: &[Fixed],
-    ) -> Result<ListBounds, IndexError> {
-        let mut bounds = BoundsBuilder::default();
-        let cols = &mut BlockColumns::default();
-        oracle_pass(list.verified()?, idf_bar, dl_bars, cols, |_, bound| {
-            bounds.push_block(bound)
-        })?;
-        bounds.push_list(0);
-        Ok(bounds.finish_one())
+    /// The bounds the oracle's pass gives `index`'s list `id` —
+    /// the load's side — against the ones the build stored.
+    fn recompute(index: &InvertedIndex, id: u32) -> Vec<(Fixed, u32)> {
+        let mut bounds = Vec::new();
+        let list = index.encoded_list(id).verified().unwrap();
+        let (idf, cols) = (index.term_info(id).idf_bar, &mut BlockColumns::default());
+        oracle_pass(list, idf, index.dl_bars(), cols, |_, bound| bounds.push(bound)).unwrap();
+        bounds
     }
 
-    fn fixture(
-        pairs: &[(u32, u32)],
+    fn stored(bounds: ListBounds<'_>) -> Vec<(Fixed, u32)> {
+        bounds.ubs().iter().zip(bounds.max_tfs()).collect()
+    }
+
+    /// A one-list index over `doc_lens`, built with explicit `idf_bar`.
+    fn one_list(
+        postings: Vec<Posting>,
         max_size: usize,
-    ) -> (PostingList, Vec<usize>, Vec<Fixed>) {
-        let list =
-            PostingList::from_sorted(pairs.iter().map(|&(d, t)| Posting::new(d, t)).collect());
-        let lens = Partitioner::dynamic(max_size).partition(&list);
-        let n = pairs.last().map_or(0, |&(d, _)| d + 1) as usize;
-        let dl_bars: Vec<Fixed> =
-            (0..n).map(|d| Fixed::from_f64(1.0 + (d % 7) as f64 * 0.3)).collect();
-        (list, lens, dl_bars)
+        doc_lens: Vec<u32>,
+        idf_bar: Fixed,
+    ) -> InvertedIndex {
+        let list = PostingList::from_sorted(postings);
+        let avgdl = crate::score::avgdl(&doc_lens);
+        InvertedIndex::from_lists_with_stats(
+            vec![("t".into(), list, idf_bar)],
+            doc_lens,
+            avgdl,
+            Partitioner::dynamic(max_size),
+            Bm25Params::default(),
+        )
+        .unwrap()
+    }
+
+    fn fixture(pairs: &[(u32, u32)], max_size: usize, idf: Fixed) -> InvertedIndex {
+        let postings = pairs.iter().map(|&(d, t)| Posting::new(d, t)).collect();
+        let n = pairs.last().map_or(0, |&(d, _)| d + 1);
+        one_list(postings, max_size, (0..n).map(|d| 3 + d % 7).collect(), idf)
     }
 
     #[test]
-    fn compute_and_recompute_agree() {
+    fn build_and_oracle_agree() {
         let pairs: Vec<(u32, u32)> = (0..500).map(|i| (i * 3, 1 + i % 11)).collect();
-        let (list, lens, dl_bars) = fixture(&pairs, 16);
-        let idf = Fixed::from_f64(4.2);
-        let direct = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
-        let enc = EncodedList::encode(&list, &lens).unwrap();
-        let via_decode = recompute(&enc, idf, &dl_bars).unwrap();
-        assert_eq!(direct, via_decode);
-        assert_eq!(direct.num_blocks(), enc.num_blocks());
-        direct.validate_against(&enc).unwrap();
+        let idx = fixture(&pairs, 16, Fixed::from_f64(4.2));
+        let bounds = idx.list_bounds(0);
+        assert_eq!(stored(bounds), recompute(&idx, 0));
+        assert_eq!(bounds.num_blocks(), idx.encoded_list(0).num_blocks());
+        idx.validate().unwrap();
     }
 
     #[test]
     fn every_posting_is_below_its_block_bound() {
         let pairs: Vec<(u32, u32)> = (0..300).map(|i| (i * 2 + 1, 1 + (i * i) % 23)).collect();
-        let (list, lens, dl_bars) = fixture(&pairs, 8);
         let idf = Fixed::from_f64(7.7);
-        let bounds = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
-        let mut at = 0usize;
-        for (b, &len) in lens.iter().enumerate() {
-            for p in &list.as_slice()[at..at + len] {
-                let s = term_score_fixed(idf, dl_bars[p.doc_id as usize], p.tf);
+        let idx = fixture(&pairs, 8, idf);
+        let (list, bounds) = (idx.encoded_list(0), idx.list_bounds(0));
+        for b in 0..list.num_blocks() {
+            for p in list.decode_block(b) {
+                let s = term_score_fixed(idf, idx.dl_bar(p.doc_id), p.tf);
                 assert!(s <= bounds.block_ub(b), "posting above its block bound");
                 assert!(s <= bounds.max_ub());
             }
-            at += len;
         }
     }
 
     #[test]
-    fn validate_against_catches_tampering() {
-        let pairs: Vec<(u32, u32)> = (0..64).map(|i| (i, 1)).collect();
-        let (list, lens, dl_bars) = fixture(&pairs, 8);
-        let enc = EncodedList::encode(&list, &lens).unwrap();
-        let good = ListBounds::compute(list.as_slice(), &lens, Fixed::ONE, &dl_bars);
-        good.validate_against(&enc).unwrap();
-
-        let mut bad = good.clone();
-        bad.blocks -= 1;
-        assert!(matches!(
-            bad.validate_against(&enc),
-            Err(IndexError::CorruptIndex { context: "score bounds block count" })
-        ));
-
-        let mut bad = good.clone();
-        bad.max_ub = bad.max_ub.saturating_add(Fixed::ONE);
-        assert!(matches!(
-            bad.validate_against(&enc),
-            Err(IndexError::CorruptIndex { context: "score bounds list maximum" })
-        ));
-    }
-
-    #[test]
-    fn a_builder_lays_lists_end_to_end_in_one_table() {
-        let pairs: Vec<(u32, u32)> = (0..100).map(|i| (i * 2, 1 + i % 9)).collect();
-        let (list, lens, dl_bars) = fixture(&pairs, 8);
-        let enc = EncodedList::encode(&list, &lens).unwrap();
-        let idf = Fixed::from_f64(2.5);
-        let mut builder = BoundsBuilder::default();
-        builder.push_computed(list.as_slice(), &lens, idf, &dl_bars);
-        let recomputed = recompute(&enc, idf, &dl_bars).unwrap();
-        builder
-            .push_stored(recomputed.ubs().iter().copied().zip(recomputed.max_tfs().to_vec()));
-        builder.push_stored(std::iter::empty());
-        let all = builder.finish();
-        let alone = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
-        assert_eq!(all[0], alone);
-        assert_eq!(all[1], alone);
-        assert_eq!(all[2].num_blocks(), 0);
-        assert!(Arc::ptr_eq(&all[0].tables, &all[2].tables), "one table per builder");
-        assert_eq!(all[1].first, lens.len());
+    fn a_stored_pair_off_by_one_is_a_mismatch() {
+        let pairs: Vec<(u32, u32)> = (0..64).map(|i| (i, 1 + i % 3)).collect();
+        let idx = fixture(&pairs, 8, Fixed::ONE);
+        let (list, cols) =
+            (idx.encoded_list(0).verified().unwrap(), &mut BlockColumns::default());
+        let good = stored(idx.list_bounds(0));
+        for (word, delta) in [(0, 1), (1, 1), (1, -1)] {
+            let mut ubs: Vec<u8> = Vec::new();
+            let mut max_tfs: Vec<u8> = Vec::new();
+            for (b, &(ub, max_tf)) in good.iter().enumerate() {
+                let nudge = |w: u32, at| {
+                    if b == 2 && word == at {
+                        w.wrapping_add_signed(delta)
+                    } else {
+                        w
+                    }
+                };
+                ubs.extend(nudge(ub.raw(), 0).to_le_bytes());
+                max_tfs.extend(nudge(max_tf, 1).to_le_bytes());
+            }
+            let bounds = ListBounds::new(Column::new(&ubs), Column::new(&max_tfs));
+            let got = matches(bounds, list, Fixed::ONE, idx.dl_bars(), cols);
+            assert_eq!(got, Err(BOUNDS_MISMATCH), "word {word} by {delta}");
+        }
+        assert!(matches(idx.list_bounds(0), list, Fixed::ONE, idx.dl_bars(), cols).is_ok());
     }
 
     #[test]
     fn empty_list_has_no_blocks() {
-        let b = ListBounds::compute(&[], &[], Fixed::ONE, &[]);
+        let b = ListBounds::default();
         assert_eq!(b.num_blocks(), 0);
         assert_eq!(b.max_ub(), Fixed::ZERO);
-        assert_eq!(ListBounds::from_raw_parts(Vec::new(), Vec::new()), b);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Build ([`ListBounds::compute`], over the postings) and load
-        /// ([`ListBounds::recompute`], over the encoded blocks) give the
-        /// same bounds block for block: one-posting to 256-posting blocks
-        /// (dense lists of all-equal gaps fill whole 256-posting blocks),
-        /// documents at `dl̄ = 0`, and tf spikes of 4 and 5, where the
-        /// datapath is not monotone in tf at `dl̄ = 0`.
+        /// Build (over the postings) and load (the oracle's pass over the
+        /// encoded blocks) give the same bounds block for block:
+        /// one-posting to 256-posting blocks (dense lists of all-equal gaps
+        /// fill whole 256-posting blocks), documents at `dl̄ = 0`, and tf
+        /// spikes of 4 and 5, where the datapath is not monotone in tf at
+        /// `dl̄ = 0`.
         #[test]
         fn prop_build_and_load_bounds_agree_block_for_block(
             gaps in proptest::collection::vec(1u32..40, 1..700),
@@ -479,29 +306,31 @@ mod tests {
                 };
                 Posting::new(doc, tf)
             }).collect();
-            let list = PostingList::from_sorted(postings);
-            let lens = Partitioner::dynamic(max_size).partition(&list);
-            let dl_bars: Vec<Fixed> = (0..=doc).map(|d| match d % zero_dl_every {
-                0 => Fixed::ZERO,
-                r => Fixed::from_f64(0.2 + f64::from(r) * 0.4),
+            // Lengths whose dl̄ is 0 at every `zero_dl_every`-th document:
+            // b = 1 and length 0.
+            let doc_lens: Vec<u32> = (0..=doc).map(|d| match d % zero_dl_every {
+                0 => 0,
+                r => 2 + r * 3,
             }).collect();
-            let idf = Fixed::from_raw(idf_raw);
-            let built = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
-            let enc = EncodedList::encode(&list, &lens).unwrap();
-            let loaded = recompute(&enc, idf, &dl_bars).unwrap();
-            prop_assert_eq!(built.num_blocks(), lens.len());
-            prop_assert_eq!(built.ubs(), loaded.ubs());
-            prop_assert_eq!(built.max_tfs(), loaded.max_tfs());
-            prop_assert_eq!(built.max_ub(), loaded.max_ub());
-            let (view, cols) = (enc.verified().unwrap(), &mut BlockColumns::default());
-            prop_assert!(built.tables.matches(0..lens.len(), view, idf, &dl_bars, cols).is_ok());
+            let idx = {
+                let list = PostingList::from_sorted(postings);
+                let params = Bm25Params { k1: 1.2, b: 1.0 };
+                let avgdl = crate::score::avgdl(&doc_lens);
+                InvertedIndex::from_lists_with_stats(
+                    vec![("t".into(), list, Fixed::from_raw(idf_raw))],
+                    doc_lens,
+                    avgdl,
+                    Partitioner::dynamic(max_size),
+                    params,
+                ).unwrap()
+            };
+            prop_assert_eq!(stored(idx.list_bounds(0)), recompute(&idx, 0));
+            prop_assert!(idx.validate().is_ok());
         }
 
-        /// The exact-maximum bound dominates every per-posting score, and
-        /// the two computation paths (raw postings vs decoded blocks)
-        /// agree bit-for-bit.
+        /// The exact-maximum bound dominates every per-posting score.
         #[test]
-        fn prop_bounds_are_sound_and_consistent(
+        fn prop_bounds_are_sound(
             gaps in proptest::collection::vec((1u32..50, 1u32..200), 1..200),
             chunk in 1usize..32,
             idf_raw in 1u32..(200u32 << 16),
@@ -511,18 +340,15 @@ mod tests {
                 doc += g;
                 (doc, t)
             }).collect();
-            let (list, lens, dl_bars) = fixture(&pairs, chunk);
             let idf = Fixed::from_raw(idf_raw);
-            let bounds = ListBounds::compute(list.as_slice(), &lens, idf, &dl_bars);
-            let enc = EncodedList::encode(&list, &lens).unwrap();
-            prop_assert_eq!(&bounds, &recompute(&enc, idf, &dl_bars).unwrap());
-            let mut at = 0usize;
-            for (b, &len) in lens.iter().enumerate() {
-                for p in &list.as_slice()[at..at + len] {
-                    let s = term_score_fixed(idf, dl_bars[p.doc_id as usize], p.tf);
+            let idx = fixture(&pairs, chunk, idf);
+            let (list, bounds) = (idx.encoded_list(0), idx.list_bounds(0));
+            prop_assert_eq!(stored(bounds), recompute(&idx, 0));
+            for b in 0..list.num_blocks() {
+                for p in list.decode_block(b) {
+                    let s = term_score_fixed(idf, idx.dl_bar(p.doc_id), p.tf);
                     prop_assert!(s <= bounds.block_ub(b));
                 }
-                at += len;
             }
         }
     }

@@ -33,7 +33,7 @@ use crate::block::BLOCK_OVERHEAD_BITS;
 use crate::error::IndexError;
 use crate::posting::{DocId, Posting};
 
-/// The codec id byte of a v4 header. Bit-packed pairs are the one codec,
+/// The codec id byte of a v5 header. Bit-packed pairs are the one codec,
 /// id 0; the retired ids 1 and 2 (and every other byte) load as
 /// [`IndexError::UnknownCodec`].
 ///
@@ -491,8 +491,7 @@ mod tests {
     /// the block ends at its last field and its last windows are
     /// zero-padded.
     fn every_width_case(mut check: impl FnMut(&WidthCase)) {
-        use crate::block::{BlockMeta, EncodedList, TableBuilder};
-        use crate::score::Fixed;
+        use crate::block::BlockMeta;
         let skip: DocId = 7;
         for gw in 0..=31u8 {
             for tw in 0..=31u8 {
@@ -504,24 +503,17 @@ mod tests {
                     let span_docs = (n as u64 - 1) * u64::from(mask32(gw));
                     let next_skip = u64::from(skip) + span_docs + 1;
                     let served = (next_skip + span_docs <= u64::from(u32::MAX)).then(|| {
-                        let meta = |offset| {
-                            BlockMeta { dn_bits: gw, tf_bits: tw, count: n as u16, offset }
-                                .pack()
+                        let meta = |offset| BlockMeta {
+                            dn_bits: gw,
+                            tf_bits: tw,
+                            count: n as u16,
+                            offset,
                         };
-                        let mut tables = TableBuilder::default();
-                        let span = tables
-                            .push_stored(
-                                [meta(0), meta(block.len() as u64)].into_iter(),
-                                [skip, next_skip as DocId].into_iter(),
-                                &[block.as_slice(), &block].concat(),
-                                2 * n as u64,
-                                Fixed::ZERO,
-                                None,
-                            )
-                            .unwrap();
-                        let list = EncodedList::new(
-                            &tables.freeze(None, std::sync::Arc::default(), &[]),
-                            span,
+                        let list = crate::block::tests::from_parts(
+                            &[meta(0), meta(block.len() as u64)],
+                            &[skip, next_skip as DocId],
+                            &[block.as_slice(), &block].concat(),
+                            2 * n as u64,
                         );
                         let second = postings_from(&gaps, &tfs, next_skip as DocId);
                         (list, [want.clone(), second].concat())

@@ -49,7 +49,7 @@ pub enum IndexError {
         /// The magic/version actually found.
         found: u64,
     },
-    /// A v4 header names a block codec id other than bit-packing's 0 — one
+    /// A v5 header names a block codec id other than bit-packing's 0 — one
     /// of the retired ids (1, 2) or one no build ever wrote. Distinct from
     /// [`IndexError::CorruptIndex`] because the byte is CRC-valid: the file
     /// is not damaged, it needs regenerating.

@@ -242,7 +242,7 @@ pub struct SurvivalReport {
     /// Rejections specifically via [`IndexError::ChecksumMismatch`].
     pub checksum_rejections: u64,
     /// Loads that succeeded and decoded to an index deep-equal to the
-    /// original. Every byte of a v4 file is under the magic check, a
+    /// original. Every byte of a v5 file is under the magic check, a
     /// section CRC or the footer, and [`corrupt`] rules out byte-identity,
     /// so only a CRC collision lands here.
     pub accepted_equal: u64,
@@ -261,20 +261,20 @@ impl SurvivalReport {
 
 /// Outcome tally of a corruption campaign against the zero-copy mapped
 /// load path, which splits rejection across *two* moments: eager checks
-/// at [`crate::storage::map_index`] time and lazy per-record CRCs on
+/// at [`crate::storage::map_index`] time and lazy per-list checks on
 /// first payload touch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MappedSurvivalReport {
     /// Corruptions attempted.
     pub trials: u64,
-    /// Loads rejected with a typed [`IndexError`] at open (magic, header
-    /// CRC, doc-table CRC, bounds-section CRC, structural frames,
-    /// truncation, or an unmappable file).
+    /// Loads rejected with a typed [`IndexError`] at open (magic, header,
+    /// doc-table, section-table, column, name or directory CRC, section
+    /// tiling, directory windows, truncation, or an unmappable file).
     pub open_rejections: u64,
     /// Loads that opened clean but whose full-index sweep (per-term
     /// [`InvertedIndex::verify_term`][crate::index::InvertedIndex::verify_term]
-    /// plus decoding every block) hit a typed error — the lazy-CRC
-    /// contract catching payload corruption on first touch.
+    /// plus decoding every block) hit a typed error — each list's first
+    /// touch catching payload corruption.
     pub touch_rejections: u64,
     /// Of [`Self::touch_rejections`], those surfacing specifically as
     /// [`IndexError::ChecksumMismatch`].
@@ -318,7 +318,7 @@ fn sweep_mapped(idx: &InvertedIndex) -> Result<(), IndexError> {
 /// Runs `trials` deterministic corruptions of `bytes` through the mapped
 /// loader [`crate::storage::map_index`], writing each mutation to
 /// `scratch` and — when the open succeeds — sweeping every term through
-/// the lazy-CRC decode path before deep-comparing against `original`.
+/// the first-touch decode path before deep-comparing against `original`.
 ///
 /// Panics inside the load or sweep are not caught: under `cargo test` a
 /// panic is the failure signal. Only scratch-file I/O errors propagate.
@@ -508,15 +508,16 @@ mod tests {
     fn bounds_section_faults_surface_typed_errors() {
         // Every corruption landing in the score-bounds section must be
         // rejected with a typed error — a silently-wrong bound would make
-        // pruned top-k drop valid results. The file tail is
-        // [bounds content][bounds crc 4][footer 4].
-        use crate::io::deserialize;
+        // pruned top-k drop valid results.
+        use crate::io::{deserialize, section_sizes};
         let idx = sample();
         let bytes = serialize(&idx).expect("serialize");
-        let bounds_len: usize = idx.bounds().iter().map(|b| 8 + b.num_blocks() * 8).sum();
-        let n = bytes.len();
-        let start = n - 8 - bounds_len;
-        for byte in start..n {
+        let sections = section_sizes(&idx);
+        let at = sections.iter().position(|(name, _)| *name == "bounds").expect("a section");
+        let start = sections[..at].iter().map(|(_, n)| *n as usize).sum::<usize>();
+        let end = start + sections[at].1 as usize;
+        assert!(end > start);
+        for byte in start..end {
             for bit in [0u8, 3, 7] {
                 let mut m = bytes.clone();
                 m[byte] ^= 1 << bit;
@@ -526,11 +527,8 @@ mod tests {
                 );
             }
         }
-        for cut in start..n {
-            assert!(
-                deserialize(&bytes[..cut]).is_err(),
-                "truncation inside bounds section at {cut} was accepted"
-            );
+        for cut in start..bytes.len() {
+            assert!(deserialize(&bytes[..cut]).is_err(), "truncation at {cut} was accepted");
         }
     }
 }

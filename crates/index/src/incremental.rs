@@ -85,7 +85,7 @@ pub struct IncrementalOptions {
     pub merge_threshold: usize,
     /// Memory-map sealed segments instead of materializing them on the
     /// heap ([`crate::storage`]): posting bytes stay in the page cache
-    /// and each segment's record CRCs defer to first touch. Sealed files
+    /// and each segment's list checks defer to first touch. Sealed files
     /// are immutable (tmp + fsync + rename), satisfying the mapped
     /// loader's safety contract.
     pub mmap_segments: bool,

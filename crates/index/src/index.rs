@@ -8,32 +8,32 @@ use std::hash::BuildHasher;
 use std::mem::size_of;
 use std::sync::Arc;
 
-use crate::block::{BlockTables, EncodedList, ListSpan, TableBuilder};
-use crate::bounds::{BoundTables, BoundsBuilder, ListBounds, BOUNDS_MISMATCH};
+use crate::block::{EncodedList, Store};
+use crate::bounds::{ListBounds, BOUNDS_MISMATCH};
 use crate::codec::BlockColumns;
 use crate::error::IndexError;
+use crate::io::{self, Backing, FileWriter, Layout};
 use crate::mmap::Mmap;
 use crate::partition::Partitioner;
 use crate::posting::{DocId, PostingList};
-use crate::score::{avgdl, Bm25Params, Fixed};
+use crate::score::{avgdl, memoized, Bm25Params, Fixed};
 use crate::stats::{HeapBytes, IndexSizeStats};
 
 /// Dense identifier of a term in the index dictionary.
 pub type TermId = u32;
 
-/// Where an index's payload bytes live: owned heap memory (built in RAM or
+/// Where an index's file bytes live: owned heap memory (built in RAM or
 /// deserialized the classic way) or a memory-mapped index file (the
 /// zero-copy storage layer, [`crate::storage`]).
 ///
 /// This is reporting/bookkeeping only — every consumer reads postings
-/// through the same `&[u8]` accessors regardless of source.
+/// through the same views regardless of source.
 #[derive(Debug, Clone, Default)]
 pub enum IndexSource {
     /// All bytes owned on the heap.
     #[default]
     Heap,
-    /// Payloads served from the mapping of the index file, which the index
-    /// keeps alive.
+    /// The file's mapping, which the index keeps alive.
     Mapped(Arc<Mmap>),
 }
 
@@ -70,11 +70,66 @@ impl IndexSource {
     }
 }
 
-/// Per-term information exposed by the dictionary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TermInfo {
+/// A term's name: a window of the index file's name section, read when
+/// it is looked at.
+#[derive(Clone, Copy)]
+pub struct TermName<'a> {
+    store: &'a Store,
+    id: TermId,
+}
+
+impl<'a> TermName<'a> {
+    /// The name, borrowed from the index for as long as the index is.
+    pub fn as_str(&self) -> &'a str {
+        self.store.name(self.id)
+    }
+}
+
+impl std::ops::Deref for TermName<'_> {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl std::fmt::Debug for TermName<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_str().fmt(f)
+    }
+}
+
+impl std::fmt::Display for TermName<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_str().fmt(f)
+    }
+}
+
+impl PartialEq for TermName<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for TermName<'_> {}
+
+impl PartialEq<str> for TermName<'_> {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for TermName<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+/// Per-term information exposed by the dictionary, read from the term's
+/// directory entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TermInfo<'a> {
     /// The term string.
-    pub term: String,
+    pub term: TermName<'a>,
     /// Document frequency (length of the posting list).
     pub df: u64,
     /// Precomputed `idf · (k₁ + 1)` in Q16.16 (loaded by the scoring unit
@@ -82,76 +137,131 @@ pub struct TermInfo {
     pub idf_bar: Fixed,
 }
 
+/// Every term of an index, in id order ([`InvertedIndex::terms`]).
+#[derive(Clone, Copy)]
+pub struct Terms<'a> {
+    index: &'a InvertedIndex,
+}
+
+impl<'a> Terms<'a> {
+    /// Number of terms.
+    pub fn len(&self) -> usize {
+        self.index.num_terms()
+    }
+
+    /// True for an index without terms.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Term `id`, or `None` past the last.
+    pub fn get(&self, id: usize) -> Option<TermInfo<'a>> {
+        (id < self.len()).then(|| self.index.term_info(id as TermId))
+    }
+
+    /// The terms in id order.
+    pub fn iter(&self) -> TermsIter<'a> {
+        TermsIter { index: self.index, ids: 0..self.len() as TermId }
+    }
+}
+
+impl<'a> IntoIterator for Terms<'a> {
+    type Item = TermInfo<'a>;
+    type IntoIter = TermsIter<'a>;
+    fn into_iter(self) -> TermsIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator of [`Terms`].
+#[derive(Clone)]
+pub struct TermsIter<'a> {
+    index: &'a InvertedIndex,
+    ids: std::ops::Range<TermId>,
+}
+
+impl<'a> Iterator for TermsIter<'a> {
+    type Item = TermInfo<'a>;
+    fn next(&mut self) -> Option<TermInfo<'a>> {
+        self.ids.next().map(|id| self.index.term_info(id))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+impl ExactSizeIterator for TermsIter<'_> {}
+
 /// The dictionary: an open-addressed table of term ids, probed by the
-/// term's hash and compared against the name in the term table, so every
-/// name is stored once. Keyed hashing ([`RandomState`]), as `HashMap`'s,
-/// so a file's names cannot force long probe runs.
+/// term's hash and compared against the name in the file's name section,
+/// so no name is copied. Each slot keeps the high half of its term's hash
+/// beside the id, so a probe reads a name only when that half matches.
+/// Keyed hashing ([`RandomState`]), as `HashMap`'s, so a file's names
+/// cannot force long probe runs.
 #[derive(Debug, Clone)]
 struct TermTable {
-    /// Power-of-two sized, at most half full; [`TermTable::EMPTY`] marks a
-    /// free slot.
-    slots: Vec<TermId>,
+    /// Power-of-two sized, at most half full: `hash >> 32 << 32 | id`, or
+    /// [`TermTable::EMPTY`] for a free slot.
+    slots: Vec<u64>,
     hasher: RandomState,
 }
 
 impl TermTable {
-    const EMPTY: TermId = TermId::MAX;
+    const EMPTY: u64 = u64::MAX;
 
-    /// The table of `terms`, each under its position.
+    /// An empty table for `n` terms.
+    fn with_capacity(n: usize) -> Self {
+        TermTable {
+            slots: vec![Self::EMPTY; (n * 2).next_power_of_two().max(2)],
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// Adds term `id`, named `name`, to the table.
     ///
     /// # Errors
     ///
-    /// Returns `CorruptIndex { context: "duplicate term" }` if a name
-    /// repeats.
-    fn build(terms: &[TermInfo]) -> Result<Self, IndexError> {
-        if terms.len() >= Self::EMPTY as usize {
-            return Err(IndexError::CorruptIndex { context: "term count" });
-        }
-        let mut table = TermTable {
-            slots: vec![Self::EMPTY; (terms.len() * 2).next_power_of_two().max(2)],
-            hasher: RandomState::new(),
-        };
-        for (id, info) in terms.iter().enumerate() {
-            match table.probe(terms, &info.term) {
-                Err(free) => table.slots[free] = id as TermId,
-                Ok(_) => return Err(IndexError::CorruptIndex { context: "duplicate term" }),
+    /// Returns `CorruptIndex { context: "duplicate term" }` if the name is
+    /// already in it.
+    fn insert(&mut self, store: &Store, id: TermId, name: &[u8]) -> Result<(), IndexError> {
+        match self.probe(store, name) {
+            Err((free, tag)) => {
+                self.slots[free] = tag | u64::from(id);
+                Ok(())
             }
+            Ok(_) => Err(IndexError::CorruptIndex { context: "duplicate term" }),
         }
-        Ok(table)
     }
 
     /// `Ok` with the id of `term`, or `Err` with the free slot where it
-    /// would go. Terminates because the table is never full.
-    fn probe(&self, terms: &[TermInfo], term: &str) -> Result<TermId, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = self.hasher.hash_one(term) as usize & mask;
+    /// would go and the tag it would carry. Terminates because the table
+    /// is never full.
+    fn probe(&self, store: &Store, term: &[u8]) -> Result<TermId, (usize, u64)> {
+        let (mask, hash) = (self.slots.len() - 1, self.hasher.hash_one(term));
+        let (mut slot, tag) = (hash as usize & mask, hash >> 32 << 32);
         loop {
             match self.slots[slot] {
-                Self::EMPTY => return Err(slot),
-                id if terms.get(id as usize).is_some_and(|t| t.term == term) => return Ok(id),
+                Self::EMPTY => return Err((slot, tag)),
+                s if s & !u64::from(u32::MAX) == tag
+                    && store.name_bytes(s as TermId) == term =>
+                {
+                    return Ok(s as TermId)
+                }
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
-
-    fn get(&self, terms: &[TermInfo], term: &str) -> Option<TermId> {
-        self.probe(terms, term).ok()
-    }
 }
 
-/// What a build or a load hands [`InvertedIndex::from_stored_parts`]: the
-/// dictionary entries, the lists' tables and spans and their bounds, the
-/// documents' lengths, `dl̄` table and mean length, and the file mapping
-/// the payloads lie in, if any.
-pub(crate) struct StoredParts {
-    pub(crate) terms: Vec<TermInfo>,
-    pub(crate) tables: TableBuilder,
-    pub(crate) spans: Vec<ListSpan>,
-    pub(crate) bounds: BoundsBuilder,
-    pub(crate) doc_lens: Vec<u32>,
-    pub(crate) dl_bars: Vec<Fixed>,
+/// Collection statistics a build takes instead of the ones its own
+/// documents and lists give: what document sharding builds its shards
+/// with ([`InvertedIndex::from_lists_with_stats`]).
+#[derive(Debug)]
+pub(crate) struct Stats {
     pub(crate) avgdl: f64,
-    pub(crate) mapping: Option<Arc<Mmap>>,
+    /// One term constant per list, in term order.
+    pub(crate) idf_bars: Vec<Fixed>,
 }
 
 /// A complete inverted index in the IIU storage scheme.
@@ -160,24 +270,19 @@ pub(crate) struct StoredParts {
 /// [`InvertedIndex::from_lists`] (from pre-built posting lists, as the
 /// synthetic workload generator does).
 ///
-/// However it was made — built, loaded onto the heap or mapped — its lists
-/// and bounds are handles on a few index-wide tables (see
-/// [`crate::block`]); [`InvertedIndex::heap_bytes`] says where the bytes
-/// are.
+/// However it was made — built, loaded onto the heap or mapped — it views
+/// the bytes of one v5 file (see [`crate::io`] and [`crate::block`]);
+/// [`InvertedIndex::heap_bytes`] says where the bytes are.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     dictionary: TermTable,
-    terms: Vec<TermInfo>,
-    /// The tables every list and bound handle shares.
-    tables: Arc<BlockTables>,
+    /// The file every list and bound handle views.
+    store: Arc<Store>,
     lists: Vec<EncodedList>,
-    bounds: Vec<ListBounds>,
     doc_lens: Vec<u32>,
-    /// Shared with `tables`, where a list's first touch reads it.
+    /// Shared with `store`, where a list's first touch reads it.
     dl_bars: Arc<[Fixed]>,
     avgdl: f64,
-    params: Bm25Params,
-    partitioner: Partitioner,
     source: IndexSource,
 }
 
@@ -187,14 +292,15 @@ pub struct InvertedIndex {
 /// and the dictionary is a function of the term table.
 impl PartialEq for InvertedIndex {
     fn eq(&self, other: &Self) -> bool {
-        self.terms == other.terms
+        self.terms().iter().eq(other.terms().iter())
             && self.lists == other.lists
-            && self.bounds == other.bounds
+            && (0..self.num_terms() as TermId)
+                .all(|id| self.list_bounds(id) == other.list_bounds(id))
             && self.doc_lens == other.doc_lens
-            && self.dl_bars == other.dl_bars
+            && self.dl_bars() == other.dl_bars()
             && self.avgdl == other.avgdl
-            && self.params == other.params
-            && self.partitioner == other.partitioner
+            && self.params() == other.params()
+            && self.partitioner() == other.partitioner()
     }
 }
 
@@ -222,7 +328,7 @@ impl InvertedIndex {
                 (term, list, idf_bar)
             })
             .collect();
-        Self::from_lists_with_stats(with_idf, doc_lens, avgdl, partitioner, params)
+        Self::build(with_idf, doc_lens, avgdl, partitioner, params, false)
     }
 
     /// Builds an index from posting lists with *explicit* collection
@@ -232,9 +338,11 @@ impl InvertedIndex {
     /// This is the constructor document sharding relies on: a shard holds a
     /// fraction of the corpus, but its scoring constants (and therefore its
     /// block score bounds) must come from the *global* collection so shard
-    /// results merge bit-identically with the unsharded engine.
-    /// [`from_lists`](Self::from_lists) is the common case and simply feeds
-    /// locally computed stats through here.
+    /// results merge bit-identically with the unsharded engine. The index
+    /// keeps the statistics beside its file, which does not store them:
+    /// the file's bounds hold only under those statistics, so a load of it
+    /// refuses it (`score bounds mismatch`).
+    /// [`from_lists`](Self::from_lists) is the common case.
     ///
     /// # Errors
     ///
@@ -249,92 +357,100 @@ impl InvertedIndex {
         partitioner: Partitioner,
         params: Bm25Params,
     ) -> Result<Self, IndexError> {
-        let n_docs = doc_lens.len() as u64;
-
-        // Per-document constants first: block score bounds are computed
-        // from the same dl̄ table the scoring datapath will read.
-        let dl_bars = params.dl_bars(&doc_lens, avgdl);
-
-        // Every list encodes into one set of tables, and its bounds into
-        // another: a term's own heap cost is its name.
-        let mut tables = TableBuilder::default();
-        let mut bounds = BoundsBuilder::default();
-        let mut spans = Vec::with_capacity(lists.len());
-        let mut terms = Vec::with_capacity(lists.len());
-        for (term, list, idf_bar) in lists {
-            if let Some(last) = list.as_slice().last() {
-                if u64::from(last.doc_id) >= n_docs {
-                    return Err(IndexError::CorruptIndex {
-                        context: "posting list references docID beyond corpus",
-                    });
-                }
-            }
-            let partition = partitioner.partition(&list);
-            bounds.push_computed(list.as_slice(), &partition, idf_bar, &dl_bars);
-            spans.push(tables.encode(&list, &partition, idf_bar)?);
-            terms.push(TermInfo { idf_bar, df: list.len() as u64, term });
-        }
-        let mapping = None;
-        let parts =
-            StoredParts { terms, tables, spans, bounds, doc_lens, dl_bars, avgdl, mapping };
-        Self::from_stored_parts(parts, params, partitioner)
+        Self::build(lists, doc_lens, avgdl, partitioner, params, true)
     }
 
-    /// Assembles an index from already-encoded parts — where every build
-    /// and every load ([`crate::io`], heap or mapped) ends, so a loaded
-    /// index keeps the file's block layout and nothing is re-partitioned.
-    ///
-    /// The caller is responsible for having validated each list's
-    /// structure (the loader's table builder checks each record). This
-    /// constructor checks the cross-field invariants: table lengths agree,
-    /// term names are unique, and each list's bounds cover its blocks.
-    /// What a list's content must prove — docID order, in-corpus, the
-    /// stored bounds — is its first touch's
-    /// ([`InvertedIndex::first_touch_every_list`]).
+    /// Writes `lists` into a v5 file in memory — each list's bounds from
+    /// the same `dl̄` table the scoring datapath will read — and views it
+    /// through the one loader, keeping `avgdl` and the lists' term
+    /// constants when `explicit`.
+    fn build(
+        lists: Vec<(String, PostingList, Fixed)>,
+        doc_lens: Vec<u32>,
+        avgdl: f64,
+        partitioner: Partitioner,
+        params: Bm25Params,
+        explicit: bool,
+    ) -> Result<Self, IndexError> {
+        let n_docs = doc_lens.len() as u64;
+        let dl_bars = params.dl_bars(&doc_lens, avgdl);
+        let terms = lists.len() as u64;
+        let mut file = FileWriter::new(Vec::new(), &doc_lens, terms, partitioner, params)?;
+        let mut idf_bars = Vec::with_capacity(if explicit { lists.len() } else { 0 });
+        for (term, list, idf_bar) in lists {
+            if list.as_slice().last().is_some_and(|p| u64::from(p.doc_id) >= n_docs) {
+                return Err(IndexError::CorruptIndex {
+                    context: "posting list references docID beyond corpus",
+                });
+            }
+            let partition = partitioner.partition(&list);
+            file.push(&term, list.as_slice(), &partition, idf_bar, &dl_bars)?;
+            if explicit {
+                idf_bars.push(idf_bar);
+            }
+        }
+        let mut bytes = file.finish()?;
+        bytes.shrink_to_fit();
+        let stats = explicit.then_some(Stats { avgdl, idf_bars });
+        let bytes = Arc::new(Mmap::from_vec(bytes));
+        io::load(bytes, Backing::Built(stats))
+    }
+
+    /// Assembles the index that views `bytes`, whose sections `layout`
+    /// locates — where every build and every load ([`crate::io`], heap or
+    /// mapped) ends. It reads the doc table and every name once (the `dl̄`
+    /// table and the dictionary), and nothing per block: what a list must
+    /// prove is its first touch's ([`InvertedIndex::first_touch_every_list`]).
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::CorruptIndex`] naming the violated invariant.
-    pub(crate) fn from_stored_parts(
-        parts: StoredParts,
-        params: Bm25Params,
-        partitioner: Partitioner,
+    /// Returns [`IndexError::CorruptIndex`] on a repeated term name or
+    /// explicit statistics that do not cover every term.
+    pub(crate) fn assemble(
+        bytes: Arc<Mmap>,
+        layout: Layout,
+        backing: Backing,
     ) -> Result<Self, IndexError> {
-        let StoredParts { terms, tables, spans, bounds, doc_lens, dl_bars, avgdl, mapping } =
-            parts;
-        if terms.len() != spans.len() {
-            return Err(IndexError::CorruptIndex { context: "term/list count mismatch" });
+        let doc_lens = layout.doc_lens(bytes.as_slice());
+        let (source, stats, verified) = match backing {
+            Backing::Mapped => (IndexSource::Mapped(Arc::clone(&bytes)), None, false),
+            Backing::Heap => (IndexSource::Heap, None, false),
+            Backing::Built(stats) => (IndexSource::Heap, stats, true),
+        };
+        let (avgdl, idf_bars) = match stats {
+            Some(Stats { idf_bars, .. }) if idf_bars.len() != layout.n_terms => {
+                return Err(IndexError::CorruptIndex { context: "term/list count mismatch" });
+            }
+            Some(Stats { avgdl, idf_bars }) => (avgdl, idf_bars),
+            None => {
+                let (params, n_docs) = (layout.params, doc_lens.len() as u64);
+                let dfs = (0..layout.n_terms).map(|id| layout.df(bytes.as_slice(), id));
+                let idf = |df| Fixed::from_f64(params.idf_bar(n_docs, df));
+                (avgdl(&doc_lens), memoized(dfs, idf))
+            }
+        };
+        let dl_bars: Arc<[Fixed]> = layout.params.dl_bars(&doc_lens, avgdl).into();
+        let n_terms = layout.n_terms;
+        if n_terms >= TermId::MAX as usize {
+            return Err(IndexError::CorruptIndex { context: "term count" });
         }
-        let bounds = bounds.finish();
-        if bounds.len() != spans.len() {
-            return Err(IndexError::CorruptIndex { context: "score bounds count" });
+        let store = Store::new(bytes, layout, Arc::clone(&dl_bars), idf_bars, verified);
+        let store = Arc::new(store);
+        // One pass over the directory: every list's handle, and the
+        // dictionary over the name windows.
+        let (mut dictionary, mut lists) = (TermTable::with_capacity(n_terms), Vec::new());
+        lists.reserve_exact(n_terms);
+        for (id, entry) in store.layout().entries(store.bytes()).enumerate() {
+            let name = store.bytes().get(entry.name.clone()).unwrap_or(&[]);
+            dictionary.insert(&store, id as TermId, name)?;
+            lists.push(EncodedList::new(&store, id as TermId, &entry));
         }
-        let source = mapping.clone().map_or(IndexSource::Heap, IndexSource::Mapped);
-        let dl_bars: Arc<[Fixed]> = dl_bars.into();
-        let tables = tables.freeze(mapping, Arc::clone(&dl_bars), &bounds);
-        let lists: Vec<EncodedList> =
-            spans.into_iter().map(|span| EncodedList::new(&tables, span)).collect();
-        for (bounds, list) in bounds.iter().zip(&lists) {
-            bounds.validate_against(list)?;
-        }
-        Ok(InvertedIndex {
-            dictionary: TermTable::build(&terms)?,
-            terms,
-            tables,
-            lists,
-            bounds,
-            doc_lens,
-            dl_bars,
-            avgdl,
-            params,
-            partitioner,
-            source,
-        })
+        Ok(InvertedIndex { dictionary, store, lists, doc_lens, dl_bars, avgdl, source })
     }
 
     /// Every list's first touch ([`EncodedList::first_touch`]), in term
-    /// order: what a heap load runs before it returns, and
-    /// [`validate`](Self::validate) on any index. A decode, order or
+    /// order, each verdict kept: what a heap load runs before it returns,
+    /// and [`validate`](Self::validate) on any index. A decode, order or
     /// corpus fault in any list wins over a bounds mismatch, which is
     /// reported once every list has passed.
     ///
@@ -344,7 +460,7 @@ impl InvertedIndex {
     pub(crate) fn first_touch_every_list(&self) -> Result<(), IndexError> {
         let (mut outcome, cols) = (Ok(()), &mut BlockColumns::default());
         for list in &self.lists {
-            match list.first_touch(cols) {
+            match list.touch(cols) {
                 Err(e) if e == BOUNDS_MISMATCH => outcome = Err(e),
                 other => other?,
             }
@@ -352,12 +468,22 @@ impl InvertedIndex {
         outcome
     }
 
-    /// Where this index's payload bytes live (heap vs mapping).
+    /// Where this index's file bytes live (heap vs mapping).
     pub fn source(&self) -> &IndexSource {
         &self.source
     }
 
-    /// Runs the deferred first touch of `id`'s list, if it carries one
+    /// The v5 file this index views.
+    pub(crate) fn file_bytes(&self) -> &[u8] {
+        self.store.bytes()
+    }
+
+    /// Where that file's sections lie.
+    pub(crate) fn layout(&self) -> &Layout {
+        self.store.layout()
+    }
+
+    /// Runs the deferred first touch of `id`'s list, if it owes one
     /// (lists served from a mapping verify lazily, once — see
     /// [`EncodedList::ensure_verified`]). The no-op for heap indexes — a
     /// heap load ran every list's, a build computed its bounds; engines
@@ -381,7 +507,7 @@ impl InvertedIndex {
 
     /// Number of distinct terms.
     pub fn num_terms(&self) -> usize {
-        self.terms.len()
+        self.lists.len()
     }
 
     /// Average document length used for BM25 normalization.
@@ -391,17 +517,17 @@ impl InvertedIndex {
 
     /// BM25 parameters the index was built with.
     pub fn params(&self) -> Bm25Params {
-        self.params
+        self.layout().params
     }
 
     /// Partitioner the lists were encoded with.
     pub fn partitioner(&self) -> Partitioner {
-        self.partitioner
+        self.layout().partitioner
     }
 
     /// Looks up a term's identifier.
     pub fn term_id(&self, term: &str) -> Option<TermId> {
-        self.dictionary.get(&self.terms, term)
+        self.dictionary.probe(&self.store, term.as_bytes()).ok()
     }
 
     /// Per-term dictionary entry.
@@ -409,13 +535,19 @@ impl InvertedIndex {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn term_info(&self, id: TermId) -> &TermInfo {
-        &self.terms[id as usize]
+    pub fn term_info(&self, id: TermId) -> TermInfo<'_> {
+        assert!((id as usize) < self.num_terms(), "term id {id} out of range");
+        let (store, term) = (&*self.store, TermName { store: &self.store, id });
+        TermInfo {
+            term,
+            df: store.layout().df(store.bytes(), id as usize),
+            idf_bar: store.idf_bar(id),
+        }
     }
 
     /// All terms in id order.
-    pub fn terms(&self) -> &[TermInfo] {
-        &self.terms
+    pub fn terms(&self) -> Terms<'_> {
+        Terms { index: self }
     }
 
     /// Compressed posting list of a term.
@@ -433,13 +565,8 @@ impl InvertedIndex {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn list_bounds(&self, id: TermId) -> &ListBounds {
-        &self.bounds[id as usize]
-    }
-
-    /// All per-list score bounds, in term-id order.
-    pub fn bounds(&self) -> &[ListBounds] {
-        &self.bounds
+    pub fn list_bounds(&self, id: TermId) -> ListBounds<'_> {
+        self.lists[id as usize].bounds()
     }
 
     /// Decodes the posting list of `term` in full.
@@ -474,6 +601,7 @@ impl InvertedIndex {
     /// # Panics
     ///
     /// Panics if `d` is out of range.
+    #[inline]
     pub fn dl_bar(&self, d: DocId) -> Fixed {
         self.dl_bars[d as usize]
     }
@@ -484,36 +612,23 @@ impl InvertedIndex {
     }
 
     /// Checks every invariant the query hot path relies on: the dictionary
-    /// and term table agree, the per-document tables are sized to the
-    /// corpus, each encoded list passes [`EncodedList::validate`] and its
-    /// bounds cover its blocks; then it runs every list's first touch —
-    /// what a heap load runs before it returns and a mapped list on its
-    /// first use — whatever the index's source.
+    /// maps every name to its id, and every list passes its first touch —
+    /// its CRC, [`EncodedList::validate`] and the content oracle, what a
+    /// heap load runs before it returns and a mapped list on its first use
+    /// — whatever the index's source.
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::CorruptIndex`] naming the violated invariant,
     /// or a first touch's error ([`EncodedList::ensure_verified`]).
     pub fn validate(&self) -> Result<(), IndexError> {
-        if self.terms.len() != self.lists.len() {
-            return Err(IndexError::CorruptIndex { context: "term/list count mismatch" });
-        }
-        if self.dl_bars.len() != self.doc_lens.len() {
+        if self.dl_bars().len() != self.doc_lens.len() {
             return Err(IndexError::CorruptIndex { context: "dl-bar table size" });
         }
-        if self.bounds.len() != self.lists.len() {
-            return Err(IndexError::CorruptIndex { context: "score bounds count" });
-        }
-        let entries = self.terms.iter().zip(&self.lists).zip(&self.bounds);
-        for (id, ((info, list), bounds)) in entries.enumerate() {
-            if self.term_id(&info.term) != Some(id as TermId) {
+        for id in 0..self.num_terms() as TermId {
+            if self.term_id(self.store.name(id)) != Some(id) {
                 return Err(IndexError::CorruptIndex { context: "dictionary mapping" });
             }
-            list.validate()?;
-            if info.df != list.num_postings() {
-                return Err(IndexError::CorruptIndex { context: "document frequency" });
-            }
-            bounds.validate_against(list)?;
         }
         self.first_touch_every_list()
     }
@@ -535,22 +650,15 @@ impl InvertedIndex {
 
     /// Where this index's heap memory is: the bytes each of its tables
     /// requested, by table (DESIGN.md §19, "index memory layout"). A
-    /// mapped index's payload is in the mapping and counts 0 here.
+    /// mapped index's file is in the mapping and counts 0 here.
     pub fn heap_bytes(&self) -> HeapBytes {
-        let tables = self.tables.heap_bytes();
-        let names: usize = self.terms.iter().map(|t| t.term.capacity()).sum();
+        let (per_term, file) = self.store.heap_bytes();
         HeapBytes {
-            terms: (self.terms.capacity() * size_of::<TermInfo>()
-                + names
-                + self.lists.capacity() * size_of::<EncodedList>()
-                + self.bounds.capacity() * size_of::<ListBounds>()) as u64
-                + tables.crcs,
-            dictionary: (self.dictionary.slots.capacity() * size_of::<TermId>()) as u64,
-            block_tables: tables.blocks,
-            bound_tables: self.bounds.first().map_or(0, BoundTables::heap_bytes_of),
+            terms: (self.lists.capacity() * size_of::<EncodedList>()) as u64 + per_term,
+            dictionary: (self.dictionary.slots.capacity() * size_of::<u64>()) as u64,
             doc_tables: (self.doc_lens.capacity() * size_of::<u32>()
                 + std::mem::size_of_val(&*self.dl_bars)) as u64,
-            payload: tables.payload,
+            file,
         }
     }
 }
@@ -584,6 +692,7 @@ mod tests {
         assert_eq!(idx.num_terms(), 2);
         let id = idx.term_id("business").unwrap();
         assert_eq!(idx.term_info(id).df, 6);
+        assert_eq!(idx.term_info(id).term, "business");
         assert_eq!(idx.decode_term("business").unwrap().doc_ids(), vec![0, 2, 11, 20, 38, 46]);
         assert!(idx.term_id("zebra").is_none());
         assert!(matches!(idx.decode_term("zebra"), Err(IndexError::UnknownTerm { .. })));
@@ -603,9 +712,9 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_term_names() {
-        // A repeated name would overwrite the earlier dictionary entry and
-        // write a file the loader rejects; the builder must refuse it with
-        // the loader's own error.
+        // A repeated name would shadow the earlier dictionary entry; the
+        // builder refuses it with the loader's own error, since a build is
+        // a load of the file it writes.
         let list = || PostingList::from_sorted(vec![Posting::new(1, 1)]);
         let err = InvertedIndex::from_lists(
             vec![("a".into(), list()), ("b".into(), list()), ("a".into(), list())],
@@ -640,15 +749,14 @@ mod tests {
     }
 
     #[test]
-    fn every_list_and_bound_of_an_index_shares_one_table() {
+    fn every_list_of_an_index_views_one_file() {
         let idx = tiny_index();
         let (a, b) = (idx.encoded_list(0), idx.encoded_list(1));
-        assert!(Arc::ptr_eq(a.tables(), b.tables()));
+        assert!(Arc::ptr_eq(a.store(), b.store()));
         let heap = idx.heap_bytes();
-        let blocks = idx.size_stats().num_blocks;
-        assert_eq!(heap.block_tables, blocks * 20, "one 16 B meta and one skip per block");
-        assert_eq!(heap.bound_tables, blocks * 8);
-        assert_eq!(heap.payload, idx.size_stats().payload_bytes);
+        let file = io::serialize(&idx).unwrap().len() as u64;
+        assert_eq!(heap.file, file, "the built file, owned once");
+        assert_eq!(heap.terms, 2 * (40 + 8 + 4), "a list handle, a verdict and an idf̄");
         assert_eq!(heap.doc_tables, 63 * 8);
     }
 
@@ -659,6 +767,28 @@ mod tests {
         let cameo = idx.term_info(idx.term_id("cameo").unwrap()).idf_bar;
         // business (df 6) is rarer than cameo (df 7).
         assert!(business > cameo);
+    }
+
+    #[test]
+    fn explicit_statistics_are_kept_beside_the_file() {
+        let list = |d: u32| PostingList::from_sorted(vec![Posting::new(d, 1)]);
+        let idf = Fixed::from_f64(3.5);
+        let idx = InvertedIndex::from_lists_with_stats(
+            vec![("a".into(), list(0), idf), ("b".into(), list(1), idf)],
+            vec![10, 20],
+            40.0,
+            Partitioner::default(),
+            Bm25Params::default(),
+        )
+        .unwrap();
+        assert_eq!(idx.term_info(1).idf_bar, idf);
+        assert_eq!(idx.avgdl(), 40.0);
+        idx.validate().unwrap();
+        // The file holds neither, and its bounds hold only under them.
+        assert_eq!(
+            io::deserialize(&io::serialize(&idx).unwrap()).unwrap_err(),
+            BOUNDS_MISMATCH
+        );
     }
 
     #[test]
@@ -688,16 +818,9 @@ mod tests {
         assert!(idx.validate().is_ok());
 
         let mut bad = idx.clone();
-        bad.terms[0].df += 1;
-        assert!(matches!(
-            bad.validate(),
-            Err(IndexError::CorruptIndex { context: "document frequency" })
-        ));
-
-        let mut bad = idx.clone();
         for slot in &mut bad.dictionary.slots {
-            if *slot == 0 {
-                *slot = 1; // "business" now leads to "cameo"
+            if *slot as TermId == 0 {
+                *slot += 1; // "business" now leads to "cameo"
             }
         }
         assert!(matches!(
@@ -705,22 +828,17 @@ mod tests {
             Err(IndexError::CorruptIndex { context: "dictionary mapping" })
         ));
 
-        let mut bad = idx.clone();
-        bad.doc_lens.truncate(5); // lists now reference docIDs beyond corpus
-        assert!(bad.validate().is_err());
-
         let mut bad = idx;
-        bad.lists.pop();
+        bad.doc_lens.truncate(5);
         assert!(matches!(
             bad.validate(),
-            Err(IndexError::CorruptIndex { context: "term/list count mismatch" })
+            Err(IndexError::CorruptIndex { context: "dl-bar table size" })
         ));
     }
 
     #[test]
-    fn bounds_cover_every_list_and_tampering_is_caught() {
+    fn bounds_cover_every_list() {
         let idx = tiny_index();
-        assert_eq!(idx.bounds().len(), idx.num_terms());
         for id in 0..idx.num_terms() as TermId {
             let list = idx.encoded_list(id);
             let b = idx.list_bounds(id);
@@ -733,13 +851,6 @@ mod tests {
             });
             assert!(attained, "max_ub must be an attained score, not a loose bound");
         }
-
-        let mut bad = idx;
-        bad.bounds.pop();
-        assert!(matches!(
-            bad.validate(),
-            Err(IndexError::CorruptIndex { context: "score bounds count" })
-        ));
     }
 
     #[test]
@@ -753,5 +864,6 @@ mod tests {
         .unwrap();
         assert_eq!(idx.num_docs(), 0);
         assert_eq!(idx.num_terms(), 0);
+        assert!(idx.terms().is_empty());
     }
 }

@@ -2,75 +2,82 @@
 //!
 //! The host's `init(file invFile)` primitive (paper §4.1) loads the inverted
 //! index from a file into the memory region the accelerator reads. This
-//! module defines that file format: a little-endian, sectioned layout with a
-//! magic/version word, the BM25 parameters, the document-length table, and
-//! one record per term (name, metadata words, skip values, payload bytes).
+//! module defines that file format — a little-endian, sectioned layout
+//! whose term directory and block columns are kept apart from the encoded
+//! payload — and the one loader every index goes through: a mapped file,
+//! a heap copy of one, and a build, which writes the same bytes in memory.
 //!
-//! # Format v4
+//! # Format v5
 //!
 //! The one layout this module reads and writes. Every payload is
 //! bit-packed, so the header's codec id byte is always written as 0
 //! ([`crate::codec::CodecId`]):
 //!
 //! ```text
-//! magic/version            u64   (MAGIC, not covered by a section CRC)
-//! header                   k1 f64 · b f64 · partitioner (u8 kind + u32 arg)
-//!                          · codec u8
-//!                          · num_docs u64 · num_terms u64      + crc32 u32
-//! doc-length table         num_docs × u32                      + crc32 u32
-//! term record (× num_terms)
-//!                          name_len u32 · name bytes
-//!                          · num_postings u64 · num_blocks u64
-//!                          · num_blocks × meta u64
-//!                          · num_blocks × skip u32
-//!                          · payload_len u64 · payload bytes   + crc32 u32
-//! score bounds             per term: num_blocks u64
-//!                          · num_blocks × (ub_raw u32 · max_tf u32)
-//!                          whole section                       + crc32 u32
-//! footer                   crc32 u32 over every preceding byte
+//! magic/version      u64   (MAGIC, not covered by a section CRC)
+//! header             k1 f64 · b f64 · partitioner (u8 kind + u32 arg)
+//!                    · codec u8 · num_docs u64 · num_terms u64    + crc32 u32
+//! doc-length table   num_docs × u32                                + crc32 u32
+//! payload            every list's bit-packed blocks, in term order
+//! metas              one u64 metadata word per block, in term order
+//! skips              one u32 skip value per block
+//! bounds             one u32 ub per block, then one u32 max_tf per block
+//! names              every term's UTF-8 name, in term order
+//! directory          num_terms × 32 B: df u64 · payload_end u64
+//!                    · name_end u64 · block_end u32 · list crc32 u32
+//! section table      byte length u64 of payload, metas, skips, bounds,
+//!                    names, directory · crc32 u32 of metas, skips,
+//!                    bounds, names, directory · crc32 u32 of the table
+//! footer             crc32 u32 over every preceding byte
 //! ```
 //!
+//! A directory entry's fields are the ends of its term's windows: its
+//! payload range, name window and blocks (in every column alike) start
+//! where the previous entry's end. Its list CRC covers the list's slices of
+//! metas, skips and bounds (ubs, then max_tfs) and its payload. The
+//! sections tile the file in this order, so the fixed-size section table
+//! just before the footer finds them all, and a writer emits the payload
+//! as it encodes and the rest — 20 bytes per block and 32 per term — at
+//! the end, in one pass through [`std::io::Write`].
+//!
 //! Any other magic is rejected with [`IndexError::UnsupportedFormat`]:
-//! the retired "IIUX" versions 1–3 (rebuilding the index is the
+//! the retired "IIUX" versions 1–4 (rebuilding the index is the
 //! migration) and the retired round-robin shard manifests ("IIUS"; a
 //! query fans out over docID windows of one file instead,
 //! [`crate::shard::DocWindow`]).
 //!
 //! # Load policy
 //!
-//! Every format element is parsed by one function, whichever way the file
-//! is opened. The caller's backing — bytes handed to [`deserialize`], or
-//! a mapping made by [`crate::storage`] — decides only where payload
-//! bytes end up (copied to the heap, or left in the mapping) and *when*
-//! each check runs; a loaded index keeps the file's block layout byte for
-//! byte either way. This is the one copy of the policy table:
+//! Every index reads the same typed views of v5 bytes ([`crate::block`]):
+//! a mapping made by [`crate::storage`], bytes handed to [`deserialize`]
+//! (copied once into an owned buffer), or the bytes a build writes. The
+//! backing decides only *when* each check runs. This is the one copy of
+//! the policy table:
 //!
 //! | check | heap load | mapped open |
 //! |---|---|---|
-//! | header / doc table / bounds-section CRC | at load | at load |
-//! | record frame + [`EncodedList::validate`] + bounds shape | at load | at load |
-//! | first touch: record CRC, then the content oracle (docID order, in-corpus, stored bounds) | at load, every list | on the list's first use, once |
+//! | header / doc table / section table CRCs, section tiling | at load | at open |
+//! | metas, skips, bounds, names, directory CRCs; directory ranges, name UTF-8, unique names | at load | at open |
+//! | first touch: list CRC, structure ([`crate::EncodedList::validate`]), content oracle (docID order, in-corpus, stored bounds) | at load, every list | on the list's first use, once |
 //! | footer CRC | hashed at load | framed, not hashed |
 //!
-//! [`InvertedIndex::validate`] runs the frame checks and every list's
-//! first touch again, on either backing.
+//! The open reads no payload byte and copies nothing per block or per
+//! name: the dictionary is a table of term ids over the name windows, and
+//! every list and bound handle reads its directory entry and column slices
+//! in place. [`InvertedIndex::validate`] runs every list's first touch
+//! again, on either backing.
 //!
-//! A list's first touch is one function, whose verdict a mapped list
-//! keeps ([`EncodedList::ensure_verified`]): the record CRC where the
-//! record is kept (a heap load checks it as it frames the record), then
-//! the content oracle, one decode pass per list. No block decoder checks
-//! docID order, so the pass does, holds every docID inside the corpus,
-//! and requires the stored bounds to equal the ones it gives (`score
-//! bounds mismatch`) — CRCs cannot catch a file that was *written* wrong.
-//! A heap load reports a mismatch once every list has passed, so a
+//! A list's first touch is one function, whose verdict a list keeps
+//! ([`crate::EncodedList::ensure_verified`]): the list CRC, the structural
+//! checks, then the content oracle, one decode pass per list. No block
+//! decoder checks docID order, so the pass does, holds every docID inside
+//! the corpus, and requires the stored bounds to equal the ones it gives
+//! (`score bounds mismatch`) — CRCs cannot catch a file that was *written*
+//! wrong. A heap load reports a mismatch once every list has passed, so a
 //! decode, order or corpus fault in any list wins over it. So both
 //! backings refuse the same files with the same typed [`IndexError`] —
 //! never a panic or an out-of-bounds read — the heap at load, a mapped
-//! index at the first query that touches the bad list. A heap open of the
-//! 9.19 MB 100k-doc file in process (2-vCPU Xeon, medians of 45), before
-//! → after the oracle became one lean pass per block: framing + CRCs 18 →
-//! 17 ms, bounds section 3, footer 5, oracle 36 → 21.5, the rest of the
-//! assembly 8.5 → 7; in all 71.5 → 54.5 ms. The codec id is
+//! index at the first query that touches the bad list. The codec id is
 //! interpreted only after the header CRC verifies: random corruption of
 //! the byte surfaces as a checksum mismatch, and a CRC-consistent id
 //! other than 0 — including the retired ids 1 and 2 — as
@@ -78,201 +85,285 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::block::{EncodedList, ListSpan, TableBuilder};
-use crate::bounds::{BoundsBuilder, ListBounds};
+use crate::block::{le, BlockMeta, Column, LeWord, Metas, Skips, MAX_BLOCK_LEN};
+use crate::bounds::block_bound;
 use crate::checksum::{crc32, Crc32};
-use crate::codec::CodecId;
+use crate::codec::{self, CodecId};
 use crate::error::IndexError;
-use crate::index::{InvertedIndex, StoredParts, TermInfo};
+use crate::index::{InvertedIndex, Stats};
 use crate::mmap::Mmap;
 use crate::partition::Partitioner;
-use crate::posting::PostingList;
+use crate::posting::{Posting, PostingList};
 use crate::score::{avgdl, Bm25Params, Fixed};
 
-/// Little-endian append helpers over the output buffer (the serialized
-/// format is defined in terms of these primitives).
-trait PutLe {
-    fn put_u8(&mut self, v: u8);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-    fn put_f64_le(&mut self, v: f64);
-    fn put_slice(&mut self, s: &[u8]);
-}
+/// Magic + version identifying the format ("IIUX" + 0x0005).
+pub const MAGIC: u64 = 0x4949_5558_0000_0005;
 
-impl PutLe for Vec<u8> {
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
+/// Bytes of the header section, its CRC not included.
+const HEADER_LEN: usize = 38;
+/// Bytes of one directory entry.
+const ENTRY_LEN: usize = 32;
+/// The sections after the doc table, in file order.
+const SECTIONS: [&str; 6] = ["payload", "metas", "skips", "bounds", "names", "directory"];
+/// Bytes of the section table: six lengths, five section CRCs (every
+/// section but the payload) and its own CRC.
+const TABLE_LEN: usize = 6 * 8 + 5 * 4 + 4;
 
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_f64_le(&mut self, v: f64) {
-        self.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn put_slice(&mut self, s: &[u8]) {
-        self.extend_from_slice(s);
-    }
-}
-
-/// Magic + version identifying the format ("IIUX" + 0x0004).
-pub const MAGIC: u64 = 0x4949_5558_0000_0004;
-
-/// Serializes `index` to bytes in format v4.
+/// Serializes `index` to bytes in format v5: a copy of the file every
+/// index views (a build writes one in memory).
 ///
 /// # Errors
 ///
-/// Returns [`IndexError::UnknownTerm`] if the index's dictionary is
-/// inconsistent with its term table (an internal-corruption guard that
-/// replaces the old panic on this path).
+/// Infallible today; the `Result` is the writer's contract.
 pub fn serialize(index: &InvertedIndex) -> Result<Vec<u8>, IndexError> {
-    let mut out = FileWriter::new(
-        Vec::new(),
-        index.doc_lens(),
-        index.num_terms() as u64,
-        index.partitioner(),
-        index.params(),
-    )?;
-    for info in index.terms() {
-        let id = index
-            .term_id(&info.term)
-            .ok_or_else(|| IndexError::UnknownTerm { term: info.term.clone() })?;
-        out.record(&info.term, index.encoded_list(id))?;
-    }
-    out.finish(index.bounds())
+    Ok(index.file_bytes().to_vec())
 }
 
-/// The one encoder of the v4 layout behind [`serialize`] and
-/// [`StreamingWriter`]: it emits magic, sealed header and sealed doc
-/// table on construction, then one sealed record per
-/// [`record`](Self::record) call, and the sealed bounds section and the
-/// footer on [`finish`](Self::finish) — folding every byte into the
-/// running footer CRC on its way to the sink.
-struct FileWriter<W: std::io::Write> {
+/// The one encoder of the v5 layout behind every build and
+/// [`StreamingWriter`]: it emits magic, sealed header and sealed doc table
+/// on construction, each list's payload as it is [`push`](Self::push)ed,
+/// and the columns, names, directory, section table and footer on
+/// [`finish`](Self::finish) — folding every byte into the running footer
+/// CRC on its way to the sink.
+pub(crate) struct FileWriter<W: std::io::Write> {
     sink: W,
     /// Running checksum over every byte emitted so far (the footer).
     footer: Crc32,
-    /// The section being encoded, reused from one section to the next.
-    section: Vec<u8>,
+    payload_len: u64,
+    /// The sections held until `finish`, 20 bytes per block and 32 plus
+    /// the name per term.
+    metas: Vec<u8>,
+    skips: Vec<u8>,
+    ubs: Vec<u8>,
+    max_tfs: Vec<u8>,
+    names: Vec<u8>,
+    directory: Vec<u8>,
+    expected_terms: u64,
+    /// One list's payload, and the stored d-gap and tf columns of one of
+    /// its blocks: encoder scratch reused across blocks and lists.
+    list: Vec<u8>,
+    gaps: Vec<u32>,
+    tfs: Vec<u32>,
 }
 
 impl<W: std::io::Write> FileWriter<W> {
-    fn new(
-        sink: W,
+    pub(crate) fn new(
+        mut sink: W,
         doc_lens: &[u32],
         num_terms: u64,
         partitioner: Partitioner,
         params: Bm25Params,
     ) -> Result<Self, IndexError> {
-        let mut out = FileWriter { sink, footer: Crc32::new(), section: Vec::new() };
-        out.section.put_u64_le(MAGIC);
-        out.emit()?;
-
-        out.section.put_f64_le(params.k1);
-        out.section.put_f64_le(params.b);
+        let mut head = Vec::with_capacity(8 + HEADER_LEN + 8 + 4 * doc_lens.len());
+        head.extend_from_slice(&MAGIC.to_le_bytes());
+        head.extend_from_slice(&params.k1.to_bits().to_le_bytes());
+        head.extend_from_slice(&params.b.to_bits().to_le_bytes());
         let (kind, arg) = match partitioner {
             Partitioner::Fixed { block_len } => (0, block_len),
             Partitioner::Dynamic { max_size } => (1, max_size),
         };
-        out.section.put_u8(kind);
-        out.section.put_u32_le(arg as u32);
-        out.section.put_u8(CodecId::BitPack as u8);
-        out.section.put_u64_le(doc_lens.len() as u64);
-        out.section.put_u64_le(num_terms);
-        out.seal()?;
-
-        for &l in doc_lens {
-            out.section.put_u32_le(l);
-        }
-        out.seal()?;
-        Ok(out)
+        head.push(kind);
+        head.extend_from_slice(&(arg as u32).to_le_bytes());
+        head.push(CodecId::BitPack as u8);
+        head.extend_from_slice(&(doc_lens.len() as u64).to_le_bytes());
+        head.extend_from_slice(&num_terms.to_le_bytes());
+        let crc = crc32(&head[8..]);
+        head.extend_from_slice(&crc.to_le_bytes());
+        let docs = head.len();
+        doc_lens.iter().for_each(|l| head.extend_from_slice(&l.to_le_bytes()));
+        let crc = crc32(&head[docs..]);
+        head.extend_from_slice(&crc.to_le_bytes());
+        let mut footer = Crc32::new();
+        footer.update(&head);
+        sink.write_all(&head).map_err(write_err)?;
+        Ok(FileWriter {
+            sink,
+            footer,
+            payload_len: 0,
+            metas: Vec::new(),
+            skips: Vec::new(),
+            ubs: Vec::new(),
+            max_tfs: Vec::new(),
+            names: Vec::new(),
+            directory: Vec::with_capacity(ENTRY_LEN * num_terms.min(1 << 20) as usize),
+            expected_terms: num_terms,
+            list: Vec::new(),
+            gaps: Vec::new(),
+            tfs: Vec::new(),
+        })
     }
 
-    /// Writes one sealed term record: name, counts, metadata words, skip
-    /// values, payload.
-    fn record(&mut self, term: &str, list: &EncodedList) -> Result<(), IndexError> {
-        let buf = &mut self.section;
-        buf.put_u32_le(term.len() as u32);
-        buf.put_slice(term.as_bytes());
-        buf.put_u64_le(list.num_postings());
-        buf.put_u64_le(list.num_blocks() as u64);
-        for meta in list.metas() {
-            buf.put_u64_le(meta.pack());
+    /// Compresses `postings` using the block boundaries produced by a
+    /// partitioner, writes the payload, and adds the list's metadata
+    /// words, skip values, bounds under `idf_bar` and `dl_bars`, name and
+    /// directory entry to the sections `finish` writes.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::BadPartition`] if `block_lens` is inconsistent with
+    /// the list or violates [`MAX_BLOCK_LEN`], [`IndexError::ValueTooWide`]
+    /// if a d-gap or tf needs 32 or more bits, [`IndexError::ListTooLarge`]
+    /// past a 43-bit payload offset, [`IndexError::CorruptIndex`] on more
+    /// terms than the header declares, and [`IndexError::Io`] if the sink
+    /// rejects the write.
+    pub(crate) fn push(
+        &mut self,
+        term: &str,
+        postings: &[Posting],
+        block_lens: &[usize],
+        idf_bar: Fixed,
+        dl_bars: &[Fixed],
+    ) -> Result<(), IndexError> {
+        let total: usize = block_lens.iter().sum();
+        if total != postings.len() || block_lens.iter().any(|&l| l == 0 || l > MAX_BLOCK_LEN) {
+            return Err(IndexError::BadPartition {
+                list_len: postings.len(),
+                partition_sum: total,
+            });
         }
-        for &skip in list.skips() {
-            buf.put_u32_le(skip);
-        }
-        buf.put_u64_le(list.payload().len() as u64);
-        buf.put_slice(list.payload());
-        self.seal()
-    }
-
-    /// Writes the sealed score-bounds section — per list, its block count
-    /// and `(ub, max_tf)` pairs — and the footer CRC, flushes, and returns
-    /// the sink.
-    fn finish(mut self, bounds: &[ListBounds]) -> Result<W, IndexError> {
-        for list in bounds {
-            self.section.put_u64_le(list.num_blocks() as u64);
-            for (ub, &max_tf) in list.ubs().iter().zip(list.max_tfs()) {
-                self.section.put_u32_le(ub.raw());
-                self.section.put_u32_le(max_tf);
+        self.list.clear();
+        let mut start = 0usize;
+        for &len in block_lens {
+            let block = &postings[start..start + len];
+            // Stored d-gaps: 0 for the first posting (recovered from the
+            // skip value), successor differences for the rest.
+            self.gaps.clear();
+            self.tfs.clear();
+            let (mut max_gap, mut max_tf) = (0u32, 0u32);
+            for (i, p) in block.iter().enumerate() {
+                let gap = if i == 0 { 0 } else { p.doc_id - block[i - 1].doc_id };
+                max_gap = max_gap.max(gap);
+                max_tf = max_tf.max(p.tf);
+                self.gaps.push(gap);
+                self.tfs.push(p.tf);
             }
+            let dn_bits = crate::bitpack::bits_for(max_gap);
+            let tf_bits = crate::bitpack::bits_for(max_tf);
+            if dn_bits >= 32 || tf_bits >= 32 {
+                return Err(IndexError::ValueTooWide { dn_bits, tf_bits });
+            }
+            let offset = self.list.len() as u64;
+            if offset >= (1 << 43) {
+                return Err(IndexError::ListTooLarge { bytes: offset });
+            }
+            codec::encode_block(&self.gaps, &self.tfs, dn_bits, tf_bits, &mut self.list);
+            let meta = BlockMeta { dn_bits, tf_bits, count: len as u16, offset };
+            self.metas.extend_from_slice(&meta.pack().to_le_bytes());
+            self.skips.extend_from_slice(&block[0].doc_id.to_le_bytes());
+            let pairs = block.iter().map(|p| (p.doc_id, p.tf));
+            let (ub, max_tf) = block_bound(pairs, idf_bar, dl_bars);
+            self.ubs.extend_from_slice(&ub.raw().to_le_bytes());
+            self.max_tfs.extend_from_slice(&max_tf.to_le_bytes());
+            start += len;
         }
-        self.seal()?;
+        self.close_list(term, postings.len() as u64, block_lens.len())
+    }
+
+    /// Ends the list whose last `blocks` blocks were just added and whose
+    /// payload is in `self.list`: its CRC, payload, name and entry.
+    fn close_list(&mut self, term: &str, df: u64, blocks: usize) -> Result<(), IndexError> {
+        if (self.directory.len() / ENTRY_LEN) as u64 == self.expected_terms {
+            return Err(IndexError::CorruptIndex {
+                context: "more streamed terms than the header declares",
+            });
+        }
+        let block_end = self.metas.len() / 8;
+        let block_end = u32::try_from(block_end).map_err(|_| TABLE_OVERFLOW)?;
+        let first = block_end as usize - blocks;
+        let mut crc = Crc32::new();
+        crc.update(&self.metas[8 * first..]);
+        for column in [&self.skips, &self.ubs, &self.max_tfs] {
+            crc.update(&column[4 * first..]);
+        }
+        crc.update(&self.list);
+        self.footer.update(&self.list);
+        self.sink.write_all(&self.list).map_err(write_err)?;
+        self.payload_len += self.list.len() as u64;
+        self.names.extend_from_slice(term.as_bytes());
+        let entry = &mut self.directory;
+        entry.extend_from_slice(&df.to_le_bytes());
+        entry.extend_from_slice(&self.payload_len.to_le_bytes());
+        entry.extend_from_slice(&(self.names.len() as u64).to_le_bytes());
+        entry.extend_from_slice(&block_end.to_le_bytes());
+        entry.extend_from_slice(&crc.finish().to_le_bytes());
+        Ok(())
+    }
+
+    /// Writes the held sections, the section table and the footer CRC,
+    /// flushes, and returns the sink.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::CorruptIndex`] if fewer terms were pushed than the
+    /// header declares, and [`IndexError::Io`] on sink errors.
+    pub(crate) fn finish(mut self) -> Result<W, IndexError> {
+        if ((self.directory.len() / ENTRY_LEN) as u64) < self.expected_terms {
+            return Err(IndexError::CorruptIndex {
+                context: "fewer streamed terms than the header declares",
+            });
+        }
+        let mut table = Vec::with_capacity(TABLE_LEN);
+        table.extend_from_slice(&self.payload_len.to_le_bytes());
+        let bounds_len = self.ubs.len() + self.max_tfs.len();
+        for len in [self.metas.len(), self.skips.len(), bounds_len] {
+            table.extend_from_slice(&(len as u64).to_le_bytes());
+        }
+        for len in [self.names.len(), self.directory.len()] {
+            table.extend_from_slice(&(len as u64).to_le_bytes());
+        }
+        let sections = [
+            &[&self.metas][..],
+            &[&self.skips],
+            &[&self.ubs, &self.max_tfs],
+            &[&self.names],
+            &[&self.directory],
+        ];
+        for parts in sections {
+            let mut crc = Crc32::new();
+            for part in parts {
+                crc.update(part);
+                self.footer.update(part);
+                self.sink.write_all(part).map_err(write_err)?;
+            }
+            table.extend_from_slice(&crc.finish().to_le_bytes());
+        }
+        table.extend_from_slice(&crc32(&table).to_le_bytes());
+        self.footer.update(&table);
+        self.sink.write_all(&table).map_err(write_err)?;
         // The footer covers everything already emitted and is itself
         // outside the running checksum.
-        let footer = self.footer.finish();
-        self.sink.write_all(&footer.to_le_bytes()).map_err(write_err)?;
+        self.sink.write_all(&self.footer.finish().to_le_bytes()).map_err(write_err)?;
         self.sink.flush().map_err(write_err)?;
         Ok(self.sink)
     }
-
-    /// Appends the section CRC to the section being encoded and emits it.
-    fn seal(&mut self) -> Result<(), IndexError> {
-        let crc = crc32(&self.section);
-        self.section.put_u32_le(crc);
-        self.emit()
-    }
-
-    /// Writes the section being encoded to the sink, folds it into the
-    /// footer CRC, and starts the next one.
-    fn emit(&mut self) -> Result<(), IndexError> {
-        self.footer.update(&self.section);
-        self.sink.write_all(&self.section).map_err(write_err)?;
-        self.section.clear();
-        Ok(())
-    }
 }
+
+const TABLE_OVERFLOW: IndexError =
+    IndexError::CorruptIndex { context: "block table exceeds 2^32 entries" };
 
 /// Maps a sink write failure to the typed I/O error.
 fn write_err(e: std::io::Error) -> IndexError {
     IndexError::Io { context: "writing index file", message: e.to_string() }
 }
 
-/// Streams a format-v4 index file one term at a time, producing output
+/// Streams a format-v5 index file one term at a time, producing output
 /// byte-identical to [`serialize`] over the same inputs without ever
 /// holding the whole index — or the whole file — in memory.
 ///
-/// The v4 header carries `num_docs`/`num_terms` and the footer CRC
-/// covers every preceding byte, so construction takes the complete
+/// The header carries `num_docs`/`num_terms` and the footer CRC covers
+/// every preceding byte, so construction takes the complete
 /// document-length table and the term count up front and immediately
 /// emits magic, header, and doc table while folding them into a running
 /// [`Crc32`]. Each [`push_term`](Self::push_term) call then encodes one
-/// posting list, writes its sealed record, and accumulates that list's
-/// score bounds; [`finish`](Self::finish) emits the bounds section and
-/// the footer. Peak memory is one encoded list plus the per-document
-/// (4 + 4 bytes/doc) and bound (8 bytes/block plus a fixed record per
-/// term) tables —
-/// independent of the total posting count, which is what lets `iiu gen`
-/// stream a million-document corpus to disk with bounded RSS.
+/// posting list and writes its payload; [`finish`](Self::finish) emits the
+/// block columns, names, directory, section table and footer. Peak memory
+/// is one encoded list plus the per-document (4 + 4 bytes/doc), per-block
+/// (20 bytes) and per-term (32 bytes plus the name) sections — independent
+/// of the total posting count, which is what lets `iiu gen` stream a
+/// million-document corpus to disk with bounded RSS.
 ///
 /// Terms must be pushed in the order the index's dictionary should
 /// assign term ids (the synthetic corpus generator's rank order).
@@ -283,14 +374,10 @@ pub struct StreamingWriter<W: std::io::Write> {
     n_docs: u64,
     /// Per-document `dl̄` table, shared by every list's bound computation.
     dl_bars: Vec<Fixed>,
-    /// Score bounds accumulated per pushed term, emitted by `finish`.
-    bounds: BoundsBuilder,
-    expected_terms: u64,
-    written_terms: u64,
 }
 
 impl<W: std::io::Write> StreamingWriter<W> {
-    /// Opens a streamed v4 file: writes magic, sealed header, and sealed
+    /// Opens a streamed v5 file: writes magic, sealed header, and sealed
     /// doc-length table to `sink`. Exactly `num_terms` calls to
     /// [`push_term`](Self::push_term) must follow before
     /// [`finish`](Self::finish).
@@ -311,157 +398,262 @@ impl<W: std::io::Write> StreamingWriter<W> {
             partitioner,
             n_docs: doc_lens.len() as u64,
             dl_bars: params.dl_bars(doc_lens, avgdl(doc_lens)),
-            bounds: BoundsBuilder::default(),
-            expected_terms: num_terms,
-            written_terms: 0,
         })
     }
 
-    /// Encodes `list`, writes its sealed term record, and accumulates its
-    /// score bounds. The term is assigned the next term id.
+    /// Encodes `list` and writes its payload; its block columns, bounds
+    /// and directory entry wait for [`finish`](Self::finish). The term is
+    /// assigned the next term id.
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::CorruptIndex`] on a docID beyond the corpus
     /// or when more terms are pushed than the header declares, encoding
-    /// errors from [`EncodedList::encode`] verbatim, and
+    /// errors from [`crate::EncodedList::encode`] verbatim, and
     /// [`IndexError::Io`] if the sink rejects the write.
     pub fn push_term(&mut self, term: &str, list: &PostingList) -> Result<(), IndexError> {
-        if self.written_terms == self.expected_terms {
+        if list.as_slice().last().is_some_and(|p| u64::from(p.doc_id) >= self.n_docs) {
             return Err(IndexError::CorruptIndex {
-                context: "more streamed terms than the header declares",
+                context: "posting list references docID beyond corpus",
             });
-        }
-        if let Some(last) = list.as_slice().last() {
-            if u64::from(last.doc_id) >= self.n_docs {
-                return Err(IndexError::CorruptIndex {
-                    context: "posting list references docID beyond corpus",
-                });
-            }
         }
         let idf_bar = Fixed::from_f64(self.params.idf_bar(self.n_docs, list.len() as u64));
         let partition = self.partitioner.partition(list);
-        let encoded = EncodedList::encode(list, &partition)?;
-        self.bounds.push_computed(list.as_slice(), &partition, idf_bar, &self.dl_bars);
-        self.out.record(term, &encoded)?;
-        self.written_terms += 1;
-        Ok(())
+        self.out.push(term, list.as_slice(), &partition, idf_bar, &self.dl_bars)
     }
 
-    /// Writes the sealed score-bounds section and the footer CRC, flushes,
-    /// and returns the sink.
+    /// Writes the block columns, names, directory, section table and the
+    /// footer CRC, flushes, and returns the sink.
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::CorruptIndex`] if fewer terms were pushed
     /// than the header declares, and [`IndexError::Io`] on sink errors.
     pub fn finish(self) -> Result<W, IndexError> {
-        if self.written_terms != self.expected_terms {
-            return Err(IndexError::CorruptIndex {
-                context: "fewer streamed terms than the header declares",
-            });
-        }
-        self.out.finish(&self.bounds.finish())
+        self.out.finish()
     }
 }
 
-/// A bounds-checked little-endian cursor over the serialized bytes that
-/// remembers its position, so section checksums can be computed over the
-/// exact byte ranges that were parsed.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], IndexError> {
-        if self.remaining() < n {
-            return Err(IndexError::CorruptIndex { context });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, IndexError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, IndexError> {
-        let s = self.take(4, context)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, IndexError> {
-        let s = self.take(8, context)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn f64(&mut self, context: &'static str) -> Result<f64, IndexError> {
-        Ok(f64::from_bits(self.u64(context)?))
-    }
-
-    /// Reads a stored section checksum and verifies it against the bytes
-    /// parsed since `start`.
-    fn verify_section(
-        &mut self,
-        start: usize,
-        section: &'static str,
-        crc_context: &'static str,
-    ) -> Result<(), IndexError> {
-        let found = crc32(&self.buf[start..self.pos]);
-        let expected = self.u32(crc_context)?;
-        if expected != found {
-            return Err(IndexError::ChecksumMismatch { section, expected, found });
-        }
-        Ok(())
-    }
-}
-
-/// The little-endian `u32`s packed in `raw` (whole words only).
-fn le_u32s(raw: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-}
-
-/// The little-endian `u64`s packed in `raw` (whole words only).
-fn le_u64s(raw: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    raw.chunks_exact(8)
-        .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-}
-
-/// Deserializes an index previously written by [`serialize`] (format v4)
-/// onto the heap. The loaded index keeps the file's block layout byte for
-/// byte; the heap column of the module's policy table says what is
-/// verified first — every check, every list's first touch included.
+/// Deserializes an index previously written by [`serialize`] (format v5)
+/// onto the heap: the bytes are copied once into an owned buffer that the
+/// index views as a mapped index views its file. The heap column of the
+/// module's policy table says what is verified first — every check, every
+/// list's first touch included.
 ///
 /// # Errors
 ///
 /// Returns [`IndexError::UnsupportedFormat`] on any magic/version word
-/// but v4's, [`IndexError::UnknownCodec`] when the header names a codec
-/// id other than 0, [`IndexError::ChecksumMismatch`] when a section
-/// checksum fails, and [`IndexError::CorruptIndex`] on truncated or
-/// inconsistent content — including a score-bounds section that passes
-/// its CRC but disagrees with the bounds recomputed from the postings.
+/// but v5's, [`IndexError::UnknownCodec`] when the header names a codec
+/// id other than 0, [`IndexError::ChecksumMismatch`] when a section or
+/// list checksum fails, and [`IndexError::CorruptIndex`] on truncated or
+/// inconsistent content — including stored score bounds that pass their
+/// CRC but disagree with the bounds recomputed from the postings.
 pub fn deserialize(bytes: &[u8]) -> Result<InvertedIndex, IndexError> {
-    load(Backing::Heap(bytes))
+    load(Arc::new(Mmap::from_vec(bytes.to_vec())), Backing::Heap)
+}
+
+/// What a load reads from, which decides only when each check runs (the
+/// policy table in the module docs).
+pub(crate) enum Backing {
+    /// A copy of caller-owned bytes: every list's first touch and the
+    /// footer CRC run before the load returns.
+    Heap,
+    /// A file mapping: each list's first touch waits for its first use,
+    /// and the footer is framed but never hashed (that would fault in
+    /// every page).
+    Mapped,
+    /// The bytes a build just wrote: every list is as encoded, with the
+    /// collection statistics given, or the file's own when `None`.
+    Built(Option<Stats>),
+}
+
+/// The one loader: checks and locates the sections of `bytes`
+/// ([`parse`]) and assembles an index that views them; a heap load then
+/// runs every list's first touch and hashes the footer.
+pub(crate) fn load(bytes: Arc<Mmap>, backing: Backing) -> Result<InvertedIndex, IndexError> {
+    let layout = parse(bytes.as_slice())?;
+    let heap = matches!(backing, Backing::Heap);
+    let index = InvertedIndex::assemble(Arc::clone(&bytes), layout, backing)?;
+    if heap {
+        index.first_touch_every_list()?;
+        let (body, footer) = bytes.split_at(bytes.len() - 4);
+        check_crc("footer", u32::from_le_bytes(le(footer)), crc32(body))?;
+    }
+    Ok(index)
+}
+
+/// Where a checked v5 file's sections lie, and its header's fields.
+#[derive(Debug, Clone)]
+pub(crate) struct Layout {
+    pub(crate) params: Bm25Params,
+    pub(crate) partitioner: Partitioner,
+    pub(crate) n_terms: usize,
+    /// The doc table, its CRC excluded.
+    docs: Range<usize>,
+    payload: Range<usize>,
+    metas: Range<usize>,
+    skips: Range<usize>,
+    ubs: Range<usize>,
+    max_tfs: Range<usize>,
+    names: Range<usize>,
+    directory: Range<usize>,
+}
+
+/// One directory entry's windows: block indices into every column, and
+/// absolute byte ranges of the payload and the name.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Entry {
+    pub(crate) blocks: Range<usize>,
+    pub(crate) payload: Range<usize>,
+    pub(crate) name: Range<usize>,
+}
+
+/// A little-endian word at `at` of `bytes`.
+fn word<T: LeWord>(bytes: &[u8], at: usize) -> Option<T> {
+    bytes.get(at..at.checked_add(T::BYTES)?).map(T::from_le)
+}
+
+/// The raw ends an entry stores: payload, name, block.
+fn ends(bytes: &[u8], at: usize) -> Option<(u64, u64, u32)> {
+    Some((word::<u64>(bytes, at + 8)?, word::<u64>(bytes, at + 16)?, word(bytes, at + 24)?))
+}
+
+impl Layout {
+    /// Every directory entry, in term order: one pass over the directory.
+    pub(crate) fn entries<'a>(&'a self, bytes: &'a [u8]) -> impl Iterator<Item = Entry> + 'a {
+        let mut prev = (0, 0, 0);
+        self.directory.clone().step_by(ENTRY_LEN).map(move |at| {
+            let end = ends(bytes, at).unwrap_or(prev);
+            let entry = self.resolve(prev, end);
+            prev = end;
+            entry.unwrap_or_default()
+        })
+    }
+
+    /// The df of list `id`.
+    #[inline]
+    pub(crate) fn df(&self, bytes: &[u8], id: usize) -> u64 {
+        word(bytes, self.directory.start + ENTRY_LEN * id).unwrap_or(0)
+    }
+
+    /// The CRC list `id`'s directory entry stores.
+    pub(crate) fn crc(&self, bytes: &[u8], id: usize) -> u32 {
+        word(bytes, self.directory.start + ENTRY_LEN * id + 28).unwrap_or(0)
+    }
+
+    /// The name of list `id`: its window of the name section.
+    #[inline]
+    pub(crate) fn name<'a>(&self, bytes: &'a [u8], id: usize) -> &'a [u8] {
+        let end_at = |id: usize| self.directory.start + ENTRY_LEN * id + 16;
+        let start = if id == 0 { Some(0) } else { word::<u64>(bytes, end_at(id - 1)) };
+        let window = start.zip(word::<u64>(bytes, end_at(id))).and_then(|(start, end)| {
+            let names = bytes.get(self.names.clone())?;
+            names.get(usize::try_from(start).ok()?..usize::try_from(end).ok()?)
+        });
+        window.unwrap_or(&[])
+    }
+
+    /// The windows of an entry whose ends are `end`, after an entry whose
+    /// ends are `prev`.
+    fn resolve(
+        &self,
+        (payload_start, name_start, block_start): (u64, u64, u32),
+        (payload_end, name_end, block_end): (u64, u64, u32),
+    ) -> Option<Entry> {
+        let window = |section: &Range<usize>, start: u64, end: u64| {
+            let start = section.start.checked_add(usize::try_from(start).ok()?)?;
+            let end = section.start.checked_add(usize::try_from(end).ok()?)?;
+            (start <= end && end <= section.end).then_some(start..end)
+        };
+        Some(Entry {
+            blocks: block_start as usize..(block_end as usize).max(block_start as usize),
+            payload: window(&self.payload, payload_start, payload_end)?,
+            name: window(&self.names, name_start, name_end)?,
+        })
+    }
+
+    /// Words `blocks` of the column in `section` (none past its end).
+    #[inline]
+    fn column<'a, T: LeWord>(
+        bytes: &'a [u8],
+        section: &Range<usize>,
+        blocks: Range<usize>,
+    ) -> Column<'a, T> {
+        let (start, end) = (blocks.start * T::BYTES, blocks.end * T::BYTES);
+        let words = (end <= section.len())
+            .then(|| bytes.get(section.start + start..section.start + end));
+        Column::new(words.flatten().unwrap_or(&[]))
+    }
+
+    pub(crate) fn metas<'a>(&self, bytes: &'a [u8], blocks: Range<usize>) -> Metas<'a> {
+        Self::column(bytes, &self.metas, blocks)
+    }
+
+    pub(crate) fn skips<'a>(&self, bytes: &'a [u8], blocks: Range<usize>) -> Skips<'a> {
+        Self::column(bytes, &self.skips, blocks)
+    }
+
+    pub(crate) fn ubs<'a>(&self, bytes: &'a [u8], blocks: Range<usize>) -> Column<'a, Fixed> {
+        Self::column(bytes, &self.ubs, blocks)
+    }
+
+    pub(crate) fn max_tfs<'a>(
+        &self,
+        bytes: &'a [u8],
+        blocks: Range<usize>,
+    ) -> Column<'a, u32> {
+        Self::column(bytes, &self.max_tfs, blocks)
+    }
+
+    /// The CRC of the list whose blocks and payload are `blocks` and
+    /// `payload`: its slices of metas, skips, ubs and max_tfs, then its
+    /// payload.
+    pub(crate) fn list_crc(&self, bytes: &[u8], blocks: Range<usize>, payload: &[u8]) -> u32 {
+        let mut crc = Crc32::new();
+        crc.update(self.metas(bytes, blocks.clone()).bytes());
+        crc.update(self.skips(bytes, blocks.clone()).bytes());
+        crc.update(self.ubs(bytes, blocks.clone()).bytes());
+        crc.update(self.max_tfs(bytes, blocks).bytes());
+        crc.update(payload);
+        crc.finish()
+    }
+
+    /// The document lengths.
+    pub(crate) fn doc_lens(&self, bytes: &[u8]) -> Vec<u32> {
+        Column::<u32>::new(bytes.get(self.docs.clone()).unwrap_or(&[])).to_vec()
+    }
+
+    /// Every section's name and byte length, in file order, framing
+    /// included; they sum to the file's length.
+    fn sections(&self) -> Vec<(&'static str, u64)> {
+        let len = |r: &Range<usize>| (r.end - r.start) as u64;
+        let bounds = len(&self.ubs) + len(&self.max_tfs);
+        vec![
+            ("magic", 8),
+            ("header", HEADER_LEN as u64 + 4),
+            ("doc table", len(&self.docs) + 4),
+            ("payload", len(&self.payload)),
+            ("metas", len(&self.metas)),
+            ("skips", len(&self.skips)),
+            ("bounds", bounds),
+            ("names", len(&self.names)),
+            ("directory", len(&self.directory)),
+            ("section table", TABLE_LEN as u64),
+            ("footer", 4),
+        ]
+    }
+}
+
+/// Every section of `index`'s file with its byte length, in file order,
+/// framing included: they sum to the file's length exactly (`iiu stats`).
+pub fn section_sizes(index: &InvertedIndex) -> Vec<(&'static str, u64)> {
+    index.layout().sections()
 }
 
 fn read_partitioner(kind: u8, arg: usize) -> Result<Partitioner, IndexError> {
     // Validate the range here rather than letting the constructors panic:
     // a CRC-consistent tamper can present any arg with valid checksums.
-    if !(1..=crate::block::MAX_BLOCK_LEN).contains(&arg) {
+    if !(1..=MAX_BLOCK_LEN).contains(&arg) {
         return Err(IndexError::CorruptIndex { context: "partitioner arg" });
     }
     match kind {
@@ -471,211 +663,156 @@ fn read_partitioner(kind: u8, arg: usize) -> Result<Partitioner, IndexError> {
     }
 }
 
-/// What a load reads from, which decides only where payload bytes end up
-/// and when they are verified (the policy table in the module docs). The
-/// entry points imply it: [`deserialize`] is handed bytes,
-/// [`crate::storage`] a path it maps.
-#[derive(Clone, Copy)]
-pub(crate) enum Backing<'a> {
-    /// Caller-owned bytes: payloads are copied out, every checksum is
-    /// verified as it is framed, and every list's first touch runs before
-    /// the load returns.
-    Heap(&'a [u8]),
-    /// A file mapping: payloads stay in it, each list's first touch waits
-    /// for its first use, and the footer is framed but never hashed (that
-    /// would fault in every page).
-    Mapped(&'a Arc<Mmap>),
+/// `bytes[range]`, or `CorruptIndex { context }` when the file is too
+/// short for it.
+fn take<'a>(
+    bytes: &'a [u8],
+    range: Range<usize>,
+    context: &'static str,
+) -> Result<&'a [u8], IndexError> {
+    bytes.get(range).ok_or(IndexError::CorruptIndex { context })
 }
 
-impl<'a> Backing<'a> {
-    fn bytes(self) -> &'a [u8] {
-        match self {
-            Backing::Heap(bytes) => bytes,
-            Backing::Mapped(map) => map.as_slice(),
-        }
-    }
-}
-
-/// The header's fields.
-struct Header {
-    params: Bm25Params,
-    partitioner: Partitioner,
-    n_docs: usize,
-    n_terms: usize,
-}
-
-fn read_header(r: &mut Reader<'_>) -> Result<Header, IndexError> {
-    let start = r.pos;
-    let k1 = r.f64("header")?;
-    let b = r.f64("header")?;
-    let part_kind = r.u8("header")?;
-    let part_arg = r.u32("header")? as usize;
-    let codec = r.u8("header")?;
-    let n_docs = r.u64("header")? as usize;
-    let n_terms = r.u64("header")? as usize;
-    r.verify_section(start, "header", "header checksum")?;
-    // Interpreted only after the section CRC passes: random corruption of
-    // the codec byte must surface as a checksum mismatch, and only a
-    // CRC-consistent unknown id as `UnknownCodec`.
-    let partitioner = read_partitioner(part_kind, part_arg)?;
-    CodecId::from_u8(codec)?;
-    Ok(Header { params: Bm25Params { k1, b }, partitioner, n_docs, n_terms })
-}
-
-/// Frames the body: the header, the doc-length table with the `dl̄`
-/// table the file does not store, and one structurally validated (never
-/// decoded) list per term record, in the parts an index is assembled from
-/// — all but the bounds, which follow the records.
-fn read_body(
-    r: &mut Reader<'_>,
-    backing: Backing<'_>,
-) -> Result<(Header, StoredParts), IndexError> {
-    let header = read_header(r)?;
-    let doc_start = r.pos;
-    let doc_bytes = header
-        .n_docs
-        .checked_mul(4)
-        .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
-    let doc_lens: Vec<u32> = le_u32s(r.take(doc_bytes, "doc length table")?).collect();
-    r.verify_section(doc_start, "doc length table", "doc length checksum")?;
-    let avgdl = avgdl(&doc_lens);
-    let dl_bars = header.params.dl_bars(&doc_lens, avgdl);
-
-    let mut terms = Vec::with_capacity(header.n_terms.min(r.remaining()));
-    let mut spans = Vec::with_capacity(header.n_terms.min(r.remaining()));
-    let mut tables = TableBuilder::default();
-    for _ in 0..header.n_terms {
-        let (info, span) = read_record(r, backing, &header, &mut tables)?;
-        terms.push(info);
-        spans.push(span);
-    }
-    let mapping = match backing {
-        Backing::Heap(_) => None,
-        Backing::Mapped(map) => Some(Arc::clone(map)),
-    };
-    let bounds = BoundsBuilder::default();
-    Ok((
-        header,
-        StoredParts { terms, tables, spans, bounds, doc_lens, dl_bars, avgdl, mapping },
-    ))
-}
-
-/// Frames one term record and appends its list to `tables`, which checks
-/// the structural invariants ([`EncodedList::validate`]) without
-/// decoding, under the term constant `header`'s statistics give it. The
-/// record CRC is verified here on the heap backing and deferred to the
-/// list's first touch on the mapped one.
-fn read_record(
-    r: &mut Reader<'_>,
-    backing: Backing<'_>,
-    header: &Header,
-    tables: &mut TableBuilder,
-) -> Result<(TermInfo, ListSpan), IndexError> {
-    let context = "term record";
-    let start = r.pos;
-    let name_len = r.u32(context)? as usize;
-    let term = std::str::from_utf8(r.take(name_len, context)?)
-        .map_err(|_| IndexError::CorruptIndex { context: "term name utf-8" })?
-        .to_owned();
-
-    let df = r.u64(context)?;
-    let num_blocks = r.u64(context)? as usize;
-    let table_bytes = num_blocks
-        .checked_mul(12)
-        .ok_or(IndexError::CorruptIndex { context: "block tables" })?;
-    let (meta_raw, skip_raw) = r.take(table_bytes, context)?.split_at(num_blocks * 8);
-    let payload_len = r.u64(context)? as usize;
-    let payload_off = r.pos;
-    let payload = r.take(payload_len, context)?;
-
-    // Heap: the payload is copied into the owned buffer, under a verified
-    // CRC. Mapped: it stays where it is, under a deferred one.
-    let mapped = match backing {
-        Backing::Heap(_) => {
-            r.verify_section(start, "term record", "term record checksum")?;
-            None
-        }
-        Backing::Mapped(_) => {
-            r.u32("term record checksum")?;
-            Some((start, payload_off))
-        }
-    };
-    let idf_bar = Fixed::from_f64(header.params.idf_bar(header.n_docs as u64, df));
-    let span = tables.push_stored(
-        le_u64s(meta_raw),
-        le_u32s(skip_raw),
-        payload,
-        df,
-        idf_bar,
-        mapped,
-    )?;
-    Ok((TermInfo { term, df, idf_bar }, span))
-}
-
-/// Reads the stored score-bounds section: one entry list per term, under
-/// one section CRC.
-fn read_bounds_section(
-    r: &mut Reader<'_>,
-    n_terms: usize,
-) -> Result<BoundsBuilder, IndexError> {
-    let start = r.pos;
-    let mut stored = BoundsBuilder::default();
-    for _ in 0..n_terms {
-        let num_blocks = r.u64("score bounds")? as usize;
-        let entry_bytes = num_blocks
-            .checked_mul(8)
-            .ok_or(IndexError::CorruptIndex { context: "score bounds" })?;
-        let mut words = le_u32s(r.take(entry_bytes, "score bounds")?);
-        stored.push_stored(std::iter::from_fn(|| {
-            Some((Fixed::from_raw(words.next()?), words.next()?))
-        }));
-    }
-    r.verify_section(start, "score bounds", "score bounds checksum")?;
-    Ok(stored)
-}
-
-/// Ends the file: the whole-file footer CRC — hashed on the heap backing,
-/// only framed on the mapped one — and nothing after it.
-fn read_footer(r: &mut Reader<'_>, backing: Backing<'_>) -> Result<(), IndexError> {
-    let body_end = r.pos;
-    let expected = r.u32("footer")?;
-    if let Backing::Heap(_) = backing {
-        let found = crc32(&r.buf[..body_end]);
-        if expected != found {
-            return Err(IndexError::ChecksumMismatch { section: "footer", expected, found });
-        }
-    }
-    if r.remaining() != 0 {
-        return Err(IndexError::CorruptIndex { context: "trailing bytes" });
+/// Checks that `found` is the CRC stored for `section`.
+fn check_crc(section: &'static str, expected: u32, found: u32) -> Result<(), IndexError> {
+    if expected != found {
+        return Err(IndexError::ChecksumMismatch { section, expected, found });
     }
     Ok(())
 }
 
-/// Loads an index file from `backing` into an index that keeps the
-/// file's block layout ([`InvertedIndex::from_stored_parts`]), its tables
-/// frozen over the mapping or over the owned payload buffer. A heap load
-/// then runs every list's first touch; a mapped list runs its own on
-/// first use.
-pub(crate) fn load(backing: Backing<'_>) -> Result<InvertedIndex, IndexError> {
-    let mut r = Reader::new(backing.bytes());
-    match r.u64("magic")? {
-        MAGIC => {}
-        found => return Err(IndexError::UnsupportedFormat { found }),
+/// `bytes[start..start + len]` as a range, if it lies in the file.
+fn range(start: usize, len: u64, context: &'static str) -> Result<Range<usize>, IndexError> {
+    let end = usize::try_from(len).ok().and_then(|len| start.checked_add(len));
+    end.map(|end| start..end).ok_or(IndexError::CorruptIndex { context })
+}
+
+/// The open's checks (the module's policy table, its first two rows):
+/// magic, header, doc table, section table and the CRCs of every section
+/// but the payload, then every directory entry's windows and name. What
+/// it returns locates every section.
+pub(crate) fn parse(bytes: &[u8]) -> Result<Layout, IndexError> {
+    match word::<u64>(take(bytes, 0..8, "magic")?, 0) {
+        Some(MAGIC) => {}
+        found => return Err(IndexError::UnsupportedFormat { found: found.unwrap_or(0) }),
     }
-    let (header, mut parts) = read_body(&mut r, backing)?;
-    parts.bounds = read_bounds_section(&mut r, parts.spans.len())?;
-    read_footer(&mut r, backing)?;
-    let index = InvertedIndex::from_stored_parts(parts, header.params, header.partitioner)?;
-    if let Backing::Heap(_) = backing {
-        index.first_touch_every_list()?;
+    let header = take(bytes, 8..8 + HEADER_LEN, "header")?;
+    let crc = take(bytes, 8 + HEADER_LEN..12 + HEADER_LEN, "header checksum")?;
+    check_crc("header", u32::from_le_bytes(le(crc)), crc32(header))?;
+    let field = |at| word::<u64>(header, at).unwrap_or(0);
+    let params = Bm25Params { k1: f64::from_bits(field(0)), b: f64::from_bits(field(8)) };
+    // Interpreted only after the section CRC passes: random corruption of
+    // the codec byte must surface as a checksum mismatch, and only a
+    // CRC-consistent unknown id as `UnknownCodec`.
+    let arg = word::<u32>(header, 17).unwrap_or(0) as usize;
+    let partitioner = read_partitioner(header[16], arg)?;
+    CodecId::from_u8(header[21])?;
+    let (n_docs, n_terms) = (field(22), field(30));
+
+    let docs = range(12 + HEADER_LEN, n_docs.saturating_mul(4), "doc length table")?;
+    let doc_bytes = take(bytes, docs.clone(), "doc length table")?;
+    let crc = take(bytes, docs.end..docs.end + 4, "doc length checksum")?;
+    check_crc("doc length table", u32::from_le_bytes(le(crc)), crc32(doc_bytes))?;
+
+    let table_start = bytes
+        .len()
+        .checked_sub(TABLE_LEN + 4)
+        .filter(|&start| start >= docs.end + 4)
+        .ok_or(IndexError::CorruptIndex { context: "section table" })?;
+    let table = &bytes[table_start..table_start + TABLE_LEN];
+    let stored = u32::from_le_bytes(le(&table[TABLE_LEN - 4..]));
+    check_crc("section table", stored, crc32(&table[..TABLE_LEN - 4]))?;
+    let mut at = docs.end + 4;
+    let mut sections = Vec::with_capacity(SECTIONS.len());
+    for i in 0..SECTIONS.len() {
+        let section = range(at, word::<u64>(table, 8 * i).unwrap_or(0), "section table")?;
+        at = section.end;
+        sections.push(section);
     }
-    Ok(index)
+    let [payload, metas, skips, bounds, names, directory] = &sections[..] else {
+        return Err(IndexError::CorruptIndex { context: "section table" });
+    };
+    let n_blocks = metas.len() / 8;
+    let shaped = at == table_start
+        && metas.len() % 8 == 0
+        && skips.len() == 4 * n_blocks
+        && bounds.len() == 8 * n_blocks
+        && Some(directory.len() as u64) == n_terms.checked_mul(ENTRY_LEN as u64);
+    if !shaped {
+        return Err(IndexError::CorruptIndex { context: "section table" });
+    }
+    for (i, section) in sections.iter().enumerate().skip(1) {
+        let stored = word::<u32>(table, 48 + 4 * (i - 1)).unwrap_or(0);
+        check_crc(SECTIONS[i], stored, crc32(&bytes[section.clone()]))?;
+    }
+    let ubs = bounds.start..bounds.start + 4 * n_blocks;
+    let layout = Layout {
+        params,
+        partitioner,
+        n_terms: n_terms as usize,
+        docs,
+        payload: payload.clone(),
+        metas: metas.clone(),
+        skips: skips.clone(),
+        max_tfs: ubs.end..bounds.end,
+        ubs,
+        names: names.clone(),
+        directory: directory.clone(),
+    };
+    check_directory(bytes, &layout, n_blocks)?;
+    Ok(layout)
+}
+
+/// Every directory entry's windows lie in their sections and follow the
+/// previous entry's, the last ones end their sections, and every name is
+/// UTF-8 on its own.
+fn check_directory(bytes: &[u8], layout: &Layout, n_blocks: usize) -> Result<(), IndexError> {
+    const BAD: IndexError = IndexError::CorruptIndex { context: "term directory" };
+    let names = std::str::from_utf8(&bytes[layout.names.clone()])
+        .map_err(|_| IndexError::CorruptIndex { context: "term name utf-8" })?;
+    let (mut payload, mut name, mut block) = (0u64, 0u64, 0u32);
+    for at in layout.directory.clone().step_by(ENTRY_LEN) {
+        let (payload_end, name_end, block_end) = ends(bytes, at).ok_or(BAD)?;
+        if payload_end < payload || name_end < name || block_end < block {
+            return Err(BAD);
+        }
+        let name_end_at = usize::try_from(name_end).map_err(|_| BAD)?;
+        if name_end_at <= names.len() && !names.is_char_boundary(name_end_at) {
+            return Err(IndexError::CorruptIndex { context: "term name utf-8" });
+        }
+        (payload, name, block) = (payload_end, name_end, block_end);
+    }
+    let whole = payload == layout.payload.len() as u64
+        && name == names.len() as u64
+        && block as usize == n_blocks;
+    whole.then_some(()).ok_or(BAD)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::{BuildOptions, IndexBuilder};
+
+    /// Adds one list to `file` as given — metadata words, skip values,
+    /// bounds and payload, nothing checked — the way a file *written*
+    /// wrong holds it.
+    pub(crate) fn push_raw(
+        file: &mut FileWriter<Vec<u8>>,
+        term: &str,
+        df: u64,
+        blocks: &[(u64, u32, Fixed, u32)],
+        payload: &[u8],
+    ) {
+        for &(meta, skip, ub, max_tf) in blocks {
+            file.metas.extend_from_slice(&meta.to_le_bytes());
+            file.skips.extend_from_slice(&skip.to_le_bytes());
+            file.ubs.extend_from_slice(&ub.raw().to_le_bytes());
+            file.max_tfs.extend_from_slice(&max_tf.to_le_bytes());
+        }
+        file.list.clear();
+        file.list.extend_from_slice(payload);
+        file.close_list(term, df, blocks.len()).unwrap();
+    }
 
     fn sample_index() -> InvertedIndex {
         let mut b = IndexBuilder::new(BuildOptions::default());
@@ -732,6 +869,13 @@ mod tests {
         (lists, doc_lens)
     }
 
+    fn layout_pin_index(max_size: usize) -> InvertedIndex {
+        let (lists, doc_lens) = layout_pin_corpus();
+        let params = Bm25Params::default();
+        InvertedIndex::from_lists(lists, doc_lens, Partitioner::dynamic(max_size), params)
+            .unwrap()
+    }
+
     fn fnv1a64(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -745,123 +889,134 @@ mod tests {
         // Any change to block boundaries, payload bytes or section layout
         // moves these hashes.
         let pinned: [(CodecId, usize, u64); 3] = [
-            (CodecId::BitPack, 16, 0xeb01_89f5_4160_3570),
-            (CodecId::BitPack, 256, 0xc182_8d43_e883_0229),
-            (CodecId::BitPack, 2048, 0xa8d0_bdfe_9113_7c1b),
+            (CodecId::BitPack, 16, 0x64c1_caf8_6302_0910),
+            (CodecId::BitPack, 256, 0x5922_7024_8ed9_39cf),
+            (CodecId::BitPack, 2048, 0x8337_9ba7_a10c_1c39),
         ];
         let mut got = Vec::new();
         for (codec, max_size, _) in pinned {
-            let (lists, doc_lens) = layout_pin_corpus();
-            let idx = InvertedIndex::from_lists(
-                lists,
-                doc_lens,
-                Partitioner::dynamic(max_size),
-                Bm25Params::default(),
-            )
-            .unwrap();
+            let idx = layout_pin_index(max_size);
             got.push((codec, max_size, fnv1a64(&serialize(&idx).unwrap())));
         }
         assert_eq!(got, pinned, "serialized bytes moved");
     }
 
     #[test]
-    fn stored_bounds_cross_check_catches_consistent_tampering() {
-        // Tamper with a stored block bound, then recompute the section CRC
-        // and footer so every checksum passes. The recomputation oracle
-        // must still reject the file — CRCs can't catch a file that was
-        // *written* wrong.
-        let idx = sample_index();
-        let mut bytes = serialize(&idx).unwrap().to_vec();
-        let n = bytes.len();
-        let bounds_len: usize = idx.bounds().iter().map(|b| 8 + b.num_blocks() * 8).sum();
-        let content_start = n - 8 - bounds_len;
-        // First term's first block ub, low byte (right after its num_blocks).
-        bytes[content_start + 8] ^= 0x01;
-        let crc = crc32(&bytes[content_start..n - 8]);
-        bytes[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
-        let footer = crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&footer.to_le_bytes());
-        assert!(matches!(
-            deserialize(&bytes),
-            Err(IndexError::CorruptIndex { context: "score bounds mismatch" })
-        ));
+    fn section_sizes_sum_to_the_file() {
+        for max_size in [16, 256, 2048] {
+            let idx = layout_pin_index(max_size);
+            let bytes = serialize(&idx).unwrap();
+            let sections = section_sizes(&idx);
+            assert_eq!(sections.iter().map(|(_, n)| n).sum::<u64>(), bytes.len() as u64);
+            let blocks = idx.size_stats().num_blocks;
+            let size = |name| sections.iter().find(|(n, _)| *n == name).unwrap().1;
+            assert_eq!(size("metas"), 8 * blocks);
+            assert_eq!(size("skips"), 4 * blocks);
+            assert_eq!(size("bounds"), 8 * blocks);
+            assert_eq!(size("payload"), idx.size_stats().payload_bytes);
+            assert_eq!(size("directory"), ENTRY_LEN as u64 * idx.num_terms() as u64);
+            // The file as mapped reports the same sections.
+            assert_eq!(section_sizes(&deserialize(&bytes).unwrap()), sections);
+        }
     }
 
     /// One hand-made block: its skip value and its stored `(gap, tf)`
     /// pairs, the first gap included (the decoder adds it back).
     type HandBlock<'a> = (u32, &'a [(u32, u32)]);
 
-    /// The v4 file of an index over `n_docs` documents of length 10 whose
+    /// The v5 file of an index over `n_docs` documents of length 10 whose
     /// lists are `lists`' blocks written as given — a file *written*
     /// wrong, which no encoder produces — with the stored bounds the build
     /// gives the postings each list decodes to, so a fault in its docIDs
     /// is its only one.
     fn hand_made_file(n_docs: u32, lists: &[&[HandBlock<'_>]]) -> Vec<u8> {
         use crate::bitpack::bits_for;
-        use crate::block::BlockMeta;
         let params = Bm25Params::default();
         let doc_lens = vec![10u32; n_docs as usize];
         let dl_bars = params.dl_bars(&doc_lens, 10.0);
-        let (mut tables, mut bounds) = (TableBuilder::default(), BoundsBuilder::default());
-        let (mut spans, mut terms) = (Vec::new(), Vec::new());
+        let (terms, partitioner) = (lists.len() as u64, Partitioner::default());
+        let mut file =
+            FileWriter::new(Vec::new(), &doc_lens, terms, partitioner, params).unwrap();
         for (t, blocks) in lists.iter().enumerate() {
-            let (mut metas, mut payload, mut postings) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut raw, mut payload, mut n) = (Vec::new(), Vec::new(), 0u64);
+            let df = blocks.iter().map(|(_, pairs)| pairs.len() as u64).sum();
+            let idf_bar = Fixed::from_f64(params.idf_bar(n_docs.into(), df));
             for &(skip, pairs) in *blocks {
                 let (gaps, tfs): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
                 let dn_bits = bits_for(gaps.iter().copied().max().unwrap());
                 let tf_bits = bits_for(tfs.iter().copied().max().unwrap());
                 let count = pairs.len() as u16;
                 let offset = payload.len() as u64;
-                metas.push(BlockMeta { dn_bits, tf_bits, count, offset }.pack());
-                crate::codec::encode_block(&gaps, &tfs, dn_bits, tf_bits, &mut payload);
+                let meta = BlockMeta { dn_bits, tf_bits, count, offset }.pack();
+                codec::encode_block(&gaps, &tfs, dn_bits, tf_bits, &mut payload);
                 // What the block decodes to: the skip plus the running
                 // gap sum, wrapping as the decoder does.
-                postings.extend(pairs.iter().scan(skip, |doc, &(gap, tf)| {
+                let postings = pairs.iter().scan(skip, |doc, &(gap, tf)| {
                     *doc = doc.wrapping_add(gap);
-                    Some(crate::Posting::new(*doc, tf))
-                }));
+                    Some((*doc, tf))
+                });
+                let (ub, max_tf) = block_bound(postings, idf_bar, &dl_bars);
+                raw.push((meta, skip, ub, max_tf));
+                n += u64::from(count);
             }
-            let skips = blocks.iter().map(|&(skip, _)| skip);
-            let n = postings.len() as u64;
-            let idf_bar = Fixed::from_f64(params.idf_bar(n_docs.into(), n));
-            let lens: Vec<usize> = blocks.iter().map(|(_, pairs)| pairs.len()).collect();
-            bounds.push_computed(&postings, &lens, idf_bar, &dl_bars);
-            spans.push(
-                tables
-                    .push_stored(metas.into_iter(), skips, &payload, n, idf_bar, None)
-                    .unwrap(),
-            );
-            terms.push(TermInfo { term: format!("t{t}"), df: n, idf_bar });
+            push_raw(&mut file, &format!("t{t}"), n, &raw, &payload);
         }
-        let (avgdl, mapping) = (10.0, None);
-        let parts =
-            StoredParts { terms, tables, spans, bounds, doc_lens, dl_bars, avgdl, mapping };
-        let index =
-            InvertedIndex::from_stored_parts(parts, params, Partitioner::default()).unwrap();
-        serialize(&index).unwrap()
+        file.finish().unwrap()
     }
 
-    /// Adds `delta` to word `word` (0: `ub`, 1: `max_tf`) of block `block`
-    /// of list `list` in the stored bounds section of `bytes`, a file whose
-    /// lists have `blocks` blocks each, and reseals the section CRC and the
-    /// footer so every checksum passes.
-    fn nudge_stored_bound(
+    /// Where list `list`'s slices lie in `bytes`: its directory entry's
+    /// offset, the layout and the entry.
+    pub(crate) fn locate(bytes: &[u8], list: usize) -> (usize, Layout, Entry) {
+        let layout = parse(bytes).unwrap();
+        let entry = layout.entries(bytes).nth(list).unwrap();
+        (layout.directory.start + ENTRY_LEN * list, layout, entry)
+    }
+
+    /// Applies `edit` to list `list`'s slices of `bytes`, then recomputes
+    /// the list's CRC in its directory entry, every section CRC, the table
+    /// CRC and the footer, so the tamper passes every checksum.
+    pub(crate) fn reseal(
         bytes: &mut [u8],
-        blocks: &[usize],
-        (list, block, word): (usize, usize, usize),
-        delta: i32,
+        list: usize,
+        edit: impl FnOnce(&mut [u8], &Layout, &Entry),
     ) {
-        let entry = |n: &usize| 8 + 8 * n;
+        let (at, layout, entry) = locate(bytes, list);
+        edit(bytes, &layout, &entry);
+        let crc = layout.list_crc(bytes, entry.blocks.clone(), &bytes[entry.payload.clone()]);
+        bytes[at + 28..at + 32].copy_from_slice(&crc.to_le_bytes());
         let n = bytes.len();
-        let start = n - 8 - blocks.iter().map(entry).sum::<usize>();
-        let at =
-            start + blocks[..list].iter().map(entry).sum::<usize>() + 8 + 8 * block + 4 * word;
-        let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        bytes[at..at + 4].copy_from_slice(&old.wrapping_add_signed(delta).to_le_bytes());
-        let crc = crc32(&bytes[start..n - 8]);
+        let table = n - 4 - TABLE_LEN;
+        let sections = [
+            layout.metas.clone(),
+            layout.skips.clone(),
+            layout.ubs.start..layout.max_tfs.end,
+            layout.names.clone(),
+            layout.directory.clone(),
+        ];
+        for (i, section) in sections.into_iter().enumerate() {
+            let crc = crc32(&bytes[section]);
+            bytes[table + 48 + 4 * i..table + 52 + 4 * i].copy_from_slice(&crc.to_le_bytes());
+        }
+        let crc = crc32(&bytes[table..n - 8]);
         bytes[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
         let footer = crc32(&bytes[..n - 4]);
         bytes[n - 4..].copy_from_slice(&footer.to_le_bytes());
+    }
+
+    /// Adds `delta` to word `word` (0: `ub`, 1: `max_tf`) of block `block`
+    /// of list `list` in the stored bounds of `bytes` and reseals every
+    /// checksum.
+    pub(crate) fn nudge_stored_bound(
+        bytes: &mut [u8],
+        (list, block, word): (usize, usize, usize),
+        delta: i32,
+    ) {
+        reseal(bytes, list, |bytes, layout, entry| {
+            let column = if word == 0 { &layout.ubs } else { &layout.max_tfs };
+            let at = column.start + 4 * (entry.blocks.start + block);
+            let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            bytes[at..at + 4].copy_from_slice(&old.wrapping_add_signed(delta).to_le_bytes());
+        });
     }
 
     fn load_error(bytes: &[u8]) -> &'static str {
@@ -869,6 +1024,17 @@ mod tests {
             Err(IndexError::CorruptIndex { context }) => context,
             other => panic!("expected CorruptIndex, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn stored_bounds_cross_check_catches_consistent_tampering() {
+        // Tamper with a stored block bound, then recompute every CRC and
+        // the footer so every checksum passes. The recomputation oracle
+        // must still reject the file — CRCs can't catch a file that was
+        // *written* wrong.
+        let mut bytes = serialize(&sample_index()).unwrap();
+        nudge_stored_bound(&mut bytes, (0, 0, 0), 1);
+        assert_eq!(load_error(&bytes), "score bounds mismatch");
     }
 
     #[test]
@@ -911,39 +1077,48 @@ mod tests {
             // hide the later list's fault: every list is decoded before
             // the bounds verdict.
             let mut bytes = hand_made_file(100, &[good, faulty]);
-            nudge_stored_bound(&mut bytes, &[good.len(), faulty.len()], (0, 1, 0), 1);
+            nudge_stored_bound(&mut bytes, (0, 1, 0), 1);
             assert_eq!(load_error(&bytes), expected, "{name}, behind a bounds mismatch");
         }
         // The same good list alone loads, and a nudged bound of it alone is
         // a mismatch.
         let mut bytes = hand_made_file(100, &[good]);
         deserialize(&bytes).unwrap();
-        nudge_stored_bound(&mut bytes, &[good.len()], (0, 1, 0), 1);
+        nudge_stored_bound(&mut bytes, (0, 1, 0), 1);
         assert_eq!(load_error(&bytes), "score bounds mismatch");
     }
 
     #[test]
     fn a_stored_bound_off_by_one_unit_is_a_mismatch() {
-        let (lists, doc_lens) = layout_pin_corpus();
-        let idx = InvertedIndex::from_lists(
-            lists,
-            doc_lens,
-            Partitioner::dynamic(16),
-            Bm25Params::default(),
-        )
-        .unwrap();
-        let blocks: Vec<usize> = idx.bounds().iter().map(ListBounds::num_blocks).collect();
+        let idx = layout_pin_index(16);
         let bytes = serialize(&idx).unwrap();
-        let list = blocks.iter().position(|&b| b >= 3).unwrap();
+        let list = (0..idx.num_terms()).find(|&t| idx.list_bounds(t as u32).num_blocks() >= 3);
         for (word, delta) in [(0, 1), (0, -1), (1, 1), (1, -1)] {
             let mut tampered = bytes.clone();
-            nudge_stored_bound(&mut tampered, &blocks, (list, 1, word), delta);
+            nudge_stored_bound(&mut tampered, (list.unwrap(), 1, word), delta);
             assert_eq!(
                 load_error(&tampered),
                 "score bounds mismatch",
                 "word {word} by {delta}"
             );
         }
+    }
+
+    #[test]
+    fn a_meta_offset_past_its_payload_is_refused() {
+        // A metadata word whose offset runs past its list's payload, every
+        // checksum resealed: the structural checks of the first touch
+        // refuse it before any decode reads the payload.
+        let idx = layout_pin_index(16);
+        let mut bytes = serialize(&idx).unwrap();
+        reseal(&mut bytes, 5, |bytes, layout, entry| {
+            let at = layout.metas.start + 8 * (entry.blocks.end - 1);
+            let word = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let mut meta = BlockMeta::unpack(word);
+            meta.offset = entry.payload.len() as u64;
+            bytes[at..at + 8].copy_from_slice(&meta.pack().to_le_bytes());
+        });
+        assert_eq!(load_error(&bytes), "payload bounds");
     }
 
     #[test]
@@ -956,10 +1131,10 @@ mod tests {
     #[test]
     fn rejects_unknown_future_version() {
         let mut bytes = serialize(&sample_index()).unwrap().to_vec();
-        bytes[0] = 0x05; // "IIUX" + 0x0005
+        bytes[0] = 0x06; // "IIUX" + 0x0006
         assert!(matches!(
             deserialize(&bytes),
-            Err(IndexError::UnsupportedFormat { found }) if found & 0xffff == 5
+            Err(IndexError::UnsupportedFormat { found }) if found & 0xffff == 6
         ));
     }
 
@@ -977,16 +1152,13 @@ mod tests {
     fn rejects_trailing_garbage() {
         let mut bytes = serialize(&sample_index()).unwrap().to_vec();
         bytes.push(0);
-        assert!(matches!(
-            deserialize(&bytes),
-            Err(IndexError::CorruptIndex { context: "trailing bytes" })
-        ));
+        assert!(deserialize(&bytes).is_err());
     }
 
     #[test]
     fn every_bit_flip_is_detected() {
-        // With per-section CRCs plus a whole-file footer, any single-bit
-        // flip anywhere in the file must be rejected.
+        // With section and list CRCs plus a whole-file footer, any
+        // single-bit flip anywhere in the file must be rejected.
         let bytes = serialize(&sample_index()).unwrap().to_vec();
         for byte in 0..bytes.len() {
             let mut flipped = bytes.clone();
@@ -1002,104 +1174,28 @@ mod tests {
     fn checksum_error_names_the_section() {
         let idx = sample_index();
         let bytes = serialize(&idx).unwrap().to_vec();
-        // Flip a doc-length byte: header is 8 (magic) + 38 + 4 bytes in.
-        let mut corrupt = bytes.clone();
-        corrupt[8 + 38 + 4 + 1] ^= 0x10;
-        match deserialize(&corrupt) {
-            Err(IndexError::ChecksumMismatch { section, expected, found }) => {
-                assert_eq!(section, "doc length table");
-                assert_ne!(expected, found);
-            }
-            other => panic!("expected doc-length checksum failure, got {other:?}"),
-        }
-        // Flip a byte in the header (k1).
-        let mut corrupt = bytes.clone();
-        corrupt[9] ^= 0x01;
-        match deserialize(&corrupt) {
-            Err(IndexError::ChecksumMismatch { section, .. }) => {
-                assert_eq!(section, "header");
-            }
-            other => panic!("expected header checksum failure, got {other:?}"),
-        }
-        // Flip a byte of the first term record (its name byte at offset
-        // 8 magic + 38 header + 4 crc + 16 doc table + 4 crc + 4 name_len).
-        let mut corrupt = bytes.clone();
-        corrupt[8 + 38 + 4 + 16 + 4 + 4] ^= 0x04;
-        match deserialize(&corrupt) {
-            Err(
-                IndexError::ChecksumMismatch { section: "term record", .. }
-                | IndexError::CorruptIndex { .. },
-            ) => {}
-            other => panic!("expected term-record failure, got {other:?}"),
-        }
-        // Flip the last score-bounds byte before its checksum: the file
-        // ends [bounds content][bounds crc 4][footer 4].
-        let mut corrupt = bytes.clone();
-        let n = corrupt.len();
-        corrupt[n - 9] ^= 0x80;
-        match deserialize(&corrupt) {
-            Err(IndexError::ChecksumMismatch { section, .. }) => {
-                assert_eq!(section, "score bounds");
-            }
-            other => panic!("expected score-bounds checksum failure, got {other:?}"),
-        }
-    }
-
-    /// Byte offsets of every section boundary in a v4 file, in order, each
-    /// labeled with the context/section expected when the file is cut
-    /// *inside* the following section.
-    fn v4_section_boundaries(index: &InvertedIndex) -> Vec<(usize, &'static str)> {
-        let mut bounds = Vec::new();
-        let mut pos = 0usize;
-        bounds.push((pos, "magic"));
-        pos += 8;
-        bounds.push((pos, "header"));
-        pos += 38;
-        bounds.push((pos, "header checksum"));
-        pos += 4;
-        bounds.push((pos, "doc length table"));
-        pos += index.doc_lens().len() * 4;
-        bounds.push((pos, "doc length checksum"));
-        pos += 4;
-        for info in index.terms() {
-            let list = index.encoded_list(index.term_id(&info.term).unwrap());
-            bounds.push((pos, "term record"));
-            pos += 4
-                + info.term.len()
-                + 8
-                + 8
-                + list.num_blocks() * 12
-                + 8
-                + list.payload().len();
-            bounds.push((pos, "term record checksum"));
-            pos += 4;
-        }
-        bounds.push((pos, "score bounds"));
-        for b in index.bounds() {
-            pos += 8 + b.num_blocks() * 8;
-        }
-        bounds.push((pos, "score bounds checksum"));
-        pos += 4;
-        bounds.push((pos, "footer"));
-        bounds
-    }
-
-    #[test]
-    fn truncation_context_names_the_right_section() {
-        let idx = sample_index();
-        let bytes = serialize(&idx).unwrap().to_vec();
-        let bounds = v4_section_boundaries(&idx);
-        assert_eq!(bounds.last().unwrap().0 + 4, bytes.len(), "boundary math");
-        for &(at, expect) in &bounds {
-            // Cutting exactly at a boundary fails while *needing* the next
-            // section, so the context must name it.
-            match deserialize(&bytes[..at]) {
-                Err(IndexError::CorruptIndex { context }) => {
-                    assert_eq!(context, expect, "cut at {at}");
+        let layout = parse(&bytes).unwrap();
+        let section_of = |at: usize| {
+            let mut corrupt = bytes.clone();
+            corrupt[at] ^= 0x10;
+            match deserialize(&corrupt) {
+                Err(IndexError::ChecksumMismatch { section, expected, found }) => {
+                    assert_ne!(expected, found);
+                    section
                 }
-                other => panic!("cut at {at}: expected CorruptIndex, got {other:?}"),
+                other => panic!("flip at {at}: expected a checksum failure, got {other:?}"),
             }
-        }
+        };
+        assert_eq!(section_of(9), "header");
+        assert_eq!(section_of(8 + 42 + 1), "doc length table");
+        assert_eq!(section_of(layout.payload.start), "term record");
+        assert_eq!(section_of(layout.metas.start), "metas");
+        assert_eq!(section_of(layout.skips.start), "skips");
+        assert_eq!(section_of(layout.max_tfs.end - 1), "bounds");
+        assert_eq!(section_of(layout.names.start), "names");
+        assert_eq!(section_of(layout.directory.end - 1), "directory");
+        assert_eq!(section_of(bytes.len() - 6), "section table");
+        assert_eq!(section_of(bytes.len() - 1), "footer");
     }
 
     #[test]
@@ -1154,7 +1250,7 @@ mod tests {
             idx.params(),
         )
         .unwrap();
-        let info = &idx.terms()[0];
+        let info = idx.term_info(0);
         let list = idx.decode_term(&info.term).unwrap();
         w.push_term(&info.term, &list).unwrap();
         assert!(matches!(
@@ -1187,7 +1283,7 @@ mod tests {
     }
 
     #[test]
-    fn v4_roundtrip_preserves_codec_for_every_codec() {
+    fn v5_roundtrip_preserves_codec_for_every_codec() {
         for codec in CodecId::ALL {
             let idx = sample_index();
             let bytes = serialize(&idx).unwrap();
@@ -1198,24 +1294,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_bit_flip_is_detected_for_every_codec() {
-        for codec in CodecId::ALL {
-            let bytes = serialize(&sample_index()).unwrap();
-            for byte in 0..bytes.len() {
-                let mut flipped = bytes.clone();
-                flipped[byte] ^= 1 << (byte % 8);
-                assert!(
-                    deserialize(&flipped).is_err(),
-                    "{codec}: bit flip at byte {byte} was silently accepted"
-                );
-            }
-        }
-    }
-
-    /// Rewrites the header section CRC and whole-file footer of a plain
-    /// v4 file so a deliberate header tamper passes every checksum.
-    fn reseal_v4_header(bytes: &mut [u8]) {
+    /// Rewrites the header section CRC and whole-file footer of a v5 file
+    /// so a deliberate header tamper passes every checksum.
+    fn reseal_header(bytes: &mut [u8]) {
         // Header spans bytes 8..46 (38 bytes), its CRC sits at 46..50.
         let crc = crc32(&bytes[8..46]);
         bytes[46..50].copy_from_slice(&crc.to_le_bytes());
@@ -1233,7 +1314,7 @@ mod tests {
             let mut bytes = serialize(&sample_index()).unwrap().to_vec();
             assert_eq!(bytes[29], CodecId::BitPack as u8);
             bytes[29] = id;
-            reseal_v4_header(&mut bytes);
+            reseal_header(&mut bytes);
             let path =
                 std::env::temp_dir().join(format!("iiu-io-codec-{id}-{}", std::process::id()));
             std::fs::write(&path, &bytes).unwrap();

@@ -67,7 +67,7 @@ pub mod storage;
 pub mod tokenize;
 pub mod wal;
 
-pub use block::{BlockMeta, BlockTfs, EncodedList, ListView};
+pub use block::{BlockMeta, BlockTfs, Column, EncodedList, LeWord, ListView, Metas, Skips};
 pub use bounds::ListBounds;
 pub use builder::{BuildOptions, IndexBuilder};
 pub use checksum::{crc32, Crc32};
@@ -78,7 +78,7 @@ pub use faultinject::{
     ShardChaosPlan, SplitMix64, SurvivalReport,
 };
 pub use incremental::{IncrementalIndex, IncrementalOptions};
-pub use index::{IndexSource, InvertedIndex, TermId, TermInfo};
+pub use index::{IndexSource, InvertedIndex, TermId, TermInfo, TermName, Terms, TermsIter};
 pub use memtable::WriteBuffer;
 pub use mmap::Mmap;
 pub use partition::Partitioner;

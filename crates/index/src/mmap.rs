@@ -27,9 +27,14 @@
 //!   `SIGBUS` on access. That failure mode is outside the threat model:
 //!   index files are immutable once published (tmp+rename), and the
 //!   documented operational contract is "do not truncate an index a
-//!   server currently maps". Corruption *within* a stable file is fully
-//!   handled — eagerly for structural sections, lazily (CRC on first
-//!   touch) for payloads — with typed errors, never UB.
+//!   server currently maps". The window is as long as the mapping lives,
+//!   not just the open: a v5 open reads only the header, tables and
+//!   directory, and every list's payload is first read at its first
+//!   query, possibly long after, so a truncation at any point of a
+//!   server's life can raise the signal on a later read. Corruption
+//!   *within* a stable file is fully handled — eagerly for the sections
+//!   the open checks, lazily (each list's CRC on first touch) for
+//!   payloads — with typed errors, never UB.
 //! * A zero-length file maps to an empty slice without calling `mmap`
 //!   (`mmap` with length 0 is EINVAL).
 //!

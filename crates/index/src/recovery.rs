@@ -358,7 +358,7 @@ mod tests {
         let dir = tmp_dir("codecretired");
         let (part, params) = opts();
         let s = seal_one(&dir, 0, 2);
-        // Name codec id 1 in the v4 header (8 magic + 16 params + 5
+        // Name codec id 1 in the v5 header (8 magic + 16 params + 5
         // partitioner = offset 29), then reseal the header CRC (bytes
         // 46..50, over 8..46) and the whole-file footer.
         let path = dir.join(&s.meta.file_name);
@@ -380,7 +380,7 @@ mod tests {
         let dir = tmp_dir("formatretired");
         let (part, params) = opts();
         let s = seal_one(&dir, 0, 2);
-        // The v3 magic over an otherwise intact v4 segment: the magic is
+        // The v3 magic over an otherwise intact v5 segment: the magic is
         // covered by no section CRC, so only the footer needs resealing.
         let path = dir.join(&s.meta.file_name);
         let mut bytes = std::fs::read(&path).unwrap();

@@ -67,7 +67,8 @@ impl Bm25Params {
     /// The Q16.16 `dl̄` of every document of `doc_lens` at `avgdl`: the
     /// table the scoring datapath and the block bounds read.
     pub fn dl_bars(&self, doc_lens: &[u32], avgdl: f64) -> Vec<Fixed> {
-        doc_lens.iter().map(|&l| Fixed::from_f64(self.dl_bar(l, avgdl))).collect()
+        let dl_bar = |l: u64| Fixed::from_f64(self.dl_bar(l as u32, avgdl));
+        memoized(doc_lens.iter().map(|&l| u64::from(l)), dl_bar)
     }
 
     /// Reference (double-precision) per-term score contribution:
@@ -76,6 +77,26 @@ impl Bm25Params {
         let tf = f64::from(tf);
         idf_bar * tf / (tf + dl_bar)
     }
+}
+
+/// `f` of every key, evaluated once per key while it stays in a small
+/// direct-mapped memo: document lengths and document frequencies repeat a
+/// lot, and the conversions they feed cost a division and a rounding (and
+/// a logarithm) each.
+pub(crate) fn memoized(
+    keys: impl Iterator<Item = u64>,
+    f: impl Fn(u64) -> Fixed,
+) -> Vec<Fixed> {
+    const SLOTS: usize = 4096;
+    let mut memo = vec![(u64::MAX, Fixed::ZERO); SLOTS];
+    keys.map(|key| {
+        let slot = &mut memo[key as usize % SLOTS];
+        if slot.0 != key {
+            *slot = (key, f(key));
+        }
+        slot.1
+    })
+    .collect()
 }
 
 /// An unsigned Q16.16 fixed-point number, the arithmetic format of the

@@ -185,7 +185,7 @@ pub fn merge_segment_lists(
         doc_lens.extend_from_slice(seg.index.doc_lens());
         for info in seg.index.terms() {
             let list = seg.index.decode_term(&info.term)?;
-            let out = merged.entry(info.term.clone()).or_default();
+            let out = merged.entry(info.term.to_string()).or_default();
             out.extend(list.iter().map(|p| Posting::new(p.doc_id + offset, p.tf)));
         }
     }

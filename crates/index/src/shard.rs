@@ -175,7 +175,7 @@ impl ShardedIndex {
             }
             for (s, postings) in split.into_iter().enumerate() {
                 shard_lists[s].push((
-                    info.term.clone(),
+                    info.term.to_string(),
                     PostingList::from_sorted(postings),
                     info.idf_bar,
                 ));
@@ -300,8 +300,8 @@ mod tests {
                 assert_eq!(got, want, "[{lo}, {hi})");
                 // Tight: the first block holds `lo`, the last starts below `hi`.
                 if !blocks.is_empty() {
-                    assert!(enc.skips().get(blocks.start + 1).is_none_or(|&s| s > lo));
-                    assert!(u64::from(enc.skips()[blocks.end - 1]) < window.hi());
+                    assert!(enc.skips().get(blocks.start + 1).is_none_or(|s| s > lo));
+                    assert!(u64::from(enc.skips().at(blocks.end - 1)) < window.hi());
                 }
             }
         }

@@ -63,33 +63,24 @@ impl IndexSizeStats {
 
 /// Where an opened index's heap memory is
 /// ([`crate::InvertedIndex::heap_bytes`]): the bytes each of its tables
-/// requested. A mapped index's payload lives in the mapping, not here.
+/// requested. A mapped index's file lives in the mapping, not here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HeapBytes {
-    /// Per-term records: `TermInfo`s with their names, list and bound
-    /// handles, and lazy-CRC records.
+    /// Per-term records: list handles, kept first-touch verdicts, and the
+    /// term constants of an index built with explicit statistics.
     pub terms: u64,
     /// The dictionary's term-id table.
     pub dictionary: u64,
-    /// Block metadata and skip tables.
-    pub block_tables: u64,
-    /// Score-bound tables.
-    pub bound_tables: u64,
     /// Document-length and `dl̄` tables.
     pub doc_tables: u64,
-    /// Payload bytes owned on the heap (0 for a mapped index).
-    pub payload: u64,
+    /// File bytes owned on the heap (0 for a mapped index).
+    pub file: u64,
 }
 
 impl HeapBytes {
     /// All of it.
     pub fn total(&self) -> u64 {
-        self.terms
-            + self.dictionary
-            + self.block_tables
-            + self.bound_tables
-            + self.doc_tables
-            + self.payload
+        self.terms + self.dictionary + self.doc_tables + self.file
     }
 }
 

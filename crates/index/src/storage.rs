@@ -1,26 +1,28 @@
 //! Zero-copy, mmap-backed index loading (DESIGN.md §19).
 //!
-//! [`crate::io::deserialize`] copies every payload onto the heap and
-//! runs every list's first touch — record CRC, then the content oracle —
-//! before the first query, at the cost of capping the corpus at RAM. This
-//! module is the other end of that trade: it memory-maps an index file
-//! (format v4) and hands the mapping to the same parser, which assembles
-//! an [`InvertedIndex`] whose payload bytes are *borrowed windows of the
-//! mapping*. No posting byte is copied; the page cache is the storage
-//! tier.
+//! [`crate::io::deserialize`] copies the file onto the heap once and runs
+//! every list's first touch — list CRC, structural checks, then the
+//! content oracle — before the first query, at the cost of capping the
+//! corpus at RAM. This module is the other end of that trade: it
+//! memory-maps an index file (format v5) and hands the mapping to the same
+//! loader, which assembles an [`InvertedIndex`] that reads its term
+//! directory, block columns and payload *where they lie in the mapping*.
+//! No posting byte, block table or term name is copied; the page cache is
+//! the storage tier.
 //!
 //! What runs when is the "mapped open" column of the policy table in
-//! [`crate::io`]. In short: opening frames the header, tables and every
-//! record — records interleave tables and payloads, so that reads the
-//! whole file — but hashes no record and decodes no block. A list's first
-//! touch, the check a heap load runs for every list, runs on the first
-//! decode of any of its blocks (or an engine's `verify_term` at query
-//! resolve), once, and its verdict is kept: so both backings refuse the
-//! same files, and corruption discovered late is a typed [`IndexError`],
-//! never a panic, an out-of-bounds read or a pruning decision taken on a
-//! bound the postings do not give. The footer CRC is framed but not
-//! hashed (hashing it would fault in every page; the section CRCs cover
-//! all content bytes anyway).
+//! [`crate::io`]. In short: opening checks the header, the section table,
+//! the doc table, the column, name and directory CRCs and the directory's
+//! windows, and builds the dictionary over the name windows — it reads no
+//! payload byte and keeps nothing per block. A list's first touch, the
+//! check a heap load runs for every list, runs on the first decode of any
+//! of its blocks (or an engine's `verify_term` at query resolve), once,
+//! and its verdict is kept: so both backings refuse the same files, and
+//! corruption discovered late is a typed [`IndexError`], never a panic, an
+//! out-of-bounds read or a pruning decision taken on a bound the postings
+//! do not give. The footer CRC is framed but not hashed (hashing it would
+//! fault in every page; the section and list CRCs cover all content bytes
+//! anyway).
 //!
 //! The `unsafe` mapping itself lives in [`crate::mmap`]; see that
 //! module's safety argument (immutable published files, `SIGBUS` on
@@ -36,14 +38,14 @@ use crate::index::InvertedIndex;
 use crate::io::{self, Backing};
 use crate::mmap::Mmap;
 
-/// Maps an index file (format v4) without materializing payload
-/// bytes. See the module docs for what is verified when.
+/// Maps an index file (format v5) without copying its content. See the
+/// module docs for what is verified when.
 ///
 /// # Errors
 ///
 /// Returns [`IndexError::Io`] on mapping failure,
-/// [`IndexError::UnsupportedFormat`] on any magic but v4's,
-/// [`IndexError::UnknownCodec`] on a v4 codec id other than 0,
+/// [`IndexError::UnsupportedFormat`] on any magic but v5's,
+/// [`IndexError::UnknownCodec`] on a codec id other than 0,
 /// [`IndexError::ChecksumMismatch`] when an eagerly-verified section CRC
 /// fails, and [`IndexError::CorruptIndex`] on structural violations.
 pub fn map_index(path: &Path) -> Result<InvertedIndex, IndexError> {
@@ -52,8 +54,12 @@ pub fn map_index(path: &Path) -> Result<InvertedIndex, IndexError> {
 
 /// [`map_index`] over an existing mapping (tests and benches map once
 /// and reuse).
+///
+/// # Errors
+///
+/// As [`map_index`].
 pub fn map_index_from(map: Arc<Mmap>) -> Result<InvertedIndex, IndexError> {
-    io::load(Backing::Mapped(&map))
+    io::load(map, Backing::Mapped)
 }
 
 #[cfg(test)]
@@ -61,6 +67,7 @@ mod tests {
     use super::*;
     use crate::builder::{BuildOptions, IndexBuilder};
     use crate::codec::CodecId;
+    use crate::io::tests::{locate, nudge_stored_bound};
     use crate::partition::Partitioner;
 
     fn sample_index() -> InvertedIndex {
@@ -86,19 +93,19 @@ mod tests {
     }
 
     #[test]
-    fn mapped_v4_equals_heap_deserialize() {
+    fn mapped_v5_equals_heap_deserialize() {
         for codec in CodecId::ALL {
             let idx = sample_index();
             let bytes = io::serialize(&idx).unwrap();
-            let (heap, mapped) = load_both(&format!("v4-{codec}"), &bytes);
+            let (heap, mapped) = load_both(&format!("v5-{codec}"), &bytes);
             let (heap, mapped) = (heap.unwrap(), mapped.unwrap());
             assert_eq!(heap, idx, "{codec}");
             assert_eq!(mapped, idx, "{codec}");
             assert!(!heap.source().is_mapped());
             assert!(mapped.source().is_mapped());
             assert_eq!(mapped.source().mapped_bytes(), bytes.len() as u64);
-            assert_eq!(heap.bounds(), mapped.bounds(), "{codec}");
             for id in 0..mapped.num_terms() as u32 {
+                assert_eq!(heap.list_bounds(id), mapped.list_bounds(id), "{codec}");
                 assert!(mapped.encoded_list(id).is_mapped(), "{codec} list {id}");
                 mapped.verify_term(id).unwrap();
             }
@@ -109,15 +116,30 @@ mod tests {
     }
 
     #[test]
+    fn a_mapped_open_keeps_nothing_per_block_or_per_name() {
+        let idx = sample_index();
+        let path = write_tmp("heap-bytes", &io::serialize(&idx).unwrap());
+        let mapped = map_index(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let heap = mapped.heap_bytes();
+        let terms = mapped.num_terms() as u64;
+        assert_eq!(heap.file, 0);
+        assert_eq!(heap.terms, terms * (40 + 8 + 4), "a list handle, a verdict and an idf̄");
+        assert_eq!(heap.doc_tables, mapped.num_docs() * 8);
+        assert!(heap.dictionary <= terms * 32);
+    }
+
+    #[test]
     fn unknown_magic_is_unsupported_format() {
-        // Besides garbage, the magics of the retired index formats v1–v3
+        // Besides garbage, the magics of the retired index formats v1–v4
         // ("IIUX") and of the retired round-robin shard manifests
-        // ("IIUS"): such a file is an unknown format now, even with a v4
+        // ("IIUS"): such a file is an unknown format now, even with a v5
         // body behind it.
         let retired = [
             0x4949_5558_0000_0001,
             0x4949_5558_0000_0002,
             0x4949_5558_0000_0003,
+            0x4949_5558_0000_0004,
             0x4949_5553_0000_0001,
             0x4949_5553_0000_0002,
             0x4949_5553_0000_0003,
@@ -141,24 +163,13 @@ mod tests {
     fn payload_corruption_is_lazy_and_typed() {
         let idx = sample_index();
         let mut bytes = io::serialize(&idx).unwrap();
-        // Find one list's payload bytes in the file by searching for them
-        // (the sample corpus is small enough for this to be unambiguous
-        // per-term is not needed — flip a byte we know is payload by
-        // using the largest list's payload).
-        let id = (0..idx.num_terms() as u32)
-            .max_by_key(|&id| idx.encoded_list(id).payload().len())
-            .unwrap();
-        let needle = idx.encoded_list(id).payload();
-        assert!(needle.len() >= 4, "need a non-trivial payload to corrupt");
-        let pos = bytes
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .expect("payload bytes must appear in the serialized file");
-        bytes[pos] ^= 0x40;
+        let id = widest_term(&idx);
+        let (_, _, entry) = locate(&bytes, id as usize);
+        bytes[entry.payload.start] ^= 0x40;
 
         let path = write_tmp("lazy-corrupt", &bytes);
         // Open succeeds: the flipped byte lives in a lazily-verified
-        // payload section.
+        // payload.
         let mapped = map_index(&path).unwrap();
         // First touch of the corrupted term reports the checksum mismatch.
         let err = mapped.verify_term(id).unwrap_err();
@@ -169,7 +180,7 @@ mod tests {
         // Typed error from the decode path too, and find degrades to None.
         let mut out = Vec::new();
         assert!(mapped.encoded_list(id).try_decode_block_into(0, &mut out).is_err());
-        assert_eq!(mapped.encoded_list(id).find(0), mapped.encoded_list(id).find(0));
+        assert_eq!(mapped.encoded_list(id).find(0), None);
         // Other terms stay healthy.
         for other in 0..mapped.num_terms() as u32 {
             if other != id {
@@ -192,28 +203,6 @@ mod tests {
         (heap, mapped)
     }
 
-    /// Byte range (CRC excluded) of term `id`'s record in `idx`'s file.
-    fn record_span(idx: &InvertedIndex, id: u32) -> (usize, usize) {
-        let record_len = |t: u32| {
-            let list = idx.encoded_list(t);
-            let frame = 4 + idx.term_info(t).term.len() + 8 + 8 + list.num_blocks() * 12 + 8;
-            frame + list.payload().len()
-        };
-        let records = 8 + 38 + 4 + idx.doc_lens().len() * 4 + 4;
-        let start = records + (0..id).map(|t| record_len(t) + 4).sum::<usize>();
-        (start, start + record_len(id))
-    }
-
-    /// Recomputes the CRC of the record spanning `start..end` and the
-    /// whole-file footer, so a deliberate tamper passes every checksum.
-    fn reseal(file: &mut [u8], (start, end): (usize, usize)) {
-        let crc = crate::checksum::crc32(&file[start..end]);
-        file[end..end + 4].copy_from_slice(&crc.to_le_bytes());
-        let n = file.len();
-        let footer = crate::checksum::crc32(&file[..n - 4]);
-        file[n - 4..].copy_from_slice(&footer.to_le_bytes());
-    }
-
     /// The term of `idx` with the largest payload among lists whose first
     /// block holds at least two postings.
     fn widest_term(idx: &InvertedIndex) -> u32 {
@@ -224,7 +213,7 @@ mod tests {
     }
 
     /// The policy table of [`crate::io`], one row per test: a single
-    /// mutation of a v4 file run through both backings.
+    /// mutation of a v5 file run through both backings.
     mod policy {
         use super::*;
 
@@ -245,12 +234,37 @@ mod tests {
         }
 
         #[test]
-        fn record_crc_is_checked_at_heap_load_and_at_first_touch_when_mapped() {
+        fn column_and_directory_crcs_are_checked_at_open_on_both_backings() {
+            let idx = sample_index();
+            let bytes = io::serialize(&idx).unwrap();
+            let sections = io::section_sizes(&idx);
+            let start = |name: &str| {
+                let at = sections.iter().position(|(n, _)| *n == name).unwrap();
+                sections[..at].iter().map(|(_, n)| *n as usize).sum::<usize>()
+            };
+            for section in ["metas", "skips", "bounds", "names", "directory"] {
+                let mut flipped = bytes.clone();
+                flipped[start(section) + 1] ^= 0x02;
+                let (heap, mapped) = load_both(&format!("policy-{section}"), &flipped);
+                for (backing, loaded) in [("heap", heap), ("mapped", mapped)] {
+                    assert!(
+                        matches!(
+                            loaded,
+                            Err(IndexError::ChecksumMismatch { section: s, .. }) if s == section
+                        ),
+                        "{section}/{backing}: {loaded:?}"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn list_crc_is_checked_at_heap_load_and_at_first_touch_when_mapped() {
             let idx = sample_index();
             let mut bytes = io::serialize(&idx).unwrap();
             let id = widest_term(&idx);
-            let (_, end) = record_span(&idx, id);
-            bytes[end - 1] ^= 0x04;
+            let (_, _, entry) = locate(&bytes, id as usize);
+            bytes[entry.payload.end - 1] ^= 0x04;
             let (heap, mapped) = load_both("policy-payload", &bytes);
             assert!(matches!(
                 heap,
@@ -270,24 +284,19 @@ mod tests {
 
         #[test]
         fn stored_bounds_meet_the_oracle_at_heap_load_and_at_first_touch_when_mapped() {
-            // Raise one stored block bound, then recompute the section CRC
-            // and the footer: the file tail is
-            // [bounds content][bounds crc 4][footer 4].
+            // Raise one stored block bound of term 0, then reseal every
+            // checksum.
             let idx = sample_index();
             let mut bytes = io::serialize(&idx).unwrap();
-            let n = bytes.len();
-            let bounds_len: usize = idx.bounds().iter().map(|b| 8 + b.num_blocks() * 8).sum();
-            let start = n - 8 - bounds_len;
-            bytes[start + 8] ^= 0x01;
-            reseal(&mut bytes, (start, n - 8));
+            nudge_stored_bound(&mut bytes, (0, 0, 0), 1);
             let (heap, mapped) = load_both("policy-bounds", &bytes);
             let is_mismatch = |r: Result<(), IndexError>| {
                 matches!(r, Err(IndexError::CorruptIndex { context: "score bounds mismatch" }))
             };
             assert!(is_mismatch(heap.map(|_| ())));
             let mapped = mapped.unwrap();
-            // The first bound belongs to term 0: its first touch, and the
-            // kept verdict after it, refuse the list; the others serve.
+            // Its first touch, and the kept verdict after it, refuse the
+            // list; the others serve.
             assert!(is_mismatch(mapped.verify_term(0)), "first touch");
             assert!(is_mismatch(mapped.verify_term(0)), "kept verdict");
             let mut out = Vec::new();

@@ -91,7 +91,7 @@ fn unknown_terms_degrade_identically_to_cpu() {
 }
 
 fn term_of(index: &InvertedIndex, id: u32) -> &str {
-    &index.term_info(id).term
+    index.term_info(id).term.as_str()
 }
 
 #[test]

@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 
 use iiu_index::score::term_score_fixed;
-use iiu_index::{DocId, Fixed, Posting};
+use iiu_index::{DocId, Fixed, Posting, Skips};
 
 use crate::dram::LINE_BYTES;
 use crate::frontend::StreamBuffer;
@@ -552,7 +552,7 @@ impl Bsu {
     }
 
     /// One cycle of search; `skips` provides functional values.
-    pub fn tick(&mut self, skips: &[u32], mai: &mut Mai, token: u64) {
+    pub fn tick(&mut self, skips: Skips<'_>, mai: &mut Mai, token: u64) {
         let (target, lo, hi, waiting) = match &self.state {
             BsuState::Searching { target, lo, hi, waiting } => {
                 (*target, *lo, *hi, waiting.is_some())
@@ -582,7 +582,7 @@ impl Bsu {
         self.probes += 1;
         self.cache_hits += 1;
         self.touch_cache(mid);
-        let (new_lo, new_hi) = if skips[mid] <= target { (mid + 1, hi) } else { (lo, mid) };
+        let (new_lo, new_hi) = if skips.at(mid) <= target { (mid + 1, hi) } else { (lo, mid) };
         if let BsuState::Searching { lo, hi, .. } = &mut self.state {
             *lo = new_lo;
             *hi = new_hi;
@@ -591,14 +591,14 @@ impl Bsu {
 
     /// After a probe's line arrives, the comparison proceeds on the next
     /// tick; this helper applies it when the wait has cleared.
-    pub fn resolve_after_delivery(&mut self, skips: &[u32]) {
+    pub fn resolve_after_delivery(&mut self, skips: Skips<'_>) {
         let back = self.cache.back().copied();
         if let BsuState::Searching { target, lo, hi, waiting } = &mut self.state {
             if waiting.is_none() && *lo < *hi {
                 // The just-delivered mid is the back of the cache.
                 if let Some(mid) = back {
                     if mid == (*lo + *hi) / 2 {
-                        if skips[mid] <= *target {
+                        if skips.at(mid) <= *target {
                             *lo = mid + 1;
                         } else {
                             *hi = mid;
@@ -896,19 +896,21 @@ mod tests {
     #[test]
     fn bsu_search_with_cold_and_warm_cache() {
         // Fig. 11: skips {1, 8, 19, 37, 48, 54, 76}; search 40 then 64.
-        let skips = [1u32, 8, 19, 37, 48, 54, 76];
+        let words: Vec<u8> =
+            [1u32, 8, 19, 37, 48, 54, 76].iter().flat_map(|s| s.to_le_bytes()).collect();
+        let skips = Skips::new(&words);
         let (mut mai, mut mem) = mai_and_mem();
         let mut bsu = Bsu::new(4096, 32);
         let mut cycle = 0u64;
         let mut run = |bsu: &mut Bsu, target: u32, mai: &mut Mai, mem: &mut MemorySystem| {
             bsu.start(target, skips.len());
             for _ in 0..2000 {
-                bsu.tick(&skips, mai, 1);
+                bsu.tick(skips, mai, 1);
                 cycle += 1;
                 mai.tick(cycle, mem);
                 while let Some((addr, _)) = mai.pop_response() {
                     bsu.deliver_line(addr);
-                    bsu.resolve_after_delivery(&skips);
+                    bsu.resolve_after_delivery(skips);
                 }
                 if let Some(r) = bsu.take_result() {
                     return r;

@@ -137,7 +137,10 @@ impl StreamBuffer {
 
 /// Computes per-line consumer counts for a payload region: each block
 /// consumes every line its byte range overlaps.
-pub fn payload_consumers(metas: &[BlockMeta], payload_len: u64) -> Vec<u32> {
+pub fn payload_consumers(
+    metas: impl IntoIterator<Item = BlockMeta>,
+    payload_len: u64,
+) -> Vec<u32> {
     let total_lines = payload_len.div_ceil(LINE_BYTES) as usize;
     let mut counts = vec![0u32; total_lines];
     for meta in metas {
@@ -298,7 +301,7 @@ mod tests {
             BlockMeta { dn_bits: 4, tf_bits: 4, count: 100, offset: 0 },
             BlockMeta { dn_bits: 4, tf_bits: 4, count: 20, offset: 100 },
         ];
-        let counts = payload_consumers(&metas, 120);
+        let counts = payload_consumers(metas, 120);
         assert_eq!(counts, vec![1, 2]);
     }
 

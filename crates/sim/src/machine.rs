@@ -21,7 +21,7 @@
 use std::collections::VecDeque;
 
 use iiu_index::block::EncodedList;
-use iiu_index::{DocId, Fixed, InvertedIndex, Posting, TermId};
+use iiu_index::{DocId, Fixed, InvertedIndex, Posting, Skips, TermId};
 
 use crate::core::{Bsu, Dcu, FetchJob, ScoringUnit, StreamJob, WriteBack};
 use crate::dram::{DramConfig, MemorySystem, LINE_BYTES, TICKS_PER_CYCLE};
@@ -397,7 +397,7 @@ impl<'a> QueryExec<'a> {
         mut postings: Vec<Posting>,
     ) -> StreamJob {
         let list = self.list(term);
-        let meta = list.metas()[b];
+        let meta = list.metas().at(b);
         let bytes = meta.payload_bytes();
         let (first_line, last_line) = if bytes == 0 {
             (1, 0) // empty range: nothing to fetch
@@ -428,7 +428,7 @@ impl<'a> QueryExec<'a> {
         mut postings: Vec<Posting>,
     ) -> FetchJob {
         let list = self.list(self.l1.expect("intersection has L1"));
-        let meta = list.metas()[b];
+        let meta = list.metas().at(b);
         let bytes = meta.payload_bytes();
         let abs_start = l1_payload_base + meta.offset;
         let base_addr = abs_start / LINE_BYTES * LINE_BYTES;
@@ -538,9 +538,9 @@ impl<'a> QueryExec<'a> {
         let l1 = self.l1;
         let role = self.role;
         let l1_payload_base = l1.map(|t| layout.term(t).payload_base).unwrap_or(0);
-        let l1_skips: &[u32] = match (role, l1) {
+        let l1_skips: Skips<'_> = match (role, l1) {
             (Role::Intersect, Some(t)) => self.index.encoded_list(t).skips(),
-            _ => &[],
+            _ => Skips::default(),
         };
         let dl_of = |d: DocId| dl_bars[d as usize];
         let dl_base = layout.dl_addr(0);
@@ -825,7 +825,7 @@ impl<'a> QueryExec<'a> {
 /// Compares the heads of the two DCU streams, pops the smaller, emits
 /// matches to the SU queues, and launches BSU searches / DCU1 block loads
 /// when the driving docID leaves the current candidate block.
-fn intersect_step(core: &mut CoreInstance, skips1: &[u32], queue_cap: usize) {
+fn intersect_step(core: &mut CoreInstance, skips1: Skips<'_>, queue_cap: usize) {
     if core.match_q0.len() >= queue_cap || core.match_q1.len() >= queue_cap {
         return;
     }
@@ -854,7 +854,7 @@ fn intersect_step(core: &mut CoreInstance, skips1: &[u32], queue_cap: usize) {
     let d = h0.doc_id;
     let need_candidate = match core.cur_block {
         None => true,
-        Some(b) => b + 1 < skips1.len() && skips1[b + 1] <= d,
+        Some(b) => skips1.get(b + 1).is_some_and(|s| s <= d),
     };
     if need_candidate {
         if core.bsu.is_idle() {
@@ -917,7 +917,7 @@ impl<'a> IiuMachine<'a> {
     }
 
     /// Verifies every term an admitted query touches. Mmap-backed lists
-    /// defer their record CRC to first touch; checking here surfaces
+    /// defer their list checks to first touch; checking here surfaces
     /// corruption as a typed error at admission instead of a panic inside
     /// a DCU tick.
     fn admit(&self, query: &SimQuery) -> Result<(), SimError> {

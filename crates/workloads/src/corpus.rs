@@ -113,7 +113,7 @@ impl CorpusConfig {
         GeneratedCorpus { lists, doc_lens }
     }
 
-    /// Streams the corpus straight to a v4 index file, byte-identical to
+    /// Streams the corpus straight to a v5 index file, byte-identical to
     /// `generate().into_index(..)` + [`iiu_index::io::serialize`]
     /// but with peak memory independent of the total posting count — the
     /// path that lets `iiu gen` write a ≥1M-doc corpus with bounded RSS.

@@ -105,7 +105,7 @@ impl<'a> QuerySampler<'a> {
         let x = self.rng.gen_range(0.0..total);
         let i = self.cumulative.partition_point(|&c| c <= x);
         let id = self.candidates[i.min(self.candidates.len() - 1)];
-        &self.index.term_info(id).term
+        self.index.term_info(id).term.as_str()
     }
 
     /// Draws `n` single-term queries.

@@ -96,9 +96,11 @@ fn print_usage() {
          override the preset's vocabulary size and head document\n\
          frequency.\n\
          \n\
-         --mmap yes memory-maps the index file instead of materializing it\n\
-         on the heap: posting bytes are served zero-copy out of the OS page\n\
-         cache, and each list's first touch checks the record CRC, docID\n\
+         --mmap yes memory-maps the index file instead of copying it onto\n\
+         the heap: the open checks the header, section table, doc table,\n\
+         block columns and term directory and reads no posting byte; the\n\
+         directory, columns and payload are read in place out of the OS page\n\
+         cache, and each list's first touch checks its CRC, structure, docID\n\
          order and stored bounds once - the checks a heap load runs for\n\
          every list before it returns - so both loads refuse the same files\n\
          and hits are bit-identical to the heap load. stats/inspect report the\n\
@@ -205,8 +207,8 @@ fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
 
 /// Loads an index file, or an incremental index directory as its
 /// equivalent one-shot index. With `mmap`, files are memory-mapped
-/// (zero-copy posting bytes, lazy record CRCs) and directories map their
-/// sealed segments.
+/// (directory, columns and payload read in place, lazy list checks) and
+/// directories map their sealed segments.
 fn load_index_mode(path: &str, mmap: bool) -> Result<InvertedIndex, String> {
     if std::path::Path::new(path).is_dir() {
         // An incremental index directory: run crash recovery (WAL replay,
@@ -242,11 +244,11 @@ fn load_error(e: IndexError) -> String {
                 .into()
         }
         IndexError::UnsupportedFormat { found }
-            if found >> 32 == 0x4949_5558 && (1..=3).contains(&(found & 0xffff_ffff)) =>
+            if found >> 32 == 0x4949_5558 && (1..=4).contains(&(found & 0xffff_ffff)) =>
         {
             format!(
                 "the file is in index format v{}, a retired format: rebuild it in format \
-                 v4 with `iiu build` or `iiu gen`",
+                 v5 with `iiu build` or `iiu gen`",
                 found & 0xffff_ffff
             )
         }
@@ -275,14 +277,12 @@ fn source_line(index: &InvertedIndex) -> String {
 fn heap_line(index: &InvertedIndex) -> String {
     let h = index.heap_bytes();
     format!(
-        "{} KiB (terms {} + dictionary {} + blocks {} + bounds {} + docs {} + payload {})",
+        "{} KiB (terms {} + dictionary {} + docs {} + file {})",
         h.total() / 1024,
         h.terms / 1024,
         h.dictionary / 1024,
-        h.block_tables / 1024,
-        h.bound_tables / 1024,
         h.doc_tables / 1024,
-        h.payload / 1024
+        h.file / 1024
     )
 }
 
@@ -308,7 +308,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
             f.parse::<f64>().map_err(|e| format!("--max-df must be a fraction: {e}"))?;
     }
     if flag("stream").is_some() {
-        // Streamed generation writes the v4 file term by term with peak
+        // Streamed generation writes the v5 file term by term with peak
         // memory independent of the posting count — the ≥1M-doc path.
         let file =
             std::fs::File::create(out).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -410,6 +410,13 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     println!("avgdl:            {:.1}", index.avgdl());
     println!("source:           {}", source_line(&index));
     println!("heap:             {}", heap_line(&index));
+    let sections = iiu_index::io::section_sizes(&index);
+    let file: u64 = sections.iter().map(|(_, bytes)| bytes).sum();
+    println!("file:             {file} bytes in {} sections", sections.len());
+    for (name, bytes) in sections {
+        let share = 100.0 * bytes as f64 / file.max(1) as f64;
+        println!("  {name:<14}  {bytes:>12} B  {share:>6.2} %");
+    }
     Ok(())
 }
 
@@ -430,13 +437,16 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     println!("file:     {path} ({} bytes)", bytes.len());
 
     let index = deserialize(&bytes).map_err(|e| format!("load failed: {}", load_error(e)))?;
-    println!("format:   v4");
-    println!("load:     ok (header, doc-length, per-term, score-bounds and footer checksums verified)");
+    println!("format:   v5");
+    println!(
+        "load:     ok (header, doc table, section table, column, name, directory, per-list \
+         and footer checksums verified)"
+    );
     index.validate().map_err(|e| format!("validation failed: {e}"))?;
     println!("validate: ok (structural invariants hold)");
     if parsed.flag("mmap").is_some() {
         // Cross-check the zero-copy loader: map the same file, deep-validate
-        // the mapped assembly (which exercises every lazy record CRC), and
+        // the mapped assembly (which runs every list's first touch), and
         // require bit-identity with the heap load.
         let mapped = iiu_index::storage::map_index(path.as_ref())
             .map_err(|e| format!("mmap load failed: {}", load_error(e)))?;
@@ -973,7 +983,7 @@ mod tests {
 
     #[test]
     fn a_retired_index_format_magic_points_to_a_rebuild() {
-        for v in 1..=3u64 {
+        for v in 1..=4u64 {
             let msg =
                 load_error(IndexError::UnsupportedFormat { found: 0x4949_5558_0000_0000 | v });
             assert!(msg.contains(&format!("format v{v}, a retired format")), "{msg}");
@@ -981,7 +991,7 @@ mod tests {
         }
         // The current version never reaches here; an unknown later one is
         // not a retired format.
-        for found in [0x4949_5558_0000_0005, 0x4949_5558_0001_0002] {
+        for found in [0x4949_5558_0000_0006, 0x4949_5558_0001_0002] {
             let msg = load_error(IndexError::UnsupportedFormat { found });
             assert!(!msg.contains("retired"), "{msg}");
         }

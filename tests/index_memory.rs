@@ -1,10 +1,12 @@
 //! What an index keeps on the heap once it is open.
 //!
-//! Every index — built in RAM, loaded onto the heap, or mapped — holds its
-//! block metadata, skips, score bounds and lazy-CRC state in a few
-//! index-wide tables, so a term costs one small fixed record and one heap
-//! allocation (its name) instead of an allocation per table. A counting
-//! global allocator pins both, and holds [`InvertedIndex::heap_bytes`] to
+//! Every index — built in RAM, loaded onto the heap, or mapped — views the
+//! bytes of one v5 file: its term directory, block columns, names and
+//! payload are read where they lie, in the mapping or in the one owned
+//! copy a build or a heap load holds. So a term costs a list handle, a
+//! kept first-touch verdict, its `idf̄` and its dictionary slots, a block
+//! nothing, and the index a fixed handful of allocations. A counting
+//! global allocator pins that, and holds [`InvertedIndex::heap_bytes`] to
 //! what the allocator saw.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -87,18 +89,22 @@ fn released(index: InvertedIndex) -> Held {
     Held { allocs: before.allocs - after.allocs, bytes: before.bytes - after.bytes }
 }
 
-/// Requested bytes an index may keep, per term: its `TermInfo` (40 B),
-/// list handle (48 B), bounds handle (32 B), lazy-CRC record (16 B) and at
-/// most four dictionary slots (16 B), plus the name's own bytes.
-const PER_TERM: u64 = 152;
-/// Per block: the metadata word as a struct (16 B), the skip value, the
-/// score bound and the block's largest tf (4 B each).
-const PER_BLOCK: u64 = 28;
+/// Requested bytes an index may keep, per term: its list handle (40 B),
+/// its kept first-touch verdict (8 B), its `idf̄` (4 B) and at most four
+/// tagged dictionary slots (32 B). No name is copied.
+const PER_TERM: u64 = 84;
+/// Per block: nothing — metadata words, skip values and bounds are read
+/// from the file's columns.
+const PER_BLOCK: u64 = 0;
 /// Per document: its length and its `dl̄` constant.
 const PER_DOC: u64 = 8;
 /// The index struct's own few allocations (tables, `Arc`s, the mapping
 /// handle) and allocator rounding.
 const SLACK: u64 = 4096;
+/// Allocations an index keeps whatever its size: the list handles, the
+/// verdicts, the dictionary, the document tables, the file's owned copy
+/// and a few `Arc`s.
+const ALLOCS: i64 = 16;
 
 /// What one index may keep, from its own shape, and what it says it keeps.
 struct Expected {
@@ -112,13 +118,12 @@ impl Expected {
     fn of(index: &InvertedIndex) -> Self {
         let terms = index.num_terms() as u64;
         let stats = index.size_stats();
-        let names: u64 = index.terms().iter().map(|t| t.term.len() as u64).sum();
-        let owned_payload = if index.source().is_mapped() { 0 } else { stats.payload_bytes };
+        let file: u64 = io::section_sizes(index).iter().map(|(_, bytes)| bytes).sum();
+        let owned_file = if index.source().is_mapped() { 0 } else { file };
         let bound = PER_TERM * terms
-            + names
             + PER_BLOCK * stats.num_blocks
             + PER_DOC * index.num_docs()
-            + owned_payload
+            + owned_file
             + SLACK;
         Expected {
             terms,
@@ -140,7 +145,7 @@ impl Expected {
             held.bytes,
         );
         assert!(
-            held.allocs as u64 <= terms + 64,
+            held.allocs <= ALLOCS,
             "{label}: {} live allocations for {terms} terms",
             held.allocs
         );

@@ -78,7 +78,7 @@ fn assert_search_identical(rng: &mut StdRng, got: &InvertedIndex, want: &Inverte
     }
     let a = &want.term_info(rng.gen_range(0..want.num_terms() as u32)).term;
     let b = &want.term_info(rng.gen_range(0..want.num_terms() as u32)).term;
-    for text in [a.clone(), format!("{a} AND {b}"), format!("{a} OR {b}")] {
+    for text in [a.to_string(), format!("{a} AND {b}"), format!("{a} OR {b}")] {
         let q = Query::parse(&text).expect("generated query parses");
         let rg = CpuSearchEngine::new(got).search(&q, 10).expect("search recovered");
         let rw = CpuSearchEngine::new(want).search(&q, 10).expect("search reference");

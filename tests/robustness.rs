@@ -5,6 +5,7 @@
 
 use iiu_core::{CpuSearchEngine, Degradation, IiuSearchEngine, Query, SearchEngine};
 use iiu_index::io::{deserialize, serialize};
+use iiu_index::IndexError;
 use iiu_index::{
     mapped_survival_report, survival_report, BuildOptions, IndexBuilder, PositionIndex,
 };
@@ -115,7 +116,7 @@ fn a_mapped_list_reaching_past_the_corpus_is_a_typed_error_not_a_panic() {
     let mapped = iiu_index::storage::map_index(&scratch).expect("the open checks skips only");
     std::fs::remove_file(&scratch).ok();
     let common = mapped.term_id("common").expect("indexed");
-    assert!(mapped.encoded_list(common).skips().last().is_some_and(|&s| s < 299));
+    assert!(mapped.encoded_list(common).skips().last().is_some_and(|s| s < 299));
     for err in [
         mapped.validate().expect_err("validate decodes everything"),
         iiu_baseline::CpuEngine::new(&mapped)
@@ -158,12 +159,11 @@ fn crc_consistent_files_written_wrong_fail_on_both_backings() {
     let crc = |b: &[u8]| iiu_index::crc32(b).to_le_bytes();
 
     let list = idx.encoded_list(idx.term_id("quick").expect("indexed"));
-    let first_block = list.metas()[1].offset as usize;
+    let first_block = list.metas().at(1).offset as usize;
     let mut repeated = good.clone();
-    let (start, payload, end) = record_of(&idx, &repeated, "quick");
+    let (_, payload, _) = record_of(&idx, &repeated, "quick");
     repeated[payload..payload + first_block].fill(0);
-    let record_crc = crc(&repeated[start..end]);
-    repeated[end..end + 4].copy_from_slice(&record_crc);
+    reseal(&idx, &mut repeated, "quick");
 
     // magic 8 · header 38 · crc 4 · doc table 4 per doc · crc 4.
     let n_docs = idx.num_docs() as usize;
@@ -230,42 +230,87 @@ fn crc_consistent_files_written_wrong_fail_on_both_backings() {
     std::fs::remove_file(&scratch).ok();
 }
 
-/// Where the term record of `term` lies in `bytes`, the v4 file of
-/// `idx`: `(record start, payload start, payload end)`, the record CRC
-/// following the payload. The record: name_len u32 · name · num_postings
-/// u64 · num_blocks u64 · metas 8 · skips 4 per block · payload_len u64 ·
-/// payload · crc u32.
+/// The byte ranges of a v5 file's sections after the doc table, read
+/// from the section table before the footer: payload, metas, skips,
+/// bounds, names, directory.
+fn sections(bytes: &[u8]) -> [std::ops::Range<usize>; 6] {
+    let table = bytes.len() - 4 - TABLE_LEN;
+    let len = |i: usize| {
+        u64::from_le_bytes(
+            bytes[table + 8 * i..table + 8 * i + 8].try_into().expect("8 bytes"),
+        ) as usize
+    };
+    let mut at = table - (0..6).map(len).sum::<usize>();
+    std::array::from_fn(|i| {
+        at += len(i);
+        at - len(i)..at
+    })
+}
+
+/// Bytes of a v5 section table: six lengths, five CRCs and its own.
+const TABLE_LEN: usize = 6 * 8 + 5 * 4 + 4;
+
+/// Where the list of `term` lies in `bytes`, the v5 file of `idx`: `(its
+/// directory entry's offset, payload start, payload end)`. An entry is
+/// df u64 · payload_end u64 · name_end u64 · block_end u32 · crc u32, each
+/// window starting where the previous entry's ends.
 fn record_of(
     idx: &iiu_index::InvertedIndex,
     bytes: &[u8],
     term: &str,
 ) -> (usize, usize, usize) {
-    let list = idx.encoded_list(idx.term_id(term).expect("indexed"));
-    let name: Vec<u8> = [&(term.len() as u32).to_le_bytes()[..], term.as_bytes()].concat();
-    let starts: Vec<usize> =
-        (0..bytes.len() - name.len()).filter(|&i| bytes[i..].starts_with(&name)).collect();
-    let [start] = starts[..] else { panic!("record of {term:?} not unique: {starts:?}") };
-    let payload = start + name.len() + 16 + list.num_blocks() * 12 + 8;
-    (start, payload, payload + list.payload().len())
+    let id = idx.term_id(term).expect("indexed") as usize;
+    let [payload, _, _, _, _, directory] = sections(bytes);
+    let entry = directory.start + 32 * id;
+    let end_of = |at: usize| {
+        u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("8 bytes")) as usize
+    };
+    let start = if id == 0 { 0 } else { end_of(entry - 32) };
+    (entry, payload.start + start, payload.start + end_of(entry))
 }
 
-/// Adds one raw unit to the stored `ub` of the first block of `term` in
-/// `bytes`, the v4 file of `idx`, and reseals the bounds section CRC and
-/// the footer. The file ends [bounds][bounds crc 4][footer 4]; the bounds
-/// hold, per term in id order, num_blocks u64 · (ub u32 · max_tf u32) per
-/// block.
-fn nudge_first_bound(idx: &iiu_index::InvertedIndex, bytes: &mut [u8], term: &str) {
-    let entry = |b: &iiu_index::ListBounds| 8 + 8 * b.num_blocks();
+/// Recomputes the list CRC of `term` in `bytes`, the v5 file of `idx`
+/// (over its metas, skips, ubs and max_tfs slices and its payload), then
+/// every section CRC, the section table's and the footer, so a tamper of
+/// the list passes every checksum.
+fn reseal(idx: &iiu_index::InvertedIndex, bytes: &mut [u8], term: &str) {
+    let (entry, payload_start, payload_end) = record_of(idx, bytes, term);
+    let [_, metas, skips, bounds, names, directory] = sections(bytes);
+    let n_blocks = metas.len() / 8;
+    let id = idx.term_id(term).expect("indexed");
+    let first = (0..id).map(|t| idx.encoded_list(t).num_blocks()).sum::<usize>();
+    let blocks = first..first + idx.encoded_list(id).num_blocks();
+    let (ubs, max_tfs) = (bounds.start, bounds.start + 4 * n_blocks);
+    let mut crc = iiu_index::Crc32::new();
+    crc.update(&bytes[metas.start + 8 * blocks.start..metas.start + 8 * blocks.end]);
+    for column in [skips.start, ubs, max_tfs] {
+        crc.update(&bytes[column + 4 * blocks.start..column + 4 * blocks.end]);
+    }
+    crc.update(&bytes[payload_start..payload_end]);
+    bytes[entry + 28..entry + 32].copy_from_slice(&crc.finish().to_le_bytes());
+    let table = bytes.len() - 4 - TABLE_LEN;
+    for (i, section) in [metas, skips, bounds, names, directory].into_iter().enumerate() {
+        let crc = iiu_index::crc32(&bytes[section]);
+        bytes[table + 48 + 4 * i..table + 52 + 4 * i].copy_from_slice(&crc.to_le_bytes());
+    }
     let n = bytes.len();
-    let start = n - 8 - idx.bounds().iter().map(entry).sum::<usize>();
-    let id = idx.term_id(term).expect("indexed") as usize;
-    let at = start + idx.bounds()[..id].iter().map(entry).sum::<usize>() + 8;
-    let ub = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-    bytes[at..at + 4].copy_from_slice(&(ub + 1).to_le_bytes());
-    let crc = iiu_index::crc32(&bytes[start..n - 8]);
+    let crc = iiu_index::crc32(&bytes[table..n - 8]);
     bytes[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
     let footer = iiu_index::crc32(&bytes[..n - 4]);
     bytes[n - 4..].copy_from_slice(&footer.to_le_bytes());
+}
+
+/// Adds one raw unit to the stored `ub` of the first block of `term` in
+/// `bytes`, the v5 file of `idx`, and reseals every checksum. The bounds
+/// section holds one ub per block, then one max_tf per block.
+fn nudge_first_bound(idx: &iiu_index::InvertedIndex, bytes: &mut [u8], term: &str) {
+    let [_, _, _, bounds, _, _] = sections(bytes);
+    let id = idx.term_id(term).expect("indexed");
+    let first = (0..id).map(|t| idx.encoded_list(t).num_blocks()).sum::<usize>();
+    let at = bounds.start + 4 * first;
+    let ub = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    bytes[at..at + 4].copy_from_slice(&(ub + 1).to_le_bytes());
+    reseal(idx, bytes, term);
 }
 
 #[test]
@@ -335,6 +380,145 @@ fn a_flipped_record_byte_fails_pruned_and_and_or_on_both_engines() {
         }
     }
     std::fs::remove_file(&scratch).ok();
+}
+
+/// What `index` answers: every list's first touch, one pruned query per
+/// shape, then `validate()` — the first typed error on the way, if any.
+fn answers(
+    index: &iiu_index::InvertedIndex,
+) -> Result<Vec<Vec<iiu_baseline::Hit>>, IndexError> {
+    for id in 0..index.num_terms() as u32 {
+        index.verify_term(id)?;
+    }
+    let engine = iiu_baseline::CpuEngine::new(index).with_pruning(true);
+    let hits = vec![
+        engine.search_single("quick", 10)?.hits,
+        engine.search_intersection("quick", "fox", 10)?.hits,
+        engine.search_union("dog", "fox", 10)?.hits,
+    ];
+    index.validate()?;
+    Ok(hits)
+}
+
+#[test]
+fn every_flip_and_cut_of_a_small_file_is_a_typed_error_or_the_same_answer() {
+    // The one parser on both backings: every one-bit flip (one per byte)
+    // and every truncation of a small v5 file, opened on the heap and
+    // mapped, then every list touched, one query per shape and
+    // `validate()`. Each case answers a typed error or exactly what the
+    // intact file answers; a panic fails the test.
+    let mut builder = IndexBuilder::new(BuildOptions {
+        partitioner: iiu_index::Partitioner::fixed(4),
+        ..BuildOptions::default()
+    });
+    for i in 0..24 {
+        let fox = if i % 2 == 0 { "fox" } else { "" };
+        builder.add_document(&format!("quick dog w{} {fox}", i % 3));
+    }
+    let idx = builder.build();
+    let good = serialize(&idx).expect("serialize");
+    let want = answers(&idx).expect("the intact file answers");
+    let flips = (0..good.len()).map(|i| {
+        let mut bytes = good.clone();
+        bytes[i] ^= 1 << (i % 8);
+        bytes
+    });
+    let cuts = (0..good.len()).map(|cut| good[..cut].to_vec());
+    let scratch = scratch_path("sweep");
+    let (mut refused, mut served) = (0, 0);
+    for (case, bytes) in flips.chain(cuts).enumerate() {
+        std::fs::write(&scratch, &bytes).expect("scratch file writable");
+        let heap = deserialize(&bytes).and_then(|index| answers(&index));
+        let mapped = iiu_index::storage::map_index(&scratch).and_then(|index| answers(&index));
+        for (backing, got) in [("heap", heap), ("mapped", mapped)] {
+            match got {
+                Err(_) => refused += 1,
+                Ok(got) => {
+                    assert_eq!(got, want, "case {case} ({backing}) answered differently");
+                    served += 1;
+                }
+            }
+        }
+    }
+    std::fs::remove_file(&scratch).ok();
+    // Only the mapped opens of the four footer flips serve.
+    assert_eq!((served, refused), (4, 4 * good.len() - 4));
+
+    // Files written wrong, every checksum resealed: the heap load refuses
+    // each with the error the mapped list's first touch gives, and the
+    // lists left alone still serve.
+    let quick = idx.term_id("quick").expect("indexed");
+    for (context, bytes) in written_wrong(&idx, &good, "quick") {
+        let fault = |r: Result<(), IndexError>| matches!(r, Err(IndexError::CorruptIndex { context: c }) if c == context);
+        assert!(fault(deserialize(&bytes).map(|_| ())), "{context}: the heap load");
+        std::fs::write(&scratch, &bytes).expect("scratch file writable");
+        let mapped =
+            iiu_index::storage::map_index(&scratch).expect("the open decodes nothing");
+        std::fs::remove_file(&scratch).ok();
+        assert!(fault(mapped.verify_term(quick)), "{context}: the first touch");
+        assert!(fault(mapped.verify_term(quick)), "{context}: the kept verdict");
+        if context != "posting list references docID beyond corpus" {
+            for id in (0..mapped.num_terms() as u32).filter(|&id| id != quick) {
+                mapped.verify_term(id).expect("an untouched list serves");
+            }
+        }
+    }
+}
+
+/// Four copies of `good`, the v5 file of `idx`, written wrong with every
+/// checksum resealed, each with the fault the first touch of `term`'s
+/// list names: its first block's payload zeroed (every gap and tf 0, so it
+/// decodes to its skip value repeated), the last document cut from the
+/// header and doc table (the lists holding it reach past the corpus), its
+/// first stored bound one raw unit high, and its last metadata word's
+/// offset at the end of its payload.
+fn written_wrong(
+    idx: &iiu_index::InvertedIndex,
+    good: &[u8],
+    term: &str,
+) -> Vec<(&'static str, Vec<u8>)> {
+    let crc = |b: &[u8]| iiu_index::crc32(b).to_le_bytes();
+    let list = idx.encoded_list(idx.term_id(term).expect("indexed"));
+    let (_, payload, payload_end) = record_of(idx, good, term);
+
+    let mut repeated = good.to_vec();
+    repeated[payload..payload + list.metas().at(1).offset as usize].fill(0);
+    reseal(idx, &mut repeated, term);
+
+    // magic 8 · header 38 · crc 4 · doc table 4 per doc · crc 4.
+    let n_docs = idx.num_docs() as usize;
+    let docs = 50..50 + 4 * (n_docs - 1);
+    let mut beyond = good[..50].to_vec();
+    beyond[30..38].copy_from_slice(&(n_docs as u64 - 1).to_le_bytes());
+    let header_crc = crc(&beyond[8..46]);
+    beyond[46..50].copy_from_slice(&header_crc);
+    beyond.extend_from_slice(&good[docs.clone()]);
+    beyond.extend_from_slice(&crc(&good[docs]));
+    beyond.extend_from_slice(&good[50 + 4 * n_docs + 4..good.len() - 4]);
+    let footer = crc(&beyond);
+    beyond.extend_from_slice(&footer);
+
+    let mut nudged = good.to_vec();
+    nudge_first_bound(idx, &mut nudged, term);
+
+    let mut past = good.to_vec();
+    let [_, metas, _, _, _, _] = sections(good);
+    let id = idx.term_id(term).expect("indexed");
+    let blocks = (0..=id).map(|t| idx.encoded_list(t).num_blocks()).sum::<usize>();
+    let at = metas.start + 8 * (blocks - 1);
+    let mut meta = iiu_index::BlockMeta::unpack(u64::from_le_bytes(
+        past[at..at + 8].try_into().expect("8 bytes"),
+    ));
+    meta.offset = (payload_end - payload) as u64;
+    past[at..at + 8].copy_from_slice(&meta.pack().to_le_bytes());
+    reseal(idx, &mut past, term);
+
+    vec![
+        ("docIDs not increasing", repeated),
+        ("posting list references docID beyond corpus", beyond),
+        ("score bounds mismatch", nudged),
+        ("payload bounds", past),
+    ]
 }
 
 #[test]

@@ -243,7 +243,7 @@ fn windows_match_unsharded_across_the_matrix() {
 
             let n_docs = heap.num_docs();
             let skips = heap.encoded_list(heap.term_id(ta).expect("indexed")).skips();
-            let start = |q: usize| skips[(skips.len() * q / 4).min(skips.len() - 1)];
+            let start = |q: usize| skips.at((skips.len() * q / 4).min(skips.len() - 1));
             let mut cuts: Vec<(String, Vec<DocWindow>)> = [1usize, 2, 3, 4, 7]
                 .into_iter()
                 .map(|n| (format!("{n} equal"), DocWindow::split(n_docs, n)))
