@@ -62,6 +62,10 @@ pub enum IndexError {
         /// The missing term.
         term: String,
     },
+    /// An index built with explicit statistics (a document shard) was
+    /// given to the serializer: the file would keep neither its `avgdl`
+    /// nor its `idf̄`s, so no loader could accept it.
+    ExplicitStatistics,
     /// A phrase query was issued but the index has no positional sidecar
     /// (build with [`crate::BuildOptions::track_positions`]).
     PositionsUnavailable,
@@ -117,6 +121,11 @@ impl fmt::Display for IndexError {
                 )
             }
             IndexError::UnknownTerm { term } => write!(f, "unknown term {term:?}"),
+            IndexError::ExplicitStatistics => write!(
+                f,
+                "an index built with explicit statistics has no loadable file: its bounds \
+                 hold only under statistics the file does not keep"
+            ),
             IndexError::PositionsUnavailable => {
                 write!(f, "phrase queries need an index built with position tracking")
             }

@@ -13,8 +13,13 @@
 //! a sealed on-disk segment (atomic write + rename, partitioner re-run
 //! over the batch for compression-optimal blocks) and the WAL is reset.
 //! When the segment count reaches `merge_threshold`, segments are merged
-//! into one: every list decoded, its docIDs shifted, and the result
-//! rebuilt ([`crate::segment::merge_segment_lists`]).
+//! into one, sealed from the per-term gather behind
+//! [`IncrementalIndex::to_one_shot`] over the sealed documents only, so
+//! the merged file is byte-identical to the one-shot index over them.
+//!
+//! Sealed segments live on the heap: a seal keeps the index it built, and
+//! [`IncrementalIndex::open`] loads every segment file, which verifies
+//! each before the open returns.
 //!
 //! ## Read path and bit-identity
 //!
@@ -83,12 +88,6 @@ pub struct IncrementalOptions {
     /// Sealed-segment count that triggers an automatic merge; `0`
     /// disables auto-merging.
     pub merge_threshold: usize,
-    /// Memory-map sealed segments instead of materializing them on the
-    /// heap ([`crate::storage`]): posting bytes stay in the page cache
-    /// and each segment's list checks defer to first touch. Sealed files
-    /// are immutable (tmp + fsync + rename), satisfying the mapped
-    /// loader's safety contract.
-    pub mmap_segments: bool,
 }
 
 impl Default for IncrementalOptions {
@@ -98,7 +97,6 @@ impl Default for IncrementalOptions {
             bm25: Bm25Params::default(),
             seal_threshold: 4096,
             merge_threshold: 8,
-            mmap_segments: false,
         }
     }
 }
@@ -132,8 +130,7 @@ impl IncrementalIndex {
     /// filesystem failures; never panics on bad bytes.
     pub fn open(dir: &Path, opts: IncrementalOptions) -> Result<Self, IndexError> {
         fs::create_dir_all(dir).map_err(|e| io_err("creating the index directory", e))?;
-        let state =
-            recovery::recover_mode(dir, opts.partitioner, opts.bm25, opts.mmap_segments)?;
+        let state = recovery::recover(dir, opts.partitioner, opts.bm25)?;
         let doc_lens: Vec<u32> = state
             .segments
             .iter()
@@ -201,8 +198,7 @@ impl IncrementalIndex {
     ///
     /// # Errors
     ///
-    /// A segment block that fails to decode (or a mapped segment's record
-    /// that fails its deferred CRC) is a typed [`IndexError`].
+    /// A segment block that fails to decode is a typed [`IndexError`].
     pub fn postings_into(&self, term: &str, out: &mut Vec<Posting>) -> Result<(), IndexError> {
         for seg in &self.segments {
             let Some(id) = seg.index.term_id(term) else { continue };
@@ -286,8 +282,10 @@ impl IncrementalIndex {
         if self.buffer.is_empty() {
             return Ok(false);
         }
-        let drained = self.buffer.drain();
-        let sealed = self.write_segment(self.sealed_docs(), drained)?;
+        let (lists, lens) = self.buffer.drain();
+        let (start, p) = (self.sealed_docs(), &self.opts);
+        let sealed =
+            segment::seal_segment(&self.dir, start, lists, lens, p.partitioner, p.bm25)?;
         self.segments.push(sealed);
         self.wal = Wal::create(&self.dir.join(WAL_FILE_NAME), self.num_docs())?;
         if self.opts.merge_threshold > 0 && self.segments.len() >= self.opts.merge_threshold {
@@ -296,8 +294,9 @@ impl IncrementalIndex {
         Ok(true)
     }
 
-    /// Merges all sealed segments into one. Returns `false` when fewer
-    /// than two segments exist.
+    /// Merges all sealed segments into one, sealed from the lists
+    /// [`Self::to_one_shot`] gathers, over the sealed documents only.
+    /// Returns `false` when fewer than two segments exist.
     ///
     /// Crash ordering: the merged segment reaches its final name before
     /// the inputs are unlinked; recovery's subsumption pass cleans up any
@@ -306,9 +305,10 @@ impl IncrementalIndex {
         if self.segments.len() < 2 {
             return Ok(false);
         }
-        let refs: Vec<&LoadedSegment> = self.segments.iter().collect();
-        let merged =
-            self.write_segment(refs[0].meta.start, segment::merge_segment_lists(&refs)?)?;
+        let end = self.sealed_docs();
+        let (lists, lens) = (self.gather(end)?, self.doc_lens[..end as usize].to_vec());
+        let p = &self.opts;
+        let merged = segment::seal_segment(&self.dir, 0, lists, lens, p.partitioner, p.bm25)?;
         for old in &self.segments {
             if old.meta.file_name != merged.meta.file_name {
                 fs::remove_file(self.dir.join(&old.meta.file_name))
@@ -319,47 +319,34 @@ impl IncrementalIndex {
         Ok(true)
     }
 
-    /// Writes `lists` as the durable segment of documents from `start` and
-    /// loads it as this index keeps segments: in mmap mode the fresh file
-    /// replaces its heap copy, so posting bytes move to the page cache as
-    /// soon as they are durable.
-    fn write_segment(
-        &self,
-        start: u64,
-        (lists, lens): (Vec<(String, PostingList)>, Vec<u32>),
-    ) -> Result<LoadedSegment, IndexError> {
-        let p = &self.opts;
-        let sealed =
-            segment::seal_segment(&self.dir, start, lists, lens, p.partitioner, p.bm25)?;
-        if p.mmap_segments {
-            segment::load_segment_mmap(&self.dir, &sealed.meta)
-        } else {
-            Ok(sealed)
-        }
-    }
-
     /// Materializes a one-shot [`InvertedIndex`] over every acknowledged
     /// document — the reference the equivalence gates compare against,
     /// and the bridge to consumers of the static format.
     pub fn to_one_shot(&self) -> Result<InvertedIndex, IndexError> {
-        let mut terms: BTreeSet<&str> = self.buffer.iter_lists().map(|(t, _)| t).collect();
+        let (lists, p) = (self.gather(self.num_docs())?, &self.opts);
+        InvertedIndex::from_lists(lists, self.doc_lens.clone(), p.partitioner, p.bm25)
+    }
+
+    /// The lists of a one-shot index over the first `end` documents, `end`
+    /// being [`Self::sealed_docs`] or [`Self::num_docs`]: every term's
+    /// [`Self::postings_into`] below `end`, in lexicographic term order.
+    fn gather(&self, end: u64) -> Result<Vec<(String, PostingList)>, IndexError> {
+        let mut terms = BTreeSet::new();
         for seg in &self.segments {
             terms.extend(seg.index.terms().iter().map(|info| info.term.as_str()));
         }
-        let lists = terms
+        if end > self.sealed_docs() {
+            terms.extend(self.buffer.iter_lists().map(|(t, _)| t));
+        }
+        terms
             .into_iter()
             .map(|term| {
                 let mut postings = Vec::new();
                 self.postings_into(term, &mut postings)?;
+                postings.truncate(postings.partition_point(|p| u64::from(p.doc_id) < end));
                 Ok((term.to_owned(), PostingList::from_sorted(postings)))
             })
-            .collect::<Result<_, IndexError>>()?;
-        InvertedIndex::from_lists(
-            lists,
-            self.doc_lens.clone(),
-            self.opts.partitioner,
-            self.opts.bm25,
-        )
+            .collect()
     }
 }
 
@@ -495,6 +482,9 @@ mod tests {
             crate::io::serialize(&after).unwrap(),
             "compaction must not change the logical index"
         );
+        // With nothing buffered, the merged file is the one-shot file.
+        let merged = std::fs::read(dir.join(&idx.segments[0].meta.file_name)).unwrap();
+        assert_eq!(merged, crate::io::serialize(&after).unwrap());
         let reopened = IncrementalIndex::open(&dir, manual_opts()).unwrap();
         assert_eq!(reopened.segments.len(), 1);
         assert_eq!(reopened.num_docs(), 6);

@@ -283,6 +283,8 @@ pub struct InvertedIndex {
     /// Shared with `store`, where a list's first touch reads it.
     dl_bars: Arc<[Fixed]>,
     avgdl: f64,
+    /// Built with explicit statistics, which its file does not keep.
+    explicit_stats: bool,
     source: IndexSource,
 }
 
@@ -340,8 +342,9 @@ impl InvertedIndex {
     /// block score bounds) must come from the *global* collection so shard
     /// results merge bit-identically with the unsharded engine. The index
     /// keeps the statistics beside its file, which does not store them:
-    /// the file's bounds hold only under those statistics, so a load of it
-    /// refuses it (`score bounds mismatch`).
+    /// the file's bounds hold only under those statistics, so no load
+    /// would accept it, and [`crate::io::serialize`] refuses to write it
+    /// ([`IndexError::ExplicitStatistics`]).
     /// [`from_lists`](Self::from_lists) is the common case.
     ///
     /// # Errors
@@ -417,6 +420,7 @@ impl InvertedIndex {
             Backing::Heap => (IndexSource::Heap, None, false),
             Backing::Built(stats) => (IndexSource::Heap, stats, true),
         };
+        let explicit_stats = stats.is_some();
         let (avgdl, idf_bars) = match stats {
             Some(Stats { idf_bars, .. }) if idf_bars.len() != layout.n_terms => {
                 return Err(IndexError::CorruptIndex { context: "term/list count mismatch" });
@@ -445,7 +449,16 @@ impl InvertedIndex {
             dictionary.insert(&store, id as TermId, name)?;
             lists.push(EncodedList::new(&store, id as TermId, &entry));
         }
-        Ok(InvertedIndex { dictionary, store, lists, doc_lens, dl_bars, avgdl, source })
+        Ok(InvertedIndex {
+            dictionary,
+            store,
+            lists,
+            doc_lens,
+            dl_bars,
+            avgdl,
+            explicit_stats,
+            source,
+        })
     }
 
     /// Every list's first touch ([`EncodedList::first_touch`]), in term
@@ -476,6 +489,12 @@ impl InvertedIndex {
     /// The v5 file this index views.
     pub(crate) fn file_bytes(&self) -> &[u8] {
         self.store.bytes()
+    }
+
+    /// Whether this index was built with explicit statistics
+    /// ([`from_lists_with_stats`](Self::from_lists_with_stats)).
+    pub(crate) fn has_explicit_stats(&self) -> bool {
+        self.explicit_stats
     }
 
     /// Where that file's sections lie.
@@ -784,11 +803,9 @@ mod tests {
         assert_eq!(idx.term_info(1).idf_bar, idf);
         assert_eq!(idx.avgdl(), 40.0);
         idx.validate().unwrap();
-        // The file holds neither, and its bounds hold only under them.
-        assert_eq!(
-            io::deserialize(&io::serialize(&idx).unwrap()).unwrap_err(),
-            BOUNDS_MISMATCH
-        );
+        // The file holds neither, and its bounds hold only under them: no
+        // loader would accept it, so it is not written.
+        assert_eq!(io::serialize(&idx).unwrap_err(), IndexError::ExplicitStatistics);
     }
 
     #[test]

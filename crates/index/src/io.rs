@@ -117,8 +117,14 @@ const TABLE_LEN: usize = 6 * 8 + 5 * 4 + 4;
 ///
 /// # Errors
 ///
-/// Infallible today; the `Result` is the writer's contract.
+/// [`IndexError::ExplicitStatistics`] for an index built with explicit
+/// statistics ([`InvertedIndex::from_lists_with_stats`], every document
+/// shard): its file keeps neither its `avgdl` nor its `idf̄`s, so its
+/// stored bounds fail every load's check.
 pub fn serialize(index: &InvertedIndex) -> Result<Vec<u8>, IndexError> {
+    if index.has_explicit_stats() {
+        return Err(IndexError::ExplicitStatistics);
+    }
     Ok(index.file_bytes().to_vec())
 }
 

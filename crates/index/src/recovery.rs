@@ -9,12 +9,12 @@
 //!    contained in another's range are dropped as stale pre-merge
 //!    leftovers, and the survivors must tile `[0, total)` contiguously —
 //!    anything else is typed corruption, never a panic.
-//! 3. Each surviving segment is loaded and checksum-verified by the
-//!    format reader, and must agree with the options the directory is
-//!    opened with (a segment sealed under different BM25 parameters
-//!    would score inconsistently, so it is refused). A segment whose header
-//!    names a retired block codec fails its load with
-//!    [`IndexError::UnknownCodec`].
+//! 3. Each surviving segment is loaded onto the heap, which runs every
+//!    checksum and every list's first touch before it returns, and must
+//!    agree with the options the directory is opened with (a segment
+//!    sealed under different BM25 parameters would score inconsistently,
+//!    so it is refused). A segment whose header names a retired block
+//!    codec fails its load with [`IndexError::UnknownCodec`].
 //! 4. The WAL is replayed from the sealed-document count: torn tails are
 //!    truncated, duplicates skipped, provable corruption reported as
 //!    [`IndexError::CorruptWal`].
@@ -93,25 +93,10 @@ pub struct RecoveredState {
 
 /// Scans `dir`, removes in-flight temp files, resolves the segment set,
 /// and replays the WAL. See the module docs for the full protocol.
-/// Segments are materialized on the heap; see [`recover_mode`] to map
-/// them instead.
 pub fn recover(
     dir: &Path,
     partitioner: Partitioner,
     params: Bm25Params,
-) -> Result<RecoveredState, IndexError> {
-    recover_mode(dir, partitioner, params, false)
-}
-
-/// [`recover`] with a choice of segment backing: `mmap_segments` loads
-/// each sealed segment via [`segment::load_segment_mmap`] (zero-copy,
-/// payload CRCs deferred to first touch) instead of
-/// [`segment::load_segment`] (heap, fully verified at load).
-pub fn recover_mode(
-    dir: &Path,
-    partitioner: Partitioner,
-    params: Bm25Params,
-    mmap_segments: bool,
 ) -> Result<RecoveredState, IndexError> {
     let mut report = RecoveryReport::default();
 
@@ -174,11 +159,7 @@ pub fn recover_mode(
     // Pass 3: load and cross-check every surviving segment.
     let mut segments = Vec::with_capacity(resolved.len());
     for meta in &resolved {
-        let loaded = if mmap_segments {
-            segment::load_segment_mmap(dir, meta)?
-        } else {
-            segment::load_segment(dir, meta)?
-        };
+        let loaded = segment::load_segment(dir, meta)?;
         if loaded.index.partitioner() != partitioner || loaded.index.params() != params {
             return Err(IndexError::CorruptIndex {
                 context: "segment sealed under different index options",
@@ -390,13 +371,11 @@ mod tests {
         let footer = crate::checksum::crc32(&bytes[..n - 4]);
         bytes[n - 4..].copy_from_slice(&footer.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        for mmap in [false, true] {
-            let err = recover_mode(&dir, part, params, mmap).unwrap_err();
-            assert!(
-                matches!(err, IndexError::UnsupportedFormat { found } if found == v3),
-                "mmap={mmap}: {err:?}"
-            );
-        }
+        let err = recover(&dir, part, params).unwrap_err();
+        assert!(
+            matches!(err, IndexError::UnsupportedFormat { found } if found == v3),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

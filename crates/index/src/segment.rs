@@ -11,16 +11,17 @@
 //! either no segment (plus a `.tmp` that recovery deletes) or a complete,
 //! checksummed one — never a half segment under the real name.
 //!
-//! Merging replaces several contiguous segments with one covering their
-//! union. The merged file lands first (same atomic protocol) and only
-//! then are the inputs unlinked, so a crash between those steps leaves
-//! overlapping files; recovery resolves this by dropping any segment
-//! whose range is fully contained in another's ("subsumption") before
-//! validating that the survivors tile `[0, total)` exactly.
+//! Merging replaces every segment with one covering their union, sealed
+//! from the lists [`crate::IncrementalIndex`] gathers for a one-shot index
+//! over the sealed documents. The merged file lands first (same atomic
+//! protocol) and only then are the inputs unlinked, so a crash between
+//! those steps leaves overlapping files; recovery resolves this by
+//! dropping any segment whose range is fully contained in another's
+//! ("subsumption") before validating that the survivors tile `[0, total)`
+//! exactly.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -28,7 +29,7 @@ use crate::error::IndexError;
 use crate::index::InvertedIndex;
 use crate::io;
 use crate::partition::Partitioner;
-use crate::posting::{Posting, PostingList};
+use crate::posting::PostingList;
 use crate::score::Bm25Params;
 use crate::wal::sync_dir;
 
@@ -113,7 +114,8 @@ pub(crate) fn write_atomic(
 /// Seals `lists`/`doc_lens` (local ids, lexicographic term order) into a
 /// new segment starting at global doc `start`. The partitioner runs fresh
 /// over the batch, so every sealed segment gets its own
-/// compression-optimal block structure. Returns the loaded segment.
+/// compression-optimal block structure. The file is the built index's own
+/// bytes. Returns the loaded segment.
 pub fn seal_segment(
     dir: &Path,
     start: u64,
@@ -124,9 +126,8 @@ pub fn seal_segment(
 ) -> Result<LoadedSegment, IndexError> {
     let count = doc_lens.len() as u64;
     let index = InvertedIndex::from_lists(lists, doc_lens, partitioner, params)?;
-    let bytes = io::serialize(&index)?;
     let file_name = segment_file_name(start, count);
-    write_atomic(dir, &file_name, &bytes)?;
+    write_atomic(dir, &file_name, index.file_bytes())?;
     Ok(LoadedSegment { meta: SegmentMeta { start, count, file_name }, index })
 }
 
@@ -136,69 +137,12 @@ pub fn load_segment(dir: &Path, meta: &SegmentMeta) -> Result<LoadedSegment, Ind
     let bytes = fs::read(dir.join(&meta.file_name))
         .map_err(|e| io_err("reading a segment file", e))?;
     let index = io::deserialize(&bytes)?;
-    check_meta(&index, meta)?;
-    Ok(LoadedSegment { meta: meta.clone(), index })
-}
-
-/// Like [`load_segment`], but memory-maps the file and serves posting
-/// bytes straight out of the page cache ([`crate::storage`]): payload
-/// CRCs defer to first touch instead of load time. Sealed segments are
-/// immutable once renamed into place, which is exactly the contract the
-/// mapped loader's safety argument needs.
-pub fn load_segment_mmap(dir: &Path, meta: &SegmentMeta) -> Result<LoadedSegment, IndexError> {
-    let index = crate::storage::map_index(&dir.join(&meta.file_name))?;
-    check_meta(&index, meta)?;
-    Ok(LoadedSegment { meta: meta.clone(), index })
-}
-
-fn check_meta(index: &InvertedIndex, meta: &SegmentMeta) -> Result<(), IndexError> {
     if index.num_docs() != meta.count {
         return Err(IndexError::CorruptIndex {
             context: "segment doc count disagrees with its file name",
         });
     }
-    Ok(())
-}
-
-/// Merges contiguous loaded segments (ascending `start`) into one list
-/// set over ids global-relative to the first segment's `start`: decode
-/// every list, remap, concatenate, and re-sort per term. Returns `(lists, doc_lens)` ready for
-/// [`seal_segment`] at `segments[0].meta.start`.
-pub fn merge_segment_lists(
-    segments: &[&LoadedSegment],
-) -> Result<(Vec<(String, PostingList)>, Vec<u32>), IndexError> {
-    let Some(first) = segments.first() else {
-        return Ok((Vec::new(), Vec::new()));
-    };
-    let base = first.meta.start;
-    let mut doc_lens = Vec::new();
-    let mut merged: BTreeMap<String, Vec<Posting>> = BTreeMap::new();
-    let mut expect = base;
-    for seg in segments {
-        if seg.meta.start != expect {
-            return Err(IndexError::CorruptIndex {
-                context: "merging non-contiguous segments",
-            });
-        }
-        expect = seg.meta.end();
-        let offset = (seg.meta.start - base) as u32;
-        doc_lens.extend_from_slice(seg.index.doc_lens());
-        for info in seg.index.terms() {
-            let list = seg.index.decode_term(&info.term)?;
-            let out = merged.entry(info.term.to_string()).or_default();
-            out.extend(list.iter().map(|p| Posting::new(p.doc_id + offset, p.tf)));
-        }
-    }
-    let lists = merged
-        .into_iter()
-        .map(|(term, mut postings)| {
-            // Segments arrive in ascending start order so postings are
-            // already sorted; keep the sort as a cheap invariant guard.
-            postings.sort_unstable_by_key(|p| p.doc_id);
-            (term, PostingList::from_sorted(postings))
-        })
-        .collect();
-    Ok((lists, doc_lens))
+    Ok(LoadedSegment { meta: meta.clone(), index })
 }
 
 #[cfg(test)]
@@ -231,7 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn seal_load_round_trip_and_merge() {
+    fn seal_load_round_trip() {
         let dir = std::env::temp_dir().join(format!("iiu-seg-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let part = Partitioner::dynamic(crate::partition::DEFAULT_MAX_SIZE);
@@ -242,24 +186,10 @@ mod tests {
         a.push(1, 1);
         let s0 = seal_segment(&dir, 0, vec![("alpha".into(), a)], vec![5, 3], part, params)
             .unwrap();
-        let mut b = PostingList::new();
-        b.push(0, 4);
-        let s1 =
-            seal_segment(&dir, 2, vec![("alpha".into(), b)], vec![7], part, params).unwrap();
 
         let loaded = load_segment(&dir, &s0.meta).unwrap();
         assert_eq!(loaded.index.num_docs(), 2);
         assert!(!dir.join(format!("{}{TMP_SUFFIX}", s0.meta.file_name)).exists());
-
-        let (lists, lens) = merge_segment_lists(&[&s0, &s1]).unwrap();
-        assert_eq!(lens, vec![5, 3, 7]);
-        assert_eq!(lists.len(), 1);
-        assert_eq!(lists[0].1.doc_ids(), vec![0, 1, 2]);
-        assert_eq!(lists[0].1.term_freqs(), vec![2, 1, 4]);
-
-        // Merging non-contiguous segments is refused.
-        let gap = merge_segment_lists(&[&s1]);
-        assert!(gap.is_ok(), "single segment is trivially contiguous");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -106,7 +106,8 @@ fn print_usage() {
          and hits are bit-identical to the heap load. stats/inspect report the\n\
          source (heap vs mmap), mapped bytes and a residency estimate;\n\
          inspect additionally cross-checks that the mapped load equals the\n\
-         heap load. serve-bench accepts it too.\n\
+         heap load. serve-bench accepts it too. It maps index files only:\n\
+         given an incremental index directory it is an error.\n\
          \n\
          --pruned yes runs the CPU engine with block-max pruned top-k:\n\
          whole blocks whose score upper bound cannot reach the current\n\
@@ -143,9 +144,9 @@ fn print_usage() {
          --seal-every docs. A crash at any byte loses nothing acknowledged:\n\
          the next open replays the WAL and truncates any torn tail. Every\n\
          command that takes an index file also accepts such a directory\n\
-         (search, stats, serve-bench load it as the equivalent one-shot\n\
-         index; inspect prints the recovery report, segment layout and WAL\n\
-         state instead of the fault campaign).\n\
+         (search, stats, serve-bench load it onto the heap as the\n\
+         equivalent one-shot index; inspect prints the recovery report,\n\
+         segment layout and WAL state instead of the fault campaign).\n\
          \n\
          inspect verifies the file's section checksums and the decoded\n\
          index's structural invariants. With --fault-rate R (fraction of\n\
@@ -205,19 +206,23 @@ fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid {what}: {v:?}"))
 }
 
+/// Why `--mmap` is refused on an incremental index directory.
+const MMAP_ON_DIR: &str = "--mmap maps index files; an incremental index directory's \
+     segments load onto the heap";
+
 /// Loads an index file, or an incremental index directory as its
-/// equivalent one-shot index. With `mmap`, files are memory-mapped
-/// (directory, columns and payload read in place, lazy list checks) and
-/// directories map their sealed segments.
+/// equivalent one-shot index. With `mmap`, a file is memory-mapped
+/// (directory, columns and payload read in place, lazy list checks); a
+/// directory refuses it.
 fn load_index_mode(path: &str, mmap: bool) -> Result<InvertedIndex, String> {
     if std::path::Path::new(path).is_dir() {
         // An incremental index directory: run crash recovery (WAL replay,
         // torn-tail truncation) and materialize the equivalent one-shot
         // index, so every command transparently accepts either form.
-        // --mmap maps the sealed segments during recovery; the
-        // materialized one-shot equivalent is heap-resident either way.
-        let opts = IncrementalOptions { mmap_segments: mmap, ..IncrementalOptions::default() };
-        let inc = IncrementalIndex::open(path.as_ref(), opts)
+        if mmap {
+            return Err(MMAP_ON_DIR.into());
+        }
+        let inc = IncrementalIndex::open(path.as_ref(), IncrementalOptions::default())
             .map_err(|e| format!("cannot recover incremental index {path}: {e}"))?;
         return inc
             .to_one_shot()
@@ -530,6 +535,9 @@ fn inspect_incremental(path: &str, parsed: &Args<'_>) -> Result<(), String> {
         return Err("--fault-rate applies to index files; the incremental directory's \
              torn-write recovery is exercised by the recovery_chaos test campaign"
             .into());
+    }
+    if parsed.flag("mmap").is_some() {
+        return Err(MMAP_ON_DIR.into());
     }
     println!("file:     {path} (incremental index directory)");
     println!("format:   WAL + sealed segments");
@@ -969,6 +977,23 @@ mod tests {
         }
         let err = split_args(&args(&["idx.iiu", "--k"]), "k").map(|_| ()).unwrap_err();
         assert_eq!(err, "flag --k needs a value");
+    }
+
+    #[test]
+    fn mmap_on_an_incremental_directory_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("iiu-cli-mmap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.to_str().unwrap();
+        // stats, search and serve-bench load through `load_index_mode`.
+        assert_eq!(load_index_mode(path, true).map(|_| ()).unwrap_err(), MMAP_ON_DIR);
+        assert_eq!(cmd_stats(&args(&[path, "--mmap", "yes"])).unwrap_err(), MMAP_ON_DIR);
+        assert_eq!(cmd_inspect(&args(&[path, "--mmap", "yes"])).unwrap_err(), MMAP_ON_DIR);
+        // Refused before recovery runs: the directory is left untouched.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        assert!(
+            MMAP_ON_DIR.starts_with("--mmap maps index files") && !MMAP_ON_DIR.contains('\n')
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! two-term AND and OR, nested trees, unknown terms) at every `k` (none,
 //! one, the usual ten, more than any list) must give the hits, the
 //! candidate count and the degradation notes the exhaustive
-//! `CpuSearchEngine` gives over `snapshot()`. Both segment stores (heap
-//! and memory-mapped) are checked.
+//! `CpuSearchEngine` gives over `snapshot()`.
 
 use std::path::PathBuf;
 
@@ -26,13 +25,9 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// A live index over a tiny corpus: documents `[0, n/2)` in one merged
 /// segment (two seals, then a compaction), `[n/2, 3n/4)` in a second
 /// sealed segment and the rest in the write buffer.
-fn layered(dir: &std::path::Path, docs: &[IngestDoc], mmap_segments: bool) -> LiveIndex {
-    let opts = IncrementalOptions {
-        seal_threshold: 0,
-        merge_threshold: 0,
-        mmap_segments,
-        ..Default::default()
-    };
+fn layered(dir: &std::path::Path, docs: &[IngestDoc]) -> LiveIndex {
+    let opts =
+        IncrementalOptions { seal_threshold: 0, merge_threshold: 0, ..Default::default() };
     let live = LiveIndex::open(dir, opts).expect("open");
     let n = docs.len();
     for (i, part) in
@@ -79,10 +74,10 @@ fn pool(snapshot: &iiu_index::InvertedIndex) -> Vec<Query> {
     queries
 }
 
-fn check(tag: &str, mmap_segments: bool) {
+fn check(tag: &str) {
     let dir = tmp_dir(tag);
     let corpus = CorpusConfig::tiny(0x11FE).generate();
-    let live = layered(&dir, &corpus.to_docs(), mmap_segments);
+    let live = layered(&dir, &corpus.to_docs());
     let snapshot = live.snapshot().expect("snapshot");
     // The reference is the snapshot; it must be the one-shot build itself.
     assert!(snapshot == corpus.into_default_index(), "{tag}: snapshot differs from one-shot");
@@ -106,10 +101,5 @@ fn check(tag: &str, mmap_segments: bool) {
 
 #[test]
 fn live_search_matches_the_one_shot_engine_over_heap_segments() {
-    check("heap", false);
-}
-
-#[test]
-fn live_search_matches_the_one_shot_engine_over_mapped_segments() {
-    check("mmap", true);
+    check("heap");
 }

@@ -112,7 +112,10 @@ cargo test -q --workspace
 # CLI smoke: `iiu gen` writes a small index, `iiu inspect` loads it on
 # the heap and mapped and survives a fault-injection campaign over it;
 # the same file under the retired v2 magic ("IIUX" + 2 in byte 0) exits 1
-# with the rebuild hint. Runs in both modes.
+# with the rebuild hint. `iiu ingest` grows an incremental directory
+# through seals and a merge, `iiu inspect` reopens it, and `iiu stats
+# --mmap yes` on it exits 1 (segments load onto the heap). Runs in both
+# modes.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 cargo run --release -q --bin iiu -- gen "$smoke_dir/smoke.iiu" --docs 3000 >/dev/null
@@ -126,6 +129,18 @@ cargo run --release -q --bin iiu -- inspect "$smoke_dir/v2.iiu" \
 if [ "$status" -ne 1 ] || ! grep -q "retired format: rebuild it" "$smoke_dir/v2.err"; then
     echo "verify: inspect of a v2-magic file exited $status without the rebuild hint:" >&2
     cat "$smoke_dir/v2.err" >&2
+    exit 1
+fi
+cargo run --release -q --bin iiu -- ingest "$smoke_dir/live" --docs 3000 \
+    --seal-every 1000 --merge-every 2 >/dev/null
+cargo run --release -q --bin iiu -- inspect "$smoke_dir/live" >/dev/null
+status=0
+cargo run --release -q --bin iiu -- stats "$smoke_dir/live" --mmap yes \
+    >/dev/null 2>"$smoke_dir/live.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -qF -e "--mmap maps index files" "$smoke_dir/live.err"; then
+    echo "verify: stats --mmap on an incremental directory exited $status without" \
+        "the index-files message:" >&2
+    cat "$smoke_dir/live.err" >&2
     exit 1
 fi
 
